@@ -1,6 +1,6 @@
 """Record a baseline: every workload at one seed, untraced and traced.
 
-    python3 benchmarks/baseline.py [--seed 0] [--seconds 15]
+    python3 benchmarks/baseline.py [--seed 0]
 
 Writes benchmarks/baseline.json with the environment, each workload's
 graph descriptors, its end-to-end and per-layer metrics, and the shares
@@ -14,14 +14,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+from run import RUN_SECONDS
 from workloads import WORKLOADS
 
 HERE = Path(__file__).resolve().parent
 
 
-def run(name: str, seed: int, seconds: int, trace: int) -> dict:
+def run(name: str, seed: int, trace: int) -> dict:
     cmd = [sys.executable, str(HERE / "run.py"), "--workload", name, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--trace", str(trace)]
     lines = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.splitlines()
     out = {"result": json.loads(lines[-1])}
     for line in lines:
@@ -48,12 +49,11 @@ def shares(layer: dict) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description="record benchmarks/baseline.json")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=int, default=15)
     args = parser.parse_args()
-    record = {"seed": args.seed, "seconds": args.seconds, "workloads": {}}
+    record = {"seed": args.seed, "seconds": RUN_SECONDS, "workloads": {}}
     for name in WORKLOADS:
-        untraced = run(name, args.seed, args.seconds, 0)
-        traced = run(name, args.seed, args.seconds, 1)
+        untraced = run(name, args.seed, 0)
+        traced = run(name, args.seed, 1)
         record["env"] = untraced["env"]
         record["workloads"][name] = {
             "graph": untraced["graph"],

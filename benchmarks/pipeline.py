@@ -12,8 +12,9 @@ then save_checkpoint/load_checkpoint.
 A run is ROUNDS identical rounds of set-up, training and repeated
 evaluation, followed by one checkpoint round trip.  The host's speed
 drifts within seconds, so each metric takes samples from every round
-rather than from one stretch of the run.  Untraced (--trace 0) the last
-line holds the end-to-end metrics.  Traced (--trace 1) untraced and
+rather than from one stretch of the run, and untraced every timed call
+is scaled to a fixed host speed (see hostspeed.py).  Untraced (--trace 0)
+the last line holds the end-to-end metrics.  Traced (--trace 1) untraced and
 traced rounds alternate; the last line holds the per-layer metrics
 derived from the traced rounds' spans, with the tracing overhead.
 """
@@ -40,19 +41,28 @@ from scipy.sparse.csgraph import connected_components
 
 import pgtr
 from pgtr import synthetic
+from hostspeed import HostSpeed, WallClock
 from tracing import Tracer, instrument, missed_targets, roots, self_times, tail_percentile
 from workloads import WORKLOADS, Workload
 
 D = importlib.import_module("pgtr.data")
 M = importlib.import_module("pgtr.model")
 T = importlib.import_module("pgtr.train")
+E = importlib.import_module("pgtr.encodings")
+# Where untraced timings of set-up and training are cut for host-speed
+# samples (see hostspeed.py): after each eigensolve and optimizer step.
+SETUP_CUTS = ((E, "symmetric_eigs_smallest"),)
+TRAIN_CUTS = ((T, "adam_step"),)
 
 ROUNDS = 3
-MIN_EVALS_PER_ROUND = 10
+# 3 rounds x 34 calls give 102 evaluate samples, so eval_s_tail is a p90
+# with 10 samples beyond it.
+MIN_EVALS_PER_ROUND = 34
 K = 20
-# Quality outputs per (workload, seed) from earlier runs in this checkout,
-# compared exactly on every later run with the same seed.
-STATE_DIR = Path(__file__).resolve().parent / ".state"
+HERE = Path(__file__).resolve().parent
+# Quality outputs of earlier runs in this checkout, keyed by the code under
+# test, and compared exactly on every later run of the same code and seed.
+STATE_DIR = HERE / ".state"
 
 
 class Run:
@@ -83,29 +93,33 @@ def same_ranking(a, b) -> bool:
             and np.array_equal(a.per_user_ndcg, b.per_user_ndcg))
 
 
-def one_round(wl: Workload, ds, seed: int, seconds: float, run: Run,
+def set_up(ds, seed: int):
+    fit, val, test = D.split_by_ratio(ds, D.SplitSpec(0.8, seed=seed))
+    graph = D.build_graph(fit)
+    return fit, val, test, graph, M.init_model(graph, M.PGTRConfig(), seed=seed)
+
+
+def one_round(wl: Workload, ds, seed: int, seconds: float, run: Run, clock: WallClock,
               tracer: Tracer | None = None, n_evals: int | None = None) -> dict:
     """Set up, train a fixed number of epochs, then evaluate repeatedly.
 
     Evaluation runs until the round has lasted `seconds` (at least
     MIN_EVALS_PER_ROUND calls), or exactly `n_evals` calls when given.
+    Every timing is a (wall, scaled) pair taken by `clock`.
     """
     phase = tracer.span if tracer is not None else (lambda name: nullcontext())
     start = time.perf_counter()
     with phase("phase.setup"):
         run.attempted += 1
-        fit, val, test = D.split_by_ratio(ds, D.SplitSpec(0.8, seed=seed))
-        graph = D.build_graph(fit)
-        state = M.init_model(graph, M.PGTRConfig(), seed=seed)
-    setup_s = time.perf_counter() - start
+        (fit, val, test, graph, state), setup_s = clock.timed(lambda: set_up(ds, seed),
+                                                              long=True, split_at=SETUP_CUTS)
     digest = state_digest(state)
     cfg = T.TrainConfig(batch_size=wl.batch_size, max_epochs=wl.epochs,
                         patience=wl.epochs, seed=seed)
     with phase("phase.train"):
         run.attempted += 1
-        t0 = time.perf_counter()
-        state, history = T.train(state, fit, val, cfg)
-        train_s = time.perf_counter() - t0
+        (state, history), train_s = clock.timed(lambda: T.train(state, fit, val, cfg),
+                                                  long=True, split_at=TRAIN_CUTS)
     if len(history) < wl.epochs:
         run.failed += 1  # train took its divergence path and stopped early
 
@@ -118,9 +132,8 @@ def one_round(wl: Workload, ds, seed: int, seconds: float, run: Run,
     with phase("phase.eval"):
         while more():
             run.attempted += 1
-            t0 = time.perf_counter()
-            result = T.evaluate(state, fit, test, k=K)
-            evals.append(time.perf_counter() - t0)
+            result, timing = clock.timed(lambda: T.evaluate(state, fit, test, k=K))
+            evals.append(timing)
             if ranking is None:
                 ranking = result
             run.check(same_ranking(result, ranking), "repeated evaluate calls disagree")
@@ -136,16 +149,16 @@ def release(rounds: list[dict]):
         r.pop("pipeline", None)
 
 
-def checkpoint_round_trip(last: dict, run: Run, tracer: Tracer | None = None) -> float:
-    """Save the trained state, load it back, and require the same ranking."""
+def checkpoint_round_trip(last: dict, run: Run, clock: WallClock,
+                          tracer: Tracer | None = None) -> float:
+    """Save the trained state, load it back, and require the same ranking.
+    Returns the scaled load time."""
     fit, test, graph, state = last["pipeline"]
     path = STATE_DIR / f"checkpoint-{os.getpid()}.bin"
     with tracer.span("phase.checkpoint") if tracer is not None else nullcontext():
         run.attempted += 3
         M.save_checkpoint(state, path)
-        t0 = time.perf_counter()
-        loaded = M.load_checkpoint(path, graph)
-        load_s = time.perf_counter() - t0
+        loaded, (_, load_s) = clock.timed(lambda: M.load_checkpoint(path, graph), long=True)
         path.unlink()
         result = T.evaluate(loaded, fit, test, k=K)
     run.check(same_ranking(result, last["ranking"]),
@@ -175,9 +188,22 @@ def check_rounds(rounds: list[dict], run: Run) -> dict:
     return q
 
 
+def code_digest(wl: Workload) -> str:
+    """Hash of everything that sets the quality outputs: pgtr's sources, this
+    pipeline and its workload, and the numeric environment."""
+    h = hashlib.sha256()
+    src = Path(pgtr.__file__).resolve().parent
+    files = sorted(src.rglob("*.py")) + [HERE / "pipeline.py", HERE / "workloads.py"]
+    for path in files:
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    h.update(repr((wl, environment())).encode())
+    return h.hexdigest()[:16]
+
+
 def check_repeatable(name: str, seed: int, q: dict, run: Run):
-    """Quality outputs must be identical to any earlier run with this seed."""
-    path = STATE_DIR / f"quality-{name}-seed{seed}.json"
+    """Quality outputs must be identical to any earlier run of the same code
+    with this seed.  A change to pgtr or to the workload starts afresh."""
+    path = STATE_DIR / f"quality-{name}-seed{seed}-{code_digest(WORKLOADS[name])}.json"
     if path.exists():
         earlier = json.loads(path.read_text())
         run.check(earlier == q, f"quality outputs differ from an earlier run "
@@ -200,19 +226,38 @@ def environment() -> dict:
             "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset")}
 
 
-def end_to_end_metrics(rounds: list[dict]) -> tuple[dict, str]:
-    evals = [t for r in rounds for t in r["evals"]]
-    pct, tail = tail_percentile(evals)
+def timing_metrics(rounds: list[dict], which: int) -> tuple[dict, tuple]:
+    """Timing metrics from the wall (which=0) or scaled (which=1) times."""
+    evals = [t[which] for r in rounds for t in r["evals"]]
+    pct, tail, beyond = tail_percentile(evals)
     metrics = {
-        "setup_s": (statistics.median(r["setup_s"] for r in rounds), "s"),
+        "setup_s": (statistics.median(r["setup_s"][which] for r in rounds), "s"),
         "train_pairs_per_s": (statistics.median(
-            r["fit_pairs"] * len(r["history"]) / r["train_s"] for r in rounds), "pairs/s"),
+            r["fit_pairs"] * len(r["history"]) / r["train_s"][which] for r in rounds),
+            "pairs/s"),
         "eval_s_p50": (statistics.median(evals), "s"),
         "eval_s_tail": (tail, "s"),
+    }
+    return metrics, (pct, len(evals), beyond)
+
+
+def end_to_end_metrics(rounds: list[dict]) -> tuple[dict, str]:
+    """Scaled timings, peak memory and the final loss; the wall-clock
+    timings go into the returned note."""
+    metrics, (pct, n, beyond) = timing_metrics(rounds, 1)
+    metrics.update({
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
         "final_train_loss": (rounds[0]["history"][-1]["train_loss"], "nats"),
-    }
-    return metrics, f"eval_s_tail is p{pct:.1f} of {len(evals)} evaluate calls"
+    })
+    wall, _ = timing_metrics(rounds, 0)
+    note = "; ".join([tail_note("eval_s_tail", pct, n, beyond),
+                      "wall clock: " + " ".join(f"{k}={v:.6g}" for k, (v, _) in wall.items())])
+    return metrics, note
+
+
+def tail_note(name: str, pct: float, n: int, beyond: int) -> str:
+    note = f"{name} is p{pct:.1f} of {n} samples, {beyond} beyond it"
+    return note + (" (fewer than 10: a noisy tail)" if beyond < 10 else "")
 
 
 def layer_metrics(tracer: Tracer, n_rounds: int, overhead_frac: float) -> dict:
@@ -241,7 +286,8 @@ def layer_metrics(tracer: Tracer, n_rounds: int, overhead_frac: float) -> dict:
     losses = pick("train.batch_loss", "phase.train")
     adams = pick("optim.adam", "phase.train")
     steps = [spans[a].end - spans[b].start for b, a in zip(losses, adams)]
-    _, step_tail = tail_percentile(steps)
+    pct, step_tail, beyond = tail_percentile(steps)
+    print(tail_note("train.step_s_tail", pct, len(steps), beyond))
     return {
         "data.split_s": (per_round("data.split", "phase.setup"), "s"),
         "data.build_graph_s": (per_round("data.build_graph", "phase.setup"), "s"),
@@ -277,33 +323,37 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, run: Run) ->
     STATE_DIR.mkdir(exist_ok=True)
     round_s = seconds / ROUNDS
     if not trace:
+        clock = HostSpeed()
         rounds = []
         for _ in range(ROUNDS):
             release(rounds)
-            rounds.append(one_round(wl, ds, seed, round_s, run))
+            rounds.append(one_round(wl, ds, seed, round_s, run, clock))
         print("workload", name, json.dumps(graph_descriptors(rounds[-1]["pipeline"][2])))
         check_repeatable(name, seed, check_rounds(rounds, run), run)
-        load_s = checkpoint_round_trip(rounds[-1], run)
+        load_s = checkpoint_round_trip(rounds[-1], run, clock)
         metrics, note = end_to_end_metrics(rounds)
+        print("host speed:", clock.summary())
         print(f"{note}; checkpoint_load_s={load_s:.4f} s; "
               f"recall_at_20={rounds[0]['ranking'].recall_at_k:.6g} "
               f"ndcg_at_20={rounds[0]['ranking'].ndcg_at_k:.6g}")
         return metrics
 
     # Untraced and traced rounds alternate with the same evaluate count,
-    # so the overhead compares equal work done at nearby times.
+    # so the overhead compares equal work done at nearby times.  Per-layer
+    # numbers are wall times: no reference samples run inside the rounds.
+    clock = WallClock()
     tracer = Tracer()
     plain, traced, n_evals = [], [], None
     for is_traced in (False, True, False, True):
         release(plain + traced)
         if is_traced:
             with instrument(tracer):
-                traced.append(one_round(wl, ds, seed, round_s, run, tracer, n_evals))
+                traced.append(one_round(wl, ds, seed, round_s, run, clock, tracer, n_evals))
         else:
-            plain.append(one_round(wl, ds, seed, round_s, run, n_evals=n_evals))
+            plain.append(one_round(wl, ds, seed, round_s, run, clock, n_evals=n_evals))
             n_evals = len(plain[0]["evals"])
     with instrument(tracer):
-        checkpoint_round_trip(traced[-1], run, tracer)
+        checkpoint_round_trip(traced[-1], run, clock, tracer)
     check_repeatable(name, seed, check_rounds(plain + traced, run), run)
     missed = missed_targets(tracer.spans)
     run.check(not missed, f"traced run never hit {missed}")
@@ -316,7 +366,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 

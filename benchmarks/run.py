@@ -22,11 +22,14 @@ from workloads import WORKLOADS
 
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
-# Capped at the core count by child_env.  A fixed count keeps BLAS
-# reductions in one order, so quality outputs repeat bit for bit.
-BLAS_THREADS = 2
+# One thread: on a shared host a second BLAS thread waits on whichever
+# core the neighbours slow down.  A fixed count also keeps BLAS reductions
+# in one order, so quality outputs repeat bit for bit.
+BLAS_THREADS = 1
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 CHILD_TIMEOUT_S = 170
+# BENCHMARK.json's run_seconds: the length of a run when --seconds is not given.
+RUN_SECONDS = 15
 
 
 def child_env() -> dict:
@@ -54,7 +57,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description="pgtr benchmark")
     parser.add_argument("--workload", choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=int, default=20)
+    parser.add_argument("--seconds", type=int, default=RUN_SECONDS)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
     if not (SRC / "pgtr" / "__init__.py").is_file():

@@ -1,8 +1,13 @@
 """Tests for the benchmark's own helpers: tail percentile, self time,
-and wrapping pgtr's functions where their callers look them up."""
+wrapping pgtr's functions where their callers look them up, and scaling
+timings to a fixed host speed."""
 import importlib
+import math
+from types import SimpleNamespace
 
 import pytest
+
+import hostspeed
 
 from tracing import (
     TARGETS,
@@ -18,16 +23,22 @@ from tracing import (
 
 class TestTailPercentile:
     def test_ten_samples_beyond(self):
-        assert tail_percentile(range(1, 21)) == (50.0, 10)
-        assert tail_percentile(range(1, 101)) == (90.0, 90)
+        assert tail_percentile(range(1, 101)) == (90.0, 90, 10)
+        assert tail_percentile(range(1, 201)) == (95.0, 190, 10)
+
+    def test_never_below_p90(self):
+        # 20 samples: 10 beyond would be p50, so the p90 is taken instead
+        # and the short tail is reported.
+        assert tail_percentile(range(1, 21)) == (90.0, 18, 2)
+        assert tail_percentile([3.0]) == (100.0, 3.0, 0)
 
     def test_order_does_not_matter(self):
-        assert tail_percentile([5, 1, 4, 2, 3, 9, 8, 7, 6, 11, 10, 12]) == (
-            pytest.approx(100 * 2 / 12), 2)
+        xs = list(range(100, 0, -1))
+        assert tail_percentile(xs) == tail_percentile(sorted(xs))
 
-    def test_too_few_samples(self):
+    def test_no_samples(self):
         with pytest.raises(ValueError):
-            tail_percentile(range(10))
+            tail_percentile([])
 
 
 class TestSelfTime:
@@ -111,3 +122,73 @@ class TestInstrument:
             _, skipped = train_mod.batch_loss(state, users, items, fit.items_of_user())
         assert tracer.counts["train.pairs"] == 8
         assert tracer.counts["train.pairs_skipped"] == skipped
+
+
+class TestRepeatable:
+    def test_same_code_compares_and_other_code_starts_afresh(self, tmp_path, monkeypatch):
+        import pipeline
+        monkeypatch.setattr(pipeline, "STATE_DIR", tmp_path)
+        q = {"recall_at_20": 0.25, "train_loss": [1.5, 1.25]}
+        other = {"recall_at_20": 0.5, "train_loss": [1.5, 1.25]}
+
+        def problems(quality, seed=0):
+            run = pipeline.Run()
+            pipeline.check_repeatable("cold-start", seed, quality, run)
+            return run.problems
+
+        assert problems(q) == []        # first run of this code records
+        assert problems(q) == []        # a repeat matches
+        assert len(problems(other)) == 1
+        assert problems(other, seed=1) == []
+        monkeypatch.setattr(pipeline, "code_digest", lambda wl: "changed-code")
+        assert problems(other) == []    # new code is not held to old outputs
+
+
+class TestHostSpeed:
+    def test_wall_clock_is_unscaled(self):
+        out, (wall, scaled) = hostspeed.WallClock().timed(lambda: 7)
+        assert out == 7 and wall == scaled >= 0.0
+
+    def test_scaled_by_the_samples_around_a_call(self, monkeypatch):
+        clock = hostspeed.HostSpeed(warmup=0)
+        # Interpreter samples at 2x, 4x, 1x, 3x and 1x their nominal time; full
+        # (interpreter + memory) samples at 0.5x and 1.5x.
+        monkeypatch.setattr(clock, "_interp", iter([2.0, 4.0, 1.0, 3.0, 1.0]).__next__)
+        fulls = iter([0.5, 1.5])
+        monkeypatch.setattr(clock, "_full", lambda n=3: next(fulls))
+        ticks = iter([0.0, 0.6, 1.0, 1.3, 2.0, 4.0, 5.0, 5.5])
+        monkeypatch.setattr(hostspeed, "time", SimpleNamespace(perf_counter=ticks.__next__))
+        assert clock.timed(lambda: "a")[1] == pytest.approx((0.6, 0.6 / 3.0))
+        # The next short call shares the sample taken after the previous one.
+        assert clock.timed(lambda: "b")[1] == pytest.approx((0.3, 0.3 / 2.5))
+        assert clock.timed(lambda: "c", long=True)[1] == pytest.approx((2.0, 2.0))
+        # A long call leaves no sample behind, so a short one takes a fresh one.
+        assert clock.timed(lambda: "d")[1] == pytest.approx((0.5, 0.5 / 2.0))
+
+    def test_long_call_is_cut_after_each_step(self, monkeypatch):
+        clock = hostspeed.HostSpeed(warmup=0)
+        # Before the call, after each of two steps, and after the call.
+        fulls = iter([1.0, 3.0, 1.0, 2.0])
+        monkeypatch.setattr(clock, "_full", lambda n=3: next(fulls))
+        ticks = iter([0.0, 0.4, 0.5, 0.7, 1.0, 1.1])
+        monkeypatch.setattr(hostspeed, "time", SimpleNamespace(perf_counter=ticks.__next__))
+        step = lambda: None  # noqa: E731
+        module = SimpleNamespace(step=step)
+
+        def two_steps():
+            module.step()
+            module.step()
+            return "done"
+
+        out, (wall, scaled) = clock.timed(two_steps, long=True, split_at=[(module, "step")])
+        # Stretches 0.4, 0.2 and 0.1 s; the samples' own time is left out.
+        assert out == "done" and wall == pytest.approx(0.7)
+        assert scaled == pytest.approx(0.4 / 2.0 + 0.2 / 2.0 + 0.1 / 1.5)
+        assert module.step is step
+
+    def test_real_samples(self):
+        clock = hostspeed.HostSpeed(warmup=0)
+        out, (wall, scaled) = clock.timed(lambda: sum(range(1000)), long=True)
+        assert out == 499500 and math.isfinite(scaled) and scaled > 0.0
+        assert len(clock.interp_samples) == len(clock.memory_samples) == 6
+        assert "interpreter kernel median" in clock.summary()

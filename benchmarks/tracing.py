@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import importlib
+import math
 import time
 from collections import Counter, defaultdict
 from contextlib import contextmanager
@@ -131,14 +132,17 @@ def roots(spans: list[Span]) -> list[int]:
     return out
 
 
-def tail_percentile(samples, beyond: int = 10) -> tuple[float, float]:
-    """Highest percentile with at least `beyond` samples above it.
+def tail_percentile(samples, beyond: int = 10, floor: float = 90.0):
+    """Highest percentile with at least `beyond` samples above it, but never
+    below the `floor` percentile.
 
-    Returns (percentile, value): the value is the sorted sample with
-    exactly `beyond` samples after it.
+    Returns (percentile, value, samples above it).  The value is a sorted
+    sample by nearest rank: the one with `beyond` samples after it, or the
+    `floor` percentile when there are too few samples for that.
     """
     xs = sorted(samples)
-    if len(xs) <= beyond:
-        raise ValueError(f"need more than {beyond} samples, got {len(xs)}")
-    k = len(xs) - beyond - 1
-    return 100.0 * (k + 1) / len(xs), xs[k]
+    if not xs:
+        raise ValueError("need at least one sample")
+    n = len(xs)
+    k = max(n - beyond - 1, math.ceil(n * floor / 100.0) - 1)
+    return 100.0 * (k + 1) / n, xs[k], n - 1 - k

@@ -24,17 +24,19 @@ class Workload:
 
 
 WORKLOADS = {
-    # ~19k fit pairs, ~2.5k nodes.  At the default batch size the in-batch
+    # 15,200 fit pairs, 2,000 nodes.  At the default batch size the in-batch
     # mask and masked log-sum-exp dominate a step, the graph forward is small.
-    "fit-b2048": Workload(n_users=1000, n_items=1500, per_user=30,
+    # Seeds 0-30 give 2-13 components, so set-up always makes 2 Lanczos calls.
+    "fit-b2048": Workload(n_users=800, n_items=1200, per_user=30,
                           batch_size=2048, epochs=1),
     # Same graph, small batches: forward and backward through the graph
     # (position tape, propagation, attention) dominate a step instead.
-    "fit-b256": Workload(n_users=1000, n_items=1500, per_user=30,
+    "fit-b256": Workload(n_users=800, n_items=1200, per_user=30,
                          batch_size=256, epochs=1),
-    # Sparse long-tail graph (750 nodes, ~60-75 components, nearly all of
-    # them isolated items), above the dense-eigensolver cutoff of 512 nodes:
-    # set-up is almost all Lanczos, called 3 times by the growing-`ask` loop.
-    "cold-start": Workload(n_users=300, n_items=450, per_user=10,
+    # Sparse long-tail graph (790 nodes, nearly all components isolated
+    # items), above the dense-eigensolver cutoff of 512 nodes: set-up is
+    # almost all Lanczos.  The growing-`ask` loop calls it 3 times when the
+    # graph has 52-101 components; seeds 0-60 give 59-85.
+    "cold-start": Workload(n_users=300, n_items=490, per_user=10,
                            batch_size=256, epochs=8),
 }
