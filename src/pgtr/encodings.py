@@ -13,7 +13,8 @@ import numpy as np
 
 from .autodiff import Tensor, parameter
 from .data import BipartiteGraph, one_sided_adjacency
-from .linalg import normalized_laplacian, pagerank, symmetric_eigs_smallest
+from .linalg import (laplacian_null_basis, normalized_laplacian, pagerank,
+                     symmetric_eigs_smallest)
 
 __all__ = [
     "EncodingError",
@@ -30,9 +31,6 @@ __all__ = [
     "node_position",
     "position_matrix",
 ]
-
-TRIVIAL_EIGENVALUE = 1e-8
-
 
 class EncodingError(RuntimeError):
     pass
@@ -75,29 +73,25 @@ class SpectralEncoding:
         return False
 
 
-def _nontrivial_eigenvectors(adj, h: int, what: str, method: str = "auto") -> np.ndarray:
+def _nontrivial_eigenvectors(adj, h: int, what: str) -> np.ndarray:
     """Columns of the h smallest eigenvectors of the normalized Laplacian
-    after skipping every eigenvalue below TRIVIAL_EIGENVALUE."""
+    outside its null space (one zero eigenvalue per connected component,
+    isolated nodes included), found by one deflated solve."""
     if adj.nnz == 0:
         raise EncodingError(f"{what}: graph has no edges")
-    lap = normalized_laplacian(adj)
-    n = lap.shape[0]
-    ask = min(n, h + 1)
-    while True:
-        vals, vecs = symmetric_eigs_smallest(lap, ask, method=method)
-        skip = int(np.sum(vals < TRIVIAL_EIGENVALUE))
-        if skip + h <= ask:
-            return vecs[:, skip:skip + h]
-        if skip + h > n:
-            raise EncodingError(
-                f"{what}: needs {h} non-trivial eigenpairs but only {n - skip} "
-                f"are available ({skip} trivial of {n} total)")
-        ask = min(n, skip + h)
+    null = laplacian_null_basis(adj)
+    n, trivial = null.shape
+    if h > n - trivial:
+        raise EncodingError(
+            f"{what}: needs {h} non-trivial eigenpairs but only {n - trivial} "
+            f"are available ({trivial} trivial of {n} total)")
+    _, vecs = symmetric_eigs_smallest(normalized_laplacian(adj), h, deflate=null)
+    return vecs
 
 
-def spectral_encoding(g: BipartiteGraph, h_c: int, lambda_c: float,
-                      eig_method: str = "auto") -> SpectralEncoding:
-    """Convex mix of whole-graph and one-sided Laplacian eigenvector features.
+def spectral_encoding(g: BipartiteGraph, h_c: int, lambda_c: float) -> SpectralEncoding:
+    """Convex mix of whole-graph and one-sided Laplacian eigenvector features:
+    each graph's h_c smallest eigenvectors outside its null space.
 
     lambda_c = 0 uses the bipartite graph only; lambda_c = 1 uses the
     user-side and item-side projection graphs only.
@@ -109,13 +103,13 @@ def spectral_encoding(g: BipartiteGraph, h_c: int, lambda_c: float,
     n, m = g.n_users, g.n_items
     parts = []
     if lambda_c < 1.0:
-        vecs = _nontrivial_eigenvectors(g.full_adjacency(), h_c, "bipartite graph", eig_method)
+        vecs = _nontrivial_eigenvectors(g.full_adjacency(), h_c, "bipartite graph")
         parts.append((1.0 - lambda_c, vecs.T))
     if lambda_c > 0.0:
         u_vecs = _nontrivial_eigenvectors(one_sided_adjacency(g, "user"), h_c,
-                                          "user-side graph", eig_method)
+                                          "user-side graph")
         i_vecs = _nontrivial_eigenvectors(one_sided_adjacency(g, "item"), h_c,
-                                          "item-side graph", eig_method)
+                                          "item-side graph")
         parts.append((lambda_c, np.hstack([u_vecs.T, i_vecs.T])))
     matrix = np.zeros((h_c, n + m))
     for weight, block in parts:
@@ -204,9 +198,8 @@ def build_encoding_set(g: BipartiteGraph, d: int, h_c: int, h_d: int, h_r: int,
                        h_y: int, n_d: int, n_r: int, lambda_c: float,
                        rng: np.random.Generator,
                        use_spectral: bool = True, use_degree: bool = True,
-                       use_pagerank: bool = True, use_type: bool = True,
-                       eig_method: str = "auto") -> PositionalEncodingSet:
-    spectral = spectral_encoding(g, h_c, lambda_c, eig_method) if use_spectral else None
+                       use_pagerank: bool = True, use_type: bool = True) -> PositionalEncodingSet:
+    spectral = spectral_encoding(g, h_c, lambda_c) if use_spectral else None
     deg_u = deg_i = pr_u = pr_i = None
     if use_degree:
         deg_u, deg_i = degree_encoding(g, n_d, h_d, rng)

@@ -3,20 +3,23 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 __all__ = [
     "ConvergenceError",
     "normalized_laplacian",
+    "laplacian_null_basis",
     "symmetric_eigs_smallest",
     "pagerank",
 ]
 
-# Dense decomposition below this dimension; Lanczos above.
+# Dense decomposition up to this dimension; ARPACK above.
 DENSE_CUTOFF = 512
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration cap reached; carries the residual achieved so far."""
+    """Solver did not reach its tolerance; carries the residual achieved."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (achieved residual {residual:.3e})")
@@ -46,6 +49,23 @@ def normalized_laplacian(adj: sp.spmatrix) -> sp.csr_matrix:
     return lap.tocsr()
 
 
+def laplacian_null_basis(adj) -> sp.csr_matrix:
+    """Orthonormal basis of the null space of `normalized_laplacian(adj)`.
+
+    One column per connected component C: D^{1/2} 1_C normalized, which
+    for an isolated node (an all-zero Laplacian row) is its unit vector.
+    Each node lies in one component, so each row holds one nonzero.
+    """
+    a = _to_sparse(adj)
+    n_comp, labels = connected_components(a, directed=False)
+    deg = np.asarray(a.sum(axis=1)).ravel()
+    weight = np.sqrt(np.where(deg > 0, deg, 1.0))
+    norms = np.sqrt(np.bincount(labels, weights=weight ** 2, minlength=n_comp))
+    n = a.shape[0]
+    return sp.csr_matrix((weight / norms[labels], (np.arange(n), labels)),
+                         shape=(n, n_comp))
+
+
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry (first on ties) is positive."""
     out = vecs.copy()
@@ -63,35 +83,43 @@ def _check_symmetric(a: sp.csr_matrix, tol: float = 1e-12):
         raise ValueError(f"matrix not symmetric (max asymmetry {worst:.3e})")
 
 
-def symmetric_eigs_smallest(mat, k: int, tol: float = 1e-10,
-                            method: str = "auto", max_basis: int | None = None,
-                            seed: int = 0):
-    """Smallest-k eigenpairs of a sparse symmetric matrix.
+def symmetric_eigs_smallest(mat, k: int, tol: float = 1e-10, deflate=None):
+    """Smallest-k eigenpairs of a sparse symmetric matrix M on the
+    complement of `deflate`'s c orthonormal columns, which must span an
+    invariant subspace of M (e.g. `laplacian_null_basis`).
 
     Returns (eigenvalues ascending, column-orthonormal eigenvectors) with
     every residual ||M v - lambda v|| <= tol * ||M||_1 and sign-fixed
-    columns.  `method` is "auto" (dense below DENSE_CUTOFF), "dense" or
-    "lanczos".
+    columns.  Above DENSE_CUTOFF, ARPACK solves on the complement and a
+    probe checks it missed no repeated eigenvalue; otherwise the dense
+    `eigh` of M answers, minus its c eigenvectors in span(deflate).
     """
     a = _to_sparse(mat)
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for dimension {n}")
+    c = 0 if deflate is None else deflate.shape[1]
+    if not 1 <= k <= n - c:
+        raise ValueError(f"k={k} out of range for dimension {n} with {c} deflated")
     _check_symmetric(a)
 
-    if method == "auto":
-        method = "dense" if n <= DENSE_CUTOFF else "lanczos"
-    if method == "dense":
-        vals, vecs = np.linalg.eigh(a.toarray())
-        vals, vecs = vals[:k], vecs[:, :k]
-    elif method == "lanczos":
-        vals, vecs = _lanczos_smallest(a, k, tol, seed, max_basis)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
     norm_a = _one_norm(a)
+    found = None
+    # ARPACK's Krylov space (max(2k+1, 20) vectors) and the probe's must
+    # both fit in the complement
+    if n > DENSE_CUTOFF and 2 * k + 20 < n - c:
+        found = _arpack_smallest(a, k, tol, norm_a, deflate)
+    if found is None:
+        vals, vecs = np.linalg.eigh(a.toarray())
+        if c:
+            # drop the eigenvectors in span(deflate); deflating M first would
+            # pick another basis within repeated eigenvalues
+            weight = np.linalg.norm(deflate.T @ vecs, axis=0)
+            keep = np.sort(np.argsort(weight, kind="stable")[:n - c])
+            vals, vecs = vals[keep], vecs[:, keep]
+        found = vals[:k], vecs[:, :k]
+    vals, vecs = found
+
     resid = _residuals(a, vals, vecs)
     if resid.max() > tol * max(norm_a, 1e-300):
         raise ConvergenceError("eigensolver residual above tolerance", float(resid.max()))
@@ -109,83 +137,46 @@ def _residuals(a, vals, vecs) -> np.ndarray:
     return np.linalg.norm(r, axis=0)
 
 
-def _orthonormalize(v: np.ndarray, basis: np.ndarray, j: int) -> tuple[np.ndarray, float]:
-    """Two rounds of classical Gram-Schmidt against the first j basis columns."""
-    for _ in range(2):
-        if j:
-            v = v - basis[:, :j] @ (basis[:, :j].T @ v)
-    return v, float(np.linalg.norm(v))
-
-
-def _lanczos_smallest(a: sp.csr_matrix, k: int, tol: float, seed: int,
-                      max_basis: int | None):
-    """Lanczos recurrence with full reorthogonalization and Rayleigh-Ritz
-    extraction.
-
-    Repeated eigenvalues live outside a single Krylov space, so after the
-    k smallest Ritz pairs first converge a fresh random direction is
-    injected and convergence is required again with stable values before
-    accepting.  With the default cap (the full dimension) the extraction
-    becomes exact in the worst case.
-    """
-    n = a.shape[0]
-    cap = n if max_basis is None else min(max_basis, n)
-    rng = np.random.default_rng(seed)
-    norm_a = max(_one_norm(a), 1e-300)
-    q_basis = np.zeros((n, cap))
-    aq = np.zeros((n, cap))
-
-    def fresh_direction(j: int) -> np.ndarray | None:
-        for _ in range(50):
-            v, nrm = _orthonormalize(rng.standard_normal(n), q_basis, j)
-            if nrm > 1e-8:
-                return v / nrm
+def _arpack_smallest(a: sp.csr_matrix, k: int, tol: float, norm_a: float, deflate):
+    """ARPACK's k smallest pairs on the complement of `deflate`, or None
+    if they may miss a repeated eigenvalue."""
+    # above the Gershgorin bound: no wanted pair of sigma I - M ties with
+    # a deflated direction, which the operator maps to 0
+    sigma = norm_a + 1.0
+    try:
+        vals, vecs = _shifted_largest(a, sigma, k, (deflate,), seed=0)
+        # a Krylov space holds one vector per distinct eigenvalue: probe the
+        # rest of the complement, to the certificate's tolerance, for a lower one
+        (missed,), _ = _shifted_largest(a, sigma, 1, (deflate, vecs), seed=1, tol=tol)
+    except ArpackError:  # the Krylov space closed on too few eigenvalues
         return None
+    return (vals, vecs) if missed >= vals[-1] - tol * norm_a else None
 
-    j = 0
-    v = fresh_direction(0)
-    best_resid = np.inf
-    accepted_vals: np.ndarray | None = None
-    check_every = max(8, k)
-    while j < cap:
-        q_basis[:, j] = v
-        aq[:, j] = a @ v
-        j += 1
-        # next Krylov direction; re-inject randomly on breakdown
-        nxt, nrm = _orthonormalize(aq[:, j - 1].copy(), q_basis, j)
-        if nrm <= 1e-10 * norm_a:
-            nxt = fresh_direction(j)
-            if nxt is None:
-                break
-            v = nxt
-        else:
-            v = nxt / nrm
 
-        if j >= k and (j % check_every == 0 or j == cap):
-            b = q_basis[:, :j].T @ aq[:, :j]
-            b = 0.5 * (b + b.T)
-            ritz_vals, ritz_vecs = np.linalg.eigh(b)
-            cand_vals = ritz_vals[:k]
-            cand_vecs = q_basis[:, :j] @ ritz_vecs[:, :k]
-            resid = _residuals(a, cand_vals, cand_vecs)
-            best_resid = min(best_resid, float(resid.max()))
-            if resid.max() <= tol * norm_a:
-                if accepted_vals is not None and np.abs(cand_vals - accepted_vals).max() <= max(tol * norm_a, 1e-12):
-                    return cand_vals, cand_vecs
-                # first convergence: probe for missed multiplicities
-                accepted_vals = cand_vals
-                probe = fresh_direction(j)
-                if probe is None or j == cap:
-                    return cand_vals, cand_vecs
-                v = probe
+def _shifted_largest(a: sp.csr_matrix, sigma: float, k: int, bases, seed: int,
+                     tol: float = 0.0):
+    """The k smallest eigenpairs of M on the complement of `bases`, ascending,
+    as the k largest of P (sigma I - M) P.  `tol` is ARPACK's (0: machine
+    precision); v0 is seeded, as ARPACK's own changes between calls."""
+    def project(x):
+        for b in bases:
+            if b is not None:
+                x = x - b @ (b.T @ x)
+        return x
 
-    if j == cap == n:
-        # basis spans the whole space: extraction is exact
-        b = q_basis.T @ aq
-        b = 0.5 * (b + b.T)
-        ritz_vals, ritz_vecs = np.linalg.eigh(b)
-        return ritz_vals[:k], q_basis @ ritz_vecs[:, :k]
-    raise ConvergenceError("Lanczos basis cap reached before convergence", best_resid)
+    def matvec(x):
+        y = project(x)
+        return project(sigma * y - a @ y)
+
+    v0 = project(np.random.default_rng(seed).standard_normal(a.shape[0]))
+    try:
+        theta, vecs = eigsh(LinearOperator(a.shape, matvec=matvec, dtype=np.float64),
+                            k, which="LA", v0=v0, tol=tol)
+    except ArpackNoConvergence as err:
+        resid = _residuals(a, sigma - err.eigenvalues, err.eigenvectors)
+        raise ConvergenceError("ARPACK did not converge",
+                               float(resid.max()) if resid.size else np.inf) from None
+    return sigma - theta[::-1], vecs[:, ::-1]
 
 
 def pagerank(graph, damping: float = 0.85, tol: float = 1e-12,

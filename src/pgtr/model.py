@@ -122,8 +122,7 @@ class ModelState:
         return [t for _, t in self.named_parameters()]
 
 
-def init_model(graph: BipartiteGraph, cfg: PGTRConfig, seed: int = 0,
-               eig_method: str = "auto") -> ModelState:
+def init_model(graph: BipartiteGraph, cfg: PGTRConfig, seed: int = 0) -> ModelState:
     cfg.validate()
     rng = np.random.default_rng(seed)
     n_nodes = graph.n_users + graph.n_items
@@ -133,8 +132,7 @@ def init_model(graph: BipartiteGraph, cfg: PGTRConfig, seed: int = 0,
         graph, d=cfg.d, h_c=cfg.h_c, h_d=cfg.h_d, h_r=cfg.h_r, h_y=cfg.h_y,
         n_d=cfg.n_d, n_r=cfg.n_r, lambda_c=cfg.lambda_c, rng=rng,
         use_spectral=cfg.use_spectral, use_degree=cfg.use_degree,
-        use_pagerank=cfg.use_pagerank, use_type=cfg.use_type,
-        eig_method=eig_method)
+        use_pagerank=cfg.use_pagerank, use_type=cfg.use_type)
     transforms = []
     if cfg.backbone == "transform-gcn":
         bound = 0.1 / np.sqrt(cfg.d)
@@ -320,23 +318,31 @@ def save_checkpoint(state: ModelState, path):
             fh.write(tensor.data.astype("<f8").tobytes(order="C"))
 
 
+def _read(fh, size: int, what: str) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(f"checkpoint truncated in {what}: "
+                         f"expected {size} bytes, found {len(data)}")
+    return data
+
+
 def load_checkpoint(path, graph: BipartiteGraph) -> ModelState:
     with open(path, "rb") as fh:
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise ValueError("not a model checkpoint")
-        (version,) = struct.unpack("<B", fh.read(1))
+        (version,) = struct.unpack("<B", _read(fh, 1, "the version"))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        (meta_len,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(meta_len).decode("utf-8"))
-        (n_blocks,) = struct.unpack("<I", fh.read(4))
+        (meta_len,) = struct.unpack("<I", _read(fh, 4, "the header length"))
+        meta = json.loads(_read(fh, meta_len, "the header").decode("utf-8"))
+        (n_blocks,) = struct.unpack("<I", _read(fh, 4, "the block count"))
         blocks = {}
-        for _ in range(n_blocks):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            rows, cols = struct.unpack("<II", fh.read(8))
-            data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8").reshape(rows, cols)
-            blocks[name] = data.copy()
+        for index in range(n_blocks):
+            (name_len,) = struct.unpack("<I", _read(fh, 4, f"the name length of block {index}"))
+            name = _read(fh, name_len, f"the name of block {index}").decode("utf-8")
+            rows, cols = struct.unpack("<II", _read(fh, 8, f"the shape of block {name!r}"))
+            data = _read(fh, rows * cols * 8, f"the data of block {name!r}")
+            blocks[name] = np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
 
     if meta["n_users"] != graph.n_users or meta["n_items"] != graph.n_items:
         raise ValueError("checkpoint was built for a different graph")

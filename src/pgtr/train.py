@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .attention import AttentionError
 from .autodiff import NumericsError, Tensor
 from .data import InteractionDataset
 from .model import ModelState, forward
@@ -136,7 +137,10 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
     """Mini-batch epochs with early stopping on validation Recall@k.
 
     Returns the state holding the best-validation parameters plus a
-    history record per epoch.
+    history record per epoch.  A non-finite value (NumericsError) or an
+    attention overflow/underflow (AttentionError) in a step or in
+    validation stops training with a warning and restores the best
+    parameters.
     """
     rng = np.random.default_rng(cfg.seed)
     params = state.parameters()
@@ -157,27 +161,26 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
         t0 = time.perf_counter()
         perm = rng.permutation(n_pairs)
         epoch_loss, n_batches = 0.0, 0
-        for lo in range(0, n_pairs, cfg.batch_size):
-            sel = perm[lo:lo + cfg.batch_size]
-            if sel.size < 2:
-                continue
-            ad.zero_grad(params)
-            try:
+        try:
+            for lo in range(0, n_pairs, cfg.batch_size):
+                sel = perm[lo:lo + cfg.batch_size]
+                if sel.size < 2:
+                    continue
+                ad.zero_grad(params)
                 loss, _ = batch_loss(state, pairs_u[sel], pairs_i[sel], train_items)
                 ad.backward(loss)
-            except NumericsError as err:
-                log.warning("training aborted at epoch %d: %s", epoch, err)
-                diverged = True
-                break
-            adam_step(opt)
-            epoch_loss += loss.item()
-            n_batches += 1
-        if diverged:
+                adam_step(opt)
+                epoch_loss += loss.item()
+                n_batches += 1
+            metrics = evaluate(state, fit, val, k=cfg.k) if len(val) else None
+        except (NumericsError, AttentionError) as err:
+            # diverged parameters: stop and fall back to the best ones
+            log.warning("training aborted at epoch %d: %s", epoch, err)
+            diverged = True
             break
         mean_loss = epoch_loss / max(n_batches, 1)
 
-        if len(val):
-            metrics = evaluate(state, fit, val, k=cfg.k)
+        if metrics is not None:
             val_recall, val_ndcg = metrics.recall_at_k, metrics.ndcg_at_k
         else:
             val_recall = val_ndcg = float("nan")

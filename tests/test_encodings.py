@@ -1,6 +1,8 @@
 """Positional encoding tests: grouping rules, spectral mix, composition."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgtr.data import InteractionDataset, build_graph, one_sided_adjacency
 from pgtr.encodings import (
@@ -14,7 +16,13 @@ from pgtr.encodings import (
     spectral_encoding,
     type_table,
 )
-from pgtr.linalg import normalized_laplacian, pagerank, symmetric_eigs_smallest
+from pgtr.linalg import (
+    DENSE_CUTOFF,
+    laplacian_null_basis,
+    normalized_laplacian,
+    pagerank,
+    symmetric_eigs_smallest,
+)
 from pgtr.synthetic import clustered_interactions
 
 
@@ -109,6 +117,65 @@ class TestSpectral:
         with pytest.raises(EncodingError, match="user-side"):
             spectral_encoding(g, 1, 0.5)
         spectral_encoding(g, 1, 0.0)  # whole-graph only is fine
+
+
+@st.composite
+def awkward_interactions(draw, max_users=8, max_items=10):
+    """A random bipartite graph with at least one edge, often with isolated
+    nodes and many components, sometimes a single user or a user who
+    touched every item."""
+    n_users = draw(st.integers(1, max_users))
+    n_items = draw(st.integers(1, max_items))
+    density = draw(st.sampled_from([0.05, 0.2, 0.5]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    adj = np.random.default_rng(seed).random((n_users, n_items)) < density
+    adj[0, 0] = True
+    if draw(st.booleans()):
+        adj[draw(st.integers(0, n_users - 1))] = True
+    users, items = np.nonzero(adj)
+    return InteractionDataset(n_users, n_items, users, items)
+
+
+def check_spectral_properties(g, h):
+    """Rows orthonormal, orthogonal to the Laplacian null space, and each a
+    certified eigenvector of the h smallest non-trivial eigenvalues; or a
+    shortage error when fewer than h exist."""
+    adj = g.full_adjacency()
+    null = laplacian_null_basis(adj)
+    n, trivial = null.shape
+    if h > n - trivial:
+        with pytest.raises(EncodingError, match="non-trivial"):
+            spectral_encoding(g, h, 0.0)
+        return
+    rows = spectral_encoding(g, h, 0.0).matrix
+    np.testing.assert_allclose(rows @ rows.T, np.eye(h), atol=1e-8)
+    assert np.abs(null.T @ rows.T).max() <= 1e-8
+    lap = normalized_laplacian(adj)
+    lap_rows = (lap @ rows.T).T
+    lam = np.einsum("ij,ij->i", lap_rows, rows)
+    resid = np.linalg.norm(lap_rows - lam[:, None] * rows, axis=1)
+    assert resid.max() <= 1e-10 * abs(lap).sum(axis=0).max()
+    ref = np.linalg.eigvalsh(lap.toarray())[trivial:trivial + h]
+    np.testing.assert_allclose(lam, ref, atol=1e-8)
+
+
+class TestSpectralProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(ds=awkward_interactions(), h=st.integers(1, 12))
+    def test_small_awkward_graphs(self, ds, h):
+        check_spectral_properties(build_graph(ds), h)
+
+    @settings(max_examples=8, deadline=None)
+    @given(block=awkward_interactions(max_users=6, max_items=6),
+           isolated=st.integers(0, 60), h=st.sampled_from([1, 5, 50]))
+    def test_repeated_blocks_above_cutoff(self, block, isolated, h):
+        # identical copies of one block: every eigenvalue is repeated
+        copies = DENSE_CUTOFF // (block.n_users + block.n_items) + 1
+        users = np.concatenate([block.users + c * block.n_users for c in range(copies)])
+        items = np.concatenate([block.items + c * block.n_items for c in range(copies)])
+        ds = InteractionDataset(copies * block.n_users, copies * block.n_items + isolated,
+                                users, items)
+        check_spectral_properties(build_graph(ds), h)
 
 
 class TestDegreeAndPageRank:

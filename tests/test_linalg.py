@@ -2,14 +2,19 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import pgtr.linalg
 from pgtr.data import InteractionDataset, build_graph
 from pgtr.linalg import (
+    DENSE_CUTOFF,
     ConvergenceError,
+    laplacian_null_basis,
     normalized_laplacian,
     pagerank,
     symmetric_eigs_smallest,
 )
+from pgtr.synthetic import clustered_interactions
 
 
 def random_bipartite(rng, n_users, n_items, density=0.15):
@@ -26,6 +31,38 @@ def random_bipartite(rng, n_users, n_items, density=0.15):
 def dense_smallest(mat, k):
     vals, vecs = np.linalg.eigh(np.asarray(mat.todense()))
     return vals[:k], vecs[:, :k]
+
+
+def small_random_graphs():
+    rng = np.random.default_rng(42)
+    return [random_bipartite(rng, rng.integers(8, 30), rng.integers(8, 30))
+            for _ in range(10)]
+
+
+def large_clustered_graphs():
+    # 700 nodes, with isolated items among them
+    return [build_graph(clustered_interactions(300, 400, per_user=8, seed=s))
+            for s in range(3)]
+
+
+def repeated_k22_graph(copies=130, isolated_items=40):
+    """Disjoint identical K_{2,2} blocks plus isolated items: 560 nodes by
+    default, with eigenvalue 1 of multiplicity 2 * copies."""
+    users = np.repeat(np.arange(2 * copies), 2)
+    items = 2 * (users // 2) + np.tile([0, 1], 2 * copies)
+    return build_graph(InteractionDataset(2 * copies, 2 * copies + isolated_items,
+                                          users, items))
+
+
+def repeated_paths_graph(copies=100):
+    """Identical 4-node paths (eigenvalue 0.5 of multiplicity `copies`) beside
+    a clustered block with many distinct eigenvalues: 550 nodes by default."""
+    b = np.arange(copies)
+    block = clustered_interactions(60, 90, per_user=8, seed=0)
+    users = np.concatenate([2 * b, 2 * b + 1, 2 * b + 1, block.users + 2 * copies])
+    items = np.concatenate([2 * b, 2 * b, 2 * b + 1, block.items + 2 * copies])
+    return build_graph(InteractionDataset(2 * copies + block.n_users,
+                                          2 * copies + block.n_items, users, items))
 
 
 class TestEigensolver:
@@ -50,29 +87,40 @@ class TestEigensolver:
             vals, _ = symmetric_eigs_smallest(lap, 1)
             assert abs(vals[0]) <= 1e-10
 
-    @pytest.mark.parametrize("method", ["dense", "lanczos"])
-    def test_matches_dense_oracle_on_random_graphs(self, method):
-        rng = np.random.default_rng(42)
-        for trial in range(10):
-            g = random_bipartite(rng, rng.integers(8, 30), rng.integers(8, 30))
-            lap = normalized_laplacian(g.full_adjacency())
+    @pytest.mark.parametrize("graphs", [small_random_graphs, large_clustered_graphs],
+                             ids=["below-cutoff", "above-cutoff"])
+    def test_matches_dense_oracle_on_random_graphs(self, graphs):
+        rng = np.random.default_rng(7)
+        for g in graphs():
+            adj = g.full_adjacency()
+            lap = normalized_laplacian(adj)
+            null = laplacian_null_basis(adj)
             k = int(rng.integers(2, 8))
-            vals, vecs = symmetric_eigs_smallest(lap, k, method=method)
-            ref_vals, _ = dense_smallest(lap, k)
-            np.testing.assert_allclose(vals, ref_vals, atol=1e-8)
-            # residuals and orthonormality
-            resid = lap @ vecs - vecs * vals[None, :]
-            assert np.linalg.norm(resid, axis=0).max() <= 1e-10 * max(1.0, abs(lap).sum(axis=0).max())
-            gram = vecs.T @ vecs
-            assert np.abs(gram - np.eye(k)).max() <= 1e-8
+            for deflate, skip in ((None, 0), (null, null.shape[1]),
+                                  (null.toarray(), null.shape[1])):
+                vals, vecs = symmetric_eigs_smallest(lap, k, deflate=deflate)
+                ref_vals, _ = dense_smallest(lap, skip + k)
+                np.testing.assert_allclose(vals, ref_vals[skip:], atol=1e-8)
+                # residuals and orthonormality
+                resid = lap @ vecs - vecs * vals[None, :]
+                assert np.linalg.norm(resid, axis=0).max() <= 1e-10 * max(1.0, abs(lap).sum(axis=0).max())
+                gram = vecs.T @ vecs
+                assert np.abs(gram - np.eye(k)).max() <= 1e-8
 
-    def test_lanczos_handles_multiplicities(self):
-        # K_{2,2} has a repeated eigenvalue at 1
-        g = build_graph(InteractionDataset(2, 2, np.array([0, 0, 1, 1]),
-                                           np.array([0, 1, 0, 1])))
-        lap = normalized_laplacian(g.full_adjacency())
-        vals, _ = symmetric_eigs_smallest(lap, 4, method="lanczos")
-        np.testing.assert_allclose(vals, [0.0, 1.0, 1.0, 2.0], atol=1e-10)
+    @pytest.mark.parametrize("k", [50, 200])
+    @pytest.mark.parametrize("graph", [repeated_k22_graph, repeated_paths_graph],
+                             ids=["k22-blocks", "path-blocks"])
+    def test_handles_multiplicities(self, graph, k):
+        # one Krylov space holds a single vector of a repeated eigenvalue
+        g = graph()
+        adj = g.full_adjacency()
+        assert adj.shape[0] > DENSE_CUTOFF
+        lap = normalized_laplacian(adj)
+        null = laplacian_null_basis(adj)
+        vals, vecs = symmetric_eigs_smallest(lap, k, deflate=null)
+        ref_vals, _ = dense_smallest(lap, null.shape[1] + k)
+        np.testing.assert_allclose(vals, ref_vals[null.shape[1]:], atol=1e-10)
+        assert np.abs(null.T @ vecs).max() <= 1e-10
 
     def test_eigenvalues_ascending_and_signs_fixed(self):
         rng = np.random.default_rng(3)
@@ -85,11 +133,12 @@ class TestEigensolver:
             assert vecs[lead, j] > 0
 
     def test_deterministic(self):
-        rng = np.random.default_rng(5)
-        g = random_bipartite(rng, 15, 18)
-        lap = normalized_laplacian(g.full_adjacency())
-        a = symmetric_eigs_smallest(lap, 5, method="lanczos")
-        b = symmetric_eigs_smallest(lap, 5, method="lanczos")
+        g = build_graph(clustered_interactions(300, 400, per_user=8, seed=5))
+        adj = g.full_adjacency()
+        assert adj.shape[0] > DENSE_CUTOFF
+        lap, null = normalized_laplacian(adj), laplacian_null_basis(adj)
+        a = symmetric_eigs_smallest(lap, 20, deflate=null)
+        b = symmetric_eigs_smallest(lap, 20, deflate=null)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
@@ -103,13 +152,36 @@ class TestEigensolver:
         g = random_bipartite(rng, 40, 40)
         lap = normalized_laplacian(g.full_adjacency())
         with pytest.raises(ConvergenceError) as exc:
-            symmetric_eigs_smallest(lap, 20, method="lanczos", max_basis=21)
+            symmetric_eigs_smallest(lap, 20, tol=1e-30)
         assert exc.value.residual > 0
+
+    def test_arpack_failure_reports_partial_residual(self, monkeypatch):
+        g = build_graph(clustered_interactions(300, 400, per_user=8, seed=2))
+        adj = g.full_adjacency()
+        real_eigsh = pgtr.linalg.eigsh
+        expected = []
+
+        def failing_eigsh(op, k, **kwargs):
+            theta, vecs = real_eigsh(op, k, **kwargs)
+            # spoil the first pair so the partial result has a known residual
+            vecs[:, 0] = (vecs[:, 0] + 0.1 * vecs[:, 1]) / np.sqrt(1.01)
+            expected.append(max(np.linalg.norm(op.matvec(vecs[:, j]) - theta[j] * vecs[:, j])
+                                for j in range(k)))
+            raise ArpackNoConvergence("no convergence", theta, vecs)
+
+        monkeypatch.setattr(pgtr.linalg, "eigsh", failing_eigsh)
+        with pytest.raises(ConvergenceError, match="ARPACK") as exc:
+            symmetric_eigs_smallest(normalized_laplacian(adj), 5,
+                                    deflate=laplacian_null_basis(adj))
+        assert exc.value.residual == pytest.approx(expected[0], rel=1e-6)
+        assert exc.value.residual > 1e-3
 
     def test_k_out_of_range(self):
         m = sp.identity(3, format="csr")
         with pytest.raises(ValueError):
             symmetric_eigs_smallest(m, 4)
+        with pytest.raises(ValueError):
+            symmetric_eigs_smallest(m, 3, deflate=np.eye(3)[:, :1])
 
 
 class TestNormalizedLaplacian:
@@ -124,6 +196,29 @@ class TestNormalizedLaplacian:
         a = sp.csr_matrix((np.ones(4), ([0, 1, 2, 3], [1, 0, 3, 2])), shape=(4, 4))
         vals, _ = symmetric_eigs_smallest(normalized_laplacian(a), 4)
         assert int(np.sum(vals < 1e-8)) == 2
+
+
+class TestLaplacianNullBasis:
+    def test_one_column_per_component_and_isolated_node(self):
+        # edge 0-1, path 2-3-4, isolated node 5
+        rows, cols = [0, 1, 2, 3, 3, 4], [1, 0, 3, 2, 4, 3]
+        a = sp.csr_matrix((np.ones(6), (rows, cols)), shape=(6, 6))
+        null = laplacian_null_basis(a).toarray()
+        assert null.shape == (6, 3)
+        np.testing.assert_allclose(null.T @ null, np.eye(3), atol=1e-15)
+        np.testing.assert_allclose(normalized_laplacian(a) @ null, 0.0, atol=1e-15)
+        path = null[:, np.argmax(np.abs(null[2]))]
+        np.testing.assert_allclose(path, np.sqrt([0, 0, 1, 2, 1, 0]) / 2.0)
+        assert np.count_nonzero(null[5]) == 1 and np.abs(null[5]).max() == 1.0
+
+    def test_spans_the_zero_eigenspace(self):
+        g = repeated_k22_graph(copies=5, isolated_items=3)
+        adj = g.full_adjacency()
+        vals, vecs = np.linalg.eigh(normalized_laplacian(adj).toarray())
+        zero = vecs[:, vals < 1e-8]
+        null = laplacian_null_basis(adj).toarray()
+        assert zero.shape[1] == null.shape[1] == 8
+        np.testing.assert_allclose(zero @ zero.T, null @ null.T, atol=1e-12)
 
 
 def dense_pagerank(adj, damping=0.85, iters=20000):

@@ -1,4 +1,6 @@
 """Model composition tests: reduction, mixing, census, checkpoints."""
+import struct
+
 import numpy as np
 import pytest
 
@@ -285,6 +287,31 @@ class TestCheckpoint:
         other = small_graph(11, n_users=13, n_items=14)
         with pytest.raises(ValueError, match="different graph"):
             load_checkpoint(path, other)
+
+    def test_truncated_file_names_the_short_section(self, tmp_path):
+        g = small_graph(13)
+        state = init_model(g, PGTRConfig(**SMALL), seed=22)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(state, path)
+        raw = path.read_bytes()
+        (meta_len,) = struct.unpack("<I", raw[5:9])
+        block0 = 13 + meta_len  # magic, version, header length, header, block count
+        cuts = {
+            4: "the version",
+            7: "the header length",
+            9 + meta_len // 2: "the header",
+            9 + meta_len + 2: "the block count",
+            block0 + 2: "the name length of block 0",
+            block0 + 4 + 3: "the name of block 0",
+            block0 + 4 + 10 + 3: "the shape of block 'embeddings'",
+            block0 + 4 + 10 + 8 + 5: "the data of block 'embeddings'",
+            len(raw) - 1: "the data of block 'spectral'",
+        }
+        assert raw[block0 + 4:block0 + 14] == b"embeddings"
+        for cut, section in cuts.items():
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match=f"truncated in {section}"):
+                load_checkpoint(path, g)
 
     def test_garbage_rejected(self, tmp_path):
         p = tmp_path / "bad.ckpt"
