@@ -21,15 +21,12 @@ from .model import (
     init_model,
     load_checkpoint,
     save_checkpoint,
-    score,
 )
 from .train import (
     RankingMetrics,
     TrainConfig,
     evaluate,
-    in_batch_negatives,
     ranking_metrics,
-    ssm_loss,
     train,
 )
 
@@ -52,13 +49,10 @@ __all__ = [
     "init_model",
     "load_checkpoint",
     "save_checkpoint",
-    "score",
     "RankingMetrics",
     "TrainConfig",
     "evaluate",
-    "in_batch_negatives",
     "ranking_metrics",
-    "ssm_loss",
     "train",
 ]
 

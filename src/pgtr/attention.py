@@ -1,9 +1,9 @@
-"""All-pairs attention: exact softmax reference and the linear-cost
-positive-random-feature approximation.
+"""All-pairs attention on the gradient tape: exact softmax and the
+linear-cost positive-random-feature approximation.
 
 The feature map phi(x) = exp(-|x|^2/2)/sqrt(m) * [exp(w_k.x)]_k gives an
-unbiased estimate phi(q).phi(k) of exp(q.k).  Attention pre-scales its
-inputs by 1/sqrt(d) (same scale in the exact reference) to keep the
+unbiased estimate phi(q).phi(k) of exp(q.k).  Both attentions scale
+queries and keys by `scale` (the model uses 1/sqrt(d)) to keep the
 exponentials bounded.
 """
 from __future__ import annotations
@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
+from .autodiff import Tensor, constant
+
 __all__ = [
     "AttentionError",
     "RandomFeatureMap",
@@ -19,14 +22,12 @@ __all__ = [
     "feature_map",
     "exact_attention",
     "kernelized_attention",
-    "last_multiply_count",
 ]
 
 MAX_EXPONENT = 700.0
 MIN_DENOMINATOR = 1e-30
 
-# multiplication count of the most recent kernelized_attention call
-_LAST_MULTIPLY_COUNT = 0
+Projections = tuple[Tensor, Tensor, Tensor]
 
 
 class AttentionError(RuntimeError):
@@ -49,60 +50,42 @@ def make_feature_map(m: int, d: int, seed: int) -> RandomFeatureMap:
     return RandomFeatureMap(m=m, directions=rng.standard_normal((m, d)), seed=seed)
 
 
-def feature_map(x: np.ndarray, rf: RandomFeatureMap) -> np.ndarray:
-    """phi(x) rowwise; accepts a single d-vector or a (T, d) table."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    rows = x[None, :] if single else x
-    logits = rows @ rf.directions.T
-    if logits.max(initial=-np.inf) > MAX_EXPONENT:
-        raise AttentionError(
-            "feature map direction products overflow exp; scale inputs down before mapping")
-    phi = np.exp(logits - 0.5 * (rows * rows).sum(axis=1, keepdims=True)) / np.sqrt(rf.m)
-    return phi[0] if single else phi
+def feature_map(x: Tensor, rf: RandomFeatureMap) -> Tensor:
+    """phi(x) for every row of a (T, d) table."""
+    sq = ad.sum_axis(x * x, axis=1)
+    logits = ad.matmul(x, constant(rf.directions.T))
+    if logits.data.max(initial=-np.inf) > MAX_EXPONENT:
+        raise AttentionError("feature map direction products overflow exp; scale inputs down")
+    return ad.exp(logits - sq * 0.5) * (1.0 / np.sqrt(rf.m))
 
 
-def _default_scale(d: int) -> float:
-    return 1.0 / np.sqrt(d)
+def _queries_keys_values(h: Tensor, proj: Projections | None) -> Projections:
+    if h.data.ndim != 2 or h.data.shape[0] < 1:
+        raise ValueError("attention input must be a nonempty (T, d) table")
+    if proj is None:
+        return h, h, h
+    return tuple(ad.matmul(h, ad.transpose(w)) for w in proj)
 
 
-def exact_attention(z: np.ndarray, scale: float | None = None) -> np.ndarray:
-    """Quadratic-cost softmax aggregation; the reference oracle."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] < 1:
-        raise ValueError("z must be a nonempty (T, d) table")
-    s = _default_scale(z.shape[1]) if scale is None else scale
-    logits = (s * z) @ (s * z).T
-    logits -= logits.max(axis=1, keepdims=True)
-    weights = np.exp(logits)
-    weights /= weights.sum(axis=1, keepdims=True)
-    return weights @ z
+def kernelized_attention(h: Tensor, rf: RandomFeatureMap, scale: float,
+                         proj: Projections | None = None) -> Tensor:
+    """Linear-cost attention via two global feature summaries: no (T, T)
+    table is formed."""
+    q, k, v = _queries_keys_values(h, proj)
+    phi_q = feature_map(q * scale, rf)
+    phi_k = phi_q if proj is None else feature_map(k * scale, rf)
+    summary = ad.matmul(ad.transpose(phi_k), v)
+    totals = ad.sum_axis(phi_k, axis=0)
+    numer = ad.matmul(phi_q, summary)
+    denom = ad.matmul(phi_q, ad.transpose(totals))
+    if denom.data.min() < MIN_DENOMINATOR:
+        raise AttentionError("attention denominator underflow; inputs need rescaling")
+    return ad.div(numer, denom)
 
 
-def kernelized_attention(z: np.ndarray, rf: RandomFeatureMap,
-                         scale: float | None = None) -> np.ndarray:
-    """Linear-cost attention via two global feature summaries.
-
-    Each node is touched a constant number of times after the summary
-    pass; the multiplication count is recorded for cost assertions.
-    """
-    global _LAST_MULTIPLY_COUNT
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] < 1:
-        raise ValueError("z must be a nonempty (T, d) table")
-    t, d = z.shape
-    s = _default_scale(d) if scale is None else scale
-    phi = feature_map(s * z, rf)                    # (T, m)
-    summary = phi.T @ z                             # (m, d)
-    totals = phi.sum(axis=0)                        # (m,)
-    numer = phi @ summary                           # (T, d)
-    denom = phi @ totals                            # (T,)
-    if denom.min() < MIN_DENOMINATOR:
-        raise AttentionError(
-            "attention denominator underflow; inputs need rescaling")
-    _LAST_MULTIPLY_COUNT = (t * rf.m * d) * 3 + t * rf.m + t * d
-    return numer / denom[:, None]
-
-
-def last_multiply_count() -> int:
-    return _LAST_MULTIPLY_COUNT
+def exact_attention(h: Tensor, scale: float, proj: Projections | None = None) -> Tensor:
+    """Quadratic-cost softmax aggregation over all (T, T) pairs."""
+    q, k, v = _queries_keys_values(h, proj)
+    logits = ad.matmul(q * scale, ad.transpose(k * scale))
+    weights = ad.exp(logits - ad.logsumexp_rows(logits))
+    return ad.matmul(weights, v)

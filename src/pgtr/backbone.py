@@ -3,11 +3,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
 import scipy.sparse as sp
 
 from .autodiff import Tensor, leaky_relu, matmul, spmm, transpose
 from .data import BipartiteGraph
+from .linalg import symmetric_normalized
 
 __all__ = ["BackboneConfig", "normalized_adjacency", "propagate_layer", "readout"]
 
@@ -20,29 +20,19 @@ class BackboneConfig:
     `transform-gcn` adds a per-layer linear map and leaky nonlinearity."""
 
     variant: str = "lightgcn"
-    layers: int = 2
     transforms: list[Tensor] = field(default_factory=list)
 
     def __post_init__(self):
         if self.variant not in ("lightgcn", "transform-gcn"):
             raise ValueError(f"unknown backbone variant {self.variant!r}")
-        if self.layers < 1:
-            raise ValueError("layers must be >= 1")
 
 
-def normalized_adjacency(g: BipartiteGraph) -> tuple[sp.csr_matrix, int]:
-    """D^{-1/2} A D^{-1/2} over all N+M nodes plus the isolated-node count.
+def normalized_adjacency(g: BipartiteGraph) -> sp.csr_matrix:
+    """D^{-1/2} A D^{-1/2} over all N+M nodes.
 
     Isolated nodes keep an all-zero row and propagate to zero.
     """
-    adj = g.full_adjacency()
-    deg = g.degrees()
-    isolated = int(np.sum(deg == 0))
-    with np.errstate(divide="ignore"):
-        dinv = 1.0 / np.sqrt(deg)
-    dinv[~np.isfinite(dinv)] = 0.0
-    dhalf = sp.diags(dinv)
-    return (dhalf @ adj @ dhalf).tocsr(), isolated
+    return symmetric_normalized(g.full_adjacency())
 
 
 def propagate_layer(h: Tensor, adj: sp.csr_matrix, cfg: BackboneConfig,

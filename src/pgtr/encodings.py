@@ -3,7 +3,8 @@
 Four encodings per node: spectral (Laplacian eigenvectors, frozen),
 degree group, PageRank group, and node type.  The learned tables are
 shared within rank groups; a pair of side-specific projections folds the
-four terms into one d-vector per node.
+four terms into one d-vector per node, which `position_tape` computes on
+the gradient tape for every node at once.
 """
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, parameter
+from . import autodiff as ad
+from .autodiff import Tensor, constant, parameter
 from .data import BipartiteGraph, one_sided_adjacency
 from .linalg import (laplacian_null_basis, normalized_laplacian, pagerank,
                      symmetric_eigs_smallest)
@@ -28,8 +30,7 @@ __all__ = [
     "pagerank_encoding",
     "type_table",
     "build_encoding_set",
-    "node_position",
-    "position_matrix",
+    "position_tape",
 ]
 
 class EncodingError(RuntimeError):
@@ -200,6 +201,16 @@ def build_encoding_set(g: BipartiteGraph, d: int, h_c: int, h_d: int, h_r: int,
                        use_spectral: bool = True, use_degree: bool = True,
                        use_pagerank: bool = True, use_type: bool = True) -> PositionalEncodingSet:
     spectral = spectral_encoding(g, h_c, lambda_c) if use_spectral else None
+    return _encoding_set(g, spectral, d, h_c, h_d, h_r, h_y, n_d, n_r, lambda_c, rng,
+                         use_degree, use_pagerank, use_type)
+
+
+def _encoding_set(g: BipartiteGraph, spectral: SpectralEncoding | None, d: int, h_c: int,
+                  h_d: int, h_r: int, h_y: int, n_d: int, n_r: int, lambda_c: float,
+                  rng: np.random.Generator, use_degree: bool, use_pagerank: bool,
+                  use_type: bool) -> PositionalEncodingSet:
+    """`build_encoding_set` around a given spectral block (None: spectral off)."""
+    use_spectral = spectral is not None
     deg_u = deg_i = pr_u = pr_i = None
     if use_degree:
         deg_u, deg_i = degree_encoding(g, n_d, h_d, rng)
@@ -223,45 +234,35 @@ def build_encoding_set(g: BipartiteGraph, d: int, h_c: int, h_d: int, h_r: int,
         projection=projection)
 
 
-def _inner_matrix(enc: PositionalEncodingSet) -> np.ndarray:
-    """Sum of projected encoding terms before the side-specific map."""
+def position_tape(enc: PositionalEncodingSet) -> Tensor | None:
+    """P_j for every node on the gradient tape, users first; None when
+    every encoding is off."""
+    if not enc.any_enabled:
+        return None
     n, m = enc.n_users, enc.n_items
-    inner = np.zeros((n + m, enc.d))
     p = enc.projection
-    if p is None:
-        return inner
+    terms = []
     if enc.spectral is not None:
-        inner += enc.spectral.matrix.T @ p.w_spectral.data.T
+        terms.append(ad.matmul(constant(enc.spectral.matrix.T), ad.transpose(p.w_spectral)))
     if enc.degree_user is not None:
         table_u, asg_u = enc.degree_user
         table_i, asg_i = enc.degree_item
-        stacked = np.vstack([table_u.data[asg_u.group_of], table_i.data[asg_i.group_of]])
-        inner += stacked @ p.w_degree.data.T
+        stacked = ad.concat_rows([ad.gather_rows(table_u, asg_u.group_of),
+                                  ad.gather_rows(table_i, asg_i.group_of)])
+        terms.append(ad.matmul(stacked, ad.transpose(p.w_degree)))
     if enc.pagerank_user is not None:
         table_u, asg_u = enc.pagerank_user
         table_i, asg_i = enc.pagerank_item
-        stacked = np.vstack([table_u.data[asg_u.group_of], table_i.data[asg_i.group_of]])
-        inner += stacked @ p.w_pagerank.data.T
+        stacked = ad.concat_rows([ad.gather_rows(table_u, asg_u.group_of),
+                                  ad.gather_rows(table_i, asg_i.group_of)])
+        terms.append(ad.matmul(stacked, ad.transpose(p.w_pagerank)))
     if enc.types is not None:
         type_rows = np.concatenate([np.ones(n, dtype=np.int64), np.zeros(m, dtype=np.int64)])
-        inner += enc.types.data[type_rows] @ p.w_type.data.T
-    return inner
-
-
-def position_matrix(enc: PositionalEncodingSet) -> np.ndarray:
-    """Dense (N+M) x d position vectors for every node, users first."""
-    n = enc.n_users
-    inner = _inner_matrix(enc)
-    if enc.projection is None:
-        return inner
-    out = np.empty_like(inner)
-    out[:n] = inner[:n] @ enc.projection.w_user.data.T
-    out[n:] = inner[n:] @ enc.projection.w_item.data.T
-    return out
-
-
-def node_position(enc: PositionalEncodingSet, j: int) -> np.ndarray:
-    """Position vector of node j (users occupy indices 0..N-1)."""
-    if not 0 <= j < enc.n_users + enc.n_items:
-        raise IndexError(f"node {j} out of range")
-    return position_matrix(enc)[j]
+        terms.append(ad.matmul(ad.gather_rows(enc.types, type_rows), ad.transpose(p.w_type)))
+    inner = terms[0]
+    for t in terms[1:]:
+        inner = inner + t
+    return ad.concat_rows([
+        ad.matmul(ad.slice_rows(inner, 0, n), ad.transpose(p.w_user)),
+        ad.matmul(ad.slice_rows(inner, n, n + m), ad.transpose(p.w_item)),
+    ])

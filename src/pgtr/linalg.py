@@ -8,6 +8,7 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator
 
 __all__ = [
     "ConvergenceError",
+    "symmetric_normalized",
     "normalized_laplacian",
     "laplacian_null_basis",
     "symmetric_eigs_smallest",
@@ -32,6 +33,17 @@ def _to_sparse(mat) -> sp.csr_matrix:
     return sp.csr_matrix(np.asarray(mat, dtype=np.float64))
 
 
+def symmetric_normalized(adj) -> sp.csr_matrix:
+    """D^{-1/2} A D^{-1/2}; an isolated node (degree 0) gets an all-zero row."""
+    a = _to_sparse(adj)
+    deg = np.asarray(a.sum(axis=1)).ravel()
+    with np.errstate(divide="ignore"):
+        dinv = 1.0 / np.sqrt(deg)
+    dinv[~np.isfinite(dinv)] = 0.0
+    dhalf = sp.diags(dinv)
+    return (dhalf @ a @ dhalf).tocsr()
+
+
 def normalized_laplacian(adj: sp.spmatrix) -> sp.csr_matrix:
     """D^{-1/2} (D - A) D^{-1/2} with the zero-for-isolated-node convention.
 
@@ -41,12 +53,7 @@ def normalized_laplacian(adj: sp.spmatrix) -> sp.csr_matrix:
     """
     a = _to_sparse(adj)
     deg = np.asarray(a.sum(axis=1)).ravel()
-    with np.errstate(divide="ignore"):
-        dinv = 1.0 / np.sqrt(deg)
-    dinv[~np.isfinite(dinv)] = 0.0
-    dhalf = sp.diags(dinv)
-    lap = sp.diags((deg > 0).astype(np.float64)) - dhalf @ a @ dhalf
-    return lap.tocsr()
+    return (sp.diags((deg > 0).astype(np.float64)) - symmetric_normalized(a)).tocsr()
 
 
 def laplacian_null_basis(adj) -> sp.csr_matrix:

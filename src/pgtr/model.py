@@ -1,31 +1,33 @@
-"""Position-aware graph transformer: forward pass, scoring, checkpoints.
+"""Position-aware graph transformer: model state, forward pass, checkpoints.
 
-Composes position injection, local propagation, position re-injection,
-all-pairs attention, local/global mixing, and mean readout over the
-bipartite graph.
+The forward pass composes position injection (`encodings.position_tape`),
+local propagation, position re-injection, all-pairs attention
+(`attention`), local/global mixing, and mean readout over the bipartite
+graph, all on the gradient tape.
 """
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .attention import MIN_DENOMINATOR, AttentionError, RandomFeatureMap, make_feature_map
+from .attention import (RandomFeatureMap, exact_attention, kernelized_attention,
+                        make_feature_map)
 from .autodiff import Tensor, constant, parameter
 from .backbone import BackboneConfig, normalized_adjacency, propagate_layer, readout
 from .data import BipartiteGraph
-from .encodings import PositionalEncodingSet, build_encoding_set
+from .encodings import (PositionalEncodingSet, SpectralEncoding, _encoding_set,
+                        build_encoding_set, position_tape)
 
 __all__ = [
     "PGTRConfig",
     "ModelState",
     "init_model",
     "forward",
-    "score",
     "count_added_parameters",
     "save_checkpoint",
     "load_checkpoint",
@@ -33,7 +35,7 @@ __all__ = [
 
 EMBED_INIT_STD = 0.1
 CHECKPOINT_MAGIC = b"PGTR"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -86,8 +88,8 @@ class PGTRConfig:
 class ModelState:
     """Embedding table, encodings, feature maps, and graph constants."""
 
-    def __init__(self, config: PGTRConfig, n_users: int, n_items: int,
-                 adjacency, n_isolated: int, embeddings: Tensor,
+    def __init__(self, config: PGTRConfig, n_users: int, n_items: int, graph_hash: str,
+                 adjacency, embeddings: Tensor,
                  enc: PositionalEncodingSet, feature_maps: list[RandomFeatureMap],
                  backbone_cfg: BackboneConfig,
                  attn_projections: list[tuple[Tensor, Tensor, Tensor]] | None,
@@ -95,8 +97,8 @@ class ModelState:
         self.config = config
         self.n_users = n_users
         self.n_items = n_items
+        self.graph_hash = graph_hash
         self.adjacency = adjacency
-        self.n_isolated = n_isolated
         self.embeddings = embeddings
         self.enc = enc
         self.feature_maps = feature_maps
@@ -122,24 +124,41 @@ class ModelState:
         return [t for _, t in self.named_parameters()]
 
 
+def _graph_hash(graph: BipartiteGraph) -> str:
+    """Hash of the user-item adjacency structure, which checkpoints record."""
+    digest = hashlib.sha256()
+    for part in (graph.user_adj.indptr, graph.user_adj.indices):
+        digest.update(np.asarray(part, dtype="<i8").tobytes())
+    return digest.hexdigest()
+
+
 def init_model(graph: BipartiteGraph, cfg: PGTRConfig, seed: int = 0) -> ModelState:
+    return _init_model(graph, cfg, seed, spectral=None)
+
+
+def _init_model(graph: BipartiteGraph, cfg: PGTRConfig, seed: int,
+                spectral: np.ndarray | None) -> ModelState:
+    """`init_model`, taking a given spectral block instead of solving for
+    it when `spectral` is not None."""
     cfg.validate()
     rng = np.random.default_rng(seed)
     n_nodes = graph.n_users + graph.n_items
     embeddings = parameter(rng.normal(0.0, EMBED_INIT_STD, size=(n_nodes, cfg.d)),
                            name="embeddings")
-    enc = build_encoding_set(
-        graph, d=cfg.d, h_c=cfg.h_c, h_d=cfg.h_d, h_r=cfg.h_r, h_y=cfg.h_y,
-        n_d=cfg.n_d, n_r=cfg.n_r, lambda_c=cfg.lambda_c, rng=rng,
-        use_spectral=cfg.use_spectral, use_degree=cfg.use_degree,
-        use_pagerank=cfg.use_pagerank, use_type=cfg.use_type)
+    enc_args = dict(d=cfg.d, h_c=cfg.h_c, h_d=cfg.h_d, h_r=cfg.h_r, h_y=cfg.h_y,
+                    n_d=cfg.n_d, n_r=cfg.n_r, lambda_c=cfg.lambda_c, rng=rng,
+                    use_degree=cfg.use_degree, use_pagerank=cfg.use_pagerank,
+                    use_type=cfg.use_type)
+    if spectral is None:
+        enc = build_encoding_set(graph, use_spectral=cfg.use_spectral, **enc_args)
+    else:
+        enc = _encoding_set(graph, SpectralEncoding(spectral), **enc_args)
     transforms = []
     if cfg.backbone == "transform-gcn":
         bound = 0.1 / np.sqrt(cfg.d)
         transforms = [parameter(rng.uniform(-bound, bound, size=(cfg.d, cfg.d)),
                                 name=f"backbone_w{l}") for l in range(cfg.layers)]
-    backbone_cfg = BackboneConfig(variant=cfg.backbone, layers=cfg.layers,
-                                  transforms=transforms)
+    backbone_cfg = BackboneConfig(variant=cfg.backbone, transforms=transforms)
     attn_projections = None
     if cfg.use_projections:
         bound = 0.1 / np.sqrt(cfg.d)
@@ -150,86 +169,9 @@ def init_model(graph: BipartiteGraph, cfg: PGTRConfig, seed: int = 0) -> ModelSt
                           name=f"attn_{tag}{l}") for tag in "qkv"))
     fm_seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(cfg.layers)]
     feature_maps = [make_feature_map(cfg.m_features, cfg.d, s) for s in fm_seeds]
-    adjacency, n_isolated = normalized_adjacency(graph)
-    return ModelState(cfg, graph.n_users, graph.n_items, adjacency, n_isolated,
-                      embeddings, enc, feature_maps, backbone_cfg,
-                      attn_projections, seed)
-
-
-def _position_tape(state: ModelState) -> Tensor | None:
-    """P_j for every node on the gradient tape, users first."""
-    enc = state.enc
-    if not enc.any_enabled:
-        return None
-    n, m = enc.n_users, enc.n_items
-    p = enc.projection
-    terms = []
-    if enc.spectral is not None:
-        terms.append(ad.matmul(constant(enc.spectral.matrix.T), ad.transpose(p.w_spectral)))
-    if enc.degree_user is not None:
-        table_u, asg_u = enc.degree_user
-        table_i, asg_i = enc.degree_item
-        stacked = ad.concat_rows([ad.gather_rows(table_u, asg_u.group_of),
-                                  ad.gather_rows(table_i, asg_i.group_of)])
-        terms.append(ad.matmul(stacked, ad.transpose(p.w_degree)))
-    if enc.pagerank_user is not None:
-        table_u, asg_u = enc.pagerank_user
-        table_i, asg_i = enc.pagerank_item
-        stacked = ad.concat_rows([ad.gather_rows(table_u, asg_u.group_of),
-                                  ad.gather_rows(table_i, asg_i.group_of)])
-        terms.append(ad.matmul(stacked, ad.transpose(p.w_pagerank)))
-    if enc.types is not None:
-        type_rows = np.concatenate([np.ones(n, dtype=np.int64), np.zeros(m, dtype=np.int64)])
-        terms.append(ad.matmul(ad.gather_rows(enc.types, type_rows), ad.transpose(p.w_type)))
-    inner = terms[0]
-    for t in terms[1:]:
-        inner = inner + t
-    return ad.concat_rows([
-        ad.matmul(ad.slice_rows(inner, 0, n), ad.transpose(p.w_user)),
-        ad.matmul(ad.slice_rows(inner, n, n + m), ad.transpose(p.w_item)),
-    ])
-
-
-def _kernelized_attention_tape(h: Tensor, rf: RandomFeatureMap, scale: float,
-                               proj: tuple[Tensor, Tensor, Tensor] | None) -> Tensor:
-    if proj is None:
-        q = k = v = h
-    else:
-        wq, wk, wv = proj
-        q = ad.matmul(h, ad.transpose(wq))
-        k = ad.matmul(h, ad.transpose(wk))
-        v = ad.matmul(h, ad.transpose(wv))
-    phi_q = _feature_map_tape(q * scale, rf)
-    phi_k = phi_q if proj is None else _feature_map_tape(k * scale, rf)
-    summary = ad.matmul(ad.transpose(phi_k), v)
-    totals = ad.sum_axis(phi_k, axis=0)
-    numer = ad.matmul(phi_q, summary)
-    denom = ad.matmul(phi_q, ad.transpose(totals))
-    if denom.data.min() < MIN_DENOMINATOR:
-        raise AttentionError("attention denominator underflow; inputs need rescaling")
-    return ad.div(numer, denom)
-
-
-def _feature_map_tape(x: Tensor, rf: RandomFeatureMap) -> Tensor:
-    sq = ad.sum_axis(x * x, axis=1)
-    logits = ad.matmul(x, constant(rf.directions.T))
-    if logits.data.max(initial=-np.inf) > 700.0:
-        raise AttentionError("feature map direction products overflow exp; scale inputs down")
-    return ad.exp(logits - sq * 0.5) * (1.0 / np.sqrt(rf.m))
-
-
-def _exact_attention_tape(h: Tensor, scale: float,
-                          proj: tuple[Tensor, Tensor, Tensor] | None) -> Tensor:
-    if proj is None:
-        q = k = v = h
-    else:
-        wq, wk, wv = proj
-        q = ad.matmul(h, ad.transpose(wq))
-        k = ad.matmul(h, ad.transpose(wk))
-        v = ad.matmul(h, ad.transpose(wv))
-    logits = ad.matmul(q * scale, ad.transpose(k * scale))
-    weights = ad.exp(logits - ad.logsumexp_rows(logits))
-    return ad.matmul(weights, v)
+    return ModelState(cfg, graph.n_users, graph.n_items, _graph_hash(graph),
+                      normalized_adjacency(graph), embeddings, enc, feature_maps,
+                      backbone_cfg, attn_projections, seed)
 
 
 def forward(state: ModelState, return_layers: bool = False):
@@ -241,7 +183,7 @@ def forward(state: ModelState, return_layers: bool = False):
     cfg = state.config
     scale = 1.0 / np.sqrt(cfg.d)
     needs_pos = (cfg.lambda1 != 0.0 or (cfg.lambda2 != 0.0 and cfg.lambda3 != 0.0))
-    pos = _position_tape(state) if needs_pos else None
+    pos = position_tape(state.enc) if needs_pos else None
 
     h = state.embeddings
     if pos is not None and cfg.lambda1 != 0.0:
@@ -254,10 +196,9 @@ def forward(state: ModelState, return_layers: bool = False):
             attn_in = local + pos * cfg.lambda2 if (pos is not None and cfg.lambda2 != 0.0) else local
             proj = state.attn_projections[layer] if state.attn_projections else None
             if cfg.attention == "exact":
-                global_ = _exact_attention_tape(attn_in, scale, proj)
+                global_ = exact_attention(attn_in, scale, proj)
             else:
-                global_ = _kernelized_attention_tape(attn_in, state.feature_maps[layer],
-                                                     scale, proj)
+                global_ = kernelized_attention(attn_in, state.feature_maps[layer], scale, proj)
             mixed = local * (1.0 - cfg.lambda3) + global_ * cfg.lambda3
         else:
             global_ = None
@@ -269,18 +210,6 @@ def forward(state: ModelState, return_layers: bool = False):
     if return_layers:
         return out, internals
     return out
-
-
-def score(h_final: np.ndarray, u: int, i: int, tau: float, n_users: int) -> float:
-    """Temperature-scaled cosine between a user row and an item row."""
-    hu = h_final[u]
-    hi = h_final[n_users + i]
-    nu, ni = np.linalg.norm(hu), np.linalg.norm(hi)
-    if nu == 0.0:
-        raise ValueError(f"zero-norm representation for user node {u}")
-    if ni == 0.0:
-        raise ValueError(f"zero-norm representation for item node {i}")
-    return float(hu @ hi / (nu * ni * tau))
 
 
 def count_added_parameters(state: ModelState) -> int:
@@ -296,6 +225,7 @@ def save_checkpoint(state: ModelState, path):
         "config": state.config.to_dict(),
         "n_users": state.n_users,
         "n_items": state.n_items,
+        "graph_hash": state.graph_hash,
         "seed": state.seed,
         "feature_map_seeds": [rf.seed for rf in state.feature_maps],
     }
@@ -344,10 +274,16 @@ def load_checkpoint(path, graph: BipartiteGraph) -> ModelState:
             data = _read(fh, rows * cols * 8, f"the data of block {name!r}")
             blocks[name] = np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
 
-    if meta["n_users"] != graph.n_users or meta["n_items"] != graph.n_items:
+    if ([meta["n_users"], meta["n_items"], meta["graph_hash"]]
+            != [graph.n_users, graph.n_items, _graph_hash(graph)]):
         raise ValueError("checkpoint was built for a different graph")
     cfg = PGTRConfig.from_dict(meta["config"])
-    state = init_model(graph, cfg, seed=meta["seed"])
+    spectral = blocks.get("spectral")
+    if cfg.use_spectral and (spectral is None
+                             or spectral.shape != (cfg.h_c, graph.n_users + graph.n_items)):
+        raise ValueError("checkpoint block 'spectral' is missing or has the wrong shape")
+    # the stored spectral block stands in for the eigensolve
+    state = _init_model(graph, cfg, meta["seed"], spectral)
     state.feature_maps = [make_feature_map(cfg.m_features, cfg.d, s)
                           for s in meta["feature_map_seeds"]]
     for name, tensor in state.named_parameters():
@@ -356,6 +292,4 @@ def load_checkpoint(path, graph: BipartiteGraph) -> ModelState:
         if blocks[name].shape != tensor.data.shape:
             raise ValueError(f"checkpoint block {name!r} has the wrong shape")
         tensor.data = blocks[name]
-    if state.enc.spectral is not None and "spectral" in blocks:
-        state.enc.spectral.matrix = blocks["spectral"]
     return state

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,21 +15,14 @@ from .model import ModelState, forward
 from .optim import AdamState, adam_step
 
 __all__ = [
-    "TAU_GRID",
     "TrainConfig",
     "RankingMetrics",
-    "ssm_loss",
-    "in_batch_negatives",
     "train",
     "evaluate",
     "ranking_metrics",
 ]
 
 log = logging.getLogger(__name__)
-
-# temperature search grid used by the experiment harness
-TAU_GRID = (0.02, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.2)
-
 
 @dataclass
 class TrainConfig:
@@ -39,13 +32,13 @@ class TrainConfig:
     patience: int = 20
     k: int = 20
     seed: int = 0
-    tau_grid: tuple[float, ...] = TAU_GRID
 
     def __post_init__(self):
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+        for name, low in (("batch_size", 2), ("max_epochs", 1), ("patience", 1), ("k", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
+        if self.lr < 0:
+            raise ValueError("lr must be >= 0")
 
 
 @dataclass
@@ -56,37 +49,6 @@ class RankingMetrics:
     per_user_recall: np.ndarray
     per_user_ndcg: np.ndarray
     user_indices: np.ndarray
-
-
-def ssm_loss(score_pos, scores_neg) -> float:
-    """Mean sampled-softmax loss over pairs.
-
-    `score_pos[p]` is the positive score of pair p, `scores_neg[p]` its
-    negative scores.  Computed through log-sum-exp for stability.
-    """
-    score_pos = np.atleast_1d(np.asarray(score_pos, dtype=np.float64))
-    total = 0.0
-    for pos, negs in zip(score_pos, scores_neg):
-        cand = np.concatenate([[pos], np.asarray(negs, dtype=np.float64)])
-        if not np.all(np.isfinite(cand)):
-            raise NumericsError("ssm_loss: non-finite score")
-        mx = cand.max()
-        total += mx + np.log(np.exp(cand - mx).sum()) - pos
-    return total / score_pos.size
-
-
-def in_batch_negatives(batch, train_items_per_user) -> list[np.ndarray]:
-    """Per-pair negative item sets: other pairs' positives the user never
-    interacted with in training."""
-    if len(batch) < 2:
-        raise ValueError("batch must contain at least two pairs")
-    items = np.array([i for _, i in batch], dtype=np.int64)
-    out = []
-    for a, (u, _) in enumerate(batch):
-        others = np.unique(np.delete(items, a))
-        interacted = np.asarray(train_items_per_user[u], dtype=np.int64)
-        out.append(np.setdiff1d(others, interacted, assume_unique=False))
-    return out
 
 
 def _batch_mask(users: np.ndarray, items: np.ndarray,
@@ -216,6 +178,8 @@ def ranking_metrics(scores: np.ndarray, observed_items, test_items,
     Observed (training + validation) items are masked out; ties break
     toward the lower item index; users without test items are excluded.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     n_users, n_items = scores.shape
     discounts = 1.0 / np.log2(np.arange(k) + 2.0)
     recalls, ndcgs, users = [], [], []

@@ -1,4 +1,8 @@
-"""Feature map and attention tests against the exact-softmax oracle."""
+"""Feature map and attention tests against exact softmax attention.
+
+The functions run on the gradient tape; these tests feed them constants
+and read `.data`.
+"""
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -8,15 +12,42 @@ from pgtr.attention import (
     exact_attention,
     feature_map,
     kernelized_attention,
-    last_multiply_count,
     make_feature_map,
 )
+from pgtr.autodiff import constant, parameter
+
+
+def mapped(x, rf):
+    """The feature map of a d-vector, or of each row of a (T, d) table."""
+    x = np.asarray(x, dtype=np.float64)
+    out = feature_map(constant(np.atleast_2d(x)), rf).data
+    return out[0] if x.ndim == 1 else out
+
+
+def exact_of(z):
+    return exact_attention(constant(z), 1.0 / np.sqrt(z.shape[1])).data
+
+
+def kernelized_of(z, rf, scale=None):
+    scale = 1.0 / np.sqrt(z.shape[1]) if scale is None else scale
+    return kernelized_attention(constant(z), rf, scale).data
+
+
+def tape_nodes(out):
+    """Every node of the tape that produced `out`."""
+    seen, stack = {}, [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
 
 
 class TestFeatureMap:
     def test_zero_input(self):
         rf = make_feature_map(16, 4, seed=0)
-        phi = feature_map(np.zeros(4), rf)
+        phi = mapped(np.zeros(4), rf)
         np.testing.assert_allclose(phi, np.full(16, 1 / np.sqrt(16)))
         assert phi @ phi == pytest.approx(1.0)
 
@@ -24,7 +55,7 @@ class TestFeatureMap:
         rf = make_feature_map(32, 6, seed=1)
         rng = np.random.default_rng(2)
         for _ in range(20):
-            phi = feature_map(rng.normal(0, 0.5, size=6), rf)
+            phi = mapped(rng.normal(0, 0.5, size=6), rf)
             assert np.all(phi > 0)
 
     def test_monte_carlo_estimates_exp_kernel(self):
@@ -35,14 +66,14 @@ class TestFeatureMap:
         for _ in range(10):
             q = rng.normal(0, 0.25, size=8)
             k = rng.normal(0, 0.25, size=8)
-            est = feature_map(q, rf) @ feature_map(k, rf)
+            est = mapped(q, rf) @ mapped(k, rf)
             errs.append(abs(est - np.exp(q @ k)) / np.exp(q @ k))
         assert np.mean(errs) <= 0.02
 
     def test_frozen_directions(self):
         rf = make_feature_map(8, 3, seed=5)
         snapshot = rf.directions.copy()
-        feature_map(np.ones(3), rf)
+        mapped(np.ones(3), rf)
         np.testing.assert_array_equal(rf.directions, snapshot)
 
     def test_overflow_error_advises_scaling(self):
@@ -50,14 +81,14 @@ class TestFeatureMap:
         w0 = rf.directions[0]
         x = 800.0 * w0 / (w0 @ w0)  # makes w0.x = 800 > exp range
         with pytest.raises(AttentionError, match="scale"):
-            feature_map(x, rf)
+            mapped(x, rf)
 
     def test_matrix_and_vector_agree(self):
         rf = make_feature_map(8, 3, seed=7)
         x = np.random.default_rng(8).normal(size=(5, 3))
-        rows = feature_map(x, rf)
+        rows = mapped(x, rf)
         for i in range(5):
-            np.testing.assert_allclose(rows[i], feature_map(x[i], rf))
+            np.testing.assert_allclose(rows[i], mapped(x[i], rf))
 
 
 def in_convex_hull(point, vertices, tol=1e-9):
@@ -73,41 +104,41 @@ def in_convex_hull(point, vertices, tol=1e-9):
 class TestExactAttention:
     def test_single_row_identity(self):
         z = np.array([[1.0, -2.0, 3.0]])
-        np.testing.assert_allclose(exact_attention(z), z)
+        np.testing.assert_allclose(exact_of(z), z)
 
     def test_identical_rows_fixed_point(self):
         z = np.tile([1.0, 2.0], (5, 1))
-        np.testing.assert_allclose(exact_attention(z), z, atol=1e-12)
+        np.testing.assert_allclose(exact_of(z), z, atol=1e-12)
 
     def test_rows_in_convex_hull(self):
         rng = np.random.default_rng(9)
         z = rng.normal(size=(5, 3))
-        out = exact_attention(z)
+        out = exact_of(z)
         for row in out:
             assert in_convex_hull(row, z)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            exact_attention(np.zeros((0, 3)))
+            exact_of(np.zeros((0, 3)))
 
 
 class TestKernelizedAttention:
     def test_single_row_identity(self):
         rf = make_feature_map(64, 3, seed=10)
         z = np.array([[0.5, -1.0, 2.0]])
-        np.testing.assert_allclose(kernelized_attention(z, rf), z, atol=1e-12)
+        np.testing.assert_allclose(kernelized_of(z, rf), z, atol=1e-12)
 
     def test_identical_rows_fixed_point(self):
         rf = make_feature_map(64, 2, seed=11)
         z = np.tile([0.3, -0.7], (6, 1))
-        np.testing.assert_allclose(kernelized_attention(z, rf), z, atol=1e-10)
+        np.testing.assert_allclose(kernelized_of(z, rf), z, atol=1e-10)
 
     def test_close_to_exact_at_large_m(self):
         rng = np.random.default_rng(12)
         z = rng.normal(0, 0.1, size=(50, 32))
         rf = make_feature_map(4096, 32, seed=13)
-        approx = kernelized_attention(z, rf)
-        exact = exact_attention(z)
+        approx = kernelized_of(z, rf)
+        exact = exact_of(z)
         rel = np.linalg.norm(approx - exact) / np.linalg.norm(exact)
         assert rel <= 0.05
 
@@ -119,8 +150,8 @@ class TestKernelizedAttention:
                 rng = np.random.default_rng(1000 + seed)
                 z = rng.normal(0, 0.1, size=(50, 32))
                 rf = make_feature_map(m, 32, seed=seed)
-                rel = (np.linalg.norm(kernelized_attention(z, rf) - exact_attention(z))
-                       / np.linalg.norm(exact_attention(z)))
+                rel = (np.linalg.norm(kernelized_of(z, rf) - exact_of(z))
+                       / np.linalg.norm(exact_of(z)))
                 per_seed.append(rel)
             errors[m] = np.median(per_seed)
         assert errors[256] > errors[1024] > errors[4096]
@@ -129,21 +160,27 @@ class TestKernelizedAttention:
         rng = np.random.default_rng(14)
         z = rng.normal(0, 0.3, size=(6, 3))
         rf = make_feature_map(512, 3, seed=15)
-        out = kernelized_attention(z, rf)
+        out = kernelized_of(z, rf)
         for row in out:
             assert in_convex_hull(row, z, tol=1e-8)
 
-    def test_multiply_count_linear_in_nodes(self):
+    def test_tape_holds_no_pairwise_table(self):
+        """Linear cost in T: no (T, T) node, and none larger than the (T, m)
+        features.  Exact attention's tape fails both."""
         rng = np.random.default_rng(16)
         t, m, d = 80, 128, 16
-        z = rng.normal(0, 0.1, size=(t, d))
+        z = parameter(rng.normal(0, 0.1, size=(t, d)))
         rf = make_feature_map(m, d, seed=17)
-        kernelized_attention(z, rf)
-        assert last_multiply_count() <= 5 * t * m * d
+
+        def pairwise(out):
+            return [n for n in tape_nodes(out) if n.data.shape == (t, t) or n.data.size > t * m]
+
+        assert not pairwise(kernelized_attention(z, rf, 1.0 / np.sqrt(d)))
+        assert pairwise(exact_attention(z, 1.0 / np.sqrt(d)))
 
     def test_underflow_denominator_rejected(self):
         # far-apart huge-norm inputs drive phi to zero after scaling guard
         rf = make_feature_map(4, 2, seed=18)
         z = np.array([[35.0, 0.0], [-35.0, 0.0]])
         with pytest.raises(AttentionError):
-            kernelized_attention(z, rf, scale=1.0)
+            kernelized_of(z, rf, scale=1.0)

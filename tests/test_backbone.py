@@ -16,18 +16,16 @@ def graph_of(pairs, n_users, n_items):
 class TestNormalizedAdjacency:
     def test_entries_are_inverse_sqrt_degree_products(self):
         g = graph_of([(0, 0), (0, 1), (1, 0)], 2, 2)
-        adj, isolated = normalized_adjacency(g)
-        assert isolated == 0
+        adj = normalized_adjacency(g)
         dense = adj.toarray()
         # user 0 (deg 2) to item 0 (deg 2): 1/2; user 1 (deg 1) to item 0: 1/sqrt(2)
         assert dense[0, 2] == pytest.approx(0.5)
         assert dense[1, 2] == pytest.approx(1 / np.sqrt(2))
         np.testing.assert_allclose(dense, dense.T)
 
-    def test_isolated_nodes_counted_and_zeroed(self):
+    def test_isolated_nodes_zeroed(self):
         ds = InteractionDataset(2, 2, np.array([0]), np.array([0]))
-        adj, isolated = normalized_adjacency(build_graph(ds))
-        assert isolated == 2
+        adj = normalized_adjacency(build_graph(ds))
         dense = adj.toarray()
         np.testing.assert_array_equal(dense[1], np.zeros(4))
         np.testing.assert_array_equal(dense[3], np.zeros(4))
@@ -36,14 +34,14 @@ class TestNormalizedAdjacency:
 class TestPropagate:
     def test_single_edge_swaps_rows(self):
         g = graph_of([(0, 0)], 1, 1)
-        adj, _ = normalized_adjacency(g)
+        adj = normalized_adjacency(g)
         h = constant(np.array([[1.0, 2.0], [5.0, -1.0]]))
         out = propagate_layer(h, adj, BackboneConfig(), 0)
         np.testing.assert_allclose(out.data, [[5.0, -1.0], [1.0, 2.0]])
 
     def test_two_degree_one_neighbors(self):
         g = graph_of([(0, 0), (0, 1)], 1, 2)
-        adj, _ = normalized_adjacency(g)
+        adj = normalized_adjacency(g)
         e1, e2 = np.array([2.0, 0.0]), np.array([0.0, 4.0])
         h = constant(np.vstack([[0.0, 0.0], e1, e2]))
         out = propagate_layer(h, adj, BackboneConfig(), 0)
@@ -51,7 +49,7 @@ class TestPropagate:
 
     def test_matches_dense_product_oracle(self):
         g = build_graph(clustered_interactions(10, 10, 2, per_user=4, seed=1))
-        adj, _ = normalized_adjacency(g)
+        adj = normalized_adjacency(g)
         rng = np.random.default_rng(2)
         h = rng.standard_normal((20, 5))
         out = propagate_layer(constant(h), adj, BackboneConfig(), 0)
@@ -59,7 +57,7 @@ class TestPropagate:
 
     def test_linearity(self):
         g = build_graph(clustered_interactions(8, 9, 2, per_user=3, seed=3))
-        adj, _ = normalized_adjacency(g)
+        adj = normalized_adjacency(g)
         rng = np.random.default_rng(4)
         h1 = rng.standard_normal((17, 4))
         h2 = rng.standard_normal((17, 4))
@@ -71,7 +69,7 @@ class TestPropagate:
 
     def test_permutation_equivariance(self):
         g = build_graph(clustered_interactions(6, 7, 2, per_user=3, seed=5))
-        adj, _ = normalized_adjacency(g)
+        adj = normalized_adjacency(g)
         rng = np.random.default_rng(6)
         h = rng.standard_normal((13, 3))
         perm = rng.permutation(13)
@@ -84,9 +82,9 @@ class TestPropagate:
 
     def test_transform_variant_applies_map_and_nonlinearity(self):
         g = graph_of([(0, 0)], 1, 1)
-        adj, _ = normalized_adjacency(g)
+        adj = normalized_adjacency(g)
         w = parameter(np.array([[1.0, 0.0], [0.0, -1.0]]))
-        cfg = BackboneConfig(variant="transform-gcn", layers=1, transforms=[w])
+        cfg = BackboneConfig(variant="transform-gcn", transforms=[w])
         h = constant(np.array([[1.0, 2.0], [3.0, 4.0]]))
         out = propagate_layer(h, adj, cfg, 0)
         # adj swaps rows, then x @ w.T, then leaky relu slope 0.2
@@ -96,7 +94,7 @@ class TestPropagate:
 
     def test_row_count_mismatch(self):
         g = graph_of([(0, 0)], 1, 1)
-        adj, _ = normalized_adjacency(g)
+        adj = normalized_adjacency(g)
         with pytest.raises(ValueError):
             propagate_layer(constant(np.ones((3, 2))), adj, BackboneConfig(), 0)
 

@@ -10,9 +10,8 @@ from pgtr.encodings import (
     build_encoding_set,
     degree_encoding,
     group_by_rank,
-    node_position,
     pagerank_encoding,
-    position_matrix,
+    position_tape,
     spectral_encoding,
     type_table,
 )
@@ -220,6 +219,13 @@ class TestDegreeAndPageRank:
         assert asg_i.group_of.tolist() == [0]
 
 
+def positions(enc):
+    """The taped position vectors as an array; no position term (None)
+    reads as zeros, as in the forward pass."""
+    pos = position_tape(enc)
+    return np.zeros((enc.n_users + enc.n_items, enc.d)) if pos is None else pos.data
+
+
 class TestComposition:
     def build(self, seed=7, **kw):
         g = random_graph(seed)
@@ -233,7 +239,7 @@ class TestComposition:
         g, enc = self.build(use_spectral=False, use_degree=False,
                             use_pagerank=False, use_type=False)
         assert not enc.any_enabled
-        np.testing.assert_array_equal(position_matrix(enc),
+        np.testing.assert_array_equal(positions(enc),
                                       np.zeros((g.n_nodes, 6)))
 
     def test_type_only_identity_projection(self):
@@ -242,7 +248,7 @@ class TestComposition:
         enc.projection.w_user.data = np.eye(2)
         enc.projection.w_item.data = 2 * np.eye(2)
         enc.projection.w_type.data = np.eye(2)
-        pm = position_matrix(enc)
+        pm = positions(enc)
         np.testing.assert_allclose(pm[0], enc.types.data[1])
         np.testing.assert_allclose(pm[g.n_users], 2 * enc.types.data[0])
 
@@ -265,18 +271,18 @@ class TestComposition:
                      + p.w_degree.data @ deg_row
                      + p.w_pagerank.data @ pr_row
                      + p.w_type.data @ ty_row)
-            np.testing.assert_allclose(node_position(enc, j), side_w @ inner, atol=1e-12)
+            np.testing.assert_allclose(positions(enc)[j], side_w @ inner, atol=1e-12)
 
     def test_linearity_in_each_table(self):
         g, enc = self.build(seed=11)
-        base = position_matrix(enc)
+        base = positions(enc)
         enc2 = self.build(seed=11)[1]
         enc2.types.data = enc.types.data * 2.0
-        doubled = position_matrix(enc2)
+        doubled = positions(enc2)
         # the type term's contribution doubles exactly
         g3, enc3 = self.build(seed=11)
         enc3.types.data[:] = 0.0
-        without = position_matrix(enc3)
+        without = positions(enc3)
         np.testing.assert_allclose(doubled - without, 2.0 * (base - without), atol=1e-12)
 
     def test_group_sizes_within_one(self):
@@ -288,7 +294,7 @@ class TestComposition:
     def test_node_index_validated(self):
         _, enc = self.build()
         with pytest.raises(IndexError):
-            node_position(enc, 10_000)
+            positions(enc)[10_000]
 
 
 def test_type_table_two_rows():

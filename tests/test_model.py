@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 import pgtr.autodiff as ad
-from pgtr.attention import exact_attention
 from pgtr.autodiff import constant
 from pgtr.backbone import BackboneConfig, normalized_adjacency, propagate_layer, readout
 from pgtr.data import InteractionDataset, build_graph
-from pgtr.encodings import position_matrix
 from pgtr.model import (
     ModelState,
     PGTRConfig,
@@ -18,7 +16,6 @@ from pgtr.model import (
     init_model,
     load_checkpoint,
     save_checkpoint,
-    score,
 )
 from pgtr.synthetic import clustered_interactions
 
@@ -27,6 +24,40 @@ SMALL = dict(d=6, h_c=3, h_d=2, h_r=2, h_y=2, n_d=3, n_r=3, m_features=32)
 
 def small_graph(seed=0, n_users=12, n_items=14):
     return build_graph(clustered_interactions(n_users, n_items, 3, per_user=5, seed=seed))
+
+
+def position_matrix(enc):
+    """Dense (N+M) x d position vectors for every node, users first,
+    computed in plain numpy apart from the taped `position_tape`."""
+    n, m = enc.n_users, enc.n_items
+    inner = np.zeros((n + m, enc.d))
+    p = enc.projection
+    if p is None:
+        return inner
+    if enc.spectral is not None:
+        inner += enc.spectral.matrix.T @ p.w_spectral.data.T
+    for pair_u, pair_i, w in ((enc.degree_user, enc.degree_item, p.w_degree),
+                              (enc.pagerank_user, enc.pagerank_item, p.w_pagerank)):
+        if pair_u is not None:
+            (table_u, asg_u), (table_i, asg_i) = pair_u, pair_i
+            stacked = np.vstack([table_u.data[asg_u.group_of], table_i.data[asg_i.group_of]])
+            inner += stacked @ w.data.T
+    if enc.types is not None:
+        type_rows = np.concatenate([np.ones(n, dtype=np.int64), np.zeros(m, dtype=np.int64)])
+        inner += enc.types.data[type_rows] @ p.w_type.data.T
+    return np.vstack([inner[:n] @ p.w_user.data.T, inner[n:] @ p.w_item.data.T])
+
+
+def score(h_final, u, i, tau, n_users):
+    """Temperature-scaled cosine between a user row and an item row."""
+    hu = h_final[u]
+    hi = h_final[n_users + i]
+    nu, ni = np.linalg.norm(hu), np.linalg.norm(hi)
+    if nu == 0.0:
+        raise ValueError(f"zero-norm representation for user node {u}")
+    if ni == 0.0:
+        raise ValueError(f"zero-norm representation for item node {i}")
+    return float(hu @ hi / (nu * ni * tau))
 
 
 class TestBackboneReduction:
@@ -38,10 +69,10 @@ class TestBackboneReduction:
         state = init_model(g, cfg, seed=3)
         got = forward(state).data
 
-        adj, _ = normalized_adjacency(g)
+        adj = normalized_adjacency(g)
         h = constant(state.embeddings.data.copy())
         tables = [h]
-        bcfg = BackboneConfig(layers=cfg.layers)
+        bcfg = BackboneConfig()
         for l in range(cfg.layers):
             h = propagate_layer(h, adj, bcfg, l)
             tables.append(h)
@@ -55,11 +86,11 @@ class TestBackboneReduction:
                          use_pagerank=False, use_type=False, **SMALL)
         state = init_model(g, cfg, seed=4)
         got = forward(state).data
-        adj, _ = normalized_adjacency(g)
+        adj = normalized_adjacency(g)
         h = constant(state.embeddings.data.copy())
         tables = [h]
         for l in range(cfg.layers):
-            h = propagate_layer(h, adj, BackboneConfig(layers=2), l)
+            h = propagate_layer(h, adj, BackboneConfig(), l)
             tables.append(h)
         bare = readout(tables).data
         for u in range(g.n_users):
@@ -118,7 +149,7 @@ class TestDenseOracle:
         got = forward(state).data
 
         # independent dense evaluation of the whole chain
-        adj = normalized_adjacency(g)[0].toarray()
+        adj = normalized_adjacency(g).toarray()
         pos = position_matrix(state.enc)
         scale = 1.0 / np.sqrt(cfg.d)
         h = state.embeddings.data + cfg.lambda1 * pos
@@ -287,6 +318,24 @@ class TestCheckpoint:
         other = small_graph(11, n_users=13, n_items=14)
         with pytest.raises(ValueError, match="different graph"):
             load_checkpoint(path, other)
+        same_shape = small_graph(11)
+        assert (same_shape.n_users, same_shape.n_items) == (g.n_users, g.n_items)
+        with pytest.raises(ValueError, match="different graph"):
+            load_checkpoint(path, same_shape)
+
+    def test_load_restores_the_spectral_block_without_solving(self, tmp_path, monkeypatch):
+        g = small_graph(14)
+        state = init_model(g, PGTRConfig(**SMALL), seed=23)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(state, path)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("load_checkpoint ran the eigensolver")
+
+        monkeypatch.setattr("pgtr.encodings.symmetric_eigs_smallest", no_solve)
+        restored = load_checkpoint(path, g)
+        np.testing.assert_array_equal(restored.enc.spectral.matrix, state.enc.spectral.matrix)
+        np.testing.assert_array_equal(forward(restored).data, forward(state).data)
 
     def test_truncated_file_names_the_short_section(self, tmp_path):
         g = small_graph(13)

@@ -10,15 +10,44 @@ from pgtr.data import InteractionDataset, SplitSpec, build_graph, split_by_ratio
 from pgtr.model import PGTRConfig, init_model
 from pgtr.synthetic import clustered_interactions
 from pgtr.train import (
-    TAU_GRID,
     TrainConfig,
     batch_loss,
     evaluate,
-    in_batch_negatives,
     ranking_metrics,
-    ssm_loss,
     train,
 )
+
+
+def ssm_loss(score_pos, scores_neg) -> float:
+    """Mean sampled-softmax loss over pairs, one pair at a time: the oracle
+    for the masked-matrix `batch_loss`.
+
+    `score_pos[p]` is the positive score of pair p, `scores_neg[p]` its
+    negative scores.  Computed through log-sum-exp for stability.
+    """
+    score_pos = np.atleast_1d(np.asarray(score_pos, dtype=np.float64))
+    total = 0.0
+    for pos, negs in zip(score_pos, scores_neg):
+        cand = np.concatenate([[pos], np.asarray(negs, dtype=np.float64)])
+        if not np.all(np.isfinite(cand)):
+            raise NumericsError("ssm_loss: non-finite score")
+        mx = cand.max()
+        total += mx + np.log(np.exp(cand - mx).sum()) - pos
+    return total / score_pos.size
+
+
+def in_batch_negatives(batch, train_items_per_user) -> list[np.ndarray]:
+    """Per-pair negative item sets: other pairs' positives the user never
+    interacted with in training."""
+    if len(batch) < 2:
+        raise ValueError("batch must contain at least two pairs")
+    items = np.array([i for _, i in batch], dtype=np.int64)
+    out = []
+    for a, (u, _) in enumerate(batch):
+        others = np.unique(np.delete(items, a))
+        interacted = np.asarray(train_items_per_user[u], dtype=np.int64)
+        out.append(np.setdiff1d(others, interacted, assume_unique=False))
+    return out
 
 
 class TestSsmLoss:
@@ -187,9 +216,11 @@ class TestTrainLoop:
         for row in history:
             assert set(row) == {"epoch", "train_loss", "val_recall", "val_ndcg", "seconds"}
 
-    def test_tau_grid_matches_protocol(self):
-        assert TAU_GRID[0] == 0.02 and TAU_GRID[-1] == 1.2
-        assert TAU_GRID[1:11] == tuple(np.round(np.arange(0.1, 1.05, 0.1), 10))
+    @pytest.mark.parametrize("field, value", [
+        ("k", 0), ("lr", -1e-3), ("max_epochs", 0), ("batch_size", 1), ("patience", 0)])
+    def test_config_rejects_out_of_range_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            TrainConfig(**{field: value})
 
 
 def brute_force_metrics(scores, observed, targets, k):
@@ -274,6 +305,10 @@ class TestRankingMetrics:
     def test_no_evaluable_users_rejected(self):
         with pytest.raises(ValueError):
             ranking_metrics(np.zeros((2, 4)), [[], []], [[], []], k=2)
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k must be"):
+            ranking_metrics(np.zeros((1, 4)), [[]], [[1]], k=0)
 
 
 class TestEvaluate:
