@@ -2,9 +2,14 @@
 
 Implements only the operations the recommender needs: dense and sparse
 matrix products, broadcast elementwise arithmetic, exp/log, row
-gather/slice/concat, L2 row normalization, masked row-wise log-sum-exp
-and reductions.  Every operation validates its output for finiteness and
-aborts with the operation name on NaN/Inf.
+gather/slice/concat, L2 row normalization, row-wise log-sum-exp under a
+boolean keep-mask, and reductions.  Every operation validates its output
+for finiteness and aborts with the operation name on NaN/Inf.
+
+An op records a backward closure only when some input needs a gradient
+(a trainable leaf or a node computed from one), and the closure computes
+the gradient of just those inputs: constants such as a scalar `1/tau` or a
+0/1 mask are never differentiated.
 """
 from __future__ import annotations
 
@@ -151,41 +156,37 @@ def _make(data, op: str, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray):
-    if not t._needs:
-        return
     t.grad = g if t.grad is None else t.grad + g
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def _binary(op: str, data, a: Tensor, b: Tensor, grad_a, grad_b) -> Tensor:
+    """Record a two-operand op.  `grad_a(g)` / `grad_b(g)` map the output
+    gradient to an operand's and run only for an operand that needs one."""
     def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        if a._needs:
+            _accum(a, _unbroadcast(grad_a(g), a.data.shape))
+        if b._needs:
+            _accum(b, _unbroadcast(grad_b(g), b.data.shape))
 
-    return _make(a.data + b.data, "add", (a, b), bw)
+    return _make(data, op, (a, b), bw)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    return _binary("add", a.data + b.data, a, b, lambda g: g, lambda g: g)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
-
-    return _make(a.data - b.data, "sub", (a, b), bw)
+    return _binary("sub", a.data - b.data, a, b, lambda g: g, lambda g: -g)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _make(a.data * b.data, "mul", (a, b), bw)
+    return _binary("mul", a.data * b.data, a, b,
+                   lambda g: g * b.data, lambda g: g * a.data)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g):
-        _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(a.data / b.data, "div", (a, b), bw)
+    return _binary("div", a.data / b.data, a, b,
+                   lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data))
 
 
 def neg(a: Tensor) -> Tensor:
@@ -196,11 +197,8 @@ def neg(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
-
-    return _make(a.data @ b.data, "matmul", (a, b), bw)
+    return _binary("matmul", a.data @ b.data, a, b,
+                   lambda g: g @ b.data.T, lambda g: a.data.T @ g)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -287,7 +285,8 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
 
     def bw(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, g[lo:hi])
+            if p._needs:
+                _accum(p, g[lo:hi])
 
     return _make(np.concatenate([p.data for p in parts], axis=0), "concat_rows", tuple(parts), bw)
 
@@ -317,25 +316,32 @@ def l2_normalize_rows(a: Tensor) -> Tensor:
 
 
 def logsumexp_rows(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Row-wise log(sum(exp)) over entries where `mask` is nonzero.
+    """Row-wise log(sum(exp)) over the entries `mask` keeps.
 
-    `mask` is a constant 0/1 array of the same shape; None means all
-    entries participate.  Every row must keep at least one entry.
+    `mask` is a constant boolean array of `a`'s shape (any other dtype
+    keeps its nonzero entries); None keeps every entry.  Every row must
+    keep at least one entry.  The forward pass keeps the row's exponentials
+    and their sum, so the backward pass is one multiply.
     """
     x = a.data
     if mask is None:
-        xm = x
+        mx = x.max(axis=1, keepdims=True)
+        e = x - mx
     else:
         if mask.shape != x.shape:
             raise ValueError("mask shape mismatch")
-        if not (mask != 0).any(axis=1).all():
+        keep = mask.astype(bool, copy=False)
+        if not keep.any(axis=1).all():
             raise ValueError("logsumexp_rows: some row has no unmasked entry")
-        xm = np.where(mask != 0, x, -np.inf)
-    mx = xm.max(axis=1, keepdims=True)
-    data = mx + np.log(np.exp(xm - mx).sum(axis=1, keepdims=True))
+        e = np.where(keep, x, -np.inf)
+        mx = e.max(axis=1, keepdims=True)
+        e -= mx
+    np.exp(e, out=e)  # dropped entries become exp(-inf) = 0
+    total = e.sum(axis=1, keepdims=True)
+    data = mx + np.log(total)
 
     def bw(g):
-        _accum(a, g * np.exp(xm - data))
+        _accum(a, e * (g / total))
 
     return _make(data, "logsumexp_rows", (a,), bw)
 

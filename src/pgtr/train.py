@@ -6,6 +6,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import autodiff as ad
 from .attention import AttentionError
@@ -23,6 +24,10 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+# ranking_metrics scores about this many table entries at a time, so its
+# temporaries stay O(block) instead of O(users x items)
+_RANK_BLOCK_ENTRIES = 1 << 18
 
 @dataclass
 class TrainConfig:
@@ -51,9 +56,18 @@ class RankingMetrics:
     user_indices: np.ndarray
 
 
+def _ragged(rows) -> tuple[np.ndarray, np.ndarray]:
+    """CSR `indptr` and `indices` of a sequence of item-id sequences."""
+    parts = [np.asarray(r, dtype=np.int64) for r in rows]
+    indptr = np.zeros(len(parts) + 1, dtype=np.int64)
+    np.cumsum([p.size for p in parts], out=indptr[1:])
+    indices = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    return indptr, indices
+
+
 def _batch_mask(users: np.ndarray, items: np.ndarray,
                 train_items_per_user) -> np.ndarray:
-    """0/1 candidate mask for the in-batch score matrix.
+    """Boolean candidate mask for the in-batch score matrix.
 
     Row a keeps its own positive (the diagonal) plus the first column of
     every distinct other item the user has never interacted with."""
@@ -61,11 +75,13 @@ def _batch_mask(users: np.ndarray, items: np.ndarray,
     _, first_pos = np.unique(items, return_index=True)
     first_occ = np.zeros(b, dtype=bool)
     first_occ[first_pos] = True
-    mask = np.zeros((b, b), dtype=np.float64)
-    for a in range(b):
-        interacted = np.isin(items, train_items_per_user[users[a]], assume_unique=False)
-        mask[a] = first_occ & ~interacted
-    np.fill_diagonal(mask, 1.0)
+    indptr, indices = _ragged(train_items_per_user[u] for u in users)
+    n_cols = int(max(items.max(), indices.max(initial=-1))) + 1
+    adj = sp.csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr),
+                        shape=(b, n_cols))
+    mask = ~adj[:, items].toarray()
+    mask &= first_occ
+    np.fill_diagonal(mask, True)
     return mask
 
 
@@ -78,16 +94,17 @@ def batch_loss(state: ModelState, users: np.ndarray, items: np.ndarray,
     """
     cfg = state.config
     mask = _batch_mask(users, items, train_items_per_user)
-    keep = mask.sum(axis=1) >= 2.0
+    keep = np.count_nonzero(mask, axis=1) >= 2
     n_keep = int(keep.sum())
     if n_keep == 0:
         raise ValueError("every pair in the batch lacks negatives")
     h = forward(state)
     h_norm = ad.l2_normalize_rows(h)
-    su = ad.gather_rows(h_norm, users)
+    # 1/tau scales the (b, d) user rows: cheaper than scaling the (b, b) scores
+    su = ad.gather_rows(h_norm, users) * (1.0 / cfg.tau)
     si = ad.gather_rows(h_norm, state.n_users + items)
-    scores = ad.matmul(su, ad.transpose(si)) * (1.0 / cfg.tau)
-    pos = ad.sum_axis(su * si, axis=1) * (1.0 / cfg.tau)
+    scores = ad.matmul(su, ad.transpose(si))
+    pos = ad.sum_axis(su * si, axis=1)
     lse = ad.logsumexp_rows(scores, mask)
     per_pair = (lse - pos) * keep[:, None].astype(np.float64)
     loss = ad.sum_axis(per_pair, axis=None, keepdims=False) * (1.0 / n_keep)
@@ -99,7 +116,9 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
     """Mini-batch epochs with early stopping on validation Recall@k.
 
     Returns the state holding the best-validation parameters plus a
-    history record per epoch.  A non-finite value (NumericsError) or an
+    history record per epoch: `epoch`, `train_loss`, `val_recall`,
+    `val_ndcg`, `skipped_pairs` (pairs the epoch's batches dropped for lack
+    of negatives) and `seconds`.  A non-finite value (NumericsError) or an
     attention overflow/underflow (AttentionError) in a step or in
     validation stops training with a warning and restores the best
     parameters.
@@ -122,18 +141,19 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
     for epoch in range(1, cfg.max_epochs + 1):
         t0 = time.perf_counter()
         perm = rng.permutation(n_pairs)
-        epoch_loss, n_batches = 0.0, 0
+        epoch_loss, n_batches, skipped_pairs = 0.0, 0, 0
         try:
             for lo in range(0, n_pairs, cfg.batch_size):
                 sel = perm[lo:lo + cfg.batch_size]
                 if sel.size < 2:
                     continue
                 ad.zero_grad(params)
-                loss, _ = batch_loss(state, pairs_u[sel], pairs_i[sel], train_items)
+                loss, skipped = batch_loss(state, pairs_u[sel], pairs_i[sel], train_items)
                 ad.backward(loss)
                 adam_step(opt)
                 epoch_loss += loss.item()
                 n_batches += 1
+                skipped_pairs += skipped
             metrics = evaluate(state, fit, val, k=cfg.k) if len(val) else None
         except (NumericsError, AttentionError) as err:
             # diverged parameters: stop and fall back to the best ones
@@ -151,6 +171,7 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
             "train_loss": mean_loss,
             "val_recall": val_recall,
             "val_ndcg": val_ndcg,
+            "skipped_pairs": skipped_pairs,
             "seconds": time.perf_counter() - t0,
         })
         if len(val) and val_recall > best_recall:
@@ -171,39 +192,83 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
     return state, history
 
 
+def _user_items(rows, name: str, shape: tuple[int, int]) -> sp.csr_matrix:
+    """Boolean (users, items) CSR matrix of per-user item lists, checked
+    against the score table's shape."""
+    n_users, n_items = shape
+    if len(rows) != n_users:
+        raise ValueError(f"{name} has {len(rows)} rows but scores has {n_users}")
+    indptr, indices = _ragged(rows)
+    bad = (indices < 0) | (indices >= n_items)
+    if bad.any():
+        raise ValueError(f"{name} holds item id {int(indices[bad][0])} "
+                         f"outside [0, {n_items})")
+    return sp.csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr), shape=shape)
+
+
+def _top_k(neg: np.ndarray, k: int):
+    """Row, column and rank of the finite entries among each row's first k
+    in a stable ascending sort of `neg`, in rank order, and the count per
+    row.  Ranks count only the finite entries, so a dropped one leaves no
+    gap."""
+    # the first k of a stable sort: every entry below the k-th value, then
+    # the lowest-index ties at that value
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
+    below = neg < kth
+    tie = neg == kth
+    need = k - np.count_nonzero(below, axis=1)
+    r, c = np.nonzero(below | (tie & (np.cumsum(tie, axis=1) <= need[:, None])))
+    order = np.lexsort((neg[r, c], r))  # stable: equal values stay in column order
+    r, c = r[order], c[order]
+    finite = np.isfinite(neg[r, c])
+    r, c = r[finite], c[finite]
+    n_top = np.bincount(r, minlength=neg.shape[0])
+    return r, c, np.arange(r.size) - (np.cumsum(n_top) - n_top)[r], n_top
+
+
 def ranking_metrics(scores: np.ndarray, observed_items, test_items,
                     k: int = 20) -> RankingMetrics:
     """Recall@k / NDCG@k from a dense (N, M) score table.
 
     Observed (training + validation) items are masked out; ties break
-    toward the lower item index; users without test items are excluded.
+    toward the lower item index; non-finite scores are dropped from a top-k
+    list; users without test items are excluded.  Users are ranked in
+    blocks of rows, so temporaries stay near _RANK_BLOCK_ENTRIES entries.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n_users, n_items = scores.shape
-    discounts = 1.0 / np.log2(np.arange(k) + 2.0)
-    recalls, ndcgs, users = [], [], []
-    for u in range(n_users):
-        targets = np.asarray(test_items[u], dtype=np.int64)
-        if targets.size == 0:
-            continue
-        s = scores[u].astype(np.float64, copy=True)
-        s[np.asarray(observed_items[u], dtype=np.int64)] = -np.inf
-        order = np.argsort(-s, kind="stable")
-        top = order[:k]
-        top = top[np.isfinite(s[top])]
-        hits = np.isin(top, targets)
-        recalls.append(hits.sum() / targets.size)
-        dcg = float((hits * discounts[:top.size]).sum())
-        idcg = float(discounts[:min(k, targets.size)].sum())
-        ndcgs.append(dcg / idcg)
-        users.append(u)
-    if not users:
+    observed = _user_items(observed_items, "observed_items", scores.shape)
+    tests = _user_items(test_items, "test_items", scores.shape)
+    n_targets = np.diff(tests.indptr)
+    users = np.flatnonzero(n_targets)
+    if not users.size:
         raise ValueError("no user has test items to evaluate")
-    recalls = np.array(recalls)
-    ndcgs = np.array(ndcgs)
+    discounts = 1.0 / np.log2(np.arange(k) + 2.0)
+    kk = min(k, n_items)
+    n_hits = np.zeros(n_users, dtype=np.int64)
+    dcg = np.zeros(n_users)
+    step = max(1, _RANK_BLOCK_ENTRIES // n_items)
+    for lo in range(0, n_users, step):
+        hi = min(lo + step, n_users)
+        # negated, observed items at +inf: the ranking is the ascending order
+        neg = np.negative(scores[lo:hi], dtype=np.float64)
+        neg[observed[lo:hi].toarray()] = np.inf
+        r, c, rank, n_top = _top_k(neg, kk)
+        hit = tests[lo:hi].toarray()[r, c]
+        n_hits[lo:hi] = np.bincount(r[hit], minlength=hi - lo)
+        gains = np.zeros((hi - lo, kk))
+        gains[r[hit], rank[hit]] = discounts[rank[hit]]
+        # sum each row over exactly its list's length, as one sum per user would
+        for n in np.unique(n_top):
+            same = n_top == n
+            dcg[lo:hi][same] = gains[same, :n].sum(axis=1)
+    recalls = n_hits[users] / n_targets[users]
+    ideal_len, inv = np.unique(np.minimum(n_targets[users], k), return_inverse=True)
+    idcg = np.array([discounts[:m].sum() for m in ideal_len])[inv]
+    ndcgs = dcg[users] / idcg
     return RankingMetrics(float(recalls.mean()), float(ndcgs.mean()), k,
-                          recalls, ndcgs, np.array(users, dtype=np.int64))
+                          recalls, ndcgs, users.astype(np.int64))
 
 
 def evaluate(state: ModelState, observed: InteractionDataset,

@@ -1,16 +1,21 @@
 """Loss, negatives, training loop, and ranking metric tests."""
 import logging
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import pgtr.autodiff as ad
 from pgtr.autodiff import NumericsError
 from pgtr.data import InteractionDataset, SplitSpec, build_graph, split_by_ratio
-from pgtr.model import PGTRConfig, init_model
+from pgtr.model import PGTRConfig, forward, init_model
 from pgtr.synthetic import clustered_interactions
 from pgtr.train import (
     TrainConfig,
+    _batch_mask,
     batch_loss,
     evaluate,
     ranking_metrics,
@@ -48,6 +53,75 @@ def in_batch_negatives(batch, train_items_per_user) -> list[np.ndarray]:
         interacted = np.asarray(train_items_per_user[u], dtype=np.int64)
         out.append(np.setdiff1d(others, interacted, assume_unique=False))
     return out
+
+
+def batch_mask_loop(users, items, train_items_per_user) -> np.ndarray:
+    """One `np.isin` per batch row: the oracle for the sparse-gather
+    `_batch_mask`.  Returns the 0/1 mask as float64."""
+    b = users.size
+    _, first_pos = np.unique(items, return_index=True)
+    first_occ = np.zeros(b, dtype=bool)
+    first_occ[first_pos] = True
+    mask = np.zeros((b, b), dtype=np.float64)
+    for a in range(b):
+        interacted = np.isin(items, train_items_per_user[users[a]], assume_unique=False)
+        mask[a] = first_occ & ~interacted
+    np.fill_diagonal(mask, 1.0)
+    return mask
+
+
+def ranking_metrics_loop(scores, observed_items, test_items, k):
+    """One full stable argsort per user: the oracle for the blocked
+    `ranking_metrics`.  Returns the fields of `RankingMetrics` as a tuple."""
+    n_users, _ = scores.shape
+    discounts = 1.0 / np.log2(np.arange(k) + 2.0)
+    recalls, ndcgs, users = [], [], []
+    for u in range(n_users):
+        targets = np.asarray(test_items[u], dtype=np.int64)
+        if targets.size == 0:
+            continue
+        s = scores[u].astype(np.float64, copy=True)
+        s[np.asarray(observed_items[u], dtype=np.int64)] = -np.inf
+        order = np.argsort(-s, kind="stable")
+        top = order[:k]
+        top = top[np.isfinite(s[top])]
+        hits = np.isin(top, targets)
+        recalls.append(hits.sum() / targets.size)
+        dcg = float((hits * discounts[:top.size]).sum())
+        idcg = float(discounts[:min(k, targets.size)].sum())
+        ndcgs.append(dcg / idcg)
+        users.append(u)
+    if not users:
+        raise ValueError("no user has test items to evaluate")
+    recalls = np.array(recalls)
+    ndcgs = np.array(ndcgs)
+    return (float(recalls.mean()), float(ndcgs.mean()), k,
+            recalls, ndcgs, np.array(users, dtype=np.int64))
+
+
+def oracle_batch_loss(state, users, items, items_of) -> tuple[float, int]:
+    """Per-pair sampled-softmax loss of a batch from `in_batch_negatives`
+    and `ssm_loss`, with the pairs that lack negatives skipped."""
+    tau = state.config.tau
+    h = forward(state).data
+    h = h / np.linalg.norm(h, axis=1, keepdims=True)
+    pos_scores, neg_scores = [], []
+    batch = list(zip(users.tolist(), items.tolist()))
+    negs = in_batch_negatives(batch, items_of)
+    for (u, i), cand in zip(batch, negs):
+        if cand.size == 0:
+            continue
+        pos_scores.append(h[u] @ h[state.n_users + i] / tau)
+        neg_scores.append(np.array([h[u] @ h[state.n_users + j] / tau for j in cand]))
+    if not pos_scores:
+        return math.nan, len(batch)
+    return ssm_loss(pos_scores, neg_scores), len(batch) - len(pos_scores)
+
+
+def tiny_state(ds, seed):
+    cfg = PGTRConfig(d=4, layers=1, h_c=2, h_d=2, h_r=2, h_y=2, n_d=2,
+                     n_r=2, m_features=8, tau=0.25)
+    return init_model(build_graph(ds), cfg, seed=seed)
 
 
 class TestSsmLoss:
@@ -116,29 +190,84 @@ class TestBatchLossTape:
     def test_matches_scalar_oracle(self):
         """The masked-matrix tape loss equals the per-pair formula."""
         ds = clustered_interactions(10, 12, 2, per_user=4, seed=3)
-        g = build_graph(ds)
-        cfg = PGTRConfig(d=4, layers=1, h_c=2, h_d=2, h_r=2, h_y=2, n_d=2,
-                         n_r=2, m_features=8, tau=0.25)
-        state = init_model(g, cfg, seed=4)
+        state = tiny_state(ds, seed=4)
         users, items = ds.users[:6], ds.items[:6]
         items_of = ds.items_of_user()
         loss, skipped = batch_loss(state, users, items, items_of)
-
-        from pgtr.model import forward
-        h = forward(state).data
-        h = h / np.linalg.norm(h, axis=1, keepdims=True)
-        pos_scores, neg_scores = [], []
-        batch = list(zip(users.tolist(), items.tolist()))
-        negs = in_batch_negatives(batch, items_of)
-        for (u, i), cand in zip(batch, negs):
-            if cand.size == 0:
-                continue
-            pos_scores.append(h[u] @ h[state.n_users + i] / cfg.tau)
-            neg_scores.append(np.array([h[u] @ h[state.n_users + j] / cfg.tau
-                                        for j in cand]))
-        expected = ssm_loss(pos_scores, neg_scores)
+        expected, expected_skipped = oracle_batch_loss(state, users, items, items_of)
         assert loss.item() == pytest.approx(expected, rel=1e-12)
-        assert skipped == len(batch) - len(pos_scores)
+        assert skipped == expected_skipped
+
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 24),
+           as_dict=st.booleans())
+    def test_random_batches_match_oracle(self, small_model, seed, size, as_dict):
+        """Pairs drawn with replacement, so items and users repeat."""
+        ds, state = small_model
+        items_of = ds.items_of_user()
+        if as_dict:
+            items_of = {u: row.tolist() for u, row in enumerate(items_of)}
+        sel = np.random.default_rng(seed).integers(0, len(ds), size=size)
+        users, items = ds.users[sel], ds.items[sel]
+        expected, expected_skipped = oracle_batch_loss(state, users, items, items_of)
+        if expected_skipped == size:
+            with pytest.raises(ValueError, match="lacks negatives"):
+                batch_loss(state, users, items, items_of)
+            return
+        loss, skipped = batch_loss(state, users, items, items_of)
+        assert loss.item() == pytest.approx(expected, rel=1e-12)
+        assert skipped == expected_skipped
+
+    def test_backward_never_differentiates_a_constant(self, small_model, monkeypatch):
+        """No gradient is formed for a constant such as 1/tau or the mask."""
+        ds, state = small_model
+        targets = []
+        real_accum = ad._accum
+
+        def recording_accum(t, g):
+            targets.append(t)
+            real_accum(t, g)
+
+        monkeypatch.setattr(ad, "_accum", recording_accum)
+        ad.zero_grad(state.parameters())
+        loss, _ = batch_loss(state, ds.users[:8], ds.items[:8], ds.items_of_user())
+        ad.backward(loss)
+        assert targets
+        assert [t for t in targets if not t._needs] == []
+        assert all(p.grad is not None for p in state.parameters())
+
+
+@pytest.fixture(scope="module")
+def small_model():
+    ds = clustered_interactions(8, 10, 2, per_user=4, seed=11)
+    return ds, tiny_state(ds, seed=12)
+
+
+@st.composite
+def mask_batches(draw):
+    """Per-user training items (one user holds every item) and a batch of
+    (user, item) pairs drawn with replacement."""
+    n_users = draw(st.integers(1, 6))
+    n_items = draw(st.integers(1, 8))
+    items_of = [sorted(draw(st.sets(st.integers(0, n_items - 1))))
+                for _ in range(n_users)]
+    items_of[draw(st.integers(0, n_users - 1))] = list(range(n_items))
+    size = draw(st.integers(1, 16))
+    users = np.array(draw(st.lists(st.integers(0, n_users - 1), min_size=size,
+                                   max_size=size)), dtype=np.int64)
+    items = np.array(draw(st.lists(st.integers(0, n_items - 1), min_size=size,
+                                   max_size=size)), dtype=np.int64)
+    return users, items, items_of
+
+
+class TestBatchMask:
+    @given(batch=mask_batches(), as_dict=st.booleans())
+    def test_matches_loop_oracle(self, batch, as_dict):
+        users, items, items_of = batch
+        if as_dict:
+            items_of = dict(enumerate(items_of))
+        mask = _batch_mask(users, items, items_of)
+        assert mask.dtype == bool
+        np.testing.assert_array_equal(mask, batch_mask_loop(users, items, items_of) != 0)
 
 
 class TestTrainLoop:
@@ -214,7 +343,19 @@ class TestTrainLoop:
         _, history = train(state, fit, val, TrainConfig(batch_size=32, lr=1e-2,
                                                         max_epochs=2, patience=2, seed=4))
         for row in history:
-            assert set(row) == {"epoch", "train_loss", "val_recall", "val_ndcg", "seconds"}
+            assert set(row) == {"epoch", "train_loss", "val_recall", "val_ndcg",
+                                "skipped_pairs", "seconds"}
+
+    def test_skipped_pairs_are_counted(self):
+        """User 0 has interacted with every item of the one batch an epoch
+        holds, so its four pairs have no negatives in every epoch."""
+        users = [0, 0, 0, 0, 1, 1, 2, 2]
+        items = [0, 1, 2, 3, 0, 1, 2, 3]
+        fit = InteractionDataset(3, 4, users, items)
+        val = InteractionDataset(3, 4, [], [])
+        _, history = train(tiny_state(fit, seed=0), fit, val,
+                           TrainConfig(batch_size=8, lr=1e-2, max_epochs=3, patience=3))
+        assert [row["skipped_pairs"] for row in history] == [4, 4, 4]
 
     @pytest.mark.parametrize("field, value", [
         ("k", 0), ("lr", -1e-3), ("max_epochs", 0), ("batch_size", 1), ("patience", 0)])
@@ -309,6 +450,80 @@ class TestRankingMetrics:
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError, match="k must be"):
             ranking_metrics(np.zeros((1, 4)), [[]], [[1]], k=0)
+
+
+@st.composite
+def ranking_cases(draw):
+    """Tie-heavy quantized score tables with -inf entries, observed items
+    (repeats allowed), users without test items and k up to past n_items;
+    a table where no user has test items must fail as the oracle does."""
+    n_users = draw(st.integers(1, 10))
+    n_items = draw(st.integers(1, 25))
+    k = draw(st.integers(1, 30))
+    levels = draw(st.integers(1, 4))
+    p_inf, p_obs, p_test = (draw(st.sampled_from([0.0, 0.1, 0.5, 0.9])) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = rng.integers(0, levels + 1, size=(n_users, n_items)) / levels
+    scores[rng.random(scores.shape) < p_inf] = -np.inf
+    observed = [np.flatnonzero(rng.random(n_items) < p_obs) for _ in range(n_users)]
+    # user 0 leaves fewer than k items unobserved
+    observed[0] = rng.permutation(n_items)[:max(0, n_items - k + 1)]
+    observed = [np.concatenate([o, o[:1]]) for o in observed]
+    tests = [np.flatnonzero(rng.random(n_items) < p_test).tolist() for _ in range(n_users)]
+    return scores, observed, tests, k
+
+
+class TestRankingMatchesLoopOracle:
+    @given(case=ranking_cases())
+    def test_random_tables(self, case):
+        scores, observed, tests, k = case
+        try:
+            want = ranking_metrics_loop(scores, observed, tests, k)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=str(err)):
+                ranking_metrics(scores, observed, tests, k)
+            return
+        got = ranking_metrics(scores, observed, tests, k)
+        fields = (got.recall_at_k, got.ndcg_at_k, got.k, got.per_user_recall,
+                  got.per_user_ndcg, got.user_indices)
+        for g, w in zip(fields, want):
+            np.testing.assert_array_equal(g, w)
+        assert got.user_indices.dtype == np.int64
+
+    def test_blocks_agree_with_one_pass(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        scores = np.round(rng.random((40, 30)), 1)
+        observed = [rng.choice(30, size=5, replace=False) for _ in range(40)]
+        tests = [rng.choice(30, size=int(rng.integers(0, 4)), replace=False)
+                 for _ in range(40)]
+        whole = ranking_metrics(scores, observed, tests, k=7)
+        train_mod = sys.modules["pgtr.train"]
+        block_rows = []
+        real_top_k = train_mod._top_k
+
+        def recording_top_k(neg, k):
+            block_rows.append(neg.shape[0])
+            return real_top_k(neg, k)
+
+        monkeypatch.setattr(train_mod, "_top_k", recording_top_k)
+        monkeypatch.setattr(train_mod, "_RANK_BLOCK_ENTRIES", 70)
+        blocked = ranking_metrics(scores, observed, tests, k=7)
+        assert block_rows == [2] * 20
+        np.testing.assert_array_equal(blocked.per_user_ndcg, whole.per_user_ndcg)
+        np.testing.assert_array_equal(blocked.per_user_recall, whole.per_user_recall)
+        np.testing.assert_array_equal(blocked.user_indices, whole.user_indices)
+
+    @pytest.mark.parametrize("observed, tests, message", [
+        ([[]], [[1], [2]], "observed_items has 1 rows but scores has 2"),
+        ([[], []], [[1]], "test_items has 1 rows but scores has 2"),
+        ([[-1], []], [[1], [2]], r"observed_items holds item id -1 outside \[0, 4\)"),
+        ([[4], []], [[1], [2]], r"observed_items holds item id 4 outside \[0, 4\)"),
+        ([[], []], [[1], [2, 9]], r"test_items holds item id 9 outside \[0, 4\)"),
+        ([[], []], [[-2], [2]], r"test_items holds item id -2 outside \[0, 4\)"),
+    ])
+    def test_malformed_item_lists_rejected(self, observed, tests, message):
+        with pytest.raises(ValueError, match=message):
+            ranking_metrics(np.zeros((2, 4)), observed, tests, k=2)
 
 
 class TestEvaluate:
