@@ -65,46 +65,54 @@ def _ragged(rows) -> tuple[np.ndarray, np.ndarray]:
     return indptr, indices
 
 
-def _batch_mask(users: np.ndarray, items: np.ndarray,
-                train_items_per_user) -> np.ndarray:
-    """Boolean candidate mask for the in-batch score matrix.
+def _batch_mask(users: np.ndarray, items: np.ndarray, train_items_per_user):
+    """Candidate mask of the (b × distinct items) in-batch score table.
 
-    Row a keeps its own positive (the diagonal) plus the first column of
-    every distinct other item the user has never interacted with."""
+    Returns `uniq` (the batch's distinct items, sorted), `inv` (pair a's
+    item is `uniq[inv[a]]`), the (b, uniq.size) boolean mask and
+    `untrained`, true where a pair's item is not among its user's
+    training items.  Row a keeps its own positive (column `inv[a]`) plus
+    every distinct batch item the user has never interacted with."""
     b = users.size
-    _, first_pos = np.unique(items, return_index=True)
-    first_occ = np.zeros(b, dtype=bool)
-    first_occ[first_pos] = True
+    uniq, inv = np.unique(items, return_inverse=True)
     indptr, indices = _ragged(train_items_per_user[u] for u in users)
-    n_cols = int(max(items.max(), indices.max(initial=-1))) + 1
+    n_cols = int(max(uniq[-1], indices.max(initial=-1))) + 1
     adj = sp.csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr),
                         shape=(b, n_cols))
-    mask = ~adj[:, items].toarray()
-    mask &= first_occ
-    np.fill_diagonal(mask, True)
-    return mask
+    mask = ~adj[:, uniq].toarray()
+    rows = np.arange(b)
+    untrained = mask[rows, inv]
+    mask[rows, inv] = True
+    return uniq, inv, mask, untrained
 
 
 def batch_loss(state: ModelState, users: np.ndarray, items: np.ndarray,
                train_items_per_user) -> tuple[Tensor, int]:
     """Tape-recorded sampled-softmax loss for one batch of (user, item) pairs.
 
-    Returns the scalar loss tensor and the number of pairs skipped for
-    lack of negatives.
+    Each pair is scored against the batch's distinct items: a (b ×
+    distinct items) table whose row keeps the pair's positive and the
+    items its user never trained on.  Returns the scalar loss tensor and
+    the number of pairs skipped for lack of negatives.  Raises ValueError
+    when a pair's item is not among its user's training items.
     """
     cfg = state.config
-    mask = _batch_mask(users, items, train_items_per_user)
+    uniq, inv, mask, untrained = _batch_mask(users, items, train_items_per_user)
+    if untrained.any():
+        a = int(np.argmax(untrained))
+        raise ValueError(f"pair {a} (user {int(users[a])}, item {int(items[a])}): "
+                         "the item is not among the user's training items")
     keep = np.count_nonzero(mask, axis=1) >= 2
     n_keep = int(keep.sum())
     if n_keep == 0:
         raise ValueError("every pair in the batch lacks negatives")
     h = forward(state)
     h_norm = ad.l2_normalize_rows(h)
-    # 1/tau scales the (b, d) user rows: cheaper than scaling the (b, b) scores
+    # 1/tau scales the (b, d) user rows: cheaper than scaling the (b, u) scores
     su = ad.gather_rows(h_norm, users) * (1.0 / cfg.tau)
-    si = ad.gather_rows(h_norm, state.n_users + items)
+    si = ad.gather_rows(h_norm, state.n_users + uniq)
     scores = ad.matmul(su, ad.transpose(si))
-    pos = ad.sum_axis(su * si, axis=1)
+    pos = ad.sum_axis(su * ad.gather_rows(si, inv), axis=1)
     lse = ad.logsumexp_rows(scores, mask)
     per_pair = (lse - pos) * keep[:, None].astype(np.float64)
     loss = ad.sum_axis(per_pair, axis=None, keepdims=False) * (1.0 / n_keep)

@@ -182,6 +182,37 @@ class TestPrimitiveGradients:
         finite_difference_check(build, [rand(rng, 6, 4) + 0.5, rand(rng, 4, 4)])
 
 
+class TestGatherRowsScatter:
+    """The backward of `gather_rows` equals an `np.add.at` scatter bit for bit."""
+
+    @pytest.mark.parametrize("n_rows, idx", [
+        (5, [3, 0, 3, 4, 0, 3, 1]),      # repeated, unsorted
+        (1, [0, 0, 0]),                  # a single row
+        (4, [2, 0, 3, 1, 2, 1, 0, 3]),   # every row hit
+        (6, [5]),
+        (3, [(i * i) % 7 % 3 for i in range(40)]),  # many repeats a row
+    ])
+    def test_equals_add_at(self, n_rows, idx):
+        rng = np.random.default_rng(n_rows)
+        idx = np.array(idx)
+        # magnitudes from 1e-8 to 1e8, so the order of the repeats' sum shows
+        g = rng.normal(size=(idx.size, 3)) * 10.0 ** rng.integers(-8, 9, size=(idx.size, 3))
+        a = parameter(rng.normal(size=(n_rows, 3)))
+        ad.backward(ad.sum_axis(ad.gather_rows(a, idx) * constant(g), axis=None,
+                                keepdims=False))
+        want = np.zeros((n_rows, 3))
+        np.add.at(want, idx, g)
+        assert a.grad.tobytes() == want.tobytes()
+
+    def test_repeats_add_in_index_order(self):
+        a = parameter(np.zeros((2, 1)))
+        g = np.array([[1.0], [1e16], [-1e16], [1.0]])
+        ad.backward(ad.sum_axis(ad.gather_rows(a, [0, 0, 0, 1]) * constant(g),
+                                axis=None, keepdims=False))
+        # ((1 + 1e16) - 1e16) is 0 in float64; the reverse order gives 1
+        assert a.grad.ravel().tolist() == [0.0, 1.0]
+
+
 class TestNormalizeAndMaskErrors:
     def test_zero_norm_row_rejected(self):
         with pytest.raises(NumericsError, match="zero-norm"):

@@ -25,7 +25,7 @@ from pgtr.train import (
 
 def ssm_loss(score_pos, scores_neg) -> float:
     """Mean sampled-softmax loss over pairs, one pair at a time: the oracle
-    for the masked-matrix `batch_loss`.
+    for the (b × distinct items) `batch_loss`.
 
     `score_pos[p]` is the positive score of pair p, `scores_neg[p]` its
     negative scores.  Computed through log-sum-exp for stability.
@@ -188,7 +188,7 @@ class TestInBatchNegatives:
 
 class TestBatchLossTape:
     def test_matches_scalar_oracle(self):
-        """The masked-matrix tape loss equals the per-pair formula."""
+        """The (b × distinct items) tape loss equals the per-pair formula."""
         ds = clustered_interactions(10, 12, 2, per_user=4, seed=3)
         state = tiny_state(ds, seed=4)
         users, items = ds.users[:6], ds.items[:6]
@@ -216,6 +216,45 @@ class TestBatchLossTape:
         loss, skipped = batch_loss(state, users, items, items_of)
         assert loss.item() == pytest.approx(expected, rel=1e-12)
         assert skipped == expected_skipped
+
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 24))
+    def test_one_distinct_item_lacks_negatives(self, small_model, seed, size):
+        """Every pair shares one item (u = 1): no row has a negative."""
+        ds, state = small_model
+        rng = np.random.default_rng(seed)
+        item = ds.items[rng.integers(len(ds))]
+        users = rng.choice(ds.users[ds.items == item], size=size)
+        with pytest.raises(ValueError, match="every pair in the batch lacks negatives"):
+            batch_loss(state, users, np.full(size, item), ds.items_of_user())
+
+    def test_positive_outside_training_items_rejected(self, small_model):
+        ds, state = small_model
+        items_of = ds.items_of_user()
+        user = 0
+        item = int(np.setdiff1d(np.arange(ds.n_items), items_of[user])[0])
+        users = np.concatenate([ds.users[:3], [user, user]])
+        items = np.concatenate([ds.items[:3], [item, item]])
+        with pytest.raises(ValueError, match=rf"^pair 3 \(user {user}, item {item}\): "
+                                             "the item is not among the user's training"):
+            batch_loss(state, users, items, items_of)
+
+    def test_score_table_is_batch_by_distinct_items(self, small_model):
+        """The tape holds a (b, u) score table and no node of b * b entries."""
+        ds, state = small_model
+        sel = np.random.default_rng(3).integers(0, len(ds), size=24)
+        users, items = ds.users[sel], ds.items[sel]
+        b, u = users.size, np.unique(items).size
+        assert u < b
+        loss, _ = batch_loss(state, users, items, ds.items_of_user())
+        nodes, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node._parents)
+        [lse] = [n for n in nodes.values() if n._op == "logsumexp_rows"]
+        assert lse._parents[0].shape == (b, u)
+        assert max(n.data.size for n in nodes.values()) < b * b
 
     def test_backward_never_differentiates_a_constant(self, small_model, monkeypatch):
         """No gradient is formed for a constant such as 1/tau or the mask."""
@@ -262,12 +301,22 @@ def mask_batches(draw):
 class TestBatchMask:
     @given(batch=mask_batches(), as_dict=st.booleans())
     def test_matches_loop_oracle(self, batch, as_dict):
+        """Each row keeps the same item ids as the (b, b) loop oracle's row,
+        once each; `untrained` flags the pairs whose item the user never
+        trained on."""
         users, items, items_of = batch
         if as_dict:
             items_of = dict(enumerate(items_of))
-        mask = _batch_mask(users, items, items_of)
+        uniq, inv, mask, untrained = _batch_mask(users, items, items_of)
+        oracle = batch_mask_loop(users, items, items_of)
+        np.testing.assert_array_equal(uniq, np.unique(items))
+        np.testing.assert_array_equal(uniq[inv], items)
         assert mask.dtype == bool
-        np.testing.assert_array_equal(mask, batch_mask_loop(users, items, items_of) != 0)
+        assert mask.shape == (users.size, uniq.size)
+        for a in range(users.size):
+            assert set(uniq[mask[a]].tolist()) == set(items[oracle[a] != 0].tolist())
+        np.testing.assert_array_equal(
+            untrained, [i not in items_of[u] for u, i in zip(users, items)])
 
 
 class TestTrainLoop:
