@@ -1,10 +1,21 @@
 """All-pairs attention on the gradient tape: exact softmax and the
-linear-cost positive-random-feature approximation.
+linear-cost positive-random-feature approximation (Performer's FAVOR+).
 
-The feature map phi(x) = exp(-|x|^2/2)/sqrt(m) * [exp(w_k.x)]_k gives an
-unbiased estimate phi(q).phi(k) of exp(q.k).  Both attentions scale
-queries and keys by `scale` (the model uses 1/sqrt(d)) to keep the
-exponentials bounded.
+The feature map phi(x) = exp(-|x|^2/2)/sqrt(m) * [exp(w_j.x)]_j gives an
+unbiased estimate phi(q).phi(k) of exp(q.k), so softmax attention becomes
+the ratio phi(Q) (phi(K)^T V) / phi(Q) (phi(K)^T 1), linear in the row
+count T.  Both attentions scale queries and keys by `scale` (the model uses
+1/sqrt(d)).
+
+`kernelized_attention` evaluates that ratio as one tape node with a
+hand-written backward, on stabilized features.  A factor shared by all of a
+query row's features, or by every key feature, cancels in the ratio, so
+- a query row's features are exp(w_j.x - max_j w_j.x): the row's largest
+  logit is subtracted, and its exp(-|x|^2/2)/sqrt(m) factor dropped;
+- the key features are exp(w_j.x - |x|^2/2 - c), where c is the largest
+  such exponent over every key row and direction.
+Every exponential is then at most 1 and cannot overflow.  The ratio's value
+and its gradient are those of the unstabilized formula.
 """
 from __future__ import annotations
 
@@ -13,18 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, constant
+from .autodiff import Tensor
 
 __all__ = [
     "AttentionError",
     "RandomFeatureMap",
     "make_feature_map",
-    "feature_map",
     "exact_attention",
     "kernelized_attention",
 ]
 
-MAX_EXPONENT = 700.0
 MIN_DENOMINATOR = 1e-30
 
 Projections = tuple[Tensor, Tensor, Tensor]
@@ -50,15 +59,6 @@ def make_feature_map(m: int, d: int, seed: int) -> RandomFeatureMap:
     return RandomFeatureMap(m=m, directions=rng.standard_normal((m, d)), seed=seed)
 
 
-def feature_map(x: Tensor, rf: RandomFeatureMap) -> Tensor:
-    """phi(x) for every row of a (T, d) table."""
-    sq = ad.sum_axis(x * x, axis=1)
-    logits = ad.matmul(x, constant(rf.directions.T))
-    if logits.data.max(initial=-np.inf) > MAX_EXPONENT:
-        raise AttentionError("feature map direction products overflow exp; scale inputs down")
-    return ad.exp(logits - sq * 0.5) * (1.0 / np.sqrt(rf.m))
-
-
 def _queries_keys_values(h: Tensor, proj: Projections | None) -> Projections:
     if h.data.ndim != 2 or h.data.shape[0] < 1:
         raise ValueError("attention input must be a nonempty (T, d) table")
@@ -67,20 +67,88 @@ def _queries_keys_values(h: Tensor, proj: Projections | None) -> Projections:
     return tuple(ad.matmul(h, ad.transpose(w)) for w in proj)
 
 
+def _half_sq_norms(x: np.ndarray) -> np.ndarray:
+    return 0.5 * np.einsum("ij,ij->i", x, x)[:, None]
+
+
 def kernelized_attention(h: Tensor, rf: RandomFeatureMap, scale: float,
                          proj: Projections | None = None) -> Tensor:
-    """Linear-cost attention via two global feature summaries: no (T, T)
-    table is formed."""
+    """Linear-cost attention via one global (m, d + 1) summary of the key
+    features against the values and a ones column: no (T, T) table is
+    formed.
+
+    Without projections the op's one parent is `h` (queries, keys and
+    values alike); with them its parents are the taped q, k and v.
+
+    Raises AttentionError when some row's denominator falls below
+    MIN_DENOMINATOR (about e^-69).  With the stabilized features that
+    happens only when the directions a query weights most carry almost
+    none of the key mass: the keys' summed features in those directions
+    are below about 1e-30 of the largest key feature.  Large-norm rows
+    pointing in opposite directions do this: each row's dominant directions
+    see only the other rows' exp(-|x|^2/2)-damped features.
+    """
     q, k, v = _queries_keys_values(h, proj)
-    phi_q = feature_map(q * scale, rf)
-    phi_k = phi_q if proj is None else feature_map(k * scale, rf)
-    summary = ad.matmul(ad.transpose(phi_k), v)
-    totals = ad.sum_axis(phi_k, axis=0)
-    numer = ad.matmul(phi_q, summary)
-    denom = ad.matmul(phi_q, ad.transpose(totals))
-    if denom.data.min() < MIN_DENOMINATOR:
+    w = rf.directions
+    shared = proj is None
+    xq = q.data * scale
+    logits = xq @ w.T
+    top = logits.max(axis=1, keepdims=True)
+    logits -= top
+    phi_q = np.exp(logits, out=logits)
+    # the values with a ones column: one product gives the numerators and
+    # the denominator
+    values = np.empty((v.data.shape[0], v.data.shape[1] + 1))
+    values[:, :-1] = v.data
+    values[:, -1] = 1.0
+    if shared:
+        # the key features are phi_q times a (T, 1) row scale, which the
+        # values carry: no second (T, m) exp or table
+        key_phi = phi_q
+        shift = top - _half_sq_norms(xq)
+        row_scale = np.exp(shift - shift.max())
+        values *= row_scale
+    else:
+        xk = k.data * scale
+        key_logits = xk @ w.T
+        key_logits -= _half_sq_norms(xk)
+        key_logits -= key_logits.max()
+        key_phi = np.exp(key_logits, out=key_logits)
+    summary = key_phi.T @ values
+    numer = phi_q @ summary
+    den = numer[:, -1:]
+    if den.min() < MIN_DENOMINATOR:
         raise AttentionError("attention denominator underflow; inputs need rescaling")
-    return ad.div(numer, denom)
+    out = numer[:, :-1] / den
+
+    def bw(g):
+        d_numer = np.empty_like(numer)
+        np.divide(g, den, out=d_numer[:, :-1])
+        d_numer[:, -1] = np.einsum("ij,ij->i", g, out)
+        d_numer[:, -1:] /= -den
+        d_summary = phi_q.T @ d_numer
+        if shared:
+            d_values = phi_q @ d_summary
+            # row i is d(loss)/d(log of key row i's features): the keys'
+            # -|x|^2/2 term turns it into a gradient of -key_mass * x
+            key_mass = np.einsum("ij,ij->i", values, d_values)[:, None]
+            # queries and keys share phi_q: one (T, m) product for both
+            da = np.hstack([d_numer, values]) @ np.hstack([summary, d_summary]).T
+            da *= phi_q
+            ad._accum(h, d_values[:, :-1] * row_scale + scale * (da @ w - key_mass * xq))
+            return
+        if q._needs:
+            da_q = d_numer @ summary.T
+            da_q *= phi_q
+            ad._accum(q, scale * (da_q @ w))
+        if k._needs:
+            da_k = values @ d_summary.T
+            da_k *= key_phi
+            ad._accum(k, scale * (da_k @ w - da_k.sum(axis=1, keepdims=True) * xk))
+        if v._needs:
+            ad._accum(v, key_phi @ d_summary[:, :-1])
+
+    return ad._make(out, "kernelized_attention", (h,) if shared else (q, k, v), bw)
 
 
 def exact_attention(h: Tensor, scale: float, proj: Projections | None = None) -> Tensor:

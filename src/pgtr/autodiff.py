@@ -32,7 +32,6 @@ __all__ = [
     "log",
     "leaky_relu",
     "sum_axis",
-    "mean_all",
     "gather_rows",
     "slice_rows",
     "concat_rows",
@@ -40,7 +39,6 @@ __all__ = [
     "l2_normalize_rows",
     "logsumexp_rows",
     "backward",
-    "grad_of",
     "zero_grad",
 ]
 
@@ -251,15 +249,6 @@ def sum_axis(a: Tensor, axis: int | None = None, keepdims: bool = True) -> Tenso
     return _make(data, "sum", (a,), bw)
 
 
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-
-    def bw(g):
-        _accum(a, np.broadcast_to(g / n, a.data.shape).copy())
-
-    return _make(a.data.mean(), "mean", (a,), bw)
-
-
 def gather_rows(a: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
 
@@ -379,17 +368,6 @@ def backward(loss: Tensor):
     for node in reversed(_topo_order(loss)):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
-
-
-def grad_of(loss: Tensor, params: list[Tensor]) -> list[np.ndarray]:
-    """Run reverse mode from `loss`; return (and store) each parameter's gradient."""
-    backward(loss)
-    grads = []
-    for p in params:
-        if p.grad is None:
-            p.grad = np.zeros_like(p.data)
-        grads.append(p.grad)
-    return grads
 
 
 def zero_grad(params: list[Tensor]):

@@ -127,7 +127,7 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
     history record per epoch: `epoch`, `train_loss`, `val_recall`,
     `val_ndcg`, `skipped_pairs` (pairs the epoch's batches dropped for lack
     of negatives) and `seconds`.  A non-finite value (NumericsError) or an
-    attention overflow/underflow (AttentionError) in a step or in
+    attention denominator underflow (AttentionError) in a step or in
     validation stops training with a warning and restores the best
     parameters.
     """

@@ -1,20 +1,53 @@
 """Feature map and attention tests against exact softmax attention.
 
 The functions run on the gradient tape; these tests feed them constants
-and read `.data`.
+and read `.data`.  `feature_map` and `taped_kernelized_attention` below are
+the unstabilized taped composition that `kernelized_attention` fuses into
+one node: the oracle for its output and its gradients.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import pgtr.autodiff as ad
 from pgtr.attention import (
+    MIN_DENOMINATOR,
     AttentionError,
     exact_attention,
-    feature_map,
     kernelized_attention,
     make_feature_map,
 )
 from pgtr.autodiff import constant, parameter
+
+MAX_EXPONENT = 700.0
+
+
+def feature_map(x, rf):
+    """phi(x) for every row of a (T, d) table, on the tape."""
+    sq = ad.sum_axis(x * x, axis=1)
+    logits = ad.matmul(x, constant(rf.directions.T))
+    if logits.data.max(initial=-np.inf) > MAX_EXPONENT:
+        raise AttentionError("feature map direction products overflow exp; scale inputs down")
+    return ad.exp(logits - sq * 0.5) * (1.0 / np.sqrt(rf.m))
+
+
+def taped_kernelized_attention(h, rf, scale, proj=None):
+    """phi(Q) (phi(K)^T V) / phi(Q) (phi(K)^T 1), one tape node per step."""
+    if proj is None:
+        q = k = v = h
+    else:
+        q, k, v = (ad.matmul(h, ad.transpose(w)) for w in proj)
+    phi_q = feature_map(q * scale, rf)
+    phi_k = phi_q if proj is None else feature_map(k * scale, rf)
+    summary = ad.matmul(ad.transpose(phi_k), v)
+    totals = ad.sum_axis(phi_k, axis=0)
+    numer = ad.matmul(phi_q, summary)
+    denom = ad.matmul(phi_q, ad.transpose(totals))
+    if denom.data.min() < MIN_DENOMINATOR:
+        raise AttentionError("attention denominator underflow; inputs need rescaling")
+    return ad.div(numer, denom)
 
 
 def mapped(x, rf):
@@ -42,6 +75,29 @@ def tape_nodes(out):
             seen[id(node)] = node
             stack.extend(node._parents)
     return list(seen.values())
+
+
+def held_arrays(out):
+    """Every array the tape of `out` holds: each node's value, and the
+    arrays and tensors its backward closure captured."""
+    arrays = []
+    for node in tape_nodes(out):
+        arrays.append(node.data)
+        for cell in getattr(node._backward, "__closure__", None) or ():
+            try:
+                held = cell.cell_contents
+            except ValueError:  # a name only the other branch assigns
+                continue
+            if isinstance(held, ad.Tensor):
+                arrays.append(held.data)
+            elif isinstance(held, np.ndarray):
+                arrays.append(held)
+    return arrays
+
+
+def close(got, want, rel):
+    """Equal to relative `rel` in the Frobenius norm."""
+    return np.linalg.norm(got - want) <= rel * np.linalg.norm(want)
 
 
 class TestFeatureMap:
@@ -165,22 +221,82 @@ class TestKernelizedAttention:
             assert in_convex_hull(row, z, tol=1e-8)
 
     def test_tape_holds_no_pairwise_table(self):
-        """Linear cost in T: no (T, T) node, and none larger than the (T, m)
-        features.  Exact attention's tape fails both."""
+        """Linear cost in T: neither the tape nor the backward closures hold a
+        (T, T) array, or any larger than the (T, m) features.  Exact
+        attention's tape fails both."""
         rng = np.random.default_rng(16)
         t, m, d = 80, 128, 16
         z = parameter(rng.normal(0, 0.1, size=(t, d)))
         rf = make_feature_map(m, d, seed=17)
+        proj = tuple(parameter(rng.uniform(-0.3, 0.3, size=(d, d))) for _ in range(3))
 
         def pairwise(out):
-            return [n for n in tape_nodes(out) if n.data.shape == (t, t) or n.data.size > t * m]
+            return [a for a in held_arrays(out) if a.shape == (t, t) or a.size > t * m]
 
         assert not pairwise(kernelized_attention(z, rf, 1.0 / np.sqrt(d)))
+        assert not pairwise(kernelized_attention(z, rf, 1.0 / np.sqrt(d), proj))
         assert pairwise(exact_attention(z, 1.0 / np.sqrt(d)))
 
+    def test_one_node_per_layer(self):
+        """Without projections the whole layer is one node whose only
+        parent is its input."""
+        rng = np.random.default_rng(19)
+        h = parameter(rng.normal(0, 0.3, size=(12, 4)))
+        out = kernelized_attention(h, make_feature_map(8, 4, seed=20), 0.5)
+        assert out._op == "kernelized_attention"
+        assert out._parents == (h,)
+        assert len(tape_nodes(out)) == 2
+
     def test_underflow_denominator_rejected(self):
-        # far-apart huge-norm inputs drive phi to zero after scaling guard
+        # each row's dominant directions see only the other row's features,
+        # damped by exp(-|x|^2/2): below MIN_DENOMINATOR even when stabilized
+        rf = make_feature_map(4, 2, seed=18)
+        z = np.array([[50.0, 0.0], [-50.0, 0.0]])
+        with pytest.raises(AttentionError, match="denominator underflow"):
+            kernelized_of(z, rf, scale=1.0)
+
+    def test_large_opposite_rows_stay_in_convex_hull(self):
+        """At norm 35 the unstabilized features underflow; the stabilized
+        ones still give finite rows inside the inputs' convex hull."""
         rf = make_feature_map(4, 2, seed=18)
         z = np.array([[35.0, 0.0], [-35.0, 0.0]])
-        with pytest.raises(AttentionError):
-            kernelized_of(z, rf, scale=1.0)
+        out = kernelized_of(z, rf, scale=1.0)
+        assert np.all(np.isfinite(out))
+        for row in out:
+            assert in_convex_hull(row, z, tol=1e-8)
+
+
+# row norms up to where the unstabilized oracle stays finite: at d=6, m=16
+# its denominator starts to underflow near norm 25
+ORACLE_MAX_NORM = 20.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.integers(1, 60), identical=st.booleans(), projections=st.booleans(),
+       norm=st.floats(0.0, ORACLE_MAX_NORM), seed=st.integers(0, 2**32 - 1))
+def test_fused_matches_taped_oracle(t, identical, projections, norm, seed):
+    """The output and every input gradient from one backward agree with the
+    unstabilized taped composition to 1e-12 relative."""
+    d, m = 6, 16
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((1 if identical else t, d))
+    rows *= norm * rng.uniform(0.0, 1.0, size=(rows.shape[0], 1)) / np.linalg.norm(
+        rows, axis=1, keepdims=True)
+    rows = np.broadcast_to(rows, (t, d)).copy()
+    weights = ([rng.uniform(-1.0, 1.0, size=(d, d)) / np.sqrt(d) for _ in range(3)]
+               if projections else [])
+    g = constant(rng.standard_normal((t, d)))
+    rf = make_feature_map(m, d, seed=seed)
+
+    def run(attention):
+        h = parameter(rows.copy())
+        proj = tuple(parameter(w.copy()) for w in weights) or None
+        out = attention(h, rf, 1.0 / np.sqrt(d), proj)
+        ad.backward(ad.sum_axis(out * g, axis=None, keepdims=False))
+        grads = [h.grad] + [w.grad for w in proj or ()]
+        return out.data, np.concatenate([gr.ravel() for gr in grads])
+
+    want_out, want_grad = run(taped_kernelized_attention)
+    got_out, got_grad = run(kernelized_attention)
+    assert close(got_out, want_out, 1e-12)
+    assert close(got_grad, want_grad, 1e-12)

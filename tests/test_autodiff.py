@@ -29,6 +29,10 @@ def finite_difference_check(build_loss, arrays, h=1e-5, rtol=1e-4):
                 f"gradient mismatch at {idx}: reverse={ref}, fd={fd}")
 
 
+def mean_all(t):
+    return ad.sum_axis(t, axis=None, keepdims=False) * (1.0 / t.data.size)
+
+
 def rand(rng, *shape):
     return rng.uniform(-1.0, 1.0, size=shape)
 
@@ -42,9 +46,8 @@ class TestBasics:
 
     def test_constant_loss_zero_grads(self):
         x = parameter(np.array([[1.0, 2.0]]))
-        loss = constant(np.array(3.0))
-        grads = ad.grad_of(loss, [x])
-        np.testing.assert_array_equal(grads[0], np.zeros((1, 2)))
+        ad.backward(constant(np.array(3.0)))
+        assert x.grad is None
 
     def test_backward_requires_scalar(self):
         x = parameter(np.ones((2, 2)))
@@ -126,10 +129,6 @@ class TestPrimitiveGradients:
         finite_difference_check(self._weighted(lambda t: ad.sum_axis(t, axis=axis)),
                                 [rand(self.rng, 3, 4)])
 
-    def test_mean_all(self):
-        finite_difference_check(lambda ts: ad.mean_all(ts[0] * ts[0]),
-                                [rand(self.rng, 3, 4)])
-
     def test_gather_rows_with_repeats(self):
         idx = np.array([0, 2, 2, 1])
         finite_difference_check(self._weighted(lambda t: ad.gather_rows(t, idx)),
@@ -177,7 +176,7 @@ class TestPrimitiveGradients:
             rows = ad.gather_rows(h, idx)
             scores = ad.matmul(rows, ad.transpose(rows)) * 2.0
             lse = ad.logsumexp_rows(scores, mask)
-            return ad.mean_all(lse - ad.sum_axis(rows * rows, axis=1))
+            return mean_all(lse - ad.sum_axis(rows * rows, axis=1))
 
         finite_difference_check(build, [rand(rng, 6, 4) + 0.5, rand(rng, 4, 4)])
 

@@ -22,6 +22,10 @@ from pgtr.synthetic import clustered_interactions
 SMALL = dict(d=6, h_c=3, h_d=2, h_r=2, h_y=2, n_d=3, n_r=3, m_features=32)
 
 
+def mean_all(t):
+    return ad.sum_axis(t, axis=None, keepdims=False) * (1.0 / t.data.size)
+
+
 def small_graph(seed=0, n_users=12, n_items=14):
     return build_graph(clustered_interactions(n_users, n_items, 3, per_user=5, seed=seed))
 
@@ -251,7 +255,7 @@ class TestSpectralFrozen:
         opt = AdamState(params, lr=0.05)
         for _ in range(3):
             ad.zero_grad(params)
-            loss = ad.mean_all(forward(state))
+            loss = mean_all(forward(state))
             ad.backward(loss)
             adam_step(opt)
         np.testing.assert_array_equal(state.enc.spectral.matrix, snapshot)
@@ -259,14 +263,24 @@ class TestSpectralFrozen:
 
 
 class TestDifferentiability:
-    def test_forward_plus_loss_passes_finite_differences(self):
+    @pytest.mark.parametrize("use_projections", [False, True])
+    def test_forward_plus_loss_passes_finite_differences(self, use_projections):
         from pgtr.train import batch_loss
 
         ds = clustered_interactions(6, 6, 2, per_user=3, seed=16)
         g = build_graph(ds)
         cfg = PGTRConfig(d=3, layers=1, h_c=2, h_d=2, h_r=2, h_y=2,
-                         n_d=2, n_r=2, m_features=8, lambda3=0.5)
+                         n_d=2, n_r=2, m_features=8, lambda3=0.5,
+                         use_projections=use_projections)
         state = init_model(g, cfg, seed=17)
+        if use_projections:
+            # at the init scale attention is a near-uniform average, whose q and
+            # k gradients are too small for the check to see
+            rng = np.random.default_rng(19)
+            state.embeddings.data *= 5.0
+            for w in state.attn_projections[0]:
+                w.data = rng.uniform(-2.0, 2.0, size=w.data.shape)
+            assert {"attn_q0", "attn_k0", "attn_v0"} <= dict(state.named_parameters()).keys()
         users = ds.users[:4]
         items = ds.items[:4]
         train_items = ds.items_of_user()
