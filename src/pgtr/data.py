@@ -75,6 +75,13 @@ class InteractionDataset:
         bounds = np.searchsorted(u_sorted, np.arange(self.n_users + 1))
         return [i_sorted[bounds[u]:bounds[u + 1]] for u in range(self.n_users)]
 
+    def user_item_matrix(self) -> sp.csr_matrix:
+        """Boolean (n_users, n_items) CSR matrix, true where the user
+        interacted with the item.  Repeated pairs give one entry, and each
+        row's item ids are sorted."""
+        return sp.csr_matrix((np.ones(len(self), dtype=bool), (self.users, self.items)),
+                             shape=(self.n_users, self.n_items))
+
     def subset(self, mask: np.ndarray) -> "InteractionDataset":
         return InteractionDataset(self.n_users, self.n_items,
                                   self.users[mask], self.items[mask],
@@ -146,12 +153,7 @@ class BipartiteGraph:
             raise DataError("cannot build a graph from an empty dataset")
         self.n_users = ds.n_users
         self.n_items = ds.n_items
-        data = np.ones(len(ds), dtype=np.float64)
-        m = sp.csr_matrix((data, (ds.users, ds.items)),
-                          shape=(ds.n_users, ds.n_items))
-        m.sum_duplicates()
-        m.data[:] = 1.0
-        m.sort_indices()
+        m = ds.user_item_matrix().astype(np.float64)
         self.user_adj = m                       # users x items
         self.item_adj = m.T.tocsr()             # items x users
         self.item_adj.sort_indices()
@@ -161,12 +163,6 @@ class BipartiteGraph:
     @property
     def n_nodes(self) -> int:
         return self.n_users + self.n_items
-
-    def user_neighbors(self, u: int) -> np.ndarray:
-        return self.user_adj.indices[self.user_adj.indptr[u]:self.user_adj.indptr[u + 1]]
-
-    def item_neighbors(self, i: int) -> np.ndarray:
-        return self.item_adj.indices[self.item_adj.indptr[i]:self.item_adj.indptr[i + 1]]
 
     def degrees(self) -> np.ndarray:
         """All node degrees, users then items."""

@@ -201,8 +201,15 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
 
 
 def _user_items(rows, name: str, shape: tuple[int, int]) -> sp.csr_matrix:
-    """Boolean (users, items) CSR matrix of per-user item lists, checked
-    against the score table's shape."""
+    """Boolean (users, items) CSR matrix of a sparse matrix or of per-user
+    item lists, checked against the score table's shape."""
+    if sp.issparse(rows):
+        if rows.shape != shape:
+            raise ValueError(f"{name} has shape {rows.shape} but scores has shape {shape}")
+        m = rows.tocsr().astype(bool)
+        m.sum_duplicates()
+        m.eliminate_zeros()
+        return m
     n_users, n_items = shape
     if len(rows) != n_users:
         raise ValueError(f"{name} has {len(rows)} rows but scores has {n_users}")
@@ -218,30 +225,45 @@ def _top_k(neg: np.ndarray, k: int):
     """Row, column and rank of the finite entries among each row's first k
     in a stable ascending sort of `neg`, in rank order, and the count per
     row.  Ranks count only the finite entries, so a dropped one leaves no
-    gap."""
-    # the first k of a stable sort: every entry below the k-th value, then
-    # the lowest-index ties at that value
-    kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
-    below = neg < kth
-    tie = neg == kth
-    need = k - np.count_nonzero(below, axis=1)
-    r, c = np.nonzero(below | (tie & (np.cumsum(tie, axis=1) <= need[:, None])))
-    order = np.lexsort((neg[r, c], r))  # stable: equal values stay in column order
-    r, c = r[order], c[order]
-    finite = np.isfinite(neg[r, c])
-    r, c = r[finite], c[finite]
-    n_top = np.bincount(r, minlength=neg.shape[0])
-    return r, c, np.arange(r.size) - (np.cumsum(n_top) - n_top)[r], n_top
+    gap.  `neg` holds no NaN."""
+    cols = np.argpartition(neg, k - 1, axis=1)[:, :k]
+    kth = np.take_along_axis(neg, cols[:, k - 1:], axis=1)
+    # a row whose k candidates are its only entries <= the k-th value has no
+    # tie across the cut: they are the first k of the stable sort
+    tied = np.flatnonzero(np.count_nonzero(neg <= kth, axis=1) != k)
+    cols.sort(axis=1)
+    if tied.size:
+        # the first k of a stable sort: every entry below the k-th value,
+        # then the lowest-index ties at that value
+        sub, cut = neg[tied], kth[tied]
+        below = sub < cut
+        tie = sub == cut
+        need = k - np.count_nonzero(below, axis=1)
+        keep = below | (tie & (np.cumsum(tie, axis=1) <= need[:, None]))
+        cols[tied] = np.nonzero(keep)[1].reshape(tied.size, k)
+    # stable: equal values stay in column order
+    order = np.argsort(np.take_along_axis(neg, cols, axis=1), axis=1, kind="stable")
+    cols = np.take_along_axis(cols, order, axis=1)
+    finite = np.isfinite(np.take_along_axis(neg, cols, axis=1))
+    r, j = np.nonzero(finite)
+    rank = np.cumsum(finite, axis=1)[r, j] - 1
+    return r, cols[r, j], rank, np.count_nonzero(finite, axis=1)
 
 
 def ranking_metrics(scores: np.ndarray, observed_items, test_items,
                     k: int = 20) -> RankingMetrics:
     """Recall@k / NDCG@k from a dense (N, M) score table.
 
-    Observed (training + validation) items are masked out; ties break
-    toward the lower item index; non-finite scores are dropped from a top-k
-    list; users without test items are excluded.  Users are ranked in
-    blocks of rows, so temporaries stay near _RANK_BLOCK_ENTRIES entries.
+    `observed_items` and `test_items` are each either a scipy sparse
+    matrix of exactly the table's shape, whose stored nonzero entries mark
+    a user's items (such as `InteractionDataset.user_item_matrix()`), or a
+    sequence of N per-user item-id sequences.  Observed (training +
+    validation) items are masked out; ties break toward the lower item
+    index; NaN and infinite scores are dropped from a top-k list; users
+    without test items are excluded.  Users are ranked in blocks of rows,
+    so temporaries stay near _RANK_BLOCK_ENTRIES entries.  One partial
+    sort picks each row's k candidates; only the rows with a tie across
+    the k-th value pay for the lowest-index tie rule.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -256,12 +278,16 @@ def ranking_metrics(scores: np.ndarray, observed_items, test_items,
     kk = min(k, n_items)
     n_hits = np.zeros(n_users, dtype=np.int64)
     dcg = np.zeros(n_users)
+    observed_user = np.repeat(np.arange(n_users), np.diff(observed.indptr))
     step = max(1, _RANK_BLOCK_ENTRIES // n_items)
     for lo in range(0, n_users, step):
         hi = min(lo + step, n_users)
-        # negated, observed items at +inf: the ranking is the ascending order
+        # negated, NaN and observed items at +inf: the ranking is the
+        # ascending order and drops them
         neg = np.negative(scores[lo:hi], dtype=np.float64)
-        neg[observed[lo:hi].toarray()] = np.inf
+        neg[np.isnan(neg)] = np.inf
+        a, b = observed.indptr[lo], observed.indptr[hi]
+        neg[observed_user[a:b] - lo, observed.indices[a:b]] = np.inf
         r, c, rank, n_top = _top_k(neg, kk)
         hit = tests[lo:hi].toarray()[r, c]
         n_hits[lo:hi] = np.bincount(r[hit], minlength=hi - lo)
@@ -281,12 +307,17 @@ def ranking_metrics(scores: np.ndarray, observed_items, test_items,
 
 def evaluate(state: ModelState, observed: InteractionDataset,
              test: InteractionDataset, k: int = 20) -> RankingMetrics:
-    """Score every item for every test user with the current model."""
+    """Score every item for every test user with the current model.
+
+    Ranks through `ranking_metrics`, with `observed`'s items masked out.
+    Raises NumericsError when a node's representation has zero norm, so
+    `train` takes its divergence path on it.
+    """
     h = forward(state).data
     norms = np.linalg.norm(h, axis=1, keepdims=True)
     if (norms == 0.0).any():
         bad = int(np.flatnonzero(norms.ravel() == 0.0)[0])
-        raise ValueError(f"zero-norm representation for node {bad}")
+        raise NumericsError(f"zero-norm representation for node {bad}")
     h_norm = h / norms
     scores = h_norm[:state.n_users] @ h_norm[state.n_users:].T
-    return ranking_metrics(scores, observed.items_of_user(), test.items_of_user(), k)
+    return ranking_metrics(scores, observed.user_item_matrix(), test.user_item_matrix(), k)

@@ -18,6 +18,11 @@ from pgtr.data import (
 from pgtr.synthetic import clustered_interactions
 
 
+def neighbors(adj, node):
+    """Row `node` of a CSR adjacency: the node's neighbor ids."""
+    return adj.indices[adj.indptr[node]:adj.indptr[node + 1]]
+
+
 def write_lines(tmp_path, lines, name="inter.txt"):
     p = tmp_path / name
     p.write_text("\n".join(lines) + "\n")
@@ -100,15 +105,24 @@ class TestGraph:
         ds = clustered_interactions(30, 40, 3, per_user=10, seed=2)
         g = build_graph(ds)
         for u in range(g.n_users):
-            for i in g.user_neighbors(u):
-                assert u in g.item_neighbors(i)
+            for i in neighbors(g.user_adj, u):
+                assert u in neighbors(g.item_adj, i)
 
     def test_neighbor_lists_sorted(self):
         ds = clustered_interactions(20, 25, 2, per_user=8, seed=3)
         g = build_graph(ds)
         for u in range(g.n_users):
-            nb = g.user_neighbors(u)
+            nb = neighbors(g.user_adj, u)
             assert np.all(np.diff(nb) > 0)
+
+    def test_user_item_matrix_matches_item_lists(self):
+        """One entry per repeated pair; a user without items has an empty row."""
+        ds = InteractionDataset(3, 4, np.array([2, 0, 2, 0, 2]), np.array([3, 1, 0, 1, 1]))
+        m = ds.user_item_matrix()
+        assert m.format == "csr" and m.dtype == bool and m.shape == (3, 4)
+        assert m.has_sorted_indices
+        assert [neighbors(m, u).tolist() for u in range(3)] == [[1], [], [0, 1, 3]]
+        assert m.data.all()
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError):

@@ -212,6 +212,14 @@ class TestDegreeAndPageRank:
         top_item = int(np.argmax(g.item_degree))
         assert asg_i.group_of[top_item] == 4
 
+    @settings(max_examples=150, deadline=None)
+    @given(ds=awkward_interactions())
+    def test_pagerank_is_a_distribution_on_awkward_graphs(self, ds):
+        scores = pagerank(build_graph(ds))
+        assert scores.shape == (ds.n_users + ds.n_items,)
+        assert (scores >= 0.0).all()
+        assert abs(scores.sum() - 1.0) <= 1e-12
+
     def test_single_edge_sole_ranks(self):
         g = build_graph(InteractionDataset(1, 1, np.array([0]), np.array([0])))
         (_, asg_u), (_, asg_i) = pagerank_encoding(g, 1, 2, np.random.default_rng(0))

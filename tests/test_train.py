@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -388,6 +389,41 @@ class TestTrainLoop:
         now = evaluate(state, fit, val, k=20).recall_at_k
         assert now == pytest.approx(best, abs=1e-12)
 
+    def test_zero_norm_in_validation_takes_divergence_path(self, caplog, monkeypatch):
+        """A zero-norm row in the third validation pass aborts training at
+        epoch 3 and restores the parameters a clean two-epoch run keeps."""
+        train_mod = sys.modules["pgtr.train"]
+        real_forward, real_evaluate = train_mod.forward, train_mod.evaluate
+        passes = []
+
+        def evaluate(*args, **kwargs):
+            passes.append(True)
+            try:
+                return real_evaluate(*args, **kwargs)
+            finally:
+                passes[-1] = False
+
+        def forward(state):
+            h = real_forward(state)
+            if len(passes) == 3 and passes[-1]:
+                h.data[5] = 0.0
+            return h
+
+        state, fit, val, _ = self._setup(6)
+        clean, clean_history = train(state, fit, val, TrainConfig(
+            batch_size=32, lr=2e-2, max_epochs=2, patience=5, seed=6))
+        state, fit, val, _ = self._setup(6)
+        monkeypatch.setattr(train_mod, "forward", forward)
+        monkeypatch.setattr(train_mod, "evaluate", evaluate)
+        with caplog.at_level(logging.WARNING, logger="pgtr.train"):
+            state, history = train(state, fit, val, TrainConfig(
+                batch_size=32, lr=2e-2, max_epochs=5, patience=5, seed=6))
+        assert "training aborted at epoch 3: zero-norm representation for node 5" in caplog.text
+        assert [row["val_recall"] for row in history] == [
+            row["val_recall"] for row in clean_history]
+        for (name, got), (_, want) in zip(state.named_parameters(), clean.named_parameters()):
+            np.testing.assert_array_equal(got.data, want.data, err_msg=name)
+
     def test_history_schema(self):
         state, fit, val, _ = self._setup(4)
         _, history = train(state, fit, val, TrainConfig(batch_size=32, lr=1e-2,
@@ -501,20 +537,30 @@ class TestRankingMetrics:
         with pytest.raises(ValueError, match="k must be"):
             ranking_metrics(np.zeros((1, 4)), [[]], [[1]], k=0)
 
+    def test_nan_scores_are_dropped(self):
+        """A NaN is dropped like an observed item: it neither hides nor
+        displaces the finite entries, so recall@k never falls as k grows."""
+        scores = np.array([[0.5, np.nan, np.nan, np.nan]])
+        recalls = [ranking_metrics(scores, [[]], [[0]], k=k).recall_at_k for k in (1, 2, 3, 4)]
+        assert recalls == [1.0, 1.0, 1.0, 1.0]
+
 
 @st.composite
 def ranking_cases(draw):
-    """Tie-heavy quantized score tables with -inf entries, observed items
-    (repeats allowed), users without test items and k up to past n_items;
-    a table where no user has test items must fail as the oracle does."""
+    """Tie-heavy quantized score tables with -inf and NaN entries, observed
+    items (repeats allowed), users without test items and k up to past
+    n_items; a table where no user has test items must fail as the oracle
+    does."""
     n_users = draw(st.integers(1, 10))
     n_items = draw(st.integers(1, 25))
     k = draw(st.integers(1, 30))
     levels = draw(st.integers(1, 4))
-    p_inf, p_obs, p_test = (draw(st.sampled_from([0.0, 0.1, 0.5, 0.9])) for _ in range(3))
+    p_inf, p_nan, p_obs, p_test = (draw(st.sampled_from([0.0, 0.1, 0.5, 0.9]))
+                                   for _ in range(4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scores = rng.integers(0, levels + 1, size=(n_users, n_items)) / levels
     scores[rng.random(scores.shape) < p_inf] = -np.inf
+    scores[rng.random(scores.shape) < p_nan] = np.nan
     observed = [np.flatnonzero(rng.random(n_items) < p_obs) for _ in range(n_users)]
     # user 0 leaves fewer than k items unobserved
     observed[0] = rng.permutation(n_items)[:max(0, n_items - k + 1)]
@@ -523,22 +569,84 @@ def ranking_cases(draw):
     return scores, observed, tests, k
 
 
+@st.composite
+def cut_tie_cases(draw):
+    """Continuous score tables small enough for one ranking block.  Among a
+    row's unobserved items, even rows get copies of their k-th score past
+    the cut, so a tie crosses it; odd rows get a score one ulp below the
+    k-th past the cut, one ulp above it and a repeated score inside the top
+    k, so no tie crosses it.  Half of the tied items are test items."""
+    n_users = draw(st.integers(2, 12))
+    n_items = draw(st.integers(4, 60))
+    k = draw(st.integers(1, n_items - 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = rng.standard_normal((n_users, n_items))
+    observed = [rng.choice(n_items, size=int(rng.integers(0, n_items - k - 2)), replace=False)
+                for _ in range(n_users)]
+    tests = [np.flatnonzero(rng.random(n_items) < 0.2) for _ in range(n_users)]
+    for u in range(n_users):
+        free = np.setdiff1d(np.arange(n_items), observed[u])
+        order = free[np.argsort(-scores[u, free], kind="stable")]
+        kth, past = scores[u, order[k - 1]], order[k:]
+        if u % 2 == 0:
+            tied = rng.choice(past, size=int(rng.integers(1, past.size + 1)), replace=False)
+            scores[u, tied] = kth
+            tests[u] = np.union1d(tests[u], tied[rng.random(tied.size) < 0.5])
+        else:
+            scores[u, past[0]] = np.nextafter(kth, -np.inf)
+            if k >= 2:
+                scores[u, order[k - 2]] = np.nextafter(kth, np.inf)
+                scores[u, order[0]] = scores[u, order[1]]
+    return scores, observed, tests, k
+
+
+def assert_matches_loop_oracle(scores, observed, tests, k):
+    want = ranking_metrics_loop(scores, observed, tests, k)
+    got = ranking_metrics(scores, observed, tests, k)
+    fields = (got.recall_at_k, got.ndcg_at_k, got.k, got.per_user_recall,
+              got.per_user_ndcg, got.user_indices)
+    for g, w in zip(fields, want):
+        np.testing.assert_array_equal(g, w)
+    assert got.user_indices.dtype == np.int64
+
+
 class TestRankingMatchesLoopOracle:
     @given(case=ranking_cases())
     def test_random_tables(self, case):
         scores, observed, tests, k = case
         try:
-            want = ranking_metrics_loop(scores, observed, tests, k)
+            ranking_metrics_loop(scores, observed, tests, k)
         except ValueError as err:
             with pytest.raises(ValueError, match=str(err)):
                 ranking_metrics(scores, observed, tests, k)
             return
-        got = ranking_metrics(scores, observed, tests, k)
-        fields = (got.recall_at_k, got.ndcg_at_k, got.k, got.per_user_recall,
-                  got.per_user_ndcg, got.user_indices)
-        for g, w in zip(fields, want):
-            np.testing.assert_array_equal(g, w)
-        assert got.user_indices.dtype == np.int64
+        assert_matches_loop_oracle(scores, observed, tests, k)
+
+    @given(case=cut_tie_cases())
+    def test_ties_across_the_cut(self, case):
+        """One block holds rows a tie crosses the k-th value in and rows
+        without one; both rank as the oracle's stable sort does."""
+        scores, observed, tests, k = case
+        if not any(len(t) for t in tests):
+            return
+        neg = -scores
+        for u, o in enumerate(observed):
+            neg[u, o] = np.inf
+        kth = np.sort(neg, axis=1)[:, k - 1:k]
+        at_or_below = np.count_nonzero(neg <= kth, axis=1)
+        assert (at_or_below[0::2] > k).all() and (at_or_below[1::2] == k).all()
+        assert scores.size <= sys.modules["pgtr.train"]._RANK_BLOCK_ENTRIES
+        assert_matches_loop_oracle(scores, observed, tests, k)
+
+    @given(case=ranking_cases())
+    def test_recall_never_falls_as_k_grows(self, case):
+        scores, observed, tests, _ = case
+        if not any(len(t) for t in tests):
+            return
+        recalls = [ranking_metrics(scores, observed, tests, k).per_user_recall
+                   for k in range(1, scores.shape[1] + 2)]
+        for shorter, longer in zip(recalls, recalls[1:]):
+            assert (longer >= shorter).all()
 
     def test_blocks_agree_with_one_pass(self, monkeypatch):
         rng = np.random.default_rng(13)
@@ -570,26 +678,79 @@ class TestRankingMatchesLoopOracle:
         ([[4], []], [[1], [2]], r"observed_items holds item id 4 outside \[0, 4\)"),
         ([[], []], [[1], [2, 9]], r"test_items holds item id 9 outside \[0, 4\)"),
         ([[], []], [[-2], [2]], r"test_items holds item id -2 outside \[0, 4\)"),
+        (sp.csr_matrix((2, 5), dtype=bool), [[1], [2]],
+         r"observed_items has shape \(2, 5\) but scores has shape \(2, 4\)"),
+        ([[], []], sp.csr_matrix((3, 4), dtype=bool),
+         r"test_items has shape \(3, 4\) but scores has shape \(2, 4\)"),
     ])
     def test_malformed_item_lists_rejected(self, observed, tests, message):
         with pytest.raises(ValueError, match=message):
             ranking_metrics(np.zeros((2, 4)), observed, tests, k=2)
 
 
+class TestSparseItemInputs:
+    @pytest.mark.parametrize("sparse_observed, sparse_tests",
+                             [(True, True), (True, False), (False, True)])
+    def test_user_item_matrices_match_item_lists(self, sparse_observed, sparse_tests):
+        ds = clustered_interactions(30, 40, 3, per_user=10, seed=4)
+        fit, _, test = split_by_ratio(ds, SplitSpec(0.6, seed=4))
+        scores = np.round(np.random.default_rng(4).random((30, 40)), 1)
+        want = ranking_metrics(scores, fit.items_of_user(), test.items_of_user(), k=7)
+        got = ranking_metrics(
+            scores, fit.user_item_matrix() if sparse_observed else fit.items_of_user(),
+            test.user_item_matrix() if sparse_tests else test.items_of_user(), k=7)
+        for name in ("recall_at_k", "ndcg_at_k", "k", "per_user_recall",
+                     "per_user_ndcg", "user_indices"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    def test_stored_zeros_and_repeats(self):
+        """Only stored nonzero entries mark an item, once each."""
+        scores = np.array([[0.9, 0.8, 0.7, 0.6], [0.1, 0.2, 0.3, 0.4]])
+        observed = sp.coo_matrix(([1.0, 0.0, 2.0, 2.0], ([0, 0, 1, 1], [0, 1, 3, 3])),
+                                 shape=(2, 4))
+        tests = sp.csr_matrix(([True, True, True], [1, 2, 2], [0, 1, 3]), shape=(2, 4))
+        got = ranking_metrics(scores, observed, tests, k=1)
+        want = ranking_metrics(scores, [[0], [3]], [[1], [2]], k=1)
+        assert got.per_user_recall.tolist() == want.per_user_recall.tolist() == [1.0, 1.0]
+
+
 class TestEvaluate:
-    def test_model_evaluation_consistent_with_metric_core(self):
+    def test_model_evaluation_consistent_with_metric_core(self, monkeypatch):
+        """evaluate ranks the model's table as ranking_metrics does with
+        per-user lists, and builds no per-user lists itself."""
         ds = clustered_interactions(12, 16, 2, per_user=5, seed=10)
         fit, val, test = split_by_ratio(ds, SplitSpec(0.5, seed=10))
         g = build_graph(fit)
         cfg = PGTRConfig(d=4, layers=1, h_c=2, h_d=2, h_r=2, h_y=2, n_d=2,
                          n_r=2, m_features=8)
         state = init_model(g, cfg, seed=10)
-        got = evaluate(state, fit, test, k=10)
 
         from pgtr.model import forward
         h = forward(state).data
         h = h / np.linalg.norm(h, axis=1, keepdims=True)
         scores = h[:12] @ h[12:].T
         want = ranking_metrics(scores, fit.items_of_user(), test.items_of_user(), k=10)
+
+        def no_lists(self):
+            raise AssertionError("evaluate built per-user item lists")
+
+        monkeypatch.setattr(InteractionDataset, "items_of_user", no_lists)
+        got = evaluate(state, fit, test, k=10)
         assert got.recall_at_k == want.recall_at_k
         assert got.ndcg_at_k == want.ndcg_at_k
+        np.testing.assert_array_equal(got.per_user_ndcg, want.per_user_ndcg)
+
+    def test_zero_norm_row_raises_numerics_error(self, monkeypatch):
+        ds = clustered_interactions(12, 16, 2, per_user=5, seed=10)
+        state = tiny_state(ds, seed=10)
+        train_mod = sys.modules["pgtr.train"]
+        real_forward = train_mod.forward
+
+        def forward(s):
+            h = real_forward(s)
+            h.data[14] = 0.0
+            return h
+
+        monkeypatch.setattr(train_mod, "forward", forward)
+        with pytest.raises(NumericsError, match="^zero-norm representation for node 14$"):
+            evaluate(state, ds, ds, k=5)
