@@ -1,11 +1,11 @@
-"""All-pairs attention on the gradient tape: exact softmax and the
-linear-cost positive-random-feature approximation (Performer's FAVOR+).
+"""All-pairs attention on the gradient tape, at linear cost: the
+positive-random-feature approximation of softmax attention (Performer's
+FAVOR+).
 
 The feature map phi(x) = exp(-|x|^2/2)/sqrt(m) * [exp(w_j.x)]_j gives an
 unbiased estimate phi(q).phi(k) of exp(q.k), so softmax attention becomes
 the ratio phi(Q) (phi(K)^T V) / phi(Q) (phi(K)^T 1), linear in the row
-count T.  Both attentions scale queries and keys by `scale` (the model uses
-1/sqrt(d)).
+count T.  Queries and keys are scaled by `scale` (the model uses 1/sqrt(d)).
 
 `kernelized_attention` evaluates that ratio as one tape node with a
 hand-written backward, on stabilized features.  A factor shared by all of a
@@ -16,6 +16,9 @@ query row's features, or by every key feature, cancels in the ratio, so
   such exponent over every key row and direction.
 Every exponential is then at most 1 and cannot overflow.  The ratio's value
 and its gradient are those of the unstabilized formula.
+
+This is the model's only attention: exact (T, T) softmax attention is kept
+in the tests, as the reference the approximation is measured against.
 """
 from __future__ import annotations
 
@@ -30,7 +33,6 @@ __all__ = [
     "AttentionError",
     "RandomFeatureMap",
     "make_feature_map",
-    "exact_attention",
     "kernelized_attention",
 ]
 
@@ -150,10 +152,3 @@ def kernelized_attention(h: Tensor, rf: RandomFeatureMap, scale: float,
 
     return ad._make(out, "kernelized_attention", (h,) if shared else (q, k, v), bw)
 
-
-def exact_attention(h: Tensor, scale: float, proj: Projections | None = None) -> Tensor:
-    """Quadratic-cost softmax aggregation over all (T, T) pairs."""
-    q, k, v = _queries_keys_values(h, proj)
-    logits = ad.matmul(q * scale, ad.transpose(k * scale))
-    weights = ad.exp(logits - ad.logsumexp_rows(logits))
-    return ad.matmul(weights, v)

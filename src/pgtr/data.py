@@ -68,12 +68,11 @@ class InteractionDataset:
         return set(zip(self.users.tolist(), self.items.tolist()))
 
     def items_of_user(self) -> list[np.ndarray]:
-        """Per-user sorted item arrays."""
-        order = np.lexsort((self.items, self.users))
-        u_sorted = self.users[order]
-        i_sorted = self.items[order]
-        bounds = np.searchsorted(u_sorted, np.arange(self.n_users + 1))
-        return [i_sorted[bounds[u]:bounds[u + 1]] for u in range(self.n_users)]
+        """Per-user sorted int64 item arrays: the rows of
+        `user_item_matrix()`, so a repeated pair gives one entry."""
+        m = self.user_item_matrix()
+        # with no users np.split still returns one (empty) part
+        return np.split(m.indices.astype(np.int64), m.indptr[1:-1])[:self.n_users]
 
     def user_item_matrix(self) -> sp.csr_matrix:
         """Boolean (n_users, n_items) CSR matrix, true where the user
@@ -217,10 +216,12 @@ def split_by_ratio(ds: InteractionDataset, spec: SplitSpec):
     record) is carved out as validation.
     """
     rng = np.random.default_rng(spec.seed)
-    per_user = _records_by_user(ds)
+    # each user's record indices, in record order
+    order = np.argsort(ds.users, kind="stable")
+    bounds = np.searchsorted(ds.users[order], np.arange(ds.n_users + 1))
     fit_idx, val_idx, test_idx = [], [], []
     for u in range(ds.n_users):
-        idx = per_user[u]
+        idx = order[bounds[u]:bounds[u + 1]]
         k = idx.size
         if k == 0:
             continue
@@ -240,13 +241,6 @@ def split_by_ratio(ds: InteractionDataset, spec: SplitSpec):
     return gather(fit_idx), gather(val_idx), gather(test_idx)
 
 
-def _records_by_user(ds: InteractionDataset) -> list[np.ndarray]:
-    order = np.argsort(ds.users, kind="stable")
-    u_sorted = ds.users[order]
-    bounds = np.searchsorted(u_sorted, np.arange(ds.n_users + 1))
-    return [order[bounds[u]:bounds[u + 1]] for u in range(ds.n_users)]
-
-
 @dataclass
 class NoiseSpec:
     proportion: float
@@ -261,21 +255,26 @@ def inject_noise(train: InteractionDataset, full: InteractionDataset,
                  spec: NoiseSpec) -> InteractionDataset:
     """Add round(rho * k) fake items per user, sampled outside `full`.
 
-    Users already adjacent to every item are skipped (a warning reports
-    how many).
+    `k` counts the user's records in `train`.  Users already adjacent to
+    every item are skipped (a warning reports how many).  Raises
+    DataError when `full` and `train` differ in (n_users, n_items).
     """
+    shapes = (train.n_users, train.n_items), (full.n_users, full.n_items)
+    if shapes[0] != shapes[1]:
+        raise DataError(f"train has (n_users, n_items) = {shapes[0]} "
+                        f"but full has {shapes[1]}")
     rng = np.random.default_rng(spec.seed)
-    full_items = full.items_of_user()
-    train_per_user = _records_by_user(train)
+    full_items = full.user_item_matrix()
+    counts = np.bincount(train.users, minlength=train.n_users)
     all_items = np.arange(train.n_items)
     add_users, add_items = [], []
     skipped = 0
     for u in range(train.n_users):
-        k = train_per_user[u].size
-        n_add = _round_half_up(spec.proportion * k)
+        n_add = _round_half_up(spec.proportion * counts[u])
         if n_add == 0:
             continue
-        candidates = np.setdiff1d(all_items, full_items[u], assume_unique=False)
+        seen = full_items.indices[full_items.indptr[u]:full_items.indptr[u + 1]]
+        candidates = np.setdiff1d(all_items, seen, assume_unique=True)
         if candidates.size == 0:
             skipped += 1
             continue

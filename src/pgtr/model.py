@@ -1,7 +1,7 @@
 """Position-aware graph transformer: model state, forward pass, checkpoints.
 
 The forward pass composes position injection (`encodings.position_tape`),
-local propagation, position re-injection, all-pairs attention
+local propagation, position re-injection, kernelized all-pairs attention
 (`attention`), local/global mixing, and mean readout over the bipartite
 graph, all on the gradient tape.
 """
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import (RandomFeatureMap, exact_attention, kernelized_attention,
-                        make_feature_map)
+from .attention import RandomFeatureMap, kernelized_attention, make_feature_map
 from .autodiff import Tensor, constant, parameter
 from .backbone import BackboneConfig, normalized_adjacency, propagate_layer, readout
 from .data import BipartiteGraph
@@ -35,7 +34,7 @@ __all__ = [
 
 EMBED_INIT_STD = 0.1
 CHECKPOINT_MAGIC = b"PGTR"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -60,7 +59,6 @@ class PGTRConfig:
     use_type: bool = True
     backbone: str = "lightgcn"
     use_projections: bool = False
-    attention: str = "kernelized"
 
     def validate(self):
         for name in ("lambda1", "lambda2", "lambda3", "lambda_c"):
@@ -72,8 +70,6 @@ class PGTRConfig:
         for name in ("d", "layers", "h_c", "h_d", "h_r", "h_y", "n_d", "n_r", "m_features"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.attention not in ("kernelized", "exact"):
-            raise ValueError(f"unknown attention mode {self.attention!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -195,10 +191,7 @@ def forward(state: ModelState, return_layers: bool = False):
         if cfg.lambda3 != 0.0:
             attn_in = local + pos * cfg.lambda2 if (pos is not None and cfg.lambda2 != 0.0) else local
             proj = state.attn_projections[layer] if state.attn_projections else None
-            if cfg.attention == "exact":
-                global_ = exact_attention(attn_in, scale, proj)
-            else:
-                global_ = kernelized_attention(attn_in, state.feature_maps[layer], scale, proj)
+            global_ = kernelized_attention(attn_in, state.feature_maps[layer], scale, proj)
             mixed = local * (1.0 - cfg.lambda3) + global_ * cfg.lambda3
         else:
             global_ = None

@@ -56,48 +56,48 @@ class RankingMetrics:
     user_indices: np.ndarray
 
 
-def _ragged(rows) -> tuple[np.ndarray, np.ndarray]:
-    """CSR `indptr` and `indices` of a sequence of item-id sequences."""
-    parts = [np.asarray(r, dtype=np.int64) for r in rows]
-    indptr = np.zeros(len(parts) + 1, dtype=np.int64)
-    np.cumsum([p.size for p in parts], out=indptr[1:])
-    indices = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-    return indptr, indices
-
-
-def _batch_mask(users: np.ndarray, items: np.ndarray, train_items_per_user):
+def _batch_mask(users: np.ndarray, items: np.ndarray, user_items: sp.csr_matrix):
     """Candidate mask of the (b × distinct items) in-batch score table.
 
+    `user_items` is the boolean (users, items) CSR of training items.
     Returns `uniq` (the batch's distinct items, sorted), `inv` (pair a's
     item is `uniq[inv[a]]`), the (b, uniq.size) boolean mask and
     `untrained`, true where a pair's item is not among its user's
     training items.  Row a keeps its own positive (column `inv[a]`) plus
     every distinct batch item the user has never interacted with."""
-    b = users.size
     uniq, inv = np.unique(items, return_inverse=True)
-    indptr, indices = _ragged(train_items_per_user[u] for u in users)
-    n_cols = int(max(uniq[-1], indices.max(initial=-1))) + 1
-    adj = sp.csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr),
-                        shape=(b, n_cols))
-    mask = ~adj[:, uniq].toarray()
-    rows = np.arange(b)
+    mask = ~user_items[users][:, uniq].toarray()
+    rows = np.arange(users.size)
     untrained = mask[rows, inv]
     mask[rows, inv] = True
     return uniq, inv, mask, untrained
 
 
 def batch_loss(state: ModelState, users: np.ndarray, items: np.ndarray,
-               train_items_per_user) -> tuple[Tensor, int]:
+               user_items) -> tuple[Tensor, int]:
     """Tape-recorded sampled-softmax loss for one batch of (user, item) pairs.
 
-    Each pair is scored against the batch's distinct items: a (b ×
+    `user_items` marks each user's training items: a scipy sparse matrix
+    of shape (n_users, n_items), such as the
+    `InteractionDataset.user_item_matrix()` that `train` builds once, or a
+    sequence of n_users per-user item-id sequences, converted on every
+    call.  Each pair is scored against the batch's distinct items: a (b ×
     distinct items) table whose row keeps the pair's positive and the
     items its user never trained on.  Returns the scalar loss tensor and
     the number of pairs skipped for lack of negatives.  Raises ValueError
-    when a pair's item is not among its user's training items.
+    when `user_items` has the wrong shape or an item id outside
+    [0, n_items), when a pair's id is out of range, or when a pair's item
+    is not among its user's training items.
     """
     cfg = state.config
-    uniq, inv, mask, untrained = _batch_mask(users, items, train_items_per_user)
+    user_items = _user_items(user_items, "user_items", (state.n_users, state.n_items),
+                             "the model's user-item table")
+    for name, ids, n in (("user", users, state.n_users), ("item", items, state.n_items)):
+        bad = (ids < 0) | (ids >= n)
+        if bad.any():
+            a = int(np.argmax(bad))
+            raise ValueError(f"pair {a}: {name} id {int(ids[a])} outside [0, {n})")
+    uniq, inv, mask, untrained = _batch_mask(users, items, user_items)
     if untrained.any():
         a = int(np.argmax(untrained))
         raise ValueError(f"pair {a} (user {int(users[a])}, item {int(items[a])}): "
@@ -134,7 +134,7 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
     rng = np.random.default_rng(cfg.seed)
     params = state.parameters()
     opt = AdamState(params, lr=cfg.lr)
-    train_items = fit.items_of_user()
+    train_items = fit.user_item_matrix()
     pairs_u = fit.users.copy()
     pairs_i = fit.items.copy()
     n_pairs = pairs_u.size
@@ -200,25 +200,31 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
     return state, history
 
 
-def _user_items(rows, name: str, shape: tuple[int, int]) -> sp.csr_matrix:
+def _user_items(rows, name: str, shape: tuple[int, int],
+                owner: str = "scores") -> sp.csr_matrix:
     """Boolean (users, items) CSR matrix of a sparse matrix or of per-user
-    item lists, checked against the score table's shape."""
+    item-id sequences, checked against `owner`'s shape.  Stored zeros are
+    dropped and a repeated id gives one entry."""
     if sp.issparse(rows):
         if rows.shape != shape:
-            raise ValueError(f"{name} has shape {rows.shape} but scores has shape {shape}")
+            raise ValueError(f"{name} has shape {rows.shape} but {owner} has shape {shape}")
         m = rows.tocsr().astype(bool)
-        m.sum_duplicates()
-        m.eliminate_zeros()
-        return m
-    n_users, n_items = shape
-    if len(rows) != n_users:
-        raise ValueError(f"{name} has {len(rows)} rows but scores has {n_users}")
-    indptr, indices = _ragged(rows)
-    bad = (indices < 0) | (indices >= n_items)
-    if bad.any():
-        raise ValueError(f"{name} holds item id {int(indices[bad][0])} "
-                         f"outside [0, {n_items})")
-    return sp.csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr), shape=shape)
+    else:
+        n_users, n_items = shape
+        if len(rows) != n_users:
+            raise ValueError(f"{name} has {len(rows)} rows but {owner} has {n_users}")
+        parts = [np.asarray(r, dtype=np.int64) for r in rows]
+        indptr = np.zeros(n_users + 1, dtype=np.int64)
+        np.cumsum([p.size for p in parts], out=indptr[1:])
+        indices = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+        bad = (indices < 0) | (indices >= n_items)
+        if bad.any():
+            raise ValueError(f"{name} holds item id {int(indices[bad][0])} "
+                             f"outside [0, {n_items})")
+        m = sp.csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr), shape=shape)
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    return m
 
 
 def _top_k(neg: np.ndarray, k: int):

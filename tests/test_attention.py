@@ -3,7 +3,8 @@
 The functions run on the gradient tape; these tests feed them constants
 and read `.data`.  `feature_map` and `taped_kernelized_attention` below are
 the unstabilized taped composition that `kernelized_attention` fuses into
-one node: the oracle for its output and its gradients.
+one node: the oracle for its output and its gradients.  `exact_attention`
+is the quadratic softmax attention that the kernelized one approximates.
 """
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import pgtr.autodiff as ad
 from pgtr.attention import (
     MIN_DENOMINATOR,
     AttentionError,
-    exact_attention,
+    _queries_keys_values,
     kernelized_attention,
     make_feature_map,
 )
@@ -48,6 +49,14 @@ def taped_kernelized_attention(h, rf, scale, proj=None):
     if denom.data.min() < MIN_DENOMINATOR:
         raise AttentionError("attention denominator underflow; inputs need rescaling")
     return ad.div(numer, denom)
+
+
+def exact_attention(h, scale, proj=None):
+    """Quadratic-cost softmax aggregation over all (T, T) pairs, on the tape."""
+    q, k, v = _queries_keys_values(h, proj)
+    logits = ad.matmul(q * scale, ad.transpose(k * scale))
+    weights = ad.exp(logits - ad.logsumexp_rows(logits))
+    return ad.matmul(weights, v)
 
 
 def mapped(x, rf):

@@ -1,6 +1,10 @@
 """Data ingestion, graph construction, splits, and noise injection."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pgtr.data import (
     DataError,
@@ -16,6 +20,10 @@ from pgtr.data import (
     split_by_ratio,
 )
 from pgtr.synthetic import clustered_interactions
+from test_encodings import awkward_interactions
+
+# fractions whose products with small counts often land on a half
+FRACTIONS = st.one_of(st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9]), st.floats(0.01, 0.99))
 
 
 def neighbors(adj, node):
@@ -218,6 +226,24 @@ class TestSplit:
         with pytest.raises(DataError):
             SplitSpec(0.0)
 
+    @given(ds=awkward_interactions(), train_fraction=FRACTIONS,
+           val_fraction=st.one_of(st.just(0.0), FRACTIONS), seed=st.integers(0, 2**32 - 1))
+    def test_per_user_counts_follow_the_rounding_rules(self, ds, train_fraction,
+                                                       val_fraction, seed):
+        """A user with k records keeps pool = min(k, max(1, round(k * train)))
+        for fit and validation, val = round(pool * val_fraction) of them
+        (at most pool - 1) for validation, and the rest for test; rounding
+        is half away from zero."""
+        fit, val, test = split_by_ratio(ds, SplitSpec(train_fraction, val_fraction, seed))
+        for u in range(ds.n_users):
+            k = int(np.count_nonzero(ds.users == u))
+            pool = min(k, max(1, math.floor(k * train_fraction + 0.5)))
+            n_val = max(0, min(pool - 1, math.floor(pool * val_fraction + 0.5)))
+            got = [int(np.count_nonzero(part.users == u)) for part in (fit, val, test)]
+            assert got == [pool - n_val, n_val, k - pool]
+            assert k == 0 or got[0] >= 1
+        assert sorted(fit.pairs() | val.pairs() | test.pairs()) == sorted(ds.pairs())
+
 
 class TestNoise:
     def test_one_in_ten(self):
@@ -244,6 +270,36 @@ class TestNoise:
             noisy = inject_noise(full, full, NoiseSpec(0.3, seed=0))
         assert len(noisy) == 3
         assert "skipped 1" in caplog.text
+
+    def test_full_of_another_shape_rejected(self):
+        train = InteractionDataset(3, 5, np.array([0, 1, 2]), np.array([0, 1, 2]))
+        for full in (InteractionDataset(2, 5, np.array([0, 1]), np.array([0, 1])),
+                     InteractionDataset(3, 6, np.array([0, 1, 2]), np.array([0, 1, 5]))):
+            with pytest.raises(DataError, match=rf"^train has \(n_users, n_items\) = "
+                                                rf"\(3, 5\) but full has \({full.n_users}, "
+                                                rf"{full.n_items}\)$"):
+                inject_noise(train, full, NoiseSpec(0.5, seed=0))
+
+    @given(ds=awkward_interactions(), train_fraction=FRACTIONS,
+           proportion=FRACTIONS, seed=st.integers(0, 2**32 - 1))
+    def test_per_user_additions(self, ds, train_fraction, proportion, seed):
+        """A user with k training records gains min(round(rho * k),
+        candidates) distinct items, none of them in `full`; rounding is
+        half away from zero, and the training records come first, as they
+        were."""
+        train, _, _ = split_by_ratio(ds, SplitSpec(train_fraction, seed=seed))
+        noisy = inject_noise(train, ds, NoiseSpec(proportion, seed=seed))
+        np.testing.assert_array_equal(noisy.users[:len(train)], train.users)
+        np.testing.assert_array_equal(noisy.items[:len(train)], train.items)
+        added_users, added_items = noisy.users[len(train):], noisy.items[len(train):]
+        full = ds.items_of_user()
+        for u in range(ds.n_users):
+            k = int(np.count_nonzero(train.users == u))
+            candidates = ds.n_items - full[u].size
+            items = added_items[added_users == u]
+            assert items.size == min(math.floor(proportion * k + 0.5), candidates)
+            assert np.unique(items).size == items.size
+            assert not np.isin(items, full[u]).any()
 
     def test_deterministic(self):
         ds = clustered_interactions(20, 40, 2, per_user=8, seed=15)

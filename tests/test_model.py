@@ -142,29 +142,30 @@ class TestMixing:
 
 class TestDenseOracle:
     def test_tiny_graph_matches_stepwise_dense_evaluation(self):
-        """3 users, 3 items, exact attention, lambda3 = 0.5."""
+        """3 users, 3 items, kernelized attention, lambda3 = 0.5."""
         ds = InteractionDataset(3, 3, np.array([0, 0, 1, 2, 2]),
                                 np.array([0, 1, 1, 1, 2]))
         g = build_graph(ds)
         cfg = PGTRConfig(d=4, layers=2, lambda1=1.0, lambda2=1.0, lambda3=0.5,
-                         h_c=2, h_d=2, h_r=2, h_y=2, n_d=2, n_r=2,
-                         m_features=8, attention="exact")
+                         h_c=2, h_d=2, h_r=2, h_y=2, n_d=2, n_r=2, m_features=8)
         state = init_model(g, cfg, seed=8)
         got = forward(state).data
 
-        # independent dense evaluation of the whole chain
+        # independent dense evaluation of the whole chain, with the
+        # unstabilized feature map phi(x) = exp(Wx - |x|^2/2)/sqrt(m)
         adj = normalized_adjacency(g).toarray()
         pos = position_matrix(state.enc)
         scale = 1.0 / np.sqrt(cfg.d)
         h = state.embeddings.data + cfg.lambda1 * pos
         tables = [h]
-        for _ in range(cfg.layers):
+        for layer in range(cfg.layers):
             local = adj @ h
             attn_in = local + cfg.lambda2 * pos
-            logits = (scale * attn_in) @ (scale * attn_in).T
-            w = np.exp(logits - logits.max(axis=1, keepdims=True))
-            w /= w.sum(axis=1, keepdims=True)
-            global_ = w @ attn_in
+            x = scale * attn_in
+            w = state.feature_maps[layer].directions
+            phi = np.exp(x @ w.T - 0.5 * (x * x).sum(axis=1, keepdims=True))
+            phi /= np.sqrt(cfg.m_features)
+            global_ = (phi @ (phi.T @ attn_in)) / (phi @ phi.sum(axis=0))[:, None]
             h = 0.5 * local + 0.5 * global_
             tables.append(h)
         expected = np.mean(tables, axis=0)
@@ -375,6 +376,18 @@ class TestCheckpoint:
             path.write_bytes(raw[:cut])
             with pytest.raises(ValueError, match=f"truncated in {section}"):
                 load_checkpoint(path, g)
+
+    def test_version_2_rejected(self, tmp_path):
+        """Version-2 headers carry the removed `attention` field."""
+        g = small_graph(15)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(g, PGTRConfig(**SMALL), seed=24), path)
+        raw = bytearray(path.read_bytes())
+        assert raw[4] == 3
+        raw[4] = 2
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="^unsupported checkpoint version 2$"):
+            load_checkpoint(path, g)
 
     def test_garbage_rejected(self, tmp_path):
         p = tmp_path / "bad.ckpt"

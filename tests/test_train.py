@@ -18,6 +18,7 @@ from pgtr.synthetic import clustered_interactions
 from pgtr.train import (
     TrainConfig,
     _batch_mask,
+    _user_items,
     batch_loss,
     evaluate,
     ranking_metrics,
@@ -79,7 +80,7 @@ def ranking_metrics_loop(scores, observed_items, test_items, k):
     discounts = 1.0 / np.log2(np.arange(k) + 2.0)
     recalls, ndcgs, users = [], [], []
     for u in range(n_users):
-        targets = np.asarray(test_items[u], dtype=np.int64)
+        targets = np.unique(np.asarray(test_items[u], dtype=np.int64))
         if targets.size == 0:
             continue
         s = scores[u].astype(np.float64, copy=True)
@@ -201,21 +202,20 @@ class TestBatchLossTape:
         assert skipped == expected_skipped
 
     @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 24),
-           as_dict=st.booleans())
-    def test_random_batches_match_oracle(self, small_model, seed, size, as_dict):
+           as_matrix=st.booleans())
+    def test_random_batches_match_oracle(self, small_model, seed, size, as_matrix):
         """Pairs drawn with replacement, so items and users repeat."""
         ds, state = small_model
         items_of = ds.items_of_user()
-        if as_dict:
-            items_of = {u: row.tolist() for u, row in enumerate(items_of)}
+        user_items = ds.user_item_matrix() if as_matrix else items_of
         sel = np.random.default_rng(seed).integers(0, len(ds), size=size)
         users, items = ds.users[sel], ds.items[sel]
         expected, expected_skipped = oracle_batch_loss(state, users, items, items_of)
         if expected_skipped == size:
             with pytest.raises(ValueError, match="lacks negatives"):
-                batch_loss(state, users, items, items_of)
+                batch_loss(state, users, items, user_items)
             return
-        loss, skipped = batch_loss(state, users, items, items_of)
+        loss, skipped = batch_loss(state, users, items, user_items)
         assert loss.item() == pytest.approx(expected, rel=1e-12)
         assert skipped == expected_skipped
 
@@ -239,6 +239,31 @@ class TestBatchLossTape:
         with pytest.raises(ValueError, match=rf"^pair 3 \(user {user}, item {item}\): "
                                              "the item is not among the user's training"):
             batch_loss(state, users, items, items_of)
+
+    @pytest.mark.parametrize("case, message", [
+        ("training id", r"^user_items holds item id 99 outside \[0, 10\)$"),
+        ("matrix shape", r"^user_items has shape \(8, 11\) but the model's user-item "
+                         r"table has shape \(8, 10\)$"),
+        ("list length", r"^user_items has 7 rows but the model's user-item table has 8$"),
+        ("pair item", r"^pair 2: item id 10 outside \[0, 10\)$"),
+        ("pair user", r"^pair 0: user id -1 outside \[0, 8\)$"),
+    ])
+    def test_malformed_inputs_rejected(self, small_model, case, message):
+        ds, state = small_model
+        users, items = ds.users[:6].copy(), ds.items[:6].copy()
+        user_items = ds.items_of_user()
+        if case == "training id":
+            user_items[3] = np.append(user_items[3], 99)
+        elif case == "matrix shape":
+            user_items = sp.csr_matrix((8, 11), dtype=bool)
+        elif case == "list length":
+            user_items = user_items[:7]
+        elif case == "pair item":
+            items[2] = 10
+        else:
+            users[0] = -1
+        with pytest.raises(ValueError, match=message):
+            batch_loss(state, users, items, user_items)
 
     def test_score_table_is_batch_by_distinct_items(self, small_model):
         """The tape holds a (b, u) score table and no node of b * b entries."""
@@ -301,15 +326,16 @@ def mask_batches(draw):
 
 
 class TestBatchMask:
-    @given(batch=mask_batches(), as_dict=st.booleans())
-    def test_matches_loop_oracle(self, batch, as_dict):
+    @given(batch=mask_batches())
+    def test_matches_loop_oracle(self, batch):
         """Each row keeps the same item ids as the (b, b) loop oracle's row,
         once each; `untrained` flags the pairs whose item the user never
         trained on."""
         users, items, items_of = batch
-        if as_dict:
-            items_of = dict(enumerate(items_of))
-        uniq, inv, mask, untrained = _batch_mask(users, items, items_of)
+        # one user holds every item
+        n_items = max(len(row) for row in items_of)
+        user_items = _user_items(items_of, "items_of", (len(items_of), n_items))
+        uniq, inv, mask, untrained = _batch_mask(users, items, user_items)
         oracle = batch_mask_loop(users, items, items_of)
         np.testing.assert_array_equal(uniq, np.unique(items))
         np.testing.assert_array_equal(uniq[inv], items)
@@ -537,6 +563,15 @@ class TestRankingMetrics:
         with pytest.raises(ValueError, match="k must be"):
             ranking_metrics(np.zeros((1, 4)), [[]], [[1]], k=0)
 
+    def test_repeated_test_id_counts_once(self):
+        """Per-user lists and a matrix give the same recall when a test id
+        repeats: the repeat is one target, not two."""
+        scores = np.array([[0.9, 0.1, 0.2, 0.3]])
+        from_lists = ranking_metrics(scores, [[]], [[0, 0]], k=2)
+        from_matrix = ranking_metrics(scores, [[]], sp.csr_matrix([[1, 0, 0, 0]]), k=2)
+        assert from_lists.recall_at_k == from_matrix.recall_at_k == 1.0
+        assert from_lists.ndcg_at_k == from_matrix.ndcg_at_k == 1.0
+
     def test_nan_scores_are_dropped(self):
         """A NaN is dropped like an observed item: it neither hides nor
         displaces the finite entries, so recall@k never falls as k grows."""
@@ -548,9 +583,9 @@ class TestRankingMetrics:
 @st.composite
 def ranking_cases(draw):
     """Tie-heavy quantized score tables with -inf and NaN entries, observed
-    items (repeats allowed), users without test items and k up to past
-    n_items; a table where no user has test items must fail as the oracle
-    does."""
+    and test items (repeats allowed), users without test items and k up to
+    past n_items; a table where no user has test items must fail as the
+    oracle does."""
     n_users = draw(st.integers(1, 10))
     n_items = draw(st.integers(1, 25))
     k = draw(st.integers(1, 30))
@@ -566,6 +601,8 @@ def ranking_cases(draw):
     observed[0] = rng.permutation(n_items)[:max(0, n_items - k + 1)]
     observed = [np.concatenate([o, o[:1]]) for o in observed]
     tests = [np.flatnonzero(rng.random(n_items) < p_test).tolist() for _ in range(n_users)]
+    n_repeats = draw(st.integers(0, 2))
+    tests = [t + t[:n_repeats] for t in tests]
     return scores, observed, tests, k
 
 
