@@ -1,30 +1,15 @@
 """Local neighborhood propagation over the bipartite graph."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import scipy.sparse as sp
 
 from .autodiff import Tensor, leaky_relu, matmul, spmm, transpose
 from .data import BipartiteGraph
 from .linalg import symmetric_normalized
 
-__all__ = ["BackboneConfig", "normalized_adjacency", "propagate_layer", "readout"]
+__all__ = ["normalized_adjacency", "propagate_layer", "readout"]
 
 LEAKY_SLOPE = 0.2
-
-
-@dataclass
-class BackboneConfig:
-    """`lightgcn` propagates by the normalized adjacency alone;
-    `transform-gcn` adds a per-layer linear map and leaky nonlinearity."""
-
-    variant: str = "lightgcn"
-    transforms: list[Tensor] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.variant not in ("lightgcn", "transform-gcn"):
-            raise ValueError(f"unknown backbone variant {self.variant!r}")
 
 
 def normalized_adjacency(g: BipartiteGraph) -> sp.csr_matrix:
@@ -35,13 +20,14 @@ def normalized_adjacency(g: BipartiteGraph) -> sp.csr_matrix:
     return symmetric_normalized(g.full_adjacency())
 
 
-def propagate_layer(h: Tensor, adj: sp.csr_matrix, cfg: BackboneConfig,
-                    layer: int) -> Tensor:
+def propagate_layer(h: Tensor, adj: sp.csr_matrix, transform: Tensor | None = None) -> Tensor:
+    """One layer: A h for the `lightgcn` backbone; leaky_relu((A h) W^T),
+    with the layer's `transform` W, for `transform-gcn`."""
     if h.data.shape[0] != adj.shape[0]:
         raise ValueError("embedding table row count does not match the graph")
     out = spmm(adj, h)
-    if cfg.variant == "transform-gcn":
-        out = leaky_relu(matmul(out, transpose(cfg.transforms[layer])), LEAKY_SLOPE)
+    if transform is not None:
+        out = leaky_relu(matmul(out, transpose(transform)), LEAKY_SLOPE)
     return out
 
 

@@ -1,9 +1,9 @@
 """Position-aware graph transformer: model state, forward pass, checkpoints.
 
 The forward pass composes position injection (`encodings.position_tape`),
-local propagation, position re-injection, kernelized all-pairs attention
-(`attention`), local/global mixing, and mean readout over the bipartite
-graph, all on the gradient tape.
+local propagation (`backbone`), position re-injection, kernelized
+all-pairs attention (`attention`), local/global mixing, and mean readout
+over the bipartite graph, all on the gradient tape.
 """
 from __future__ import annotations
 
@@ -16,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import RandomFeatureMap, kernelized_attention, make_feature_map
-from .autodiff import Tensor, constant, parameter
-from .backbone import BackboneConfig, normalized_adjacency, propagate_layer, readout
+from .autodiff import Tensor, parameter
+from .backbone import normalized_adjacency, propagate_layer, readout
 from .data import BipartiteGraph
-from .encodings import (PositionalEncodingSet, SpectralEncoding, _encoding_set,
-                        build_encoding_set, position_tape)
+from .encodings import PositionalEncodingSet, build_encoding_set, position_tape
 
 __all__ = [
     "PGTRConfig",
@@ -34,7 +33,8 @@ __all__ = [
 
 EMBED_INIT_STD = 0.1
 CHECKPOINT_MAGIC = b"PGTR"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
+HEADER_FIELDS = ("config", "n_users", "n_items", "graph_hash", "seed", "feature_map_seeds")
 
 
 @dataclass
@@ -70,37 +70,38 @@ class PGTRConfig:
         for name in ("d", "layers", "h_c", "h_d", "h_r", "h_y", "n_d", "n_r", "m_features"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.backbone not in ("lightgcn", "transform-gcn"):
+            raise ValueError(f"unknown backbone {self.backbone!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PGTRConfig":
+        unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config field {unknown[0]!r}")
         cfg = cls(**d)
         cfg.validate()
         return cfg
 
 
+@dataclass(eq=False)
 class ModelState:
-    """Embedding table, encodings, feature maps, and graph constants."""
+    """Embedding table, encodings, backbone transforms (one per layer for
+    transform-gcn, none for lightgcn), feature maps, and graph constants."""
 
-    def __init__(self, config: PGTRConfig, n_users: int, n_items: int, graph_hash: str,
-                 adjacency, embeddings: Tensor,
-                 enc: PositionalEncodingSet, feature_maps: list[RandomFeatureMap],
-                 backbone_cfg: BackboneConfig,
-                 attn_projections: list[tuple[Tensor, Tensor, Tensor]] | None,
-                 seed: int):
-        self.config = config
-        self.n_users = n_users
-        self.n_items = n_items
-        self.graph_hash = graph_hash
-        self.adjacency = adjacency
-        self.embeddings = embeddings
-        self.enc = enc
-        self.feature_maps = feature_maps
-        self.backbone_cfg = backbone_cfg
-        self.attn_projections = attn_projections
-        self.seed = seed
+    config: PGTRConfig
+    n_users: int
+    n_items: int
+    graph_hash: str
+    adjacency: object
+    embeddings: Tensor
+    enc: PositionalEncodingSet
+    feature_maps: list[RandomFeatureMap]
+    transforms: list[Tensor]
+    attn_projections: list[tuple[Tensor, Tensor, Tensor]] | None
+    seed: int
 
     @property
     def n_nodes(self) -> int:
@@ -109,7 +110,7 @@ class ModelState:
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         named = [("embeddings", self.embeddings)]
         named.extend(self.enc.trainable_tables())
-        for l, w in enumerate(self.backbone_cfg.transforms):
+        for l, w in enumerate(self.transforms):
             named.append((f"backbone_w{l}", w))
         if self.attn_projections:
             for l, (wq, wk, wv) in enumerate(self.attn_projections):
@@ -129,45 +130,36 @@ def _graph_hash(graph: BipartiteGraph) -> str:
 
 
 def init_model(graph: BipartiteGraph, cfg: PGTRConfig, seed: int = 0) -> ModelState:
-    return _init_model(graph, cfg, seed, spectral=None)
+    return _init_model(graph, cfg, seed, stored=None)
 
 
 def _init_model(graph: BipartiteGraph, cfg: PGTRConfig, seed: int,
-                spectral: np.ndarray | None) -> ModelState:
-    """`init_model`, taking a given spectral block instead of solving for
-    it when `spectral` is not None."""
+                stored: dict | None) -> ModelState:
+    """`init_model`, taking the frozen encoding blocks from `stored` (see
+    `build_encoding_set`) instead of computing them when it is not None."""
     cfg.validate()
     rng = np.random.default_rng(seed)
     n_nodes = graph.n_users + graph.n_items
     embeddings = parameter(rng.normal(0.0, EMBED_INIT_STD, size=(n_nodes, cfg.d)),
                            name="embeddings")
-    enc_args = dict(d=cfg.d, h_c=cfg.h_c, h_d=cfg.h_d, h_r=cfg.h_r, h_y=cfg.h_y,
-                    n_d=cfg.n_d, n_r=cfg.n_r, lambda_c=cfg.lambda_c, rng=rng,
-                    use_degree=cfg.use_degree, use_pagerank=cfg.use_pagerank,
-                    use_type=cfg.use_type)
-    if spectral is None:
-        enc = build_encoding_set(graph, use_spectral=cfg.use_spectral, **enc_args)
-    else:
-        enc = _encoding_set(graph, SpectralEncoding(spectral), **enc_args)
+    enc = build_encoding_set(graph, cfg, rng, stored)
+    bound = 0.1 / np.sqrt(cfg.d)
+
+    def square(name: str) -> Tensor:
+        return parameter(rng.uniform(-bound, bound, size=(cfg.d, cfg.d)), name=name)
+
     transforms = []
     if cfg.backbone == "transform-gcn":
-        bound = 0.1 / np.sqrt(cfg.d)
-        transforms = [parameter(rng.uniform(-bound, bound, size=(cfg.d, cfg.d)),
-                                name=f"backbone_w{l}") for l in range(cfg.layers)]
-    backbone_cfg = BackboneConfig(variant=cfg.backbone, transforms=transforms)
+        transforms = [square(f"backbone_w{l}") for l in range(cfg.layers)]
     attn_projections = None
     if cfg.use_projections:
-        bound = 0.1 / np.sqrt(cfg.d)
-        attn_projections = []
-        for l in range(cfg.layers):
-            attn_projections.append(tuple(
-                parameter(rng.uniform(-bound, bound, size=(cfg.d, cfg.d)),
-                          name=f"attn_{tag}{l}") for tag in "qkv"))
+        attn_projections = [tuple(square(f"attn_{tag}{l}") for tag in "qkv")
+                            for l in range(cfg.layers)]
     fm_seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(cfg.layers)]
     feature_maps = [make_feature_map(cfg.m_features, cfg.d, s) for s in fm_seeds]
     return ModelState(cfg, graph.n_users, graph.n_items, _graph_hash(graph),
                       normalized_adjacency(graph), embeddings, enc, feature_maps,
-                      backbone_cfg, attn_projections, seed)
+                      transforms, attn_projections, seed)
 
 
 def forward(state: ModelState, return_layers: bool = False):
@@ -187,7 +179,8 @@ def forward(state: ModelState, return_layers: bool = False):
     tables = [h]
     internals = []
     for layer in range(cfg.layers):
-        local = propagate_layer(h, state.adjacency, state.backbone_cfg, layer)
+        local = propagate_layer(h, state.adjacency,
+                                state.transforms[layer] if state.transforms else None)
         if cfg.lambda3 != 0.0:
             attn_in = local + pos * cfg.lambda2 if (pos is not None and cfg.lambda2 != 0.0) else local
             proj = state.attn_projections[layer] if state.attn_projections else None
@@ -213,7 +206,10 @@ def count_added_parameters(state: ModelState) -> int:
 
 
 def save_checkpoint(state: ModelState, path):
-    """Versioned header, config JSON, then named row-major float64 blocks."""
+    """Versioned header, config JSON, then named row-major float64 blocks:
+    the parameters, each grouped encoding's group ids as a (1, N+M) row
+    `<name>_groups`, and the frozen `spectral` block.  Loading restores the
+    frozen blocks, so it runs neither the eigensolve nor PageRank."""
     meta = {
         "config": state.config.to_dict(),
         "n_users": state.n_users,
@@ -222,9 +218,10 @@ def save_checkpoint(state: ModelState, path):
         "seed": state.seed,
         "feature_map_seeds": [rf.seed for rf in state.feature_maps],
     }
-    blocks = list(state.named_parameters())
+    blocks = [(name, t.data) for name, t in state.named_parameters()]
+    blocks += [(f"{e.name}_groups", e.group_of[None, :]) for e in state.enc.grouped]
     if state.enc.spectral is not None:
-        blocks.append(("spectral", constant(state.enc.spectral.matrix)))
+        blocks.append(("spectral", state.enc.spectral.matrix))
     raw = json.dumps(meta).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -232,13 +229,13 @@ def save_checkpoint(state: ModelState, path):
         fh.write(struct.pack("<I", len(raw)))
         fh.write(raw)
         fh.write(struct.pack("<I", len(blocks)))
-        for name, tensor in blocks:
+        for name, array in blocks:
             encoded = name.encode("utf-8")
-            rows, cols = tensor.data.shape
+            rows, cols = array.shape
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)
             fh.write(struct.pack("<II", rows, cols))
-            fh.write(tensor.data.astype("<f8").tobytes(order="C"))
+            fh.write(array.astype("<f8").tobytes(order="C"))
 
 
 def _read(fh, size: int, what: str) -> bytes:
@@ -267,16 +264,14 @@ def load_checkpoint(path, graph: BipartiteGraph) -> ModelState:
             data = _read(fh, rows * cols * 8, f"the data of block {name!r}")
             blocks[name] = np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
 
+    missing = [field for field in HEADER_FIELDS if field not in meta]
+    if missing:
+        raise ValueError(f"checkpoint header lacks the field {missing[0]!r}")
     if ([meta["n_users"], meta["n_items"], meta["graph_hash"]]
             != [graph.n_users, graph.n_items, _graph_hash(graph)]):
         raise ValueError("checkpoint was built for a different graph")
     cfg = PGTRConfig.from_dict(meta["config"])
-    spectral = blocks.get("spectral")
-    if cfg.use_spectral and (spectral is None
-                             or spectral.shape != (cfg.h_c, graph.n_users + graph.n_items)):
-        raise ValueError("checkpoint block 'spectral' is missing or has the wrong shape")
-    # the stored spectral block stands in for the eigensolve
-    state = _init_model(graph, cfg, meta["seed"], spectral)
+    state = _init_model(graph, cfg, meta["seed"], stored=blocks)
     state.feature_maps = [make_feature_map(cfg.m_features, cfg.d, s)
                           for s in meta["feature_map_seeds"]]
     for name, tensor in state.named_parameters():

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from pgtr.autodiff import constant, parameter
-from pgtr.backbone import BackboneConfig, normalized_adjacency, propagate_layer, readout
+from pgtr.backbone import normalized_adjacency, propagate_layer, readout
 from pgtr.data import InteractionDataset, build_graph
 from pgtr.synthetic import clustered_interactions
 
@@ -36,7 +36,7 @@ class TestPropagate:
         g = graph_of([(0, 0)], 1, 1)
         adj = normalized_adjacency(g)
         h = constant(np.array([[1.0, 2.0], [5.0, -1.0]]))
-        out = propagate_layer(h, adj, BackboneConfig(), 0)
+        out = propagate_layer(h, adj)
         np.testing.assert_allclose(out.data, [[5.0, -1.0], [1.0, 2.0]])
 
     def test_two_degree_one_neighbors(self):
@@ -44,7 +44,7 @@ class TestPropagate:
         adj = normalized_adjacency(g)
         e1, e2 = np.array([2.0, 0.0]), np.array([0.0, 4.0])
         h = constant(np.vstack([[0.0, 0.0], e1, e2]))
-        out = propagate_layer(h, adj, BackboneConfig(), 0)
+        out = propagate_layer(h, adj)
         np.testing.assert_allclose(out.data[0], (e1 + e2) / np.sqrt(2))
 
     def test_matches_dense_product_oracle(self):
@@ -52,7 +52,7 @@ class TestPropagate:
         adj = normalized_adjacency(g)
         rng = np.random.default_rng(2)
         h = rng.standard_normal((20, 5))
-        out = propagate_layer(constant(h), adj, BackboneConfig(), 0)
+        out = propagate_layer(constant(h), adj)
         np.testing.assert_allclose(out.data, adj.toarray() @ h, atol=1e-12)
 
     def test_linearity(self):
@@ -61,10 +61,9 @@ class TestPropagate:
         rng = np.random.default_rng(4)
         h1 = rng.standard_normal((17, 4))
         h2 = rng.standard_normal((17, 4))
-        cfg = BackboneConfig()
-        lhs = propagate_layer(constant(2.0 * h1 + 0.5 * h2), adj, cfg, 0).data
-        rhs = 2.0 * propagate_layer(constant(h1), adj, cfg, 0).data \
-            + 0.5 * propagate_layer(constant(h2), adj, cfg, 0).data
+        lhs = propagate_layer(constant(2.0 * h1 + 0.5 * h2), adj).data
+        rhs = 2.0 * propagate_layer(constant(h1), adj).data \
+            + 0.5 * propagate_layer(constant(h2), adj).data
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_permutation_equivariance(self):
@@ -75,18 +74,16 @@ class TestPropagate:
         perm = rng.permutation(13)
         padj = adj.toarray()[np.ix_(perm, perm)]
         import scipy.sparse as sp
-        out_perm = propagate_layer(constant(h[perm]), sp.csr_matrix(padj),
-                                   BackboneConfig(), 0).data
-        out = propagate_layer(constant(h), adj, BackboneConfig(), 0).data
+        out_perm = propagate_layer(constant(h[perm]), sp.csr_matrix(padj)).data
+        out = propagate_layer(constant(h), adj).data
         np.testing.assert_allclose(out_perm, out[perm], atol=1e-12)
 
     def test_transform_variant_applies_map_and_nonlinearity(self):
         g = graph_of([(0, 0)], 1, 1)
         adj = normalized_adjacency(g)
         w = parameter(np.array([[1.0, 0.0], [0.0, -1.0]]))
-        cfg = BackboneConfig(variant="transform-gcn", transforms=[w])
         h = constant(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        out = propagate_layer(h, adj, cfg, 0)
+        out = propagate_layer(h, adj, w)
         # adj swaps rows, then x @ w.T, then leaky relu slope 0.2
         pre = np.array([[3.0, -4.0], [1.0, -2.0]])
         expected = np.where(pre > 0, pre, 0.2 * pre)
@@ -96,7 +93,7 @@ class TestPropagate:
         g = graph_of([(0, 0)], 1, 1)
         adj = normalized_adjacency(g)
         with pytest.raises(ValueError):
-            propagate_layer(constant(np.ones((3, 2))), adj, BackboneConfig(), 0)
+            propagate_layer(constant(np.ones((3, 2))), adj)
 
 
 class TestReadout:

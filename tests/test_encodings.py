@@ -8,12 +8,9 @@ from pgtr.data import InteractionDataset, build_graph, one_sided_adjacency
 from pgtr.encodings import (
     EncodingError,
     build_encoding_set,
-    degree_encoding,
     group_by_rank,
-    pagerank_encoding,
     position_tape,
     spectral_encoding,
-    type_table,
 )
 from pgtr.linalg import (
     DENSE_CUTOFF,
@@ -22,6 +19,7 @@ from pgtr.linalg import (
     pagerank,
     symmetric_eigs_smallest,
 )
+from pgtr.model import PGTRConfig
 from pgtr.synthetic import clustered_interactions
 
 
@@ -35,20 +33,30 @@ def random_graph(seed, n_users=20, n_items=25, per_user=6):
                                               per_user=per_user, seed=seed))
 
 
+def grouped_alone(g, name, groups, h, seed=0):
+    """The grouped encoding `name` of a set with every other encoding off,
+    and its users' and items' group ids (items' counted from 0)."""
+    cfg = PGTRConfig(d=2, h_d=h, h_r=h, h_y=h, n_d=groups, n_r=groups, use_spectral=False,
+                     **{f"use_{k}": k == name for k in ("degree", "pagerank", "type")})
+    (enc,) = build_encoding_set(g, cfg, np.random.default_rng(seed)).grouped
+    assert enc.name == name
+    return enc, enc.group_of[:g.n_users], enc.group_of[g.n_users:] - groups
+
+
 class TestGroupByRank:
     def test_forced_by_rank_rule(self):
-        asg = group_by_rank(np.array([1, 3, 3, 7]), 2)
-        assert asg.group_of.tolist() == [0, 0, 1, 1]
+        ids = group_by_rank(np.array([1, 3, 3, 7]), 2)
+        assert ids.tolist() == [0, 0, 1, 1]
 
     def test_index_tiebreak_on_equal_values(self):
-        asg = group_by_rank(np.zeros(4), 2)
-        assert asg.group_of.tolist() == [0, 0, 1, 1]
+        ids = group_by_rank(np.zeros(4), 2)
+        assert ids.tolist() == [0, 0, 1, 1]
 
     def test_uniform_sizes_and_monotone(self):
         rng = np.random.default_rng(0)
         values = rng.random(1000)
-        asg = group_by_rank(values, 10)
-        sizes = np.bincount(asg.group_of, minlength=10)
+        ids = group_by_rank(values, 10)
+        sizes = np.bincount(ids, minlength=10)
         assert sizes.tolist() == [100] * 10
         # group order never contradicts value order
         for a in range(1000):
@@ -56,11 +64,11 @@ class TestGroupByRank:
                 if b >= 1000:
                     break
                 if values[a] < values[b]:
-                    assert asg.group_of[a] <= asg.group_of[b] or values[a] == values[b]
+                    assert ids[a] <= ids[b] or values[a] == values[b]
 
     def test_uneven_sizes_differ_by_at_most_one(self):
-        asg = group_by_rank(np.arange(13), 5)
-        sizes = np.bincount(asg.group_of, minlength=5)
+        ids = group_by_rank(np.arange(13), 5)
+        sizes = np.bincount(ids, minlength=5)
         assert sizes.max() - sizes.min() <= 1
         assert sizes.tolist() == [3, 3, 3, 2, 2]
 
@@ -72,38 +80,43 @@ class TestGroupByRank:
 class TestSpectral:
     def test_lambda_zero_is_whole_graph_encoding(self):
         g = random_graph(1)
-        enc = spectral_encoding(g, 3, 0.0)
+        block = spectral_encoding(g, 3, 0.0)
         lap = normalized_laplacian(g.full_adjacency())
         vals, vecs = symmetric_eigs_smallest(lap, 4)
         skip = int(np.sum(vals < 1e-8))
-        np.testing.assert_allclose(enc.matrix, vecs[:, skip:skip + 3].T, atol=1e-12)
+        np.testing.assert_allclose(block, vecs[:, skip:skip + 3].T, atol=1e-12)
 
     def test_lambda_one_is_one_sided_encoding(self):
         g = random_graph(2)
-        enc = spectral_encoding(g, 2, 1.0)
+        block = spectral_encoding(g, 2, 1.0)
         lap_u = normalized_laplacian(one_sided_adjacency(g, "user"))
         vals_u, vecs_u = symmetric_eigs_smallest(lap_u, lap_u.shape[0])
         skip = int(np.sum(vals_u < 1e-8))
-        np.testing.assert_allclose(enc.matrix[:, :g.n_users],
+        np.testing.assert_allclose(block[:, :g.n_users],
                                    vecs_u[:, skip:skip + 2].T, atol=1e-10)
 
     def test_convex_mix(self):
         g = random_graph(3)
-        e0 = spectral_encoding(g, 2, 0.0).matrix
-        e1 = spectral_encoding(g, 2, 1.0).matrix
-        mid = spectral_encoding(g, 2, 0.25).matrix
+        e0 = spectral_encoding(g, 2, 0.0)
+        e1 = spectral_encoding(g, 2, 1.0)
+        mid = spectral_encoding(g, 2, 0.25)
         np.testing.assert_allclose(mid, 0.75 * e0 + 0.25 * e1, atol=1e-12)
 
     def test_k22_single_nontrivial_column(self):
         g = k22_graph()
-        enc = spectral_encoding(g, 1, 0.0)
+        block = spectral_encoding(g, 1, 0.0)
         lap = normalized_laplacian(g.full_adjacency())
         vals, vecs = symmetric_eigs_smallest(lap, 2)
         assert vals[0] < 1e-8 and vals[1] > 1e-8
-        np.testing.assert_allclose(enc.matrix, vecs[:, 1:2].T, atol=1e-12)
+        np.testing.assert_allclose(block, vecs[:, 1:2].T, atol=1e-12)
 
     def test_untrainable(self):
-        assert spectral_encoding(k22_graph(), 1, 0.0).trainable is False
+        # a plain array, not a Tensor: no gradient and no optimizer state
+        assert type(spectral_encoding(k22_graph(), 1, 0.0)) is np.ndarray
+        cfg = PGTRConfig(d=2, h_c=1, n_d=2, n_r=2)
+        enc = build_encoding_set(k22_graph(), cfg, np.random.default_rng(0))
+        assert type(enc.spectral.matrix) is np.ndarray
+        assert all(t.data is not enc.spectral.matrix for _, t in enc.trainable_tables())
 
     def test_deficit_error_reports_shortage(self):
         g = build_graph(InteractionDataset(1, 1, np.array([0]), np.array([0])))
@@ -146,7 +159,7 @@ def check_spectral_properties(g, h):
         with pytest.raises(EncodingError, match="non-trivial"):
             spectral_encoding(g, h, 0.0)
         return
-    rows = spectral_encoding(g, h, 0.0).matrix
+    rows = spectral_encoding(g, h, 0.0)
     np.testing.assert_allclose(rows @ rows.T, np.eye(h), atol=1e-8)
     assert np.abs(null.T @ rows.T).max() <= 1e-8
     lap = normalized_laplacian(adj)
@@ -180,37 +193,36 @@ class TestSpectralProperties:
 class TestDegreeAndPageRank:
     def test_degree_groups_monotone_in_degree(self):
         g = random_graph(4)
-        rng = np.random.default_rng(0)
-        (_, asg_u), (_, asg_i) = degree_encoding(g, 4, 3, rng)
+        _, user_ids, item_ids = grouped_alone(g, "degree", 4, 3)
         order = np.argsort(g.item_degree, kind="stable")
-        assert np.all(np.diff(asg_i.group_of[order]) >= 0)
+        assert np.all(np.diff(item_ids[order]) >= 0)
         order = np.argsort(g.user_degree, kind="stable")
-        assert np.all(np.diff(asg_u.group_of[order]) >= 0)
+        assert np.all(np.diff(user_ids[order]) >= 0)
 
     def test_identical_degrees_tiebreak_by_index(self):
         g = k22_graph()
-        (_, asg_u), (_, asg_i) = degree_encoding(g, 2, 3, np.random.default_rng(0))
-        assert asg_i.group_of.tolist() == [0, 1]
-        assert asg_u.group_of.tolist() == [0, 1]
+        _, user_ids, item_ids = grouped_alone(g, "degree", 2, 3)
+        assert item_ids.tolist() == [0, 1]
+        assert user_ids.tolist() == [0, 1]
 
     def test_table_shapes_and_init_range(self):
         g = random_graph(5)
-        (tab_u, _), (tab_i, _) = degree_encoding(g, 10, 4, np.random.default_rng(1))
-        assert tab_u.data.shape == (10, 4) and tab_i.data.shape == (10, 4)
+        enc, _, _ = grouped_alone(g, "degree", 10, 4, seed=1)
+        # the users' 10 rows, then the items' 10
+        assert enc.table.data.shape == (20, 4)
         bound = 0.1 / np.sqrt(4)
-        assert np.abs(tab_u.data).max() <= bound
-        assert tab_u.trainable and tab_i.trainable
+        assert np.abs(enc.table.data).max() <= bound
+        assert enc.table.trainable
 
     def test_pagerank_grouping_by_score(self):
         g = random_graph(6, n_users=25, n_items=25)
-        rng = np.random.default_rng(2)
-        (_, asg_u), (_, asg_i) = pagerank_encoding(g, 5, 3, rng)
+        _, user_ids, item_ids = grouped_alone(g, "pagerank", 5, 3, seed=2)
         scores = pagerank(g)
         order = np.argsort(scores[:g.n_users], kind="stable")
-        assert np.all(np.diff(asg_u.group_of[order]) >= 0)
+        assert np.all(np.diff(user_ids[order]) >= 0)
         # the most connected item lands in the top PageRank group
         top_item = int(np.argmax(g.item_degree))
-        assert asg_i.group_of[top_item] == 4
+        assert item_ids[top_item] == 4
 
     @settings(max_examples=150, deadline=None)
     @given(ds=awkward_interactions())
@@ -222,82 +234,84 @@ class TestDegreeAndPageRank:
 
     def test_single_edge_sole_ranks(self):
         g = build_graph(InteractionDataset(1, 1, np.array([0]), np.array([0])))
-        (_, asg_u), (_, asg_i) = pagerank_encoding(g, 1, 2, np.random.default_rng(0))
-        assert asg_u.group_of.tolist() == [0]
-        assert asg_i.group_of.tolist() == [0]
+        _, user_ids, item_ids = grouped_alone(g, "pagerank", 1, 2)
+        assert user_ids.tolist() == [0]
+        assert item_ids.tolist() == [0]
 
 
-def positions(enc):
+def positions(enc, d=6):
     """The taped position vectors as an array; no position term (None)
     reads as zeros, as in the forward pass."""
     pos = position_tape(enc)
-    return np.zeros((enc.n_users + enc.n_items, enc.d)) if pos is None else pos.data
+    return np.zeros((enc.n_users + enc.n_items, d)) if pos is None else pos.data
+
+
+def by_name(enc):
+    return {e.name: e for e in enc.grouped}
 
 
 class TestComposition:
     def build(self, seed=7, **kw):
         g = random_graph(seed)
-        rng = np.random.default_rng(seed)
-        defaults = dict(d=6, h_c=3, h_d=2, h_r=2, h_y=2, n_d=3, n_r=3,
-                        lambda_c=0.0, rng=rng)
+        defaults = dict(d=6, h_c=3, h_d=2, h_r=2, h_y=2, n_d=3, n_r=3, lambda_c=0.0)
         defaults.update(kw)
-        return g, build_encoding_set(g, **defaults)
+        return g, build_encoding_set(g, PGTRConfig(**defaults), np.random.default_rng(seed))
 
     def test_all_disabled_gives_zero(self):
         g, enc = self.build(use_spectral=False, use_degree=False,
                             use_pagerank=False, use_type=False)
-        assert not enc.any_enabled
+        assert position_tape(enc) is None and enc.trainable_tables() == []
         np.testing.assert_array_equal(positions(enc),
                                       np.zeros((g.n_nodes, 6)))
 
     def test_type_only_identity_projection(self):
         g, enc = self.build(use_spectral=False, use_degree=False, use_pagerank=False,
                             d=2, h_y=2)
-        enc.projection.w_user.data = np.eye(2)
-        enc.projection.w_item.data = 2 * np.eye(2)
-        enc.projection.w_type.data = np.eye(2)
+        types = by_name(enc)["type"]
+        enc.w_user.data = np.eye(2)
+        enc.w_item.data = 2 * np.eye(2)
+        types.projection.data = np.eye(2)
         pm = positions(enc)
-        np.testing.assert_allclose(pm[0], enc.types.data[1])
-        np.testing.assert_allclose(pm[g.n_users], 2 * enc.types.data[0])
+        np.testing.assert_allclose(pm[0], types.table.data[1])
+        np.testing.assert_allclose(pm[g.n_users], 2 * types.table.data[0])
 
     def test_matches_direct_dense_evaluation(self):
         g, enc = self.build(seed=9)
         n = g.n_users
-        p = enc.projection
+        deg, pr, ty = (by_name(enc)[k] for k in ("degree", "pagerank", "type"))
         for j in [0, 3, n, n + 4, g.n_nodes - 1]:
-            if j < n:
-                side_w, local = p.w_user.data, j
-                deg_row = enc.degree_user[0].data[enc.degree_user[1].group_of[local]]
-                pr_row = enc.pagerank_user[0].data[enc.pagerank_user[1].group_of[local]]
-                ty_row = enc.types.data[1]
-            else:
-                side_w, local = p.w_item.data, j - n
-                deg_row = enc.degree_item[0].data[enc.degree_item[1].group_of[local]]
-                pr_row = enc.pagerank_item[0].data[enc.pagerank_item[1].group_of[local]]
-                ty_row = enc.types.data[0]
-            inner = (p.w_spectral.data @ enc.spectral.matrix[:, j]
-                     + p.w_degree.data @ deg_row
-                     + p.w_pagerank.data @ pr_row
-                     + p.w_type.data @ ty_row)
+            side_w = enc.w_user.data if j < n else enc.w_item.data
+            deg_row = deg.table.data[deg.group_of[j]]
+            pr_row = pr.table.data[pr.group_of[j]]
+            ty_row = ty.table.data[1 if j < n else 0]
+            inner = (enc.spectral.projection.data @ enc.spectral.matrix[:, j]
+                     + deg.projection.data @ deg_row
+                     + pr.projection.data @ pr_row
+                     + ty.projection.data @ ty_row)
             np.testing.assert_allclose(positions(enc)[j], side_w @ inner, atol=1e-12)
 
     def test_linearity_in_each_table(self):
         g, enc = self.build(seed=11)
         base = positions(enc)
         enc2 = self.build(seed=11)[1]
-        enc2.types.data = enc.types.data * 2.0
+        by_name(enc2)["type"].table.data = by_name(enc)["type"].table.data * 2.0
         doubled = positions(enc2)
         # the type term's contribution doubles exactly
         g3, enc3 = self.build(seed=11)
-        enc3.types.data[:] = 0.0
+        by_name(enc3)["type"].table.data[:] = 0.0
         without = positions(enc3)
         np.testing.assert_allclose(doubled - without, 2.0 * (base - without), atol=1e-12)
 
     def test_group_sizes_within_one(self):
-        _, enc = self.build(seed=13)
-        for pair in (enc.degree_user, enc.degree_item, enc.pagerank_user, enc.pagerank_item):
-            sizes = np.bincount(pair[1].group_of, minlength=pair[1].n_groups)
-            assert sizes.max() - sizes.min() <= 1
+        g, enc = self.build(seed=13)
+        n = g.n_users
+        for name in ("degree", "pagerank"):
+            ids = by_name(enc)[name].group_of
+            # users take rows 0..2 and items rows 3..5 of the table
+            for side_ids in (ids[:n], ids[n:] - 3):
+                sizes = np.bincount(side_ids, minlength=3)
+                assert sizes.shape == (3,)
+                assert sizes.max() - sizes.min() <= 1
 
     def test_node_index_validated(self):
         _, enc = self.build()
@@ -306,6 +320,9 @@ class TestComposition:
 
 
 def test_type_table_two_rows():
-    t = type_table(4, np.random.default_rng(0))
-    assert t.data.shape == (2, 4)
-    assert t.trainable
+    g = random_graph(5)
+    types, _, _ = grouped_alone(g, "type", 1, 4)
+    assert types.table.data.shape == (2, 4)
+    assert types.table.trainable
+    # users read row 1, items row 0
+    assert types.group_of.tolist() == [1] * g.n_users + [0] * g.n_items

@@ -1,14 +1,19 @@
 """Model composition tests: reduction, mixing, census, checkpoints."""
+import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pgtr.autodiff as ad
 from pgtr.autodiff import constant
-from pgtr.backbone import BackboneConfig, normalized_adjacency, propagate_layer, readout
+from pgtr.backbone import normalized_adjacency, propagate_layer, readout
 from pgtr.data import InteractionDataset, build_graph
+from pgtr.encodings import EncodingError
 from pgtr.model import (
+    EMBED_INIT_STD,
     ModelState,
     PGTRConfig,
     count_added_parameters,
@@ -18,6 +23,7 @@ from pgtr.model import (
     save_checkpoint,
 )
 from pgtr.synthetic import clustered_interactions
+from test_encodings import awkward_interactions
 
 SMALL = dict(d=6, h_c=3, h_d=2, h_r=2, h_y=2, n_d=3, n_r=3, m_features=32)
 
@@ -30,26 +36,19 @@ def small_graph(seed=0, n_users=12, n_items=14):
     return build_graph(clustered_interactions(n_users, n_items, 3, per_user=5, seed=seed))
 
 
-def position_matrix(enc):
+def position_matrix(state):
     """Dense (N+M) x d position vectors for every node, users first,
     computed in plain numpy apart from the taped `position_tape`."""
+    enc = state.enc
     n, m = enc.n_users, enc.n_items
-    inner = np.zeros((n + m, enc.d))
-    p = enc.projection
-    if p is None:
+    inner = np.zeros((n + m, state.config.d))
+    if enc.w_user is None:
         return inner
     if enc.spectral is not None:
-        inner += enc.spectral.matrix.T @ p.w_spectral.data.T
-    for pair_u, pair_i, w in ((enc.degree_user, enc.degree_item, p.w_degree),
-                              (enc.pagerank_user, enc.pagerank_item, p.w_pagerank)):
-        if pair_u is not None:
-            (table_u, asg_u), (table_i, asg_i) = pair_u, pair_i
-            stacked = np.vstack([table_u.data[asg_u.group_of], table_i.data[asg_i.group_of]])
-            inner += stacked @ w.data.T
-    if enc.types is not None:
-        type_rows = np.concatenate([np.ones(n, dtype=np.int64), np.zeros(m, dtype=np.int64)])
-        inner += enc.types.data[type_rows] @ p.w_type.data.T
-    return np.vstack([inner[:n] @ p.w_user.data.T, inner[n:] @ p.w_item.data.T])
+        inner += enc.spectral.matrix.T @ enc.spectral.projection.data.T
+    for e in enc.grouped:
+        inner += e.table.data[e.group_of] @ e.projection.data.T
+    return np.vstack([inner[:n] @ enc.w_user.data.T, inner[n:] @ enc.w_item.data.T])
 
 
 def score(h_final, u, i, tau, n_users):
@@ -76,9 +75,8 @@ class TestBackboneReduction:
         adj = normalized_adjacency(g)
         h = constant(state.embeddings.data.copy())
         tables = [h]
-        bcfg = BackboneConfig()
         for l in range(cfg.layers):
-            h = propagate_layer(h, adj, bcfg, l)
+            h = propagate_layer(h, adj)
             tables.append(h)
         bare = readout(tables).data
         assert np.abs(got - bare).max() <= 1e-12
@@ -94,7 +92,7 @@ class TestBackboneReduction:
         h = constant(state.embeddings.data.copy())
         tables = [h]
         for l in range(cfg.layers):
-            h = propagate_layer(h, adj, BackboneConfig(), l)
+            h = propagate_layer(h, adj)
             tables.append(h)
         bare = readout(tables).data
         for u in range(g.n_users):
@@ -154,7 +152,7 @@ class TestDenseOracle:
         # independent dense evaluation of the whole chain, with the
         # unstabilized feature map phi(x) = exp(Wx - |x|^2/2)/sqrt(m)
         adj = normalized_adjacency(g).toarray()
-        pos = position_matrix(state.enc)
+        pos = position_matrix(state)
         scale = 1.0 / np.sqrt(cfg.d)
         h = state.embeddings.data + cfg.lambda1 * pos
         tables = [h]
@@ -252,6 +250,7 @@ class TestSpectralFrozen:
         cfg = PGTRConfig(**SMALL)
         state = init_model(g, cfg, seed=15)
         snapshot = state.enc.spectral.matrix.copy()
+        ids = [e.group_of.copy() for e in state.enc.grouped]
         params = state.parameters()
         opt = AdamState(params, lr=0.05)
         for _ in range(3):
@@ -260,6 +259,8 @@ class TestSpectralFrozen:
             ad.backward(loss)
             adam_step(opt)
         np.testing.assert_array_equal(state.enc.spectral.matrix, snapshot)
+        for e, before in zip(state.enc.grouped, ids, strict=True):
+            np.testing.assert_array_equal(e.group_of, before)
         assert all(name != "spectral" for name, _ in state.named_parameters())
 
 
@@ -309,6 +310,36 @@ class TestDifferentiability:
                 assert abs(fd - ref) / denom < 1e-4, f"{name}[{idx}]: {ref} vs {fd}"
 
 
+def read_checkpoint(path):
+    """The version, header and named blocks of a checkpoint file."""
+    raw = path.read_bytes()
+
+    def take(size):
+        nonlocal pos
+        pos += size
+        return raw[pos - size:pos]
+
+    pos = 5
+    (meta_len,) = struct.unpack("<I", take(4))
+    meta = json.loads(take(meta_len))
+    blocks = {}
+    for _ in range(struct.unpack("<I", take(4))[0]):
+        name = take(struct.unpack("<I", take(4))[0]).decode()
+        rows, cols = struct.unpack("<II", take(8))
+        blocks[name] = np.frombuffer(take(8 * rows * cols), "<f8").reshape(rows, cols).copy()
+    return raw[4], meta, blocks
+
+
+def write_checkpoint(path, version, meta, blocks):
+    header = json.dumps(meta).encode()
+    parts = [b"PGTR", struct.pack("<BI", version, len(header)), header,
+             struct.pack("<I", len(blocks))]
+    for name, block in blocks.items():
+        parts += [struct.pack("<I", len(name)), name.encode(),
+                  struct.pack("<II", *block.shape), block.astype("<f8").tobytes()]
+    path.write_bytes(b"".join(parts))
+
+
 class TestCheckpoint:
     def test_roundtrip_restores_forward_exactly(self, tmp_path):
         g = small_graph(9)
@@ -347,9 +378,16 @@ class TestCheckpoint:
         def no_solve(*args, **kwargs):
             raise AssertionError("load_checkpoint ran the eigensolver")
 
+        def no_pagerank(*args, **kwargs):
+            raise AssertionError("load_checkpoint ran PageRank")
+
         monkeypatch.setattr("pgtr.encodings.symmetric_eigs_smallest", no_solve)
+        monkeypatch.setattr("pgtr.encodings.pagerank", no_pagerank)
         restored = load_checkpoint(path, g)
         np.testing.assert_array_equal(restored.enc.spectral.matrix, state.enc.spectral.matrix)
+        for got, want in zip(restored.enc.grouped, state.enc.grouped, strict=True):
+            assert got.name == want.name and got.group_of.dtype == np.int64
+            np.testing.assert_array_equal(got.group_of, want.group_of)
         np.testing.assert_array_equal(forward(restored).data, forward(state).data)
 
     def test_truncated_file_names_the_short_section(self, tmp_path):
@@ -378,16 +416,55 @@ class TestCheckpoint:
                 load_checkpoint(path, g)
 
     def test_version_2_rejected(self, tmp_path):
-        """Version-2 headers carry the removed `attention` field."""
+        """Version-2 headers carry the removed `attention` field; version 3
+        files hold no group ids."""
         g = small_graph(15)
         path = tmp_path / "model.ckpt"
         save_checkpoint(init_model(g, PGTRConfig(**SMALL), seed=24), path)
         raw = bytearray(path.read_bytes())
-        assert raw[4] == 3
-        raw[4] = 2
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="^unsupported checkpoint version 2$"):
-            load_checkpoint(path, g)
+        assert raw[4] == 4
+        for version in (2, 3):
+            raw[4] = version
+            path.write_bytes(bytes(raw))
+            with pytest.raises(ValueError, match=f"^unsupported checkpoint version {version}$"):
+                load_checkpoint(path, g)
+
+    def test_malformed_header_names_the_field(self, tmp_path):
+        g = small_graph(16)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(g, PGTRConfig(**SMALL), seed=25), path)
+        raw = path.read_bytes()
+        version, meta, blocks = read_checkpoint(path)
+        write_checkpoint(path, version, meta, blocks)
+        assert path.read_bytes() == raw  # the test's reader and writer match the format
+        edits = {"'seed'": lambda m: m.pop("seed"),
+                 "'attention'": lambda m: m["config"].update(attention="kernelized")}
+        for field, edit in edits.items():
+            bad = json.loads(json.dumps(meta))
+            edit(bad)
+            write_checkpoint(path, version, bad, blocks)
+            with pytest.raises(ValueError, match=field):
+                load_checkpoint(path, g)
+
+    def test_malformed_group_ids_name_the_block(self, tmp_path):
+        g = small_graph(17)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(g, PGTRConfig(**SMALL), seed=26), path)
+        version, meta, blocks = read_checkpoint(path)
+        ids = blocks["pagerank_groups"]
+        assert ids.shape == (1, g.n_users + g.n_items) and ids.max() == 2 * SMALL["n_r"] - 1
+        for bad in (None, ids[:, :-1], 0.5, -1.0, 2.0 * SMALL["n_r"], np.nan):
+            edited = dict(blocks)
+            if bad is None:
+                del edited["pagerank_groups"]
+            elif np.ndim(bad):
+                edited["pagerank_groups"] = bad
+            else:
+                edited["pagerank_groups"] = ids.copy()
+                edited["pagerank_groups"][0, 3] = bad
+            write_checkpoint(path, version, meta, edited)
+            with pytest.raises(ValueError, match="'pagerank_groups'"):
+                load_checkpoint(path, g)
 
     def test_garbage_rejected(self, tmp_path):
         p = tmp_path / "bad.ckpt"
@@ -395,3 +472,98 @@ class TestCheckpoint:
         g = small_graph(12)
         with pytest.raises(ValueError, match="checkpoint"):
             load_checkpoint(p, g)
+
+
+class TestDrawOrder:
+    @pytest.mark.parametrize("kw", [
+        {},
+        dict(backbone="transform-gcn", use_projections=True),
+        dict(use_degree=False, use_type=False),
+        dict(use_spectral=False, use_degree=False, use_pagerank=False, use_type=False,
+             backbone="transform-gcn"),
+    ])
+    def test_replays_from_the_seed(self, kw):
+        """`init_model` draws from `default_rng(seed)`, in order: the
+        embeddings; the degree, PageRank and type tables; the item, user,
+        spectral, degree, PageRank and type projections; the backbone
+        transforms; each layer's q, k and v projections; the feature-map
+        seeds.  Checkpoints and repeated runs rely on it."""
+        g = small_graph(18)
+        cfg = PGTRConfig(**SMALL, **kw)
+        state = init_model(g, cfg, seed=27)
+        rng = np.random.default_rng(27)
+
+        def uniform(rows, cols):
+            bound = 0.1 / np.sqrt(cols)
+            return rng.uniform(-bound, bound, size=(rows, cols))
+
+        n_nodes = g.n_users + g.n_items
+        want = {"embeddings": rng.normal(0.0, EMBED_INIT_STD, size=(n_nodes, cfg.d))}
+        grouped = [(name, groups, h) for name, groups, h in
+                   (("degree", cfg.n_d, cfg.h_d), ("pagerank", cfg.n_r, cfg.h_r), ("type", 1, cfg.h_y))
+                   if getattr(cfg, f"use_{name}")]
+        for name, groups, h in grouped:
+            want[name] = uniform(2 * groups, h)
+        if cfg.use_spectral or grouped:
+            want["proj_item"] = uniform(cfg.d, cfg.d)
+            want["proj_user"] = uniform(cfg.d, cfg.d)
+        if cfg.use_spectral:
+            want["proj_spectral"] = uniform(cfg.d, cfg.h_c)
+        for name, _, h in grouped:
+            want[f"proj_{name}"] = uniform(cfg.d, h)
+        if cfg.backbone == "transform-gcn":
+            for l in range(cfg.layers):
+                want[f"backbone_w{l}"] = uniform(cfg.d, cfg.d)
+        if cfg.use_projections:
+            for l in range(cfg.layers):
+                for tag in "qkv":
+                    want[f"attn_{tag}{l}"] = uniform(cfg.d, cfg.d)
+        seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(cfg.layers)]
+
+        got = dict(state.named_parameters())
+        assert list(got) == list(want)
+        for name, data in want.items():
+            np.testing.assert_array_equal(got[name].data, data, err_msg=name)
+        assert [fm.seed for fm in state.feature_maps] == seeds
+
+
+class TestRejectedBeforeSolving:
+    @pytest.fixture(autouse=True)
+    def no_solve(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("init_model solved before checking its input")
+
+        monkeypatch.setattr("pgtr.encodings.symmetric_eigs_smallest", fail)
+        monkeypatch.setattr("pgtr.encodings.pagerank", fail)
+
+    def test_unknown_backbone(self):
+        with pytest.raises(ValueError, match="unknown backbone 'lightgnc'"):
+            init_model(small_graph(19), PGTRConfig(backbone="lightgnc"))
+
+    def test_side_with_fewer_nodes_than_groups(self):
+        with pytest.raises(EncodingError, match="^degree encoding needs 10 groups per side, "
+                                                "but the user side has 5 nodes$"):
+            init_model(small_graph(20, n_users=5), PGTRConfig())
+        with pytest.raises(EncodingError, match="^pagerank encoding needs 7 groups per side, "
+                                                "but the item side has 6 nodes$"):
+            init_model(small_graph(20, n_items=6), PGTRConfig(n_d=2, n_r=7))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ds=awkward_interactions(), n_d=st.integers(1, 6), n_r=st.integers(1, 6),
+       h_c=st.integers(1, 4), lambda_c=st.sampled_from([0.0, 0.5]))
+@example(ds=InteractionDataset(1, 3, np.array([0, 0]), np.array([0, 2])),
+         n_d=1, n_r=1, h_c=1, lambda_c=0.0)
+def test_init_builds_or_raises_a_typed_error(ds, n_d, n_r, h_c, lambda_c):
+    cfg = PGTRConfig(d=4, h_c=h_c, h_d=2, h_r=2, h_y=2, n_d=n_d, n_r=n_r, m_features=8,
+                     lambda_c=lambda_c)
+    g = build_graph(ds)
+    if min(ds.n_users, ds.n_items) < max(n_d, n_r):
+        with pytest.raises(EncodingError, match="groups per side"):
+            init_model(g, cfg)
+        return
+    try:
+        state = init_model(g, cfg)
+    except (EncodingError, ValueError):
+        return
+    assert [e.name for e in state.enc.grouped] == ["degree", "pagerank", "type"]
