@@ -2,9 +2,11 @@
 
 Implements only the operations the recommender needs: dense and sparse
 matrix products, broadcast elementwise arithmetic, exp/log, row
-gather/slice/concat, L2 row normalization, row-wise log-sum-exp under a
-boolean keep-mask, and reductions.  Every operation validates its output
-for finiteness and aborts with the operation name on NaN/Inf.
+gather/slice/concat, L2 row normalization and reductions.  Modules add
+fused ops through `_make` with a hand-written backward:
+`attention.kernelized_attention` and the sampled-softmax loss of
+`train.batch_loss`.  Every operation validates its output for finiteness
+and aborts with the operation name on NaN/Inf.
 
 An op records a backward closure only when some input needs a gradient
 (a trainable leaf or a node computed from one), and the closure computes
@@ -37,7 +39,6 @@ __all__ = [
     "concat_rows",
     "spmm",
     "l2_normalize_rows",
-    "logsumexp_rows",
     "backward",
     "zero_grad",
 ]
@@ -253,15 +254,19 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
 
     def bw(g):
-        # scatter-add through bincount on flat positions: like np.add.at it
-        # adds repeated rows in index order (bit for bit), at a fraction of
-        # add.at's per-element cost
-        width = int(np.prod(a.data.shape[1:]))
-        flat = (idx.reshape(-1, 1) * width + np.arange(width)).ravel()
-        ga = np.bincount(flat, weights=g.ravel(), minlength=a.data.size)
-        _accum(a, ga.reshape(a.data.shape))
+        _accum(a, _scatter_rows(g, idx, a.data.shape))
 
     return _make(a.data[idx], "gather_rows", (a,), bw)
+
+
+def _scatter_rows(rows: np.ndarray, idx: np.ndarray, shape) -> np.ndarray:
+    """Zeros of `shape` with row j of `rows` added at row idx[j]: the
+    backward of a row gather.  A scatter-add through bincount on flat
+    positions: like np.add.at it adds repeated rows in index order (bit for
+    bit), at a fraction of add.at's per-element cost."""
+    width = int(np.prod(shape[1:]))
+    flat = (idx.reshape(-1, 1) * width + np.arange(width)).ravel()
+    return np.bincount(flat, weights=rows.ravel(), minlength=shape[0] * width).reshape(shape)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
@@ -306,37 +311,6 @@ def l2_normalize_rows(a: Tensor) -> Tensor:
         _accum(a, (g - data * inner) / norms)
 
     return _make(data, "l2_normalize_rows", (a,), bw)
-
-
-def logsumexp_rows(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Row-wise log(sum(exp)) over the entries `mask` keeps.
-
-    `mask` is a constant boolean array of `a`'s shape (any other dtype
-    keeps its nonzero entries); None keeps every entry.  Every row must
-    keep at least one entry.  The forward pass keeps the row's exponentials
-    and their sum, so the backward pass is one multiply.
-    """
-    x = a.data
-    if mask is None:
-        mx = x.max(axis=1, keepdims=True)
-        e = x - mx
-    else:
-        if mask.shape != x.shape:
-            raise ValueError("mask shape mismatch")
-        keep = mask.astype(bool, copy=False)
-        if not keep.any(axis=1).all():
-            raise ValueError("logsumexp_rows: some row has no unmasked entry")
-        e = np.where(keep, x, -np.inf)
-        mx = e.max(axis=1, keepdims=True)
-        e -= mx
-    np.exp(e, out=e)  # dropped entries become exp(-inf) = 0
-    total = e.sum(axis=1, keepdims=True)
-    data = mx + np.log(total)
-
-    def bw(g):
-        _accum(a, e * (g / total))
-
-    return _make(data, "logsumexp_rows", (a,), bw)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:

@@ -10,7 +10,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import struct
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +67,10 @@ class PGTRConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} must lie in [0, 1]")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError("tau must be positive and finite")
         for name in ("d", "layers", "h_c", "h_d", "h_r", "h_y", "n_d", "n_r", "m_features"):
-            if getattr(self, name) < 1:
+            if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.backbone not in ("lightgcn", "transform-gcn"):
             raise ValueError(f"unknown backbone {self.backbone!r}")
@@ -78,9 +80,19 @@ class PGTRConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PGTRConfig":
-        unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+        """The config a `to_dict` record describes.  Raises ValueError naming
+        the field on an unknown key or a value of the wrong type: an int
+        field takes an int, a float field an int or a float, and only a
+        bool field takes a bool."""
+        types = typing.get_type_hints(cls)
+        unknown = sorted(set(d) - types.keys())
         if unknown:
             raise ValueError(f"unknown config field {unknown[0]!r}")
+        for name, value in d.items():
+            want = (int, float) if types[name] is float else types[name]
+            if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
+                raise ValueError(f"config field {name!r} must be "
+                                 f"{types[name].__name__}, got {value!r}")
         cfg = cls(**d)
         cfg.validate()
         return cfg
@@ -272,8 +284,9 @@ def load_checkpoint(path, graph: BipartiteGraph) -> ModelState:
         raise ValueError("checkpoint was built for a different graph")
     cfg = PGTRConfig.from_dict(meta["config"])
     state = _init_model(graph, cfg, meta["seed"], stored=blocks)
-    state.feature_maps = [make_feature_map(cfg.m_features, cfg.d, s)
-                          for s in meta["feature_map_seeds"]]
+    if meta["feature_map_seeds"] != [rf.seed for rf in state.feature_maps]:
+        raise ValueError("checkpoint field 'feature_map_seeds' differs from the "
+                         "feature maps its seed draws")
     for name, tensor in state.named_parameters():
         if name not in blocks:
             raise ValueError(f"checkpoint missing parameter block {name!r}")

@@ -40,10 +40,10 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, low in (("batch_size", 2), ("max_epochs", 1), ("patience", 1), ("k", 1)):
-            if getattr(self, name) < low:
+            if not getattr(self, name) >= low:
                 raise ValueError(f"{name} must be >= {low}")
-        if self.lr < 0:
-            raise ValueError("lr must be >= 0")
+        if not 0 <= self.lr < np.inf:
+            raise ValueError("lr must be finite and >= 0")
 
 
 @dataclass
@@ -83,13 +83,14 @@ def batch_loss(state: ModelState, users: np.ndarray, items: np.ndarray,
     sequence of n_users per-user item-id sequences, converted on every
     call.  Each pair is scored against the batch's distinct items: a (b ×
     distinct items) table whose row keeps the pair's positive and the
-    items its user never trained on.  Returns the scalar loss tensor and
+    items its user never trained on.  The loss after the forward pass's
+    row normalization is one tape node, `in_batch_softmax`, with a
+    hand-written backward.  Returns the scalar loss tensor and
     the number of pairs skipped for lack of negatives.  Raises ValueError
     when `user_items` has the wrong shape or an item id outside
     [0, n_items), when a pair's id is out of range, or when a pair's item
     is not among its user's training items.
     """
-    cfg = state.config
     user_items = _user_items(user_items, "user_items", (state.n_users, state.n_items),
                              "the model's user-item table")
     for name, ids, n in (("user", users, state.n_users), ("item", items, state.n_items)):
@@ -106,17 +107,51 @@ def batch_loss(state: ModelState, users: np.ndarray, items: np.ndarray,
     n_keep = int(keep.sum())
     if n_keep == 0:
         raise ValueError("every pair in the batch lacks negatives")
-    h = forward(state)
-    h_norm = ad.l2_normalize_rows(h)
-    # 1/tau scales the (b, d) user rows: cheaper than scaling the (b, u) scores
-    su = ad.gather_rows(h_norm, users) * (1.0 / cfg.tau)
-    si = ad.gather_rows(h_norm, state.n_users + uniq)
-    scores = ad.matmul(su, ad.transpose(si))
-    pos = ad.sum_axis(su * ad.gather_rows(si, inv), axis=1)
-    lse = ad.logsumexp_rows(scores, mask)
-    per_pair = (lse - pos) * keep[:, None].astype(np.float64)
-    loss = ad.sum_axis(per_pair, axis=None, keepdims=False) * (1.0 / n_keep)
+    h_norm = ad.l2_normalize_rows(forward(state))
+    loss = _in_batch_softmax(h_norm, users, state.n_users + uniq, inv, mask, keep,
+                             1.0 / state.config.tau)
     return loss, users.size - n_keep
+
+
+def _in_batch_softmax(h: Tensor, users: np.ndarray, item_rows: np.ndarray,
+                      inv: np.ndarray, mask: np.ndarray, keep: np.ndarray,
+                      inv_tau: float) -> Tensor:
+    """The mean over kept pairs of log-sum-exp over a row's unmasked scores
+    minus its positive score, as one tape node whose parent is `h`.
+
+    U = h[users] * inv_tau (scaling the (b, d) rows is cheaper than the
+    (b, u) scores) and I = h[item_rows] give the scores S = U I^T; pair a's
+    positive is column inv[a].  S becomes its row-shifted exponentials in
+    place, and the backward scales them in place into the softmax weights,
+    so the op holds one (b, u) table.  The arithmetic is that of the taped
+    composition (gathers, matmul, masked log-sum-exp, sums), so the loss
+    and h's gradient are the same bit for bit.
+    """
+    u = h.data[users] * inv_tau
+    items = h.data[item_rows]
+    items_inv = items[inv]
+    e = u @ items.T
+    np.copyto(e, -np.inf, where=~mask)
+    top = e.max(axis=1, keepdims=True)
+    e -= top
+    np.exp(e, out=e)  # masked entries become exp(-inf) = 0
+    total = e.sum(axis=1, keepdims=True)
+    lse = top + np.log(total)
+    pos = (u * items_inv).sum(axis=1, keepdims=True)
+    n_keep = int(np.count_nonzero(keep))
+    keep_col = keep[:, None].astype(np.float64)
+    loss = ((lse - pos) * keep_col).sum() * (1.0 / n_keep)
+
+    def bw(g):
+        w = g * (1.0 / n_keep) * keep_col
+        p = np.multiply(e, w / total, out=e)
+        d_u = p @ items - w * items_inv
+        d_items = (u.T @ p).T - ad._scatter_rows(w * u, inv, items.shape)
+        grad = ad._scatter_rows(d_u * inv_tau, users, h.data.shape)
+        grad[item_rows] += d_items
+        ad._accum(h, grad)
+
+    return ad._make(loss, "in_batch_softmax", (h,), bw)
 
 
 def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,

@@ -1,10 +1,44 @@
-"""Gradient engine tests: every primitive against central finite differences."""
+"""Gradient engine tests: every primitive against central finite differences.
+
+`logsumexp_rows` below is a taped row-wise log-sum-exp under an optional
+keep-mask.  `src/` has none (the sampled-softmax loss is one fused node);
+it is a piece of the oracles in `test_attention.py` and `test_train.py`.
+"""
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import pgtr.autodiff as ad
 from pgtr.autodiff import NumericsError, Tensor, constant, parameter
+
+
+def logsumexp_rows(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Row-wise log(sum(exp)) over the entries `mask` keeps, on the tape.
+
+    `mask` is a constant boolean array of `a`'s shape (any other dtype
+    keeps its nonzero entries); None keeps every entry.  Every row must
+    keep at least one entry.
+    """
+    x = a.data
+    if mask is None:
+        mx = x.max(axis=1, keepdims=True)
+        e = x - mx
+    else:
+        if mask.shape != x.shape:
+            raise ValueError("mask shape mismatch")
+        keep = mask.astype(bool, copy=False)
+        if not keep.any(axis=1).all():
+            raise ValueError("logsumexp_rows: some row has no unmasked entry")
+        e = np.where(keep, x, -np.inf)
+        mx = e.max(axis=1, keepdims=True)
+        e -= mx
+    np.exp(e, out=e)  # dropped entries become exp(-inf) = 0
+    total = e.sum(axis=1, keepdims=True)
+
+    def bw(g):
+        ad._accum(a, e * (g / total))
+
+    return ad._make(mx + np.log(total), "logsumexp_rows", (a,), bw)
 
 
 def finite_difference_check(build_loss, arrays, h=1e-5, rtol=1e-4):
@@ -152,13 +186,13 @@ class TestPrimitiveGradients:
         finite_difference_check(self._weighted(ad.l2_normalize_rows), [x])
 
     def test_logsumexp_rows(self):
-        finite_difference_check(self._weighted(ad.logsumexp_rows), [rand(self.rng, 4, 5)])
+        finite_difference_check(self._weighted(logsumexp_rows), [rand(self.rng, 4, 5)])
 
     def test_logsumexp_rows_masked(self):
         mask = (np.random.default_rng(5).random((4, 5)) > 0.4).astype(float)
         mask[:, 0] = 1.0
         finite_difference_check(
-            self._weighted(lambda t: ad.logsumexp_rows(t, mask)),
+            self._weighted(lambda t: logsumexp_rows(t, mask)),
             [rand(self.rng, 4, 5)])
 
     def test_composite_model_like_loss(self):
@@ -175,7 +209,7 @@ class TestPrimitiveGradients:
             h = ad.l2_normalize_rows(ad.matmul(h, w) + x * 0.3)
             rows = ad.gather_rows(h, idx)
             scores = ad.matmul(rows, ad.transpose(rows)) * 2.0
-            lse = ad.logsumexp_rows(scores, mask)
+            lse = logsumexp_rows(scores, mask)
             return mean_all(lse - ad.sum_axis(rows * rows, axis=1))
 
         finite_difference_check(build, [rand(rng, 6, 4) + 0.5, rand(rng, 4, 4)])
@@ -220,4 +254,4 @@ class TestNormalizeAndMaskErrors:
     def test_empty_mask_row_rejected(self):
         x = constant(np.ones((2, 2)))
         with pytest.raises(ValueError, match="no unmasked"):
-            ad.logsumexp_rows(x, np.array([[1.0, 0.0], [0.0, 0.0]]))
+            logsumexp_rows(x, np.array([[1.0, 0.0], [0.0, 0.0]]))

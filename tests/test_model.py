@@ -446,6 +446,37 @@ class TestCheckpoint:
             with pytest.raises(ValueError, match=field):
                 load_checkpoint(path, g)
 
+    def test_feature_map_seeds_must_match_the_seed(self, tmp_path):
+        """A stored seed list of another length or value fails the load;
+        before, a short list loaded and the first forward raised IndexError."""
+        g = small_graph(18)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(g, PGTRConfig(**SMALL, layers=2), seed=27), path)
+        version, meta, blocks = read_checkpoint(path)
+        seeds = meta["feature_map_seeds"]
+        assert len(seeds) == 2
+        for bad in (seeds[:1], seeds + seeds[:1], [seeds[0], seeds[1] + 1], []):
+            write_checkpoint(path, version, dict(meta, feature_map_seeds=bad), blocks)
+            with pytest.raises(ValueError, match="^checkpoint field 'feature_map_seeds' "):
+                load_checkpoint(path, g)
+
+    @pytest.mark.parametrize("field, value", [
+        ("d", "6"), ("d", 6.0), ("layers", True), ("tau", "0.2"), ("tau", False),
+        ("use_spectral", "no"), ("use_spectral", 1), ("backbone", 1)])
+    def test_header_value_of_the_wrong_type_names_the_field(self, tmp_path, field, value):
+        g = small_graph(16)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(g, PGTRConfig(**SMALL), seed=25), path)
+        version, meta, blocks = read_checkpoint(path)
+        meta["config"][field] = value
+        write_checkpoint(path, version, meta, blocks)
+        with pytest.raises(ValueError, match=f"^config field '{field}' must be "):
+            load_checkpoint(path, g)
+
+    def test_float_field_takes_an_int(self):
+        cfg = PGTRConfig.from_dict(dict(PGTRConfig().to_dict(), tau=1, lambda3=0))
+        assert (cfg.tau, cfg.lambda3) == (1, 0)
+
     def test_malformed_group_ids_name_the_block(self, tmp_path):
         g = small_graph(17)
         path = tmp_path / "model.ckpt"
@@ -539,6 +570,14 @@ class TestRejectedBeforeSolving:
     def test_unknown_backbone(self):
         with pytest.raises(ValueError, match="unknown backbone 'lightgnc'"):
             init_model(small_graph(19), PGTRConfig(backbone="lightgnc"))
+
+    @pytest.mark.parametrize("field, value", [
+        ("tau", 0.0), ("tau", -0.2), ("tau", float("nan")), ("tau", float("inf")),
+        ("lambda3", float("nan")), ("lambda1", float("inf")), ("lambda_c", -0.5),
+        ("d", 0), ("m_features", float("nan"))])
+    def test_out_of_range_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}"):
+            init_model(small_graph(19), PGTRConfig(**{field: value}))
 
     def test_side_with_fewer_nodes_than_groups(self):
         with pytest.raises(EncodingError, match="^degree encoding needs 10 groups per side, "

@@ -3,6 +3,7 @@ import logging
 import math
 import re
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from pgtr.train import (
     ranking_metrics,
     train,
 )
+from test_attention import held_arrays
+from test_autodiff import logsumexp_rows
 
 
 def ssm_loss(score_pos, scores_neg) -> float:
@@ -119,6 +122,38 @@ def oracle_batch_loss(state, users, items, items_of) -> tuple[float, int]:
     if not pos_scores:
         return math.nan, len(batch)
     return ssm_loss(pos_scores, neg_scores), len(batch) - len(pos_scores)
+
+
+def taped_in_batch_softmax(h, users, item_rows, inv, mask, keep, inv_tau):
+    """The loss as the taped composition of gathers, products, a matmul, the
+    masked log-sum-exp and sums that `_in_batch_softmax` fuses into one
+    node: its oracle."""
+    su = ad.gather_rows(h, users) * inv_tau
+    si = ad.gather_rows(h, item_rows)
+    scores = ad.matmul(su, ad.transpose(si))
+    pos = ad.sum_axis(su * ad.gather_rows(si, inv), axis=1)
+    lse = logsumexp_rows(scores, mask)
+    per_pair = (lse - pos) * keep[:, None].astype(np.float64)
+    return ad.sum_axis(per_pair, axis=None, keepdims=False) * (1.0 / np.count_nonzero(keep))
+
+
+@st.composite
+def softmax_batches(draw):
+    """A random node table, per-user training items and a batch of training
+    pairs drawn with replacement, so users and items repeat.  One user
+    trained on every item, so its pairs keep no negative; half the batches
+    hold one distinct item, so no pair keeps one."""
+    n_users = draw(st.integers(1, 6))
+    n_items = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    trained = rng.random((n_users, n_items)) < 0.5
+    trained[draw(st.integers(0, n_users - 1))] = True
+    pairs = np.argwhere(trained)
+    if draw(st.booleans()):
+        pairs = pairs[pairs[:, 1] == pairs[0, 1]]
+    users, items = pairs[rng.integers(0, len(pairs), size=draw(st.integers(2, 16)))].T
+    h = rng.standard_normal((n_users + n_items, draw(st.integers(1, 5))))
+    return h, sp.csr_matrix(trained), users, items, draw(st.sampled_from([0.05, 0.2, 1.0]))
 
 
 def tiny_state(ds, seed):
@@ -266,22 +301,51 @@ class TestBatchLossTape:
             batch_loss(state, users, items, user_items)
 
     def test_score_table_is_batch_by_distinct_items(self, small_model):
-        """The tape holds a (b, u) score table and no node of b * b entries."""
+        """Everything after the row normalization is one node, which keeps
+        one (b, u) table for its backward; no array on the tape or in a
+        backward closure has b * b entries."""
         ds, state = small_model
         sel = np.random.default_rng(3).integers(0, len(ds), size=24)
         users, items = ds.users[sel], ds.items[sel]
         b, u = users.size, np.unique(items).size
-        assert u < b
+        # no other array the op holds is (b, u): its rows and columns are
+        # (b, d), (u, d) and (b, 1)
+        assert 1 < u < b and u != state.config.d
         loss, _ = batch_loss(state, users, items, ds.items_of_user())
-        nodes, stack = {}, [loss]
-        while stack:
-            node = stack.pop()
-            if id(node) not in nodes:
-                nodes[id(node)] = node
-                stack.extend(node._parents)
-        [lse] = [n for n in nodes.values() if n._op == "logsumexp_rows"]
-        assert lse._parents[0].shape == (b, u)
-        assert max(n.data.size for n in nodes.values()) < b * b
+        assert loss._op == "in_batch_softmax"
+        [h_norm] = loss._parents
+        assert h_norm._op == "l2_normalize_rows"
+        held = held_arrays(loss)
+        assert sum(a.shape == (b, u) for a in held) == 1
+        assert max(a.size for a in held) < b * b
+
+    @given(batch=softmax_batches())
+    def test_fused_loss_matches_taped_oracle(self, batch):
+        """The loss node of `batch_loss` on a given node table against the
+        taped composition: the same loss and the same gradient of the
+        normalized table, bit for bit, or the same lack of negatives."""
+        h, trained, users, items, tau = batch
+        n_users, n_items = trained.shape
+        state = SimpleNamespace(n_users=n_users, n_items=n_items,
+                                config=SimpleNamespace(tau=tau))
+        uniq, inv, mask, _ = _batch_mask(users, items, trained)
+        keep = np.count_nonzero(mask, axis=1) >= 2
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sys.modules["pgtr.train"], "forward", lambda s: ad.parameter(h))
+            if not keep.any():
+                with pytest.raises(ValueError, match="every pair in the batch lacks negatives"):
+                    batch_loss(state, users, items, trained)
+                return
+            loss, skipped = batch_loss(state, users, items, trained)
+        [h_norm] = loss._parents
+        ad.backward(loss)
+        want_norm = ad.parameter(h_norm.data)
+        want = taped_in_batch_softmax(want_norm, users, n_users + uniq, inv, mask, keep,
+                                      1.0 / tau)
+        ad.backward(want)
+        assert skipped == np.count_nonzero(~keep)
+        assert loss.data.tobytes() == want.data.tobytes()
+        assert h_norm.grad.tobytes() == want_norm.grad.tobytes()
 
     def test_backward_never_differentiates_a_constant(self, small_model, monkeypatch):
         """No gradient is formed for a constant such as 1/tau or the mask."""
@@ -470,7 +534,8 @@ class TestTrainLoop:
         assert [row["skipped_pairs"] for row in history] == [4, 4, 4]
 
     @pytest.mark.parametrize("field, value", [
-        ("k", 0), ("lr", -1e-3), ("max_epochs", 0), ("batch_size", 1), ("patience", 0)])
+        ("k", 0), ("lr", -1e-3), ("max_epochs", 0), ("batch_size", 1), ("patience", 0),
+        ("lr", float("nan")), ("lr", float("inf")), ("batch_size", float("nan"))])
     def test_config_rejects_out_of_range_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must"):
             TrainConfig(**{field: value})
