@@ -1,12 +1,12 @@
 """Reverse-mode gradient engine over float64 numpy arrays.
 
-Implements only the operations the recommender needs: dense and sparse
-matrix products, broadcast elementwise arithmetic, exp/log, row
-gather/slice/concat, L2 row normalization and reductions.  Modules add
-fused ops through `_make` with a hand-written backward:
-`attention.kernelized_attention` and the sampled-softmax loss of
-`train.batch_loss`.  Every operation validates its output for finiteness
-and aborts with the operation name on NaN/Inf.
+Holds only the operations the model runs: broadcast add and multiply,
+dense matrix product and transpose, a constant sparse matrix times a
+tensor, leaky ReLU and L2 row normalization.  Modules add fused ops
+through `_make` with a hand-written backward: the position vectors of
+`encodings.position_tape`, `attention.kernelized_attention` and the
+sampled-softmax loss of `train.batch_loss`.  Every operation validates its
+output for finiteness and aborts with the operation name on NaN/Inf.
 
 An op records a backward closure only when some input needs a gradient
 (a trainable leaf or a node computed from one), and the closure computes
@@ -22,21 +22,11 @@ __all__ = [
     "NumericsError",
     "Tensor",
     "parameter",
-    "constant",
     "add",
-    "sub",
     "mul",
-    "div",
-    "neg",
     "matmul",
     "transpose",
-    "exp",
-    "log",
     "leaky_relu",
-    "sum_axis",
-    "gather_rows",
-    "slice_rows",
-    "concat_rows",
     "spmm",
     "l2_normalize_rows",
     "backward",
@@ -86,10 +76,6 @@ class Tensor:
         self._op = "leaf"
         self._needs = self.trainable
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def item(self) -> float:
         return float(self.data)
 
@@ -101,42 +87,12 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
     def __mul__(self, other):
         return mul(self, _wrap(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    @property
-    def T(self):
-        return transpose(self)
 
 
 def parameter(data, name: str | None = None) -> Tensor:
     return Tensor(data, trainable=True, name=name)
-
-
-def constant(data, name: str | None = None) -> Tensor:
-    return Tensor(data, trainable=False, name=name)
 
 
 def _wrap(x) -> Tensor:
@@ -174,25 +130,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _binary("add", a.data + b.data, a, b, lambda g: g, lambda g: g)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _binary("sub", a.data - b.data, a, b, lambda g: g, lambda g: -g)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return _binary("mul", a.data * b.data, a, b,
                    lambda g: g * b.data, lambda g: g * a.data)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    return _binary("div", a.data / b.data, a, b,
-                   lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data))
-
-
-def neg(a: Tensor) -> Tensor:
-    def bw(g):
-        _accum(a, -g)
-
-    return _make(-a.data, "neg", (a,), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -207,26 +147,6 @@ def transpose(a: Tensor) -> Tensor:
     return _make(a.data.T, "transpose", (a,), bw)
 
 
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        data = np.exp(a.data)
-
-    def bw(g):
-        _accum(a, g * data)
-
-    return _make(data, "exp", (a,), bw)
-
-
-def log(a: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = np.log(a.data)
-
-    def bw(g):
-        _accum(a, g / a.data)
-
-    return _make(data, "log", (a,), bw)
-
-
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     pos = a.data > 0
 
@@ -234,29 +154,6 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
         _accum(a, g * np.where(pos, 1.0, slope))
 
     return _make(np.where(pos, a.data, slope * a.data), "leaky_relu", (a,), bw)
-
-
-def sum_axis(a: Tensor, axis: int | None = None, keepdims: bool = True) -> Tensor:
-    def bw(g):
-        _accum(a, np.broadcast_to(np.reshape(g, g_shape), a.data.shape).copy())
-
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-    if axis is None:
-        g_shape = (1,) * a.data.ndim
-    else:
-        g_shape = list(a.data.shape)
-        g_shape[axis] = 1
-        g_shape = tuple(g_shape)
-    return _make(data, "sum", (a,), bw)
-
-
-def gather_rows(a: Tensor, idx) -> Tensor:
-    idx = np.asarray(idx, dtype=np.int64)
-
-    def bw(g):
-        _accum(a, _scatter_rows(g, idx, a.data.shape))
-
-    return _make(a.data[idx], "gather_rows", (a,), bw)
 
 
 def _scatter_rows(rows: np.ndarray, idx: np.ndarray, shape) -> np.ndarray:
@@ -267,26 +164,6 @@ def _scatter_rows(rows: np.ndarray, idx: np.ndarray, shape) -> np.ndarray:
     width = int(np.prod(shape[1:]))
     flat = (idx.reshape(-1, 1) * width + np.arange(width)).ravel()
     return np.bincount(flat, weights=rows.ravel(), minlength=shape[0] * width).reshape(shape)
-
-
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    def bw(g):
-        ga = np.zeros_like(a.data)
-        ga[start:stop] = g
-        _accum(a, ga)
-
-    return _make(a.data[start:stop].copy(), "slice_rows", (a,), bw)
-
-
-def concat_rows(parts: list[Tensor]) -> Tensor:
-    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
-
-    def bw(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p._needs:
-                _accum(p, g[lo:hi])
-
-    return _make(np.concatenate([p.data for p in parts], axis=0), "concat_rows", tuple(parts), bw)
 
 
 def spmm(s: sp.spmatrix, a: Tensor) -> Tensor:

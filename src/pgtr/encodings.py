@@ -5,8 +5,9 @@ eigenvectors.  Degree, PageRank and node type are grouped encodings: one
 learned table row per structural group of nodes, picked by a frozen group
 id per node.  Each encoding has a projection into the embedding space, and
 a pair of side-specific projections folds the sum into one d-vector per
-node, which `position_tape` computes on the gradient tape for every node
-at once.
+node.  `position_tape` computes those vectors for every node at once as one
+tape node, `position`, from a frozen feature matrix that holds each node's
+eigenvector features and one-hot group ids.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, constant, parameter
+from .autodiff import Tensor, parameter
 from .data import BipartiteGraph, one_sided_adjacency
 from .linalg import (laplacian_null_basis, normalized_laplacian, pagerank,
                      symmetric_eigs_smallest)
@@ -151,7 +152,10 @@ class GroupedEncoding:
 @dataclass
 class PositionalEncodingSet:
     """The enabled encodings; `w_user` and `w_item` are None when every
-    encoding is off."""
+    encoding is off.  `features` is the frozen (N+M, F) matrix that
+    `position_tape` multiplies, users first: each node's spectral column,
+    then its one-hot table row of each grouped encoding in `grouped` order;
+    None when every encoding is off."""
 
     n_users: int
     n_items: int
@@ -159,6 +163,7 @@ class PositionalEncodingSet:
     grouped: list[GroupedEncoding]
     w_user: Tensor | None
     w_item: Tensor | None
+    features: np.ndarray | None
 
     def trainable_tables(self) -> list[tuple[str, Tensor]]:
         named = [(e.name, e.table) for e in self.grouped]
@@ -197,7 +202,7 @@ def build_encoding_set(g: BipartiteGraph, cfg, rng: np.random.Generator,
                for name, groups, _ in kinds]
     tables = [_init_table(2 * groups, h, rng, name) for name, groups, h in kinds]
     if matrix is None and not kinds:
-        return PositionalEncodingSet(n, m, None, [], None, None)
+        return PositionalEncodingSet(n, m, None, [], None, None, None)
     w_item = _init_table(cfg.d, cfg.d, rng, "proj_item")
     w_user = _init_table(cfg.d, cfg.d, rng, "proj_user")
     spectral = None
@@ -206,25 +211,51 @@ def build_encoding_set(g: BipartiteGraph, cfg, rng: np.random.Generator,
     grouped = [GroupedEncoding(name, table, group_of,
                                _init_table(cfg.d, h, rng, f"proj_{name}"))
                for (name, _, h), table, group_of in zip(kinds, tables, ids)]
-    return PositionalEncodingSet(n, m, spectral, grouped, w_user, w_item)
+    features = np.hstack(([] if matrix is None else [matrix.T])
+                         + [np.eye(2 * groups)[group_of]
+                            for (_, groups, _), group_of in zip(kinds, ids)])
+    return PositionalEncodingSet(n, m, spectral, grouped, w_user, w_item, features)
 
 
 def position_tape(enc: PositionalEncodingSet) -> Tensor | None:
-    """P_j for every node on the gradient tape, users first; None when
-    every encoding is off."""
+    """P_j for every node, users first, as one tape node `position` whose
+    parents are the encodings' trainable tensors; None when every encoding
+    is off.
+
+    Node j's vector is W_side (P_s s_j + sum_k P_k T_k[g_k(j)]), which is
+    x_j B W_side^T for its row x_j of `enc.features` and the (F, d) stack
+    B = [P_s^T; T_k P_k^T ...] of the learned maps.  So each side is one
+    GEMM with the small B W_side^T, and the backward is one GEMM per side,
+    X_side^T G_side, followed by small chain products back to W_side, P_s,
+    T_k and P_k.
+    """
     if enc.w_user is None:
         return None
-    n, m = enc.n_users, enc.n_items
-    terms = []
-    if enc.spectral is not None:
-        terms.append(ad.matmul(constant(enc.spectral.matrix.T),
-                               ad.transpose(enc.spectral.projection)))
-    for e in enc.grouped:
-        terms.append(ad.matmul(ad.gather_rows(e.table, e.group_of), ad.transpose(e.projection)))
-    inner = terms[0]
-    for t in terms[1:]:
-        inner = inner + t
-    return ad.concat_rows([
-        ad.matmul(ad.slice_rows(inner, 0, n), ad.transpose(enc.w_user)),
-        ad.matmul(ad.slice_rows(inner, n, n + m), ad.transpose(enc.w_item)),
-    ])
+    n = enc.n_users
+    # (projection, table) per block of B; the spectral block has no table
+    blocks = [(enc.spectral.projection, None)] if enc.spectral is not None else []
+    blocks += [(e.projection, e.table) for e in enc.grouped]
+    maps = [p.data.T if t is None else t.data @ p.data.T for p, t in blocks]
+    inner = np.vstack(maps)
+    cuts = np.cumsum([b.shape[0] for b in maps])[:-1]
+    sides = ((enc.w_user, slice(0, n)), (enc.w_item, slice(n, None)))
+    x = enc.features
+    out = np.empty((x.shape[0], inner.shape[1]))
+    for w, rows in sides:
+        np.matmul(x[rows], inner @ w.data.T, out=out[rows])
+
+    def bw(g):
+        d_inner = 0.0
+        for w, rows in sides:
+            d_map = x[rows].T @ g[rows]  # gradient of B W_side^T
+            ad._accum(w, d_map.T @ inner)
+            d_inner = d_inner + d_map @ w.data
+        for (p, t), d_block in zip(blocks, np.split(d_inner, cuts)):
+            if t is None:
+                ad._accum(p, d_block.T)
+            else:
+                ad._accum(t, d_block @ p.data)
+                ad._accum(p, d_block.T @ t.data)
+
+    parents = tuple(t for _, t in enc.trainable_tables())
+    return ad._make(out, "position", parents, bw)

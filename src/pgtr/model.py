@@ -39,6 +39,19 @@ CHECKPOINT_VERSION = 4
 HEADER_FIELDS = ("config", "n_users", "n_items", "graph_hash", "seed", "feature_map_seeds")
 
 
+def check_field_types(cls, values: dict, field: str = "{}"):
+    """Raise ValueError on the first entry of `values` whose type does not
+    fit its field of the dataclass `cls`: an int field takes an int, a
+    float field an int or a float, and only a bool field takes a bool.  The
+    message begins with `field.format(name)`."""
+    types = typing.get_type_hints(cls)
+    for name, value in values.items():
+        want = (int, float) if types[name] is float else types[name]
+        if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
+            raise ValueError(f"{field.format(name)} must be "
+                             f"{types[name].__name__}, got {value!r}")
+
+
 @dataclass
 class PGTRConfig:
     d: int = 32
@@ -81,18 +94,12 @@ class PGTRConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "PGTRConfig":
         """The config a `to_dict` record describes.  Raises ValueError naming
-        the field on an unknown key or a value of the wrong type: an int
-        field takes an int, a float field an int or a float, and only a
-        bool field takes a bool."""
-        types = typing.get_type_hints(cls)
-        unknown = sorted(set(d) - types.keys())
+        the field on an unknown key or a value of the wrong type (see
+        `check_field_types`)."""
+        unknown = sorted(set(d) - typing.get_type_hints(cls).keys())
         if unknown:
             raise ValueError(f"unknown config field {unknown[0]!r}")
-        for name, value in d.items():
-            want = (int, float) if types[name] is float else types[name]
-            if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
-                raise ValueError(f"config field {name!r} must be "
-                                 f"{types[name].__name__}, got {value!r}")
+        check_field_types(cls, d, "config field {!r}")
         cfg = cls(**d)
         cfg.validate()
         return cfg

@@ -12,10 +12,11 @@ from . import autodiff as ad
 from .attention import AttentionError
 from .autodiff import NumericsError, Tensor
 from .data import InteractionDataset
-from .model import ModelState, forward
+from .model import ModelState, check_field_types, forward
 from .optim import AdamState, adam_step
 
 __all__ = [
+    "NoNegativesError",
     "TrainConfig",
     "RankingMetrics",
     "train",
@@ -39,11 +40,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(TrainConfig, vars(self))
         for name, low in (("batch_size", 2), ("max_epochs", 1), ("patience", 1), ("k", 1)):
             if not getattr(self, name) >= low:
                 raise ValueError(f"{name} must be >= {low}")
         if not 0 <= self.lr < np.inf:
             raise ValueError("lr must be finite and >= 0")
+
+
+class NoNegativesError(ValueError):
+    """No pair of a batch has an in-batch negative, so it has no loss."""
 
 
 @dataclass
@@ -86,8 +92,9 @@ def batch_loss(state: ModelState, users: np.ndarray, items: np.ndarray,
     items its user never trained on.  The loss after the forward pass's
     row normalization is one tape node, `in_batch_softmax`, with a
     hand-written backward.  Returns the scalar loss tensor and
-    the number of pairs skipped for lack of negatives.  Raises ValueError
-    when `user_items` has the wrong shape or an item id outside
+    the number of pairs skipped for lack of negatives.  Raises
+    NoNegativesError, a ValueError, when no pair keeps a negative, and
+    ValueError when `user_items` has the wrong shape or an item id outside
     [0, n_items), when a pair's id is out of range, or when a pair's item
     is not among its user's training items.
     """
@@ -106,7 +113,7 @@ def batch_loss(state: ModelState, users: np.ndarray, items: np.ndarray,
     keep = np.count_nonzero(mask, axis=1) >= 2
     n_keep = int(keep.sum())
     if n_keep == 0:
-        raise ValueError("every pair in the batch lacks negatives")
+        raise NoNegativesError("every pair in the batch lacks negatives")
     h_norm = ad.l2_normalize_rows(forward(state))
     loss = _in_batch_softmax(h_norm, users, state.n_users + uniq, inv, mask, keep,
                              1.0 / state.config.tau)
@@ -161,10 +168,12 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
     Returns the state holding the best-validation parameters plus a
     history record per epoch: `epoch`, `train_loss`, `val_recall`,
     `val_ndcg`, `skipped_pairs` (pairs the epoch's batches dropped for lack
-    of negatives) and `seconds`.  A non-finite value (NumericsError) or an
-    attention denominator underflow (AttentionError) in a step or in
-    validation stops training with a warning and restores the best
-    parameters.
+    of negatives) and `seconds`.  A batch in which no pair keeps a negative
+    takes no step, and all its pairs count as skipped.  An epoch that takes
+    no step records a NaN `train_loss` and stops training with a warning.
+    A non-finite value (NumericsError) or an attention denominator
+    underflow (AttentionError) in a step or in validation stops training
+    with a warning and restores the best parameters.
     """
     rng = np.random.default_rng(cfg.seed)
     params = state.parameters()
@@ -188,10 +197,12 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
         try:
             for lo in range(0, n_pairs, cfg.batch_size):
                 sel = perm[lo:lo + cfg.batch_size]
-                if sel.size < 2:
-                    continue
                 ad.zero_grad(params)
-                loss, skipped = batch_loss(state, pairs_u[sel], pairs_i[sel], train_items)
+                try:
+                    loss, skipped = batch_loss(state, pairs_u[sel], pairs_i[sel], train_items)
+                except NoNegativesError:
+                    skipped_pairs += sel.size
+                    continue
                 ad.backward(loss)
                 adam_step(opt)
                 epoch_loss += loss.item()
@@ -203,7 +214,7 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
             log.warning("training aborted at epoch %d: %s", epoch, err)
             diverged = True
             break
-        mean_loss = epoch_loss / max(n_batches, 1)
+        mean_loss = epoch_loss / n_batches if n_batches else float("nan")
 
         if metrics is not None:
             val_recall, val_ndcg = metrics.recall_at_k, metrics.ndcg_at_k
@@ -224,6 +235,10 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
             epochs_since_best = 0
         else:
             epochs_since_best += 1
+        if not n_batches:
+            log.warning("training stopped at epoch %d: no batch kept a pair with a negative",
+                        epoch)
+            break
         if len(val) and epochs_since_best >= cfg.patience:
             break
 

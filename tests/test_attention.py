@@ -20,19 +20,19 @@ from pgtr.attention import (
     kernelized_attention,
     make_feature_map,
 )
-from pgtr.autodiff import constant, parameter
-from test_autodiff import logsumexp_rows
+from pgtr.autodiff import parameter
+from test_autodiff import constant, div, exp, logsumexp_rows, sub, sum_axis
 
 MAX_EXPONENT = 700.0
 
 
 def feature_map(x, rf):
     """phi(x) for every row of a (T, d) table, on the tape."""
-    sq = ad.sum_axis(x * x, axis=1)
+    sq = sum_axis(x * x, axis=1)
     logits = ad.matmul(x, constant(rf.directions.T))
     if logits.data.max(initial=-np.inf) > MAX_EXPONENT:
         raise AttentionError("feature map direction products overflow exp; scale inputs down")
-    return ad.exp(logits - sq * 0.5) * (1.0 / np.sqrt(rf.m))
+    return exp(sub(logits, sq * 0.5)) * (1.0 / np.sqrt(rf.m))
 
 
 def taped_kernelized_attention(h, rf, scale, proj=None):
@@ -44,19 +44,19 @@ def taped_kernelized_attention(h, rf, scale, proj=None):
     phi_q = feature_map(q * scale, rf)
     phi_k = phi_q if proj is None else feature_map(k * scale, rf)
     summary = ad.matmul(ad.transpose(phi_k), v)
-    totals = ad.sum_axis(phi_k, axis=0)
+    totals = sum_axis(phi_k, axis=0)
     numer = ad.matmul(phi_q, summary)
     denom = ad.matmul(phi_q, ad.transpose(totals))
     if denom.data.min() < MIN_DENOMINATOR:
         raise AttentionError("attention denominator underflow; inputs need rescaling")
-    return ad.div(numer, denom)
+    return div(numer, denom)
 
 
 def exact_attention(h, scale, proj=None):
     """Quadratic-cost softmax aggregation over all (T, T) pairs, on the tape."""
     q, k, v = _queries_keys_values(h, proj)
     logits = ad.matmul(q * scale, ad.transpose(k * scale))
-    weights = ad.exp(logits - logsumexp_rows(logits))
+    weights = exp(sub(logits, logsumexp_rows(logits)))
     return ad.matmul(weights, v)
 
 
@@ -302,7 +302,7 @@ def test_fused_matches_taped_oracle(t, identical, projections, norm, seed):
         h = parameter(rows.copy())
         proj = tuple(parameter(w.copy()) for w in weights) or None
         out = attention(h, rf, 1.0 / np.sqrt(d), proj)
-        ad.backward(ad.sum_axis(out * g, axis=None, keepdims=False))
+        ad.backward(sum_axis(out * g, axis=None, keepdims=False))
         grads = [h.grad] + [w.grad for w in proj or ()]
         return out.data, np.concatenate([gr.ravel() for gr in grads])
 

@@ -1,15 +1,92 @@
 """Gradient engine tests: every primitive against central finite differences.
 
-`logsumexp_rows` below is a taped row-wise log-sum-exp under an optional
-keep-mask.  `src/` has none (the sampled-softmax loss is one fused node);
-it is a piece of the oracles in `test_attention.py` and `test_train.py`.
+The ops defined below (`constant`, `sub`, `div`, `neg`, `exp`, `log`,
+`sum_axis`, `gather_rows`, `slice_rows`, `concat_rows` and
+`logsumexp_rows`, a taped row-wise log-sum-exp under an optional
+keep-mask) are built on the engine's `_make`, but `src/` runs none of them:
+the position vectors, attention and the sampled-softmax loss are each one
+fused node.  They are the pieces of the taped oracles in the other test
+modules, and are checked here like the engine's own ops.
 """
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import pgtr.autodiff as ad
-from pgtr.autodiff import NumericsError, Tensor, constant, parameter
+from pgtr.autodiff import NumericsError, Tensor, parameter
+
+
+def constant(data) -> Tensor:
+    """A leaf that takes no gradient."""
+    return Tensor(data)
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    return ad._binary("sub", a.data - b.data, a, b, lambda g: g, lambda g: -g)
+
+
+def div(a: Tensor, b: Tensor) -> Tensor:
+    return ad._binary("div", a.data / b.data, a, b,
+                      lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data))
+
+
+def neg(a: Tensor) -> Tensor:
+    return ad._make(-a.data, "neg", (a,), lambda g: ad._accum(a, -g))
+
+
+def exp(a: Tensor) -> Tensor:
+    with np.errstate(over="ignore"):
+        data = np.exp(a.data)
+    return ad._make(data, "exp", (a,), lambda g: ad._accum(a, g * data))
+
+
+def log(a: Tensor) -> Tensor:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        data = np.log(a.data)
+    return ad._make(data, "log", (a,), lambda g: ad._accum(a, g / a.data))
+
+
+def sum_axis(a: Tensor, axis: int | None = None, keepdims: bool = True) -> Tensor:
+    if axis is None:
+        g_shape = (1,) * a.data.ndim
+    else:
+        g_shape = list(a.data.shape)
+        g_shape[axis] = 1
+
+    def bw(g):
+        ad._accum(a, np.broadcast_to(np.reshape(g, g_shape), a.data.shape).copy())
+
+    return ad._make(a.data.sum(axis=axis, keepdims=keepdims), "sum", (a,), bw)
+
+
+def gather_rows(a: Tensor, idx) -> Tensor:
+    idx = np.asarray(idx, dtype=np.int64)
+
+    def bw(g):
+        ad._accum(a, ad._scatter_rows(g, idx, a.data.shape))
+
+    return ad._make(a.data[idx], "gather_rows", (a,), bw)
+
+
+def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
+    def bw(g):
+        ga = np.zeros_like(a.data)
+        ga[start:stop] = g
+        ad._accum(a, ga)
+
+    return ad._make(a.data[start:stop].copy(), "slice_rows", (a,), bw)
+
+
+def concat_rows(parts: list[Tensor]) -> Tensor:
+    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
+
+    def bw(g):
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            if p._needs:
+                ad._accum(p, g[lo:hi])
+
+    return ad._make(np.concatenate([p.data for p in parts], axis=0), "concat_rows",
+                    tuple(parts), bw)
 
 
 def logsumexp_rows(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -64,7 +141,7 @@ def finite_difference_check(build_loss, arrays, h=1e-5, rtol=1e-4):
 
 
 def mean_all(t):
-    return ad.sum_axis(t, axis=None, keepdims=False) * (1.0 / t.data.size)
+    return sum_axis(t, axis=None, keepdims=False) * (1.0 / t.data.size)
 
 
 def rand(rng, *shape):
@@ -74,7 +151,7 @@ def rand(rng, *shape):
 class TestBasics:
     def test_quadratic(self):
         x = parameter(np.array([[1.0], [2.0]]))
-        loss = ad.sum_axis(x * x, axis=None, keepdims=False)
+        loss = sum_axis(x * x, axis=None, keepdims=False)
         ad.backward(loss)
         np.testing.assert_allclose(x.grad, [[2.0], [4.0]])
 
@@ -90,14 +167,14 @@ class TestBasics:
 
     def test_grad_accumulates_on_reuse(self):
         x = parameter(np.array([[3.0]]))
-        loss = ad.sum_axis(x * x + x, axis=None, keepdims=False)
+        loss = sum_axis(x * x + x, axis=None, keepdims=False)
         ad.backward(loss)
         np.testing.assert_allclose(x.grad, [[7.0]])
 
     def test_nonfinite_aborts_with_op_name(self):
         x = parameter(np.array([[800.0]]))
         with pytest.raises(NumericsError, match="exp"):
-            ad.exp(x)
+            exp(x)
 
     def test_constants_skip_gradients(self):
         c = constant(np.ones((2, 2)))
@@ -117,7 +194,7 @@ class TestPrimitiveGradients:
         def build(tensors):
             out = op(*tensors)
             w = constant(np.random.default_rng(99).standard_normal(out.data.shape))
-            return ad.sum_axis(out * w, axis=None, keepdims=False)
+            return sum_axis(out * w, axis=None, keepdims=False)
 
         return build
 
@@ -126,7 +203,7 @@ class TestPrimitiveGradients:
                                 [rand(self.rng, 3, 4), rand(self.rng, 3, 1)])
 
     def test_sub_broadcast(self):
-        finite_difference_check(self._weighted(ad.sub),
+        finite_difference_check(self._weighted(sub),
                                 [rand(self.rng, 3, 4), rand(self.rng, 1, 4)])
 
     def test_mul_broadcast(self):
@@ -135,10 +212,10 @@ class TestPrimitiveGradients:
 
     def test_div(self):
         b = rand(self.rng, 3, 1) + 2.0
-        finite_difference_check(self._weighted(ad.div), [rand(self.rng, 3, 4), b])
+        finite_difference_check(self._weighted(div), [rand(self.rng, 3, 4), b])
 
     def test_neg(self):
-        finite_difference_check(self._weighted(ad.neg), [rand(self.rng, 3, 4)])
+        finite_difference_check(self._weighted(neg), [rand(self.rng, 3, 4)])
 
     def test_matmul(self):
         finite_difference_check(self._weighted(ad.matmul),
@@ -148,10 +225,10 @@ class TestPrimitiveGradients:
         finite_difference_check(self._weighted(ad.transpose), [rand(self.rng, 3, 4)])
 
     def test_exp(self):
-        finite_difference_check(self._weighted(ad.exp), [rand(self.rng, 3, 4)])
+        finite_difference_check(self._weighted(exp), [rand(self.rng, 3, 4)])
 
     def test_log(self):
-        finite_difference_check(self._weighted(ad.log), [rand(self.rng, 3, 4) + 2.0])
+        finite_difference_check(self._weighted(log), [rand(self.rng, 3, 4) + 2.0])
 
     def test_leaky_relu(self):
         x = rand(self.rng, 3, 4)
@@ -160,20 +237,20 @@ class TestPrimitiveGradients:
 
     @pytest.mark.parametrize("axis", [None, 0, 1])
     def test_sum_axis(self, axis):
-        finite_difference_check(self._weighted(lambda t: ad.sum_axis(t, axis=axis)),
+        finite_difference_check(self._weighted(lambda t: sum_axis(t, axis=axis)),
                                 [rand(self.rng, 3, 4)])
 
     def test_gather_rows_with_repeats(self):
         idx = np.array([0, 2, 2, 1])
-        finite_difference_check(self._weighted(lambda t: ad.gather_rows(t, idx)),
+        finite_difference_check(self._weighted(lambda t: gather_rows(t, idx)),
                                 [rand(self.rng, 3, 4)])
 
     def test_slice_rows(self):
-        finite_difference_check(self._weighted(lambda t: ad.slice_rows(t, 1, 3)),
+        finite_difference_check(self._weighted(lambda t: slice_rows(t, 1, 3)),
                                 [rand(self.rng, 4, 3)])
 
     def test_concat_rows(self):
-        finite_difference_check(self._weighted(lambda a, b: ad.concat_rows([a, b])),
+        finite_difference_check(self._weighted(lambda a, b: concat_rows([a, b])),
                                 [rand(self.rng, 2, 3), rand(self.rng, 3, 3)])
 
     def test_spmm(self):
@@ -207,10 +284,10 @@ class TestPrimitiveGradients:
             x, w = ts
             h = ad.spmm(s, x)
             h = ad.l2_normalize_rows(ad.matmul(h, w) + x * 0.3)
-            rows = ad.gather_rows(h, idx)
+            rows = gather_rows(h, idx)
             scores = ad.matmul(rows, ad.transpose(rows)) * 2.0
             lse = logsumexp_rows(scores, mask)
-            return mean_all(lse - ad.sum_axis(rows * rows, axis=1))
+            return mean_all(sub(lse, sum_axis(rows * rows, axis=1)))
 
         finite_difference_check(build, [rand(rng, 6, 4) + 0.5, rand(rng, 4, 4)])
 
@@ -231,7 +308,7 @@ class TestGatherRowsScatter:
         # magnitudes from 1e-8 to 1e8, so the order of the repeats' sum shows
         g = rng.normal(size=(idx.size, 3)) * 10.0 ** rng.integers(-8, 9, size=(idx.size, 3))
         a = parameter(rng.normal(size=(n_rows, 3)))
-        ad.backward(ad.sum_axis(ad.gather_rows(a, idx) * constant(g), axis=None,
+        ad.backward(sum_axis(gather_rows(a, idx) * constant(g), axis=None,
                                 keepdims=False))
         want = np.zeros((n_rows, 3))
         np.add.at(want, idx, g)
@@ -240,7 +317,7 @@ class TestGatherRowsScatter:
     def test_repeats_add_in_index_order(self):
         a = parameter(np.zeros((2, 1)))
         g = np.array([[1.0], [1e16], [-1e16], [1.0]])
-        ad.backward(ad.sum_axis(ad.gather_rows(a, [0, 0, 0, 1]) * constant(g),
+        ad.backward(sum_axis(gather_rows(a, [0, 0, 0, 1]) * constant(g),
                                 axis=None, keepdims=False))
         # ((1 + 1e16) - 1e16) is 0 in float64; the reverse order gives 1
         assert a.grad.ravel().tolist() == [0.0, 1.0]

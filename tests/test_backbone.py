@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
-from pgtr.autodiff import constant, parameter
+from pgtr.autodiff import parameter
 from pgtr.backbone import normalized_adjacency, propagate_layer, readout
 from pgtr.data import InteractionDataset, build_graph
 from pgtr.synthetic import clustered_interactions
+from test_autodiff import constant
 
 
 def graph_of(pairs, n_users, n_items):

@@ -1,9 +1,15 @@
-"""Positional encoding tests: grouping rules, spectral mix, composition."""
+"""Positional encoding tests: grouping rules, spectral mix, composition.
+
+`taped_position` below is the taped composition of gathers, products,
+slices and a concat that `position_tape` fuses into one node: the oracle
+for its output and its gradients.
+"""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pgtr.autodiff as ad
 from pgtr.data import InteractionDataset, build_graph, one_sided_adjacency
 from pgtr.encodings import (
     EncodingError,
@@ -19,8 +25,10 @@ from pgtr.linalg import (
     pagerank,
     symmetric_eigs_smallest,
 )
-from pgtr.model import PGTRConfig
+from pgtr.model import PGTRConfig, forward, init_model
 from pgtr.synthetic import clustered_interactions
+from test_attention import close, tape_nodes
+from test_autodiff import concat_rows, constant, gather_rows, slice_rows, sum_axis
 
 
 def k22_graph():
@@ -326,3 +334,72 @@ def test_type_table_two_rows():
     assert types.table.trainable
     # users read row 1, items row 0
     assert types.group_of.tolist() == [1] * g.n_users + [0] * g.n_items
+
+
+def taped_position(enc):
+    """W_side (P_s s_j + sum_k P_k T_k[g_k(j)]) for every node, one tape
+    node per step."""
+    n, m = enc.n_users, enc.n_items
+    terms = []
+    if enc.spectral is not None:
+        terms.append(ad.matmul(constant(enc.spectral.matrix.T),
+                               ad.transpose(enc.spectral.projection)))
+    for e in enc.grouped:
+        terms.append(ad.matmul(gather_rows(e.table, e.group_of), ad.transpose(e.projection)))
+    inner = terms[0]
+    for t in terms[1:]:
+        inner = inner + t
+    return concat_rows([
+        ad.matmul(slice_rows(inner, 0, n), ad.transpose(enc.w_user)),
+        ad.matmul(slice_rows(inner, n, n + m), ad.transpose(enc.w_item)),
+    ])
+
+
+FUSED_CONFIGS = {
+    "default": {},
+    "lambda_c=0.5": dict(lambda_c=0.5),
+    "spectral off": dict(use_spectral=False),
+    "degree and pagerank off": dict(use_degree=False, use_pagerank=False),
+    "type only": dict(use_spectral=False, use_degree=False, use_pagerank=False),
+    "transform-gcn with projections": dict(backbone="transform-gcn", use_projections=True),
+}
+
+
+class TestFusedPosition:
+    @settings(max_examples=30, deadline=None)
+    @given(config=st.sampled_from(sorted(FUSED_CONFIGS)), seed=st.integers(0, 2**32 - 1))
+    def test_matches_taped_oracle(self, config, seed):
+        """The output and every parameter gradient from one backward agree
+        with the taped composition to 1e-12 relative."""
+        rng = np.random.default_rng(seed)
+        cfg = PGTRConfig(d=6, h_c=3, h_d=2, h_r=2, h_y=2, n_d=3, n_r=3, m_features=8,
+                         **FUSED_CONFIGS[config])
+        enc = init_model(random_graph(seed % 64), cfg, seed=seed % 64).enc
+        params = [t for _, t in enc.trainable_tables()]
+        for t in params:
+            t.data = rng.standard_normal(t.data.shape)
+        g = constant(rng.standard_normal((enc.n_users + enc.n_items, cfg.d)))
+
+        def run(position):
+            ad.zero_grad(params)
+            out = position(enc)
+            ad.backward(sum_axis(out * g, axis=None, keepdims=False))
+            return out.data, [t.grad for t in params]
+
+        want_out, want_grads = run(taped_position)
+        got_out, got_grads = run(position_tape)
+        assert close(got_out, want_out, 1e-12)
+        for (name, _), got, want in zip(enc.trainable_tables(), got_grads, want_grads):
+            assert close(got, want, 1e-12), name
+
+    def test_forward_holds_one_position_node(self):
+        """The default forward records one `position` node whose parents are
+        the encodings' parameters, and 20 interior nodes in all."""
+        g = build_graph(clustered_interactions(60, 80, 4, per_user=20, seed=9))
+        state = init_model(g, PGTRConfig(), seed=10)
+        interior = [node for node in tape_nodes(forward(state)) if node._op != "leaf"]
+        (pos,) = [node for node in interior if node._op == "position"]
+        assert {id(p) for p in pos._parents} == {
+            id(t) for _, t in state.enc.trainable_tables()}
+        assert len(pos._parents) == len(state.enc.trainable_tables())
+        assert len(interior) == 20

@@ -1,12 +1,19 @@
-"""Export hygiene: every name a pgtr module lists in `__all__` exists."""
+"""Export hygiene: every name a pgtr module lists in `__all__` exists, and
+every op the gradient engine exports runs somewhere in the package."""
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import pgtr
+import pgtr.autodiff as ad
 
 MODULES = ["pgtr"] + [f"pgtr.{info.name}" for info in pkgutil.iter_modules(pgtr.__path__)]
+
+# the engine's types and entry points rather than ops
+ENGINE_API = {"NumericsError", "Tensor", "parameter", "backward", "zero_grad"}
 
 
 @pytest.mark.parametrize("module_name", MODULES)
@@ -15,3 +22,50 @@ def test_every_exported_name_resolves(module_name):
     assert module.__all__
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing, f"{module_name}.__all__ lists undefined names {missing}"
+
+
+def engine_names_used(tree: ast.Module) -> set[str]:
+    """Names a module takes from `autodiff`: imported from it, or read as an
+    attribute of a name the module binds to it."""
+    used, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in ("autodiff", "pgtr.autodiff"):
+                used.update(alias.name for alias in node.names)
+            elif node.module in (None, "pgtr"):
+                aliases.update(alias.asname or alias.name
+                               for alias in node.names if alias.name == "autodiff")
+        elif isinstance(node, ast.Import):
+            aliases.update(alias.asname for alias in node.names
+                           if alias.name == "pgtr.autodiff" and alias.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            used.add(node.attr)
+    return used
+
+
+def operator_ops(tree: ast.Module) -> set[str]:
+    """The ops `Tensor`'s operator methods (`__add__`, ...) call: other
+    modules reach them through `+` and `*`, which no parse can tie to a
+    Tensor operand."""
+    (tensor,) = [node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "Tensor"]
+    return {call.func.id
+            for method in tensor.body if isinstance(method, ast.FunctionDef)
+            and method.name.startswith("__") and method.name != "__init__"
+            for call in ast.walk(method)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+
+
+def test_every_engine_op_has_a_caller():
+    """An op in `autodiff.__all__` that no other pgtr module calls is dead
+    code in the engine; the tests build their extra ops themselves."""
+    package = Path(pgtr.__file__).parent
+    engine = Path(ad.__file__)
+    used = operator_ops(ast.parse(engine.read_text()))
+    for path in package.glob("*.py"):
+        if path != engine:
+            used |= engine_names_used(ast.parse(path.read_text()))
+    unused = sorted(set(ad.__all__) - ENGINE_API - used)
+    assert not unused, f"autodiff exports ops no pgtr module calls: {unused}"

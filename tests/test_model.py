@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pgtr.autodiff as ad
-from pgtr.autodiff import constant
 from pgtr.backbone import normalized_adjacency, propagate_layer, readout
 from pgtr.data import InteractionDataset, build_graph
 from pgtr.encodings import EncodingError
@@ -23,13 +22,14 @@ from pgtr.model import (
     save_checkpoint,
 )
 from pgtr.synthetic import clustered_interactions
+from test_autodiff import constant, sum_axis
 from test_encodings import awkward_interactions
 
 SMALL = dict(d=6, h_c=3, h_d=2, h_r=2, h_y=2, n_d=3, n_r=3, m_features=32)
 
 
 def mean_all(t):
-    return ad.sum_axis(t, axis=None, keepdims=False) * (1.0 / t.data.size)
+    return sum_axis(t, axis=None, keepdims=False) * (1.0 / t.data.size)
 
 
 def small_graph(seed=0, n_users=12, n_items=14):
@@ -250,6 +250,7 @@ class TestSpectralFrozen:
         cfg = PGTRConfig(**SMALL)
         state = init_model(g, cfg, seed=15)
         snapshot = state.enc.spectral.matrix.copy()
+        features = state.enc.features.copy()
         ids = [e.group_of.copy() for e in state.enc.grouped]
         params = state.parameters()
         opt = AdamState(params, lr=0.05)
@@ -259,6 +260,7 @@ class TestSpectralFrozen:
             ad.backward(loss)
             adam_step(opt)
         np.testing.assert_array_equal(state.enc.spectral.matrix, snapshot)
+        np.testing.assert_array_equal(state.enc.features, features)
         for e, before in zip(state.enc.grouped, ids, strict=True):
             np.testing.assert_array_equal(e.group_of, before)
         assert all(name != "spectral" for name, _ in state.named_parameters())
@@ -388,6 +390,8 @@ class TestCheckpoint:
         for got, want in zip(restored.enc.grouped, state.enc.grouped, strict=True):
             assert got.name == want.name and got.group_of.dtype == np.int64
             np.testing.assert_array_equal(got.group_of, want.group_of)
+        # the position node's feature matrix is rebuilt from the stored blocks
+        np.testing.assert_array_equal(restored.enc.features, state.enc.features)
         np.testing.assert_array_equal(forward(restored).data, forward(state).data)
 
     def test_truncated_file_names_the_short_section(self, tmp_path):

@@ -3,18 +3,21 @@ import logging
 import math
 import re
 import sys
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pgtr.autodiff as ad
 from pgtr.autodiff import NumericsError
-from pgtr.data import InteractionDataset, SplitSpec, build_graph, split_by_ratio
-from pgtr.model import PGTRConfig, forward, init_model
+from pgtr.data import DataError, InteractionDataset, SplitSpec, build_graph, split_by_ratio
+from pgtr.encodings import EncodingError
+from pgtr.model import PGTRConfig, forward, init_model, load_checkpoint, save_checkpoint
 from pgtr.synthetic import clustered_interactions
 from pgtr.train import (
     TrainConfig,
@@ -26,7 +29,8 @@ from pgtr.train import (
     train,
 )
 from test_attention import held_arrays
-from test_autodiff import logsumexp_rows
+from test_autodiff import gather_rows, logsumexp_rows, sub, sum_axis
+from test_encodings import awkward_interactions
 
 
 def ssm_loss(score_pos, scores_neg) -> float:
@@ -128,13 +132,13 @@ def taped_in_batch_softmax(h, users, item_rows, inv, mask, keep, inv_tau):
     """The loss as the taped composition of gathers, products, a matmul, the
     masked log-sum-exp and sums that `_in_batch_softmax` fuses into one
     node: its oracle."""
-    su = ad.gather_rows(h, users) * inv_tau
-    si = ad.gather_rows(h, item_rows)
+    su = gather_rows(h, users) * inv_tau
+    si = gather_rows(h, item_rows)
     scores = ad.matmul(su, ad.transpose(si))
-    pos = ad.sum_axis(su * ad.gather_rows(si, inv), axis=1)
+    pos = sum_axis(su * gather_rows(si, inv), axis=1)
     lse = logsumexp_rows(scores, mask)
-    per_pair = (lse - pos) * keep[:, None].astype(np.float64)
-    return ad.sum_axis(per_pair, axis=None, keepdims=False) * (1.0 / np.count_nonzero(keep))
+    per_pair = sub(lse, pos) * keep[:, None].astype(np.float64)
+    return sum_axis(per_pair, axis=None, keepdims=False) * (1.0 / np.count_nonzero(keep))
 
 
 @st.composite
@@ -533,12 +537,95 @@ class TestTrainLoop:
                            TrainConfig(batch_size=8, lr=1e-2, max_epochs=3, patience=3))
         assert [row["skipped_pairs"] for row in history] == [4, 4, 4]
 
+    def test_batch_without_negatives_takes_no_step(self):
+        """Batches of two from the fit above: a batch of two user-0 pairs
+        keeps no pair, takes no step and counts both as skipped, while the
+        other batches train.  The expected counts replay each epoch's
+        shuffle of the pairs."""
+        users = [0, 0, 0, 0, 1, 1, 2, 2]
+        items = [0, 1, 2, 3, 0, 1, 2, 3]
+        fit = InteractionDataset(3, 4, users, items)
+        val = InteractionDataset(3, 4, [], [])
+        cfg = TrainConfig(batch_size=2, lr=1e-2, max_epochs=3, patience=3)
+        _, history = train(tiny_state(fit, seed=0), fit, val, cfg)
+        rng = np.random.default_rng(cfg.seed)
+        skipped, empty_batches = [], 0
+        for _ in range(cfg.max_epochs):
+            perm = rng.permutation(len(users))
+            count = 0
+            for lo in range(0, len(users), 2):
+                batch = [(users[a], items[a]) for a in perm[lo:lo + 2]]
+                kept = sum(negs.size > 0 for negs in in_batch_negatives(batch, fit.items_of_user()))
+                count += len(batch) - kept
+                empty_batches += kept == 0
+            skipped.append(count)
+        assert empty_batches > 0
+        assert [row["skipped_pairs"] for row in history] == skipped
+        assert all(math.isfinite(row["train_loss"]) for row in history)
+
+    def test_epoch_without_a_step_stops_training(self, caplog):
+        """User 0 trained on every item and holds every pair, so no batch
+        keeps a pair: the first epoch records a NaN loss and training stops
+        with the parameters untouched."""
+        fit = InteractionDataset(2, 3, [0, 0, 0], [0, 1, 2])
+        state = tiny_state(fit, seed=0)
+        before = [t.data.copy() for t in state.parameters()]
+        with caplog.at_level(logging.WARNING, logger="pgtr.train"):
+            state, history = train(state, fit, InteractionDataset(2, 3, [], []),
+                                   TrainConfig(batch_size=2, max_epochs=3, patience=3))
+        assert "training stopped at epoch 1: no batch kept a pair with a negative" in caplog.text
+        assert len(history) == 1
+        assert math.isnan(history[0]["train_loss"]) and history[0]["skipped_pairs"] == 3
+        for got, want in zip(state.parameters(), before, strict=True):
+            np.testing.assert_array_equal(got.data, want)
+
     @pytest.mark.parametrize("field, value", [
         ("k", 0), ("lr", -1e-3), ("max_epochs", 0), ("batch_size", 1), ("patience", 0),
-        ("lr", float("nan")), ("lr", float("inf")), ("batch_size", float("nan"))])
+        ("lr", float("nan")), ("lr", float("inf")), ("batch_size", float("nan")),
+        ("batch_size", 8.5), ("max_epochs", 1.5), ("k", 2.5), ("patience", True),
+        ("seed", 1.5), ("lr", "0.1")])
     def test_config_rejects_out_of_range_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must"):
             TrainConfig(**{field: value})
+
+
+@settings(max_examples=40, deadline=None)
+@given(ds=awkward_interactions(), batch_size=st.integers(2, 8), groups=st.integers(1, 2),
+       h_c=st.integers(1, 2), seed=st.integers(0, 2**16))
+def test_pipeline_trains_or_fails_before_training(ds, batch_size, groups, h_c, seed):
+    """Split, graph, model, two epochs, evaluation and a checkpoint round
+    trip on an awkward graph: a typed error comes before `train`, or every
+    stage finishes with finite numbers.  A NaN loss marks only an epoch
+    that took no step, and is the last one."""
+    try:
+        fit, val, test = split_by_ratio(ds, SplitSpec(0.8, seed=seed))
+        graph = build_graph(fit)
+        cfg = PGTRConfig(d=4, h_c=h_c, h_d=2, h_r=2, h_y=2, n_d=groups, n_r=groups,
+                         m_features=8)
+        state = init_model(graph, cfg, seed=seed)
+        train_cfg = TrainConfig(batch_size=batch_size, max_epochs=2, patience=2, seed=seed)
+    except (DataError, EncodingError, ValueError):
+        return
+    state, history = train(state, fit, val, train_cfg)
+    assert 1 <= len(history) <= 2
+    for row in history:
+        no_step = row["skipped_pairs"] == len(fit)
+        assert math.isnan(row["train_loss"]) if no_step else math.isfinite(row["train_loss"])
+        assert not no_step or row is history[-1]
+        recall, ndcg = row["val_recall"], row["val_ndcg"]
+        assert (math.isfinite(recall) and math.isfinite(ndcg)) if len(val) else (
+            math.isnan(recall) and math.isnan(ndcg))
+    try:
+        metrics = evaluate(state, fit, test, k=5)
+    except ValueError as err:
+        assert str(err) == "no user has test items to evaluate"
+    else:
+        assert math.isfinite(metrics.recall_at_k) and math.isfinite(metrics.ndcg_at_k)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        save_checkpoint(state, path)
+        restored = load_checkpoint(path, graph)
+    np.testing.assert_array_equal(forward(restored).data, forward(state).data)
 
 
 def brute_force_metrics(scores, observed, targets, k):
