@@ -160,15 +160,29 @@ def _arpack_smallest(a: sp.csr_matrix, k: int, tol: float, norm_a: float, deflat
     return (vals, vecs) if missed >= vals[-1] - tol * norm_a else None
 
 
+def _held_basis(b):
+    """`b` and its transpose in layouts a product reads without converting:
+    canonical CSRs of a sparse basis, one C-ordered array of a dense one."""
+    if sp.issparse(b):
+        b = sp.csr_matrix(b, copy=True)  # sum_duplicates sorts in place
+        b.sum_duplicates()
+        return b, b.T.tocsr()
+    b = np.ascontiguousarray(b)
+    return b, b.T
+
+
 def _shifted_largest(a: sp.csr_matrix, sigma: float, k: int, bases, seed: int,
                      tol: float = 0.0):
     """The k smallest eigenpairs of M on the complement of `bases`, ascending,
-    as the k largest of P (sigma I - M) P.  `tol` is ARPACK's (0: machine
+    as the k largest of P (sigma I - M) P, with C-ordered eigenvectors.
+    Each basis and its transpose are stored once per solve, so a matvec's
+    two projections convert nothing.  `tol` is ARPACK's (0: machine
     precision); v0 is seeded, as ARPACK's own changes between calls."""
+    held = [_held_basis(b) for b in bases if b is not None]
+
     def project(x):
-        for b in bases:
-            if b is not None:
-                x = x - b @ (b.T @ x)
+        for b, bt in held:
+            x = x - b @ (bt @ x)
         return x
 
     def matvec(x):
@@ -183,7 +197,7 @@ def _shifted_largest(a: sp.csr_matrix, sigma: float, k: int, bases, seed: int,
         resid = _residuals(a, sigma - err.eigenvalues, err.eigenvectors)
         raise ConvergenceError("ARPACK did not converge",
                                float(resid.max()) if resid.size else np.inf) from None
-    return sigma - theta[::-1], vecs[:, ::-1]
+    return sigma - theta[::-1], np.ascontiguousarray(vecs[:, ::-1])
 
 
 def pagerank(graph, damping: float = 0.85, tol: float = 1e-12,

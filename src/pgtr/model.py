@@ -76,6 +76,9 @@ class PGTRConfig:
     use_projections: bool = False
 
     def validate(self):
+        """Raise ValueError naming the first field of the wrong type (see
+        `check_field_types`) or out of its range."""
+        check_field_types(PGTRConfig, vars(self))
         for name in ("lambda1", "lambda2", "lambda3", "lambda_c"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -94,8 +97,8 @@ class PGTRConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "PGTRConfig":
         """The config a `to_dict` record describes.  Raises ValueError naming
-        the field on an unknown key or a value of the wrong type (see
-        `check_field_types`)."""
+        the field on an unknown key or an invalid value (see `validate`); a
+        value of the wrong type is named as a config field."""
         unknown = sorted(set(d) - typing.get_type_hints(cls).keys())
         if unknown:
             raise ValueError(f"unknown config field {unknown[0]!r}")

@@ -254,10 +254,14 @@ def _user_items(rows, name: str, shape: tuple[int, int],
                 owner: str = "scores") -> sp.csr_matrix:
     """Boolean (users, items) CSR matrix of a sparse matrix or of per-user
     item-id sequences, checked against `owner`'s shape.  Stored zeros are
-    dropped and a repeated id gives one entry."""
+    dropped and a repeated id gives one entry: a matrix already in that
+    form, such as `user_item_matrix()`, is returned as it is."""
     if sp.issparse(rows):
         if rows.shape != shape:
             raise ValueError(f"{name} has shape {rows.shape} but {owner} has shape {shape}")
+        if (rows.format == "csr" and rows.dtype == bool and rows.has_canonical_format
+                and rows.data.all()):
+            return rows
         m = rows.tocsr().astype(bool)
     else:
         n_users, n_items = shape

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 import pgtr.linalg
 from pgtr.data import InteractionDataset, build_graph
@@ -65,6 +65,25 @@ def repeated_paths_graph(copies=100):
                                           2 * copies + block.n_items, users, items))
 
 
+def per_call_shifted_largest(a, sigma, k, bases, seed, tol=0.0):
+    """`linalg._shifted_largest` with each basis read as passed and
+    transposed again on every matvec: the oracle for the stored bases."""
+    def project(x):
+        for b in bases:
+            if b is not None:
+                x = x - b @ (b.T @ x)
+        return x
+
+    def matvec(x):
+        y = project(x)
+        return project(sigma * y - a @ y)
+
+    v0 = project(np.random.default_rng(seed).standard_normal(a.shape[0]))
+    theta, vecs = eigsh(LinearOperator(a.shape, matvec=matvec, dtype=np.float64),
+                        k, which="LA", v0=v0, tol=tol)
+    return sigma - theta[::-1], vecs[:, ::-1]
+
+
 class TestEigensolver:
     def test_single_edge_laplacian(self):
         m = sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
@@ -121,6 +140,26 @@ class TestEigensolver:
         ref_vals, _ = dense_smallest(lap, null.shape[1] + k)
         np.testing.assert_allclose(vals, ref_vals[null.shape[1]:], atol=1e-10)
         assert np.abs(null.T @ vecs).max() <= 1e-10
+
+    @pytest.mark.parametrize("k", [50, 200])
+    def test_probe_is_load_bearing(self, monkeypatch, k):
+        """With the completeness probe's verdict forced to pass, the path
+        blocks' eigenvalues leave the dense oracle: the probe, not ARPACK
+        alone, keeps `test_handles_multiplicities` passing."""
+        real = pgtr.linalg._shifted_largest
+
+        def no_probe(a, sigma, k, bases, seed, tol=0.0):
+            if k == 1:
+                return np.array([np.inf]), None
+            return real(a, sigma, k, bases, seed, tol)
+
+        monkeypatch.setattr(pgtr.linalg, "_shifted_largest", no_probe)
+        adj = repeated_paths_graph().full_adjacency()
+        lap = normalized_laplacian(adj)
+        null = laplacian_null_basis(adj)
+        vals, _ = symmetric_eigs_smallest(lap, k, deflate=null)
+        ref_vals, _ = dense_smallest(lap, null.shape[1] + k)
+        assert np.abs(vals - ref_vals[null.shape[1]:]).max() > 1e-10
 
     def test_eigenvalues_ascending_and_signs_fixed(self):
         rng = np.random.default_rng(3)
@@ -182,6 +221,45 @@ class TestEigensolver:
             symmetric_eigs_smallest(m, 4)
         with pytest.raises(ValueError):
             symmetric_eigs_smallest(m, 3, deflate=np.eye(3)[:, :1])
+
+
+class TestStoredBases:
+    @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("graphs, k", [
+        (large_clustered_graphs, 20), (lambda: [repeated_paths_graph()], 50)],
+        ids=["clustered", "path-blocks"])
+    def test_matches_the_per_call_operator_bit_for_bit(self, monkeypatch, graphs, k, dense):
+        for g in graphs():
+            adj = g.full_adjacency()
+            assert adj.shape[0] > DENSE_CUTOFF
+            lap, null = normalized_laplacian(adj), laplacian_null_basis(adj)
+            deflate = null.toarray() if dense else null
+            got = symmetric_eigs_smallest(lap, k, deflate=deflate)
+            with monkeypatch.context() as m:
+                m.setattr(pgtr.linalg, "_shifted_largest", per_call_shifted_largest)
+                want = symmetric_eigs_smallest(lap, k, deflate=deflate)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    def test_basis_layout_does_not_change_the_eigenpairs(self):
+        rng = np.random.default_rng(5)
+        adj = large_clustered_graphs()[0].full_adjacency()
+        lap, null = normalized_laplacian(adj), laplacian_null_basis(adj)
+        coo = null.tocoo()
+        perm = rng.permutation(coo.nnz)
+        shuffled = sp.coo_matrix((coo.data[perm], (coo.row[perm], coo.col[perm])),
+                                 shape=coo.shape)
+        # a rotated basis of the same null space, so each row is dense
+        rotated = null @ np.linalg.qr(rng.standard_normal((null.shape[1],) * 2))[0]
+        wide = np.zeros((rotated.shape[0], 2 * rotated.shape[1]))
+        wide[:, 1::2] = rotated
+        for layouts in ((null, null.tocsc(), shuffled),
+                        (rotated, np.asfortranarray(rotated), wide[:, 1::2])):
+            want = symmetric_eigs_smallest(lap, 20, deflate=layouts[0])
+            for deflate in layouts[1:]:
+                got = symmetric_eigs_smallest(lap, 20, deflate=deflate)
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])
 
 
 class TestNormalizedLaplacian:

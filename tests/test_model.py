@@ -578,7 +578,8 @@ class TestRejectedBeforeSolving:
     @pytest.mark.parametrize("field, value", [
         ("tau", 0.0), ("tau", -0.2), ("tau", float("nan")), ("tau", float("inf")),
         ("lambda3", float("nan")), ("lambda1", float("inf")), ("lambda_c", -0.5),
-        ("d", 0), ("m_features", float("nan"))])
+        ("d", 0), ("m_features", float("nan")), ("d", 6.5), ("n_d", 2.0), ("layers", True),
+        ("use_spectral", "no")])
     def test_out_of_range_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field}"):
             init_model(small_graph(19), PGTRConfig(**{field: value}))

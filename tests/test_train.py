@@ -902,6 +902,25 @@ class TestSparseItemInputs:
         want = ranking_metrics(scores, [[0], [3]], [[1], [2]], k=1)
         assert got.per_user_recall.tolist() == want.per_user_recall.tolist() == [1.0, 1.0]
 
+    def test_canonical_bool_matrix_is_used_as_is(self):
+        """A canonical bool CSR with no stored False is returned unchanged;
+        any other form is converted to one."""
+        m = clustered_interactions(30, 40, 3, per_user=10, seed=4).user_item_matrix()
+        assert _user_items(m, "m", m.shape) is m
+        unsorted = m.copy()
+        unsorted.indices[:2] = unsorted.indices[1::-1]
+        unsorted.has_sorted_indices = False
+        repeated = sp.csr_matrix((np.r_[m.data, True], np.r_[m.indices, m.indices[-1]],
+                                  np.r_[m.indptr[:-1], m.nnz + 1]), shape=m.shape)
+        stored_false = m.copy()
+        stored_false.data[0] = False
+        for other in (m.astype(np.float64), m.tocsc(), m.tocoo(), unsorted, repeated,
+                      stored_false):
+            got = _user_items(other, "m", m.shape)
+            assert got is not other and got.format == "csr" and got.dtype == bool
+            assert got.has_canonical_format and got.data.all()
+            np.testing.assert_array_equal(got.toarray(), other.toarray() != 0)
+
 
 class TestEvaluate:
     def test_model_evaluation_consistent_with_metric_core(self, monkeypatch):
