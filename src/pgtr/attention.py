@@ -5,7 +5,9 @@ FAVOR+).
 The feature map phi(x) = exp(-|x|^2/2)/sqrt(m) * [exp(w_j.x)]_j gives an
 unbiased estimate phi(q).phi(k) of exp(q.k), so softmax attention becomes
 the ratio phi(Q) (phi(K)^T V) / phi(Q) (phi(K)^T 1), linear in the row
-count T.  Queries and keys are scaled by `scale` (the model uses 1/sqrt(d)).
+count T.  Queries, keys and values are all the one input table, with no maps
+of their own; queries and keys are scaled by `scale` (the model uses
+1/sqrt(d)).
 
 `kernelized_attention` evaluates that ratio as one tape node with a
 hand-written backward, on stabilized features.  A factor shared by all of a
@@ -38,8 +40,6 @@ __all__ = [
 
 MIN_DENOMINATOR = 1e-30
 
-Projections = tuple[Tensor, Tensor, Tensor]
-
 
 class AttentionError(RuntimeError):
     pass
@@ -61,26 +61,10 @@ def make_feature_map(m: int, d: int, seed: int) -> RandomFeatureMap:
     return RandomFeatureMap(m=m, directions=rng.standard_normal((m, d)), seed=seed)
 
 
-def _queries_keys_values(h: Tensor, proj: Projections | None) -> Projections:
-    if h.data.ndim != 2 or h.data.shape[0] < 1:
-        raise ValueError("attention input must be a nonempty (T, d) table")
-    if proj is None:
-        return h, h, h
-    return tuple(ad.matmul(h, ad.transpose(w)) for w in proj)
-
-
-def _half_sq_norms(x: np.ndarray) -> np.ndarray:
-    return 0.5 * np.einsum("ij,ij->i", x, x)[:, None]
-
-
-def kernelized_attention(h: Tensor, rf: RandomFeatureMap, scale: float,
-                         proj: Projections | None = None) -> Tensor:
-    """Linear-cost attention via one global (m, d + 1) summary of the key
-    features against the values and a ones column: no (T, T) table is
-    formed.
-
-    Without projections the op's one parent is `h` (queries, keys and
-    values alike); with them its parents are the taped q, k and v.
+def kernelized_attention(h: Tensor, rf: RandomFeatureMap, scale: float) -> Tensor:
+    """Linear-cost attention of the rows of `h` over themselves, via one
+    global (m, d + 1) summary of the key features against the values and a
+    ones column: no (T, T) table is formed.  The op's one parent is `h`.
 
     Raises AttentionError when some row's denominator falls below
     MIN_DENOMINATOR (about e^-69).  With the stabilized features that
@@ -90,33 +74,25 @@ def kernelized_attention(h: Tensor, rf: RandomFeatureMap, scale: float,
     pointing in opposite directions do this: each row's dominant directions
     see only the other rows' exp(-|x|^2/2)-damped features.
     """
-    q, k, v = _queries_keys_values(h, proj)
+    if h.data.ndim != 2 or h.data.shape[0] < 1:
+        raise ValueError("attention input must be a nonempty (T, d) table")
     w = rf.directions
-    shared = proj is None
-    xq = q.data * scale
+    xq = h.data * scale
     logits = xq @ w.T
     top = logits.max(axis=1, keepdims=True)
     logits -= top
     phi_q = np.exp(logits, out=logits)
     # the values with a ones column: one product gives the numerators and
     # the denominator
-    values = np.empty((v.data.shape[0], v.data.shape[1] + 1))
-    values[:, :-1] = v.data
+    values = np.empty((h.data.shape[0], h.data.shape[1] + 1))
+    values[:, :-1] = h.data
     values[:, -1] = 1.0
-    if shared:
-        # the key features are phi_q times a (T, 1) row scale, which the
-        # values carry: no second (T, m) exp or table
-        key_phi = phi_q
-        shift = top - _half_sq_norms(xq)
-        row_scale = np.exp(shift - shift.max())
-        values *= row_scale
-    else:
-        xk = k.data * scale
-        key_logits = xk @ w.T
-        key_logits -= _half_sq_norms(xk)
-        key_logits -= key_logits.max()
-        key_phi = np.exp(key_logits, out=key_logits)
-    summary = key_phi.T @ values
+    # the key features are phi_q times a (T, 1) row scale, which the values
+    # carry: no second (T, m) exp or table
+    shift = top - 0.5 * np.einsum("ij,ij->i", xq, xq)[:, None]
+    row_scale = np.exp(shift - shift.max())
+    values *= row_scale
+    summary = phi_q.T @ values
     numer = phi_q @ summary
     den = numer[:, -1:]
     if den.min() < MIN_DENOMINATOR:
@@ -129,26 +105,13 @@ def kernelized_attention(h: Tensor, rf: RandomFeatureMap, scale: float,
         d_numer[:, -1] = np.einsum("ij,ij->i", g, out)
         d_numer[:, -1:] /= -den
         d_summary = phi_q.T @ d_numer
-        if shared:
-            d_values = phi_q @ d_summary
-            # row i is d(loss)/d(log of key row i's features): the keys'
-            # -|x|^2/2 term turns it into a gradient of -key_mass * x
-            key_mass = np.einsum("ij,ij->i", values, d_values)[:, None]
-            # queries and keys share phi_q: one (T, m) product for both
-            da = np.hstack([d_numer, values]) @ np.hstack([summary, d_summary]).T
-            da *= phi_q
-            ad._accum(h, d_values[:, :-1] * row_scale + scale * (da @ w - key_mass * xq))
-            return
-        if q._needs:
-            da_q = d_numer @ summary.T
-            da_q *= phi_q
-            ad._accum(q, scale * (da_q @ w))
-        if k._needs:
-            da_k = values @ d_summary.T
-            da_k *= key_phi
-            ad._accum(k, scale * (da_k @ w - da_k.sum(axis=1, keepdims=True) * xk))
-        if v._needs:
-            ad._accum(v, key_phi @ d_summary[:, :-1])
+        d_values = phi_q @ d_summary
+        # row i is d(loss)/d(log of key row i's features): the keys'
+        # -|x|^2/2 term turns it into a gradient of -key_mass * x
+        key_mass = np.einsum("ij,ij->i", values, d_values)[:, None]
+        # queries and keys share phi_q: one (T, m) product for both
+        da = np.hstack([d_numer, values]) @ np.hstack([summary, d_summary]).T
+        da *= phi_q
+        ad._accum(h, d_values[:, :-1] * row_scale + scale * (da @ w - key_mass * xq))
 
-    return ad._make(out, "kernelized_attention", (h,) if shared else (q, k, v), bw)
-
+    return ad._make(out, "kernelized_attention", (h,), bw)

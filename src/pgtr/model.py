@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import struct
 import typing
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ __all__ = [
 
 EMBED_INIT_STD = 0.1
 CHECKPOINT_MAGIC = b"PGTR"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 HEADER_FIELDS = ("config", "n_users", "n_items", "graph_hash", "seed", "feature_map_seeds")
 
 
@@ -73,7 +74,6 @@ class PGTRConfig:
     use_pagerank: bool = True
     use_type: bool = True
     backbone: str = "lightgcn"
-    use_projections: bool = False
 
     def validate(self):
         """Raise ValueError naming the first field of the wrong type (see
@@ -122,7 +122,6 @@ class ModelState:
     enc: PositionalEncodingSet
     feature_maps: list[RandomFeatureMap]
     transforms: list[Tensor]
-    attn_projections: list[tuple[Tensor, Tensor, Tensor]] | None
     seed: int
 
     @property
@@ -134,9 +133,6 @@ class ModelState:
         named.extend(self.enc.trainable_tables())
         for l, w in enumerate(self.transforms):
             named.append((f"backbone_w{l}", w))
-        if self.attn_projections:
-            for l, (wq, wk, wv) in enumerate(self.attn_projections):
-                named.extend([(f"attn_q{l}", wq), (f"attn_k{l}", wk), (f"attn_v{l}", wv)])
         return named
 
     def parameters(self) -> list[Tensor]:
@@ -166,22 +162,15 @@ def _init_model(graph: BipartiteGraph, cfg: PGTRConfig, seed: int,
                            name="embeddings")
     enc = build_encoding_set(graph, cfg, rng, stored)
     bound = 0.1 / np.sqrt(cfg.d)
-
-    def square(name: str) -> Tensor:
-        return parameter(rng.uniform(-bound, bound, size=(cfg.d, cfg.d)), name=name)
-
     transforms = []
     if cfg.backbone == "transform-gcn":
-        transforms = [square(f"backbone_w{l}") for l in range(cfg.layers)]
-    attn_projections = None
-    if cfg.use_projections:
-        attn_projections = [tuple(square(f"attn_{tag}{l}") for tag in "qkv")
-                            for l in range(cfg.layers)]
+        transforms = [parameter(rng.uniform(-bound, bound, size=(cfg.d, cfg.d)),
+                                name=f"backbone_w{l}") for l in range(cfg.layers)]
     fm_seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(cfg.layers)]
     feature_maps = [make_feature_map(cfg.m_features, cfg.d, s) for s in fm_seeds]
     return ModelState(cfg, graph.n_users, graph.n_items, _graph_hash(graph),
                       normalized_adjacency(graph), embeddings, enc, feature_maps,
-                      transforms, attn_projections, seed)
+                      transforms, seed)
 
 
 def forward(state: ModelState, return_layers: bool = False):
@@ -205,8 +194,7 @@ def forward(state: ModelState, return_layers: bool = False):
                                 state.transforms[layer] if state.transforms else None)
         if cfg.lambda3 != 0.0:
             attn_in = local + pos * cfg.lambda2 if (pos is not None and cfg.lambda2 != 0.0) else local
-            proj = state.attn_projections[layer] if state.attn_projections else None
-            global_ = kernelized_attention(attn_in, state.feature_maps[layer], scale, proj)
+            global_ = kernelized_attention(attn_in, state.feature_maps[layer], scale)
             mixed = local * (1.0 - cfg.lambda3) + global_ * cfg.lambda3
         else:
             global_ = None
@@ -221,9 +209,8 @@ def forward(state: ModelState, return_layers: bool = False):
 
 
 def count_added_parameters(state: ModelState) -> int:
-    """Trainable scalars beyond the embedding table (projections-off only)."""
-    if state.config.use_projections:
-        raise ValueError("parameter census is defined for the projections-off configuration")
+    """Trainable scalars the positional encodings add to the embeddings and
+    the backbone: the paper's census, 4200 at the default config."""
     return sum(t.data.size for _, t in state.enc.trainable_tables())
 
 
@@ -261,11 +248,12 @@ def save_checkpoint(state: ModelState, path):
 
 
 def _read(fh, size: int, what: str) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
+    """The next `size` bytes of `fh`, checked against the bytes left first."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
         raise ValueError(f"checkpoint truncated in {what}: "
-                         f"expected {size} bytes, found {len(data)}")
-    return data
+                         f"expected {size} bytes, found {max(left, 0)}")
+    return fh.read(size)
 
 
 def load_checkpoint(path, graph: BipartiteGraph) -> ModelState:
@@ -286,14 +274,21 @@ def load_checkpoint(path, graph: BipartiteGraph) -> ModelState:
             data = _read(fh, rows * cols * 8, f"the data of block {name!r}")
             blocks[name] = np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
 
+    if not isinstance(meta, dict):
+        raise ValueError("checkpoint header is not a JSON object")
     missing = [field for field in HEADER_FIELDS if field not in meta]
     if missing:
         raise ValueError(f"checkpoint header lacks the field {missing[0]!r}")
+    if not isinstance(meta["config"], dict):
+        raise ValueError(f"checkpoint field 'config' must be an object, got {meta['config']!r}")
+    seed = meta["seed"]
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"checkpoint field 'seed' must be a non-negative int, got {seed!r}")
     if ([meta["n_users"], meta["n_items"], meta["graph_hash"]]
             != [graph.n_users, graph.n_items, _graph_hash(graph)]):
         raise ValueError("checkpoint was built for a different graph")
     cfg = PGTRConfig.from_dict(meta["config"])
-    state = _init_model(graph, cfg, meta["seed"], stored=blocks)
+    state = _init_model(graph, cfg, seed, stored=blocks)
     if meta["feature_map_seeds"] != [rf.seed for rf in state.feature_maps]:
         raise ValueError("checkpoint field 'feature_map_seeds' differs from the "
                          "feature maps its seed draws")

@@ -7,17 +7,15 @@ from .autodiff import Tensor
 
 __all__ = ["AdamState", "adam_step"]
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class AdamState:
     """Per-parameter first/second moment buffers plus the step counter."""
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -26,13 +24,13 @@ class AdamState:
 def adam_step(state: AdamState):
     """Apply one update to every parameter, then clear gradients."""
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     for p, m, v in zip(state.params, state.m, state.v):
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
         p.grad = None

@@ -16,7 +16,6 @@ import pgtr.autodiff as ad
 from pgtr.attention import (
     MIN_DENOMINATOR,
     AttentionError,
-    _queries_keys_values,
     kernelized_attention,
     make_feature_map,
 )
@@ -35,29 +34,28 @@ def feature_map(x, rf):
     return exp(sub(logits, sq * 0.5)) * (1.0 / np.sqrt(rf.m))
 
 
-def taped_kernelized_attention(h, rf, scale, proj=None):
-    """phi(Q) (phi(K)^T V) / phi(Q) (phi(K)^T 1), one tape node per step."""
-    if proj is None:
-        q = k = v = h
-    else:
-        q, k, v = (ad.matmul(h, ad.transpose(w)) for w in proj)
-    phi_q = feature_map(q * scale, rf)
-    phi_k = phi_q if proj is None else feature_map(k * scale, rf)
-    summary = ad.matmul(ad.transpose(phi_k), v)
-    totals = sum_axis(phi_k, axis=0)
-    numer = ad.matmul(phi_q, summary)
-    denom = ad.matmul(phi_q, ad.transpose(totals))
+def taped_kernelized_attention(h, rf, scale):
+    """phi(H) (phi(H)^T H) / phi(H) (phi(H)^T 1), one tape node per step:
+    the queries, keys and values are all H."""
+    phi = feature_map(h * scale, rf)
+    summary = ad.matmul(ad.transpose(phi), h)
+    totals = sum_axis(phi, axis=0)
+    numer = ad.matmul(phi, summary)
+    denom = ad.matmul(phi, ad.transpose(totals))
     if denom.data.min() < MIN_DENOMINATOR:
         raise AttentionError("attention denominator underflow; inputs need rescaling")
     return div(numer, denom)
 
 
-def exact_attention(h, scale, proj=None):
-    """Quadratic-cost softmax aggregation over all (T, T) pairs, on the tape."""
-    q, k, v = _queries_keys_values(h, proj)
-    logits = ad.matmul(q * scale, ad.transpose(k * scale))
+def exact_attention(h, scale):
+    """Quadratic-cost softmax aggregation of the rows of `h` over all (T, T)
+    pairs, on the tape."""
+    if h.data.ndim != 2 or h.data.shape[0] < 1:
+        raise ValueError("attention input must be a nonempty (T, d) table")
+    x = h * scale
+    logits = ad.matmul(x, ad.transpose(x))
     weights = exp(sub(logits, logsumexp_rows(logits)))
-    return ad.matmul(weights, v)
+    return ad.matmul(weights, h)
 
 
 def mapped(x, rf):
@@ -94,10 +92,7 @@ def held_arrays(out):
     for node in tape_nodes(out):
         arrays.append(node.data)
         for cell in getattr(node._backward, "__closure__", None) or ():
-            try:
-                held = cell.cell_contents
-            except ValueError:  # a name only the other branch assigns
-                continue
+            held = cell.cell_contents
             if isinstance(held, ad.Tensor):
                 arrays.append(held.data)
             elif isinstance(held, np.ndarray):
@@ -238,24 +233,27 @@ class TestKernelizedAttention:
         t, m, d = 80, 128, 16
         z = parameter(rng.normal(0, 0.1, size=(t, d)))
         rf = make_feature_map(m, d, seed=17)
-        proj = tuple(parameter(rng.uniform(-0.3, 0.3, size=(d, d))) for _ in range(3))
 
         def pairwise(out):
             return [a for a in held_arrays(out) if a.shape == (t, t) or a.size > t * m]
 
         assert not pairwise(kernelized_attention(z, rf, 1.0 / np.sqrt(d)))
-        assert not pairwise(kernelized_attention(z, rf, 1.0 / np.sqrt(d), proj))
         assert pairwise(exact_attention(z, 1.0 / np.sqrt(d)))
 
     def test_one_node_per_layer(self):
-        """Without projections the whole layer is one node whose only
-        parent is its input."""
+        """The whole layer is one node whose only parent is its input."""
         rng = np.random.default_rng(19)
         h = parameter(rng.normal(0, 0.3, size=(12, 4)))
         out = kernelized_attention(h, make_feature_map(8, 4, seed=20), 0.5)
         assert out._op == "kernelized_attention"
         assert out._parents == (h,)
         assert len(tape_nodes(out)) == 2
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3,), (2, 3, 1)])
+    def test_input_that_is_not_a_nonempty_table_rejected(self, shape):
+        rf = make_feature_map(8, 3, seed=21)
+        with pytest.raises(ValueError, match="nonempty"):
+            kernelized_attention(constant(np.ones(shape)), rf, 0.5)
 
     def test_underflow_denominator_rejected(self):
         # each row's dominant directions see only the other row's features,
@@ -282,10 +280,10 @@ ORACLE_MAX_NORM = 20.0
 
 
 @settings(max_examples=60, deadline=None)
-@given(t=st.integers(1, 60), identical=st.booleans(), projections=st.booleans(),
+@given(t=st.integers(1, 60), identical=st.booleans(),
        norm=st.floats(0.0, ORACLE_MAX_NORM), seed=st.integers(0, 2**32 - 1))
-def test_fused_matches_taped_oracle(t, identical, projections, norm, seed):
-    """The output and every input gradient from one backward agree with the
+def test_fused_matches_taped_oracle(t, identical, norm, seed):
+    """The output and the input gradient from one backward agree with the
     unstabilized taped composition to 1e-12 relative."""
     d, m = 6, 16
     rng = np.random.default_rng(seed)
@@ -293,18 +291,14 @@ def test_fused_matches_taped_oracle(t, identical, projections, norm, seed):
     rows *= norm * rng.uniform(0.0, 1.0, size=(rows.shape[0], 1)) / np.linalg.norm(
         rows, axis=1, keepdims=True)
     rows = np.broadcast_to(rows, (t, d)).copy()
-    weights = ([rng.uniform(-1.0, 1.0, size=(d, d)) / np.sqrt(d) for _ in range(3)]
-               if projections else [])
     g = constant(rng.standard_normal((t, d)))
     rf = make_feature_map(m, d, seed=seed)
 
     def run(attention):
         h = parameter(rows.copy())
-        proj = tuple(parameter(w.copy()) for w in weights) or None
-        out = attention(h, rf, 1.0 / np.sqrt(d), proj)
+        out = attention(h, rf, 1.0 / np.sqrt(d))
         ad.backward(sum_axis(out * g, axis=None, keepdims=False))
-        grads = [h.grad] + [w.grad for w in proj or ()]
-        return out.data, np.concatenate([gr.ravel() for gr in grads])
+        return out.data, h.grad
 
     want_out, want_grad = run(taped_kernelized_attention)
     got_out, got_grad = run(kernelized_attention)

@@ -361,7 +361,7 @@ FUSED_CONFIGS = {
     "spectral off": dict(use_spectral=False),
     "degree and pagerank off": dict(use_degree=False, use_pagerank=False),
     "type only": dict(use_spectral=False, use_degree=False, use_pagerank=False),
-    "transform-gcn with projections": dict(backbone="transform-gcn", use_projections=True),
+    "transform-gcn": dict(backbone="transform-gcn"),
 }
 
 

@@ -1,6 +1,7 @@
 """Model composition tests: reduction, mixing, census, checkpoints."""
 import json
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -234,13 +235,6 @@ class TestParameterCensus:
         for n, m in [(1435, 1522), (13024, 22347), (23566, 48123), (52643, 91599)]:
             assert added < (n + m) * cfg.d
 
-    def test_projections_on_rejected(self):
-        g = small_graph(7)
-        cfg = PGTRConfig(use_projections=True, **SMALL)
-        state = init_model(g, cfg, seed=14)
-        with pytest.raises(ValueError):
-            count_added_parameters(state)
-
 
 class TestSpectralFrozen:
     def test_spectral_matrix_constant_across_training_steps(self):
@@ -267,24 +261,21 @@ class TestSpectralFrozen:
 
 
 class TestDifferentiability:
-    @pytest.mark.parametrize("use_projections", [False, True])
-    def test_forward_plus_loss_passes_finite_differences(self, use_projections):
+    @pytest.mark.parametrize("backbone", ["lightgcn", "transform-gcn"])
+    def test_forward_plus_loss_passes_finite_differences(self, backbone):
         from pgtr.train import batch_loss
 
         ds = clustered_interactions(6, 6, 2, per_user=3, seed=16)
         g = build_graph(ds)
         cfg = PGTRConfig(d=3, layers=1, h_c=2, h_d=2, h_r=2, h_y=2,
-                         n_d=2, n_r=2, m_features=8, lambda3=0.5,
-                         use_projections=use_projections)
+                         n_d=2, n_r=2, m_features=8, lambda3=0.5, backbone=backbone)
         state = init_model(g, cfg, seed=17)
-        if use_projections:
-            # at the init scale attention is a near-uniform average, whose q and
-            # k gradients are too small for the check to see
-            rng = np.random.default_rng(19)
-            state.embeddings.data *= 5.0
-            for w in state.attn_projections[0]:
-                w.data = rng.uniform(-2.0, 2.0, size=w.data.shape)
-            assert {"attn_q0", "attn_k0", "attn_v0"} <= dict(state.named_parameters()).keys()
+        if backbone == "transform-gcn":
+            # at the init scale the transform's gradient is too small for
+            # the check to see
+            (w,) = state.transforms
+            w.data = np.random.default_rng(19).uniform(-2.0, 2.0, size=w.data.shape)
+            assert "backbone_w0" in dict(state.named_parameters())
         users = ds.users[:4]
         items = ds.items[:4]
         train_items = ds.items_of_user()
@@ -419,15 +410,35 @@ class TestCheckpoint:
             with pytest.raises(ValueError, match=f"truncated in {section}"):
                 load_checkpoint(path, g)
 
+    def test_block_larger_than_the_file_is_truncated(self, tmp_path):
+        """A block shape is checked against the bytes left in the file
+        before anything is read or allocated, so even a byte count beyond
+        sys.maxsize reads as a truncated block."""
+        g = small_graph(13)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(g, PGTRConfig(**SMALL), seed=22), path)
+        raw = bytearray(path.read_bytes())
+        (meta_len,) = struct.unpack("<I", raw[5:9])
+        shape_at = 13 + meta_len + 4 + len(b"embeddings")
+        assert struct.unpack("<II", raw[shape_at:shape_at + 8]) == (
+            g.n_users + g.n_items, SMALL["d"])
+        raw[shape_at:shape_at + 8] = struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF)
+        assert 0xFFFFFFFF * 0xFFFFFFFF * 8 > sys.maxsize
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="^checkpoint truncated in the data of block "
+                                             "'embeddings': expected "):
+            load_checkpoint(path, g)
+
     def test_version_2_rejected(self, tmp_path):
-        """Version-2 headers carry the removed `attention` field; version 3
-        files hold no group ids."""
+        """Version-2 headers carry the removed `attention` field, version 3
+        files hold no group ids, and version-4 headers carry the removed
+        switch for query, key and value maps."""
         g = small_graph(15)
         path = tmp_path / "model.ckpt"
         save_checkpoint(init_model(g, PGTRConfig(**SMALL), seed=24), path)
         raw = bytearray(path.read_bytes())
-        assert raw[4] == 4
-        for version in (2, 3):
+        assert raw[4] == 5
+        for version in (2, 3, 4):
             raw[4] = version
             path.write_bytes(bytes(raw))
             with pytest.raises(ValueError, match=f"^unsupported checkpoint version {version}$"):
@@ -441,13 +452,19 @@ class TestCheckpoint:
         version, meta, blocks = read_checkpoint(path)
         write_checkpoint(path, version, meta, blocks)
         assert path.read_bytes() == raw  # the test's reader and writer match the format
-        edits = {"'seed'": lambda m: m.pop("seed"),
-                 "'attention'": lambda m: m["config"].update(attention="kernelized")}
-        for field, edit in edits.items():
-            bad = json.loads(json.dumps(meta))
-            edit(bad)
+        without_seed = {k: v for k, v in meta.items() if k != "seed"}
+        edits = [
+            ("'seed'", without_seed),
+            ("'attention'", dict(meta, config=dict(meta["config"], attention="kernelized"))),
+            ("^checkpoint header is not a JSON object$", 5),
+            ("^checkpoint header is not a JSON object$", [meta]),
+            ("^checkpoint field 'config' must be an object, got \\[1\\]$", dict(meta, config=[1])),
+        ]
+        edits += [(f"^checkpoint field 'seed' must be a non-negative int, got {bad!r}$",
+                   dict(meta, seed=bad)) for bad in ("abc", 1.5, True, -1)]
+        for match, bad in edits:
             write_checkpoint(path, version, bad, blocks)
-            with pytest.raises(ValueError, match=field):
+            with pytest.raises(ValueError, match=match):
                 load_checkpoint(path, g)
 
     def test_feature_map_seeds_must_match_the_seed(self, tmp_path):
@@ -512,7 +529,7 @@ class TestCheckpoint:
 class TestDrawOrder:
     @pytest.mark.parametrize("kw", [
         {},
-        dict(backbone="transform-gcn", use_projections=True),
+        dict(backbone="transform-gcn"),
         dict(use_degree=False, use_type=False),
         dict(use_spectral=False, use_degree=False, use_pagerank=False, use_type=False,
              backbone="transform-gcn"),
@@ -521,8 +538,8 @@ class TestDrawOrder:
         """`init_model` draws from `default_rng(seed)`, in order: the
         embeddings; the degree, PageRank and type tables; the item, user,
         spectral, degree, PageRank and type projections; the backbone
-        transforms; each layer's q, k and v projections; the feature-map
-        seeds.  Checkpoints and repeated runs rely on it."""
+        transforms; the feature-map seeds.  Checkpoints and repeated runs
+        rely on it."""
         g = small_graph(18)
         cfg = PGTRConfig(**SMALL, **kw)
         state = init_model(g, cfg, seed=27)
@@ -549,10 +566,6 @@ class TestDrawOrder:
         if cfg.backbone == "transform-gcn":
             for l in range(cfg.layers):
                 want[f"backbone_w{l}"] = uniform(cfg.d, cfg.d)
-        if cfg.use_projections:
-            for l in range(cfg.layers):
-                for tag in "qkv":
-                    want[f"attn_{tag}{l}"] = uniform(cfg.d, cfg.d)
         seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(cfg.layers)]
 
         got = dict(state.named_parameters())
