@@ -5,8 +5,21 @@ dense matrix product and transpose, a constant sparse matrix times a
 tensor, leaky ReLU and L2 row normalization.  Modules add fused ops
 through `_make` with a hand-written backward: the position vectors of
 `encodings.position_tape`, `attention.kernelized_attention` and the
-sampled-softmax loss of `train.batch_loss`.  Every operation validates its
-output for finiteness and aborts with the operation name on NaN/Inf.
+sampled-softmax loss of `train.batch_loss`, and the model's layer mix and
+readout mean (`mix`, `mean`).
+
+Finiteness is checked per op by default: every operation validates its
+output and aborts with the operation name on NaN/Inf.  Inside
+`deferred_checks` (a training step, `evaluate`'s forward) ops skip the
+scan, and the caller checks its results at the step's boundary instead,
+replaying the work with per-op checks on when one is not finite, so the
+error still names the op.
+
+`backward` releases what it has consumed: once an interior node's backward
+has run, its `.grad` and closure are dropped, so a step's tape shrinks as
+backward runs.  Leaves keep `.grad` for the optimizer.  A node stores the
+first gradient it receives as given, without writing into it, and sums any
+later ones into a buffer of its own.
 
 An op records a backward closure only when some input needs a gradient
 (a trainable leaf or a node computed from one), and the closure computes
@@ -14,6 +27,9 @@ the gradient of just those inputs: constants such as a scalar `1/tau` or a
 0/1 mask are never differentiated.
 """
 from __future__ import annotations
+
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,13 +45,36 @@ __all__ = [
     "leaky_relu",
     "spmm",
     "l2_normalize_rows",
+    "mix",
+    "mean",
     "backward",
     "zero_grad",
+    "deferred_checks",
 ]
 
 
 class NumericsError(RuntimeError):
     """Raised when an operation produces a non-finite intermediate."""
+
+
+# whether `_make` scans each op's output; off only inside `deferred_checks`,
+# and only for the thread or task that entered it
+_check_ops = ContextVar("pgtr_check_ops", default=True)
+
+
+@contextmanager
+def deferred_checks():
+    """Ops skip their finiteness scan for the block, and numpy's overflow,
+    invalid and divide warnings are silenced.  The caller checks the
+    block's results instead and, on a non-finite one, replays the block
+    outside: the replay warns and raises as a checked run does, naming the
+    op."""
+    token = _check_ops.set(False)
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            yield
+    finally:
+        _check_ops.reset(token)
 
 
 def _as_array(x) -> np.ndarray:
@@ -61,14 +100,19 @@ class Tensor:
     """Array node in the computation graph.
 
     `trainable` marks optimizer-owned leaves; interior nodes carry a
-    backward closure that accumulates into their parents' `.grad`.
+    backward closure that accumulates into their parents' `.grad`.  Clear
+    `.grad` to None (`zero_grad`) before a new accumulation: a gradient
+    summed from several contributions is owned by the node and added into
+    in place.
     """
 
-    __slots__ = ("data", "grad", "trainable", "name", "_parents", "_backward", "_op", "_needs")
+    __slots__ = ("data", "grad", "trainable", "name", "_parents", "_backward", "_op", "_needs",
+                 "_owns_grad")
 
     def __init__(self, data, trainable: bool = False, name: str | None = None):
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
+        self._owns_grad = False  # whether `grad` is a sum `_accum` allocated
         self.trainable = bool(trainable)
         self.name = name
         self._parents: tuple[Tensor, ...] = ()
@@ -102,7 +146,8 @@ def _wrap(x) -> Tensor:
 def _make(data, op: str, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
     out._op = op
-    _check_finite(out.data, op)
+    if _check_ops.get():
+        _check_finite(out.data, op)
     if any(p._needs for p in parents):
         out._parents = parents
         out._backward = backward_fn
@@ -111,7 +156,16 @@ def _make(data, op: str, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray):
-    t.grad = g if t.grad is None else t.grad + g
+    """Add `g` to `t.grad`.  The first gradient is stored as given and never
+    written into: `add` and `mean` hand one array to several parents, and a
+    backward may hand over a view of its own buffer.  The second allocates
+    a sum that `t` owns, and later ones add into that sum in place."""
+    if t.grad is None:
+        t.grad, t._owns_grad = g, False
+    elif t._owns_grad:
+        t.grad += g
+    else:
+        t.grad, t._owns_grad = t.grad + g, True
 
 
 def _binary(op: str, data, a: Tensor, b: Tensor, grad_a, grad_b) -> Tensor:
@@ -190,6 +244,36 @@ def l2_normalize_rows(a: Tensor) -> Tensor:
     return _make(data, "l2_normalize_rows", (a,), bw)
 
 
+def mix(a: Tensor, b: Tensor, wa: float, wb: float) -> Tensor:
+    """a * wa + b * wb for same-shape tensors, as one node: the arithmetic
+    of `add(mul(a, wa), mul(b, wb))` with scalar weights, bit for bit."""
+    def bw(g):
+        if a._needs:
+            _accum(a, g * wa)
+        if b._needs:
+            _accum(b, g * wb)
+
+    return _make(a.data * wa + b.data * wb, "mix", (a, b), bw)
+
+
+def mean(tables: list[Tensor]) -> Tensor:
+    """((t0 + t1) + ...) * (1/n) over n same-shape tensors, as one node:
+    the arithmetic of the taped sum-then-scale, bit for bit."""
+    scale = 1.0 / len(tables)
+    total = tables[0].data.copy()
+    for t in tables[1:]:
+        total += t.data
+    total *= scale
+
+    def bw(g):
+        share = g * scale
+        for t in tables:
+            if t._needs:
+                _accum(t, share)
+
+    return _make(total, "mean", tuple(tables), bw)
+
+
 def _topo_order(root: Tensor) -> list[Tensor]:
     order: list[Tensor] = []
     seen: set[int] = set()
@@ -210,15 +294,22 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor):
-    """Accumulate d(loss)/d(leaf) into `.grad` of every reachable leaf."""
+    """Accumulate d(loss)/d(leaf) into `.grad` of every reachable leaf.
+
+    Each interior node's `.grad` and backward closure are released once the
+    closure has run, so the arrays they hold are freed as backward goes and
+    a second `backward` over the same tape adds nothing.  Nodes keep their
+    `.data` and parents."""
     if loss.data.size != 1:
         raise ValueError("backward requires a scalar loss")
     if not loss._needs:
         return
     loss.grad = np.ones_like(loss.data)
     for node in reversed(_topo_order(loss)):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        if node._backward is not None:
+            if node.grad is not None:
+                node._backward(node.grad)
+            node.grad = node._backward = None
 
 
 def zero_grad(params: list[Tensor]):

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import scipy.sparse as sp
 
-from .autodiff import Tensor, leaky_relu, matmul, spmm, transpose
+from .autodiff import Tensor, leaky_relu, matmul, mean, spmm, transpose
 from .data import BipartiteGraph
 from .linalg import symmetric_normalized
 
@@ -32,10 +32,7 @@ def propagate_layer(h: Tensor, adj: sp.csr_matrix, transform: Tensor | None = No
 
 
 def readout(layer_tables: list[Tensor]) -> Tensor:
-    """Arithmetic mean over the layer-0..L tables."""
+    """Arithmetic mean over the layer-0..L tables, as one `mean` node."""
     if not layer_tables:
         raise ValueError("readout needs at least one table")
-    acc = layer_tables[0]
-    for t in layer_tables[1:]:
-        acc = acc + t
-    return acc * (1.0 / len(layer_tables))
+    return mean(layer_tables)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import RandomFeatureMap, kernelized_attention, make_feature_map
-from .autodiff import Tensor, parameter
+from .autodiff import Tensor, mix, parameter
 from .backbone import normalized_adjacency, propagate_layer, readout
 from .data import BipartiteGraph
 from .encodings import PositionalEncodingSet, build_encoding_set, position_tape
@@ -195,7 +195,7 @@ def forward(state: ModelState, return_layers: bool = False):
         if cfg.lambda3 != 0.0:
             attn_in = local + pos * cfg.lambda2 if (pos is not None and cfg.lambda2 != 0.0) else local
             global_ = kernelized_attention(attn_in, state.feature_maps[layer], scale)
-            mixed = local * (1.0 - cfg.lambda3) + global_ * cfg.lambda3
+            mixed = mix(local, global_, 1.0 - cfg.lambda3, cfg.lambda3)
         else:
             global_ = None
             mixed = local
@@ -214,6 +214,15 @@ def count_added_parameters(state: ModelState) -> int:
     return sum(t.data.size for _, t in state.enc.trainable_tables())
 
 
+def _blocks(state: ModelState) -> list[tuple[str, np.ndarray]]:
+    """The named 2-D blocks a checkpoint of `state` holds, in file order."""
+    blocks = [(name, t.data) for name, t in state.named_parameters()]
+    blocks += [(f"{e.name}_groups", e.group_of[None, :]) for e in state.enc.grouped]
+    if state.enc.spectral is not None:
+        blocks.append(("spectral", state.enc.spectral.matrix))
+    return blocks
+
+
 def save_checkpoint(state: ModelState, path):
     """Versioned header, config JSON, then named row-major float64 blocks:
     the parameters, each grouped encoding's group ids as a (1, N+M) row
@@ -227,10 +236,7 @@ def save_checkpoint(state: ModelState, path):
         "seed": state.seed,
         "feature_map_seeds": [rf.seed for rf in state.feature_maps],
     }
-    blocks = [(name, t.data) for name, t in state.named_parameters()]
-    blocks += [(f"{e.name}_groups", e.group_of[None, :]) for e in state.enc.grouped]
-    if state.enc.spectral is not None:
-        blocks.append(("spectral", state.enc.spectral.matrix))
+    blocks = _blocks(state)
     raw = json.dumps(meta).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -257,6 +263,11 @@ def _read(fh, size: int, what: str) -> bytes:
 
 
 def load_checkpoint(path, graph: BipartiteGraph) -> ModelState:
+    """The model `save_checkpoint` wrote for `graph`.  Raises ValueError
+    naming the cause for a file that is not a checkpoint of this version,
+    is truncated, has a malformed header, was built for another graph, or
+    holds a block that is unknown, repeated, missing or of the wrong
+    shape."""
     with open(path, "rb") as fh:
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise ValueError("not a model checkpoint")
@@ -272,6 +283,8 @@ def load_checkpoint(path, graph: BipartiteGraph) -> ModelState:
             name = _read(fh, name_len, f"the name of block {index}").decode("utf-8")
             rows, cols = struct.unpack("<II", _read(fh, 8, f"the shape of block {name!r}"))
             data = _read(fh, rows * cols * 8, f"the data of block {name!r}")
+            if name in blocks:
+                raise ValueError(f"checkpoint repeats block {name!r}")
             blocks[name] = np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
 
     if not isinstance(meta, dict):
@@ -289,6 +302,10 @@ def load_checkpoint(path, graph: BipartiteGraph) -> ModelState:
         raise ValueError("checkpoint was built for a different graph")
     cfg = PGTRConfig.from_dict(meta["config"])
     state = _init_model(graph, cfg, seed, stored=blocks)
+    expected = {name for name, _ in _blocks(state)}
+    unknown = [name for name in blocks if name not in expected]
+    if unknown:
+        raise ValueError(f"checkpoint holds an unknown block {unknown[0]!r}")
     if meta["feature_map_seeds"] != [rf.seed for rf in state.feature_maps]:
         raise ValueError("checkpoint field 'feature_map_seeds' differs from the "
                          "feature maps its seed draws")

@@ -11,7 +11,8 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class AdamState:
-    """Per-parameter first/second moment buffers plus the step counter."""
+    """Per-parameter first/second moment buffers, two scratch buffers each
+    for the update's temporaries, plus the step counter."""
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3):
         self.params = list(params)
@@ -19,18 +20,30 @@ class AdamState:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        self.scratch = [(np.empty_like(p.data), np.empty_like(p.data)) for p in self.params]
 
 
 def adam_step(state: AdamState):
-    """Apply one update to every parameter, then clear gradients."""
+    """Apply one update to every parameter, then clear gradients.
+
+    The update is p -= lr * (m / bc1) / (sqrt(v / bc2) + EPS), each
+    temporary written into the parameter's scratch buffers in that order."""
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
-    for p, m, v in zip(state.params, state.m, state.v):
+    for p, m, v, (a, b) in zip(state.params, state.m, state.v, state.scratch):
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        m += np.multiply(g, 1.0 - BETA1, out=a)
         v *= BETA2
-        v += (1.0 - BETA2) * (g * g)
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+        np.multiply(g, g, out=a)
+        a *= 1.0 - BETA2
+        v += a
+        np.divide(m, bc1, out=a)
+        a *= state.lr
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += EPS
+        a /= b
+        p.data -= a
         p.grad = None

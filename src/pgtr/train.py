@@ -161,6 +161,59 @@ def _in_batch_softmax(h: Tensor, users: np.ndarray, item_rows: np.ndarray,
     return ad._make(loss, "in_batch_softmax", (h,), bw)
 
 
+def _at_boundary(run, nonfinite):
+    """`run()` with per-op finiteness checks deferred (`ad.deferred_checks`),
+    checked at its boundary: `nonfinite(result)` names a non-finite part of
+    the result, or is None.  On a non-finite part, a NumericsError or an
+    AttentionError, `run()` is replayed with per-op checks on.  The
+    parameters have not changed, so the replay repeats the arithmetic and
+    its error names the op; a replay that finds no failing op raises a
+    NumericsError naming the part."""
+    try:
+        with ad.deferred_checks():
+            result = run()
+        if nonfinite(result) is None:
+            return result
+    except (NumericsError, AttentionError):
+        pass
+    result = run()
+    bad = nonfinite(result)
+    if bad is not None:
+        raise NumericsError(f"non-finite {bad}")
+    return result
+
+
+def _step(state: ModelState, users: np.ndarray, items: np.ndarray,
+          user_items: sp.csr_matrix, last: list) -> int:
+    """One step's gradients: zero them, `batch_loss`, then `backward`, with
+    the loss and every parameter's gradient checked at the boundary (see
+    `_at_boundary`).  Returns the pairs skipped, and leaves the loss tensor
+    in `last[0]`.
+
+    The loss `last[0]` held, the previous step's, is replaced once this
+    step's forward is built, so its tape is freed between the forward and
+    the backward, whose arrays then reuse that memory.  Freeing it at the
+    end of a step instead hands the heap top back to the OS, and the next
+    forward faults it in again."""
+    named = state.named_parameters()
+
+    def run():
+        ad.zero_grad([t for _, t in named])
+        last[0], skipped = batch_loss(state, users, items, user_items)
+        ad.backward(last[0])
+        return skipped
+
+    def nonfinite(_):
+        if not np.isfinite(last[0].data).all():
+            return "loss"
+        for name, t in named:
+            if t.grad is not None and not np.isfinite(t.grad).all():
+                return f"gradient of {name!r}"
+        return None
+
+    return _at_boundary(run, nonfinite)
+
+
 def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
           cfg: TrainConfig):
     """Mini-batch epochs with early stopping on validation Recall@k.
@@ -189,6 +242,7 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
     history = []
     epochs_since_best = 0
     diverged = False
+    last = [None]  # the last step's loss tensor (see `_step`)
 
     for epoch in range(1, cfg.max_epochs + 1):
         t0 = time.perf_counter()
@@ -197,15 +251,13 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
         try:
             for lo in range(0, n_pairs, cfg.batch_size):
                 sel = perm[lo:lo + cfg.batch_size]
-                ad.zero_grad(params)
                 try:
-                    loss, skipped = batch_loss(state, pairs_u[sel], pairs_i[sel], train_items)
+                    skipped = _step(state, pairs_u[sel], pairs_i[sel], train_items, last)
                 except NoNegativesError:
                     skipped_pairs += sel.size
                     continue
-                ad.backward(loss)
                 adam_step(opt)
-                epoch_loss += loss.item()
+                epoch_loss += last[0].item()
                 n_batches += 1
                 skipped_pairs += skipped
             metrics = evaluate(state, fit, val, k=cfg.k) if len(val) else None
@@ -370,10 +422,13 @@ def evaluate(state: ModelState, observed: InteractionDataset,
     """Score every item for every test user with the current model.
 
     Ranks through `ranking_metrics`, with `observed`'s items masked out.
-    Raises NumericsError when a node's representation has zero norm, so
-    `train` takes its divergence path on it.
+    The forward runs with its finiteness checked on the node table (see
+    `_at_boundary`).  Raises NumericsError when a node's representation is
+    not finite or has zero norm, so `train` takes its divergence path on
+    it.
     """
-    h = forward(state).data
+    h = _at_boundary(lambda: forward(state).data,
+                     lambda h: None if np.isfinite(h).all() else "node table")
     norms = np.linalg.norm(h, axis=1, keepdims=True)
     if (norms == 0.0).any():
         bad = int(np.flatnonzero(norms.ravel() == 0.0)[0])

@@ -8,6 +8,8 @@ the position vectors, attention and the sampled-softmax loss are each one
 fused node.  They are the pieces of the taped oracles in the other test
 modules, and are checked here like the engine's own ops.
 """
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -332,3 +334,163 @@ class TestNormalizeAndMaskErrors:
         x = constant(np.ones((2, 2)))
         with pytest.raises(ValueError, match="no unmasked"):
             logsumexp_rows(x, np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
+def allocating_accum(t, g):
+    """The accumulation rule before in-place sums: every sum is a new array."""
+    t.grad = g if t.grad is None else t.grad + g
+
+
+class TestSharedGradients:
+    """Gradients handed to several parents, or handed on as views, sum to the
+    same bits as with an allocate-always `_accum`, so an in-place sum never
+    writes into an array another node also holds."""
+
+    def _leaf_grads(self, build, arrays):
+        tensors = [parameter(a.copy()) for a in arrays]
+        ad.backward(build(tensors))
+        return [t.grad for t in tensors]
+
+    def _check(self, build, arrays, monkeypatch):
+        got = self._leaf_grads(build, arrays)
+        with monkeypatch.context() as patch:
+            patch.setattr(ad, "_accum", allocating_accum)
+            want = self._leaf_grads(build, arrays)
+        for g, w in zip(got, want, strict=True):
+            assert g.tobytes() == w.tobytes()
+
+    def _weights(self, shape):
+        # magnitudes from 1e-6 to 1e6, so a changed summation order shows
+        rng = np.random.default_rng(31)
+        return constant(rng.normal(size=shape) * 10.0 ** rng.integers(-6, 7, size=shape))
+
+    def test_add_of_a_tensor_to_itself(self, monkeypatch):
+        def build(ts):
+            a, b = ts
+            h = ad.mul(a, b)
+            twice = ad.add(h, h)  # both operands take the one output gradient,
+            out = ad.mean([twice, b])  # which `b` holds too
+            out = ad.add(ad.mul(out, a), ad.add(out, a))
+            return sum_axis(out * self._weights(out.data.shape), axis=None, keepdims=False)
+
+        rng = np.random.default_rng(1)
+        self._check(build, [rand(rng, 4, 3), rand(rng, 4, 3)], monkeypatch)
+
+    def test_table_read_twice_by_the_readout(self, monkeypatch):
+        s = sp.random(5, 5, density=0.5, random_state=2, format="csr")
+
+        def build(ts):
+            (a,) = ts
+            h1 = ad.spmm(s, a)
+            # `mean` hands one array to each table, twice to h1 and a
+            out = ad.mean([a, h1, h1, a, ad.spmm(s, h1)])
+            return sum_axis(out * self._weights(out.data.shape), axis=None, keepdims=False)
+
+        self._check(build, [rand(np.random.default_rng(2), 5, 3)], monkeypatch)
+
+    def test_transposed_view(self, monkeypatch):
+        def build(ts):
+            a, b = ts
+            at = ad.transpose(a)  # hands `a` a transposed view of its gradient
+            out = ad.mix(ad.add(at, b), ad.transpose(at), 0.25, 0.75)
+            out = ad.add(out, ad.matmul(at, a))
+            return sum_axis(out * self._weights(out.data.shape), axis=None, keepdims=False)
+
+        rng = np.random.default_rng(3)
+        self._check(build, [rand(rng, 3, 3), rand(rng, 3, 3)], monkeypatch)
+
+
+class TestMixAndMean:
+    """`mix` and `mean` against finite differences, and bit for bit against
+    the taped `add`/`mul` compositions they replace."""
+
+    @staticmethod
+    def taped_mix(a, b, wa, wb):
+        return a * wa + b * wb
+
+    @staticmethod
+    def taped_mean(tables):
+        acc = tables[0]
+        for t in tables[1:]:
+            acc = acc + t
+        return acc * (1.0 / len(tables))
+
+    def _weighted(self, op):
+        def build(tensors):
+            out = op(tensors)
+            w = constant(np.random.default_rng(99).standard_normal(out.data.shape))
+            return sum_axis(out * w, axis=None, keepdims=False)
+
+        return build
+
+    @pytest.mark.parametrize("wa, wb", [(0.5, 0.5), (0.7, 0.3), (0.0, 1.0)])
+    def test_mix_finite_differences(self, wa, wb):
+        rng = np.random.default_rng(4)
+        finite_difference_check(self._weighted(lambda ts: ad.mix(*ts, wa, wb)),
+                                [rand(rng, 3, 4), rand(rng, 3, 4)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_mean_finite_differences(self, n):
+        rng = np.random.default_rng(5)
+        finite_difference_check(self._weighted(ad.mean), [rand(rng, 3, 2) for _ in range(n)])
+
+    def _same_bits(self, fused, taped, arrays):
+        results = []
+        for op in (fused, taped):
+            tensors = [parameter(a) for a in arrays]
+            out = op(tensors)
+            # a second consumer of each input, so the op's gradient is summed
+            loss = self._weighted(op)(tensors)
+            for t in tensors:
+                loss = ad.add(loss, sum_axis(t * t, axis=None, keepdims=False))
+            ad.backward(loss)
+            results.append([out.data.tobytes()] + [t.grad.tobytes() for t in tensors])
+        assert results[0] == results[1]
+
+    def test_mix_matches_taped_composition(self):
+        rng = np.random.default_rng(6)
+        arrays = [rng.normal(size=(6, 5)) * 1e3, rng.normal(size=(6, 5)) * 1e-3]
+        self._same_bits(lambda ts: ad.mix(*ts, 1.0 - 0.3, 0.3),
+                        lambda ts: self.taped_mix(*ts, 1.0 - 0.3, 0.3), arrays)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_mean_matches_taped_composition(self, n):
+        rng = np.random.default_rng(n)
+        arrays = [rng.normal(size=(4, 3)) * 10.0 ** rng.integers(-5, 6) for _ in range(n)]
+        self._same_bits(ad.mean, self.taped_mean, arrays)
+
+
+class TestDeferredChecks:
+    def test_ops_skip_the_scan_inside_and_check_again_after(self):
+        x = parameter(np.array([[800.0]]))
+        with ad.deferred_checks():
+            assert np.isinf(exp(x).data).all()
+            with ad.deferred_checks():
+                pass
+            assert np.isinf(exp(x).data).all()  # a nested block restores "off"
+        with pytest.raises(NumericsError, match="exp"):
+            exp(x)
+
+    def test_other_threads_keep_their_checks(self):
+        x = parameter(np.array([[800.0]]))
+        raised = []
+
+        def other():
+            try:
+                exp(x)
+            except NumericsError as err:
+                raised.append(err)
+
+        with ad.deferred_checks():
+            worker = threading.Thread(target=other)
+            worker.start()
+            worker.join(timeout=10)
+        assert not worker.is_alive() and len(raised) == 1
+
+    def test_checks_come_back_after_an_error(self):
+        x = parameter(np.array([[800.0]]))
+        with pytest.raises(KeyError):
+            with ad.deferred_checks():
+                raise KeyError("boom")
+        with pytest.raises(NumericsError, match="exp"):
+            exp(x)

@@ -394,7 +394,9 @@ class TestFusedPosition:
 
     def test_forward_holds_one_position_node(self):
         """The default forward records one `position` node whose parents are
-        the encodings' parameters, and 20 interior nodes in all."""
+        the encodings' parameters, and 14 interior nodes in all: `position`,
+        h + λ1·pos (2), per layer propagation, local + λ2·pos (2), attention
+        and `mix` (5 each), and the readout's `mean`."""
         g = build_graph(clustered_interactions(60, 80, 4, per_user=20, seed=9))
         state = init_model(g, PGTRConfig(), seed=10)
         interior = [node for node in tape_nodes(forward(state)) if node._op != "leaf"]
@@ -402,4 +404,4 @@ class TestFusedPosition:
         assert {id(p) for p in pos._parents} == {
             id(t) for _, t in state.enc.trainable_tables()}
         assert len(pos._parents) == len(state.enc.trainable_tables())
-        assert len(interior) == 20
+        assert len(interior) == 14

@@ -23,6 +23,7 @@ from pgtr.model import (
     save_checkpoint,
 )
 from pgtr.synthetic import clustered_interactions
+from test_attention import tape_nodes
 from test_autodiff import constant, sum_axis
 from test_encodings import awkward_interactions
 
@@ -260,6 +261,26 @@ class TestSpectralFrozen:
         assert all(name != "spectral" for name, _ in state.named_parameters())
 
 
+class TestReleasedTape:
+    @pytest.mark.parametrize("backbone", ["lightgcn", "transform-gcn"])
+    def test_backward_keeps_only_parameter_gradients(self, backbone):
+        """After `backward` no interior node of a default forward holds a
+        gradient or a backward closure, each keeps its value and parents,
+        and every parameter holds its gradient."""
+        g = small_graph(12)
+        state = init_model(g, PGTRConfig(**SMALL, layers=2, backbone=backbone), seed=16)
+        out = forward(state)
+        interior = [n for n in tape_nodes(out) if n._op != "leaf"]
+        assert {n._op for n in interior} >= {"position", "kernelized_attention", "mix", "mean"}
+        parents = {id(n): n._parents for n in interior}
+        ad.backward(mean_all(out))
+        for node in interior:
+            assert node.grad is None and node._backward is None, node._op
+            assert node._parents is parents[id(node)] and node.data is not None
+        for name, t in state.named_parameters():
+            assert t.grad is not None and np.isfinite(t.grad).all(), name
+
+
 class TestDifferentiability:
     @pytest.mark.parametrize("backbone", ["lightgcn", "transform-gcn"])
     def test_forward_plus_loss_passes_finite_differences(self, backbone):
@@ -324,10 +345,12 @@ def read_checkpoint(path):
 
 
 def write_checkpoint(path, version, meta, blocks):
+    """A checkpoint file of `blocks`: a name-to-array dict, or a list of
+    (name, array) pairs, which may repeat a name."""
     header = json.dumps(meta).encode()
     parts = [b"PGTR", struct.pack("<BI", version, len(header)), header,
              struct.pack("<I", len(blocks))]
-    for name, block in blocks.items():
+    for name, block in (blocks.items() if isinstance(blocks, dict) else blocks):
         parts += [struct.pack("<I", len(name)), name.encode(),
                   struct.pack("<II", *block.shape), block.astype("<f8").tobytes()]
     path.write_bytes(b"".join(parts))
@@ -497,6 +520,34 @@ class TestCheckpoint:
     def test_float_field_takes_an_int(self):
         cfg = PGTRConfig.from_dict(dict(PGTRConfig().to_dict(), tau=1, lambda3=0))
         assert (cfg.tau, cfg.lambda3) == (1, 0)
+
+    def test_unknown_block_names_the_block(self, tmp_path):
+        """Only the blocks a save of the config writes may load: an extra one,
+        here after the expected ones, is rejected by name."""
+        g = small_graph(17)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(g, PGTRConfig(**SMALL), seed=26), path)
+        version, meta, blocks = read_checkpoint(path)
+        write_checkpoint(path, version, meta, dict(blocks, bogus=np.zeros((1, 1))))
+        with pytest.raises(ValueError, match="^checkpoint holds an unknown block 'bogus'$"):
+            load_checkpoint(path, g)
+        # a block of an encoding the config turns off is unknown too
+        off = dict(meta, config=dict(meta["config"], use_degree=False))
+        write_checkpoint(path, version, off, blocks)
+        with pytest.raises(ValueError, match="^checkpoint holds an unknown block 'degree'$"):
+            load_checkpoint(path, g)
+
+    def test_repeated_block_names_the_block(self, tmp_path):
+        """A second copy of a block is rejected, not loaded over the first."""
+        g = small_graph(17)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(g, PGTRConfig(**SMALL), seed=26), path)
+        version, meta, blocks = read_checkpoint(path)
+        pairs = list(blocks.items())
+        name, block = pairs[0]
+        write_checkpoint(path, version, meta, pairs + [(name, block + 1.0)])
+        with pytest.raises(ValueError, match=f"^checkpoint repeats block '{name}'$"):
+            load_checkpoint(path, g)
 
     def test_malformed_group_ids_name_the_block(self, tmp_path):
         g = small_graph(17)

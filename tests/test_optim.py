@@ -74,3 +74,27 @@ def test_quadratic_descent_matches_scalar_simulation():
     assert crossing > 5
     assert np.all(np.diff(absx[:crossing]) < 0)
     assert absx[-1] < 0.05 * absx[0]
+
+
+def test_in_place_update_matches_the_array_formula_bit_for_bit():
+    """Five steps on two parameters, one step without a gradient, against
+    the update written as one array expression per moment."""
+    rng = np.random.default_rng(3)
+    shapes = [(7, 5), (1, 3)]
+    params = [parameter(rng.normal(size=s)) for s in shapes]
+    want = [p.data.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    st = AdamState(params, lr=0.03)
+    for t in range(1, 6):
+        for j, p in enumerate(params):
+            g = None if (t, j) == (3, 1) else rng.normal(size=p.data.shape) * 10.0 ** (t - 3)
+            p.grad = g
+            g = np.zeros(p.data.shape) if g is None else g
+            m[j] = 0.9 * m[j] + (1.0 - 0.9) * g
+            v[j] = 0.999 * v[j] + (1.0 - 0.999) * (g * g)
+            want[j] = want[j] - 0.03 * (m[j] / (1.0 - 0.9 ** t)) / (
+                np.sqrt(v[j] / (1.0 - 0.999 ** t)) + 1e-8)
+        adam_step(st)
+        for p, w in zip(params, want):
+            assert p.data.tobytes() == w.tobytes()

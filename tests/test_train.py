@@ -22,6 +22,7 @@ from pgtr.synthetic import clustered_interactions
 from pgtr.train import (
     TrainConfig,
     _batch_mask,
+    _in_batch_softmax,
     _user_items,
     batch_loss,
     evaluate,
@@ -342,14 +343,19 @@ class TestBatchLossTape:
                 return
             loss, skipped = batch_loss(state, users, items, trained)
         [h_norm] = loss._parents
-        ad.backward(loss)
+        # backward releases an interior node's gradient: take the fused
+        # node's gradient on a leaf holding the same normalized table
+        got_norm = ad.parameter(h_norm.data)
+        got = _in_batch_softmax(got_norm, users, n_users + uniq, inv, mask, keep, 1.0 / tau)
+        ad.backward(got)
         want_norm = ad.parameter(h_norm.data)
         want = taped_in_batch_softmax(want_norm, users, n_users + uniq, inv, mask, keep,
                                       1.0 / tau)
         ad.backward(want)
         assert skipped == np.count_nonzero(~keep)
         assert loss.data.tobytes() == want.data.tobytes()
-        assert h_norm.grad.tobytes() == want_norm.grad.tobytes()
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got_norm.grad.tobytes() == want_norm.grad.tobytes()
 
     def test_backward_never_differentiates_a_constant(self, small_model, monkeypatch):
         """No gradient is formed for a constant such as 1/tau or the mask."""
@@ -517,6 +523,54 @@ class TestTrainLoop:
             row["val_recall"] for row in clean_history]
         for (name, got), (_, want) in zip(state.named_parameters(), clean.named_parameters()):
             np.testing.assert_array_equal(got.data, want.data, err_msg=name)
+
+    def test_nan_in_embeddings_names_the_op(self, caplog):
+        """A step runs without per-op checks; its non-finite loss replays the
+        step with them on, so the warning names the first op that saw the
+        NaN: the add of the position vectors to the embeddings.  Training
+        stops in epoch 1 with the parameters as they were."""
+        state, fit, val, _ = self._setup(7)
+        state.embeddings.data[3, 1] = np.nan
+        before = [t.data.copy() for t in state.parameters()]
+        with caplog.at_level(logging.WARNING, logger="pgtr.train"):
+            state, history = train(state, fit, val, TrainConfig(
+                batch_size=32, lr=1e-2, max_epochs=3, patience=3, seed=7))
+        assert ("training aborted at epoch 1: non-finite intermediate produced by 'add'"
+                in caplog.text)
+        assert history == []
+        for got, want in zip(state.parameters(), before, strict=True):
+            np.testing.assert_array_equal(got.data, want)
+
+    def test_evaluate_names_the_op(self):
+        state, fit, val, _ = self._setup(7)
+        state.embeddings.data[3, 1] = np.nan
+        with pytest.raises(NumericsError, match="^non-finite intermediate produced by 'add'$"):
+            evaluate(state, fit, val, k=5)
+
+    @pytest.mark.parametrize("part", ["loss", "gradient of 'embeddings'"])
+    def test_nonfinite_without_a_failing_op_names_the_part(self, part, caplog, monkeypatch):
+        """A non-finite loss or gradient that no op produced (planted after
+        the step's work, here and in the replay) is named in the warning."""
+        train_mod = sys.modules["pgtr.train"]
+        real_batch_loss, real_backward = train_mod.batch_loss, ad.backward
+
+        def batch_loss(*args):
+            loss, skipped = real_batch_loss(*args)
+            if part == "loss":
+                loss.data = np.array(np.inf)
+            return loss, skipped
+
+        def backward(loss):
+            real_backward(loss)
+            if part != "loss":
+                state.embeddings.grad[0, 0] = np.nan
+
+        state, fit, val, _ = self._setup(8)
+        monkeypatch.setattr(train_mod, "batch_loss", batch_loss)
+        monkeypatch.setattr(ad, "backward", backward)
+        with caplog.at_level(logging.WARNING, logger="pgtr.train"):
+            train(state, fit, val, TrainConfig(batch_size=32, max_epochs=2, patience=2))
+        assert f"training aborted at epoch 1: non-finite {part}" in caplog.text
 
     def test_history_schema(self):
         state, fit, val, _ = self._setup(4)
