@@ -8,12 +8,10 @@ through `_make` with a hand-written backward: the position vectors of
 sampled-softmax loss of `train.batch_loss`, and the model's layer mix and
 readout mean (`mix`, `mean`).
 
-Finiteness is checked per op by default: every operation validates its
-output and aborts with the operation name on NaN/Inf.  Inside
-`deferred_checks` (a training step, `evaluate`'s forward) ops skip the
-scan, and the caller checks its results at the step's boundary instead,
-replaying the work with per-op checks on when one is not finite, so the
-error still names the op.
+Ops do not scan their outputs for NaN/Inf.  The model checks its outputs
+(`forward`'s node table, `batch_loss`'s loss) with `check_finite`, which
+on a non-finite output walks the tape that output holds and names the
+first op that produced a non-finite value.
 
 `backward` releases what it has consumed: once an interior node's backward
 has run, its `.grad` and closure are dropped, so a step's tape shrinks as
@@ -27,9 +25,6 @@ the gradient of just those inputs: constants such as a scalar `1/tau` or a
 0/1 mask are never differentiated.
 """
 from __future__ import annotations
-
-from contextlib import contextmanager
-from contextvars import ContextVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,7 +44,7 @@ __all__ = [
     "mean",
     "backward",
     "zero_grad",
-    "deferred_checks",
+    "check_finite",
 ]
 
 
@@ -57,33 +52,8 @@ class NumericsError(RuntimeError):
     """Raised when an operation produces a non-finite intermediate."""
 
 
-# whether `_make` scans each op's output; off only inside `deferred_checks`,
-# and only for the thread or task that entered it
-_check_ops = ContextVar("pgtr_check_ops", default=True)
-
-
-@contextmanager
-def deferred_checks():
-    """Ops skip their finiteness scan for the block, and numpy's overflow,
-    invalid and divide warnings are silenced.  The caller checks the
-    block's results instead and, on a non-finite one, replays the block
-    outside: the replay warns and raises as a checked run does, naming the
-    op."""
-    token = _check_ops.set(False)
-    try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            yield
-    finally:
-        _check_ops.reset(token)
-
-
 def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
-
-
-def _check_finite(data: np.ndarray, op: str):
-    if not np.all(np.isfinite(data)):
-        raise NumericsError(f"non-finite intermediate produced by '{op}'")
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -106,15 +76,14 @@ class Tensor:
     in place.
     """
 
-    __slots__ = ("data", "grad", "trainable", "name", "_parents", "_backward", "_op", "_needs",
+    __slots__ = ("data", "grad", "trainable", "_parents", "_backward", "_op", "_needs",
                  "_owns_grad")
 
-    def __init__(self, data, trainable: bool = False, name: str | None = None):
+    def __init__(self, data, trainable: bool = False):
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
         self._owns_grad = False  # whether `grad` is a sum `_accum` allocated
         self.trainable = bool(trainable)
-        self.name = name
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
         self._op = "leaf"
@@ -124,8 +93,7 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self):
-        tag = self.name or self._op
-        return f"Tensor({tag}, shape={self.data.shape}, trainable={self.trainable})"
+        return f"Tensor({self._op}, shape={self.data.shape}, trainable={self.trainable})"
 
     # arithmetic sugar; scalars and arrays are wrapped as constants
     def __add__(self, other):
@@ -135,8 +103,8 @@ class Tensor:
         return mul(self, _wrap(other))
 
 
-def parameter(data, name: str | None = None) -> Tensor:
-    return Tensor(data, trainable=True, name=name)
+def parameter(data) -> Tensor:
+    return Tensor(data, trainable=True)
 
 
 def _wrap(x) -> Tensor:
@@ -146,8 +114,6 @@ def _wrap(x) -> Tensor:
 def _make(data, op: str, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
     out._op = op
-    if _check_ops.get():
-        _check_finite(out.data, op)
     if any(p._needs for p in parents):
         out._parents = parents
         out._backward = backward_fn
@@ -291,6 +257,19 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             if p._needs and id(p) not in seen:
                 stack.append((p, False))
     return order
+
+
+def check_finite(root: Tensor):
+    """Raise NumericsError when `root.data` holds a NaN or Inf, naming the
+    first op in the tape's post-order whose output is not finite.  A node
+    comes after its inputs in that order, so the op named computed a
+    non-finite value from finite interior inputs; a non-finite parameter is
+    named by the first op that reads it.  A finite root costs one scan."""
+    if np.isfinite(root.data).all():
+        return
+    bad = next((node for node in _topo_order(root)
+                if node._parents and not np.isfinite(node.data).all()), root)
+    raise NumericsError(f"non-finite intermediate produced by '{bad._op}'")
 
 
 def backward(loss: Tensor):

@@ -96,9 +96,9 @@ def spectral_encoding(g: BipartiteGraph, h_c: int, lambda_c: float) -> np.ndarra
     return matrix
 
 
-def _init_table(rows: int, cols: int, rng: np.random.Generator, name: str) -> Tensor:
+def _init_table(rows: int, cols: int, rng: np.random.Generator) -> Tensor:
     bound = 0.1 / np.sqrt(cols)
-    return parameter(rng.uniform(-bound, bound, size=(rows, cols)), name=name)
+    return parameter(rng.uniform(-bound, bound, size=(rows, cols)))
 
 
 def _group_ids(g: BipartiteGraph, name: str, groups: int) -> np.ndarray:
@@ -200,16 +200,16 @@ def build_encoding_set(g: BipartiteGraph, cfg, rng: np.random.Generator,
         matrix = _stored(stored, "spectral", (cfg.h_c, n + m)) if cfg.use_spectral else None
         ids = [_stored(stored, f"{name}_groups", (1, n + m), 2 * groups)[0].astype(np.int64)
                for name, groups, _ in kinds]
-    tables = [_init_table(2 * groups, h, rng, name) for name, groups, h in kinds]
+    tables = [_init_table(2 * groups, h, rng) for _, groups, h in kinds]
     if matrix is None and not kinds:
         return PositionalEncodingSet(n, m, None, [], None, None, None)
-    w_item = _init_table(cfg.d, cfg.d, rng, "proj_item")
-    w_user = _init_table(cfg.d, cfg.d, rng, "proj_user")
+    w_item = _init_table(cfg.d, cfg.d, rng)
+    w_user = _init_table(cfg.d, cfg.d, rng)
     spectral = None
     if matrix is not None:
-        spectral = SpectralEncoding(matrix, _init_table(cfg.d, cfg.h_c, rng, "proj_spectral"))
+        spectral = SpectralEncoding(matrix, _init_table(cfg.d, cfg.h_c, rng))
     grouped = [GroupedEncoding(name, table, group_of,
-                               _init_table(cfg.d, h, rng, f"proj_{name}"))
+                               _init_table(cfg.d, h, rng))
                for (name, _, h), table, group_of in zip(kinds, tables, ids)]
     features = np.hstack(([] if matrix is None else [matrix.T])
                          + [np.eye(2 * groups)[group_of]

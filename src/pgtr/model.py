@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import RandomFeatureMap, kernelized_attention, make_feature_map
-from .autodiff import Tensor, mix, parameter
+from .autodiff import Tensor, check_finite, mix, parameter
 from .backbone import normalized_adjacency, propagate_layer, readout
 from .data import BipartiteGraph
 from .encodings import PositionalEncodingSet, build_encoding_set, position_tape
@@ -158,14 +158,13 @@ def _init_model(graph: BipartiteGraph, cfg: PGTRConfig, seed: int,
     cfg.validate()
     rng = np.random.default_rng(seed)
     n_nodes = graph.n_users + graph.n_items
-    embeddings = parameter(rng.normal(0.0, EMBED_INIT_STD, size=(n_nodes, cfg.d)),
-                           name="embeddings")
+    embeddings = parameter(rng.normal(0.0, EMBED_INIT_STD, size=(n_nodes, cfg.d)))
     enc = build_encoding_set(graph, cfg, rng, stored)
     bound = 0.1 / np.sqrt(cfg.d)
     transforms = []
     if cfg.backbone == "transform-gcn":
-        transforms = [parameter(rng.uniform(-bound, bound, size=(cfg.d, cfg.d)),
-                                name=f"backbone_w{l}") for l in range(cfg.layers)]
+        transforms = [parameter(rng.uniform(-bound, bound, size=(cfg.d, cfg.d)))
+                      for _ in range(cfg.layers)]
     fm_seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(cfg.layers)]
     feature_maps = [make_feature_map(cfg.m_features, cfg.d, s) for s in fm_seeds]
     return ModelState(cfg, graph.n_users, graph.n_items, _graph_hash(graph),
@@ -176,33 +175,39 @@ def _init_model(graph: BipartiteGraph, cfg: PGTRConfig, seed: int,
 def forward(state: ModelState, return_layers: bool = False):
     """Final node table H ((N+M) x d) on the gradient tape.
 
-    With `return_layers`, also returns per-layer (local, global, mixed)
-    triples for inspection.
+    The ops do not check their outputs, and numpy's overflow, invalid and
+    divide warnings are silenced while they run; the table is checked once
+    at the end (`check_finite`), so a NaN or Inf raises NumericsError
+    naming the op that produced it.  With `return_layers`, also returns
+    per-layer (local, global, mixed) triples for inspection.
     """
     cfg = state.config
-    scale = 1.0 / np.sqrt(cfg.d)
-    needs_pos = (cfg.lambda1 != 0.0 or (cfg.lambda2 != 0.0 and cfg.lambda3 != 0.0))
-    pos = position_tape(state.enc) if needs_pos else None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        scale = 1.0 / np.sqrt(cfg.d)
+        needs_pos = (cfg.lambda1 != 0.0 or (cfg.lambda2 != 0.0 and cfg.lambda3 != 0.0))
+        pos = position_tape(state.enc) if needs_pos else None
 
-    h = state.embeddings
-    if pos is not None and cfg.lambda1 != 0.0:
-        h = h + pos * cfg.lambda1
-    tables = [h]
-    internals = []
-    for layer in range(cfg.layers):
-        local = propagate_layer(h, state.adjacency,
-                                state.transforms[layer] if state.transforms else None)
-        if cfg.lambda3 != 0.0:
-            attn_in = local + pos * cfg.lambda2 if (pos is not None and cfg.lambda2 != 0.0) else local
-            global_ = kernelized_attention(attn_in, state.feature_maps[layer], scale)
-            mixed = mix(local, global_, 1.0 - cfg.lambda3, cfg.lambda3)
-        else:
-            global_ = None
-            mixed = local
-        internals.append((local, global_, mixed))
-        tables.append(mixed)
-        h = mixed
-    out = readout(tables)
+        h = state.embeddings
+        if pos is not None and cfg.lambda1 != 0.0:
+            h = h + pos * cfg.lambda1
+        tables = [h]
+        internals = []
+        for layer in range(cfg.layers):
+            local = propagate_layer(h, state.adjacency,
+                                    state.transforms[layer] if state.transforms else None)
+            if cfg.lambda3 != 0.0:
+                attn_in = (local + pos * cfg.lambda2
+                           if (pos is not None and cfg.lambda2 != 0.0) else local)
+                global_ = kernelized_attention(attn_in, state.feature_maps[layer], scale)
+                mixed = mix(local, global_, 1.0 - cfg.lambda3, cfg.lambda3)
+            else:
+                global_ = None
+                mixed = local
+            internals.append((local, global_, mixed))
+            tables.append(mixed)
+            h = mixed
+        out = readout(tables)
+    check_finite(out)
     if return_layers:
         return out, internals
     return out

@@ -93,10 +93,11 @@ def batch_loss(state: ModelState, users: np.ndarray, items: np.ndarray,
     row normalization is one tape node, `in_batch_softmax`, with a
     hand-written backward.  Returns the scalar loss tensor and
     the number of pairs skipped for lack of negatives.  Raises
-    NoNegativesError, a ValueError, when no pair keeps a negative, and
-    ValueError when `user_items` has the wrong shape or an item id outside
-    [0, n_items), when a pair's id is out of range, or when a pair's item
-    is not among its user's training items.
+    NumericsError naming the op when the node table or the loss is not
+    finite (`ad.check_finite`); NoNegativesError, a ValueError, when no
+    pair keeps a negative; and ValueError when `user_items` has the wrong
+    shape or an item id outside [0, n_items), when a pair's id is out of
+    range, or when a pair's item is not among its user's training items.
     """
     user_items = _user_items(user_items, "user_items", (state.n_users, state.n_items),
                              "the model's user-item table")
@@ -117,6 +118,7 @@ def batch_loss(state: ModelState, users: np.ndarray, items: np.ndarray,
     h_norm = ad.l2_normalize_rows(forward(state))
     loss = _in_batch_softmax(h_norm, users, state.n_users + uniq, inv, mask, keep,
                              1.0 / state.config.tau)
+    ad.check_finite(loss)
     return loss, users.size - n_keep
 
 
@@ -161,59 +163,6 @@ def _in_batch_softmax(h: Tensor, users: np.ndarray, item_rows: np.ndarray,
     return ad._make(loss, "in_batch_softmax", (h,), bw)
 
 
-def _at_boundary(run, nonfinite):
-    """`run()` with per-op finiteness checks deferred (`ad.deferred_checks`),
-    checked at its boundary: `nonfinite(result)` names a non-finite part of
-    the result, or is None.  On a non-finite part, a NumericsError or an
-    AttentionError, `run()` is replayed with per-op checks on.  The
-    parameters have not changed, so the replay repeats the arithmetic and
-    its error names the op; a replay that finds no failing op raises a
-    NumericsError naming the part."""
-    try:
-        with ad.deferred_checks():
-            result = run()
-        if nonfinite(result) is None:
-            return result
-    except (NumericsError, AttentionError):
-        pass
-    result = run()
-    bad = nonfinite(result)
-    if bad is not None:
-        raise NumericsError(f"non-finite {bad}")
-    return result
-
-
-def _step(state: ModelState, users: np.ndarray, items: np.ndarray,
-          user_items: sp.csr_matrix, last: list) -> int:
-    """One step's gradients: zero them, `batch_loss`, then `backward`, with
-    the loss and every parameter's gradient checked at the boundary (see
-    `_at_boundary`).  Returns the pairs skipped, and leaves the loss tensor
-    in `last[0]`.
-
-    The loss `last[0]` held, the previous step's, is replaced once this
-    step's forward is built, so its tape is freed between the forward and
-    the backward, whose arrays then reuse that memory.  Freeing it at the
-    end of a step instead hands the heap top back to the OS, and the next
-    forward faults it in again."""
-    named = state.named_parameters()
-
-    def run():
-        ad.zero_grad([t for _, t in named])
-        last[0], skipped = batch_loss(state, users, items, user_items)
-        ad.backward(last[0])
-        return skipped
-
-    def nonfinite(_):
-        if not np.isfinite(last[0].data).all():
-            return "loss"
-        for name, t in named:
-            if t.grad is not None and not np.isfinite(t.grad).all():
-                return f"gradient of {name!r}"
-        return None
-
-    return _at_boundary(run, nonfinite)
-
-
 def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
           cfg: TrainConfig):
     """Mini-batch epochs with early stopping on validation Recall@k.
@@ -224,12 +173,14 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
     of negatives) and `seconds`.  A batch in which no pair keeps a negative
     takes no step, and all its pairs count as skipped.  An epoch that takes
     no step records a NaN `train_loss` and stops training with a warning.
-    A non-finite value (NumericsError) or an attention denominator
-    underflow (AttentionError) in a step or in validation stops training
-    with a warning and restores the best parameters.
+    A non-finite node table, loss or parameter gradient (NumericsError,
+    naming the op or the parameter) or an attention denominator underflow
+    (AttentionError) in a step or in validation stops training with a
+    warning and restores the best parameters.
     """
     rng = np.random.default_rng(cfg.seed)
-    params = state.parameters()
+    named = state.named_parameters()
+    params = [t for _, t in named]
     opt = AdamState(params, lr=cfg.lr)
     train_items = fit.user_item_matrix()
     pairs_u = fit.users.copy()
@@ -242,7 +193,6 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
     history = []
     epochs_since_best = 0
     diverged = False
-    last = [None]  # the last step's loss tensor (see `_step`)
 
     for epoch in range(1, cfg.max_epochs + 1):
         t0 = time.perf_counter()
@@ -251,13 +201,24 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
         try:
             for lo in range(0, n_pairs, cfg.batch_size):
                 sel = perm[lo:lo + cfg.batch_size]
+                ad.zero_grad(params)
+                # rebinding `loss` frees the previous step's tape once this
+                # step's forward is built, so the backward reuses its memory.
+                # Freeing it after this backward, or each tape at the end of
+                # its own backward, cost ~77k and ~400k minor page faults per
+                # fit-b256 `train()` (ROADMAP, Recent).
                 try:
-                    skipped = _step(state, pairs_u[sel], pairs_i[sel], train_items, last)
+                    loss, skipped = batch_loss(state, pairs_u[sel], pairs_i[sel], train_items)
                 except NoNegativesError:
                     skipped_pairs += sel.size
                     continue
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    ad.backward(loss)
+                for name, t in named:
+                    if t.grad is not None and not np.isfinite(t.grad).all():
+                        raise NumericsError(f"non-finite gradient of {name!r}")
                 adam_step(opt)
-                epoch_loss += last[0].item()
+                epoch_loss += loss.item()
                 n_batches += 1
                 skipped_pairs += skipped
             metrics = evaluate(state, fit, val, k=cfg.k) if len(val) else None
@@ -422,17 +383,10 @@ def evaluate(state: ModelState, observed: InteractionDataset,
     """Score every item for every test user with the current model.
 
     Ranks through `ranking_metrics`, with `observed`'s items masked out.
-    The forward runs with its finiteness checked on the node table (see
-    `_at_boundary`).  Raises NumericsError when a node's representation is
-    not finite or has zero norm, so `train` takes its divergence path on
-    it.
+    Raises NumericsError when a node's representation is not finite
+    (`forward` names the op) or has zero norm (`ad.l2_normalize_rows`),
+    so `train` takes its divergence path on it.
     """
-    h = _at_boundary(lambda: forward(state).data,
-                     lambda h: None if np.isfinite(h).all() else "node table")
-    norms = np.linalg.norm(h, axis=1, keepdims=True)
-    if (norms == 0.0).any():
-        bad = int(np.flatnonzero(norms.ravel() == 0.0)[0])
-        raise NumericsError(f"zero-norm representation for node {bad}")
-    h_norm = h / norms
+    h_norm = ad.l2_normalize_rows(forward(state)).data
     scores = h_norm[:state.n_users] @ h_norm[state.n_users:].T
     return ranking_metrics(scores, observed.user_item_matrix(), test.user_item_matrix(), k)

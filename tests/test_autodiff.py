@@ -8,8 +8,6 @@ the position vectors, attention and the sampled-softmax loss are each one
 fused node.  They are the pieces of the taped oracles in the other test
 modules, and are checked here like the engine's own ops.
 """
-import threading
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -174,9 +172,13 @@ class TestBasics:
         np.testing.assert_allclose(x.grad, [[7.0]])
 
     def test_nonfinite_aborts_with_op_name(self):
+        """Ops do not scan their outputs; `check_finite` on the node names
+        the op."""
         x = parameter(np.array([[800.0]]))
-        with pytest.raises(NumericsError, match="exp"):
-            exp(x)
+        out = exp(x)
+        assert np.isinf(out.data).all()
+        with pytest.raises(NumericsError, match="^non-finite intermediate produced by 'exp'$"):
+            ad.check_finite(out)
 
     def test_constants_skip_gradients(self):
         c = constant(np.ones((2, 2)))
@@ -460,37 +462,34 @@ class TestMixAndMean:
         self._same_bits(ad.mean, self.taped_mean, arrays)
 
 
-class TestDeferredChecks:
-    def test_ops_skip_the_scan_inside_and_check_again_after(self):
-        x = parameter(np.array([[800.0]]))
-        with ad.deferred_checks():
-            assert np.isinf(exp(x).data).all()
-            with ad.deferred_checks():
-                pass
-            assert np.isinf(exp(x).data).all()  # a nested block restores "off"
-        with pytest.raises(NumericsError, match="exp"):
-            exp(x)
+class TestCheckFinite:
+    def test_names_the_first_op_with_finite_inputs(self):
+        """exp overflows, and the log, the sum and the product after it are
+        not finite either: the op named is exp, whose input was finite."""
+        x = parameter(np.array([[1.0, 800.0]]))
+        out = sum_axis(log(exp(x)) * constant(np.array([[2.0, 0.5]])), axis=None)
+        assert not np.isfinite(out.data).all()
+        with pytest.raises(NumericsError, match="^non-finite intermediate produced by 'exp'$"):
+            ad.check_finite(out)
 
-    def test_other_threads_keep_their_checks(self):
-        x = parameter(np.array([[800.0]]))
-        raised = []
+    def test_nonfinite_parameter_is_named_by_the_first_op_reading_it(self):
+        w = parameter(np.array([[1.0, np.nan]]))
+        x = parameter(np.ones((1, 2)))
+        out = sum_axis(ad.leaky_relu(ad.add(x, w)) * 3.0, axis=None)
+        with pytest.raises(NumericsError, match="^non-finite intermediate produced by 'add'$"):
+            ad.check_finite(out)
 
-        def other():
-            try:
-                exp(x)
-            except NumericsError as err:
-                raised.append(err)
+    def test_finite_output_does_not_walk_the_tape(self, monkeypatch):
+        def no_walk(root):
+            raise AssertionError("check_finite walked a finite tape")
 
-        with ad.deferred_checks():
-            worker = threading.Thread(target=other)
-            worker.start()
-            worker.join(timeout=10)
-        assert not worker.is_alive() and len(raised) == 1
+        monkeypatch.setattr(ad, "_topo_order", no_walk)
+        x = parameter(np.ones((3, 2)))
+        ad.check_finite(sum_axis(exp(x), axis=None))
 
-    def test_checks_come_back_after_an_error(self):
-        x = parameter(np.array([[800.0]]))
-        with pytest.raises(KeyError):
-            with ad.deferred_checks():
-                raise KeyError("boom")
-        with pytest.raises(NumericsError, match="exp"):
-            exp(x)
+    def test_nonfinite_constant_node_is_named_by_its_op(self):
+        """A root that records no parents (no input needs a gradient) is
+        named itself."""
+        out = exp(constant(np.array([[800.0]])))
+        with pytest.raises(NumericsError, match="^non-finite intermediate produced by 'exp'$"):
+            ad.check_finite(out)

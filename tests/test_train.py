@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -422,12 +423,12 @@ class TestBatchMask:
 
 
 class TestTrainLoop:
-    def _setup(self, seed=0):
+    def _setup(self, seed=0, backbone="lightgcn"):
         ds = clustered_interactions(24, 30, 3, per_user=8, seed=seed)
         fit, val, test = split_by_ratio(ds, SplitSpec(0.5, seed=seed))
         g = build_graph(fit)
         cfg = PGTRConfig(d=6, layers=1, h_c=2, h_d=2, h_r=2, h_y=2, n_d=2,
-                         n_r=2, m_features=16, lambda3=0.5)
+                         n_r=2, m_features=16, lambda3=0.5, backbone=backbone)
         state = init_model(g, cfg, seed=seed)
         return state, fit, val, test
 
@@ -518,16 +519,17 @@ class TestTrainLoop:
         with caplog.at_level(logging.WARNING, logger="pgtr.train"):
             state, history = train(state, fit, val, TrainConfig(
                 batch_size=32, lr=2e-2, max_epochs=5, patience=5, seed=6))
-        assert "training aborted at epoch 3: zero-norm representation for node 5" in caplog.text
+        assert ("training aborted at epoch 3: l2_normalize_rows: zero-norm row(s) [5]"
+                in caplog.text)
         assert [row["val_recall"] for row in history] == [
             row["val_recall"] for row in clean_history]
         for (name, got), (_, want) in zip(state.named_parameters(), clean.named_parameters()):
             np.testing.assert_array_equal(got.data, want.data, err_msg=name)
 
     def test_nan_in_embeddings_names_the_op(self, caplog):
-        """A step runs without per-op checks; its non-finite loss replays the
-        step with them on, so the warning names the first op that saw the
-        NaN: the add of the position vectors to the embeddings.  Training
+        """The forward's non-finite node table is checked once, and the
+        check walks its tape: the warning names the first op that saw the
+        NaN, the add of the position vectors to the embeddings.  Training
         stops in epoch 1 with the parameters as they were."""
         state, fit, val, _ = self._setup(7)
         state.embeddings.data[3, 1] = np.nan
@@ -547,18 +549,61 @@ class TestTrainLoop:
         with pytest.raises(NumericsError, match="^non-finite intermediate produced by 'add'$"):
             evaluate(state, fit, val, k=5)
 
+    @pytest.mark.parametrize("backbone", ["lightgcn", "transform-gcn"])
+    def test_inf_in_embeddings_names_the_op(self, backbone, caplog):
+        """An Inf embedding turns into NaN downstream without a numpy warning
+        escaping the forward, and both `train` and `evaluate` name the add
+        that first saw it."""
+        state, fit, val, _ = self._setup(7, backbone)
+        state.embeddings.data[3, 1] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericsError,
+                               match="^non-finite intermediate produced by 'add'$"):
+                evaluate(state, fit, val, k=5)
+            with caplog.at_level(logging.WARNING, logger="pgtr.train"):
+                _, history = train(state, fit, val, TrainConfig(
+                    batch_size=32, lr=1e-2, max_epochs=3, patience=3, seed=7))
+        assert ("training aborted at epoch 1: non-finite intermediate produced by 'add'"
+                in caplog.text)
+        assert history == []
+
+    @pytest.mark.parametrize("run", ["train", "evaluate"])
+    def test_a_failure_runs_the_forward_once(self, run, monkeypatch):
+        """A NaN embedding fails the first step (or `evaluate`) after one
+        forward: the failing output's tape names the op, with no rerun."""
+        train_mod = sys.modules["pgtr.train"]
+        real_forward = train_mod.forward
+        calls = []
+
+        def forward(state):
+            calls.append(True)
+            return real_forward(state)
+
+        state, fit, val, _ = self._setup(7)
+        state.embeddings.data[3, 1] = np.nan
+        monkeypatch.setattr(train_mod, "forward", forward)
+        if run == "train":
+            train(state, fit, val, TrainConfig(batch_size=32, max_epochs=2, patience=2))
+        else:
+            with pytest.raises(NumericsError, match="'add'"):
+                evaluate(state, fit, val, k=5)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("part", ["loss", "gradient of 'embeddings'"])
     def test_nonfinite_without_a_failing_op_names_the_part(self, part, caplog, monkeypatch):
-        """A non-finite loss or gradient that no op produced (planted after
-        the step's work, here and in the replay) is named in the warning."""
+        """An Inf planted in the loss node (after the forward's check) is
+        named by the loss op; a NaN planted in a parameter's gradient after
+        `backward`, which no check before it sees, is named by the
+        parameter."""
         train_mod = sys.modules["pgtr.train"]
-        real_batch_loss, real_backward = train_mod.batch_loss, ad.backward
+        real_softmax, real_backward = train_mod._in_batch_softmax, ad.backward
 
-        def batch_loss(*args):
-            loss, skipped = real_batch_loss(*args)
+        def in_batch_softmax(*args):
+            loss = real_softmax(*args)
             if part == "loss":
                 loss.data = np.array(np.inf)
-            return loss, skipped
+            return loss
 
         def backward(loss):
             real_backward(loss)
@@ -566,11 +611,13 @@ class TestTrainLoop:
                 state.embeddings.grad[0, 0] = np.nan
 
         state, fit, val, _ = self._setup(8)
-        monkeypatch.setattr(train_mod, "batch_loss", batch_loss)
+        monkeypatch.setattr(train_mod, "_in_batch_softmax", in_batch_softmax)
         monkeypatch.setattr(ad, "backward", backward)
         with caplog.at_level(logging.WARNING, logger="pgtr.train"):
             train(state, fit, val, TrainConfig(batch_size=32, max_epochs=2, patience=2))
-        assert f"training aborted at epoch 1: non-finite {part}" in caplog.text
+        named = ("intermediate produced by 'in_batch_softmax'" if part == "loss"
+                 else part)
+        assert f"training aborted at epoch 1: non-finite {named}" in caplog.text
 
     def test_history_schema(self):
         state, fit, val, _ = self._setup(4)
@@ -1014,5 +1061,6 @@ class TestEvaluate:
             return h
 
         monkeypatch.setattr(train_mod, "forward", forward)
-        with pytest.raises(NumericsError, match="^zero-norm representation for node 14$"):
+        with pytest.raises(NumericsError,
+                           match=re.escape("l2_normalize_rows: zero-norm row(s) [14]")):
             evaluate(state, ds, ds, k=5)
