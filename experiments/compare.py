@@ -1,0 +1,181 @@
+"""Seed-paired comparison of two pgtr source trees on test recall@20 and NDCG@20.
+
+    python3 experiments/compare.py A B [--seeds N] [--jobs J]
+
+A and B are checkouts that hold `src/pgtr`, for instance the parent commit
+(`git archive`) and a change.  For every cell and seed each tree trains the
+model in a fresh process that imports pgtr from that tree's `src/`, with
+one BLAS thread, and reports test recall@20 and NDCG@20 of the
+best-validation parameters.  The same seed sets the data, the split, the
+model's initialization and the batch order, so the two runs of a seed
+differ only in the code.
+
+The script prints one table per cell (each seed's metrics, B - A, and
+the epochs each tree ran) and a summary: per metric, the mean and the
+seed-to-seed standard deviation of A, and the mean, standard deviation,
+minimum and maximum of the paired difference B - A.  A paired difference
+is "within spread" when its mean lies inside A's seed standard deviation.
+
+Cells:
+- dense: `clustered_interactions(800, 1200, per_user=30)`, train fraction
+  0.8;
+- sparse: the same with per_user 8 and train fraction 0.4.
+Both train the default `PGTRConfig` with lr 5e-3, at most 60 epochs and a
+patience of 10.  A run takes about 5-20 s.
+"""
+import argparse
+import dataclasses
+import json
+import os
+import statistics
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+from pathlib import Path
+
+K = 20
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+CHILD_TIMEOUT_S = 600
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One dataset, split and training setting: the arguments of
+    `clustered_interactions`, the train fraction of `SplitSpec`, and
+    overrides of `PGTRConfig` and `TrainConfig`."""
+
+    name: str
+    n_users: int
+    n_items: int
+    per_user: int
+    train_fraction: float
+    model: dict = field(default_factory=dict)
+    train: dict = field(default_factory=lambda: dict(lr=5e-3, max_epochs=60, patience=10))
+
+
+CELLS = (
+    Cell("dense", 800, 1200, per_user=30, train_fraction=0.8),
+    Cell("sparse", 800, 1200, per_user=8, train_fraction=0.4),
+)
+
+
+def run_cell(cell: Cell, seed: int) -> dict:
+    """Train on `cell` with `seed` using the pgtr on sys.path, and return its
+    test metrics, the epochs run and the best-validation epoch."""
+    import numpy as np
+
+    import pgtr
+    from pgtr import (InteractionDataset, PGTRConfig, SplitSpec, TrainConfig, build_graph,
+                      evaluate, init_model, split_by_ratio, train)
+    from pgtr.synthetic import clustered_interactions
+
+    ds = clustered_interactions(cell.n_users, cell.n_items, per_user=cell.per_user, seed=seed)
+    fit, val, test = split_by_ratio(ds, SplitSpec(cell.train_fraction, seed=seed))
+    state = init_model(build_graph(fit), PGTRConfig(**cell.model), seed=seed)
+    state, history = train(state, fit, val, TrainConfig(**cell.train, seed=seed))
+    observed = InteractionDataset(ds.n_users, ds.n_items,
+                                  np.concatenate([fit.users, val.users]),
+                                  np.concatenate([fit.items, val.items]))
+    metrics = evaluate(state, observed, test, k=K)
+    best = max(history, key=lambda h: h["val_recall"])["epoch"] if history else 0
+    return {"recall": metrics.recall_at_k, "ndcg": metrics.ndcg_at_k,
+            "epochs": len(history), "best_epoch": best,
+            "pgtr": str(Path(pgtr.__file__).resolve().parent)}
+
+
+def run_in_tree(tree: Path, cell: Cell, seed: int) -> dict:
+    """`run_cell` in a fresh process that imports pgtr from `tree`/src."""
+    src = (tree / "src").resolve()
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    env.update({var: "1" for var in THREAD_VARS})
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker",
+           json.dumps(dataclasses.asdict(cell)), str(seed)]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True,
+                          timeout=CHILD_TIMEOUT_S)
+    if done.returncode != 0:
+        raise RuntimeError(f"{tree} {cell.name} seed {seed} failed:\n{done.stderr}")
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    if Path(result["pgtr"]) != src / "pgtr":
+        raise RuntimeError(f"{tree}: imported pgtr from {result['pgtr']}, not {src}")
+    return result
+
+
+def compare(tree_a: Path, tree_b: Path, cells: list[Cell], seeds: list[int],
+            jobs: int = 1) -> list[tuple[Cell, list[tuple[int, dict, dict]]]]:
+    """Each cell with its rows (seed, A's result, B's result), one per seed."""
+    tasks = [(cell, seed) for cell in cells for seed in seeds]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        runs_a, runs_b = (pool.map(lambda t, tree=tree: run_in_tree(tree, *t), tasks)
+                          for tree in (tree_a, tree_b))
+        rows = [(seed, a, b) for (_, seed), a, b in zip(tasks, runs_a, runs_b)]
+    return [(cell, rows[i * len(seeds):(i + 1) * len(seeds)]) for i, cell in enumerate(cells)]
+
+
+def summarize(rows: list[tuple[int, dict, dict]], metric: str) -> dict:
+    """A's mean and seed spread, and the paired differences B - A."""
+    a = [ra[metric] for _, ra, _ in rows]
+    diffs = [rb[metric] - ra[metric] for _, ra, rb in rows]
+    sd = statistics.stdev if len(rows) > 1 else (lambda _: 0.0)
+    summary = {"mean_a": statistics.fmean(a), "sd_a": sd(a),
+               "mean_diff": statistics.fmean(diffs), "sd_diff": sd(diffs),
+               "min_diff": min(diffs), "max_diff": max(diffs)}
+    summary["within"] = abs(summary["mean_diff"]) <= summary["sd_a"]
+    return summary
+
+
+def report(results: list[tuple[Cell, list[tuple[int, dict, dict]]]]) -> str:
+    lines = []
+    for cell, rows in results:
+        lines += [f"cell {cell.name}: clustered_interactions({cell.n_users}, {cell.n_items}, "
+                  f"per_user={cell.per_user}), train_fraction {cell.train_fraction}, "
+                  f"PGTRConfig({cell.model or ''}), {cell.train}", "",
+                  "| seed | recall@20 A | recall@20 B | B - A | NDCG@20 A | NDCG@20 B "
+                  "| B - A | epochs A / B (best) |",
+                  "|---|---|---|---|---|---|---|---|"]
+        for seed, ra, rb in rows:
+            lines.append(f"| {seed} | {ra['recall']:.4f} | {rb['recall']:.4f} "
+                         f"| {rb['recall'] - ra['recall']:+.2e} | {ra['ndcg']:.4f} "
+                         f"| {rb['ndcg']:.4f} | {rb['ndcg'] - ra['ndcg']:+.2e} "
+                         f"| {ra['epochs']} ({ra['best_epoch']}) / "
+                         f"{rb['epochs']} ({rb['best_epoch']}) |")
+        lines.append("")
+    lines += ["| cell | metric | mean A | seed sd A | mean B - A | sd B - A "
+              "| min B - A | max B - A | within spread |",
+              "|---|---|---|---|---|---|---|---|---|"]
+    for cell, rows in results:
+        for metric, label in (("recall", "recall@20"), ("ndcg", "NDCG@20")):
+            s = summarize(rows, metric)
+            lines.append(f"| {cell.name} | {label} | {s['mean_a']:.4f} | {s['sd_a']:.4f} "
+                         f"| {s['mean_diff']:+.2e} | {s['sd_diff']:.2e} "
+                         f"| {s['min_diff']:+.2e} | {s['max_diff']:+.2e} "
+                         f"| {'yes' if s['within'] else 'NO'} |")
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv[:1] == ["--worker"]:
+        cell = Cell(**json.loads(argv[1]))
+        print(json.dumps(run_cell(cell, int(argv[2]))))
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("tree_a", type=Path)
+    parser.add_argument("tree_b", type=Path)
+    parser.add_argument("--seeds", type=int, default=10, help="seeds 0..N-1 (default 10)")
+    parser.add_argument("--jobs", type=int, default=1, help="runs at a time")
+    args = parser.parse_args(argv)
+    for tree in (args.tree_a, args.tree_b):
+        if not (tree / "src" / "pgtr" / "__init__.py").is_file():
+            parser.error(f"{tree} holds no src/pgtr")
+    if args.seeds < 1 or args.jobs < 1:
+        parser.error("--seeds and --jobs must be >= 1")
+    results = compare(args.tree_a, args.tree_b, list(CELLS), list(range(args.seeds)),
+                      args.jobs)
+    print(report(results))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -42,7 +42,11 @@ MIN_DENOMINATOR = 1e-30
 
 
 class AttentionError(RuntimeError):
-    pass
+    """Some row's attention denominator fell below MIN_DENOMINATOR: the
+    keys carry (almost) no mass in the directions its query weights.  In
+    float32 a key row is dropped once its scale falls below about e^-87, so
+    inputs whose rows differ widely in norm or direction reach this sooner
+    than in float64."""
 
 
 @dataclass
@@ -66,17 +70,25 @@ def kernelized_attention(h: Tensor, rf: RandomFeatureMap, scale: float) -> Tenso
     global (m, d + 1) summary of the key features against the values and a
     ones column: no (T, T) table is formed.  The op's one parent is `h`.
 
+    Computes in the dtype of `h` and `rf.directions`: float32 in the
+    model, float64 when either is float64.
+
     Raises AttentionError when some row's denominator falls below
     MIN_DENOMINATOR (about e^-69).  With the stabilized features that
     happens only when the directions a query weights most carry almost
     none of the key mass: the keys' summed features in those directions
     are below about 1e-30 of the largest key feature.  Large-norm rows
     pointing in opposite directions do this: each row's dominant directions
-    see only the other rows' exp(-|x|^2/2)-damped features.
+    see only the other rows' exp(-|x|^2/2)-damped features.  In float32 a
+    key row's features flush to zero once its scale falls below about
+    e^-87 of the largest key's (e^-745 in float64), so a query's
+    denominator can be exactly 0; that raises AttentionError too, never a
+    NaN.
     """
     if h.data.ndim != 2 or h.data.shape[0] < 1:
         raise ValueError("attention input must be a nonempty (T, d) table")
     w = rf.directions
+    scale = float(scale)  # a NumPy float64 scale would promote a float32 `h`
     xq = h.data * scale
     logits = xq @ w.T
     top = logits.max(axis=1, keepdims=True)
@@ -84,7 +96,7 @@ def kernelized_attention(h: Tensor, rf: RandomFeatureMap, scale: float) -> Tenso
     phi_q = np.exp(logits, out=logits)
     # the values with a ones column: one product gives the numerators and
     # the denominator
-    values = np.empty((h.data.shape[0], h.data.shape[1] + 1))
+    values = np.empty((h.data.shape[0], h.data.shape[1] + 1), dtype=logits.dtype)
     values[:, :-1] = h.data
     values[:, -1] = 1.0
     # the key features are phi_q times a (T, 1) row scale, which the values

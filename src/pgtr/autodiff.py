@@ -1,4 +1,4 @@
-"""Reverse-mode gradient engine over float64 numpy arrays.
+"""Reverse-mode gradient engine over numpy arrays.
 
 Holds only the operations the model runs: broadcast add and multiply,
 dense matrix product and transpose, a constant sparse matrix times a
@@ -22,7 +22,15 @@ later ones into a buffer of its own.
 An op records a backward closure only when some input needs a gradient
 (a trainable leaf or a node computed from one), and the closure computes
 the gradient of just those inputs: constants such as a scalar `1/tau` or a
-0/1 mask are never differentiated.
+0/1 mask are never differentiated.  Every node keeps its parents, so a
+forward run with no parameter needing a gradient holds no closures but
+`check_finite` can still walk it.
+
+A tensor holds float32 or float64 data (anything else becomes float64),
+and each op computes in the dtype of its inputs: the model's float32
+parameters give float32 tables, gradients and losses, and a state cast to
+float64 computes in float64 throughout.  A Python scalar operand takes its
+tensor's dtype.
 """
 from __future__ import annotations
 
@@ -53,7 +61,8 @@ class NumericsError(RuntimeError):
 
 
 def _as_array(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -95,27 +104,28 @@ class Tensor:
     def __repr__(self):
         return f"Tensor({self._op}, shape={self.data.shape}, trainable={self.trainable})"
 
-    # arithmetic sugar; scalars and arrays are wrapped as constants
+    # arithmetic sugar; scalars and arrays are wrapped as constants of this
+    # tensor's dtype (a 0-d float64 array would promote a float32 one)
     def __add__(self, other):
-        return add(self, _wrap(other))
+        return add(self, _wrap(other, self.data.dtype))
 
     def __mul__(self, other):
-        return mul(self, _wrap(other))
+        return mul(self, _wrap(other, self.data.dtype))
 
 
 def parameter(data) -> Tensor:
     return Tensor(data, trainable=True)
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _wrap(x, dtype) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
 
 
 def _make(data, op: str, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
     out._op = op
+    out._parents = parents
     if any(p._needs for p in parents):
-        out._parents = parents
         out._backward = backward_fn
         out._needs = True
     return out
@@ -171,7 +181,7 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     pos = a.data > 0
 
     def bw(g):
-        _accum(a, g * np.where(pos, 1.0, slope))
+        _accum(a, np.where(pos, g, slope * g))
 
     return _make(np.where(pos, a.data, slope * a.data), "leaky_relu", (a,), bw)
 
@@ -180,10 +190,12 @@ def _scatter_rows(rows: np.ndarray, idx: np.ndarray, shape) -> np.ndarray:
     """Zeros of `shape` with row j of `rows` added at row idx[j]: the
     backward of a row gather.  A scatter-add through bincount on flat
     positions: like np.add.at it adds repeated rows in index order (bit for
-    bit), at a fraction of add.at's per-element cost."""
+    bit, for float64 rows), at a fraction of add.at's per-element cost.
+    bincount sums in float64; the result has the rows' dtype."""
     width = int(np.prod(shape[1:]))
     flat = (idx.reshape(-1, 1) * width + np.arange(width)).ravel()
-    return np.bincount(flat, weights=rows.ravel(), minlength=shape[0] * width).reshape(shape)
+    sums = np.bincount(flat, weights=rows.ravel(), minlength=shape[0] * width)
+    return sums.reshape(shape).astype(rows.dtype, copy=False)
 
 
 def spmm(s: sp.spmatrix, a: Tensor) -> Tensor:
@@ -254,7 +266,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if p._needs and id(p) not in seen:
+            if id(p) not in seen:
                 stack.append((p, False))
     return order
 

@@ -240,7 +240,7 @@ def position_tape(enc: PositionalEncodingSet) -> Tensor | None:
     cuts = np.cumsum([b.shape[0] for b in maps])[:-1]
     sides = ((enc.w_user, slice(0, n)), (enc.w_item, slice(n, None)))
     x = enc.features
-    out = np.empty((x.shape[0], inner.shape[1]))
+    out = np.empty((x.shape[0], inner.shape[1]), dtype=np.result_type(x, inner))
     for w, rows in sides:
         np.matmul(x[rows], inner @ w.data.T, out=out[rows])
 

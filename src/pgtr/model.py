@@ -4,6 +4,13 @@ The forward pass composes position injection (`encodings.position_tape`),
 local propagation (`backbone`), position re-injection, kernelized
 all-pairs attention (`attention`), local/global mixing, and mean readout
 over the bipartite graph, all on the gradient tape.
+
+The model computes in float32: `init_model` makes its random draws in
+float64 and casts the parameters, the frozen position features, the
+attention directions and the normalized adjacency to float32.  The
+eigensolve, PageRank and the stored spectral block stay float64.  The
+forward takes its dtype from those arrays, so a state whose arrays are
+cast to float64 computes in float64.
 """
 from __future__ import annotations
 
@@ -38,6 +45,8 @@ EMBED_INIT_STD = 0.1
 CHECKPOINT_MAGIC = b"PGTR"
 CHECKPOINT_VERSION = 5
 HEADER_FIELDS = ("config", "n_users", "n_items", "graph_hash", "seed", "feature_map_seeds")
+# the dtype `init_model` casts the model's arrays to (see the module docstring)
+MODEL_DTYPE = np.float32
 
 
 def check_field_types(cls, values: dict, field: str = "{}"):
@@ -167,9 +176,16 @@ def _init_model(graph: BipartiteGraph, cfg: PGTRConfig, seed: int,
                       for _ in range(cfg.layers)]
     fm_seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(cfg.layers)]
     feature_maps = [make_feature_map(cfg.m_features, cfg.d, s) for s in fm_seeds]
-    return ModelState(cfg, graph.n_users, graph.n_items, _graph_hash(graph),
-                      normalized_adjacency(graph), embeddings, enc, feature_maps,
-                      transforms, seed)
+    state = ModelState(cfg, graph.n_users, graph.n_items, _graph_hash(graph),
+                       normalized_adjacency(graph).astype(MODEL_DTYPE), embeddings, enc,
+                       feature_maps, transforms, seed)
+    for t in state.parameters():
+        t.data = t.data.astype(MODEL_DTYPE)
+    if enc.features is not None:
+        enc.features = enc.features.astype(MODEL_DTYPE)
+    for rf in feature_maps:
+        rf.directions = rf.directions.astype(MODEL_DTYPE)
+    return state
 
 
 def forward(state: ModelState, return_layers: bool = False):
@@ -183,7 +199,7 @@ def forward(state: ModelState, return_layers: bool = False):
     """
     cfg = state.config
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        scale = 1.0 / np.sqrt(cfg.d)
+        scale = 1.0 / math.sqrt(cfg.d)
         needs_pos = (cfg.lambda1 != 0.0 or (cfg.lambda2 != 0.0 and cfg.lambda3 != 0.0))
         pos = position_tape(state.enc) if needs_pos else None
 
@@ -229,8 +245,9 @@ def _blocks(state: ModelState) -> list[tuple[str, np.ndarray]]:
 
 
 def save_checkpoint(state: ModelState, path):
-    """Versioned header, config JSON, then named row-major float64 blocks:
-    the parameters, each grouped encoding's group ids as a (1, N+M) row
+    """Versioned header, config JSON, then named row-major blocks stored
+    as little-endian float64, which holds float32 parameters exactly: the
+    parameters, each grouped encoding's group ids as a (1, N+M) row
     `<name>_groups`, and the frozen `spectral` block.  Loading restores the
     frozen blocks, so it runs neither the eigensolve nor PageRank."""
     meta = {
@@ -268,7 +285,10 @@ def _read(fh, size: int, what: str) -> bytes:
 
 
 def load_checkpoint(path, graph: BipartiteGraph) -> ModelState:
-    """The model `save_checkpoint` wrote for `graph`.  Raises ValueError
+    """The model `save_checkpoint` wrote for `graph`, each stored float64
+    parameter block cast to the dtype of the state `init_model` builds
+    (float32: a block saved from float32 loads bit for bit, one saved from
+    float64 as its nearest float32 values).  Raises ValueError
     naming the cause for a file that is not a checkpoint of this version,
     is truncated, has a malformed header, was built for another graph, or
     holds a block that is unknown, repeated, missing or of the wrong
@@ -319,5 +339,5 @@ def load_checkpoint(path, graph: BipartiteGraph) -> ModelState:
             raise ValueError(f"checkpoint missing parameter block {name!r}")
         if blocks[name].shape != tensor.data.shape:
             raise ValueError(f"checkpoint block {name!r} has the wrong shape")
-        tensor.data = blocks[name]
+        tensor.data = blocks[name].astype(tensor.data.dtype)
     return state

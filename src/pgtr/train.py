@@ -148,7 +148,7 @@ def _in_batch_softmax(h: Tensor, users: np.ndarray, item_rows: np.ndarray,
     lse = top + np.log(total)
     pos = (u * items_inv).sum(axis=1, keepdims=True)
     n_keep = int(np.count_nonzero(keep))
-    keep_col = keep[:, None].astype(np.float64)
+    keep_col = keep[:, None].astype(e.dtype)
     loss = ((lse - pos) * keep_col).sum() * (1.0 / n_keep)
 
     def bw(g):
@@ -383,10 +383,19 @@ def evaluate(state: ModelState, observed: InteractionDataset,
     """Score every item for every test user with the current model.
 
     Ranks through `ranking_metrics`, with `observed`'s items masked out.
-    Raises NumericsError when a node's representation is not finite
-    (`forward` names the op) or has zero norm (`ad.l2_normalize_rows`),
-    so `train` takes its divergence path on it.
+    The forward runs with no parameter needing a gradient, so its ops
+    record no backward closures.  Raises NumericsError when a node's
+    representation is not finite (`forward` names the op) or has zero norm
+    (`ad.l2_normalize_rows`), so `train` takes its divergence path on it.
     """
-    h_norm = ad.l2_normalize_rows(forward(state)).data
+    params = state.parameters()
+    needs = [p._needs for p in params]
+    try:
+        for p in params:
+            p._needs = False
+        h_norm = ad.l2_normalize_rows(forward(state)).data
+    finally:
+        for p, need in zip(params, needs):
+            p._needs = need
     scores = h_norm[:state.n_users] @ h_norm[state.n_users:].T
     return ranking_metrics(scores, observed.user_item_matrix(), test.user_item_matrix(), k)

@@ -16,10 +16,14 @@ import pgtr.autodiff as ad
 from pgtr.attention import (
     MIN_DENOMINATOR,
     AttentionError,
+    RandomFeatureMap,
     kernelized_attention,
     make_feature_map,
 )
 from pgtr.autodiff import parameter
+from pgtr.data import build_graph
+from pgtr.model import PGTRConfig, forward, init_model
+from pgtr.synthetic import clustered_interactions
 from test_autodiff import constant, div, exp, logsumexp_rows, sub, sum_axis
 
 MAX_EXPONENT = 700.0
@@ -304,3 +308,59 @@ def test_fused_matches_taped_oracle(t, identical, norm, seed):
     got_out, got_grad = run(kernelized_attention)
     assert close(got_out, want_out, 1e-12)
     assert close(got_grad, want_grad, 1e-12)
+
+
+def cast_map(rf, dtype):
+    return RandomFeatureMap(rf.m, rf.directions.astype(dtype), rf.seed)
+
+
+# (graph, config) pairs whose forward feeds the attention float32 tables
+MODEL_CASES = {
+    "60x80 default": (dict(n_users=60, n_items=80, n_clusters=4, per_user=20, seed=9), {}),
+    "12x14 small": (dict(n_users=12, n_items=14, n_clusters=3, per_user=5, seed=3),
+                    dict(d=6, h_c=3, h_d=2, h_r=2, h_y=2, n_d=3, n_r=3, m_features=32)),
+    "12x14 transform-gcn": (dict(n_users=12, n_items=14, n_clusters=3, per_user=5, seed=4),
+                            dict(d=6, h_c=3, h_d=2, h_r=2, h_y=2, n_d=3, n_r=3,
+                                 m_features=32, backbone="transform-gcn")),
+}
+
+
+class TestFloat32:
+    """The op computes in its input's dtype.  In float32 it matches the
+    float64 evaluation of the same inputs to about 1e-5 relative, and a key
+    scale that flushes to zero still raises AttentionError, not NaN."""
+
+    @pytest.mark.parametrize("case", sorted(MODEL_CASES))
+    def test_matches_float64_on_model_inputs(self, case):
+        data_kw, cfg_kw = MODEL_CASES[case]
+        state = init_model(build_graph(clustered_interactions(**data_kw)),
+                           PGTRConfig(**cfg_kw), seed=5)
+        _, internals = forward(state, return_layers=True)
+        scale = 1.0 / np.sqrt(state.config.d)
+        rng = np.random.default_rng(6)
+        for (_, global_, _), rf in zip(internals, state.feature_maps, strict=True):
+            (x,) = global_._parents
+            assert x.data.dtype == rf.directions.dtype == np.float32
+            g = rng.standard_normal(x.data.shape)
+
+            def run(dtype):
+                h = parameter(x.data.astype(dtype))
+                out = kernelized_attention(h, cast_map(rf, dtype), scale)
+                ad.backward(sum_axis(out * constant(g.astype(dtype)), axis=None,
+                                     keepdims=False))
+                assert out.data.dtype == h.grad.dtype == dtype
+                return out.data, h.grad
+
+            out32, grad32 = run(np.float32)
+            out64, grad64 = run(np.float64)
+            assert close(out32, out64, 1e-5)
+            assert close(grad32, grad64, 1e-5)
+
+    @pytest.mark.parametrize("norm", [50.0, 200.0, 1000.0])
+    def test_underflow_denominator_rejected(self, norm):
+        """The large-norm opposite rows of the float64 test: one key's
+        scale lies below e^-69 or flushes to zero, and the op raises."""
+        rf = cast_map(make_feature_map(4, 2, seed=18), np.float32)
+        z = np.array([[norm, 0.0], [-norm, 0.0]], dtype=np.float32)
+        with pytest.raises(AttentionError, match="denominator underflow"):
+            kernelized_of(z, rf, scale=1.0)

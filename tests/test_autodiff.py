@@ -1,5 +1,8 @@
 """Gradient engine tests: every primitive against central finite differences.
 
+`as_float64` turns a float32 model state into one that computes in
+float64, for the oracle and finite-difference tests of other modules.
+
 The ops defined below (`constant`, `sub`, `div`, `neg`, `exp`, `log`,
 `sum_axis`, `gather_rows`, `slice_rows`, `concat_rows` and
 `logsumexp_rows`, a taped row-wise log-sum-exp under an optional
@@ -14,11 +17,32 @@ import scipy.sparse as sp
 
 import pgtr.autodiff as ad
 from pgtr.autodiff import NumericsError, Tensor, parameter
+from pgtr.backbone import normalized_adjacency
 
 
 def constant(data) -> Tensor:
     """A leaf that takes no gradient."""
     return Tensor(data)
+
+
+def as_float64(state, graph):
+    """`state`, built by `init_model` for `graph`, changed in place to compute
+    in float64, and returned.  The parameters and attention directions are
+    cast (their float32 values are exact in float64); the normalized
+    adjacency and the spectral columns of the position features are taken
+    again from `graph` and the float64 spectral block, so a float64 oracle
+    built from those sees the same constants."""
+    for t in state.parameters():
+        t.data = t.data.astype(np.float64)
+    for rf in state.feature_maps:
+        rf.directions = rf.directions.astype(np.float64)
+    state.adjacency = normalized_adjacency(graph)
+    enc = state.enc
+    if enc.features is not None:
+        enc.features = enc.features.astype(np.float64)
+        if enc.spectral is not None:
+            enc.features[:, :enc.spectral.matrix.shape[0]] = enc.spectral.matrix.T
+    return state
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:

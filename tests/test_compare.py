@@ -1,0 +1,38 @@
+"""Smoke test of `experiments/compare.py`: one seed of a tiny cell, with
+the checkout compared against itself."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def compare_mod():
+    spec = importlib.util.spec_from_file_location("compare", ROOT / "experiments" / "compare.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_one_seed_of_a_tiny_cell(compare_mod):
+    cell = compare_mod.Cell("tiny", 30, 40, per_user=8, train_fraction=0.8,
+                            model=dict(d=8, h_c=4, h_d=2, h_r=2, h_y=2, n_d=3, n_r=3,
+                                       m_features=16),
+                            train=dict(lr=5e-3, max_epochs=2, patience=2, batch_size=64))
+    ((got_cell, rows),) = compare_mod.compare(ROOT, ROOT, [cell], [3])
+    assert got_cell is cell
+    ((seed, a, b),) = rows
+    assert seed == 3 and a["epochs"] == 2 and 1 <= a["best_epoch"] <= 2
+    assert a["pgtr"] == str(ROOT / "src" / "pgtr")
+    # one tree, one seed: the runs repeat exactly
+    assert a == b and 0.0 <= a["recall"] <= 1.0 and 0.0 <= a["ndcg"] <= 1.0
+    table = compare_mod.report([(cell, rows)])
+    assert "| 3 | " in table and "| tiny | recall@20 |" in table and "| yes |" in table
+
+
+def test_tree_without_sources_rejected(compare_mod, tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        compare_mod.main([str(ROOT), str(tmp_path)])
+    assert f"{tmp_path} holds no src/pgtr" in capsys.readouterr().err

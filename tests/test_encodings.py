@@ -28,7 +28,7 @@ from pgtr.linalg import (
 from pgtr.model import PGTRConfig, forward, init_model
 from pgtr.synthetic import clustered_interactions
 from test_attention import close, tape_nodes
-from test_autodiff import concat_rows, constant, gather_rows, slice_rows, sum_axis
+from test_autodiff import as_float64, concat_rows, constant, gather_rows, slice_rows, sum_axis
 
 
 def k22_graph():
@@ -370,11 +370,12 @@ class TestFusedPosition:
     @given(config=st.sampled_from(sorted(FUSED_CONFIGS)), seed=st.integers(0, 2**32 - 1))
     def test_matches_taped_oracle(self, config, seed):
         """The output and every parameter gradient from one backward agree
-        with the taped composition to 1e-12 relative."""
+        with the taped composition to 1e-12 relative, in float64."""
         rng = np.random.default_rng(seed)
         cfg = PGTRConfig(d=6, h_c=3, h_d=2, h_r=2, h_y=2, n_d=3, n_r=3, m_features=8,
                          **FUSED_CONFIGS[config])
-        enc = init_model(random_graph(seed % 64), cfg, seed=seed % 64).enc
+        g = random_graph(seed % 64)
+        enc = as_float64(init_model(g, cfg, seed=seed % 64), g).enc
         params = [t for _, t in enc.trainable_tables()]
         for t in params:
             t.data = rng.standard_normal(t.data.shape)

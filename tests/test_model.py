@@ -22,9 +22,11 @@ from pgtr.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from pgtr.optim import AdamState, adam_step
 from pgtr.synthetic import clustered_interactions
+from pgtr.train import batch_loss
 from test_attention import tape_nodes
-from test_autodiff import constant, sum_axis
+from test_autodiff import as_float64, constant, sum_axis
 from test_encodings import awkward_interactions
 
 SMALL = dict(d=6, h_c=3, h_d=2, h_r=2, h_y=2, n_d=3, n_r=3, m_features=32)
@@ -71,7 +73,7 @@ class TestBackboneReduction:
         cfg = PGTRConfig(lambda1=0.0, lambda2=0.0, lambda3=0.0,
                          use_spectral=False, use_degree=False,
                          use_pagerank=False, use_type=False, **SMALL)
-        state = init_model(g, cfg, seed=3)
+        state = as_float64(init_model(g, cfg, seed=3), g)
         got = forward(state).data
 
         adj = normalized_adjacency(g)
@@ -148,7 +150,7 @@ class TestDenseOracle:
         g = build_graph(ds)
         cfg = PGTRConfig(d=4, layers=2, lambda1=1.0, lambda2=1.0, lambda3=0.5,
                          h_c=2, h_d=2, h_r=2, h_y=2, n_d=2, n_r=2, m_features=8)
-        state = init_model(g, cfg, seed=8)
+        state = as_float64(init_model(g, cfg, seed=8), g)
         got = forward(state).data
 
         # independent dense evaluation of the whole chain, with the
@@ -281,16 +283,53 @@ class TestReleasedTape:
             assert t.grad is not None and np.isfinite(t.grad).all(), name
 
 
+class TestDtype:
+    """The model computes in its arrays' dtype: float32 as `init_model`
+    builds it, float64 once cast.  A float64 scalar or buffer meeting a
+    float32 table promotes it silently (and NumPy 1.x and 2.x promote
+    differently), so each step of a training step is checked."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("backbone", ["lightgcn", "transform-gcn"])
+    def test_a_training_step_keeps_the_dtype(self, backbone, dtype, monkeypatch):
+        ds = clustered_interactions(12, 14, 3, per_user=5, seed=28)
+        g = build_graph(ds)
+        state = init_model(g, PGTRConfig(**SMALL, backbone=backbone), seed=29)
+        if dtype == np.float64:
+            as_float64(state, g)
+        loss, _ = batch_loss(state, ds.users[:16], ds.items[:16], ds.user_item_matrix())
+        nodes = tape_nodes(loss)
+        assert {n._op for n in nodes} >= {"position", "spmm", "kernelized_attention", "mix",
+                                          "mean", "l2_normalize_rows", "in_batch_softmax"}
+        assert all(n.data.dtype == dtype for n in nodes), [
+            n._op for n in nodes if n.data.dtype != dtype]
+
+        handed = []  # (receiving op, dtype) of every gradient the backward passes
+        accum = ad._accum
+
+        def recording_accum(t, g):
+            handed.append((t._op, g.dtype))
+            accum(t, g)
+
+        monkeypatch.setattr(ad, "_accum", recording_accum)
+        opt = AdamState(state.parameters())
+        ad.backward(loss)
+        assert handed and all(dt == dtype for _, dt in handed), handed
+        for name, t in state.named_parameters():
+            assert t.grad.dtype == dtype, name
+        adam_step(opt)
+        for (name, t), m, v in zip(state.named_parameters(), opt.m, opt.v):
+            assert t.data.dtype == m.dtype == v.dtype == dtype, name
+
+
 class TestDifferentiability:
     @pytest.mark.parametrize("backbone", ["lightgcn", "transform-gcn"])
     def test_forward_plus_loss_passes_finite_differences(self, backbone):
-        from pgtr.train import batch_loss
-
         ds = clustered_interactions(6, 6, 2, per_user=3, seed=16)
         g = build_graph(ds)
         cfg = PGTRConfig(d=3, layers=1, h_c=2, h_d=2, h_r=2, h_y=2,
                          n_d=2, n_r=2, m_features=8, lambda3=0.5, backbone=backbone)
-        state = init_model(g, cfg, seed=17)
+        state = as_float64(init_model(g, cfg, seed=17), g)
         if backbone == "transform-gcn":
             # at the init scale the transform's gradient is too small for
             # the check to see
@@ -371,6 +410,34 @@ class TestCheckpoint:
         restored = load_checkpoint(path, g)
         np.testing.assert_array_equal(forward(restored).data, want)
         assert restored.config == state.config
+
+    def test_roundtrip_keeps_float32_parameters_bit_for_bit(self, tmp_path):
+        g = small_graph(9)
+        state = init_model(g, PGTRConfig(**SMALL, backbone="transform-gcn"), seed=30)
+        rng = np.random.default_rng(31)
+        for _, t in state.named_parameters():
+            t.data += rng.standard_normal(t.data.shape).astype(np.float32)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(state, path)
+        restored = dict(load_checkpoint(path, g).named_parameters())
+        for name, t in state.named_parameters():
+            assert t.data.dtype == restored[name].data.dtype == np.float32, name
+            assert t.data.tobytes() == restored[name].data.tobytes(), name
+
+    def test_block_saved_from_float64_loads_as_nearest_float32(self, tmp_path):
+        g = small_graph(9)
+        state = as_float64(init_model(g, PGTRConfig(**SMALL), seed=32), g)
+        rng = np.random.default_rng(33)
+        for _, t in state.named_parameters():
+            t.data = rng.standard_normal(t.data.shape)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(state, path)
+        restored = dict(load_checkpoint(path, g).named_parameters())
+        for name, t in state.named_parameters():
+            got = restored[name].data
+            assert got.dtype == np.float32, name
+            # astype rounds to the nearest float32
+            np.testing.assert_array_equal(got, t.data.astype(np.float32), err_msg=name)
 
     def test_wrong_graph_rejected(self, tmp_path):
         g = small_graph(10)
@@ -589,8 +656,8 @@ class TestDrawOrder:
         """`init_model` draws from `default_rng(seed)`, in order: the
         embeddings; the degree, PageRank and type tables; the item, user,
         spectral, degree, PageRank and type projections; the backbone
-        transforms; the feature-map seeds.  Checkpoints and repeated runs
-        rely on it."""
+        transforms; the feature-map seeds.  Each parameter is then cast to
+        float32.  Checkpoints and repeated runs rely on it."""
         g = small_graph(18)
         cfg = PGTRConfig(**SMALL, **kw)
         state = init_model(g, cfg, seed=27)
@@ -622,7 +689,8 @@ class TestDrawOrder:
         got = dict(state.named_parameters())
         assert list(got) == list(want)
         for name, data in want.items():
-            np.testing.assert_array_equal(got[name].data, data, err_msg=name)
+            np.testing.assert_array_equal(got[name].data, data.astype(np.float32),
+                                          err_msg=name)
         assert [fm.seed for fm in state.feature_maps] == seeds
 
 

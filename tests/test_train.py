@@ -30,8 +30,8 @@ from pgtr.train import (
     ranking_metrics,
     train,
 )
-from test_attention import held_arrays
-from test_autodiff import gather_rows, logsumexp_rows, sub, sum_axis
+from test_attention import held_arrays, tape_nodes
+from test_autodiff import as_float64, gather_rows, logsumexp_rows, sub, sum_axis
 from test_encodings import awkward_interactions
 
 
@@ -232,9 +232,10 @@ class TestInBatchNegatives:
 
 class TestBatchLossTape:
     def test_matches_scalar_oracle(self):
-        """The (b × distinct items) tape loss equals the per-pair formula."""
+        """The (b × distinct items) tape loss equals the per-pair formula,
+        in float64."""
         ds = clustered_interactions(10, 12, 2, per_user=4, seed=3)
-        state = tiny_state(ds, seed=4)
+        state = as_float64(tiny_state(ds, seed=4), build_graph(ds))
         users, items = ds.users[:6], ds.items[:6]
         items_of = ds.items_of_user()
         loss, skipped = batch_loss(state, users, items, items_of)
@@ -244,9 +245,9 @@ class TestBatchLossTape:
 
     @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 24),
            as_matrix=st.booleans())
-    def test_random_batches_match_oracle(self, small_model, seed, size, as_matrix):
-        """Pairs drawn with replacement, so items and users repeat."""
-        ds, state = small_model
+    def test_random_batches_match_oracle(self, small_model64, seed, size, as_matrix):
+        """Pairs drawn with replacement, so items and users repeat; in float64."""
+        ds, state = small_model64
         items_of = ds.items_of_user()
         user_items = ds.user_item_matrix() if as_matrix else items_of
         sel = np.random.default_rng(seed).integers(0, len(ds), size=size)
@@ -381,6 +382,13 @@ class TestBatchLossTape:
 def small_model():
     ds = clustered_interactions(8, 10, 2, per_user=4, seed=11)
     return ds, tiny_state(ds, seed=12)
+
+
+@pytest.fixture(scope="module")
+def small_model64(small_model):
+    """`small_model`'s data and a copy of its state computing in float64."""
+    ds, _ = small_model
+    return ds, as_float64(tiny_state(ds, seed=12), build_graph(ds))
 
 
 @st.composite
@@ -589,6 +597,31 @@ class TestTrainLoop:
             with pytest.raises(NumericsError, match="'add'"):
                 evaluate(state, fit, val, k=5)
         assert len(calls) == 1
+
+    def test_evaluate_records_no_backward(self, monkeypatch):
+        """`evaluate`'s forward holds no backward closure but keeps every
+        parent, and the parameters need gradients again afterwards, also
+        when the forward raises."""
+        train_mod = sys.modules["pgtr.train"]
+        real_forward = train_mod.forward
+        outs = []
+
+        def forward(state):
+            outs.append(real_forward(state))
+            return outs[-1]
+
+        state, fit, val, _ = self._setup(7, "transform-gcn")
+        monkeypatch.setattr(train_mod, "forward", forward)
+        evaluate(state, fit, val, k=5)
+        (out,) = outs
+        nodes = tape_nodes(out)
+        assert {id(p) for p in state.parameters()} <= {id(n) for n in nodes}
+        assert all(n._backward is None and not n._needs for n in nodes if n._op != "leaf")
+        assert all(p._needs for p in state.parameters())
+        state.embeddings.data[3, 1] = np.nan
+        with pytest.raises(NumericsError):
+            evaluate(state, fit, val, k=5)
+        assert all(p._needs for p in state.parameters())
 
     @pytest.mark.parametrize("part", ["loss", "gradient of 'embeddings'"])
     def test_nonfinite_without_a_failing_op_names_the_part(self, part, caplog, monkeypatch):
