@@ -26,8 +26,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# ranking_metrics scores about this many table entries at a time, so its
-# temporaries stay O(block) instead of O(users x items)
+# ranking_metrics ranks about this many table entries at a time, so its
+# temporaries, in the table's dtype, stay O(block) instead of O(users x items)
 _RANK_BLOCK_ENTRIES = 1 << 18
 
 @dataclass
@@ -298,26 +298,22 @@ def _top_k(neg: np.ndarray, k: int):
     """Row, column and rank of the finite entries among each row's first k
     in a stable ascending sort of `neg`, in rank order, and the count per
     row.  Ranks count only the finite entries, so a dropped one leaves no
-    gap.  `neg` holds no NaN."""
-    cols = np.argpartition(neg, k - 1, axis=1)[:, :k]
-    kth = np.take_along_axis(neg, cols[:, k - 1:], axis=1)
-    # a row whose k candidates are its only entries <= the k-th value has no
-    # tie across the cut: they are the first k of the stable sort
-    tied = np.flatnonzero(np.count_nonzero(neg <= kth, axis=1) != k)
-    cols.sort(axis=1)
-    if tied.size:
-        # the first k of a stable sort: every entry below the k-th value,
-        # then the lowest-index ties at that value
-        sub, cut = neg[tied], kth[tied]
-        below = sub < cut
-        tie = sub == cut
-        need = k - np.count_nonzero(below, axis=1)
-        keep = below | (tie & (np.cumsum(tie, axis=1) <= need[:, None]))
-        cols[tied] = np.nonzero(keep)[1].reshape(tied.size, k)
-    # stable: equal values stay in column order
-    order = np.argsort(np.take_along_axis(neg, cols, axis=1), axis=1, kind="stable")
-    cols = np.take_along_axis(cols, order, axis=1)
-    finite = np.isfinite(np.take_along_axis(neg, cols, axis=1))
+    gap.  `neg` holds no NaN.  A value partition gives each row's k-th value;
+    a row with more than k entries at or below it keeps its lowest-index ties."""
+    n, m = neg.shape
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1]
+    flat = np.flatnonzero(neg <= kth[:, None])
+    vals = neg.ravel()[flat]
+    if flat.size > n * k:
+        r = flat // m
+        tie = vals == kth[r]
+        seen = np.cumsum(tie) - tie  # ties before each entry in the list
+        need = k - np.bincount(r[~tie], minlength=n)  # ties each row keeps
+        keep = ~tie | (seen - seen[np.searchsorted(r, r)] < need[r])
+        flat, vals = flat[keep], vals[keep]
+    order = np.argsort(vals.reshape(n, k), axis=1, kind="stable")  # ties keep column order
+    cols = np.take_along_axis((flat % m).reshape(n, k), order, axis=1)
+    finite = np.isfinite(np.take_along_axis(vals.reshape(n, k), order, axis=1))
     r, j = np.nonzero(finite)
     rank = np.cumsum(finite, axis=1)[r, j] - 1
     return r, cols[r, j], rank, np.count_nonzero(finite, axis=1)
@@ -333,10 +329,11 @@ def ranking_metrics(scores: np.ndarray, observed_items, test_items,
     sequence of N per-user item-id sequences.  Observed (training +
     validation) items are masked out; ties break toward the lower item
     index; NaN and infinite scores are dropped from a top-k list; users
-    without test items are excluded.  Users are ranked in blocks of rows,
-    so temporaries stay near _RANK_BLOCK_ENTRIES entries.  One partial
-    sort picks each row's k candidates; only the rows with a tie across
-    the k-th value pay for the lowest-index tie rule.
+    without test items are excluded.  Users are ranked in blocks of rows
+    (`_top_k`), so temporaries stay near _RANK_BLOCK_ENTRIES entries, in
+    the table's floating dtype (negation is exact) or else float64.  Hits
+    are found among the test matrix's sorted (user, item) keys; their
+    discounts fill one (N, k) table that is summed once, after the blocks.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -349,28 +346,31 @@ def ranking_metrics(scores: np.ndarray, observed_items, test_items,
         raise ValueError("no user has test items to evaluate")
     discounts = 1.0 / np.log2(np.arange(k) + 2.0)
     kk = min(k, n_items)
-    n_hits = np.zeros(n_users, dtype=np.int64)
-    dcg = np.zeros(n_users)
+    dtype = scores.dtype if np.issubdtype(scores.dtype, np.floating) else np.float64
+    n_top = np.zeros(n_users, dtype=np.int64)
+    gains = np.zeros((n_users, kk))
     observed_user = np.repeat(np.arange(n_users), np.diff(observed.indptr))
+    # sorted (user, item) keys of the test entries, then one past them all
+    keys = np.r_[np.repeat(np.arange(n_users) * n_items, n_targets) + tests.indices, scores.size]
     step = max(1, _RANK_BLOCK_ENTRIES // n_items)
     for lo in range(0, n_users, step):
         hi = min(lo + step, n_users)
-        # negated, NaN and observed items at +inf: the ranking is the
-        # ascending order and drops them
-        neg = np.negative(scores[lo:hi], dtype=np.float64)
-        neg[np.isnan(neg)] = np.inf
+        # negated, with NaN and observed items at +inf, where the ranking drops them
+        neg = np.negative(scores[lo:hi], dtype=dtype)
+        if np.isnan(neg.min()):  # a NaN propagates through min
+            neg[np.isnan(neg)] = np.inf
         a, b = observed.indptr[lo], observed.indptr[hi]
         neg[observed_user[a:b] - lo, observed.indices[a:b]] = np.inf
-        r, c, rank, n_top = _top_k(neg, kk)
-        hit = tests[lo:hi].toarray()[r, c]
-        n_hits[lo:hi] = np.bincount(r[hit], minlength=hi - lo)
-        gains = np.zeros((hi - lo, kk))
-        gains[r[hit], rank[hit]] = discounts[rank[hit]]
-        # sum each row over exactly its list's length, as one sum per user would
-        for n in np.unique(n_top):
-            same = n_top == n
-            dcg[lo:hi][same] = gains[same, :n].sum(axis=1)
-    recalls = n_hits[users] / n_targets[users]
+        r, c, rank, n_top[lo:hi] = _top_k(neg, kk)
+        listed = (r + lo) * n_items + c
+        hit = keys[np.searchsorted(keys, listed)] == listed
+        gains[r[hit] + lo, rank[hit]] = discounts[rank[hit]]
+    dcg = np.zeros(n_users)
+    # sum each row over exactly its list's length, as one sum per user would
+    for n in np.unique(n_top):
+        same = n_top == n
+        dcg[same] = gains[same, :n].sum(axis=1)
+    recalls = np.count_nonzero(gains[users], axis=1) / n_targets[users]  # discounts are > 0
     ideal_len, inv = np.unique(np.minimum(n_targets[users], k), return_inverse=True)
     idcg = np.array([discounts[:m].sum() for m in ideal_len])[inv]
     ndcgs = dcg[users] / idcg

@@ -871,17 +871,21 @@ def ranking_cases(draw):
     """Tie-heavy quantized score tables with -inf and NaN entries, observed
     and test items (repeats allowed), users without test items and k up to
     past n_items; a table where no user has test items must fail as the
-    oracle does."""
+    oracle does.  The table is float64, float32 or int32 (which holds
+    neither -inf nor NaN); the oracle ranks it in float64."""
     n_users = draw(st.integers(1, 10))
     n_items = draw(st.integers(1, 25))
     k = draw(st.integers(1, 30))
     levels = draw(st.integers(1, 4))
     p_inf, p_nan, p_obs, p_test = (draw(st.sampled_from([0.0, 0.1, 0.5, 0.9]))
                                    for _ in range(4))
+    dtype = draw(st.sampled_from([np.float64, np.float32, np.int32]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scores = rng.integers(0, levels + 1, size=(n_users, n_items)) / levels
-    scores[rng.random(scores.shape) < p_inf] = -np.inf
-    scores[rng.random(scores.shape) < p_nan] = np.nan
+    scores = rng.integers(-levels, levels + 1, size=(n_users, n_items)).astype(dtype)
+    if dtype is not np.int32:
+        scores /= levels
+        scores[rng.random(scores.shape) < p_inf] = -np.inf
+        scores[rng.random(scores.shape) < p_nan] = np.nan
     observed = [np.flatnonzero(rng.random(n_items) < p_obs) for _ in range(n_users)]
     # user 0 leaves fewer than k items unobserved
     observed[0] = rng.permutation(n_items)[:max(0, n_items - k + 1)]
@@ -961,6 +965,17 @@ class TestRankingMatchesLoopOracle:
         assert scores.size <= sys.modules["pgtr.train"]._RANK_BLOCK_ENTRIES
         assert_matches_loop_oracle(scores, observed, tests, k)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_signed_zeros_tie(self, dtype):
+        """0.0 and -0.0 compare equal, so they rank as ties in column order,
+        as the oracle's stable sort ranks them."""
+        scores = np.tile(np.array([0.0, -0.0, 1.0, -0.0, 0.0, -0.0, 0.0, -1.0], dtype), (8, 1))
+        observed, tests = [[]] * 8, [[u] for u in range(8)]  # user u's test item is u
+        got = ranking_metrics(scores, observed, tests, k=4)
+        # the first four: item 2, then the lowest-index zeros 0, 1 and 3
+        assert got.per_user_recall.tolist() == [1, 1, 1, 1, 0, 0, 0, 0]
+        assert_matches_loop_oracle(scores, observed, tests, 4)
+
     @given(case=ranking_cases())
     def test_recall_never_falls_as_k_grows(self, case):
         scores, observed, tests, _ = case
@@ -971,7 +986,12 @@ class TestRankingMatchesLoopOracle:
         for shorter, longer in zip(recalls, recalls[1:]):
             assert (longer >= shorter).all()
 
-    def test_blocks_agree_with_one_pass(self, monkeypatch):
+    @pytest.mark.parametrize("entries, rows", [
+        (70, [2] * 20),
+        (29, [1] * 40),  # fewer entries than a row: blocks of one row
+        (90, [3] * 13 + [1]),  # a short last block
+    ], ids=["2-row", "1-row", "short-last"])
+    def test_blocks_agree_with_one_pass(self, monkeypatch, entries, rows):
         rng = np.random.default_rng(13)
         scores = np.round(rng.random((40, 30)), 1)
         observed = [rng.choice(30, size=5, replace=False) for _ in range(40)]
@@ -987,9 +1007,9 @@ class TestRankingMatchesLoopOracle:
             return real_top_k(neg, k)
 
         monkeypatch.setattr(train_mod, "_top_k", recording_top_k)
-        monkeypatch.setattr(train_mod, "_RANK_BLOCK_ENTRIES", 70)
+        monkeypatch.setattr(train_mod, "_RANK_BLOCK_ENTRIES", entries)
         blocked = ranking_metrics(scores, observed, tests, k=7)
-        assert block_rows == [2] * 20
+        assert block_rows == rows
         np.testing.assert_array_equal(blocked.per_user_ndcg, whole.per_user_ndcg)
         np.testing.assert_array_equal(blocked.per_user_recall, whole.per_user_recall)
         np.testing.assert_array_equal(blocked.user_indices, whole.user_indices)
