@@ -63,20 +63,33 @@ class RankingMetrics:
 
 
 def _batch_mask(users: np.ndarray, items: np.ndarray, user_items: sp.csr_matrix):
-    """Candidate mask of the (b × distinct items) in-batch score table.
+    """Candidates of the (b × distinct items) in-batch score table, as the
+    coordinates of the entries it drops.
 
-    `user_items` is the boolean (users, items) CSR of training items.
-    Returns `uniq` (the batch's distinct items, sorted), `inv` (pair a's
-    item is `uniq[inv[a]]`), the (b, uniq.size) boolean mask and
-    `untrained`, true where a pair's item is not among its user's
-    training items.  Row a keeps its own positive (column `inv[a]`) plus
-    every distinct batch item the user has never interacted with."""
+    `user_items` is the canonical boolean (users, items) CSR of training
+    items.  Returns `uniq` (the batch's distinct items, sorted), `inv`
+    (pair a's item is `uniq[inv[a]]`), `drop`, `kept` and `untrained`.
+    Row a keeps its own positive (column `inv[a]`) plus every distinct
+    batch item the user has never interacted with: `drop` holds the flat,
+    row-major indices a * uniq.size + column of the other entries, strictly
+    increasing, and `kept` counts each row's kept entries.  `untrained` is
+    true where a pair's item is not among its user's training items.  Only
+    the batch users' CSR rows are read, each stored item mapped to its
+    column through a lookup of the distinct items."""
     uniq, inv = np.unique(items, return_inverse=True)
-    mask = ~user_items[users][:, uniq].toarray()
-    rows = np.arange(users.size)
-    untrained = mask[rows, inv]
-    mask[rows, inv] = True
-    return uniq, inv, mask, untrained
+    b, n = users.size, uniq.size
+    col_of = np.full(user_items.shape[1], -1, dtype=np.intp)
+    col_of[uniq] = np.arange(n)
+    trained = user_items[users]
+    col = col_of[trained.indices]  # -1 for an item outside the batch
+    row = np.repeat(np.arange(b), np.diff(trained.indptr))
+    own = col == inv[row]
+    untrained = np.ones(b, dtype=bool)
+    untrained[row[own]] = False
+    at = np.flatnonzero((col >= 0) & ~own)
+    row = row[at]
+    kept = n - np.bincount(row, minlength=b)
+    return uniq, inv, row * n + col[at], kept, untrained
 
 
 def batch_loss(state: ModelState, users: np.ndarray, items: np.ndarray,
@@ -89,7 +102,9 @@ def batch_loss(state: ModelState, users: np.ndarray, items: np.ndarray,
     sequence of n_users per-user item-id sequences, converted on every
     call.  Each pair is scored against the batch's distinct items: a (b ×
     distinct items) table whose row keeps the pair's positive and the
-    items its user never trained on.  The loss after the forward pass's
+    items its user never trained on (`_batch_mask` lists the dropped
+    entries, so no dense mask is built).  A pair keeps a negative when
+    its row keeps at least two entries.  The loss after the forward pass's
     row normalization is one tape node, `in_batch_softmax`, with a
     hand-written backward.  Returns the scalar loss tensor and
     the number of pairs skipped for lack of negatives.  Raises
@@ -106,46 +121,71 @@ def batch_loss(state: ModelState, users: np.ndarray, items: np.ndarray,
         if bad.any():
             a = int(np.argmax(bad))
             raise ValueError(f"pair {a}: {name} id {int(ids[a])} outside [0, {n})")
-    uniq, inv, mask, untrained = _batch_mask(users, items, user_items)
+    uniq, inv, drop, kept, untrained = _batch_mask(users, items, user_items)
     if untrained.any():
         a = int(np.argmax(untrained))
         raise ValueError(f"pair {a} (user {int(users[a])}, item {int(items[a])}): "
                          "the item is not among the user's training items")
-    keep = np.count_nonzero(mask, axis=1) >= 2
+    keep = kept >= 2
     n_keep = int(keep.sum())
     if n_keep == 0:
         raise NoNegativesError("every pair in the batch lacks negatives")
     h_norm = ad.l2_normalize_rows(forward(state))
-    loss = _in_batch_softmax(h_norm, users, state.n_users + uniq, inv, mask, keep,
+    loss = _in_batch_softmax(h_norm, users, state.n_users + uniq, inv, drop, keep,
                              1.0 / state.config.tau)
     ad.check_finite(loss)
     return loss, users.size - n_keep
 
 
+# `_in_batch_softmax` shifts a row whose exponentials, shifted by 1/tau, sum
+# below this by its own maximum instead.  The floor bounds the backward's row
+# scale w / total: with the float32 minimum instead, U * (w / total)
+# overflows for rows that sum just above it.
+_MIN_ROW_TOTAL = 2.0 ** -64
+
+
 def _in_batch_softmax(h: Tensor, users: np.ndarray, item_rows: np.ndarray,
-                      inv: np.ndarray, mask: np.ndarray, keep: np.ndarray,
+                      inv: np.ndarray, drop: np.ndarray, keep: np.ndarray,
                       inv_tau: float) -> Tensor:
-    """The mean over kept pairs of log-sum-exp over a row's unmasked scores
+    """The mean over kept pairs of log-sum-exp over a row's kept scores
     minus its positive score, as one tape node whose parent is `h`.
 
     U = h[users] * inv_tau (scaling the (b, d) rows is cheaper than the
     (b, u) scores) and I = h[item_rows] give the scores S = U I^T; pair a's
-    positive is column inv[a].  S becomes its row-shifted exponentials in
-    place, and the backward scales them in place into the softmax weights,
-    so the op holds one (b, u) table.  The arithmetic is that of the taped
-    composition (gathers, matmul, masked log-sum-exp, sums), so the loss
-    and h's gradient are the same bit for bit.
+    positive is column inv[a], and `drop` lists the flat indices of the
+    entries the rows drop (`_batch_mask`).  The rows of h are
+    L2-normalized, so no score exceeds 1/tau, a constant log-sum-exp
+    shift: S becomes E = exp(S - 1/tau) in place, with 1/tau in the
+    table's dtype, the dropped entries are set to 0, a product with a ones
+    vector gives the row totals, and log-sum-exp is 1/tau + log(total).
+    A row whose total falls below _MIN_ROW_TOTAL (2^-64; only possible for
+    tau < ~0.045) is recomputed with its own maximum as the shift.  With
+    w the loss gradient of a row's log-sum-exp and r = w / total, the
+    backward scales rows instead of the table: dU = (E I) r - w I[inv] and
+    dI = ((U r)^T E)^T - the scatter of w U onto the positives' rows.  The
+    op holds one (b, u) table, in h's dtype, which the backward only reads.
     """
     u = h.data[users] * inv_tau
     items = h.data[item_rows]
     items_inv = items[inv]
     e = u @ items.T
-    np.copyto(e, -np.inf, where=~mask)
-    top = e.max(axis=1, keepdims=True)
-    e -= top
-    np.exp(e, out=e)  # masked entries become exp(-inf) = 0
-    total = e.sum(axis=1, keepdims=True)
-    lse = top + np.log(total)
+    b, n = e.shape
+    ones = np.ones(n, dtype=e.dtype)
+    # in the table's dtype: a float64 shift would promote a float32 loss
+    shift = np.full((b, 1), inv_tau, dtype=e.dtype)
+    e -= shift[0, 0]
+    np.exp(e, out=e)
+    e.reshape(-1)[drop] = 0
+    total = (e @ ones)[:, None]
+    low = np.flatnonzero(total < _MIN_ROW_TOTAL)
+    if low.size:
+        mask = np.ones(e.size, dtype=bool)
+        mask[drop] = False
+        s = np.where(mask.reshape(b, n)[low], u[low] @ items.T, -np.inf)
+        shift[low] = s.max(axis=1, keepdims=True)
+        e[low] = np.exp(s - shift[low])
+        total[low] = (e[low] @ ones)[:, None]
+    lse = shift + np.log(total)
     pos = (u * items_inv).sum(axis=1, keepdims=True)
     n_keep = int(np.count_nonzero(keep))
     keep_col = keep[:, None].astype(e.dtype)
@@ -153,9 +193,9 @@ def _in_batch_softmax(h: Tensor, users: np.ndarray, item_rows: np.ndarray,
 
     def bw(g):
         w = g * (1.0 / n_keep) * keep_col
-        p = np.multiply(e, w / total, out=e)
-        d_u = p @ items - w * items_inv
-        d_items = (u.T @ p).T - ad._scatter_rows(w * u, inv, items.shape)
+        r = w / total
+        d_u = (e @ items) * r - w * items_inv
+        d_items = ((u * r).T @ e).T - ad._scatter_rows(w * u, inv, items.shape)
         grad = ad._scatter_rows(d_u * inv_tau, users, h.data.shape)
         grad[item_rows] += d_items
         ad._accum(h, grad)

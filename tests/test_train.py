@@ -143,12 +143,50 @@ def taped_in_batch_softmax(h, users, item_rows, inv, mask, keep, inv_tau):
     return sum_axis(per_pair, axis=None, keepdims=False) * (1.0 / np.count_nonzero(keep))
 
 
+def dense_mask(drop, b, n):
+    """The (b, n) boolean mask whose False entries are `_batch_mask`'s
+    flat `drop` indices."""
+    mask = np.ones(b * n, dtype=bool)
+    mask[drop] = False
+    return mask.reshape(b, n)
+
+
+def fused_loss_and_grad(h_norm, users, item_rows, inv, drop, keep, tau):
+    """The `in_batch_softmax` node on a leaf holding the normalized table
+    `h_norm`, and the leaf's gradient.  `backward` releases an interior
+    node's gradient, so the leaf stands in for `batch_loss`'s `h_norm`."""
+    leaf = ad.parameter(h_norm)
+    loss = _in_batch_softmax(leaf, users, item_rows, inv, drop, keep, 1.0 / tau)
+    ad.backward(loss)
+    return loss, leaf.grad
+
+
+def assert_matches_taped_oracle(loss, grad, h_norm, users, item_rows, inv, mask, keep,
+                                tau):
+    """`loss` and `grad`, the fused node's loss and gradient of `h_norm`,
+    agree with the float64 taped composition on `h_norm` cast to float64.
+    The bounds are relative to max(1, |loss|), since a loss near 0 at a
+    small tau carries rounding of order eps / tau from its terms, and the
+    gradient's scales with 1/tau.  For a float32 table they are bounds the
+    masked, row-max-shifted form of the loss, computed in float32, also
+    meets on `softmax_batches`' draws."""
+    leaf = ad.parameter(h_norm.astype(np.float64))
+    want = taped_in_batch_softmax(leaf, users, item_rows, inv, mask, keep, 1.0 / tau)
+    ad.backward(want)
+    assert loss.data.dtype == grad.dtype == h_norm.dtype
+    loss_tol, grad_tol = (1e-12, 1e-13) if h_norm.dtype == np.float64 else (1e-4, 4e-6)
+    assert abs(loss.item() - want.item()) <= loss_tol * max(1.0, abs(want.item()))
+    assert np.abs(grad - leaf.grad).max() * tau <= grad_tol
+
+
 @st.composite
 def softmax_batches(draw):
-    """A random node table, per-user training items and a batch of training
-    pairs drawn with replacement, so users and items repeat.  One user
-    trained on every item, so its pairs keep no negative; half the batches
-    hold one distinct item, so no pair keeps one."""
+    """A random float32 or float64 node table, per-user training items and
+    a batch of training pairs drawn with replacement, so users and items
+    repeat.  One user trained on every item, so its pairs keep no negative;
+    half the batches hold one distinct item, so no pair keeps one.  At
+    tau = 0.001 and 0.01 some rows' exponentials, shifted by 1/tau, sum
+    below the floor, so the row-max fallback runs."""
     n_users = draw(st.integers(1, 6))
     n_items = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -159,7 +197,11 @@ def softmax_batches(draw):
         pairs = pairs[pairs[:, 1] == pairs[0, 1]]
     users, items = pairs[rng.integers(0, len(pairs), size=draw(st.integers(2, 16)))].T
     h = rng.standard_normal((n_users + n_items, draw(st.integers(1, 5))))
-    return h, sp.csr_matrix(trained), users, items, draw(st.sampled_from([0.05, 0.2, 1.0]))
+    # the generator, not `draw`, picks the dtype and tau: the derandomized
+    # draws spread evenly over them then
+    h = h.astype(rng.choice([np.float32, np.float64]))
+    return (h, sp.csr_matrix(trained), users, items,
+            float(rng.choice([0.001, 0.01, 0.05, 0.2, 1.0])))
 
 
 def tiny_state(ds, seed):
@@ -326,17 +368,20 @@ class TestBatchLossTape:
         assert sum(a.shape == (b, u) for a in held) == 1
         assert max(a.size for a in held) < b * b
 
+    @settings(max_examples=400)  # most draws lack negatives
     @given(batch=softmax_batches())
     def test_fused_loss_matches_taped_oracle(self, batch):
         """The loss node of `batch_loss` on a given node table against the
-        taped composition: the same loss and the same gradient of the
-        normalized table, bit for bit, or the same lack of negatives."""
+        float64 taped composition on the same normalized table: the same
+        loss and gradient of the normalized table to rounding, or the same
+        lack of negatives.  The node shifts by 1/tau and scales rows in its
+        backward, so its last bits differ from the oracle's on purpose."""
         h, trained, users, items, tau = batch
         n_users, n_items = trained.shape
         state = SimpleNamespace(n_users=n_users, n_items=n_items,
                                 config=SimpleNamespace(tau=tau))
-        uniq, inv, mask, _ = _batch_mask(users, items, trained)
-        keep = np.count_nonzero(mask, axis=1) >= 2
+        uniq, inv, drop, kept, _ = _batch_mask(users, items, trained)
+        keep = kept >= 2
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sys.modules["pgtr.train"], "forward", lambda s: ad.parameter(h))
             if not keep.any():
@@ -344,20 +389,52 @@ class TestBatchLossTape:
                     batch_loss(state, users, items, trained)
                 return
             loss, skipped = batch_loss(state, users, items, trained)
-        [h_norm] = loss._parents
-        # backward releases an interior node's gradient: take the fused
-        # node's gradient on a leaf holding the same normalized table
-        got_norm = ad.parameter(h_norm.data)
-        got = _in_batch_softmax(got_norm, users, n_users + uniq, inv, mask, keep, 1.0 / tau)
-        ad.backward(got)
-        want_norm = ad.parameter(h_norm.data)
-        want = taped_in_batch_softmax(want_norm, users, n_users + uniq, inv, mask, keep,
-                                      1.0 / tau)
-        ad.backward(want)
         assert skipped == np.count_nonzero(~keep)
-        assert loss.data.tobytes() == want.data.tobytes()
-        assert got.data.tobytes() == want.data.tobytes()
-        assert got_norm.grad.tobytes() == want_norm.grad.tobytes()
+        [h_norm] = loss._parents
+        got, got_grad = fused_loss_and_grad(h_norm.data, users, n_users + uniq, inv, drop,
+                                            keep, tau)
+        assert loss.data.tobytes() == got.data.tobytes()
+        assert_matches_taped_oracle(got, got_grad, h_norm.data, users, n_users + uniq, inv,
+                                    dense_mask(drop, users.size, uniq.size), keep, tau)
+
+    def test_underflowing_rows_take_the_row_max_fallback(self):
+        """A float32 batch at tau = 0.01.  User 0 scores near -1/tau against
+        every item, so its rows' exponentials shifted by 1/tau underflow to
+        0; user 2's sum to ~4e-38, a normal float32 whose reciprocal times
+        a (1/tau)-long row overflows.  Those rows are shifted by their own
+        maximum, user 1's row keeps the 1/tau shift, and the loss and
+        gradient are finite and match the float64 oracle."""
+        tau = 0.01
+        angles = np.array([np.pi, 0.0, 1.63, 0.0, 0.1, 0.2])
+        # users 0-2, then items 0-2
+        h = np.c_[np.cos(angles), np.sin(angles)].astype(np.float32)
+        trained = sp.csr_matrix(np.array([[1, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=bool))
+        users, items = np.array([0, 1, 0, 2]), np.array([0, 1, 2, 0])
+        uniq, inv, drop, kept, untrained = _batch_mask(users, items, trained)
+        assert not untrained.any() and drop.tolist() == [2, 6]
+        keep = kept >= 2
+        assert keep.all()
+        shifted = np.exp(h[users] * np.float32(1 / tau) @ h[3:].T - np.float32(1 / tau))
+        totals = np.where(dense_mask(drop, 4, 3), shifted, 0).sum(axis=1)
+        assert totals.dtype == np.float32
+        assert totals[0] == totals[2] == 0 and totals[1] > 1
+        assert np.finfo(np.float32).tiny < totals[3] < 2.0 ** -64
+        got, got_grad = fused_loss_and_grad(h, users, 3 + uniq, inv, drop, keep, tau)
+        assert np.isfinite(got.item()) and np.isfinite(got_grad).all()
+        assert_matches_taped_oracle(got, got_grad, h, users, 3 + uniq, inv,
+                                    dense_mask(drop, users.size, uniq.size), keep, tau)
+
+    def test_held_table_keeps_the_table_dtype(self, small_model, small_model64):
+        """The one (b, u) table the node holds has the node table's dtype:
+        a float64 shift meeting a float32 table would double its memory and
+        time."""
+        for ds, state in (small_model, small_model64):
+            sel = np.random.default_rng(3).integers(0, len(ds), size=24)
+            users, items = ds.users[sel], ds.items[sel]
+            b, u = users.size, np.unique(items).size
+            loss, _ = batch_loss(state, users, items, ds.user_item_matrix())
+            [table] = [a for a in held_arrays(loss) if a.shape == (b, u)]
+            assert table.dtype == loss.data.dtype == state.embeddings.data.dtype
 
     def test_backward_never_differentiates_a_constant(self, small_model, monkeypatch):
         """No gradient is formed for a constant such as 1/tau or the mask."""
@@ -411,21 +488,27 @@ def mask_batches(draw):
 class TestBatchMask:
     @given(batch=mask_batches())
     def test_matches_loop_oracle(self, batch):
-        """Each row keeps the same item ids as the (b, b) loop oracle's row,
-        once each; `untrained` flags the pairs whose item the user never
-        trained on."""
+        """The dense mask rebuilt from the dropped entries' flat indices
+        keeps, in each row, the same item ids as the (b, b) loop oracle's
+        row, once each; the indices are row-major without repeats, never a
+        row's own positive, and `kept` counts each row's kept entries.
+        `untrained` flags the pairs whose item the user never trained on."""
         users, items, items_of = batch
         # one user holds every item
         n_items = max(len(row) for row in items_of)
         user_items = _user_items(items_of, "items_of", (len(items_of), n_items))
-        uniq, inv, mask, untrained = _batch_mask(users, items, user_items)
+        uniq, inv, drop, kept, untrained = _batch_mask(users, items, user_items)
         oracle = batch_mask_loop(users, items, items_of)
+        b, n = users.size, uniq.size
         np.testing.assert_array_equal(uniq, np.unique(items))
         np.testing.assert_array_equal(uniq[inv], items)
-        assert mask.dtype == bool
-        assert mask.shape == (users.size, uniq.size)
-        for a in range(users.size):
+        assert np.all(np.diff(drop) > 0)
+        assert drop.size == 0 or 0 <= drop[0] and drop[-1] < b * n
+        assert not np.isin(np.arange(b) * n + inv, drop).any()
+        mask = dense_mask(drop, b, n)
+        for a in range(b):
             assert set(uniq[mask[a]].tolist()) == set(items[oracle[a] != 0].tolist())
+        np.testing.assert_array_equal(kept, np.count_nonzero(mask, axis=1))
         np.testing.assert_array_equal(
             untrained, [i not in items_of[u] for u, i in zip(users, items)])
 
