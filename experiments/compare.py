@@ -19,9 +19,11 @@ is "within spread" when its mean lies inside A's seed standard deviation.
 Cells:
 - dense: `clustered_interactions(800, 1200, per_user=30)`, train fraction
   0.8;
-- sparse: the same with per_user 8 and train fraction 0.4.
-Both train the default `PGTRConfig` with lr 5e-3, at most 60 epochs and a
-patience of 10.  A run takes about 5-20 s.
+- sparse: the same with per_user 8 and train fraction 0.4;
+- dense-tgcn: the dense cell on the paper's second backbone,
+  `backbone="transform-gcn"`.
+All train the default `PGTRConfig` (but for dense-tgcn's backbone) with lr
+5e-3, at most 60 epochs and a patience of 10.  A run takes about 5-20 s.
 """
 import argparse
 import dataclasses
@@ -57,6 +59,8 @@ class Cell:
 CELLS = (
     Cell("dense", 800, 1200, per_user=30, train_fraction=0.8),
     Cell("sparse", 800, 1200, per_user=8, train_fraction=0.4),
+    Cell("dense-tgcn", 800, 1200, per_user=30, train_fraction=0.8,
+         model={"backbone": "transform-gcn"}),
 )
 
 

@@ -1,12 +1,12 @@
 """Reverse-mode gradient engine over numpy arrays.
 
-Holds only the operations the model runs: broadcast add and multiply,
-dense matrix product and transpose, a constant sparse matrix times a
-tensor, leaky ReLU and L2 row normalization.  Modules add fused ops
-through `_make` with a hand-written backward: the position vectors of
-`encodings.position_tape`, `attention.kernelized_attention` and the
-sampled-softmax loss of `train.batch_loss`, and the model's layer mix and
-readout mean (`mix`, `mean`).
+Holds only the operations the model runs: a constant sparse matrix times a
+tensor (`spmm`), L2 row normalization, a weighted sum of two tensors
+(`mix`) and the mean of several (`mean`).  Other modules add fused ops
+through `_make`, each with a hand-written backward: the position vectors
+of `encodings.position_tape`, transform-gcn's layer transform in
+`backbone`, `attention.kernelized_attention` and the sampled-softmax loss
+of `train.batch_loss`.  Every node a forward records is one of these.
 
 Ops do not scan their outputs for NaN/Inf.  The model checks its outputs
 (`forward`'s node table, `batch_loss`'s loss) with `check_finite`, which
@@ -21,16 +21,16 @@ later ones into a buffer of its own.
 
 An op records a backward closure only when some input needs a gradient
 (a trainable leaf or a node computed from one), and the closure computes
-the gradient of just those inputs: constants such as a scalar `1/tau` or a
-0/1 mask are never differentiated.  Every node keeps its parents, so a
+the gradient of just those inputs.  Every node keeps its parents, so a
 forward run with no parameter needing a gradient holds no closures but
 `check_finite` can still walk it.
 
 A tensor holds float32 or float64 data (anything else becomes float64),
 and each op computes in the dtype of its inputs: the model's float32
 parameters give float32 tables, gradients and losses, and a state cast to
-float64 computes in float64 throughout.  A Python scalar operand takes its
-tensor's dtype.
+float64 computes in float64 throughout.  Scalars enter only as the fused
+nodes' Python-float weights (`mix`'s, the loss's 1/tau), which take the
+tensors' dtype; `PGTRConfig.validate` stores its floats as Python floats.
 """
 from __future__ import annotations
 
@@ -41,11 +41,6 @@ __all__ = [
     "NumericsError",
     "Tensor",
     "parameter",
-    "add",
-    "mul",
-    "matmul",
-    "transpose",
-    "leaky_relu",
     "spmm",
     "l2_normalize_rows",
     "mix",
@@ -63,16 +58,6 @@ class NumericsError(RuntimeError):
 def _as_array(x) -> np.ndarray:
     x = np.asarray(x)
     return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
-
-
-def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
-    """Sum a gradient down to `shape`, undoing numpy broadcasting."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and grad.shape[ax] != 1:
-            grad = grad.sum(axis=ax, keepdims=True)
-    return grad
 
 
 class Tensor:
@@ -104,21 +89,9 @@ class Tensor:
     def __repr__(self):
         return f"Tensor({self._op}, shape={self.data.shape}, trainable={self.trainable})"
 
-    # arithmetic sugar; scalars and arrays are wrapped as constants of this
-    # tensor's dtype (a 0-d float64 array would promote a float32 one)
-    def __add__(self, other):
-        return add(self, _wrap(other, self.data.dtype))
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other, self.data.dtype))
-
 
 def parameter(data) -> Tensor:
     return Tensor(data, trainable=True)
-
-
-def _wrap(x, dtype) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
 
 
 def _make(data, op: str, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -133,7 +106,7 @@ def _make(data, op: str, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
 
 def _accum(t: Tensor, g: np.ndarray):
     """Add `g` to `t.grad`.  The first gradient is stored as given and never
-    written into: `add` and `mean` hand one array to several parents, and a
+    written into: `mean` hands one array to several parents, and a
     backward may hand over a view of its own buffer.  The second allocates
     a sum that `t` owns, and later ones add into that sum in place."""
     if t.grad is None:
@@ -142,48 +115,6 @@ def _accum(t: Tensor, g: np.ndarray):
         t.grad += g
     else:
         t.grad, t._owns_grad = t.grad + g, True
-
-
-def _binary(op: str, data, a: Tensor, b: Tensor, grad_a, grad_b) -> Tensor:
-    """Record a two-operand op.  `grad_a(g)` / `grad_b(g)` map the output
-    gradient to an operand's and run only for an operand that needs one."""
-    def bw(g):
-        if a._needs:
-            _accum(a, _unbroadcast(grad_a(g), a.data.shape))
-        if b._needs:
-            _accum(b, _unbroadcast(grad_b(g), b.data.shape))
-
-    return _make(data, op, (a, b), bw)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    return _binary("add", a.data + b.data, a, b, lambda g: g, lambda g: g)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _binary("mul", a.data * b.data, a, b,
-                   lambda g: g * b.data, lambda g: g * a.data)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    return _binary("matmul", a.data @ b.data, a, b,
-                   lambda g: g @ b.data.T, lambda g: a.data.T @ g)
-
-
-def transpose(a: Tensor) -> Tensor:
-    def bw(g):
-        _accum(a, g.T)
-
-    return _make(a.data.T, "transpose", (a,), bw)
-
-
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    pos = a.data > 0
-
-    def bw(g):
-        _accum(a, np.where(pos, g, slope * g))
-
-    return _make(np.where(pos, a.data, slope * a.data), "leaky_relu", (a,), bw)
 
 
 def _scatter_rows(rows: np.ndarray, idx: np.ndarray, shape) -> np.ndarray:
@@ -223,8 +154,9 @@ def l2_normalize_rows(a: Tensor) -> Tensor:
 
 
 def mix(a: Tensor, b: Tensor, wa: float, wb: float) -> Tensor:
-    """a * wa + b * wb for same-shape tensors, as one node: the arithmetic
-    of `add(mul(a, wa), mul(b, wb))` with scalar weights, bit for bit."""
+    """a * wa + b * wb for same-shape tensors and Python-float weights, as
+    one node: the layer mix, and a + λ·pos with wa = 1.0 (exact).  Bit for
+    bit the tests' taped `add(mul(a, wa), mul(b, wb))`."""
     def bw(g):
         if a._needs:
             _accum(a, g * wa)

@@ -86,7 +86,8 @@ class PGTRConfig:
 
     def validate(self):
         """Raise ValueError naming the first field of the wrong type (see
-        `check_field_types`) or out of its range."""
+        `check_field_types`) or out of its range.  Float fields are stored as
+        Python floats: a NumPy float64 would promote float32 arithmetic."""
         check_field_types(PGTRConfig, vars(self))
         for name in ("lambda1", "lambda2", "lambda3", "lambda_c"):
             v = getattr(self, name)
@@ -99,6 +100,9 @@ class PGTRConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.backbone not in ("lightgcn", "transform-gcn"):
             raise ValueError(f"unknown backbone {self.backbone!r}")
+        for name, kind in typing.get_type_hints(PGTRConfig).items():
+            if kind is float:
+                setattr(self, name, float(getattr(self, name)))
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -205,14 +209,14 @@ def forward(state: ModelState, return_layers: bool = False):
 
         h = state.embeddings
         if pos is not None and cfg.lambda1 != 0.0:
-            h = h + pos * cfg.lambda1
+            h = mix(h, pos, 1.0, cfg.lambda1)
         tables = [h]
         internals = []
         for layer in range(cfg.layers):
             local = propagate_layer(h, state.adjacency,
                                     state.transforms[layer] if state.transforms else None)
             if cfg.lambda3 != 0.0:
-                attn_in = (local + pos * cfg.lambda2
+                attn_in = (mix(local, pos, 1.0, cfg.lambda2)
                            if (pos is not None and cfg.lambda2 != 0.0) else local)
                 global_ = kernelized_attention(attn_in, state.feature_maps[layer], scale)
                 mixed = mix(local, global_, 1.0 - cfg.lambda3, cfg.lambda3)

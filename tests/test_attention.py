@@ -24,28 +24,29 @@ from pgtr.autodiff import parameter
 from pgtr.data import build_graph
 from pgtr.model import PGTRConfig, forward, init_model
 from pgtr.synthetic import clustered_interactions
-from test_autodiff import constant, div, exp, logsumexp_rows, sub, sum_axis
+from test_autodiff import (constant, div, exp, logsumexp_rows, matmul, mul, sub, sum_axis,
+                           transpose)
 
 MAX_EXPONENT = 700.0
 
 
 def feature_map(x, rf):
     """phi(x) for every row of a (T, d) table, on the tape."""
-    sq = sum_axis(x * x, axis=1)
-    logits = ad.matmul(x, constant(rf.directions.T))
+    sq = sum_axis(mul(x, x), axis=1)
+    logits = matmul(x, constant(rf.directions.T))
     if logits.data.max(initial=-np.inf) > MAX_EXPONENT:
         raise AttentionError("feature map direction products overflow exp; scale inputs down")
-    return exp(sub(logits, sq * 0.5)) * (1.0 / np.sqrt(rf.m))
+    return mul(exp(sub(logits, mul(sq, 0.5))), 1.0 / np.sqrt(rf.m))
 
 
 def taped_kernelized_attention(h, rf, scale):
     """phi(H) (phi(H)^T H) / phi(H) (phi(H)^T 1), one tape node per step:
     the queries, keys and values are all H."""
-    phi = feature_map(h * scale, rf)
-    summary = ad.matmul(ad.transpose(phi), h)
+    phi = feature_map(mul(h, scale), rf)
+    summary = matmul(transpose(phi), h)
     totals = sum_axis(phi, axis=0)
-    numer = ad.matmul(phi, summary)
-    denom = ad.matmul(phi, ad.transpose(totals))
+    numer = matmul(phi, summary)
+    denom = matmul(phi, transpose(totals))
     if denom.data.min() < MIN_DENOMINATOR:
         raise AttentionError("attention denominator underflow; inputs need rescaling")
     return div(numer, denom)
@@ -56,10 +57,10 @@ def exact_attention(h, scale):
     pairs, on the tape."""
     if h.data.ndim != 2 or h.data.shape[0] < 1:
         raise ValueError("attention input must be a nonempty (T, d) table")
-    x = h * scale
-    logits = ad.matmul(x, ad.transpose(x))
+    x = mul(h, scale)
+    logits = matmul(x, transpose(x))
     weights = exp(sub(logits, logsumexp_rows(logits)))
-    return ad.matmul(weights, h)
+    return matmul(weights, h)
 
 
 def mapped(x, rf):
@@ -301,7 +302,7 @@ def test_fused_matches_taped_oracle(t, identical, norm, seed):
     def run(attention):
         h = parameter(rows.copy())
         out = attention(h, rf, 1.0 / np.sqrt(d))
-        ad.backward(sum_axis(out * g, axis=None, keepdims=False))
+        ad.backward(sum_axis(mul(out, g), axis=None, keepdims=False))
         return out.data, h.grad
 
     want_out, want_grad = run(taped_kernelized_attention)
@@ -346,7 +347,7 @@ class TestFloat32:
             def run(dtype):
                 h = parameter(x.data.astype(dtype))
                 out = kernelized_attention(h, cast_map(rf, dtype), scale)
-                ad.backward(sum_axis(out * constant(g.astype(dtype)), axis=None,
+                ad.backward(sum_axis(mul(out, constant(g.astype(dtype))), axis=None,
                                      keepdims=False))
                 assert out.data.dtype == h.grad.dtype == dtype
                 return out.data, h.grad

@@ -3,13 +3,16 @@
 `as_float64` turns a float32 model state into one that computes in
 float64, for the oracle and finite-difference tests of other modules.
 
-The ops defined below (`constant`, `sub`, `div`, `neg`, `exp`, `log`,
+The ops defined below (`constant`, broadcast `add`, `sub`, `mul` and
+`div`, `matmul`, `transpose`, `leaky_relu`, `neg`, `exp`, `log`,
 `sum_axis`, `gather_rows`, `slice_rows`, `concat_rows` and
 `logsumexp_rows`, a taped row-wise log-sum-exp under an optional
 keep-mask) are built on the engine's `_make`, but `src/` runs none of them:
-the position vectors, attention and the sampled-softmax loss are each one
-fused node.  They are the pieces of the taped oracles in the other test
-modules, and are checked here like the engine's own ops.
+the position injections, transform-gcn's layer, the position vectors,
+attention and the sampled-softmax loss are each one fused node.  They are
+the pieces of the taped oracles in the other test modules, and are checked
+here like the engine's own ops.  `add` and `mul` take a scalar or array
+second operand as a constant of the first operand's dtype.
 """
 import numpy as np
 import pytest
@@ -45,13 +48,70 @@ def as_float64(state, graph):
     return state
 
 
+def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
+    """Sum a gradient down to `shape`, undoing numpy broadcasting."""
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for ax, n in enumerate(shape):
+        if n == 1 and grad.shape[ax] != 1:
+            grad = grad.sum(axis=ax, keepdims=True)
+    return grad
+
+
+def _wrap(x, dtype) -> Tensor:
+    """`x` as a constant of `dtype` unless it is a Tensor (a 0-d float64
+    array would promote a float32 one)."""
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
+
+
+def _binary(op: str, data, a: Tensor, b: Tensor, grad_a, grad_b) -> Tensor:
+    """Record a two-operand op.  `grad_a(g)` / `grad_b(g)` map the output
+    gradient to an operand's and run only for an operand that needs one."""
+    def bw(g):
+        if a._needs:
+            ad._accum(a, _unbroadcast(grad_a(g), a.data.shape))
+        if b._needs:
+            ad._accum(b, _unbroadcast(grad_b(g), b.data.shape))
+
+    return ad._make(data, op, (a, b), bw)
+
+
+def add(a: Tensor, b) -> Tensor:
+    b = _wrap(b, a.data.dtype)
+    return _binary("add", a.data + b.data, a, b, lambda g: g, lambda g: g)
+
+
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return ad._binary("sub", a.data - b.data, a, b, lambda g: g, lambda g: -g)
+    return _binary("sub", a.data - b.data, a, b, lambda g: g, lambda g: -g)
+
+
+def mul(a: Tensor, b) -> Tensor:
+    b = _wrap(b, a.data.dtype)
+    return _binary("mul", a.data * b.data, a, b,
+                   lambda g: g * b.data, lambda g: g * a.data)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    return ad._binary("div", a.data / b.data, a, b,
-                      lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data))
+    return _binary("div", a.data / b.data, a, b,
+                   lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data))
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    return _binary("matmul", a.data @ b.data, a, b,
+                   lambda g: g @ b.data.T, lambda g: a.data.T @ g)
+
+
+def transpose(a: Tensor) -> Tensor:
+    return ad._make(a.data.T, "transpose", (a,), lambda g: ad._accum(a, g.T))
+
+
+def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
+    pos = a.data > 0
+
+    def bw(g):
+        ad._accum(a, np.where(pos, g, slope * g))
+
+    return ad._make(np.where(pos, a.data, slope * a.data), "leaky_relu", (a,), bw)
 
 
 def neg(a: Tensor) -> Tensor:
@@ -165,7 +225,7 @@ def finite_difference_check(build_loss, arrays, h=1e-5, rtol=1e-4):
 
 
 def mean_all(t):
-    return sum_axis(t, axis=None, keepdims=False) * (1.0 / t.data.size)
+    return mul(sum_axis(t, axis=None, keepdims=False), 1.0 / t.data.size)
 
 
 def rand(rng, *shape):
@@ -175,7 +235,7 @@ def rand(rng, *shape):
 class TestBasics:
     def test_quadratic(self):
         x = parameter(np.array([[1.0], [2.0]]))
-        loss = sum_axis(x * x, axis=None, keepdims=False)
+        loss = sum_axis(mul(x, x), axis=None, keepdims=False)
         ad.backward(loss)
         np.testing.assert_allclose(x.grad, [[2.0], [4.0]])
 
@@ -187,11 +247,11 @@ class TestBasics:
     def test_backward_requires_scalar(self):
         x = parameter(np.ones((2, 2)))
         with pytest.raises(ValueError):
-            ad.backward(x * x)
+            ad.backward(mul(x, x))
 
     def test_grad_accumulates_on_reuse(self):
         x = parameter(np.array([[3.0]]))
-        loss = sum_axis(x * x + x, axis=None, keepdims=False)
+        loss = sum_axis(add(mul(x, x), x), axis=None, keepdims=False)
         ad.backward(loss)
         np.testing.assert_allclose(x.grad, [[7.0]])
 
@@ -206,7 +266,7 @@ class TestBasics:
 
     def test_constants_skip_gradients(self):
         c = constant(np.ones((2, 2)))
-        out = c * 2.0
+        out = mul(c, 2.0)
         assert out._backward is None
 
 
@@ -222,12 +282,12 @@ class TestPrimitiveGradients:
         def build(tensors):
             out = op(*tensors)
             w = constant(np.random.default_rng(99).standard_normal(out.data.shape))
-            return sum_axis(out * w, axis=None, keepdims=False)
+            return sum_axis(mul(out, w), axis=None, keepdims=False)
 
         return build
 
     def test_add_broadcast(self):
-        finite_difference_check(self._weighted(ad.add),
+        finite_difference_check(self._weighted(add),
                                 [rand(self.rng, 3, 4), rand(self.rng, 3, 1)])
 
     def test_sub_broadcast(self):
@@ -235,7 +295,7 @@ class TestPrimitiveGradients:
                                 [rand(self.rng, 3, 4), rand(self.rng, 1, 4)])
 
     def test_mul_broadcast(self):
-        finite_difference_check(self._weighted(ad.mul),
+        finite_difference_check(self._weighted(mul),
                                 [rand(self.rng, 3, 4), rand(self.rng, 3, 1)])
 
     def test_div(self):
@@ -246,11 +306,11 @@ class TestPrimitiveGradients:
         finite_difference_check(self._weighted(neg), [rand(self.rng, 3, 4)])
 
     def test_matmul(self):
-        finite_difference_check(self._weighted(ad.matmul),
+        finite_difference_check(self._weighted(matmul),
                                 [rand(self.rng, 3, 4), rand(self.rng, 4, 2)])
 
     def test_transpose(self):
-        finite_difference_check(self._weighted(ad.transpose), [rand(self.rng, 3, 4)])
+        finite_difference_check(self._weighted(transpose), [rand(self.rng, 3, 4)])
 
     def test_exp(self):
         finite_difference_check(self._weighted(exp), [rand(self.rng, 3, 4)])
@@ -261,7 +321,7 @@ class TestPrimitiveGradients:
     def test_leaky_relu(self):
         x = rand(self.rng, 3, 4)
         x[np.abs(x) < 0.05] = 0.5  # keep clear of the kink
-        finite_difference_check(self._weighted(lambda t: ad.leaky_relu(t, 0.2)), [x])
+        finite_difference_check(self._weighted(lambda t: leaky_relu(t, 0.2)), [x])
 
     @pytest.mark.parametrize("axis", [None, 0, 1])
     def test_sum_axis(self, axis):
@@ -311,11 +371,11 @@ class TestPrimitiveGradients:
         def build(ts):
             x, w = ts
             h = ad.spmm(s, x)
-            h = ad.l2_normalize_rows(ad.matmul(h, w) + x * 0.3)
+            h = ad.l2_normalize_rows(add(matmul(h, w), mul(x, 0.3)))
             rows = gather_rows(h, idx)
-            scores = ad.matmul(rows, ad.transpose(rows)) * 2.0
+            scores = mul(matmul(rows, transpose(rows)), 2.0)
             lse = logsumexp_rows(scores, mask)
-            return mean_all(sub(lse, sum_axis(rows * rows, axis=1)))
+            return mean_all(sub(lse, sum_axis(mul(rows, rows), axis=1)))
 
         finite_difference_check(build, [rand(rng, 6, 4) + 0.5, rand(rng, 4, 4)])
 
@@ -336,8 +396,8 @@ class TestGatherRowsScatter:
         # magnitudes from 1e-8 to 1e8, so the order of the repeats' sum shows
         g = rng.normal(size=(idx.size, 3)) * 10.0 ** rng.integers(-8, 9, size=(idx.size, 3))
         a = parameter(rng.normal(size=(n_rows, 3)))
-        ad.backward(sum_axis(gather_rows(a, idx) * constant(g), axis=None,
-                                keepdims=False))
+        ad.backward(sum_axis(mul(gather_rows(a, idx), constant(g)), axis=None,
+                             keepdims=False))
         want = np.zeros((n_rows, 3))
         np.add.at(want, idx, g)
         assert a.grad.tobytes() == want.tobytes()
@@ -345,8 +405,8 @@ class TestGatherRowsScatter:
     def test_repeats_add_in_index_order(self):
         a = parameter(np.zeros((2, 1)))
         g = np.array([[1.0], [1e16], [-1e16], [1.0]])
-        ad.backward(sum_axis(gather_rows(a, [0, 0, 0, 1]) * constant(g),
-                                axis=None, keepdims=False))
+        ad.backward(sum_axis(mul(gather_rows(a, [0, 0, 0, 1]), constant(g)),
+                             axis=None, keepdims=False))
         # ((1 + 1e16) - 1e16) is 0 in float64; the reverse order gives 1
         assert a.grad.ravel().tolist() == [0.0, 1.0]
 
@@ -393,11 +453,11 @@ class TestSharedGradients:
     def test_add_of_a_tensor_to_itself(self, monkeypatch):
         def build(ts):
             a, b = ts
-            h = ad.mul(a, b)
-            twice = ad.add(h, h)  # both operands take the one output gradient,
+            h = mul(a, b)
+            twice = add(h, h)  # both operands take the one output gradient,
             out = ad.mean([twice, b])  # which `b` holds too
-            out = ad.add(ad.mul(out, a), ad.add(out, a))
-            return sum_axis(out * self._weights(out.data.shape), axis=None, keepdims=False)
+            out = add(mul(out, a), add(out, a))
+            return sum_axis(mul(out, self._weights(out.data.shape)), axis=None, keepdims=False)
 
         rng = np.random.default_rng(1)
         self._check(build, [rand(rng, 4, 3), rand(rng, 4, 3)], monkeypatch)
@@ -410,17 +470,17 @@ class TestSharedGradients:
             h1 = ad.spmm(s, a)
             # `mean` hands one array to each table, twice to h1 and a
             out = ad.mean([a, h1, h1, a, ad.spmm(s, h1)])
-            return sum_axis(out * self._weights(out.data.shape), axis=None, keepdims=False)
+            return sum_axis(mul(out, self._weights(out.data.shape)), axis=None, keepdims=False)
 
         self._check(build, [rand(np.random.default_rng(2), 5, 3)], monkeypatch)
 
     def test_transposed_view(self, monkeypatch):
         def build(ts):
             a, b = ts
-            at = ad.transpose(a)  # hands `a` a transposed view of its gradient
-            out = ad.mix(ad.add(at, b), ad.transpose(at), 0.25, 0.75)
-            out = ad.add(out, ad.matmul(at, a))
-            return sum_axis(out * self._weights(out.data.shape), axis=None, keepdims=False)
+            at = transpose(a)  # hands `a` a transposed view of its gradient
+            out = ad.mix(add(at, b), transpose(at), 0.25, 0.75)
+            out = add(out, matmul(at, a))
+            return sum_axis(mul(out, self._weights(out.data.shape)), axis=None, keepdims=False)
 
         rng = np.random.default_rng(3)
         self._check(build, [rand(rng, 3, 3), rand(rng, 3, 3)], monkeypatch)
@@ -432,20 +492,20 @@ class TestMixAndMean:
 
     @staticmethod
     def taped_mix(a, b, wa, wb):
-        return a * wa + b * wb
+        return add(mul(a, wa), mul(b, wb))
 
     @staticmethod
     def taped_mean(tables):
         acc = tables[0]
         for t in tables[1:]:
-            acc = acc + t
-        return acc * (1.0 / len(tables))
+            acc = add(acc, t)
+        return mul(acc, 1.0 / len(tables))
 
     def _weighted(self, op):
         def build(tensors):
             out = op(tensors)
-            w = constant(np.random.default_rng(99).standard_normal(out.data.shape))
-            return sum_axis(out * w, axis=None, keepdims=False)
+            w = np.random.default_rng(99).standard_normal(out.data.shape)
+            return sum_axis(mul(out, w), axis=None, keepdims=False)  # w in out's dtype
 
         return build
 
@@ -468,7 +528,7 @@ class TestMixAndMean:
             # a second consumer of each input, so the op's gradient is summed
             loss = self._weighted(op)(tensors)
             for t in tensors:
-                loss = ad.add(loss, sum_axis(t * t, axis=None, keepdims=False))
+                loss = add(loss, sum_axis(mul(t, t), axis=None, keepdims=False))
             ad.backward(loss)
             results.append([out.data.tobytes()] + [t.grad.tobytes() for t in tensors])
         assert results[0] == results[1]
@@ -478,6 +538,16 @@ class TestMixAndMean:
         arrays = [rng.normal(size=(6, 5)) * 1e3, rng.normal(size=(6, 5)) * 1e-3]
         self._same_bits(lambda ts: ad.mix(*ts, 1.0 - 0.3, 0.3),
                         lambda ts: self.taped_mix(*ts, 1.0 - 0.3, 0.3), arrays)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mix_with_unit_weight_matches_taped_sum(self, dtype):
+        """`mix(h, pos, 1.0, λ)`, the forward's position injection, is the
+        taped h + pos·λ it replaces, bit for bit: h·1.0 is exact."""
+        rng = np.random.default_rng(7)
+        arrays = [(rng.normal(size=(6, 5)) * 1e3).astype(dtype),
+                  (rng.normal(size=(6, 5)) * 1e-3).astype(dtype)]
+        self._same_bits(lambda ts: ad.mix(*ts, 1.0, 0.37),
+                        lambda ts: add(ts[0], mul(ts[1], 0.37)), arrays)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_mean_matches_taped_composition(self, n):
@@ -491,7 +561,7 @@ class TestCheckFinite:
         """exp overflows, and the log, the sum and the product after it are
         not finite either: the op named is exp, whose input was finite."""
         x = parameter(np.array([[1.0, 800.0]]))
-        out = sum_axis(log(exp(x)) * constant(np.array([[2.0, 0.5]])), axis=None)
+        out = sum_axis(mul(log(exp(x)), constant(np.array([[2.0, 0.5]]))), axis=None)
         assert not np.isfinite(out.data).all()
         with pytest.raises(NumericsError, match="^non-finite intermediate produced by 'exp'$"):
             ad.check_finite(out)
@@ -499,7 +569,7 @@ class TestCheckFinite:
     def test_nonfinite_parameter_is_named_by_the_first_op_reading_it(self):
         w = parameter(np.array([[1.0, np.nan]]))
         x = parameter(np.ones((1, 2)))
-        out = sum_axis(ad.leaky_relu(ad.add(x, w)) * 3.0, axis=None)
+        out = sum_axis(mul(leaky_relu(add(x, w)), 3.0), axis=None)
         with pytest.raises(NumericsError, match="^non-finite intermediate produced by 'add'$"):
             ad.check_finite(out)
 

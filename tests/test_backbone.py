@@ -2,11 +2,13 @@
 import numpy as np
 import pytest
 
+import pgtr.autodiff as ad
 from pgtr.autodiff import parameter
-from pgtr.backbone import normalized_adjacency, propagate_layer, readout
+from pgtr.backbone import leaky_transform, normalized_adjacency, propagate_layer, readout
 from pgtr.data import InteractionDataset, build_graph
 from pgtr.synthetic import clustered_interactions
-from test_autodiff import constant
+from test_autodiff import (constant, finite_difference_check, leaky_relu, matmul, mul, sum_axis,
+                           transpose)
 
 
 def graph_of(pairs, n_users, n_items):
@@ -95,6 +97,41 @@ class TestPropagate:
         adj = normalized_adjacency(g)
         with pytest.raises(ValueError):
             propagate_layer(constant(np.ones((3, 2))), adj)
+
+
+def taped_transform(x, w):
+    return leaky_relu(matmul(x, transpose(w)), 0.2)
+
+
+class TestTransform:
+    """`leaky_transform` against finite differences in both parents, and
+    bit for bit against the taped composition it replaces."""
+
+    @staticmethod
+    def _weighted_sum(out, g):
+        return sum_axis(mul(out, constant(g)), axis=None, keepdims=False)
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(8)
+        x, w = rng.uniform(-1, 1, size=(5, 4)), rng.uniform(-1, 1, size=(3, 4))
+        assert np.abs(x @ w.T).min() > 1e-3  # clear of the kink
+        g = rng.standard_normal((5, 3))
+        finite_difference_check(lambda ts: self._weighted_sum(leaky_transform(*ts), g), [x, w])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_taped_composition(self, dtype):
+        rng = np.random.default_rng(9)
+        arrays = [rng.standard_normal((7, 4)).astype(dtype),
+                  rng.standard_normal((4, 4)).astype(dtype)]
+        g = rng.standard_normal((7, 4)).astype(dtype)
+        results = []
+        for op in (leaky_transform, taped_transform):
+            tensors = [parameter(a) for a in arrays]
+            out = op(*tensors)
+            ad.backward(self._weighted_sum(out, g))
+            assert out.data.dtype == dtype and all(t.grad.dtype == dtype for t in tensors)
+            results.append([out.data.tobytes()] + [t.grad.tobytes() for t in tensors])
+        assert results[0] == results[1]
 
 
 class TestReadout:

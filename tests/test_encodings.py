@@ -28,7 +28,8 @@ from pgtr.linalg import (
 from pgtr.model import PGTRConfig, forward, init_model
 from pgtr.synthetic import clustered_interactions
 from test_attention import close, tape_nodes
-from test_autodiff import as_float64, concat_rows, constant, gather_rows, slice_rows, sum_axis
+from test_autodiff import (add, as_float64, concat_rows, constant, gather_rows, matmul, mul,
+                           slice_rows, sum_axis, transpose)
 
 
 def k22_graph():
@@ -342,16 +343,15 @@ def taped_position(enc):
     n, m = enc.n_users, enc.n_items
     terms = []
     if enc.spectral is not None:
-        terms.append(ad.matmul(constant(enc.spectral.matrix.T),
-                               ad.transpose(enc.spectral.projection)))
+        terms.append(matmul(constant(enc.spectral.matrix.T), transpose(enc.spectral.projection)))
     for e in enc.grouped:
-        terms.append(ad.matmul(gather_rows(e.table, e.group_of), ad.transpose(e.projection)))
+        terms.append(matmul(gather_rows(e.table, e.group_of), transpose(e.projection)))
     inner = terms[0]
     for t in terms[1:]:
-        inner = inner + t
+        inner = add(inner, t)
     return concat_rows([
-        ad.matmul(slice_rows(inner, 0, n), ad.transpose(enc.w_user)),
-        ad.matmul(slice_rows(inner, n, n + m), ad.transpose(enc.w_item)),
+        matmul(slice_rows(inner, 0, n), transpose(enc.w_user)),
+        matmul(slice_rows(inner, n, n + m), transpose(enc.w_item)),
     ])
 
 
@@ -384,7 +384,7 @@ class TestFusedPosition:
         def run(position):
             ad.zero_grad(params)
             out = position(enc)
-            ad.backward(sum_axis(out * g, axis=None, keepdims=False))
+            ad.backward(sum_axis(mul(out, g), axis=None, keepdims=False))
             return out.data, [t.grad for t in params]
 
         want_out, want_grads = run(taped_position)
@@ -395,9 +395,9 @@ class TestFusedPosition:
 
     def test_forward_holds_one_position_node(self):
         """The default forward records one `position` node whose parents are
-        the encodings' parameters, and 14 interior nodes in all: `position`,
-        h + λ1·pos (2), per layer propagation, local + λ2·pos (2), attention
-        and `mix` (5 each), and the readout's `mean`."""
+        the encodings' parameters, and 11 interior nodes in all: `position`,
+        the `mix` h + λ1·pos, per layer `spmm`, the `mix` local + λ2·pos,
+        attention and the layer `mix` (4 each), and the readout's `mean`."""
         g = build_graph(clustered_interactions(60, 80, 4, per_user=20, seed=9))
         state = init_model(g, PGTRConfig(), seed=10)
         interior = [node for node in tape_nodes(forward(state)) if node._op != "leaf"]
@@ -405,4 +405,14 @@ class TestFusedPosition:
         assert {id(p) for p in pos._parents} == {
             id(t) for _, t in state.enc.trainable_tables()}
         assert len(pos._parents) == len(state.enc.trainable_tables())
-        assert len(interior) == 14
+        assert len(interior) == 11
+
+    def test_transform_gcn_forward_node_count(self):
+        """A 2-layer transform-gcn forward adds one `leaky_transform` node
+        per layer after the `spmm`: 13 interior nodes."""
+        g = build_graph(clustered_interactions(60, 80, 4, per_user=20, seed=9))
+        state = init_model(g, PGTRConfig(backbone="transform-gcn"), seed=10)
+        interior = [node for node in tape_nodes(forward(state)) if node._op != "leaf"]
+        assert sorted(node._op for node in interior) == sorted(
+            ["position", "mix", "mean"] + 2 * ["spmm", "leaky_transform", "mix",
+                                               "kernelized_attention", "mix"])

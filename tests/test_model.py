@@ -26,14 +26,10 @@ from pgtr.optim import AdamState, adam_step
 from pgtr.synthetic import clustered_interactions
 from pgtr.train import batch_loss
 from test_attention import tape_nodes
-from test_autodiff import as_float64, constant, sum_axis
+from test_autodiff import as_float64, constant, mean_all
 from test_encodings import awkward_interactions
 
 SMALL = dict(d=6, h_c=3, h_d=2, h_r=2, h_y=2, n_d=3, n_r=3, m_features=32)
-
-
-def mean_all(t):
-    return sum_axis(t, axis=None, keepdims=False) * (1.0 / t.data.size)
 
 
 def small_graph(seed=0, n_users=12, n_items=14):
@@ -320,6 +316,25 @@ class TestDtype:
         adam_step(opt)
         for (name, t), m, v in zip(state.named_parameters(), opt.m, opt.v):
             assert t.data.dtype == m.dtype == v.dtype == dtype, name
+
+    @pytest.mark.parametrize("backbone", ["lightgcn", "transform-gcn"])
+    def test_numpy_float_config_keeps_float32(self, backbone):
+        """A NumPy float64 is a `float`, so the config takes one; `validate`
+        stores it as a Python float, and the weights it becomes (1/tau and
+        `mix`'s λs) keep the node table, the loss and every parameter
+        gradient float32."""
+        ds = clustered_interactions(12, 14, 3, per_user=5, seed=28)
+        weights = dict(tau=0.2, lambda1=1.0, lambda2=0.5, lambda3=0.5)
+        cfg = PGTRConfig(**SMALL, backbone=backbone,
+                         **{name: np.float64(v) for name, v in weights.items()})
+        state = init_model(build_graph(ds), cfg, seed=29)
+        assert all(type(getattr(cfg, name)) is float for name in weights)
+        assert forward(state).data.dtype == np.float32
+        loss, _ = batch_loss(state, ds.users[:16], ds.items[:16], ds.user_item_matrix())
+        assert loss.data.dtype == np.float32
+        ad.backward(loss)
+        for name, t in state.named_parameters():
+            assert t.grad.dtype == np.float32, name
 
 
 class TestDifferentiability:

@@ -4,7 +4,7 @@ import numpy as np
 import pgtr.autodiff as ad
 from pgtr.autodiff import parameter
 from pgtr.optim import AdamState, adam_step
-from test_autodiff import sum_axis
+from test_autodiff import mul, sum_axis
 
 
 def test_first_step_is_signed_learning_rate():
@@ -62,7 +62,7 @@ def test_quadratic_descent_matches_scalar_simulation():
     traj = [p.data[0, 0]]
     for _ in range(100):
         ad.zero_grad([p])
-        loss = sum_axis(p * p, axis=None, keepdims=False)
+        loss = sum_axis(mul(p, p), axis=None, keepdims=False)
         ad.backward(loss)
         adam_step(st)
         traj.append(p.data[0, 0])

@@ -31,7 +31,8 @@ from pgtr.train import (
     train,
 )
 from test_attention import held_arrays, tape_nodes
-from test_autodiff import as_float64, gather_rows, logsumexp_rows, sub, sum_axis
+from test_autodiff import (as_float64, gather_rows, logsumexp_rows, matmul, mul, sub, sum_axis,
+                           transpose)
 from test_encodings import awkward_interactions
 
 
@@ -134,13 +135,13 @@ def taped_in_batch_softmax(h, users, item_rows, inv, mask, keep, inv_tau):
     """The loss as the taped composition of gathers, products, a matmul, the
     masked log-sum-exp and sums that `_in_batch_softmax` fuses into one
     node: its oracle."""
-    su = gather_rows(h, users) * inv_tau
+    su = mul(gather_rows(h, users), inv_tau)
     si = gather_rows(h, item_rows)
-    scores = ad.matmul(su, ad.transpose(si))
-    pos = sum_axis(su * gather_rows(si, inv), axis=1)
+    scores = matmul(su, transpose(si))
+    pos = sum_axis(mul(su, gather_rows(si, inv)), axis=1)
     lse = logsumexp_rows(scores, mask)
-    per_pair = sub(lse, pos) * keep[:, None].astype(np.float64)
-    return sum_axis(per_pair, axis=None, keepdims=False) * (1.0 / np.count_nonzero(keep))
+    per_pair = mul(sub(lse, pos), keep[:, None].astype(np.float64))
+    return mul(sum_axis(per_pair, axis=None, keepdims=False), 1.0 / np.count_nonzero(keep))
 
 
 def dense_mask(drop, b, n):
@@ -620,15 +621,15 @@ class TestTrainLoop:
     def test_nan_in_embeddings_names_the_op(self, caplog):
         """The forward's non-finite node table is checked once, and the
         check walks its tape: the warning names the first op that saw the
-        NaN, the add of the position vectors to the embeddings.  Training
-        stops in epoch 1 with the parameters as they were."""
+        NaN, the `mix` that adds the position vectors to the embeddings.
+        Training stops in epoch 1 with the parameters as they were."""
         state, fit, val, _ = self._setup(7)
         state.embeddings.data[3, 1] = np.nan
         before = [t.data.copy() for t in state.parameters()]
         with caplog.at_level(logging.WARNING, logger="pgtr.train"):
             state, history = train(state, fit, val, TrainConfig(
                 batch_size=32, lr=1e-2, max_epochs=3, patience=3, seed=7))
-        assert ("training aborted at epoch 1: non-finite intermediate produced by 'add'"
+        assert ("training aborted at epoch 1: non-finite intermediate produced by 'mix'"
                 in caplog.text)
         assert history == []
         for got, want in zip(state.parameters(), before, strict=True):
@@ -637,25 +638,25 @@ class TestTrainLoop:
     def test_evaluate_names_the_op(self):
         state, fit, val, _ = self._setup(7)
         state.embeddings.data[3, 1] = np.nan
-        with pytest.raises(NumericsError, match="^non-finite intermediate produced by 'add'$"):
+        with pytest.raises(NumericsError, match="^non-finite intermediate produced by 'mix'$"):
             evaluate(state, fit, val, k=5)
 
     @pytest.mark.parametrize("backbone", ["lightgcn", "transform-gcn"])
     def test_inf_in_embeddings_names_the_op(self, backbone, caplog):
         """An Inf embedding turns into NaN downstream without a numpy warning
-        escaping the forward, and both `train` and `evaluate` name the add
+        escaping the forward, and both `train` and `evaluate` name the `mix`
         that first saw it."""
         state, fit, val, _ = self._setup(7, backbone)
         state.embeddings.data[3, 1] = np.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NumericsError,
-                               match="^non-finite intermediate produced by 'add'$"):
+                               match="^non-finite intermediate produced by 'mix'$"):
                 evaluate(state, fit, val, k=5)
             with caplog.at_level(logging.WARNING, logger="pgtr.train"):
                 _, history = train(state, fit, val, TrainConfig(
                     batch_size=32, lr=1e-2, max_epochs=3, patience=3, seed=7))
-        assert ("training aborted at epoch 1: non-finite intermediate produced by 'add'"
+        assert ("training aborted at epoch 1: non-finite intermediate produced by 'mix'"
                 in caplog.text)
         assert history == []
 
@@ -677,7 +678,7 @@ class TestTrainLoop:
         if run == "train":
             train(state, fit, val, TrainConfig(batch_size=32, max_epochs=2, patience=2))
         else:
-            with pytest.raises(NumericsError, match="'add'"):
+            with pytest.raises(NumericsError, match="'mix'"):
                 evaluate(state, fit, val, k=5)
         assert len(calls) == 1
 
