@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import NumericsError, Tensor
 
 __all__ = [
     "AttentionError",
@@ -41,7 +41,7 @@ __all__ = [
 MIN_DENOMINATOR = 1e-30
 
 
-class AttentionError(RuntimeError):
+class AttentionError(NumericsError):
     """Some row's attention denominator fell below MIN_DENOMINATOR: the
     keys carry (almost) no mass in the directions its query weights.  In
     float32 a key row is dropped once its scale falls below about e^-87, so

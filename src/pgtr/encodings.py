@@ -115,17 +115,16 @@ def _group_ids(g: BipartiteGraph, name: str, groups: int) -> np.ndarray:
                            groups + group_by_rank(item_values, groups)])
 
 
-def _stored(stored: dict, name: str, shape: tuple[int, int], id_bound: int | None = None):
-    """`stored[name]`, checked for its shape and, given `id_bound`, for
-    holding only integer ids in [0, id_bound)."""
+def _stored(stored: dict, name: str, shape: tuple, id_bound: int | None = None) -> np.ndarray:
+    """`stored[name]`, checked for its shape and kind: a float block as
+    float64, or given `id_bound`, integer ids in [0, id_bound) as int64."""
     block = stored.get(name)
-    if block is None or block.shape != shape:
-        raise ValueError(f"stored block {name!r} is missing or has the wrong shape")
-    if id_bound is not None and not np.all((block >= 0) & (block < id_bound)
-                                           & (block == np.floor(block))):
-        raise ValueError(f"stored block {name!r} holds a group id that is not "
-                         f"an integer in [0, {id_bound})")
-    return block
+    kind, what = ((np.floating, "floats") if id_bound is None
+                  else (np.integer, f"integer ids in [0, {id_bound})"))
+    if (block is None or block.shape != shape or not np.issubdtype(block.dtype, kind)
+            or (id_bound is not None and not np.all((block >= 0) & (block < id_bound)))):
+        raise ValueError(f"stored block {name!r} is missing or not a {shape} block of {what}")
+    return block.astype(np.float64 if id_bound is None else np.int64, copy=False)
 
 
 @dataclass
@@ -173,6 +172,11 @@ class PositionalEncodingSet:
             named.append(("proj_spectral", self.spectral.projection))
         return named + [(f"proj_{e.name}", e.projection) for e in self.grouped]
 
+    def frozen_blocks(self) -> list[tuple[str, np.ndarray]]:
+        """The frozen blocks `build_encoding_set` takes as `stored`, by name."""
+        spectral = [] if self.spectral is None else [("spectral", self.spectral.matrix)]
+        return [(f"{e.name}_groups", e.group_of) for e in self.grouped] + spectral
+
 
 def build_encoding_set(g: BipartiteGraph, cfg, rng: np.random.Generator,
                        stored: dict | None = None) -> PositionalEncodingSet:
@@ -180,9 +184,9 @@ def build_encoding_set(g: BipartiteGraph, cfg, rng: np.random.Generator,
 
     Draws from `rng` in a fixed order: the degree, PageRank and type tables
     (each one (2 * groups, h) draw), then the item, user, spectral, degree,
-    PageRank and type projections.  `stored` maps "spectral" to an
-    (h_c, N+M) block and "<name>_groups" to a (1, N+M) row of group ids;
-    given, it stands in for the eigensolve, PageRank and grouping.
+    PageRank and type projections.  `stored` maps the `frozen_blocks` names
+    to a float (h_c, N+M) `spectral` block and integer (N+M,) `<name>_groups`
+    ids; given, it stands in for the eigensolve, PageRank and grouping.
     """
     n, m = g.n_users, g.n_items
     kinds = [(name, groups, h) for name, groups, h in
@@ -198,7 +202,7 @@ def build_encoding_set(g: BipartiteGraph, cfg, rng: np.random.Generator,
         ids = [_group_ids(g, name, groups) for name, groups, _ in kinds]
     else:
         matrix = _stored(stored, "spectral", (cfg.h_c, n + m)) if cfg.use_spectral else None
-        ids = [_stored(stored, f"{name}_groups", (1, n + m), 2 * groups)[0].astype(np.int64)
+        ids = [_stored(stored, f"{name}_groups", (n + m,), 2 * groups)
                for name, groups, _ in kinds]
     tables = [_init_table(2 * groups, h, rng) for _, groups, h in kinds]
     if matrix is None and not kinds:

@@ -18,9 +18,8 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
-import struct
 import typing
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +41,7 @@ __all__ = [
 ]
 
 EMBED_INIT_STD = 0.1
-CHECKPOINT_MAGIC = b"PGTR"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 HEADER_FIELDS = ("config", "n_users", "n_items", "graph_hash", "seed", "feature_map_seeds")
 # the dtype `init_model` casts the model's arrays to (see the module docstring)
 MODEL_DTYPE = np.float32
@@ -240,21 +238,18 @@ def count_added_parameters(state: ModelState) -> int:
 
 
 def _blocks(state: ModelState) -> list[tuple[str, np.ndarray]]:
-    """The named 2-D blocks a checkpoint of `state` holds, in file order."""
-    blocks = [(name, t.data) for name, t in state.named_parameters()]
-    blocks += [(f"{e.name}_groups", e.group_of[None, :]) for e in state.enc.grouped]
-    if state.enc.spectral is not None:
-        blocks.append(("spectral", state.enc.spectral.matrix))
-    return blocks
+    """The named blocks a checkpoint of `state` holds, in file order."""
+    return ([(name, t.data) for name, t in state.named_parameters()]
+            + state.enc.frozen_blocks())
 
 
 def save_checkpoint(state: ModelState, path):
-    """Versioned header, config JSON, then named row-major blocks stored
-    as little-endian float64, which holds float32 parameters exactly: the
-    parameters, each grouped encoding's group ids as a (1, N+M) row
-    `<name>_groups`, and the frozen `spectral` block.  Loading restores the
-    frozen blocks, so it runs neither the eigensolve nor PageRank."""
+    """An npz archive of a JSON `header` string (format version, config,
+    graph size and hash, seeds) and each block in its own dtype: the
+    parameters, the int64 `<name>_groups` ids and the float64 `spectral`
+    block, so loading runs neither the eigensolve nor PageRank."""
     meta = {
+        "version": CHECKPOINT_VERSION,
         "config": state.config.to_dict(),
         "n_users": state.n_users,
         "n_items": state.n_items,
@@ -262,62 +257,53 @@ def save_checkpoint(state: ModelState, path):
         "seed": state.seed,
         "feature_map_seeds": [rf.seed for rf in state.feature_maps],
     }
-    blocks = _blocks(state)
-    raw = json.dumps(meta).encode("utf-8")
+    # through a handle: given a path, np.savez would append ".npz" to it
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<B", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(raw)))
-        fh.write(raw)
-        fh.write(struct.pack("<I", len(blocks)))
-        for name, array in blocks:
-            encoded = name.encode("utf-8")
-            rows, cols = array.shape
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<II", rows, cols))
-            fh.write(array.astype("<f8").tobytes(order="C"))
+        np.savez(fh, header=np.array(json.dumps(meta)), **dict(_blocks(state)))
 
 
-def _read(fh, size: int, what: str) -> bytes:
-    """The next `size` bytes of `fh`, checked against the bytes left first."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if size > left:
-        raise ValueError(f"checkpoint truncated in {what}: "
-                         f"expected {size} bytes, found {max(left, 0)}")
-    return fh.read(size)
+def _read_archive(fh) -> tuple[object, dict[str, np.ndarray]]:
+    """The parsed JSON header and the other arrays of the npz archive in
+    `fh`.  Each member's .npy header is checked against its size before any
+    array is read, so a false claim allocates nothing; reads check CRC-32s."""
+    try:
+        with np.lib.npyio.NpzFile(fh, allow_pickle=False) as npz:
+            names = npz.files
+            for name, info in zip(names, npz.zip.infolist()):
+                if names.count(name) > 1:
+                    raise ValueError(f"block {name!r} appears twice")
+                with npz.zip.open(info) as member:
+                    read_header = (np.lib.format.read_array_header_1_0
+                                   if np.lib.format.read_magic(member) == (1, 0)
+                                   else np.lib.format.read_array_header_2_0)
+                    shape, _, dtype = read_header(member)
+                    size = member.tell() + math.prod(shape) * dtype.itemsize
+                if dtype.hasobject or size != info.file_size:
+                    raise ValueError(f"block {name!r} holds {info.file_size} bytes, "
+                                     f"its {dtype} header claims {size}")
+            blocks = {name: npz[name] for name in names}
+        return json.loads(str(blocks.pop("header", ""))), blocks
+    except json.JSONDecodeError as err:
+        raise ValueError(f"not a readable checkpoint: its header is no JSON ({err})") from err
+    except (ValueError, EOFError, zipfile.BadZipFile) as err:
+        raise ValueError(f"not a readable checkpoint: {err}") from err
 
 
 def load_checkpoint(path, graph: BipartiteGraph) -> ModelState:
-    """The model `save_checkpoint` wrote for `graph`, each stored float64
-    parameter block cast to the dtype of the state `init_model` builds
-    (float32: a block saved from float32 loads bit for bit, one saved from
-    float64 as its nearest float32 values).  Raises ValueError
-    naming the cause for a file that is not a checkpoint of this version,
-    is truncated, has a malformed header, was built for another graph, or
-    holds a block that is unknown, repeated, missing or of the wrong
-    shape."""
+    """The model `save_checkpoint` wrote for `graph`, each parameter block
+    cast to the dtype `init_model` gives it (float32: a float32 block loads
+    bit for bit, a float64 one as its nearest float32 values).  Raises
+    ValueError naming the cause for a file that is no readable npz archive
+    (empty, truncated, failing a CRC-32, holding objects) of this version,
+    has a malformed header, was built for another graph, or holds a block
+    that is unknown, repeated, missing, of the wrong shape or dtype, or of
+    another size than its .npy header claims."""
     with open(path, "rb") as fh:
-        if fh.read(4) != CHECKPOINT_MAGIC:
-            raise ValueError("not a model checkpoint")
-        (version,) = struct.unpack("<B", _read(fh, 1, "the version"))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (meta_len,) = struct.unpack("<I", _read(fh, 4, "the header length"))
-        meta = json.loads(_read(fh, meta_len, "the header").decode("utf-8"))
-        (n_blocks,) = struct.unpack("<I", _read(fh, 4, "the block count"))
-        blocks = {}
-        for index in range(n_blocks):
-            (name_len,) = struct.unpack("<I", _read(fh, 4, f"the name length of block {index}"))
-            name = _read(fh, name_len, f"the name of block {index}").decode("utf-8")
-            rows, cols = struct.unpack("<II", _read(fh, 8, f"the shape of block {name!r}"))
-            data = _read(fh, rows * cols * 8, f"the data of block {name!r}")
-            if name in blocks:
-                raise ValueError(f"checkpoint repeats block {name!r}")
-            blocks[name] = np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
-
+        meta, blocks = _read_archive(fh)
     if not isinstance(meta, dict):
         raise ValueError("checkpoint header is not a JSON object")
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
     missing = [field for field in HEADER_FIELDS if field not in meta]
     if missing:
         raise ValueError(f"checkpoint header lacks the field {missing[0]!r}")
@@ -339,9 +325,10 @@ def load_checkpoint(path, graph: BipartiteGraph) -> ModelState:
         raise ValueError("checkpoint field 'feature_map_seeds' differs from the "
                          "feature maps its seed draws")
     for name, tensor in state.named_parameters():
-        if name not in blocks:
-            raise ValueError(f"checkpoint missing parameter block {name!r}")
-        if blocks[name].shape != tensor.data.shape:
-            raise ValueError(f"checkpoint block {name!r} has the wrong shape")
-        tensor.data = blocks[name].astype(tensor.data.dtype)
+        block = blocks.get(name)
+        if (block is None or block.shape != tensor.data.shape
+                or not np.issubdtype(block.dtype, np.floating)):
+            raise ValueError(f"checkpoint parameter block {name!r} is missing or "
+                             f"not a {tensor.data.shape} block of floats")
+        tensor.data = block.astype(tensor.data.dtype)
     return state

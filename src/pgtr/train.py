@@ -9,7 +9,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
-from .attention import AttentionError
 from .autodiff import NumericsError, Tensor
 from .data import InteractionDataset
 from .model import ModelState, check_field_types, forward
@@ -213,10 +212,9 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
     of negatives) and `seconds`.  A batch in which no pair keeps a negative
     takes no step, and all its pairs count as skipped.  An epoch that takes
     no step records a NaN `train_loss` and stops training with a warning.
-    A non-finite node table, loss or parameter gradient (NumericsError,
-    naming the op or the parameter) or an attention denominator underflow
-    (AttentionError) in a step or in validation stops training with a
-    warning and restores the best parameters.
+    A NumericsError in a step or in validation (a non-finite node table,
+    loss or parameter gradient, or an attention denominator underflow)
+    stops training with a warning and restores the best parameters.
     """
     rng = np.random.default_rng(cfg.seed)
     named = state.named_parameters()
@@ -262,7 +260,7 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
                 n_batches += 1
                 skipped_pairs += skipped
             metrics = evaluate(state, fit, val, k=cfg.k) if len(val) else None
-        except (NumericsError, AttentionError) as err:
+        except NumericsError as err:
             # diverged parameters: stop and fall back to the best ones
             log.warning("training aborted at epoch %d: %s", epoch, err)
             diverged = True

@@ -306,3 +306,31 @@ class TestNoise:
         a = inject_noise(ds, ds, NoiseSpec(0.2, seed=16))
         b = inject_noise(ds, ds, NoiseSpec(0.2, seed=16))
         assert a.pairs() == b.pairs()
+
+
+class TestClusteredInteractions:
+    @pytest.mark.parametrize("kwargs, argument", [
+        # each cluster holds 2 items and every draw stays inside it
+        (dict(n_users=8, n_items=8, n_clusters=4, per_user=3, in_cluster=1.0), "per_user"),
+        # one cluster and every draw outside it
+        (dict(n_users=8, n_items=8, n_clusters=1, per_user=3, in_cluster=0.0), "per_user"),
+        (dict(n_users=8, n_items=3, n_clusters=4), "n_clusters"),
+        (dict(n_users=3, n_items=8, n_clusters=4), "n_clusters"),
+        (dict(n_clusters=0), "n_clusters"),
+        (dict(in_cluster=1.5), "in_cluster"),
+        (dict(in_cluster=-0.1), "in_cluster"),
+    ])
+    def test_impossible_arguments_name_the_argument(self, kwargs, argument):
+        with pytest.raises(ValueError, match=f"^{argument}="):
+            clustered_interactions(**kwargs)
+
+    @pytest.mark.parametrize("in_cluster, per_user", [(1.0, 2), (0.0, 4)])
+    def test_a_pool_just_large_enough_is_drawn_in_full(self, in_cluster, per_user):
+        """At the bounds every draw stays inside (1.0) or outside (0.0) the
+        user's cluster, and a pool exactly `per_user` items large is drawn in full."""
+        n_clusters = 4 if in_cluster == 1.0 else 2
+        ds = clustered_interactions(8, 8, n_clusters, per_user=per_user,
+                                    in_cluster=in_cluster, seed=1)
+        np.testing.assert_array_equal(np.bincount(ds.users, minlength=8), per_user)
+        same = (ds.users * n_clusters) // 8 == (ds.items * n_clusters) // 8
+        assert same.all() if in_cluster == 1.0 else not same.any()

@@ -1,5 +1,6 @@
-"""Export hygiene: every name a pgtr module lists in `__all__` exists, and
-every op the gradient engine exports runs somewhere in the package."""
+"""Export hygiene: every name a pgtr module lists in `__all__` exists,
+every op the gradient engine exports runs somewhere in the package, and no
+module imports a name it never reads."""
 import ast
 import importlib
 import pkgutil
@@ -54,3 +55,36 @@ def test_every_engine_op_has_a_caller():
         used |= engine_names_used(ast.parse(path.read_text()))
     unused = sorted(set(ad.__all__) - ENGINE_API - used)
     assert not unused, f"autodiff exports ops no pgtr module calls: {unused}"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# the benchmark harness is versioned with its own baseline and stays out
+SCANNED = sorted(path for folder in ("src/pgtr", "tests", "experiments")
+                 for path in (ROOT / folder).glob("*.py"))
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports but never reads, beyond those it lists in
+    `__all__`; `from __future__` imports are compiler directives."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name.split(".")[0], node.lineno)
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            exported = set(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in sorted(imported.items())
+            if name not in read | exported]
+
+
+@pytest.mark.parametrize("path", SCANNED, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    unused = unused_imports(ast.parse(path.read_text()))
+    assert not unused, f"{path.name} imports names it never reads: {unused}"

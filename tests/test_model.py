@@ -1,7 +1,9 @@
 """Model composition tests: reduction, mixing, census, checkpoints."""
+import io
 import json
-import struct
+import pickle
 import sys
+import zipfile
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from pgtr.data import InteractionDataset, build_graph
 from pgtr.encodings import EncodingError
 from pgtr.model import (
     EMBED_INIT_STD,
-    ModelState,
     PGTRConfig,
     count_added_parameters,
     forward,
@@ -379,35 +380,38 @@ class TestDifferentiability:
 
 
 def read_checkpoint(path):
-    """The version, header and named blocks of a checkpoint file."""
-    raw = path.read_bytes()
-
-    def take(size):
-        nonlocal pos
-        pos += size
-        return raw[pos - size:pos]
-
-    pos = 5
-    (meta_len,) = struct.unpack("<I", take(4))
-    meta = json.loads(take(meta_len))
-    blocks = {}
-    for _ in range(struct.unpack("<I", take(4))[0]):
-        name = take(struct.unpack("<I", take(4))[0]).decode()
-        rows, cols = struct.unpack("<II", take(8))
-        blocks[name] = np.frombuffer(take(8 * rows * cols), "<f8").reshape(rows, cols).copy()
-    return raw[4], meta, blocks
+    """The JSON header and the named blocks of a checkpoint file."""
+    with np.load(path, allow_pickle=False) as npz:
+        blocks = {name: npz[name] for name in npz.files}
+    return json.loads(str(blocks.pop("header"))), blocks
 
 
-def write_checkpoint(path, version, meta, blocks):
-    """A checkpoint file of `blocks`: a name-to-array dict, or a list of
-    (name, array) pairs, which may repeat a name."""
-    header = json.dumps(meta).encode()
-    parts = [b"PGTR", struct.pack("<BI", version, len(header)), header,
-             struct.pack("<I", len(blocks))]
-    for name, block in (blocks.items() if isinstance(blocks, dict) else blocks):
-        parts += [struct.pack("<I", len(name)), name.encode(),
-                  struct.pack("<II", *block.shape), block.astype("<f8").tobytes()]
-    path.write_bytes(b"".join(parts))
+def write_checkpoint(path, meta, blocks):
+    """A checkpoint file of the header `meta` and a name-to-array dict."""
+    with open(path, "wb") as fh:
+        np.savez(fh, header=np.array(json.dumps(meta)), **blocks)
+
+
+def npy_bytes(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=True)
+    return buf.getvalue()
+
+
+def write_members(path, members):
+    """A zip archive of (member name, bytes) pairs, which may repeat a name."""
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, data in members:
+            archive.writestr(name, data)
+
+
+def saved_checkpoint(tmp_path, graph_seed, seed, **cfg):
+    """A saved checkpoint's path, its graph and its state."""
+    g = small_graph(graph_seed)
+    state = init_model(g, PGTRConfig(**SMALL, **cfg), seed=seed)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(state, path)
+    return path, g, state
 
 
 class TestCheckpoint:
@@ -438,6 +442,24 @@ class TestCheckpoint:
         for name, t in state.named_parameters():
             assert t.data.dtype == restored[name].data.dtype == np.float32, name
             assert t.data.tobytes() == restored[name].data.tobytes(), name
+
+    def test_blocks_are_stored_in_their_own_dtype(self, tmp_path):
+        """Parameters as float32, group ids as int64 and the spectral block
+        as float64, each as the state holds it, with no .npz suffix added."""
+        path, _, state = saved_checkpoint(tmp_path, 9, 34)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+        meta, blocks = read_checkpoint(path)
+        assert meta["version"] == 6
+        stored = [(name, t.data) for name, t in state.named_parameters()]
+        stored += [(f"{e.name}_groups", e.group_of) for e in state.enc.grouped]
+        stored.append(("spectral", state.enc.spectral.matrix))
+        assert list(blocks) == [name for name, _ in stored]
+        for name, want in stored:
+            assert blocks[name].dtype == want.dtype, name
+            assert blocks[name].tobytes() == want.tobytes(), name
+        assert all(blocks[f"{e.name}_groups"].dtype == np.int64 for e in state.enc.grouped)
+        assert blocks["spectral"].dtype == np.float64
+        assert blocks["embeddings"].dtype == np.float32
 
     def test_block_saved_from_float64_loads_as_nearest_float32(self, tmp_path):
         g = small_graph(9)
@@ -482,6 +504,7 @@ class TestCheckpoint:
         monkeypatch.setattr("pgtr.encodings.symmetric_eigs_smallest", no_solve)
         monkeypatch.setattr("pgtr.encodings.pagerank", no_pagerank)
         restored = load_checkpoint(path, g)
+        assert restored.enc.spectral.matrix.dtype == np.float64
         np.testing.assert_array_equal(restored.enc.spectral.matrix, state.enc.spectral.matrix)
         for got, want in zip(restored.enc.grouped, state.enc.grouped, strict=True):
             assert got.name == want.name and got.group_of.dtype == np.int64
@@ -490,73 +513,94 @@ class TestCheckpoint:
         np.testing.assert_array_equal(restored.enc.features, state.enc.features)
         np.testing.assert_array_equal(forward(restored).data, forward(state).data)
 
-    def test_truncated_file_names_the_short_section(self, tmp_path):
-        g = small_graph(13)
-        state = init_model(g, PGTRConfig(**SMALL), seed=22)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(state, path)
+    def test_flipped_byte_in_a_parameter_block_rejected(self, tmp_path):
+        """The archive's CRC-32 catches a corrupted parameter value, which
+        would otherwise load as a finite, plausible number."""
+        path, g, state = saved_checkpoint(tmp_path, 13, 22)
         raw = path.read_bytes()
-        (meta_len,) = struct.unpack("<I", raw[5:9])
-        block0 = 13 + meta_len  # magic, version, header length, header, block count
-        cuts = {
-            4: "the version",
-            7: "the header length",
-            9 + meta_len // 2: "the header",
-            9 + meta_len + 2: "the block count",
-            block0 + 2: "the name length of block 0",
-            block0 + 4 + 3: "the name of block 0",
-            block0 + 4 + 10 + 3: "the shape of block 'embeddings'",
-            block0 + 4 + 10 + 8 + 5: "the data of block 'embeddings'",
-            len(raw) - 1: "the data of block 'spectral'",
-        }
-        assert raw[block0 + 4:block0 + 14] == b"embeddings"
-        for cut, section in cuts.items():
-            path.write_bytes(raw[:cut])
-            with pytest.raises(ValueError, match=f"truncated in {section}"):
+        at = raw.find(state.embeddings.data.tobytes())
+        assert at > 0
+        for offset in (0, 57, state.embeddings.data.nbytes - 1):
+            corrupt = bytearray(raw)
+            corrupt[at + offset] ^= 0x01
+            path.write_bytes(bytes(corrupt))
+            with pytest.raises(ValueError, match="^not a readable checkpoint: "
+                                                 "Bad CRC-32 for file 'embeddings.npy'$"):
                 load_checkpoint(path, g)
 
-    def test_block_larger_than_the_file_is_truncated(self, tmp_path):
-        """A block shape is checked against the bytes left in the file
-        before anything is read or allocated, so even a byte count beyond
-        sys.maxsize reads as a truncated block."""
-        g = small_graph(13)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(init_model(g, PGTRConfig(**SMALL), seed=22), path)
-        raw = bytearray(path.read_bytes())
-        (meta_len,) = struct.unpack("<I", raw[5:9])
-        shape_at = 13 + meta_len + 4 + len(b"embeddings")
-        assert struct.unpack("<II", raw[shape_at:shape_at + 8]) == (
-            g.n_users + g.n_items, SMALL["d"])
-        raw[shape_at:shape_at + 8] = struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF)
-        assert 0xFFFFFFFF * 0xFFFFFFFF * 8 > sys.maxsize
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="^checkpoint truncated in the data of block "
-                                             "'embeddings': expected "):
+    def test_truncated_file_rejected(self, tmp_path):
+        path, g, state = saved_checkpoint(tmp_path, 13, 22)
+        raw = path.read_bytes()
+        embeddings_at = raw.find(state.embeddings.data.tobytes())
+        for cut in (0, 3, 40, embeddings_at + 10, len(raw) // 2, len(raw) - 23, len(raw) - 1):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match="^not a readable checkpoint: "):
+                load_checkpoint(path, g)
+
+    @pytest.mark.parametrize("claimed", [(2**32, 2**32), (27, 6), (25, 6)],
+                             ids=["beyond-maxsize", "one-row-more", "one-row-fewer"])
+    def test_block_header_claiming_other_than_its_bytes_rejected(self, tmp_path, monkeypatch,
+                                                                 claimed):
+        """A member's .npy header is checked against the member's size
+        before numpy reads (and allocates) any array, so even a byte count
+        beyond sys.maxsize is rejected as a mismatch; so are trailing bytes
+        the header does not claim."""
+        path, g, state = saved_checkpoint(tmp_path, 13, 22)
+        meta, blocks = read_checkpoint(path)
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": "<f4", "fortran_order": False, "shape": claimed})
+        members = [("header.npy", npy_bytes(np.array(json.dumps(meta))))]
+        members += [(f"{name}.npy", header.getvalue() + block.tobytes() if name == "embeddings"
+                     else npy_bytes(block)) for name, block in blocks.items()]
+        write_members(path, members)
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("an array was read before every header was checked")
+
+        monkeypatch.setattr(np.lib.format, "read_array", no_read)
+        if claimed[0] > 2**31:
+            assert 4 * claimed[0] * claimed[1] > sys.maxsize
+        with pytest.raises(ValueError, match="^not a readable checkpoint: block 'embeddings' "
+                                             "holds [0-9]+ bytes, its float32 header claims "):
             load_checkpoint(path, g)
 
     def test_version_2_rejected(self, tmp_path):
         """Version-2 headers carry the removed `attention` field, version 3
-        files hold no group ids, and version-4 headers carry the removed
-        switch for query, key and value maps."""
-        g = small_graph(15)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(init_model(g, PGTRConfig(**SMALL), seed=24), path)
-        raw = bytearray(path.read_bytes())
-        assert raw[4] == 5
-        for version in (2, 3, 4):
-            raw[4] = version
-            path.write_bytes(bytes(raw))
-            with pytest.raises(ValueError, match=f"^unsupported checkpoint version {version}$"):
+        files hold no group ids, version-4 headers carry the removed switch
+        for query, key and value maps, and version 5 stored every block as
+        float64 (its files are not archives; see the next test)."""
+        path, g, _ = saved_checkpoint(tmp_path, 15, 24)
+        meta, blocks = read_checkpoint(path)
+        for version in (2, 3, 4, 5, 7, "6"):
+            write_checkpoint(path, dict(meta, version=version), blocks)
+            with pytest.raises(ValueError,
+                               match=f"^unsupported checkpoint version {version!r}$"):
                 load_checkpoint(path, g)
+        del meta["version"]
+        write_checkpoint(path, meta, blocks)
+        with pytest.raises(ValueError, match="^unsupported checkpoint version None$"):
+            load_checkpoint(path, g)
+
+    def test_format_5_file_rejected(self, tmp_path):
+        """The bespoke format 5 (magic, version byte, length-prefixed JSON
+        header and float64 blocks) is not an npz archive."""
+        path, g, _ = saved_checkpoint(tmp_path, 15, 24)
+        meta, _ = read_checkpoint(path)
+        header = json.dumps(meta).encode()
+        path.write_bytes(b"PGTR" + bytes([5]) + len(header).to_bytes(4, "little") + header)
+        with pytest.raises(ValueError, match="^not a readable checkpoint: File is not a zip file$"):
+            load_checkpoint(path, g)
 
     def test_malformed_header_names_the_field(self, tmp_path):
-        g = small_graph(16)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(init_model(g, PGTRConfig(**SMALL), seed=25), path)
-        raw = path.read_bytes()
-        version, meta, blocks = read_checkpoint(path)
-        write_checkpoint(path, version, meta, blocks)
-        assert path.read_bytes() == raw  # the test's reader and writer match the format
+        path, g, _ = saved_checkpoint(tmp_path, 16, 25)
+        meta, blocks = read_checkpoint(path)
+        write_checkpoint(path, meta, blocks)
+        # the test's reader and writer match the format
+        reread_meta, reread = read_checkpoint(path)
+        assert reread_meta == meta and reread.keys() == blocks.keys()
+        assert all(reread[k].dtype == v.dtype and reread[k].tobytes() == v.tobytes()
+                   for k, v in blocks.items())
         without_seed = {k: v for k, v in meta.items() if k != "seed"}
         edits = [
             ("'seed'", without_seed),
@@ -568,21 +612,27 @@ class TestCheckpoint:
         edits += [(f"^checkpoint field 'seed' must be a non-negative int, got {bad!r}$",
                    dict(meta, seed=bad)) for bad in ("abc", 1.5, True, -1)]
         for match, bad in edits:
-            write_checkpoint(path, version, bad, blocks)
+            write_checkpoint(path, bad, blocks)
             with pytest.raises(ValueError, match=match):
+                load_checkpoint(path, g)
+        # a header that is no JSON string, or none at all
+        for header in ({"header": np.array("{")}, {"header": np.zeros(2)},
+                       {"header": np.array(json.dumps(meta).encode())}, {}):
+            with open(path, "wb") as fh:
+                np.savez(fh, **header, **blocks)
+            with pytest.raises(ValueError, match="^not a readable checkpoint: "
+                                                 "its header is no JSON"):
                 load_checkpoint(path, g)
 
     def test_feature_map_seeds_must_match_the_seed(self, tmp_path):
         """A stored seed list of another length or value fails the load;
         before, a short list loaded and the first forward raised IndexError."""
-        g = small_graph(18)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(init_model(g, PGTRConfig(**SMALL, layers=2), seed=27), path)
-        version, meta, blocks = read_checkpoint(path)
+        path, g, _ = saved_checkpoint(tmp_path, 18, 27, layers=2)
+        meta, blocks = read_checkpoint(path)
         seeds = meta["feature_map_seeds"]
         assert len(seeds) == 2
         for bad in (seeds[:1], seeds + seeds[:1], [seeds[0], seeds[1] + 1], []):
-            write_checkpoint(path, version, dict(meta, feature_map_seeds=bad), blocks)
+            write_checkpoint(path, dict(meta, feature_map_seeds=bad), blocks)
             with pytest.raises(ValueError, match="^checkpoint field 'feature_map_seeds' "):
                 load_checkpoint(path, g)
 
@@ -590,12 +640,10 @@ class TestCheckpoint:
         ("d", "6"), ("d", 6.0), ("layers", True), ("tau", "0.2"), ("tau", False),
         ("use_spectral", "no"), ("use_spectral", 1), ("backbone", 1)])
     def test_header_value_of_the_wrong_type_names_the_field(self, tmp_path, field, value):
-        g = small_graph(16)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(init_model(g, PGTRConfig(**SMALL), seed=25), path)
-        version, meta, blocks = read_checkpoint(path)
+        path, g, _ = saved_checkpoint(tmp_path, 16, 25)
+        meta, blocks = read_checkpoint(path)
         meta["config"][field] = value
-        write_checkpoint(path, version, meta, blocks)
+        write_checkpoint(path, meta, blocks)
         with pytest.raises(ValueError, match=f"^config field '{field}' must be "):
             load_checkpoint(path, g)
 
@@ -606,39 +654,51 @@ class TestCheckpoint:
     def test_unknown_block_names_the_block(self, tmp_path):
         """Only the blocks a save of the config writes may load: an extra one,
         here after the expected ones, is rejected by name."""
-        g = small_graph(17)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(init_model(g, PGTRConfig(**SMALL), seed=26), path)
-        version, meta, blocks = read_checkpoint(path)
-        write_checkpoint(path, version, meta, dict(blocks, bogus=np.zeros((1, 1))))
+        path, g, _ = saved_checkpoint(tmp_path, 17, 26)
+        meta, blocks = read_checkpoint(path)
+        write_checkpoint(path, meta, dict(blocks, bogus=np.zeros((1, 1))))
         with pytest.raises(ValueError, match="^checkpoint holds an unknown block 'bogus'$"):
             load_checkpoint(path, g)
         # a block of an encoding the config turns off is unknown too
         off = dict(meta, config=dict(meta["config"], use_degree=False))
-        write_checkpoint(path, version, off, blocks)
+        write_checkpoint(path, off, blocks)
         with pytest.raises(ValueError, match="^checkpoint holds an unknown block 'degree'$"):
             load_checkpoint(path, g)
 
     def test_repeated_block_names_the_block(self, tmp_path):
         """A second copy of a block is rejected, not loaded over the first."""
-        g = small_graph(17)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(init_model(g, PGTRConfig(**SMALL), seed=26), path)
-        version, meta, blocks = read_checkpoint(path)
-        pairs = list(blocks.items())
-        name, block = pairs[0]
-        write_checkpoint(path, version, meta, pairs + [(name, block + 1.0)])
-        with pytest.raises(ValueError, match=f"^checkpoint repeats block '{name}'$"):
+        path, g, _ = saved_checkpoint(tmp_path, 17, 26)
+        with zipfile.ZipFile(path) as archive:
+            members = [(name, archive.read(name)) for name in archive.namelist()]
+        name, data = members[1]
+        assert name == "embeddings.npy"
+        with pytest.warns(UserWarning, match="Duplicate name"):
+            write_members(path, members + [(name, data)])
+        with pytest.raises(ValueError, match="^not a readable checkpoint: "
+                                             "block 'embeddings' appears twice$"):
             load_checkpoint(path, g)
 
+    def test_parameter_block_must_be_a_float_block_of_its_shape(self, tmp_path):
+        path, g, state = saved_checkpoint(tmp_path, 17, 26)
+        meta, blocks = read_checkpoint(path)
+        embeddings = blocks["embeddings"]
+        for bad in (None, embeddings[:-1], embeddings.T, embeddings.astype(np.int64),
+                    embeddings.astype(np.complex64)):
+            edited = {k: v for k, v in blocks.items() if k != "embeddings"}
+            if bad is not None:
+                edited["embeddings"] = bad
+            write_checkpoint(path, meta, edited)
+            with pytest.raises(ValueError, match="^checkpoint parameter block 'embeddings' "
+                                                 "is missing or not a \\(26, 6\\) block"):
+                load_checkpoint(path, g)
+
     def test_malformed_group_ids_name_the_block(self, tmp_path):
-        g = small_graph(17)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(init_model(g, PGTRConfig(**SMALL), seed=26), path)
-        version, meta, blocks = read_checkpoint(path)
+        path, g, _ = saved_checkpoint(tmp_path, 17, 26)
+        meta, blocks = read_checkpoint(path)
         ids = blocks["pagerank_groups"]
-        assert ids.shape == (1, g.n_users + g.n_items) and ids.max() == 2 * SMALL["n_r"] - 1
-        for bad in (None, ids[:, :-1], 0.5, -1.0, 2.0 * SMALL["n_r"], np.nan):
+        assert ids.shape == (g.n_users + g.n_items,) and ids.dtype == np.int64
+        assert ids.max() == 2 * SMALL["n_r"] - 1
+        for bad in (None, ids[:-1], ids[None, :], ids.astype(np.float64), -1, 2 * SMALL["n_r"]):
             edited = dict(blocks)
             if bad is None:
                 del edited["pagerank_groups"]
@@ -646,17 +706,31 @@ class TestCheckpoint:
                 edited["pagerank_groups"] = bad
             else:
                 edited["pagerank_groups"] = ids.copy()
-                edited["pagerank_groups"][0, 3] = bad
-            write_checkpoint(path, version, meta, edited)
+                edited["pagerank_groups"][3] = bad
+            write_checkpoint(path, meta, edited)
             with pytest.raises(ValueError, match="'pagerank_groups'"):
+                load_checkpoint(path, g)
+
+    def test_object_and_pickled_members_rejected(self, tmp_path):
+        """No member is unpickled: an object array and a bare pickle in a
+        parameter's place are rejected before anything is read."""
+        path, g, _ = saved_checkpoint(tmp_path, 17, 26)
+        with zipfile.ZipFile(path) as archive:
+            members = {name: archive.read(name) for name in archive.namelist()}
+        objects = np.empty((26, 6), dtype=object)
+        objects[:] = 1.0
+        for data in (npy_bytes(objects), pickle.dumps(np.zeros((26, 6), np.float32))):
+            write_members(path, dict(members, **{"embeddings.npy": data}).items())
+            with pytest.raises(ValueError, match="^not a readable checkpoint: "):
                 load_checkpoint(path, g)
 
     def test_garbage_rejected(self, tmp_path):
         p = tmp_path / "bad.ckpt"
-        p.write_bytes(b"nope")
         g = small_graph(12)
-        with pytest.raises(ValueError, match="checkpoint"):
-            load_checkpoint(p, g)
+        for raw in (b"nope", b"", npy_bytes(np.zeros(3))):
+            p.write_bytes(raw)
+            with pytest.raises(ValueError, match="^not a readable checkpoint"):
+                load_checkpoint(p, g)
 
 
 class TestDrawOrder:

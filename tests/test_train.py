@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pgtr.autodiff as ad
+from pgtr.attention import AttentionError
 from pgtr.autodiff import NumericsError
 from pgtr.data import DataError, InteractionDataset, SplitSpec, build_graph, split_by_ratio
 from pgtr.encodings import EncodingError
@@ -631,6 +632,25 @@ class TestTrainLoop:
                 batch_size=32, lr=1e-2, max_epochs=3, patience=3, seed=7))
         assert ("training aborted at epoch 1: non-finite intermediate produced by 'mix'"
                 in caplog.text)
+        assert history == []
+        for got, want in zip(state.parameters(), before, strict=True):
+            np.testing.assert_array_equal(got.data, want)
+
+    def test_attention_underflow_stops_training(self, caplog, monkeypatch):
+        """An attention denominator underflow is a NumericsError, so training
+        stops on it as on a non-finite value, with the parameters as they were."""
+        assert issubclass(AttentionError, NumericsError)
+        state, fit, val, _ = self._setup(7)
+        before = [t.data.copy() for t in state.parameters()]
+
+        def underflow(*args, **kwargs):
+            raise AttentionError("attention denominator underflow; inputs need rescaling")
+
+        monkeypatch.setattr("pgtr.model.kernelized_attention", underflow)
+        with caplog.at_level(logging.WARNING, logger="pgtr.train"):
+            state, history = train(state, fit, val, TrainConfig(
+                batch_size=32, lr=1e-2, max_epochs=3, patience=3, seed=7))
+        assert "training aborted at epoch 1: attention denominator underflow" in caplog.text
         assert history == []
         for got, want in zip(state.parameters(), before, strict=True):
             np.testing.assert_array_equal(got.data, want)
