@@ -2,11 +2,12 @@
 
 Holds only the operations the model runs: a constant sparse matrix times a
 tensor (`spmm`), L2 row normalization, a weighted sum of two tensors
-(`mix`) and the mean of several (`mean`).  Other modules add fused ops
-through `_make`, each with a hand-written backward: the position vectors
-of `encodings.position_tape`, transform-gcn's layer transform in
-`backbone`, `attention.kernelized_attention` and the sampled-softmax loss
-of `train.batch_loss`.  Every node a forward records is one of these.
+(`mix`), the mean of several (`mean`) and the mean of a table's rows given
+to every row (`column_mean`, the model's global term).  Other modules add
+fused ops through `_make`, each with a hand-written backward: the position
+vectors of `encodings.position_tape`, transform-gcn's layer transform in
+`backbone` and the sampled-softmax loss of `train.batch_loss`.  Every node
+a forward records is one of these.
 
 Ops do not scan their outputs for NaN/Inf.  The model checks its outputs
 (`forward`'s node table, `batch_loss`'s loss) with `check_finite`, which
@@ -45,6 +46,7 @@ __all__ = [
     "l2_normalize_rows",
     "mix",
     "mean",
+    "column_mean",
     "backward",
     "zero_grad",
     "check_finite",
@@ -182,6 +184,21 @@ def mean(tables: list[Tensor]) -> Tensor:
                 _accum(t, share)
 
     return _make(total, "mean", tuple(tables), bw)
+
+
+def column_mean(a: Tensor) -> Tensor:
+    """A (T, d) table whose every row is the mean of the T rows of `a`, as
+    one node: softmax attention of the rows over themselves in its
+    small-logit limit, where every weight is 1/T.  The value and the
+    gradient handed back (every row g.sum(axis=0) / T) are read-only
+    broadcasts of one row."""
+    n = a.data.shape[0]
+
+    def bw(g):
+        _accum(a, np.broadcast_to(g.sum(axis=0, keepdims=True) / n, a.data.shape))
+
+    return _make(np.broadcast_to(a.data.mean(axis=0, keepdims=True), a.data.shape),
+                 "column_mean", (a,), bw)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:

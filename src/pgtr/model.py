@@ -1,16 +1,18 @@
 """Position-aware graph transformer: model state, forward pass, checkpoints.
 
 The forward pass composes position injection (`encodings.position_tape`),
-local propagation (`backbone`), position re-injection, kernelized
-all-pairs attention (`attention`), local/global mixing, and mean readout
-over the bipartite graph, all on the gradient tape.
+local propagation (`backbone`), position re-injection, a global term,
+local/global mixing, and mean readout over the bipartite graph, all on the
+gradient tape.  The global term is the column mean of the layer's
+position-injected table, given to every node (`autodiff.column_mean`):
+all-pairs softmax attention with the input table as queries, keys and
+values, in the small-logit limit that its 1/sqrt(d)-scaled logits sit in.
 
 The model computes in float32: `init_model` makes its random draws in
-float64 and casts the parameters, the frozen position features, the
-attention directions and the normalized adjacency to float32.  The
-eigensolve, PageRank and the stored spectral block stay float64.  The
-forward takes its dtype from those arrays, so a state whose arrays are
-cast to float64 computes in float64.
+float64 and casts the parameters, the frozen position features and the
+normalized adjacency to float32.  The eigensolve, PageRank and the stored
+spectral block stay float64.  The forward takes its dtype from those
+arrays, so a state whose arrays are cast to float64 computes in float64.
 """
 from __future__ import annotations
 
@@ -24,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import RandomFeatureMap, kernelized_attention, make_feature_map
-from .autodiff import Tensor, check_finite, mix, parameter
+from .autodiff import Tensor, check_finite, column_mean, mix, parameter
 from .backbone import normalized_adjacency, propagate_layer, readout
 from .data import BipartiteGraph
 from .encodings import PositionalEncodingSet, build_encoding_set, position_tape
@@ -41,8 +42,8 @@ __all__ = [
 ]
 
 EMBED_INIT_STD = 0.1
-CHECKPOINT_VERSION = 6
-HEADER_FIELDS = ("config", "n_users", "n_items", "graph_hash", "seed", "feature_map_seeds")
+CHECKPOINT_VERSION = 7
+HEADER_FIELDS = ("config", "n_users", "n_items", "graph_hash", "seed")
 # the dtype `init_model` casts the model's arrays to (see the module docstring)
 MODEL_DTYPE = np.float32
 
@@ -75,7 +76,6 @@ class PGTRConfig:
     h_y: int = 4
     n_d: int = 10
     n_r: int = 10
-    m_features: int = 64
     use_spectral: bool = True
     use_degree: bool = True
     use_pagerank: bool = True
@@ -93,7 +93,7 @@ class PGTRConfig:
                 raise ValueError(f"{name}={v} must lie in [0, 1]")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError("tau must be positive and finite")
-        for name in ("d", "layers", "h_c", "h_d", "h_r", "h_y", "n_d", "n_r", "m_features"):
+        for name in ("d", "layers", "h_c", "h_d", "h_r", "h_y", "n_d", "n_r"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.backbone not in ("lightgcn", "transform-gcn"):
@@ -122,7 +122,7 @@ class PGTRConfig:
 @dataclass(eq=False)
 class ModelState:
     """Embedding table, encodings, backbone transforms (one per layer for
-    transform-gcn, none for lightgcn), feature maps, and graph constants."""
+    transform-gcn, none for lightgcn), and graph constants."""
 
     config: PGTRConfig
     n_users: int
@@ -131,7 +131,6 @@ class ModelState:
     adjacency: object
     embeddings: Tensor
     enc: PositionalEncodingSet
-    feature_maps: list[RandomFeatureMap]
     transforms: list[Tensor]
     seed: int
 
@@ -176,17 +175,13 @@ def _init_model(graph: BipartiteGraph, cfg: PGTRConfig, seed: int,
     if cfg.backbone == "transform-gcn":
         transforms = [parameter(rng.uniform(-bound, bound, size=(cfg.d, cfg.d)))
                       for _ in range(cfg.layers)]
-    fm_seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(cfg.layers)]
-    feature_maps = [make_feature_map(cfg.m_features, cfg.d, s) for s in fm_seeds]
     state = ModelState(cfg, graph.n_users, graph.n_items, _graph_hash(graph),
                        normalized_adjacency(graph).astype(MODEL_DTYPE), embeddings, enc,
-                       feature_maps, transforms, seed)
+                       transforms, seed)
     for t in state.parameters():
         t.data = t.data.astype(MODEL_DTYPE)
     if enc.features is not None:
         enc.features = enc.features.astype(MODEL_DTYPE)
-    for rf in feature_maps:
-        rf.directions = rf.directions.astype(MODEL_DTYPE)
     return state
 
 
@@ -201,7 +196,6 @@ def forward(state: ModelState, return_layers: bool = False):
     """
     cfg = state.config
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        scale = 1.0 / math.sqrt(cfg.d)
         needs_pos = (cfg.lambda1 != 0.0 or (cfg.lambda2 != 0.0 and cfg.lambda3 != 0.0))
         pos = position_tape(state.enc) if needs_pos else None
 
@@ -216,7 +210,7 @@ def forward(state: ModelState, return_layers: bool = False):
             if cfg.lambda3 != 0.0:
                 attn_in = (mix(local, pos, 1.0, cfg.lambda2)
                            if (pos is not None and cfg.lambda2 != 0.0) else local)
-                global_ = kernelized_attention(attn_in, state.feature_maps[layer], scale)
+                global_ = column_mean(attn_in)
                 mixed = mix(local, global_, 1.0 - cfg.lambda3, cfg.lambda3)
             else:
                 global_ = None
@@ -255,33 +249,42 @@ def save_checkpoint(state: ModelState, path):
         "n_items": state.n_items,
         "graph_hash": state.graph_hash,
         "seed": state.seed,
-        "feature_map_seeds": [rf.seed for rf in state.feature_maps],
     }
     # through a handle: given a path, np.savez would append ".npz" to it
     with open(path, "wb") as fh:
         np.savez(fh, header=np.array(json.dumps(meta)), **dict(_blocks(state)))
 
 
+def _read_member(archive: zipfile.ZipFile, info: zipfile.ZipInfo, name: str) -> np.ndarray:
+    """The array of the .npy member `info`.  Its header is parsed once and
+    checked against the member's size before the data is read, so a false
+    claim allocates nothing; reading the member to its end checks its
+    CRC-32.  The array is a read-only view of the bytes read."""
+    with archive.open(info) as member:
+        read_header = (np.lib.format.read_array_header_1_0
+                       if np.lib.format.read_magic(member) == (1, 0)
+                       else np.lib.format.read_array_header_2_0)
+        shape, fortran_order, dtype = read_header(member)
+        count = math.prod(shape)
+        size = member.tell() + count * dtype.itemsize
+        if dtype.hasobject or size != info.file_size:
+            raise ValueError(f"block {name!r} holds {info.file_size} bytes, "
+                             f"its {dtype} header claims {size}")
+        data = member.read()
+    return np.frombuffer(data, dtype, count).reshape(shape, order="F" if fortran_order else "C")
+
+
 def _read_archive(fh) -> tuple[object, dict[str, np.ndarray]]:
     """The parsed JSON header and the other arrays of the npz archive in
-    `fh`.  Each member's .npy header is checked against its size before any
-    array is read, so a false claim allocates nothing; reads check CRC-32s."""
+    `fh`, each member read by `_read_member`."""
     try:
-        with np.lib.npyio.NpzFile(fh, allow_pickle=False) as npz:
-            names = npz.files
-            for name, info in zip(names, npz.zip.infolist()):
-                if names.count(name) > 1:
+        blocks = {}
+        with zipfile.ZipFile(fh) as archive:
+            for info in archive.infolist():
+                name = info.filename.removesuffix(".npy")
+                if name in blocks:
                     raise ValueError(f"block {name!r} appears twice")
-                with npz.zip.open(info) as member:
-                    read_header = (np.lib.format.read_array_header_1_0
-                                   if np.lib.format.read_magic(member) == (1, 0)
-                                   else np.lib.format.read_array_header_2_0)
-                    shape, _, dtype = read_header(member)
-                    size = member.tell() + math.prod(shape) * dtype.itemsize
-                if dtype.hasobject or size != info.file_size:
-                    raise ValueError(f"block {name!r} holds {info.file_size} bytes, "
-                                     f"its {dtype} header claims {size}")
-            blocks = {name: npz[name] for name in names}
+                blocks[name] = _read_member(archive, info, name)
         return json.loads(str(blocks.pop("header", ""))), blocks
     except json.JSONDecodeError as err:
         raise ValueError(f"not a readable checkpoint: its header is no JSON ({err})") from err
@@ -321,9 +324,6 @@ def load_checkpoint(path, graph: BipartiteGraph) -> ModelState:
     unknown = [name for name in blocks if name not in expected]
     if unknown:
         raise ValueError(f"checkpoint holds an unknown block {unknown[0]!r}")
-    if meta["feature_map_seeds"] != [rf.seed for rf in state.feature_maps]:
-        raise ValueError("checkpoint field 'feature_map_seeds' differs from the "
-                         "feature maps its seed draws")
     for name, tensor in state.named_parameters():
         block = blocks.get(name)
         if (block is None or block.shape != tensor.data.shape

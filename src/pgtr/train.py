@@ -213,8 +213,8 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
     takes no step, and all its pairs count as skipped.  An epoch that takes
     no step records a NaN `train_loss` and stops training with a warning.
     A NumericsError in a step or in validation (a non-finite node table,
-    loss or parameter gradient, or an attention denominator underflow)
-    stops training with a warning and restores the best parameters.
+    loss or parameter gradient, or a zero-norm row) stops training with a
+    warning and restores the best parameters.
     """
     rng = np.random.default_rng(cfg.seed)
     named = state.named_parameters()

@@ -2,6 +2,8 @@
 
 `as_float64` turns a float32 model state into one that computes in
 float64, for the oracle and finite-difference tests of other modules.
+`tape_nodes` and `held_arrays` list what a tape holds, and `close` compares
+arrays in the Frobenius norm, for the same tests.
 
 The ops defined below (`constant`, broadcast `add`, `sub`, `mul` and
 `div`, `matmul`, `transpose`, `leaky_relu`, `neg`, `exp`, `log`,
@@ -9,7 +11,7 @@ The ops defined below (`constant`, broadcast `add`, `sub`, `mul` and
 `logsumexp_rows`, a taped row-wise log-sum-exp under an optional
 keep-mask) are built on the engine's `_make`, but `src/` runs none of them:
 the position injections, transform-gcn's layer, the position vectors,
-attention and the sampled-softmax loss are each one fused node.  They are
+the global term and the sampled-softmax loss are each one fused node.  They are
 the pieces of the taped oracles in the other test modules, and are checked
 here like the engine's own ops.  `add` and `mul` take a scalar or array
 second operand as a constant of the first operand's dtype.
@@ -30,15 +32,13 @@ def constant(data) -> Tensor:
 
 def as_float64(state, graph):
     """`state`, built by `init_model` for `graph`, changed in place to compute
-    in float64, and returned.  The parameters and attention directions are
-    cast (their float32 values are exact in float64); the normalized
+    in float64, and returned.  The parameters are cast (their float32
+    values are exact in float64); the normalized
     adjacency and the spectral columns of the position features are taken
     again from `graph` and the float64 spectral block, so a float64 oracle
     built from those sees the same constants."""
     for t in state.parameters():
         t.data = t.data.astype(np.float64)
-    for rf in state.feature_maps:
-        rf.directions = rf.directions.astype(np.float64)
     state.adjacency = normalized_adjacency(graph)
     enc = state.enc
     if enc.features is not None:
@@ -46,6 +46,37 @@ def as_float64(state, graph):
         if enc.spectral is not None:
             enc.features[:, :enc.spectral.matrix.shape[0]] = enc.spectral.matrix.T
     return state
+
+
+def tape_nodes(out):
+    """Every node of the tape that produced `out`."""
+    seen, stack = {}, [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def held_arrays(out):
+    """Every array the tape of `out` holds: each node's value, and the
+    arrays and tensors its backward closure captured."""
+    arrays = []
+    for node in tape_nodes(out):
+        arrays.append(node.data)
+        for cell in getattr(node._backward, "__closure__", None) or ():
+            held = cell.cell_contents
+            if isinstance(held, Tensor):
+                arrays.append(held.data)
+            elif isinstance(held, np.ndarray):
+                arrays.append(held)
+    return arrays
+
+
+def close(got, want, rel):
+    """Equal to relative `rel` in the Frobenius norm."""
+    return np.linalg.norm(got - want) <= rel * np.linalg.norm(want)
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -345,6 +376,10 @@ class TestPrimitiveGradients:
         s = sp.random(5, 4, density=0.5, random_state=3, format="csr")
         finite_difference_check(self._weighted(lambda t: ad.spmm(s, t)),
                                 [rand(self.rng, 4, 3)])
+
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_column_mean(self, rows):
+        finite_difference_check(self._weighted(ad.column_mean), [rand(self.rng, rows, 3)])
 
     def test_l2_normalize_rows(self):
         x = rand(self.rng, 4, 3) + np.sign(rand(self.rng, 4, 3)) * 0.5

@@ -18,8 +18,7 @@ def compare_mod():
 
 def test_one_seed_of_a_tiny_cell(compare_mod):
     cell = compare_mod.Cell("tiny", 30, 40, per_user=8, train_fraction=0.8,
-                            model=dict(d=8, h_c=4, h_d=2, h_r=2, h_y=2, n_d=3, n_r=3,
-                                       m_features=16),
+                            model=dict(d=8, h_c=4, h_d=2, h_r=2, h_y=2, n_d=3, n_r=3),
                             train=dict(lr=5e-3, max_epochs=2, patience=2, batch_size=64))
     ((got_cell, rows),) = compare_mod.compare(ROOT, ROOT, [cell], [3])
     assert got_cell is cell

@@ -27,9 +27,8 @@ from pgtr.linalg import (
 )
 from pgtr.model import PGTRConfig, forward, init_model
 from pgtr.synthetic import clustered_interactions
-from test_attention import close, tape_nodes
-from test_autodiff import (add, as_float64, concat_rows, constant, gather_rows, matmul, mul,
-                           slice_rows, sum_axis, transpose)
+from test_autodiff import (add, as_float64, close, concat_rows, constant, gather_rows, matmul,
+                           mul, slice_rows, sum_axis, tape_nodes, transpose)
 
 
 def k22_graph():
@@ -372,7 +371,7 @@ class TestFusedPosition:
         """The output and every parameter gradient from one backward agree
         with the taped composition to 1e-12 relative, in float64."""
         rng = np.random.default_rng(seed)
-        cfg = PGTRConfig(d=6, h_c=3, h_d=2, h_r=2, h_y=2, n_d=3, n_r=3, m_features=8,
+        cfg = PGTRConfig(d=6, h_c=3, h_d=2, h_r=2, h_y=2, n_d=3, n_r=3,
                          **FUSED_CONFIGS[config])
         g = random_graph(seed % 64)
         enc = as_float64(init_model(g, cfg, seed=seed % 64), g).enc
@@ -397,7 +396,8 @@ class TestFusedPosition:
         """The default forward records one `position` node whose parents are
         the encodings' parameters, and 11 interior nodes in all: `position`,
         the `mix` h + λ1·pos, per layer `spmm`, the `mix` local + λ2·pos,
-        attention and the layer `mix` (4 each), and the readout's `mean`."""
+        the `column_mean` and the layer `mix` (4 each), and the readout's
+        `mean`."""
         g = build_graph(clustered_interactions(60, 80, 4, per_user=20, seed=9))
         state = init_model(g, PGTRConfig(), seed=10)
         interior = [node for node in tape_nodes(forward(state)) if node._op != "leaf"]
@@ -415,4 +415,4 @@ class TestFusedPosition:
         interior = [node for node in tape_nodes(forward(state)) if node._op != "leaf"]
         assert sorted(node._op for node in interior) == sorted(
             ["position", "mix", "mean"] + 2 * ["spmm", "leaky_transform", "mix",
-                                               "kernelized_attention", "mix"])
+                                               "column_mean", "mix"])

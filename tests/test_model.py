@@ -26,11 +26,10 @@ from pgtr.model import (
 from pgtr.optim import AdamState, adam_step
 from pgtr.synthetic import clustered_interactions
 from pgtr.train import batch_loss
-from test_attention import tape_nodes
-from test_autodiff import as_float64, constant, mean_all
+from test_autodiff import as_float64, constant, mean_all, tape_nodes
 from test_encodings import awkward_interactions
 
-SMALL = dict(d=6, h_c=3, h_d=2, h_r=2, h_y=2, n_d=3, n_r=3, m_features=32)
+SMALL = dict(d=6, h_c=3, h_d=2, h_r=2, h_y=2, n_d=3, n_r=3)
 
 
 def small_graph(seed=0, n_users=12, n_items=14):
@@ -107,7 +106,7 @@ class TestMixing:
         # one user-item edge with equal embeddings: every table stays constant
         g = build_graph(InteractionDataset(1, 1, np.array([0]), np.array([0])))
         cfg = PGTRConfig(d=4, layers=1, lambda1=0.0, lambda2=0.0, lambda3=1.0,
-                         h_c=1, h_d=1, h_r=1, h_y=1, n_d=1, n_r=1, m_features=16,
+                         h_c=1, h_d=1, h_r=1, h_y=1, n_d=1, n_r=1,
                          use_spectral=False, use_degree=False,
                          use_pagerank=False, use_type=False)
         state = init_model(g, cfg, seed=5)
@@ -141,30 +140,26 @@ class TestMixing:
 
 class TestDenseOracle:
     def test_tiny_graph_matches_stepwise_dense_evaluation(self):
-        """3 users, 3 items, kernelized attention, lambda3 = 0.5."""
+        """3 users, 3 items, lambda3 = 0.5."""
         ds = InteractionDataset(3, 3, np.array([0, 0, 1, 2, 2]),
                                 np.array([0, 1, 1, 1, 2]))
         g = build_graph(ds)
         cfg = PGTRConfig(d=4, layers=2, lambda1=1.0, lambda2=1.0, lambda3=0.5,
-                         h_c=2, h_d=2, h_r=2, h_y=2, n_d=2, n_r=2, m_features=8)
+                         h_c=2, h_d=2, h_r=2, h_y=2, n_d=2, n_r=2)
         state = as_float64(init_model(g, cfg, seed=8), g)
         got = forward(state).data
 
-        # independent dense evaluation of the whole chain, with the
-        # unstabilized feature map phi(x) = exp(Wx - |x|^2/2)/sqrt(m)
+        # independent dense evaluation of the whole chain; the global term
+        # is attention with every one of the (T, T) weights 1/T
         adj = normalized_adjacency(g).toarray()
         pos = position_matrix(state)
-        scale = 1.0 / np.sqrt(cfg.d)
+        t = g.n_users + g.n_items
         h = state.embeddings.data + cfg.lambda1 * pos
         tables = [h]
         for layer in range(cfg.layers):
             local = adj @ h
             attn_in = local + cfg.lambda2 * pos
-            x = scale * attn_in
-            w = state.feature_maps[layer].directions
-            phi = np.exp(x @ w.T - 0.5 * (x * x).sum(axis=1, keepdims=True))
-            phi /= np.sqrt(cfg.m_features)
-            global_ = (phi @ (phi.T @ attn_in)) / (phi @ phi.sum(axis=0))[:, None]
+            global_ = np.full((t, t), 1.0 / t) @ attn_in
             h = 0.5 * local + 0.5 * global_
             tables.append(h)
         expected = np.mean(tables, axis=0)
@@ -224,8 +219,7 @@ class TestParameterCensus:
                              h_r=int(rng.integers(1, 5)),
                              h_y=int(rng.integers(1, 5)),
                              n_d=int(rng.integers(1, 6)),
-                             n_r=int(rng.integers(1, 6)),
-                             m_features=8)
+                             n_r=int(rng.integers(1, 6)))
             state = init_model(g, cfg, seed=13)
             assert count_added_parameters(state) == self.formula(cfg)
 
@@ -270,7 +264,7 @@ class TestReleasedTape:
         state = init_model(g, PGTRConfig(**SMALL, layers=2, backbone=backbone), seed=16)
         out = forward(state)
         interior = [n for n in tape_nodes(out) if n._op != "leaf"]
-        assert {n._op for n in interior} >= {"position", "kernelized_attention", "mix", "mean"}
+        assert {n._op for n in interior} >= {"position", "column_mean", "mix", "mean"}
         parents = {id(n): n._parents for n in interior}
         ad.backward(mean_all(out))
         for node in interior:
@@ -296,7 +290,7 @@ class TestDtype:
             as_float64(state, g)
         loss, _ = batch_loss(state, ds.users[:16], ds.items[:16], ds.user_item_matrix())
         nodes = tape_nodes(loss)
-        assert {n._op for n in nodes} >= {"position", "spmm", "kernelized_attention", "mix",
+        assert {n._op for n in nodes} >= {"position", "spmm", "column_mean", "mix",
                                           "mean", "l2_normalize_rows", "in_batch_softmax"}
         assert all(n.data.dtype == dtype for n in nodes), [
             n._op for n in nodes if n.data.dtype != dtype]
@@ -344,7 +338,7 @@ class TestDifferentiability:
         ds = clustered_interactions(6, 6, 2, per_user=3, seed=16)
         g = build_graph(ds)
         cfg = PGTRConfig(d=3, layers=1, h_c=2, h_d=2, h_r=2, h_y=2,
-                         n_d=2, n_r=2, m_features=8, lambda3=0.5, backbone=backbone)
+                         n_d=2, n_r=2, lambda3=0.5, backbone=backbone)
         state = as_float64(init_model(g, cfg, seed=17), g)
         if backbone == "transform-gcn":
             # at the init scale the transform's gradient is too small for
@@ -449,7 +443,7 @@ class TestCheckpoint:
         path, _, state = saved_checkpoint(tmp_path, 9, 34)
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
         meta, blocks = read_checkpoint(path)
-        assert meta["version"] == 6
+        assert meta["version"] == 7
         stored = [(name, t.data) for name, t in state.named_parameters()]
         stored += [(f"{e.name}_groups", e.group_of) for e in state.enc.grouped]
         stored.append(("spectral", state.enc.spectral.matrix))
@@ -475,6 +469,19 @@ class TestCheckpoint:
             assert got.dtype == np.float32, name
             # astype rounds to the nearest float32
             np.testing.assert_array_equal(got, t.data.astype(np.float32), err_msg=name)
+
+    def test_fortran_order_block_loads_its_values(self, tmp_path):
+        """A block stored in column-major order (its .npy header says
+        `fortran_order`) loads as the same array."""
+        path, g, state = saved_checkpoint(tmp_path, 9, 35)
+        meta, blocks = read_checkpoint(path)
+        want = np.random.default_rng(36).standard_normal(blocks["embeddings"].shape)
+        write_checkpoint(path, meta, dict(blocks, embeddings=np.asfortranarray(want)))
+        with zipfile.ZipFile(path) as archive, archive.open("embeddings.npy") as member:
+            np.lib.format.read_magic(member)
+            assert np.lib.format.read_array_header_1_0(member)[1]
+        got = load_checkpoint(path, g).embeddings.data
+        np.testing.assert_array_equal(got, want.astype(np.float32))
 
     def test_wrong_graph_rejected(self, tmp_path):
         g = small_graph(10)
@@ -568,11 +575,12 @@ class TestCheckpoint:
     def test_version_2_rejected(self, tmp_path):
         """Version-2 headers carry the removed `attention` field, version 3
         files hold no group ids, version-4 headers carry the removed switch
-        for query, key and value maps, and version 5 stored every block as
-        float64 (its files are not archives; see the next test)."""
+        for query, key and value maps, version 5 stored every block as
+        float64 (its files are not archives; see the next test), and
+        version-6 headers carry the removed attention feature maps' seeds."""
         path, g, _ = saved_checkpoint(tmp_path, 15, 24)
         meta, blocks = read_checkpoint(path)
-        for version in (2, 3, 4, 5, 7, "6"):
+        for version in (2, 3, 4, 5, 6, "7"):
             write_checkpoint(path, dict(meta, version=version), blocks)
             with pytest.raises(ValueError,
                                match=f"^unsupported checkpoint version {version!r}$"):
@@ -622,18 +630,6 @@ class TestCheckpoint:
                 np.savez(fh, **header, **blocks)
             with pytest.raises(ValueError, match="^not a readable checkpoint: "
                                                  "its header is no JSON"):
-                load_checkpoint(path, g)
-
-    def test_feature_map_seeds_must_match_the_seed(self, tmp_path):
-        """A stored seed list of another length or value fails the load;
-        before, a short list loaded and the first forward raised IndexError."""
-        path, g, _ = saved_checkpoint(tmp_path, 18, 27, layers=2)
-        meta, blocks = read_checkpoint(path)
-        seeds = meta["feature_map_seeds"]
-        assert len(seeds) == 2
-        for bad in (seeds[:1], seeds + seeds[:1], [seeds[0], seeds[1] + 1], []):
-            write_checkpoint(path, dict(meta, feature_map_seeds=bad), blocks)
-            with pytest.raises(ValueError, match="^checkpoint field 'feature_map_seeds' "):
                 load_checkpoint(path, g)
 
     @pytest.mark.parametrize("field, value", [
@@ -745,8 +741,8 @@ class TestDrawOrder:
         """`init_model` draws from `default_rng(seed)`, in order: the
         embeddings; the degree, PageRank and type tables; the item, user,
         spectral, degree, PageRank and type projections; the backbone
-        transforms; the feature-map seeds.  Each parameter is then cast to
-        float32.  Checkpoints and repeated runs rely on it."""
+        transforms.  Each parameter is then cast to float32.  Checkpoints
+        and repeated runs rely on it."""
         g = small_graph(18)
         cfg = PGTRConfig(**SMALL, **kw)
         state = init_model(g, cfg, seed=27)
@@ -773,14 +769,11 @@ class TestDrawOrder:
         if cfg.backbone == "transform-gcn":
             for l in range(cfg.layers):
                 want[f"backbone_w{l}"] = uniform(cfg.d, cfg.d)
-        seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(cfg.layers)]
-
         got = dict(state.named_parameters())
         assert list(got) == list(want)
         for name, data in want.items():
             np.testing.assert_array_equal(got[name].data, data.astype(np.float32),
                                           err_msg=name)
-        assert [fm.seed for fm in state.feature_maps] == seeds
 
 
 class TestRejectedBeforeSolving:
@@ -799,7 +792,7 @@ class TestRejectedBeforeSolving:
     @pytest.mark.parametrize("field, value", [
         ("tau", 0.0), ("tau", -0.2), ("tau", float("nan")), ("tau", float("inf")),
         ("lambda3", float("nan")), ("lambda1", float("inf")), ("lambda_c", -0.5),
-        ("d", 0), ("m_features", float("nan")), ("d", 6.5), ("n_d", 2.0), ("layers", True),
+        ("d", 0), ("d", 6.5), ("n_d", 2.0), ("layers", True),
         ("use_spectral", "no")])
     def test_out_of_range_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field}"):
@@ -820,8 +813,7 @@ class TestRejectedBeforeSolving:
 @example(ds=InteractionDataset(1, 3, np.array([0, 0]), np.array([0, 2])),
          n_d=1, n_r=1, h_c=1, lambda_c=0.0)
 def test_init_builds_or_raises_a_typed_error(ds, n_d, n_r, h_c, lambda_c):
-    cfg = PGTRConfig(d=4, h_c=h_c, h_d=2, h_r=2, h_y=2, n_d=n_d, n_r=n_r, m_features=8,
-                     lambda_c=lambda_c)
+    cfg = PGTRConfig(d=4, h_c=h_c, h_d=2, h_r=2, h_y=2, n_d=n_d, n_r=n_r, lambda_c=lambda_c)
     g = build_graph(ds)
     if min(ds.n_users, ds.n_items) < max(n_d, n_r):
         with pytest.raises(EncodingError, match="groups per side"):
