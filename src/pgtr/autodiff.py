@@ -1,13 +1,12 @@
 """Reverse-mode gradient engine over numpy arrays.
 
-Holds only the operations the model runs: a constant sparse matrix times a
-tensor (`spmm`), L2 row normalization, a weighted sum of two tensors
-(`mix`), the mean of several (`mean`) and the mean of a table's rows given
-to every row (`column_mean`, the model's global term).  Other modules add
-fused ops through `_make`, each with a hand-written backward: the position
-vectors of `encodings.position_tape`, transform-gcn's layer transform in
-`backbone` and the sampled-softmax loss of `train.batch_loss`.  Every node
-a forward records is one of these.
+Holds only the operations the model runs: L2 row normalization, a
+weighted sum of two tensors (`mix`, the position injection) and the mean
+of several (`mean`, the readout).  Other modules add fused ops through
+`_make`, each with a hand-written backward: the position vectors of
+`encodings.position_tape`, a whole layer (propagation, global term and
+mix) in `backbone.propagate_layer` and the sampled-softmax loss of
+`train.batch_loss`.  Every node a forward records is one of these.
 
 Ops do not scan their outputs for NaN/Inf.  The model checks its outputs
 (`forward`'s node table, `batch_loss`'s loss) with `check_finite`, which
@@ -30,23 +29,21 @@ A tensor holds float32 or float64 data (anything else becomes float64),
 and each op computes in the dtype of its inputs: the model's float32
 parameters give float32 tables, gradients and losses, and a state cast to
 float64 computes in float64 throughout.  Scalars enter only as the fused
-nodes' Python-float weights (`mix`'s, the loss's 1/tau), which take the
-tensors' dtype; `PGTRConfig.validate` stores its floats as Python floats.
+nodes' Python-float weights (`mix`'s, a layer's λs, the loss's 1/tau),
+which take the tensors' dtype; `PGTRConfig.validate` stores its floats as
+Python floats.
 """
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "NumericsError",
     "Tensor",
     "parameter",
-    "spmm",
     "l2_normalize_rows",
     "mix",
     "mean",
-    "column_mean",
     "backward",
     "zero_grad",
     "check_finite",
@@ -131,16 +128,6 @@ def _scatter_rows(rows: np.ndarray, idx: np.ndarray, shape) -> np.ndarray:
     return sums.reshape(shape).astype(rows.dtype, copy=False)
 
 
-def spmm(s: sp.spmatrix, a: Tensor) -> Tensor:
-    """Constant sparse matrix times tensor; gradient flows through `a` only."""
-    st = s.T
-
-    def bw(g):
-        _accum(a, np.asarray(st @ g))
-
-    return _make(np.asarray(s @ a.data), "spmm", (a,), bw)
-
-
 def l2_normalize_rows(a: Tensor) -> Tensor:
     norms = np.linalg.norm(a.data, axis=1, keepdims=True)
     bad = np.nonzero(norms.ravel() == 0.0)[0]
@@ -157,8 +144,8 @@ def l2_normalize_rows(a: Tensor) -> Tensor:
 
 def mix(a: Tensor, b: Tensor, wa: float, wb: float) -> Tensor:
     """a * wa + b * wb for same-shape tensors and Python-float weights, as
-    one node: the layer mix, and a + λ·pos with wa = 1.0 (exact).  Bit for
-    bit the tests' taped `add(mul(a, wa), mul(b, wb))`."""
+    one node: the position injection h + λ1·pos with wa = 1.0 (exact).  Bit
+    for bit the tests' taped `add(mul(a, wa), mul(b, wb))`."""
     def bw(g):
         if a._needs:
             _accum(a, g * wa)
@@ -184,21 +171,6 @@ def mean(tables: list[Tensor]) -> Tensor:
                 _accum(t, share)
 
     return _make(total, "mean", tuple(tables), bw)
-
-
-def column_mean(a: Tensor) -> Tensor:
-    """A (T, d) table whose every row is the mean of the T rows of `a`, as
-    one node: softmax attention of the rows over themselves in its
-    small-logit limit, where every weight is 1/T.  The value and the
-    gradient handed back (every row g.sum(axis=0) / T) are read-only
-    broadcasts of one row."""
-    n = a.data.shape[0]
-
-    def bw(g):
-        _accum(a, np.broadcast_to(g.sum(axis=0, keepdims=True) / n, a.data.shape))
-
-    return _make(np.broadcast_to(a.data.mean(axis=0, keepdims=True), a.data.shape),
-                 "column_mean", (a,), bw)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:

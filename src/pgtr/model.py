@@ -1,12 +1,12 @@
 """Position-aware graph transformer: model state, forward pass, checkpoints.
 
 The forward pass composes position injection (`encodings.position_tape`),
-local propagation (`backbone`), position re-injection, a global term,
-local/global mixing, and mean readout over the bipartite graph, all on the
-gradient tape.  The global term is the column mean of the layer's
-position-injected table, given to every node (`autodiff.column_mean`):
-all-pairs softmax attention with the input table as queries, keys and
-values, in the small-logit limit that its 1/sqrt(d)-scaled logits sit in.
+one node per layer for local propagation, the global term and their mix
+(`backbone.propagate_layer`), and mean readout over the bipartite graph,
+all on the gradient tape.  The global term is the column mean of the
+layer's position-injected table, given to every node: all-pairs softmax
+attention with the input table as queries, keys and values, in the
+small-logit limit that its 1/sqrt(d)-scaled logits sit in.
 
 The model computes in float32: `init_model` makes its random draws in
 float64 and casts the parameters, the frozen position features and the
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, check_finite, column_mean, mix, parameter
+from .autodiff import Tensor, check_finite, mix, parameter
 from .backbone import normalized_adjacency, propagate_layer, readout
 from .data import BipartiteGraph
 from .encodings import PositionalEncodingSet, build_encoding_set, position_tape
@@ -185,14 +185,15 @@ def _init_model(graph: BipartiteGraph, cfg: PGTRConfig, seed: int,
     return state
 
 
-def forward(state: ModelState, return_layers: bool = False):
-    """Final node table H ((N+M) x d) on the gradient tape.
+def forward(state: ModelState) -> Tensor:
+    """Final node table H ((N+M) x d) on the gradient tape: the `position`
+    node, the injection `mix` h + λ1·pos, one `propagate_layer` node per
+    layer and the readout's `mean`.
 
     The ops do not check their outputs, and numpy's overflow, invalid and
     divide warnings are silenced while they run; the table is checked once
     at the end (`check_finite`), so a NaN or Inf raises NumericsError
-    naming the op that produced it.  With `return_layers`, also returns
-    per-layer (local, global, mixed) triples for inspection.
+    naming the op that produced it.
     """
     cfg = state.config
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -203,25 +204,13 @@ def forward(state: ModelState, return_layers: bool = False):
         if pos is not None and cfg.lambda1 != 0.0:
             h = mix(h, pos, 1.0, cfg.lambda1)
         tables = [h]
-        internals = []
         for layer in range(cfg.layers):
-            local = propagate_layer(h, state.adjacency,
-                                    state.transforms[layer] if state.transforms else None)
-            if cfg.lambda3 != 0.0:
-                attn_in = (mix(local, pos, 1.0, cfg.lambda2)
-                           if (pos is not None and cfg.lambda2 != 0.0) else local)
-                global_ = column_mean(attn_in)
-                mixed = mix(local, global_, 1.0 - cfg.lambda3, cfg.lambda3)
-            else:
-                global_ = None
-                mixed = local
-            internals.append((local, global_, mixed))
-            tables.append(mixed)
-            h = mixed
+            h = propagate_layer(h, state.adjacency,
+                                state.transforms[layer] if state.transforms else None,
+                                pos, cfg.lambda2, cfg.lambda3)
+            tables.append(h)
         out = readout(tables)
     check_finite(out)
-    if return_layers:
-        return out, internals
     return out
 
 

@@ -221,6 +221,7 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
     params = [t for _, t in named]
     opt = AdamState(params, lr=cfg.lr)
     train_items = fit.user_item_matrix()
+    val_items = val.user_item_matrix()
     pairs_u = fit.users.copy()
     pairs_i = fit.items.copy()
     n_pairs = pairs_u.size
@@ -259,7 +260,7 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
                 epoch_loss += loss.item()
                 n_batches += 1
                 skipped_pairs += skipped
-            metrics = evaluate(state, fit, val, k=cfg.k) if len(val) else None
+            metrics = evaluate(state, train_items, val_items, k=cfg.k) if len(val) else None
         except NumericsError as err:
             # diverged parameters: stop and fall back to the best ones
             log.warning("training aborted at epoch %d: %s", epoch, err)
@@ -416,11 +417,13 @@ def ranking_metrics(scores: np.ndarray, observed_items, test_items,
                           recalls, ndcgs, users.astype(np.int64))
 
 
-def evaluate(state: ModelState, observed: InteractionDataset,
-             test: InteractionDataset, k: int = 20) -> RankingMetrics:
+def evaluate(state: ModelState, observed: InteractionDataset | sp.spmatrix,
+             test: InteractionDataset | sp.spmatrix, k: int = 20) -> RankingMetrics:
     """Score every item for every test user with the current model.
 
     Ranks through `ranking_metrics`, with `observed`'s items masked out.
+    `observed` and `test` are datasets or their `user_item_matrix()`, which
+    `train` builds once instead of on every epoch's call.
     The forward runs with no parameter needing a gradient, so its ops
     record no backward closures.  Raises NumericsError when a node's
     representation is not finite (`forward` names the op) or has zero norm
@@ -436,4 +439,6 @@ def evaluate(state: ModelState, observed: InteractionDataset,
         for p, need in zip(params, needs):
             p._needs = need
     scores = h_norm[:state.n_users] @ h_norm[state.n_users:].T
-    return ranking_metrics(scores, observed.user_item_matrix(), test.user_item_matrix(), k)
+    observed, test = (items if sp.issparse(items) else items.user_item_matrix()
+                      for items in (observed, test))
+    return ranking_metrics(scores, observed, test, k)

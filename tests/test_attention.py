@@ -2,7 +2,8 @@
 
 `exact_attention` is the quadratic softmax attention of a table's rows over
 themselves, on the tape: queries, keys and values are all the input table.
-The model's global term, `autodiff.column_mean`, is its limit as the
+The model's global term, the column mean that each `propagate_layer` node
+forms (`column_mean` in the tests' oracle engine), is its limit as the
 logits' scale goes to 0, where every one of the (T, T) weights is 1/T.
 """
 import numpy as np
@@ -12,12 +13,13 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import pgtr.autodiff as ad
-from pgtr.autodiff import column_mean, parameter
+from pgtr.autodiff import parameter
 from pgtr.data import build_graph
-from pgtr.model import PGTRConfig, forward, init_model
+from pgtr.model import PGTRConfig, init_model
 from pgtr.synthetic import clustered_interactions
-from test_autodiff import (close, constant, exp, logsumexp_rows, matmul, mul, sub, sum_axis,
-                           tape_nodes, transpose)
+from test_autodiff import (close, column_mean, constant, exp, logsumexp_rows, matmul, mul, sub,
+                           sum_axis, tape_nodes, transpose)
+from test_model import taped_layers
 
 
 def exact_attention(h, scale):
@@ -79,12 +81,14 @@ MODEL_CASES = {
 
 
 def attention_inputs(case):
-    """The default forward's inputs to the global term, one per layer."""
+    """The default forward's inputs to the global term, one per layer: the
+    tables local + λ2·pos of the taped composition the layer nodes fuse."""
     data_kw, cfg_kw = MODEL_CASES[case]
     state = init_model(build_graph(clustered_interactions(**data_kw)),
                        PGTRConfig(**cfg_kw), seed=5)
-    _, internals = forward(state, return_layers=True)
-    return [global_._parents[0].data for _, global_, _ in internals]
+    _, layers = taped_layers(state)
+    # each output is mix(local, column_mean(attention input))
+    return [out._parents[1]._parents[0].data for _, out in layers]
 
 
 class TestColumnMean:

@@ -7,14 +7,16 @@ arrays in the Frobenius norm, for the same tests.
 
 The ops defined below (`constant`, broadcast `add`, `sub`, `mul` and
 `div`, `matmul`, `transpose`, `leaky_relu`, `neg`, `exp`, `log`,
-`sum_axis`, `gather_rows`, `slice_rows`, `concat_rows` and
+`sum_axis`, `gather_rows`, `slice_rows`, `concat_rows`,
 `logsumexp_rows`, a taped row-wise log-sum-exp under an optional
-keep-mask) are built on the engine's `_make`, but `src/` runs none of them:
-the position injections, transform-gcn's layer, the position vectors,
-the global term and the sampled-softmax loss are each one fused node.  They are
-the pieces of the taped oracles in the other test modules, and are checked
-here like the engine's own ops.  `add` and `mul` take a scalar or array
-second operand as a constant of the first operand's dtype.
+keep-mask, and the layer's pieces `spmm`, `leaky_transform` and
+`column_mean`) are built on the engine's `_make`, but `src/` runs none of
+them: the position vectors, each layer and the sampled-softmax loss are
+each one fused node.  They are the pieces of the taped oracles in the
+other test modules, and are checked here like the engine's own ops.
+`add` and `mul` take a scalar or array second operand as a constant of the
+first operand's dtype.  `taped_layer` composes the layer pieces into the
+oracle of `backbone.propagate_layer`.
 """
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ import scipy.sparse as sp
 
 import pgtr.autodiff as ad
 from pgtr.autodiff import NumericsError, Tensor, parameter
-from pgtr.backbone import normalized_adjacency
+from pgtr.backbone import LEAKY_SLOPE, normalized_adjacency
 
 
 def constant(data) -> Tensor:
@@ -233,6 +235,61 @@ def logsumexp_rows(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return ad._make(mx + np.log(total), "logsumexp_rows", (a,), bw)
 
 
+def spmm(s: sp.spmatrix, a: Tensor) -> Tensor:
+    """Constant sparse matrix times tensor; gradient flows through `a` only."""
+    st = s.T
+
+    def bw(g):
+        ad._accum(a, np.asarray(st @ g))
+
+    return ad._make(np.asarray(s @ a.data), "spmm", (a,), bw)
+
+
+def leaky_transform(x: Tensor, w: Tensor) -> Tensor:
+    """leaky_relu(x W^T) as one node with parents x and W, bit for bit the
+    taped `leaky_relu(matmul(x, transpose(w)))` (so W's gradient is taken
+    as (x^T dz)^T rather than dz^T x)."""
+    z = x.data @ w.data.T
+    pos = z > 0
+
+    def bw(g):
+        dz = np.where(pos, g, LEAKY_SLOPE * g)
+        if x._needs:
+            ad._accum(x, dz @ w.data)
+        if w._needs:
+            ad._accum(w, (x.data.T @ dz).T)
+
+    return ad._make(np.where(pos, z, LEAKY_SLOPE * z), "leaky_transform", (x, w), bw)
+
+
+def column_mean(a: Tensor) -> Tensor:
+    """A (T, d) table whose every row is the mean of the T rows of `a`:
+    softmax attention of the rows over themselves in its small-logit
+    limit, where every weight is 1/T.  The value and the gradient handed
+    back (every row g.sum(axis=0) / T) are read-only broadcasts of one
+    row."""
+    n = a.data.shape[0]
+
+    def bw(g):
+        ad._accum(a, np.broadcast_to(g.sum(axis=0, keepdims=True) / n, a.data.shape))
+
+    return ad._make(np.broadcast_to(a.data.mean(axis=0, keepdims=True), a.data.shape),
+                    "column_mean", (a,), bw)
+
+
+def taped_layer(h, adj, transform=None, pos=None, lambda2=0.0, lambda3=0.0):
+    """`backbone.propagate_layer` as the taped composition it fuses: `spmm`,
+    `leaky_transform` for transform-gcn, `mix(local, pos, 1, λ2)`,
+    `column_mean` and `mix(local, global, 1 - λ3, λ3)`."""
+    local = spmm(adj, h)
+    if transform is not None:
+        local = leaky_transform(local, transform)
+    if lambda3 == 0.0:
+        return local
+    attn_in = local if pos is None or lambda2 == 0.0 else ad.mix(local, pos, 1.0, lambda2)
+    return ad.mix(local, column_mean(attn_in), 1.0 - lambda3, lambda3)
+
+
 def finite_difference_check(build_loss, arrays, h=1e-5, rtol=1e-4):
     """`build_loss(tensors) -> scalar Tensor`; checks grads of every array."""
     tensors = [parameter(a) for a in arrays]
@@ -374,12 +431,12 @@ class TestPrimitiveGradients:
 
     def test_spmm(self):
         s = sp.random(5, 4, density=0.5, random_state=3, format="csr")
-        finite_difference_check(self._weighted(lambda t: ad.spmm(s, t)),
+        finite_difference_check(self._weighted(lambda t: spmm(s, t)),
                                 [rand(self.rng, 4, 3)])
 
     @pytest.mark.parametrize("rows", [1, 4])
     def test_column_mean(self, rows):
-        finite_difference_check(self._weighted(ad.column_mean), [rand(self.rng, rows, 3)])
+        finite_difference_check(self._weighted(column_mean), [rand(self.rng, rows, 3)])
 
     def test_l2_normalize_rows(self):
         x = rand(self.rng, 4, 3) + np.sign(rand(self.rng, 4, 3)) * 0.5
@@ -405,7 +462,7 @@ class TestPrimitiveGradients:
 
         def build(ts):
             x, w = ts
-            h = ad.spmm(s, x)
+            h = spmm(s, x)
             h = ad.l2_normalize_rows(add(matmul(h, w), mul(x, 0.3)))
             rows = gather_rows(h, idx)
             scores = mul(matmul(rows, transpose(rows)), 2.0)
@@ -502,9 +559,9 @@ class TestSharedGradients:
 
         def build(ts):
             (a,) = ts
-            h1 = ad.spmm(s, a)
+            h1 = spmm(s, a)
             # `mean` hands one array to each table, twice to h1 and a
-            out = ad.mean([a, h1, h1, a, ad.spmm(s, h1)])
+            out = ad.mean([a, h1, h1, a, spmm(s, h1)])
             return sum_axis(mul(out, self._weights(out.data.shape)), axis=None, keepdims=False)
 
         self._check(build, [rand(np.random.default_rng(2), 5, 3)], monkeypatch)

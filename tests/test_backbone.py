@@ -1,14 +1,22 @@
-"""Local propagation and readout tests."""
+"""Local propagation, the fused layer node and readout tests.
+
+`propagate_layer` is checked against `test_autodiff.taped_layer`, the taped
+composition it fuses, in float64."""
+import itertools
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given, settings
 
 import pgtr.autodiff as ad
-from pgtr.autodiff import parameter
-from pgtr.backbone import leaky_transform, normalized_adjacency, propagate_layer, readout
-from pgtr.data import InteractionDataset, build_graph
+from pgtr.autodiff import Tensor, parameter
+from pgtr.backbone import normalized_adjacency, propagate_layer, readout
+from pgtr.data import InteractionDataset, SplitSpec, build_graph, split_by_ratio
 from pgtr.synthetic import clustered_interactions
-from test_autodiff import (constant, finite_difference_check, leaky_relu, matmul, mul, sum_axis,
-                           transpose)
+from test_autodiff import (add, close, constant, finite_difference_check, leaky_relu,
+                           leaky_transform, matmul, mul, sum_axis, taped_layer, transpose)
+from test_encodings import awkward_interactions
 
 
 def graph_of(pairs, n_users, n_items):
@@ -32,6 +40,33 @@ class TestNormalizedAdjacency:
         dense = adj.toarray()
         np.testing.assert_array_equal(dense[1], np.zeros(4))
         np.testing.assert_array_equal(dense[3], np.zeros(4))
+
+    @settings(max_examples=100, deadline=None)
+    @given(ds=awkward_interactions())
+    @example(ds=InteractionDataset(1, 5, np.zeros(5, dtype=np.int64), np.arange(5)))
+    @example(ds=InteractionDataset(3, 4, np.array([0, 1, 1, 1, 1]), np.array([0, 0, 1, 2, 3])))
+    def test_equals_its_transpose_bit_for_bit(self, ds):
+        """`propagate_layer`'s backward multiplies by A where the chain rule
+        asks for A^T: the two must be the same matrix, structure and bits,
+        in float64 and in the model's float32."""
+        adj = normalized_adjacency(build_graph(ds))
+        for a in (adj, adj.astype(np.float32)):
+            t = a.T.tocsr()
+            t.sort_indices()
+            assert a.has_sorted_indices
+            assert a.dtype == t.dtype
+            np.testing.assert_array_equal(a.indptr, t.indptr)
+            np.testing.assert_array_equal(a.indices, t.indices)
+            assert a.data.tobytes() == t.data.tobytes()
+
+    def test_product_equals_the_transposed_product_on_the_fit_graph(self):
+        """On the benchmark's 800x1200 fit graph, A g and A^T g agree bit for
+        bit in float32."""
+        ds = clustered_interactions(800, 1200, per_user=30, seed=0)
+        fit, _, _ = split_by_ratio(ds, SplitSpec(0.8, seed=0))
+        adj = normalized_adjacency(build_graph(fit)).astype(np.float32)
+        g = np.random.default_rng(0).standard_normal((adj.shape[0], 32)).astype(np.float32)
+        assert (adj @ g).tobytes() == (adj.T @ g).tobytes()
 
 
 class TestPropagate:
@@ -101,6 +136,106 @@ class TestPropagate:
 
 def taped_transform(x, w):
     return leaky_relu(matmul(x, transpose(w)), 0.2)
+
+
+def layer_inputs(t, d, backbone, seed):
+    """Float64 (h, adj, W or None, pos) for a layer over a T-node graph:
+    random pairs of a t // 2-user graph whose last user and item are
+    isolated when each side has two nodes or more, or for t = 1 one
+    isolated node (A is the 1x1 zero)."""
+    rng = np.random.default_rng(seed)
+    if t == 1:
+        adj = sp.csr_matrix((1, 1))
+    else:
+        n_users, n_items = t // 2, t - t // 2
+        users = rng.integers(0, max(n_users - 1, 1), size=3 * t)
+        items = rng.integers(0, max(n_items - 1, 1), size=3 * t)
+        adj = normalized_adjacency(build_graph(
+            InteractionDataset(n_users, n_items, users, items)))
+    h = rng.standard_normal((t, d))
+    w = rng.uniform(-1, 1, size=(d, d)) if backbone == "transform-gcn" else None
+    return h, adj, w, rng.standard_normal((t, d))
+
+
+def run_layer(layer, h, adj, w, pos, lambda2, lambda3, g):
+    """`layer`'s output and the gradients of its h, W and pos under the
+    output weights `g`; a second consumer of h and pos makes each
+    gradient a sum."""
+    th, tp = parameter(h), parameter(pos)
+    tw = None if w is None else parameter(w)
+    out = layer(th, adj, tw, tp, lambda2, lambda3)
+    loss = sum_axis(mul(out, constant(g)), axis=None, keepdims=False)
+    for t in (th, tp):
+        loss = add(loss, sum_axis(mul(t, t), axis=None, keepdims=False))
+    ad.backward(loss)
+    return out, [t.grad for t in (th, tw, tp) if t is not None]
+
+
+class TestFusedLayer:
+    """`propagate_layer` against the taped `spmm` -> `leaky_transform` ->
+    `mix` -> `column_mean` -> `mix` composition, in float64."""
+
+    @pytest.mark.parametrize("backbone, lambda2, lambda3", itertools.product(
+        ["lightgcn", "transform-gcn"], [0.0, 0.5, 1.0], [0.0, 0.5, 1.0]))
+    @pytest.mark.parametrize("t", [1, 2, 15])
+    def test_matches_taped_composition(self, backbone, lambda2, lambda3, t):
+        h, adj, w, pos = layer_inputs(t, 4, backbone, seed=t)
+        g = np.random.default_rng(t + 1).standard_normal(h.shape)
+        got_out, got = run_layer(propagate_layer, h, adj, w, pos, lambda2, lambda3, g)
+        want_out, want = run_layer(taped_layer, h, adj, w, pos, lambda2, lambda3, g)
+        assert got_out._op == "propagate_layer"
+        assert close(got_out.data, want_out.data, 1e-12)
+        for a, b in zip(got, want, strict=True):
+            assert close(a, b, 1e-12)
+
+    @pytest.mark.parametrize("backbone", ["lightgcn", "transform-gcn"])
+    def test_finite_differences(self, backbone):
+        h, adj, w, pos = layer_inputs(9, 3, backbone, seed=3)
+        g = np.random.default_rng(4).standard_normal(h.shape)
+        if w is not None:  # clear of the kink; an isolated node's z stays 0
+            z = (adj @ h) @ w.T
+            assert np.abs(z[adj.getnnz(axis=1) > 0]).min() > 1e-3
+
+        def build(ts):
+            out = propagate_layer(ts[0], adj, ts[1] if w is not None else None, ts[-1],
+                                  0.7, 0.4)
+            return sum_axis(mul(out, constant(g)), axis=None, keepdims=False)
+
+        finite_difference_check(build, [h] + ([w] if w is not None else []) + [pos])
+
+    @pytest.mark.parametrize("backbone", ["lightgcn", "transform-gcn"])
+    def test_parents(self, backbone):
+        """pos is a parent only when λ2 and λ3 are nonzero."""
+        h, adj, w, pos = layer_inputs(6, 3, backbone, seed=5)
+        th, tp = parameter(h), parameter(pos)
+        tw = None if w is None else parameter(w)
+        want = (th,) if tw is None else (th, tw)
+        for lambda2, lambda3 in ((0.5, 0.5), (0.0, 0.5), (0.5, 0.0)):
+            out = propagate_layer(th, adj, tw, tp, lambda2, lambda3)
+            assert out._parents == (want + (tp,) if lambda2 and lambda3 else want)
+        assert propagate_layer(th, adj, tw, None, 0.5, 0.5)._parents == want
+
+    def test_lightgcn_closure_holds_no_table(self):
+        """Besides its parents the lightgcn node's backward keeps no (T, d)
+        array: the global term's gradient is one row, and no attention
+        input table exists."""
+        h, adj, _, pos = layer_inputs(15, 4, "lightgcn", seed=6)
+        th, tp = parameter(h), parameter(pos)
+        out = propagate_layer(th, adj, None, tp, 0.5, 0.5)
+        held = [cell.cell_contents for cell in out._backward.__closure__]
+        tensors = [c for c in held if isinstance(c, Tensor)]
+        assert {id(c) for c in tensors} <= {id(p) for p in out._parents}
+        assert all(c.size <= h.shape[1] for c in held if isinstance(c, np.ndarray))
+
+    @pytest.mark.parametrize("backbone", ["lightgcn", "transform-gcn"])
+    def test_float32_in_gives_float32_out(self, backbone):
+        h, adj, w, pos = layer_inputs(15, 4, backbone, seed=7)
+        f32 = [None if a is None else a.astype(np.float32) for a in (h, w, pos)]
+        g = np.random.default_rng(8).standard_normal(h.shape).astype(np.float32)
+        out, grads = run_layer(propagate_layer, f32[0], adj.astype(np.float32), f32[1],
+                               f32[2], 0.5, 0.5, g)
+        assert out.data.dtype == np.float32
+        assert all(grad.dtype == np.float32 for grad in grads)
 
 
 class TestTransform:

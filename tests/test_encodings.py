@@ -394,10 +394,9 @@ class TestFusedPosition:
 
     def test_forward_holds_one_position_node(self):
         """The default forward records one `position` node whose parents are
-        the encodings' parameters, and 11 interior nodes in all: `position`,
-        the `mix` h + λ1·pos, per layer `spmm`, the `mix` local + λ2·pos,
-        the `column_mean` and the layer `mix` (4 each), and the readout's
-        `mean`."""
+        the encodings' parameters, and 5 interior nodes in all: `position`,
+        the `mix` h + λ1·pos, one `propagate_layer` per layer and the
+        readout's `mean`."""
         g = build_graph(clustered_interactions(60, 80, 4, per_user=20, seed=9))
         state = init_model(g, PGTRConfig(), seed=10)
         interior = [node for node in tape_nodes(forward(state)) if node._op != "leaf"]
@@ -405,14 +404,13 @@ class TestFusedPosition:
         assert {id(p) for p in pos._parents} == {
             id(t) for _, t in state.enc.trainable_tables()}
         assert len(pos._parents) == len(state.enc.trainable_tables())
-        assert len(interior) == 11
+        assert len(interior) == 5
 
     def test_transform_gcn_forward_node_count(self):
-        """A 2-layer transform-gcn forward adds one `leaky_transform` node
-        per layer after the `spmm`: 13 interior nodes."""
+        """A 2-layer transform-gcn forward records the same 5 interior nodes:
+        the layer transform is inside each `propagate_layer` node."""
         g = build_graph(clustered_interactions(60, 80, 4, per_user=20, seed=9))
         state = init_model(g, PGTRConfig(backbone="transform-gcn"), seed=10)
         interior = [node for node in tape_nodes(forward(state)) if node._op != "leaf"]
         assert sorted(node._op for node in interior) == sorted(
-            ["position", "mix", "mean"] + 2 * ["spmm", "leaky_transform", "mix",
-                                               "column_mean", "mix"])
+            ["position", "mix", "mean"] + 2 * ["propagate_layer"])

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import pgtr.autodiff as ad
 from pgtr.backbone import normalized_adjacency, propagate_layer, readout
 from pgtr.data import InteractionDataset, build_graph
-from pgtr.encodings import EncodingError
+from pgtr.encodings import EncodingError, position_tape
 from pgtr.model import (
     EMBED_INIT_STD,
     PGTRConfig,
@@ -26,7 +26,8 @@ from pgtr.model import (
 from pgtr.optim import AdamState, adam_step
 from pgtr.synthetic import clustered_interactions
 from pgtr.train import batch_loss
-from test_autodiff import as_float64, constant, mean_all, tape_nodes
+from test_autodiff import (as_float64, close, constant, mean_all, mul, sum_axis, taped_layer,
+                           tape_nodes)
 from test_encodings import awkward_interactions
 
 SMALL = dict(d=6, h_c=3, h_d=2, h_r=2, h_y=2, n_d=3, n_r=3)
@@ -49,6 +50,35 @@ def position_matrix(state):
     for e in enc.grouped:
         inner += e.table.data[e.group_of] @ e.projection.data.T
     return np.vstack([inner[:n] @ enc.w_user.data.T, inner[n:] @ enc.w_item.data.T])
+
+
+def taped_layers(state):
+    """The default forward's layers as `test_autodiff.taped_layer`, the
+    taped composition each `propagate_layer` node fuses: the position
+    node, and per layer its input h and its output.  For λ3 != 0 the
+    output is the `mix` whose parents are local and the `column_mean`
+    global term, whose parent is the attention input local + λ2·pos."""
+    cfg = state.config
+    pos = position_tape(state.enc)
+    h = state.embeddings
+    if pos is not None and cfg.lambda1 != 0.0:
+        h = ad.mix(h, pos, 1.0, cfg.lambda1)
+    layers = []
+    for layer in range(cfg.layers):
+        out = taped_layer(h, state.adjacency,
+                          state.transforms[layer] if state.transforms else None,
+                          pos, cfg.lambda2, cfg.lambda3)
+        layers.append((h, out))
+        h = out
+    return pos, layers
+
+
+def fused_layer(state, pos, layer, h):
+    """The model's `propagate_layer` node for `layer` on input `h`."""
+    cfg = state.config
+    return propagate_layer(h, state.adjacency,
+                           state.transforms[layer] if state.transforms else None,
+                           pos, cfg.lambda2, cfg.lambda3)
 
 
 def score(h_final, u, i, tau, n_users):
@@ -102,6 +132,9 @@ class TestBackboneReduction:
 
 
 class TestMixing:
+    """Each layer against the taped oracle composition (`taped_layers`):
+    the global term's fixed point, convex mixing and the endpoints."""
+
     def test_attention_fixed_point_at_lambda3_one(self):
         # one user-item edge with equal embeddings: every table stays constant
         g = build_graph(InteractionDataset(1, 1, np.array([0]), np.array([0])))
@@ -112,30 +145,65 @@ class TestMixing:
         state = init_model(g, cfg, seed=5)
         row = np.array([0.3, -0.2, 0.5, 0.1])
         state.embeddings.data = np.vstack([row, row])
-        out, internals = forward(state, return_layers=True)
-        local, global_, mixed = internals[0]
+        pos, ((h, mixed),) = taped_layers(state)
+        local, global_ = mixed._parents
         np.testing.assert_allclose(local.data, np.vstack([row, row]), atol=1e-12)
-        np.testing.assert_allclose(mixed.data, global_.data, atol=1e-15)
         np.testing.assert_allclose(global_.data, local.data, atol=1e-10)
+        np.testing.assert_allclose(fused_layer(state, pos, 0, h).data, global_.data,
+                                   atol=1e-15)
+        np.testing.assert_allclose(forward(state).data, np.vstack([row, row]), atol=1e-10)
 
     def test_convex_mixing_on_segment(self):
         g = small_graph(3)
         cfg = PGTRConfig(lambda3=0.3, **SMALL)
-        state = init_model(g, cfg, seed=6)
-        _, internals = forward(state, return_layers=True)
-        for local, global_, mixed in internals:
+        state = as_float64(init_model(g, cfg, seed=6), g)
+        pos, layers = taped_layers(state)
+        for layer, (h, mixed) in enumerate(layers):
+            local, global_ = mixed._parents
             np.testing.assert_allclose(
-                mixed.data, 0.7 * local.data + 0.3 * global_.data, atol=1e-12)
+                fused_layer(state, pos, layer, h).data,
+                0.7 * local.data + 0.3 * global_.data, atol=1e-12)
 
     def test_endpoints_reproduce_candidates(self):
+        """λ3 = 0 gives the local table bit for bit; λ3 = 1 gives the global
+        term, one row for every node, to float64 rounding (the node forms
+        mean(local) + λ2·mean(pos), the oracle mean(local + λ2·pos))."""
         g = small_graph(4)
-        for lam, pick in ((0.0, "local"), (1.0, "global")):
+        for lam in (0.0, 1.0):
             cfg = PGTRConfig(lambda3=lam, **SMALL)
-            state = init_model(g, cfg, seed=7)
-            _, internals = forward(state, return_layers=True)
-            local, global_, mixed = internals[-1]
-            target = local if pick == "local" else global_
-            np.testing.assert_array_equal(mixed.data, target.data)
+            state = as_float64(init_model(g, cfg, seed=7), g)
+            pos, layers = taped_layers(state)
+            h, want = layers[-1]
+            got = fused_layer(state, pos, cfg.layers - 1, h).data
+            if lam == 0.0:
+                np.testing.assert_array_equal(got, want.data)
+            else:
+                assert (got == got[0]).all()
+                assert close(got, want.data, 1e-12)
+
+    @pytest.mark.parametrize("backbone", ["lightgcn", "transform-gcn"])
+    def test_forward_and_gradients_match_taped_composition(self, backbone):
+        """In float64 the fused forward and every parameter's gradient equal
+        the taped composition's to 1e-12 relative."""
+        g = small_graph(5)
+        state = as_float64(init_model(g, PGTRConfig(**SMALL, backbone=backbone), seed=8), g)
+        weights = constant(np.random.default_rng(9).standard_normal(
+            (state.n_nodes, state.config.d)))
+
+        def taped_forward(state):
+            _, layers = taped_layers(state)
+            return readout([layers[0][0]] + [out for _, out in layers])
+
+        results = []
+        for build in (forward, taped_forward):
+            ad.zero_grad(state.parameters())
+            out = build(state)
+            ad.backward(sum_axis(mul(out, weights), axis=None, keepdims=False))
+            results.append((out.data, [t.grad for t in state.parameters()]))
+        (got, got_grads), (want, want_grads) = results
+        assert close(got, want, 1e-12)
+        for (name, _), a, b in zip(state.named_parameters(), got_grads, want_grads, strict=True):
+            assert close(a, b, 1e-12), name
 
 
 class TestDenseOracle:
@@ -264,7 +332,7 @@ class TestReleasedTape:
         state = init_model(g, PGTRConfig(**SMALL, layers=2, backbone=backbone), seed=16)
         out = forward(state)
         interior = [n for n in tape_nodes(out) if n._op != "leaf"]
-        assert {n._op for n in interior} >= {"position", "column_mean", "mix", "mean"}
+        assert {n._op for n in interior} == {"position", "propagate_layer", "mix", "mean"}
         parents = {id(n): n._parents for n in interior}
         ad.backward(mean_all(out))
         for node in interior:
@@ -290,8 +358,8 @@ class TestDtype:
             as_float64(state, g)
         loss, _ = batch_loss(state, ds.users[:16], ds.items[:16], ds.user_item_matrix())
         nodes = tape_nodes(loss)
-        assert {n._op for n in nodes} >= {"position", "spmm", "column_mean", "mix",
-                                          "mean", "l2_normalize_rows", "in_batch_softmax"}
+        assert {n._op for n in nodes} >= {"position", "propagate_layer", "mix", "mean",
+                                          "l2_normalize_rows", "in_batch_softmax"}
         assert all(n.data.dtype == dtype for n in nodes), [
             n._op for n in nodes if n.data.dtype != dtype]
 

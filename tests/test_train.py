@@ -567,6 +567,23 @@ class TestTrainLoop:
         now = evaluate(state, fit, val, k=20).recall_at_k
         assert now == pytest.approx(best, abs=1e-12)
 
+    def test_user_item_matrices_are_built_once(self, monkeypatch):
+        """`train` builds the fit and validation CSRs once, before its
+        epochs, and every epoch's validation ranks through them."""
+        state, fit, val, _ = self._setup(4)
+        built = []
+        real = InteractionDataset.user_item_matrix
+
+        def recording(self):
+            built.append(self)
+            return real(self)
+
+        monkeypatch.setattr(InteractionDataset, "user_item_matrix", recording)
+        _, history = train(state, fit, val, TrainConfig(batch_size=32, lr=1e-2, max_epochs=4,
+                                                        patience=4, seed=4))
+        assert len(history) == 4
+        assert [id(ds) for ds in built] == [id(fit), id(val)]
+
     def test_large_step_trains_every_epoch(self, caplog):
         """At lr=0.5 on the default config the global term, a column mean,
         has nothing to underflow: all 5 epochs train with finite, falling
