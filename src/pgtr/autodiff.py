@@ -17,7 +17,8 @@ first op that produced a non-finite value.
 has run, its `.grad` and closure are dropped, so a step's tape shrinks as
 backward runs.  Leaves keep `.grad` for the optimizer.  A node stores the
 first gradient it receives as given, without writing into it, and sums any
-later ones into a buffer of its own.
+later ones into a buffer of its own; two read-only broadcasts of one row
+sum as one row.
 
 An op records a backward closure only when some input needs a gradient
 (a trainable leaf or a node computed from one), and the closure computes
@@ -106,26 +107,19 @@ def _make(data, op: str, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
 def _accum(t: Tensor, g: np.ndarray):
     """Add `g` to `t.grad`.  The first gradient is stored as given and never
     written into: `mean` hands one array to several parents, and a
-    backward may hand over a view of its own buffer.  The second allocates
-    a sum that `t` owns, and later ones add into that sum in place."""
+    backward may hand over a view of its own buffer.  Two read-only
+    broadcasts of one row, such as each `propagate_layer`'s gradient of
+    `pos`, sum as one row and stay a broadcast.  Otherwise the second
+    gradient allocates a sum that `t` owns, and later ones add into that
+    sum in place."""
     if t.grad is None:
         t.grad, t._owns_grad = g, False
     elif t._owns_grad:
         t.grad += g
+    elif g.ndim and t.grad.strides[0] == g.strides[0] == 0:
+        t.grad = np.broadcast_to(t.grad[:1] + g[:1], g.shape)
     else:
         t.grad, t._owns_grad = t.grad + g, True
-
-
-def _scatter_rows(rows: np.ndarray, idx: np.ndarray, shape) -> np.ndarray:
-    """Zeros of `shape` with row j of `rows` added at row idx[j]: the
-    backward of a row gather.  A scatter-add through bincount on flat
-    positions: like np.add.at it adds repeated rows in index order (bit for
-    bit, for float64 rows), at a fraction of add.at's per-element cost.
-    bincount sums in float64; the result has the rows' dtype."""
-    width = int(np.prod(shape[1:]))
-    flat = (idx.reshape(-1, 1) * width + np.arange(width)).ravel()
-    sums = np.bincount(flat, weights=rows.ravel(), minlength=shape[0] * width)
-    return sums.reshape(shape).astype(rows.dtype, copy=False)
 
 
 def l2_normalize_rows(a: Tensor) -> Tensor:

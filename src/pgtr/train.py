@@ -62,33 +62,37 @@ class RankingMetrics:
 
 
 def _batch_mask(users: np.ndarray, items: np.ndarray, user_items: sp.csr_matrix):
-    """Candidates of the (b × distinct items) in-batch score table, as the
-    coordinates of the entries it drops.
+    """The (distinct users × distinct items) in-batch score table of a
+    batch, as the coordinates of the entries it drops.
 
     `user_items` is the canonical boolean (users, items) CSR of training
-    items.  Returns `uniq` (the batch's distinct items, sorted), `inv`
-    (pair a's item is `uniq[inv[a]]`), `drop`, `kept` and `untrained`.
-    Row a keeps its own positive (column `inv[a]`) plus every distinct
-    batch item the user has never interacted with: `drop` holds the flat,
-    row-major indices a * uniq.size + column of the other entries, strictly
-    increasing, and `kept` counts each row's kept entries.  `untrained` is
-    true where a pair's item is not among its user's training items.  Only
-    the batch users' CSR rows are read, each stored item mapped to its
-    column through a lookup of the distinct items."""
+    items.  Returns `batch_users` (the batch's distinct users, sorted),
+    `urow` (pair a's user is `batch_users[urow[a]]`), `uniq` and `inv`
+    (the same for items), `drop`, `kept` and `untrained`.  A user's row
+    drops every distinct batch item the user trained on, positives
+    included: `drop` holds the flat, row-major indices
+    row * uniq.size + column of those entries, strictly increasing.  Pair
+    a's row is its user's row with its own positive, column `inv[a]`, put
+    back, and `kept` counts that row's entries.  `untrained` is true where
+    a pair's item is not among its user's training items, so its entry is
+    not in `drop`.  Only the batch users' CSR rows are read, each stored
+    item mapped to its column through a lookup of the distinct items."""
+    batch_users, urow = np.unique(users, return_inverse=True)
     uniq, inv = np.unique(items, return_inverse=True)
-    b, n = users.size, uniq.size
+    m, n = batch_users.size, uniq.size
     col_of = np.full(user_items.shape[1], -1, dtype=np.intp)
     col_of[uniq] = np.arange(n)
-    trained = user_items[users]
+    trained = user_items[batch_users]
     col = col_of[trained.indices]  # -1 for an item outside the batch
-    row = np.repeat(np.arange(b), np.diff(trained.indptr))
-    own = col == inv[row]
-    untrained = np.ones(b, dtype=bool)
-    untrained[row[own]] = False
-    at = np.flatnonzero((col >= 0) & ~own)
+    row = np.repeat(np.arange(m), np.diff(trained.indptr))
+    at = col >= 0
     row = row[at]
-    kept = n - np.bincount(row, minlength=b)
-    return uniq, inv, row * n + col[at], kept, untrained
+    drop = row * n + col[at]
+    dropped = np.zeros(m * n, dtype=bool)
+    dropped[drop] = True
+    untrained = ~dropped[urow * n + inv]
+    kept = (n - np.bincount(row, minlength=m))[urow] + ~untrained
+    return batch_users, urow, uniq, inv, drop, kept, untrained
 
 
 def batch_loss(state: ModelState, users: np.ndarray, items: np.ndarray,
@@ -99,19 +103,21 @@ def batch_loss(state: ModelState, users: np.ndarray, items: np.ndarray,
     of shape (n_users, n_items), such as the
     `InteractionDataset.user_item_matrix()` that `train` builds once, or a
     sequence of n_users per-user item-id sequences, converted on every
-    call.  Each pair is scored against the batch's distinct items: a (b ×
-    distinct items) table whose row keeps the pair's positive and the
-    items its user never trained on (`_batch_mask` lists the dropped
-    entries, so no dense mask is built).  A pair keeps a negative when
-    its row keeps at least two entries.  The loss after the forward pass's
-    row normalization is one tape node, `in_batch_softmax`, with a
-    hand-written backward.  Returns the scalar loss tensor and
-    the number of pairs skipped for lack of negatives.  Raises
-    NumericsError naming the op when the node table or the loss is not
-    finite (`ad.check_finite`); NoNegativesError, a ValueError, when no
-    pair keeps a negative; and ValueError when `user_items` has the wrong
-    shape or an item id outside [0, n_items), when a pair's id is out of
-    range, or when a pair's item is not among its user's training items.
+    call.  Each pair is scored against the batch's distinct items, and
+    the pairs of one user share every score but their positive's: the
+    scores form one (distinct users × distinct items) table whose user
+    row keeps the items the user never trained on (`_batch_mask` lists the
+    dropped entries, so no dense mask is built), and a pair's row adds its
+    own positive.  A pair keeps a negative when its row keeps at least two
+    entries.  The loss after the forward pass's row normalization is one
+    tape node, `in_batch_softmax`, with a hand-written backward.  Pairs
+    may repeat.  Returns the scalar loss tensor and the number of pairs
+    skipped for lack of negatives.  Raises NumericsError naming the op
+    when the node table or the loss is not finite (`ad.check_finite`);
+    NoNegativesError, a ValueError, when no pair keeps a negative; and
+    ValueError when `user_items` has the wrong shape or an item id outside
+    [0, n_items), when a pair's id is out of range, or when a pair's item
+    is not among its user's training items.
     """
     user_items = _user_items(user_items, "user_items", (state.n_users, state.n_items),
                              "the model's user-item table")
@@ -120,7 +126,8 @@ def batch_loss(state: ModelState, users: np.ndarray, items: np.ndarray,
         if bad.any():
             a = int(np.argmax(bad))
             raise ValueError(f"pair {a}: {name} id {int(ids[a])} outside [0, {n})")
-    uniq, inv, drop, kept, untrained = _batch_mask(users, items, user_items)
+    batch_users, urow, uniq, inv, drop, kept, untrained = _batch_mask(users, items,
+                                                                      user_items)
     if untrained.any():
         a = int(np.argmax(untrained))
         raise ValueError(f"pair {a} (user {int(users[a])}, item {int(items[a])}): "
@@ -130,73 +137,88 @@ def batch_loss(state: ModelState, users: np.ndarray, items: np.ndarray,
     if n_keep == 0:
         raise NoNegativesError("every pair in the batch lacks negatives")
     h_norm = ad.l2_normalize_rows(forward(state))
-    loss = _in_batch_softmax(h_norm, users, state.n_users + uniq, inv, drop, keep,
-                             1.0 / state.config.tau)
+    loss = _in_batch_softmax(h_norm, batch_users, state.n_users + uniq, urow[keep], inv[keep],
+                             drop, 1.0 / state.config.tau)
     ad.check_finite(loss)
     return loss, users.size - n_keep
 
 
-# `_in_batch_softmax` shifts a row whose exponentials, shifted by 1/tau, sum
-# below this by its own maximum instead.  The floor bounds the backward's row
-# scale w / total: with the float32 minimum instead, U * (w / total)
-# overflows for rows that sum just above it.
+# `_in_batch_softmax` shifts a user row whose exponentials, shifted by 1/tau,
+# sum below this by its own maximum instead.  The floor bounds the backward's
+# row scale, a sum of w / total, by 2^64 w per pair: a total near the float32
+# minimum would put it near float32's overflow.
 _MIN_ROW_TOTAL = 2.0 ** -64
 
 
-def _in_batch_softmax(h: Tensor, users: np.ndarray, item_rows: np.ndarray,
-                      inv: np.ndarray, drop: np.ndarray, keep: np.ndarray,
+def _in_batch_softmax(h: Tensor, user_rows: np.ndarray, item_rows: np.ndarray,
+                      urow: np.ndarray, inv: np.ndarray, drop: np.ndarray,
                       inv_tau: float) -> Tensor:
-    """The mean over kept pairs of log-sum-exp over a row's kept scores
-    minus its positive score, as one tape node whose parent is `h`.
+    """The mean over pairs of log-sum-exp over a pair's kept scores minus
+    its positive score, as one tape node whose parent is `h`.
 
-    U = h[users] * inv_tau (scaling the (b, d) rows is cheaper than the
-    (b, u) scores) and I = h[item_rows] give the scores S = U I^T; pair a's
-    positive is column inv[a], and `drop` lists the flat indices of the
-    entries the rows drop (`_batch_mask`).  The rows of h are
-    L2-normalized, so no score exceeds 1/tau, a constant log-sum-exp
-    shift: S becomes E = exp(S - 1/tau) in place, with 1/tau in the
-    table's dtype, the dropped entries are set to 0, a product with a ones
-    vector gives the row totals, and log-sum-exp is 1/tau + log(total).
-    A row whose total falls below _MIN_ROW_TOTAL (2^-64; only possible for
-    tau < ~0.045) is recomputed with its own maximum as the shift.  With
-    w the loss gradient of a row's log-sum-exp and r = w / total, the
-    backward scales rows instead of the table: dU = (E I) r - w I[inv] and
-    dI = ((U r)^T E)^T - the scatter of w U onto the positives' rows.  The
-    op holds one (b, u) table, in h's dtype, which the backward only reads.
+    U = h[user_rows] * inv_tau (scaling the (m, d) rows is cheaper than the
+    (m, u) scores) and I = h[item_rows] give the table S = U I^T of the
+    batch's distinct users and items.  Pair a has user row urow[a] and
+    positive column inv[a]; `drop` lists the flat indices of the entries
+    the user rows drop, positives included (`_batch_mask`), and every pair
+    given keeps a negative.  The rows of h are L2-normalized, so no score
+    exceeds 1/tau, a constant log-sum-exp shift: S becomes E = exp(S - 1/tau)
+    in place, with 1/tau in the table's dtype, the dropped entries are set
+    to 0, and a product with a ones vector gives each user's base.  Pair a
+    adds its positive score pos_a = U[urow[a]] . I[inv[a]]: its total is
+    base[urow[a]] + exp(pos_a - 1/tau) and its log-sum-exp 1/tau + log(total).
+    A user row whose base falls below _MIN_ROW_TOTAL (2^-64; only possible
+    for tau < ~0.045) is recomputed with its own maximum s as the shift; each
+    of its pairs takes the shift max(s, pos_a), which scales the base by
+    exp(s - max(s, pos_a)), so every total is at least 1.  With w the loss
+    gradient of a log-sum-exp and r_a = w / total_a, the gradient G of S is
+    E with each row scaled by R, the sum of r_a scale_a over the row's
+    pairs, plus c_a = r_a exp(pos_a - shift_a) - w at each pair's positive
+    (0 in E; repeated pairs add up there through a scatter-add).  The
+    backward writes G over E and gives U the rows G I and I the rows G^T U:
+    the batch users' and items' rows of h are distinct and disjoint, so
+    they are written straight into its gradient.  The op holds one (m, u)
+    table, in h's dtype.
     """
-    u = h.data[users] * inv_tau
+    u = h.data[user_rows] * inv_tau
     items = h.data[item_rows]
-    items_inv = items[inv]
     e = u @ items.T
-    b, n = e.shape
+    m, n = e.shape
     ones = np.ones(n, dtype=e.dtype)
     # in the table's dtype: a float64 shift would promote a float32 loss
-    shift = np.full((b, 1), inv_tau, dtype=e.dtype)
-    e -= shift[0, 0]
+    row_shift = np.full(m, inv_tau, dtype=e.dtype)
+    e -= row_shift[0]
     np.exp(e, out=e)
     e.reshape(-1)[drop] = 0
-    total = (e @ ones)[:, None]
-    low = np.flatnonzero(total < _MIN_ROW_TOTAL)
+    base = e @ ones
+    low = np.flatnonzero(base < _MIN_ROW_TOTAL)
+    if low.size:
+        low = low[np.isin(low, urow)]  # a row with no pair may keep no entry
     if low.size:
         mask = np.ones(e.size, dtype=bool)
         mask[drop] = False
-        s = np.where(mask.reshape(b, n)[low], u[low] @ items.T, -np.inf)
-        shift[low] = s.max(axis=1, keepdims=True)
-        e[low] = np.exp(s - shift[low])
-        total[low] = (e[low] @ ones)[:, None]
-    lse = shift + np.log(total)
-    pos = (u * items_inv).sum(axis=1, keepdims=True)
-    n_keep = int(np.count_nonzero(keep))
-    keep_col = keep[:, None].astype(e.dtype)
-    loss = ((lse - pos) * keep_col).sum() * (1.0 / n_keep)
+        s = np.where(mask.reshape(m, n)[low], u[low] @ items.T, -np.inf)
+        row_shift[low] = s.max(axis=1)
+        e[low] = np.exp(s - row_shift[low, None])
+        base[low] = e[low] @ ones
+    pos = (u[urow] * items[inv]).sum(axis=1)
+    pair_row_shift = row_shift[urow]
+    shift = np.maximum(pair_row_shift, pos)
+    scale = np.exp(pair_row_shift - shift)
+    pos_exp = np.exp(pos - shift)
+    total = base[urow] * scale + pos_exp
+    loss = (shift + np.log(total) - pos).sum() * (1.0 / urow.size)
 
     def bw(g):
-        w = g * (1.0 / n_keep) * keep_col
+        w = g * (1.0 / urow.size)
         r = w / total
-        d_u = (e @ items) * r - w * items_inv
-        d_items = ((u * r).T @ e).T - ad._scatter_rows(w * u, inv, items.shape)
-        grad = ad._scatter_rows(d_u * inv_tau, users, h.data.shape)
-        grad[item_rows] += d_items
+        # E becomes G
+        big_r = np.bincount(urow, weights=r * scale, minlength=m).astype(e.dtype)
+        np.multiply(e, big_r[:, None], out=e)
+        np.add.at(e.reshape(-1), urow * n + inv, r * pos_exp - w)
+        grad = np.zeros_like(h.data)
+        grad[user_rows] = (e @ items) * inv_tau
+        grad[item_rows] = e.T @ u
         ad._accum(h, grad)
 
     return ad._make(loss, "in_batch_softmax", (h,), bw)

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 import pgtr.autodiff as ad
 from pgtr.autodiff import NumericsError, Tensor, parameter
-from pgtr.backbone import LEAKY_SLOPE, normalized_adjacency
+from pgtr.backbone import LEAKY_SLOPE, normalized_adjacency, propagate_layer
 
 
 def constant(data) -> Tensor:
@@ -180,7 +180,9 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
 
     def bw(g):
-        ad._accum(a, ad._scatter_rows(g, idx, a.data.shape))
+        ga = np.zeros_like(a.data)
+        np.add.at(ga, idx, g)
+        ad._accum(a, ga)
 
     return ad._make(a.data[idx], "gather_rows", (a,), bw)
 
@@ -565,6 +567,32 @@ class TestSharedGradients:
             return sum_axis(mul(out, self._weights(out.data.shape)), axis=None, keepdims=False)
 
         self._check(build, [rand(np.random.default_rng(2), 5, 3)], monkeypatch)
+
+    def test_layers_hand_pos_row_broadcasts(self, monkeypatch):
+        s = sp.random(5, 5, density=0.5, random_state=4, format="csr")
+
+        def build(ts):
+            h, pos = ts
+            # each layer hands `pos` a read-only broadcast of one row, and
+            # the injection then a full gradient
+            x = ad.mix(h, pos, 1.0, 0.5)
+            for _ in range(2):
+                x = propagate_layer(x, s, pos=pos, lambda2=0.7, lambda3=0.5)
+            return sum_axis(mul(x, self._weights(x.data.shape)), axis=None, keepdims=False)
+
+        rng = np.random.default_rng(4)
+        self._check(build, [rand(rng, 5, 3), rand(rng, 5, 3)], monkeypatch)
+
+    def test_two_row_broadcasts_stay_one_row(self):
+        """Two read-only broadcasts of a row sum as one row, still a
+        broadcast that the tensor does not own."""
+        rng = np.random.default_rng(5)
+        rows = [rand(rng, 1, 3) for _ in range(2)]
+        t = parameter(rand(rng, 4, 3))
+        for r in rows:
+            ad._accum(t, np.broadcast_to(r, (4, 3)))
+        assert t.grad.strides[0] == 0 and not t._owns_grad
+        assert t.grad.tobytes() == np.broadcast_to(rows[0] + rows[1], (4, 3)).tobytes()
 
     def test_transposed_view(self, monkeypatch):
         def build(ts):

@@ -143,20 +143,29 @@ def taped_in_batch_softmax(h, users, item_rows, inv, mask, keep, inv_tau):
     return mul(sum_axis(per_pair, axis=None, keepdims=False), 1.0 / np.count_nonzero(keep))
 
 
-def dense_mask(drop, b, n):
-    """The (b, n) boolean mask whose False entries are `_batch_mask`'s
-    flat `drop` indices."""
-    mask = np.ones(b * n, dtype=bool)
+def dense_mask(drop, m, n):
+    """The (m, n) boolean table of user rows whose False entries are
+    `_batch_mask`'s flat `drop` indices."""
+    mask = np.ones(m * n, dtype=bool)
     mask[drop] = False
-    return mask.reshape(b, n)
+    return mask.reshape(m, n)
 
 
-def fused_loss_and_grad(h_norm, users, item_rows, inv, drop, keep, tau):
-    """The `in_batch_softmax` node on a leaf holding the normalized table
-    `h_norm`, and the leaf's gradient.  `backward` releases an interior
-    node's gradient, so the leaf stands in for `batch_loss`'s `h_norm`."""
+def pair_mask(drop, urow, inv, m, n):
+    """The (b, n) boolean table of pair rows: pair a's row is its user's
+    row of `dense_mask` with its own positive, column inv[a], put back."""
+    mask = dense_mask(drop, m, n)[urow]
+    mask[np.arange(urow.size), inv] = True
+    return mask
+
+
+def fused_loss_and_grad(h_norm, user_rows, item_rows, urow, inv, drop, keep, tau):
+    """The `in_batch_softmax` node, over the pairs `keep` marks, on a leaf
+    holding the normalized table `h_norm`, and the leaf's gradient.
+    `backward` releases an interior node's gradient, so the leaf stands in
+    for `batch_loss`'s `h_norm`."""
     leaf = ad.parameter(h_norm)
-    loss = _in_batch_softmax(leaf, users, item_rows, inv, drop, keep, 1.0 / tau)
+    loss = _in_batch_softmax(leaf, user_rows, item_rows, urow[keep], inv[keep], drop, 1.0 / tau)
     ad.backward(loss)
     return loss, leaf.grad
 
@@ -182,11 +191,11 @@ def assert_matches_taped_oracle(loss, grad, h_norm, users, item_rows, inv, mask,
 @st.composite
 def softmax_batches(draw):
     """A random float32 or float64 node table, per-user training items and
-    a batch of training pairs drawn with replacement, so users and items
-    repeat.  One user trained on every item, so its pairs keep no negative;
-    half the batches hold one distinct item, so no pair keeps one.  At
-    tau = 0.001 and 0.01 some rows' exponentials, shifted by 1/tau, sum
-    below the floor, so the row-max fallback runs."""
+    a batch of training pairs drawn with replacement, so users, items and
+    whole pairs repeat.  One user trained on every item, so its pairs keep
+    no negative; half the batches hold one distinct item, so no pair keeps
+    one.  At tau = 0.001 and 0.01 some user rows' exponentials, shifted by
+    1/tau, sum below the floor, so the row-max fallback runs."""
     n_users = draw(st.integers(1, 6))
     n_items = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -349,38 +358,43 @@ class TestBatchLossTape:
         with pytest.raises(ValueError, match=message):
             batch_loss(state, users, items, user_items)
 
-    def test_score_table_is_batch_by_distinct_items(self, small_model):
+    def test_score_table_is_distinct_users_by_distinct_items(self, small_model):
         """Everything after the row normalization is one node, which keeps
-        one (b, u) table for its backward; no array on the tape or in a
-        backward closure has b * b entries."""
+        one (distinct users × distinct items) table for its backward; no
+        array on the tape or in a backward closure is a (b, u) pair table
+        or has b * b entries."""
         ds, state = small_model
         sel = np.random.default_rng(3).integers(0, len(ds), size=24)
         users, items = ds.users[sel], ds.items[sel]
-        b, u = users.size, np.unique(items).size
-        # no other array the op holds is (b, u): its rows and columns are
-        # (b, d), (u, d) and (b, 1)
-        assert 1 < u < b and u != state.config.d
+        b, m, u = users.size, np.unique(users).size, np.unique(items).size
+        # no other array the op holds is (m, u): its rows and columns are
+        # (m, d), (u, d), (m,) and (b,)
+        assert 1 < m < u < b and state.config.d not in (m, u)
         loss, _ = batch_loss(state, users, items, ds.items_of_user())
         assert loss._op == "in_batch_softmax"
         [h_norm] = loss._parents
         assert h_norm._op == "l2_normalize_rows"
         held = held_arrays(loss)
-        assert sum(a.shape == (b, u) for a in held) == 1
+        assert sum(a.shape == (m, u) for a in held) == 1
+        assert all(a.shape != (b, u) for a in held)
         assert max(a.size for a in held) < b * b
 
     @settings(max_examples=400)  # most draws lack negatives
     @given(batch=softmax_batches())
     def test_fused_loss_matches_taped_oracle(self, batch):
         """The loss node of `batch_loss` on a given node table against the
-        float64 taped composition on the same normalized table: the same
-        loss and gradient of the normalized table to rounding, or the same
-        lack of negatives.  The node shifts by 1/tau and scales rows in its
-        backward, so its last bits differ from the oracle's on purpose."""
+        float64 taped composition of the (b × distinct items) pair table on
+        the same normalized table: the same loss and gradient of the
+        normalized table to rounding, or the same lack of negatives.  The
+        draws repeat users and whole pairs, hold a user who trained on
+        every item and take tau down to 0.001.  The node scores each user
+        once, shifts by 1/tau and scales rows in its backward, so its last
+        bits differ from the oracle's on purpose."""
         h, trained, users, items, tau = batch
         n_users, n_items = trained.shape
         state = SimpleNamespace(n_users=n_users, n_items=n_items,
                                 config=SimpleNamespace(tau=tau))
-        uniq, inv, drop, kept, _ = _batch_mask(users, items, trained)
+        batch_users, urow, uniq, inv, drop, kept, _ = _batch_mask(users, items, trained)
         keep = kept >= 2
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sys.modules["pgtr.train"], "forward", lambda s: ad.parameter(h))
@@ -391,15 +405,16 @@ class TestBatchLossTape:
             loss, skipped = batch_loss(state, users, items, trained)
         assert skipped == np.count_nonzero(~keep)
         [h_norm] = loss._parents
-        got, got_grad = fused_loss_and_grad(h_norm.data, users, n_users + uniq, inv, drop,
-                                            keep, tau)
+        got, got_grad = fused_loss_and_grad(h_norm.data, batch_users, n_users + uniq, urow, inv,
+                                            drop, keep, tau)
         assert loss.data.tobytes() == got.data.tobytes()
         assert_matches_taped_oracle(got, got_grad, h_norm.data, users, n_users + uniq, inv,
-                                    dense_mask(drop, users.size, uniq.size), keep, tau)
+                                    pair_mask(drop, urow, inv, batch_users.size, uniq.size),
+                                    keep, tau)
 
     def test_underflowing_rows_take_the_row_max_fallback(self):
         """A float32 batch at tau = 0.01.  User 0 scores near -1/tau against
-        every item, so its rows' exponentials shifted by 1/tau underflow to
+        every item, so its row's exponentials shifted by 1/tau underflow to
         0; user 2's sum to ~4e-38, a normal float32 whose reciprocal times
         a (1/tau)-long row overflows.  Those rows are shifted by their own
         maximum, user 1's row keeps the 1/tau shift, and the loss and
@@ -410,30 +425,60 @@ class TestBatchLossTape:
         h = np.c_[np.cos(angles), np.sin(angles)].astype(np.float32)
         trained = sp.csr_matrix(np.array([[1, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=bool))
         users, items = np.array([0, 1, 0, 2]), np.array([0, 1, 2, 0])
-        uniq, inv, drop, kept, untrained = _batch_mask(users, items, trained)
-        assert not untrained.any() and drop.tolist() == [2, 6]
+        batch_users, urow, uniq, inv, drop, kept, untrained = _batch_mask(users, items, trained)
+        assert not untrained.any() and drop.tolist() == [0, 2, 4, 6]
         keep = kept >= 2
         assert keep.all()
-        shifted = np.exp(h[users] * np.float32(1 / tau) @ h[3:].T - np.float32(1 / tau))
-        totals = np.where(dense_mask(drop, 4, 3), shifted, 0).sum(axis=1)
-        assert totals.dtype == np.float32
-        assert totals[0] == totals[2] == 0 and totals[1] > 1
-        assert np.finfo(np.float32).tiny < totals[3] < 2.0 ** -64
-        got, got_grad = fused_loss_and_grad(h, users, 3 + uniq, inv, drop, keep, tau)
+        shifted = np.exp(h[:3] * np.float32(1 / tau) @ h[3:].T - np.float32(1 / tau))
+        bases = np.where(dense_mask(drop, 3, 3), shifted, 0).sum(axis=1)
+        assert bases.dtype == np.float32
+        assert bases[0] == 0 and bases[1] > 1
+        assert np.finfo(np.float32).tiny < bases[2] < 2.0 ** -64
+        got, got_grad = fused_loss_and_grad(h, batch_users, 3 + uniq, urow, inv, drop, keep, tau)
         assert np.isfinite(got.item()) and np.isfinite(got_grad).all()
         assert_matches_taped_oracle(got, got_grad, h, users, 3 + uniq, inv,
-                                    dense_mask(drop, users.size, uniq.size), keep, tau)
+                                    pair_mask(drop, urow, inv, 3, 3), keep, tau)
+
+    def test_fallback_pair_shift_covers_a_positive_far_above_the_row(self):
+        """A float32 batch at tau = 0.01 in which user 0 has two pairs.  Its
+        untrained items score ~117 below its first positive, so its row
+        underflows and takes the row-max fallback; shifted by that row
+        maximum alone, the first positive's exponential overflows float32.
+        The second positive sits just below the row maximum.  Each pair's
+        shift is the larger of the row maximum and its positive, so the
+        loss and gradient are finite and match the float64 oracle."""
+        tau = 0.01
+        angles = np.radians([0.0, 110.0, 0.0, 101.0, 100.0, 120.0])
+        # users 0-1, then items 0-3
+        h = np.c_[np.cos(angles), np.sin(angles)].astype(np.float32)
+        trained = sp.csr_matrix(np.array([[1, 1, 0, 0], [0, 0, 1, 1]], dtype=bool))
+        users, items = np.array([0, 0, 1, 1]), np.array([0, 1, 2, 3])
+        batch_users, urow, uniq, inv, drop, kept, untrained = _batch_mask(users, items, trained)
+        assert not untrained.any() and (kept >= 2).all()
+        scores = h[:2] * np.float32(1 / tau) @ h[2:].T
+        kept_scores = np.where(dense_mask(drop, 2, 4), scores, -np.inf)
+        bases = np.exp(kept_scores - np.float32(1 / tau)).sum(axis=1)
+        assert bases[0] == 0 and bases[1] > 2.0 ** -64
+        row_max = kept_scores[0].max()
+        with np.errstate(over="ignore"):
+            assert np.exp(scores[0, 0] - row_max) == np.inf
+        assert row_max - 5 < scores[0, 1] < row_max
+        keep = kept >= 2
+        got, got_grad = fused_loss_and_grad(h, batch_users, 2 + uniq, urow, inv, drop, keep, tau)
+        assert np.isfinite(got.item()) and np.isfinite(got_grad).all()
+        assert_matches_taped_oracle(got, got_grad, h, users, 2 + uniq, inv,
+                                    pair_mask(drop, urow, inv, 2, 4), keep, tau)
 
     def test_held_table_keeps_the_table_dtype(self, small_model, small_model64):
-        """The one (b, u) table the node holds has the node table's dtype:
-        a float64 shift meeting a float32 table would double its memory and
-        time."""
+        """The one (distinct users × distinct items) table the node holds
+        has the node table's dtype: a float64 shift meeting a float32 table
+        would double its memory and time."""
         for ds, state in (small_model, small_model64):
             sel = np.random.default_rng(3).integers(0, len(ds), size=24)
             users, items = ds.users[sel], ds.items[sel]
-            b, u = users.size, np.unique(items).size
+            m, u = np.unique(users).size, np.unique(items).size
             loss, _ = batch_loss(state, users, items, ds.user_item_matrix())
-            [table] = [a for a in held_arrays(loss) if a.shape == (b, u)]
+            [table] = [a for a in held_arrays(loss) if a.shape == (m, u)]
             assert table.dtype == loss.data.dtype == state.embeddings.data.dtype
 
     def test_backward_never_differentiates_a_constant(self, small_model, monkeypatch):
@@ -488,27 +533,34 @@ def mask_batches(draw):
 class TestBatchMask:
     @given(batch=mask_batches())
     def test_matches_loop_oracle(self, batch):
-        """The dense mask rebuilt from the dropped entries' flat indices
-        keeps, in each row, the same item ids as the (b, b) loop oracle's
-        row, once each; the indices are row-major without repeats, never a
-        row's own positive, and `kept` counts each row's kept entries.
-        `untrained` flags the pairs whose item the user never trained on."""
+        """The user rows rebuilt from the dropped entries' flat indices
+        keep, for each pair, once each, the item ids of the (b, b) loop
+        oracle's row of that pair, but for its own positive: pair a's row is
+        its user's row with column inv[a] put back.  A user row drops every
+        batch item the user trained on; the indices are row-major without
+        repeats, `kept` counts each pair's row and `untrained` flags the
+        pairs whose item the user never trained on."""
         users, items, items_of = batch
         # one user holds every item
         n_items = max(len(row) for row in items_of)
         user_items = _user_items(items_of, "items_of", (len(items_of), n_items))
-        uniq, inv, drop, kept, untrained = _batch_mask(users, items, user_items)
+        batch_users, urow, uniq, inv, drop, kept, untrained = _batch_mask(users, items,
+                                                                          user_items)
         oracle = batch_mask_loop(users, items, items_of)
-        b, n = users.size, uniq.size
+        b, m, n = users.size, batch_users.size, uniq.size
+        np.testing.assert_array_equal(batch_users, np.unique(users))
+        np.testing.assert_array_equal(batch_users[urow], users)
         np.testing.assert_array_equal(uniq, np.unique(items))
         np.testing.assert_array_equal(uniq[inv], items)
         assert np.all(np.diff(drop) > 0)
-        assert drop.size == 0 or 0 <= drop[0] and drop[-1] < b * n
-        assert not np.isin(np.arange(b) * n + inv, drop).any()
-        mask = dense_mask(drop, b, n)
+        assert drop.size == 0 or 0 <= drop[0] and drop[-1] < m * n
+        user_rows = dense_mask(drop, m, n)
+        for r, user in enumerate(batch_users):
+            assert set(uniq[~user_rows[r]].tolist()) == set(items_of[user]) & set(items.tolist())
         for a in range(b):
-            assert set(uniq[mask[a]].tolist()) == set(items[oracle[a] != 0].tolist())
-        np.testing.assert_array_equal(kept, np.count_nonzero(mask, axis=1))
+            want = set(items[oracle[a] != 0].tolist())
+            assert set(uniq[user_rows[urow[a]]].tolist()) | {items[a]} == want
+            assert kept[a] == len(want)
         np.testing.assert_array_equal(
             untrained, [i not in items_of[u] for u, i in zip(users, items)])
 
