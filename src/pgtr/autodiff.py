@@ -1,12 +1,13 @@
 """Reverse-mode gradient engine over numpy arrays.
 
-Holds only the operations the model runs: L2 row normalization, a
-weighted sum of two tensors (`mix`, the position injection) and the mean
-of several (`mean`, the readout).  Other modules add fused ops through
-`_make`, each with a hand-written backward: the position vectors of
+Holds only the operations the model runs: a weighted sum of two tensors
+(`mix`, the position injection) and the mean of several (`mean`, the
+readout).  Other modules add fused ops through `_make`, each with a
+hand-written backward: the position vectors of
 `encodings.position_tape`, a whole layer (propagation, global term and
 mix) in `backbone.propagate_layer` and the sampled-softmax loss of
-`train.batch_loss`.  Every node a forward records is one of these.
+`train.batch_loss`, which L2-normalizes the rows it reads.  Every node a
+forward records is one of these.
 
 Ops do not scan their outputs for NaN/Inf.  The model checks its outputs
 (`forward`'s node table, `batch_loss`'s loss) with `check_finite`, which
@@ -16,9 +17,9 @@ first op that produced a non-finite value.
 `backward` releases what it has consumed: once an interior node's backward
 has run, its `.grad` and closure are dropped, so a step's tape shrinks as
 backward runs.  Leaves keep `.grad` for the optimizer.  A node stores the
-first gradient it receives as given, without writing into it, and sums any
-later ones into a buffer of its own; two read-only broadcasts of one row
-sum as one row.
+first gradient it receives as given and never writes into it: each later
+one allocates a new sum, and two read-only broadcasts of one row sum as
+one row.
 
 An op records a backward closure only when some input needs a gradient
 (a trainable leaf or a node computed from one), and the closure computes
@@ -42,7 +43,6 @@ __all__ = [
     "NumericsError",
     "Tensor",
     "parameter",
-    "l2_normalize_rows",
     "mix",
     "mean",
     "backward",
@@ -65,18 +65,14 @@ class Tensor:
 
     `trainable` marks optimizer-owned leaves; interior nodes carry a
     backward closure that accumulates into their parents' `.grad`.  Clear
-    `.grad` to None (`zero_grad`) before a new accumulation: a gradient
-    summed from several contributions is owned by the node and added into
-    in place.
+    `.grad` to None (`zero_grad`) before a new accumulation.
     """
 
-    __slots__ = ("data", "grad", "trainable", "_parents", "_backward", "_op", "_needs",
-                 "_owns_grad")
+    __slots__ = ("data", "grad", "trainable", "_parents", "_backward", "_op", "_needs")
 
     def __init__(self, data, trainable: bool = False):
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
-        self._owns_grad = False  # whether `grad` is a sum `_accum` allocated
         self.trainable = bool(trainable)
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
@@ -109,31 +105,14 @@ def _accum(t: Tensor, g: np.ndarray):
     written into: `mean` hands one array to several parents, and a
     backward may hand over a view of its own buffer.  Two read-only
     broadcasts of one row, such as each `propagate_layer`'s gradient of
-    `pos`, sum as one row and stay a broadcast.  Otherwise the second
-    gradient allocates a sum that `t` owns, and later ones add into that
-    sum in place."""
+    `pos`, sum as one row and stay a broadcast; any other later gradient
+    allocates the sum."""
     if t.grad is None:
-        t.grad, t._owns_grad = g, False
-    elif t._owns_grad:
-        t.grad += g
+        t.grad = g
     elif g.ndim and t.grad.strides[0] == g.strides[0] == 0:
         t.grad = np.broadcast_to(t.grad[:1] + g[:1], g.shape)
     else:
-        t.grad, t._owns_grad = t.grad + g, True
-
-
-def l2_normalize_rows(a: Tensor) -> Tensor:
-    norms = np.linalg.norm(a.data, axis=1, keepdims=True)
-    bad = np.nonzero(norms.ravel() == 0.0)[0]
-    if bad.size:
-        raise NumericsError(f"l2_normalize_rows: zero-norm row(s) {bad[:5].tolist()}")
-    data = a.data / norms
-
-    def bw(g):
-        inner = (g * data).sum(axis=1, keepdims=True)
-        _accum(a, (g - data * inner) / norms)
-
-    return _make(data, "l2_normalize_rows", (a,), bw)
+        t.grad = t.grad + g
 
 
 def mix(a: Tensor, b: Tensor, wa: float, wb: float) -> Tensor:

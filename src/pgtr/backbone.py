@@ -6,11 +6,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
-from .autodiff import Tensor, mean
+from .autodiff import Tensor
 from .data import BipartiteGraph
 from .linalg import symmetric_normalized
 
-__all__ = ["normalized_adjacency", "propagate_layer", "readout"]
+__all__ = ["normalized_adjacency", "propagate_layer"]
 
 LEAKY_SLOPE = 0.2
 
@@ -79,10 +79,3 @@ def propagate_layer(h: Tensor, adj: sp.csr_matrix, transform: Tensor | None = No
 def _row_sum(a: np.ndarray) -> np.ndarray:
     """Σ_rows a as one GEMV, ~8x faster than numpy's axis-0 sum."""
     return np.ones((1, a.shape[0]), a.dtype) @ a
-
-
-def readout(layer_tables: list[Tensor]) -> Tensor:
-    """Arithmetic mean over the layer-0..L tables, as one `mean` node."""
-    if not layer_tables:
-        raise ValueError("readout needs at least one table")
-    return mean(layer_tables)

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, check_finite, mix, parameter
-from .backbone import normalized_adjacency, propagate_layer, readout
+from .autodiff import Tensor, check_finite, mean, mix, parameter
+from .backbone import normalized_adjacency, propagate_layer
 from .data import BipartiteGraph
 from .encodings import PositionalEncodingSet, build_encoding_set, position_tape
 
@@ -209,7 +209,7 @@ def forward(state: ModelState) -> Tensor:
                                 state.transforms[layer] if state.transforms else None,
                                 pos, cfg.lambda2, cfg.lambda3)
             tables.append(h)
-        out = readout(tables)
+        out = mean(tables)
     check_finite(out)
     return out
 

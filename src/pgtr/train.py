@@ -82,9 +82,12 @@ def _batch_mask(users: np.ndarray, items: np.ndarray, user_items: sp.csr_matrix)
     m, n = batch_users.size, uniq.size
     col_of = np.full(user_items.shape[1], -1, dtype=np.intp)
     col_of[uniq] = np.arange(n)
-    trained = user_items[batch_users]
-    col = col_of[trained.indices]  # -1 for an item outside the batch
-    row = np.repeat(np.arange(m), np.diff(trained.indptr))
+    starts = user_items.indptr[batch_users]
+    counts = user_items.indptr[batch_users + 1] - starts
+    row = np.repeat(np.arange(m), counts)
+    # each gathered row's stored entries, consecutive from its start
+    entry = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(row.size)
+    col = col_of[user_items.indices[entry]]  # -1 for an item outside the batch
     at = col >= 0
     row = row[at]
     drop = row * n + col[at]
@@ -109,11 +112,12 @@ def batch_loss(state: ModelState, users: np.ndarray, items: np.ndarray,
     row keeps the items the user never trained on (`_batch_mask` lists the
     dropped entries, so no dense mask is built), and a pair's row adds its
     own positive.  A pair keeps a negative when its row keeps at least two
-    entries.  The loss after the forward pass's row normalization is one
-    tape node, `in_batch_softmax`, with a hand-written backward.  Pairs
+    entries.  The loss on the forward's node table, cosines included, is
+    one tape node, `in_batch_softmax`, with a hand-written backward.  Pairs
     may repeat.  Returns the scalar loss tensor and the number of pairs
     skipped for lack of negatives.  Raises NumericsError naming the op
-    when the node table or the loss is not finite (`ad.check_finite`);
+    when the node table or the loss is not finite (`ad.check_finite`) or
+    naming a batch row of zero norm (other rows are not read);
     NoNegativesError, a ValueError, when no pair keeps a negative; and
     ValueError when `user_items` has the wrong shape or an item id outside
     [0, n_items), when a pair's id is out of range, or when a pair's item
@@ -136,11 +140,23 @@ def batch_loss(state: ModelState, users: np.ndarray, items: np.ndarray,
     n_keep = int(keep.sum())
     if n_keep == 0:
         raise NoNegativesError("every pair in the batch lacks negatives")
-    h_norm = ad.l2_normalize_rows(forward(state))
-    loss = _in_batch_softmax(h_norm, batch_users, state.n_users + uniq, urow[keep], inv[keep],
-                             drop, 1.0 / state.config.tau)
+    loss = _in_batch_softmax(forward(state), batch_users, state.n_users + uniq, urow[keep],
+                             inv[keep], drop, 1.0 / state.config.tau)
     ad.check_finite(loss)
     return loss, users.size - n_keep
+
+
+def _unit_rows(h: np.ndarray, ids: np.ndarray | None = None):
+    """The rows `ids` of the node table `h` (all when None) over their L2
+    norms, and the (n, 1) norms.  Zero-norm rows raise NumericsError naming
+    up to 5 of their node ids."""
+    rows = h if ids is None else h[ids]
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    bad = np.flatnonzero(norms == 0.0)
+    if bad.size:
+        bad = bad if ids is None else ids[bad]
+        raise NumericsError(f"zero-norm node row(s) {bad[:5].tolist()}")
+    return rows / norms, norms
 
 
 # `_in_batch_softmax` shifts a user row whose exponentials, shifted by 1/tau,
@@ -154,15 +170,16 @@ def _in_batch_softmax(h: Tensor, user_rows: np.ndarray, item_rows: np.ndarray,
                       urow: np.ndarray, inv: np.ndarray, drop: np.ndarray,
                       inv_tau: float) -> Tensor:
     """The mean over pairs of log-sum-exp over a pair's kept scores minus
-    its positive score, as one tape node whose parent is `h`.
+    its positive score, as one tape node whose parent is the node table `h`.
 
-    U = h[user_rows] * inv_tau (scaling the (m, d) rows is cheaper than the
-    (m, u) scores) and I = h[item_rows] give the table S = U I^T of the
+    The rows read are L2-normalized (`_unit_rows`): U = unit(h[user_rows])
+    * inv_tau (scaling the (m, d) rows is cheaper than the (m, u) scores)
+    and I = unit(h[item_rows]) give the cosine table S = U I^T of the
     batch's distinct users and items.  Pair a has user row urow[a] and
     positive column inv[a]; `drop` lists the flat indices of the entries
     the user rows drop, positives included (`_batch_mask`), and every pair
-    given keeps a negative.  The rows of h are L2-normalized, so no score
-    exceeds 1/tau, a constant log-sum-exp shift: S becomes E = exp(S - 1/tau)
+    given keeps a negative.  Cosines are at most 1, so no score exceeds
+    1/tau, a constant log-sum-exp shift: S becomes E = exp(S - 1/tau)
     in place, with 1/tau in the table's dtype, the dropped entries are set
     to 0, and a product with a ones vector gives each user's base.  Pair a
     adds its positive score pos_a = U[urow[a]] . I[inv[a]]: its total is
@@ -175,13 +192,16 @@ def _in_batch_softmax(h: Tensor, user_rows: np.ndarray, item_rows: np.ndarray,
     E with each row scaled by R, the sum of r_a scale_a over the row's
     pairs, plus c_a = r_a exp(pos_a - shift_a) - w at each pair's positive
     (0 in E; repeated pairs add up there through a scatter-add).  The
-    backward writes G over E and gives U the rows G I and I the rows G^T U:
-    the batch users' and items' rows of h are distinct and disjoint, so
-    they are written straight into its gradient.  The op holds one (m, u)
+    backward writes G over E; the unit rows get D = (G I) / tau and G^T U,
+    and a row of norm r read from h gets (D - unit (D . unit)) / r, the
+    normalization's Jacobian, written straight into h's gradient (the rows
+    are distinct, and every other row gets 0).  The op holds one (m, u)
     table, in h's dtype.
     """
-    u = h.data[user_rows] * inv_tau
-    items = h.data[item_rows]
+    rows = np.concatenate([user_rows, item_rows])
+    unit, norms = _unit_rows(h.data, rows)
+    u = unit[:user_rows.size] * inv_tau
+    items = unit[user_rows.size:]
     e = u @ items.T
     m, n = e.shape
     ones = np.ones(n, dtype=e.dtype)
@@ -216,9 +236,9 @@ def _in_batch_softmax(h: Tensor, user_rows: np.ndarray, item_rows: np.ndarray,
         big_r = np.bincount(urow, weights=r * scale, minlength=m).astype(e.dtype)
         np.multiply(e, big_r[:, None], out=e)
         np.add.at(e.reshape(-1), urow * n + inv, r * pos_exp - w)
+        d = np.concatenate([(e @ items) * inv_tau, e.T @ u])
         grad = np.zeros_like(h.data)
-        grad[user_rows] = (e @ items) * inv_tau
-        grad[item_rows] = e.T @ u
+        grad[rows] = (d - unit * (d * unit).sum(axis=1, keepdims=True)) / norms
         ad._accum(h, grad)
 
     return ad._make(loss, "in_batch_softmax", (h,), bw)
@@ -235,8 +255,8 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
     takes no step, and all its pairs count as skipped.  An epoch that takes
     no step records a NaN `train_loss` and stops training with a warning.
     A NumericsError in a step or in validation (a non-finite node table,
-    loss or parameter gradient, or a zero-norm row) stops training with a
-    warning and restores the best parameters.
+    loss or parameter gradient, or a zero-norm row that either reads)
+    stops training with a warning and restores the best parameters.
     """
     rng = np.random.default_rng(cfg.seed)
     named = state.named_parameters()
@@ -447,19 +467,21 @@ def evaluate(state: ModelState, observed: InteractionDataset | sp.spmatrix,
     `observed` and `test` are datasets or their `user_item_matrix()`, which
     `train` builds once instead of on every epoch's call.
     The forward runs with no parameter needing a gradient, so its ops
-    record no backward closures.  Raises NumericsError when a node's
-    representation is not finite (`forward` names the op) or has zero norm
-    (`ad.l2_normalize_rows`), so `train` takes its divergence path on it.
+    record no backward closures; its rows are normalized in plain numpy for
+    the cosine scores.  Raises NumericsError when a node's representation
+    is not finite (`forward` names the op) or has zero norm (`_unit_rows`
+    names the node), so `train` takes its divergence path on it.
     """
     params = state.parameters()
     needs = [p._needs for p in params]
     try:
         for p in params:
             p._needs = False
-        h_norm = ad.l2_normalize_rows(forward(state)).data
+        h = forward(state).data
     finally:
         for p, need in zip(params, needs):
             p._needs = need
+    h_norm, _ = _unit_rows(h)
     scores = h_norm[:state.n_users] @ h_norm[state.n_users:].T
     observed, test = (items if sp.issparse(items) else items.user_item_matrix()
                       for items in (observed, test))

@@ -9,9 +9,10 @@ The ops defined below (`constant`, broadcast `add`, `sub`, `mul` and
 `div`, `matmul`, `transpose`, `leaky_relu`, `neg`, `exp`, `log`,
 `sum_axis`, `gather_rows`, `slice_rows`, `concat_rows`,
 `logsumexp_rows`, a taped row-wise log-sum-exp under an optional
-keep-mask, and the layer's pieces `spmm`, `leaky_transform` and
-`column_mean`) are built on the engine's `_make`, but `src/` runs none of
-them: the position vectors, each layer and the sampled-softmax loss are
+keep-mask, `l2_normalize_rows`, the cosine scores' normalization, and the
+layer's pieces `spmm`, `leaky_transform` and `column_mean`) are built on
+the engine's `_make`, but `src/` runs none of them: the position vectors,
+each layer and the sampled-softmax loss, row normalization included, are
 each one fused node.  They are the pieces of the taped oracles in the
 other test modules, and are checked here like the engine's own ops.
 `add` and `mul` take a scalar or array second operand as a constant of the
@@ -237,6 +238,22 @@ def logsumexp_rows(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return ad._make(mx + np.log(total), "logsumexp_rows", (a,), bw)
 
 
+def l2_normalize_rows(a: Tensor) -> Tensor:
+    """Each row of `a` over its L2 norm; a zero-norm row raises
+    NumericsError."""
+    norms = np.linalg.norm(a.data, axis=1, keepdims=True)
+    bad = np.nonzero(norms.ravel() == 0.0)[0]
+    if bad.size:
+        raise NumericsError(f"l2_normalize_rows: zero-norm row(s) {bad[:5].tolist()}")
+    data = a.data / norms
+
+    def bw(g):
+        inner = (g * data).sum(axis=1, keepdims=True)
+        ad._accum(a, (g - data * inner) / norms)
+
+    return ad._make(data, "l2_normalize_rows", (a,), bw)
+
+
 def spmm(s: sp.spmatrix, a: Tensor) -> Tensor:
     """Constant sparse matrix times tensor; gradient flows through `a` only."""
     st = s.T
@@ -442,7 +459,7 @@ class TestPrimitiveGradients:
 
     def test_l2_normalize_rows(self):
         x = rand(self.rng, 4, 3) + np.sign(rand(self.rng, 4, 3)) * 0.5
-        finite_difference_check(self._weighted(ad.l2_normalize_rows), [x])
+        finite_difference_check(self._weighted(l2_normalize_rows), [x])
 
     def test_logsumexp_rows(self):
         finite_difference_check(self._weighted(logsumexp_rows), [rand(self.rng, 4, 5)])
@@ -465,7 +482,7 @@ class TestPrimitiveGradients:
         def build(ts):
             x, w = ts
             h = spmm(s, x)
-            h = ad.l2_normalize_rows(add(matmul(h, w), mul(x, 0.3)))
+            h = l2_normalize_rows(add(matmul(h, w), mul(x, 0.3)))
             rows = gather_rows(h, idx)
             scores = mul(matmul(rows, transpose(rows)), 2.0)
             lse = logsumexp_rows(scores, mask)
@@ -508,7 +525,7 @@ class TestGatherRowsScatter:
 class TestNormalizeAndMaskErrors:
     def test_zero_norm_row_rejected(self):
         with pytest.raises(NumericsError, match="zero-norm"):
-            ad.l2_normalize_rows(constant(np.zeros((2, 3))))
+            l2_normalize_rows(constant(np.zeros((2, 3))))
 
     def test_empty_mask_row_rejected(self):
         x = constant(np.ones((2, 2)))
@@ -517,14 +534,16 @@ class TestNormalizeAndMaskErrors:
 
 
 def allocating_accum(t, g):
-    """The accumulation rule before in-place sums: every sum is a new array."""
+    """The plain accumulation rule: every sum is a new full array, even of
+    two row broadcasts."""
     t.grad = g if t.grad is None else t.grad + g
 
 
 class TestSharedGradients:
     """Gradients handed to several parents, or handed on as views, sum to the
-    same bits as with an allocate-always `_accum`, so an in-place sum never
-    writes into an array another node also holds."""
+    same bits as with an allocate-always `_accum`: no sum writes into an
+    array another node also holds, and summing two row broadcasts as one
+    row changes no bit."""
 
     def _leaf_grads(self, build, arrays):
         tensors = [parameter(a.copy()) for a in arrays]
@@ -585,14 +604,16 @@ class TestSharedGradients:
 
     def test_two_row_broadcasts_stay_one_row(self):
         """Two read-only broadcasts of a row sum as one row, still a
-        broadcast that the tensor does not own."""
+        broadcast, and the first one stored is not written into."""
         rng = np.random.default_rng(5)
         rows = [rand(rng, 1, 3) for _ in range(2)]
+        first = rows[0].copy()
         t = parameter(rand(rng, 4, 3))
         for r in rows:
             ad._accum(t, np.broadcast_to(r, (4, 3)))
-        assert t.grad.strides[0] == 0 and not t._owns_grad
-        assert t.grad.tobytes() == np.broadcast_to(rows[0] + rows[1], (4, 3)).tobytes()
+        assert t.grad.strides[0] == 0
+        assert rows[0].tobytes() == first.tobytes()
+        assert t.grad.tobytes() == np.broadcast_to(first + rows[1], (4, 3)).tobytes()
 
     def test_transposed_view(self, monkeypatch):
         def build(ts):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 
 import pgtr.autodiff as ad
 from pgtr.autodiff import Tensor, parameter
-from pgtr.backbone import normalized_adjacency, propagate_layer, readout
+from pgtr.backbone import normalized_adjacency, propagate_layer
 from pgtr.data import InteractionDataset, SplitSpec, build_graph, split_by_ratio
 from pgtr.synthetic import clustered_interactions
 from test_autodiff import (add, close, constant, finite_difference_check, leaky_relu,
@@ -270,19 +270,17 @@ class TestTransform:
 
 
 class TestReadout:
+    """The readout is the engine's `mean` over the layer tables."""
+
     def test_single_table_identity(self):
         t = constant(np.arange(6.0).reshape(3, 2))
-        np.testing.assert_array_equal(readout([t]).data, t.data)
+        np.testing.assert_array_equal(ad.mean([t]).data, t.data)
 
     def test_identical_tables(self):
         t = constant(np.ones((2, 2)))
-        np.testing.assert_array_equal(readout([t, t]).data, t.data)
+        np.testing.assert_array_equal(ad.mean([t, t]).data, t.data)
 
     def test_mean_of_scaled_tables(self):
         t = np.arange(4.0).reshape(2, 2)
-        out = readout([constant(t), constant(3.0 * t)])
+        out = ad.mean([constant(t), constant(3.0 * t)])
         np.testing.assert_allclose(out.data, 2.0 * t)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            readout([])

@@ -30,8 +30,8 @@ from pgtr.train import (
     ranking_metrics,
     train,
 )
-from test_autodiff import (as_float64, gather_rows, held_arrays, logsumexp_rows, matmul, mul, sub,
-                           sum_axis, tape_nodes, transpose)
+from test_autodiff import (as_float64, gather_rows, held_arrays, l2_normalize_rows,
+                           logsumexp_rows, matmul, mul, sub, sum_axis, tape_nodes, transpose)
 from test_encodings import awkward_interactions
 
 
@@ -159,31 +159,32 @@ def pair_mask(drop, urow, inv, m, n):
     return mask
 
 
-def fused_loss_and_grad(h_norm, user_rows, item_rows, urow, inv, drop, keep, tau):
+def fused_loss_and_grad(h, user_rows, item_rows, urow, inv, drop, keep, tau):
     """The `in_batch_softmax` node, over the pairs `keep` marks, on a leaf
-    holding the normalized table `h_norm`, and the leaf's gradient.
-    `backward` releases an interior node's gradient, so the leaf stands in
-    for `batch_loss`'s `h_norm`."""
-    leaf = ad.parameter(h_norm)
+    holding the node table `h`, and the leaf's gradient.  `backward`
+    releases an interior node's gradient, so the leaf stands in for
+    `forward`'s table."""
+    leaf = ad.parameter(h)
     loss = _in_batch_softmax(leaf, user_rows, item_rows, urow[keep], inv[keep], drop, 1.0 / tau)
     ad.backward(loss)
     return loss, leaf.grad
 
 
-def assert_matches_taped_oracle(loss, grad, h_norm, users, item_rows, inv, mask, keep,
-                                tau):
-    """`loss` and `grad`, the fused node's loss and gradient of `h_norm`,
-    agree with the float64 taped composition on `h_norm` cast to float64.
-    The bounds are relative to max(1, |loss|), since a loss near 0 at a
-    small tau carries rounding of order eps / tau from its terms, and the
-    gradient's scales with 1/tau.  For a float32 table they are bounds the
-    masked, row-max-shifted form of the loss, computed in float32, also
-    meets on `softmax_batches`' draws."""
-    leaf = ad.parameter(h_norm.astype(np.float64))
-    want = taped_in_batch_softmax(leaf, users, item_rows, inv, mask, keep, 1.0 / tau)
+def assert_matches_taped_oracle(loss, grad, h, users, item_rows, inv, mask, keep, tau):
+    """`loss` and `grad`, the fused node's loss and gradient of the node
+    table `h`, agree with the float64 taped composition, `l2_normalize_rows`
+    and then the loss, on `h` cast to float64.  The loss bound is relative
+    to max(1, |loss|), since a loss near 0 at a small tau carries rounding
+    of order eps / tau from its terms, and the gradient's scales with
+    1/tau.  For a float32 table they are bounds the masked, row-max-shifted
+    form of the loss, computed in float32, also meets on
+    `softmax_batches`' draws."""
+    leaf = ad.parameter(h.astype(np.float64))
+    want = taped_in_batch_softmax(l2_normalize_rows(leaf), users, item_rows, inv, mask, keep,
+                                  1.0 / tau)
     ad.backward(want)
-    assert loss.data.dtype == grad.dtype == h_norm.dtype
-    loss_tol, grad_tol = (1e-12, 1e-13) if h_norm.dtype == np.float64 else (1e-4, 4e-6)
+    assert loss.data.dtype == grad.dtype == h.dtype
+    loss_tol, grad_tol = (1e-12, 1e-13) if h.dtype == np.float64 else (1e-4, 4e-6)
     assert abs(loss.item() - want.item()) <= loss_tol * max(1.0, abs(want.item()))
     assert np.abs(grad - leaf.grad).max() * tau <= grad_tol
 
@@ -372,8 +373,8 @@ class TestBatchLossTape:
         assert 1 < m < u < b and state.config.d not in (m, u)
         loss, _ = batch_loss(state, users, items, ds.items_of_user())
         assert loss._op == "in_batch_softmax"
-        [h_norm] = loss._parents
-        assert h_norm._op == "l2_normalize_rows"
+        [h] = loss._parents
+        assert h._op == "mean"
         held = held_arrays(loss)
         assert sum(a.shape == (m, u) for a in held) == 1
         assert all(a.shape != (b, u) for a in held)
@@ -382,14 +383,15 @@ class TestBatchLossTape:
     @settings(max_examples=400)  # most draws lack negatives
     @given(batch=softmax_batches())
     def test_fused_loss_matches_taped_oracle(self, batch):
-        """The loss node of `batch_loss` on a given node table against the
-        float64 taped composition of the (b × distinct items) pair table on
-        the same normalized table: the same loss and gradient of the
-        normalized table to rounding, or the same lack of negatives.  The
-        draws repeat users and whole pairs, hold a user who trained on
-        every item and take tau down to 0.001.  The node scores each user
-        once, shifts by 1/tau and scales rows in its backward, so its last
-        bits differ from the oracle's on purpose."""
+        """The loss node of `batch_loss` on a given raw node table against
+        the float64 taped composition of `l2_normalize_rows` and the
+        (b × distinct items) pair table on the same table: the same loss
+        and gradient of the table to rounding, or the same lack of
+        negatives.  The draws repeat users and whole pairs, hold a user who
+        trained on every item and take tau down to 0.001.  The node
+        normalizes only the rows it reads, scores each user once, shifts by
+        1/tau and scales rows in its backward, so its last bits differ from
+        the oracle's on purpose."""
         h, trained, users, items, tau = batch
         n_users, n_items = trained.shape
         state = SimpleNamespace(n_users=n_users, n_items=n_items,
@@ -404,11 +406,9 @@ class TestBatchLossTape:
                 return
             loss, skipped = batch_loss(state, users, items, trained)
         assert skipped == np.count_nonzero(~keep)
-        [h_norm] = loss._parents
-        got, got_grad = fused_loss_and_grad(h_norm.data, batch_users, n_users + uniq, urow, inv,
-                                            drop, keep, tau)
-        assert loss.data.tobytes() == got.data.tobytes()
-        assert_matches_taped_oracle(got, got_grad, h_norm.data, users, n_users + uniq, inv,
+        [leaf] = loss._parents
+        ad.backward(loss)
+        assert_matches_taped_oracle(loss, leaf.grad, h, users, n_users + uniq, inv,
                                     pair_mask(drop, urow, inv, batch_users.size, uniq.size),
                                     keep, tau)
 
@@ -498,6 +498,61 @@ class TestBatchLossTape:
         assert targets
         assert [t for t in targets if not t._needs] == []
         assert all(p.grad is not None for p in state.parameters())
+
+    @staticmethod
+    def _batch(ds, state):
+        """A batch of the small model's pairs that keeps a negative, and the
+        node ids of the rows its loss reads."""
+        sel = np.random.default_rng(4).integers(0, len(ds), size=6)
+        users, items = ds.users[sel], ds.items[sel]
+        read = np.union1d(users, state.n_users + items)
+        assert read.size < state.n_nodes
+        return users, items, read
+
+    @staticmethod
+    def _loss_on_table(state, users, items, user_items, zero_rows=()):
+        """`batch_loss` on a leaf holding the model's node table with the
+        rows `zero_rows` set to 0, after its backward: the loss and the
+        leaf's gradient."""
+        h = forward(state).data.copy()
+        h[list(zero_rows)] = 0.0
+        leaf = ad.parameter(h)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sys.modules["pgtr.train"], "forward", lambda s: leaf)
+            loss, _ = batch_loss(state, users, items, user_items)
+        ad.backward(loss)
+        return loss, leaf.grad
+
+    def test_gradient_is_zero_outside_the_batch_rows(self, small_model):
+        """The loss normalizes and reads only the batch's user and item
+        rows, so every other row of the node table gets a gradient of
+        exactly 0."""
+        ds, state = small_model
+        users, items, read = self._batch(ds, state)
+        _, grad = self._loss_on_table(state, users, items, ds.items_of_user())
+        outside = np.setdiff1d(np.arange(state.n_nodes), read)
+        assert not grad[outside].any()
+        assert grad[read].any()
+
+    @pytest.mark.parametrize("side", ["user", "item"])
+    def test_zero_norm_batch_row_names_its_node(self, small_model, side):
+        ds, state = small_model
+        users, items, _ = self._batch(ds, state)
+        node = int(users[2]) if side == "user" else state.n_users + int(items[2])
+        with pytest.raises(NumericsError, match=re.escape(f"zero-norm node row(s) [{node}]")):
+            self._loss_on_table(state, users, items, ds.items_of_user(), [node])
+
+    def test_zero_norm_row_outside_the_batch_changes_nothing(self, small_model):
+        """A zero-norm row the loss does not read leaves the loss and the
+        gradient bit for bit as they were."""
+        ds, state = small_model
+        users, items, read = self._batch(ds, state)
+        outside = np.setdiff1d(np.arange(state.n_nodes), read)
+        loss, grad = self._loss_on_table(state, users, items, ds.items_of_user())
+        got_loss, got_grad = self._loss_on_table(state, users, items, ds.items_of_user(),
+                                                 outside[:2])
+        assert got_loss.data.tobytes() == loss.data.tobytes()
+        assert got_grad.tobytes() == grad.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -679,7 +734,7 @@ class TestTrainLoop:
         with caplog.at_level(logging.WARNING, logger="pgtr.train"):
             state, history = train(state, fit, val, TrainConfig(
                 batch_size=32, lr=2e-2, max_epochs=5, patience=5, seed=6))
-        assert ("training aborted at epoch 3: l2_normalize_rows: zero-norm row(s) [5]"
+        assert ("training aborted at epoch 3: zero-norm node row(s) [5]"
                 in caplog.text)
         assert [row["val_recall"] for row in history] == [
             row["val_recall"] for row in clean_history]
@@ -1265,5 +1320,5 @@ class TestEvaluate:
 
         monkeypatch.setattr(train_mod, "forward", forward)
         with pytest.raises(NumericsError,
-                           match=re.escape("l2_normalize_rows: zero-norm row(s) [14]")):
+                           match=re.escape("zero-norm node row(s) [14]")):
             evaluate(state, ds, ds, k=5)
