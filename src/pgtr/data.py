@@ -168,11 +168,15 @@ class BipartiteGraph:
         return np.concatenate([self.user_degree, self.item_degree]).astype(np.float64)
 
     def full_adjacency(self) -> sp.csr_matrix:
-        """(N+M) x (N+M) symmetric 0/1 adjacency, users then items."""
+        """(N+M) x (N+M) symmetric 0/1 adjacency, users then items: the
+        user rows of `user_adj` with item columns shifted past the users,
+        then the item rows of `item_adj`, with sorted indices."""
         n, m = self.n_users, self.n_items
-        upper = sp.hstack([sp.csr_matrix((n, n)), self.user_adj])
-        lower = sp.hstack([self.item_adj, sp.csr_matrix((m, m))])
-        return sp.vstack([upper, lower]).tocsr()
+        ua, ia = self.user_adj, self.item_adj
+        return sp.csr_matrix((np.concatenate([ua.data, ia.data]),
+                              np.concatenate([ua.indices + n, ia.indices]),
+                              np.concatenate([ua.indptr, ia.indptr[1:] + ua.nnz])),
+                             shape=(n + m, n + m))
 
 
 def build_graph(ds: InteractionDataset) -> BipartiteGraph:

@@ -1,7 +1,10 @@
 """Node positional encodings for the bipartite interaction graph.
 
 Four encodings per node.  Spectral is a frozen block of Laplacian
-eigenvectors.  Degree, PageRank and node type are grouped encodings: one
+eigenvectors; for the bipartite graph they come from one eigensolve on its
+smaller side, min(N, M) nodes, lifted to the whole graph and certified on
+its Laplacian, or from a solve of the whole graph when the wanted spectrum
+reaches 1.  Degree, PageRank and node type are grouped encodings: one
 learned table row per structural group of nodes, picked by a frozen group
 id per node.  Each encoding has a projection into the embedding space, and
 a pair of side-specific projections folds the sum into one d-vector per
@@ -14,12 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import Tensor, parameter
 from .data import BipartiteGraph, one_sided_adjacency
-from .linalg import (laplacian_null_basis, normalized_laplacian, pagerank,
-                     symmetric_eigs_smallest)
+from .linalg import (RESIDUAL_TOL, ConvergenceError, GramOperator,
+                     certified_eigenvectors, laplacian_null_basis, normalized_laplacian,
+                     pagerank, symmetric_eigs_smallest)
 
 __all__ = [
     "EncodingError",
@@ -55,10 +60,13 @@ def group_by_rank(values, n_groups: int) -> np.ndarray:
     return group_of
 
 
-def _nontrivial_eigenvectors(adj, h: int, what: str) -> np.ndarray:
+def _nontrivial_eigenvectors(adj, h: int, what: str, n_users: int | None = None) -> np.ndarray:
     """Columns of the h smallest eigenvectors of the normalized Laplacian
     outside its null space (one zero eigenvalue per connected component,
-    isolated nodes included), found by one deflated solve."""
+    isolated nodes included).  Given `n_users`, `adj` is a bipartite graph
+    with its n_users users first, and `_lifted_eigenvectors` answers from
+    the smaller side when it can; otherwise one deflated solve of the whole
+    graph does."""
     if adj.nnz == 0:
         raise EncodingError(f"{what}: graph has no edges")
     null = laplacian_null_basis(adj)
@@ -67,8 +75,57 @@ def _nontrivial_eigenvectors(adj, h: int, what: str) -> np.ndarray:
         raise EncodingError(
             f"{what}: needs {h} non-trivial eigenpairs but only {n - trivial} "
             f"are available ({trivial} trivial of {n} total)")
-    _, vecs = symmetric_eigs_smallest(normalized_laplacian(adj), h, deflate=null)
+    lap = normalized_laplacian(adj)
+    if n_users is not None:
+        vecs = _lifted_eigenvectors(lap, null, n_users, h)
+        if vecs is not None:
+            return vecs
+    _, vecs = symmetric_eigs_smallest(lap, h, deflate=null)
     return vecs
+
+
+def _lifted_eigenvectors(lap, null, n_users: int, h: int) -> np.ndarray | None:
+    """The h smallest eigenvectors of a bipartite graph's normalized
+    Laplacian L (users first) outside its null space `null`, from one solve
+    on the graph's smaller side; None when that side cannot give them.
+
+    Let R be the normalized biadjacency D_u^{-1/2} B D_i^{-1/2} with one
+    row per node of the smaller side: minus L's off-diagonal block.  Each
+    singular triplet (s, u, v) of R gives L the eigenpair
+    (1 - s, [u; v] / sqrt 2), and L's other non-trivial eigenvalues are
+    >= 1.  So the side's `GramOperator` diag(d > 0) - R R^T, whose null
+    space is the side's rows of `null` (renormalized, empty columns
+    dropped), gives L's h smallest as its own, 1 - s^2, and each eigenvector
+    u lifts to [u; R^T u / s] / sqrt 2.  Every lifted pair is certified on
+    L itself.
+
+    None when the side has fewer than h non-trivial pairs, when the h-th
+    s^2 is within the side solve's tolerance of 0 (L's eigenvalue may then
+    be 1, whose eigenvectors can lie in ker R or ker R^T instead), or when
+    a lifted residual fails.
+    """
+    n = lap.shape[0]
+    users, items = slice(0, n_users), slice(n_users, n)
+    side, other = (users, items) if n_users <= n - n_users else (items, users)
+    basis = null[side]
+    norms = np.sqrt(np.asarray(basis.multiply(basis).sum(axis=0)).ravel())
+    kept = np.flatnonzero(norms)
+    basis = basis[:, kept] @ sp.diags(1.0 / norms[kept])
+    if h > basis.shape[0] - basis.shape[1]:
+        return None
+    gram = GramOperator(-lap[side, other])
+    vals, u = symmetric_eigs_smallest(gram, h, deflate=basis)
+    if not 1.0 - vals[-1] > RESIDUAL_TOL * gram.one_norm():
+        return None
+    s = np.sqrt(1.0 - vals)
+    vecs = np.empty((n, h))
+    vecs[side] = u
+    vecs[other] = (gram.rt @ u) / s
+    vecs /= np.sqrt(2.0)
+    try:
+        return certified_eigenvectors(lap, 1.0 - s, vecs)
+    except ConvergenceError:
+        return None
 
 
 def spectral_encoding(g: BipartiteGraph, h_c: int, lambda_c: float) -> np.ndarray:
@@ -77,7 +134,11 @@ def spectral_encoding(g: BipartiteGraph, h_c: int, lambda_c: float) -> np.ndarra
     (h_c, N+M) array, users first.
 
     lambda_c = 0 uses the bipartite graph only; lambda_c = 1 uses the
-    user-side and item-side projection graphs only.
+    user-side and item-side projection graphs only.  The bipartite graph's
+    block comes from one eigensolve on its smaller side when its h_c
+    smallest non-trivial eigenvalues lie below 1 (see
+    `_lifted_eigenvectors`), and from one solve of the whole graph
+    otherwise.
     """
     if h_c < 1:
         raise ValueError("h_c must be >= 1")
@@ -85,7 +146,8 @@ def spectral_encoding(g: BipartiteGraph, h_c: int, lambda_c: float) -> np.ndarra
         raise ValueError("lambda_c must lie in [0, 1]")
     matrix = np.zeros((h_c, g.n_users + g.n_items))
     if lambda_c < 1.0:
-        vecs = _nontrivial_eigenvectors(g.full_adjacency(), h_c, "bipartite graph")
+        vecs = _nontrivial_eigenvectors(g.full_adjacency(), h_c, "bipartite graph",
+                                        g.n_users)
         matrix += (1.0 - lambda_c) * vecs.T
     if lambda_c > 0.0:
         u_vecs = _nontrivial_eigenvectors(one_sided_adjacency(g, "user"), h_c,

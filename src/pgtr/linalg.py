@@ -8,15 +8,20 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator
 
 __all__ = [
     "ConvergenceError",
+    "GramOperator",
+    "RESIDUAL_TOL",
     "symmetric_normalized",
     "normalized_laplacian",
     "laplacian_null_basis",
     "symmetric_eigs_smallest",
+    "certified_eigenvectors",
     "pagerank",
 ]
 
 # Dense decomposition up to this dimension; ARPACK above.
 DENSE_CUTOFF = 512
+# An eigenpair is certified when its residual is within this fraction of ||M||_1.
+RESIDUAL_TOL = 1e-10
 
 
 class ConvergenceError(RuntimeError):
@@ -90,25 +95,68 @@ def _check_symmetric(a: sp.csr_matrix, tol: float = 1e-12):
         raise ValueError(f"matrix not symmetric (max asymmetry {worst:.3e})")
 
 
-def symmetric_eigs_smallest(mat, k: int, tol: float = 1e-10, deflate=None):
+class GramOperator:
+    """The symmetric matrix diag(r_i != 0) - R R^T of a nonnegative sparse
+    R, in product form: x -> (r_i != 0) x - R (R^T x), with R R^T never
+    assembled.  R and R^T are each stored once as CSR.
+
+    For R the normalized biadjacency D_u^{-1/2} B D_i^{-1/2} of a
+    bipartite graph, one row per node of a side, each singular value s of
+    R is an eigenvalue 1 - s^2 here, and its null space is that side's
+    part of `laplacian_null_basis` of the whole graph.
+    """
+
+    def __init__(self, r):
+        self.r = sp.csr_matrix(r)
+        self.rt = self.r.T.tocsr()
+        self.diag = (np.asarray(self.r.sum(axis=1)).ravel() > 0).astype(np.float64)
+        self.shape = (self.r.shape[0],) * 2
+
+    def __matmul__(self, x):
+        diag = self.diag if x.ndim == 1 else self.diag[:, None]
+        return diag * x - self.r @ (self.rt @ x)
+
+    def toarray(self) -> np.ndarray:
+        return np.diag(self.diag) - (self.r @ self.rt).toarray()
+
+    def one_norm(self) -> float:
+        """Exact ||M||_1.  R >= 0 makes R R^T >= 0, so column j of |M| sums
+        to (R R^T 1)_j - g_j + |diag_j - g_j| with g_j = sum_k R_jk^2."""
+        gram_diag = np.asarray(self.r.multiply(self.r).sum(axis=1)).ravel()
+        col = self.r @ (self.rt @ np.ones(self.shape[0]))
+        return float((col - gram_diag + np.abs(self.diag - gram_diag)).max())
+
+
+def _as_operator(mat):
+    """`mat` itself if it is a GramOperator, else as a CSR matrix."""
+    return mat if isinstance(mat, GramOperator) else _to_sparse(mat)
+
+
+def symmetric_eigs_smallest(mat, k: int, tol: float = RESIDUAL_TOL, deflate=None):
     """Smallest-k eigenpairs of a sparse symmetric matrix M on the
     complement of `deflate`'s c orthonormal columns, which must span an
     invariant subspace of M (e.g. `laplacian_null_basis`).
 
+    M is a sparse or dense matrix, or a `GramOperator` in product form:
+    the dense path densifies it, while ARPACK, the probe and the residual
+    check only multiply by it, and its 1-norm is exact.
+
     Returns (eigenvalues ascending, column-orthonormal eigenvectors) with
     every residual ||M v - lambda v|| <= tol * ||M||_1 and sign-fixed
-    columns.  Above DENSE_CUTOFF, ARPACK solves on the complement and a
-    probe checks it missed no repeated eigenvalue; otherwise the dense
-    `eigh` of M answers, minus its c eigenvectors in span(deflate).
+    columns (see `certified_eigenvectors`).  Above DENSE_CUTOFF, ARPACK
+    solves on the complement and a probe checks it missed no repeated
+    eigenvalue; otherwise the dense `eigh` of M answers, minus its c
+    eigenvectors in span(deflate).
     """
-    a = _to_sparse(mat)
+    a = _as_operator(mat)
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     c = 0 if deflate is None else deflate.shape[1]
     if not 1 <= k <= n - c:
         raise ValueError(f"k={k} out of range for dimension {n} with {c} deflated")
-    _check_symmetric(a)
+    if not isinstance(a, GramOperator):  # symmetric by construction
+        _check_symmetric(a)
 
     norm_a = _one_norm(a)
     found = None
@@ -126,14 +174,24 @@ def symmetric_eigs_smallest(mat, k: int, tol: float = 1e-10, deflate=None):
             vals, vecs = vals[keep], vecs[:, keep]
         found = vals[:k], vecs[:, :k]
     vals, vecs = found
+    return vals, certified_eigenvectors(a, vals, vecs, tol)
 
+
+def certified_eigenvectors(mat, vals, vecs, tol: float = RESIDUAL_TOL) -> np.ndarray:
+    """`vecs` with each column's sign fixed (largest-magnitude entry
+    positive, first on ties), once every residual ||M v - lambda v|| is
+    within tol * ||M||_1; ConvergenceError with the largest otherwise.
+    M is taken as `symmetric_eigs_smallest` takes it."""
+    a = _as_operator(mat)
     resid = _residuals(a, vals, vecs)
-    if resid.max() > tol * max(norm_a, 1e-300):
+    if not resid.max() <= tol * max(_one_norm(a), 1e-300):
         raise ConvergenceError("eigensolver residual above tolerance", float(resid.max()))
-    return vals, _fix_signs(vecs)
+    return _fix_signs(vecs)
 
 
-def _one_norm(a: sp.csr_matrix) -> float:
+def _one_norm(a) -> float:
+    if isinstance(a, GramOperator):
+        return a.one_norm()
     if a.nnz == 0:
         return 0.0
     return float(np.asarray(abs(a).sum(axis=0)).max())
@@ -206,8 +264,14 @@ def pagerank(graph, damping: float = 0.85, tol: float = 1e-12,
 
     Accepts a square symmetric sparse/dense matrix or any object with a
     `full_adjacency()` method.  Dangling nodes redistribute uniformly.
-    Returns a probability vector (entries >= 0, sum 1).
+    Returns a probability vector (entries >= 0, sum 1).  Raises ValueError
+    naming the argument for a `damping` outside [0, 1) and for a `tol`
+    that is not positive and finite.
     """
+    if not 0.0 <= damping < 1.0:
+        raise ValueError(f"damping={damping} must lie in [0, 1)")
+    if not (tol > 0.0 and np.isfinite(tol)):
+        raise ValueError(f"tol={tol} must be positive and finite")
     if hasattr(graph, "full_adjacency"):
         a = graph.full_adjacency()
     else:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -131,6 +132,21 @@ class TestGraph:
         assert m.has_sorted_indices
         assert [neighbors(m, u).tolist() for u in range(3)] == [[1], [], [0, 1, 3]]
         assert m.data.all()
+
+    @given(ds=awkward_interactions())
+    def test_full_adjacency_matches_block_assembly(self, ds):
+        """The concatenated CSR is the hstack/vstack assembly of the two
+        orientations: the same arrays, dtypes and sorted flag."""
+        g = build_graph(ds)
+        n, m = g.n_users, g.n_items
+        want = sp.vstack([sp.hstack([sp.csr_matrix((n, n)), g.user_adj]),
+                          sp.hstack([g.item_adj, sp.csr_matrix((m, m))])]).tocsr()
+        got = g.full_adjacency()
+        assert got.format == "csr" and got.shape == want.shape
+        for part in ("indptr", "indices", "data"):
+            assert getattr(got, part).dtype == getattr(want, part).dtype, part
+            np.testing.assert_array_equal(getattr(got, part), getattr(want, part), err_msg=part)
+        assert got.has_sorted_indices and want.has_sorted_indices
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError):

@@ -4,15 +4,20 @@
 slices and a concat that `position_tape` fuses into one node: the oracle
 for its output and its gradients.
 """
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pgtr.autodiff as ad
-from pgtr.data import InteractionDataset, build_graph, one_sided_adjacency
+import pgtr.encodings
+from pgtr.data import (InteractionDataset, SplitSpec, build_graph, one_sided_adjacency,
+                       split_by_ratio)
 from pgtr.encodings import (
     EncodingError,
+    _nontrivial_eigenvectors,
     build_encoding_set,
     group_by_rank,
     position_tape,
@@ -20,6 +25,7 @@ from pgtr.encodings import (
 )
 from pgtr.linalg import (
     DENSE_CUTOFF,
+    GramOperator,
     laplacian_null_basis,
     normalized_laplacian,
     pagerank,
@@ -196,6 +202,141 @@ class TestSpectralProperties:
         ds = InteractionDataset(copies * block.n_users, copies * block.n_items + isolated,
                                 users, items)
         check_spectral_properties(build_graph(ds), h)
+
+
+def bipartite_graph(n_users, n_items, pairs):
+    users, items = np.array(pairs).T
+    return build_graph(InteractionDataset(n_users, n_items, users, items))
+
+
+def whole_graph_block(g, h):
+    """The (h, N+M) block of one deflated solve of the whole graph: the
+    oracle of the lifted route."""
+    return _nontrivial_eigenvectors(g.full_adjacency(), h, "whole graph").T
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Each matrix `spectral_encoding` hands the solver, as ("side", n) for
+    a smaller side's GramOperator and ("whole", n) for the whole graph."""
+    calls = []
+    real = pgtr.encodings.symmetric_eigs_smallest
+
+    def spy(mat, k, **kwargs):
+        calls.append(("side" if isinstance(mat, GramOperator) else "whole", mat.shape[0]))
+        return real(mat, k, **kwargs)
+
+    monkeypatch.setattr(pgtr.encodings, "symmetric_eigs_smallest", spy)
+    return calls
+
+
+def check_same_subspace(g, h):
+    """The spectral block spans the whole-graph solve's subspace: the
+    singular values of ref^T new are within 1e-10 of 1, over the columns
+    below a repeated eigenvalue that the block's edge cuts (any basis of
+    that one is right)."""
+    adj = g.full_adjacency()
+    null = laplacian_null_basis(adj)
+    n, trivial = null.shape
+    if h > n - trivial:
+        return
+    new = spectral_encoding(g, h, 0.0).T
+    ref = _nontrivial_eigenvectors(adj, h, "whole graph")
+    vals = np.linalg.eigvalsh(normalized_laplacian(adj).toarray())[trivial:]
+    cut = h < vals.size and vals[h] - vals[h - 1] <= 1e-8
+    below = int(np.sum(vals[:h] < vals[h - 1] - 1e-8)) if cut else h
+    sv = np.linalg.svd(ref[:, :below].T @ new[:, :below], compute_uv=False)
+    assert np.abs(sv - 1.0).max(initial=0.0) <= 1e-10
+
+
+class TestLiftedRoute:
+    """The bipartite block from one solve on the smaller side, lifted to
+    [u; R^T u / s] / sqrt 2 users first, against the whole-graph solve."""
+
+    def test_users_smaller(self, solves):
+        g = random_graph(1)
+        assert g.n_users < g.n_items
+        block = spectral_encoding(g, 3, 0.0)
+        assert solves == [("side", g.n_users)]
+        np.testing.assert_allclose(block, whole_graph_block(g, 3), atol=1e-12)
+
+    def test_items_smaller(self, solves):
+        # users 0 and 1 share items 0 and 1, user 3 links items 1 and 2, and
+        # users 2 and 4 hang off items 1 and 2: no two entries tie in magnitude
+        g = bipartite_graph(5, 3, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 1), (3, 1), (3, 2),
+                                   (4, 2)])
+        block = spectral_encoding(g, 2, 0.0)
+        assert solves == [("side", 3)]
+        np.testing.assert_allclose(block, whole_graph_block(g, 2), atol=1e-12)
+
+    def test_isolated_nodes_on_the_smaller_side(self, solves):
+        ds = clustered_interactions(20, 25, 3, per_user=6, seed=4)
+        # users 20-22 and items 25-26 have no interactions
+        g = build_graph(InteractionDataset(23, 27, ds.users, ds.items))
+        block = spectral_encoding(g, 4, 0.0)
+        assert solves == [("side", 23)]
+        np.testing.assert_array_equal(block[:, 20:23], 0.0)
+        np.testing.assert_allclose(block, whole_graph_block(g, 4), atol=1e-12)
+
+    def test_star_has_no_side_pair(self, solves):
+        # K_{1,4}: the one user is its side's whole null space
+        g = bipartite_graph(1, 4, [(0, i) for i in range(4)])
+        block = spectral_encoding(g, 1, 0.0)
+        assert solves == [("whole", 5)]
+        np.testing.assert_array_equal(block, whole_graph_block(g, 1))
+
+    def test_zero_singular_value_solves_the_whole_graph(self, solves):
+        # K_{2,3}: the non-trivial eigenvalues are 1 and 2, so the side's s is 0
+        g = bipartite_graph(2, 3, [(u, i) for u in range(2) for i in range(3)])
+        block = spectral_encoding(g, 1, 0.0)
+        assert solves == [("side", 2), ("whole", 5)]
+        np.testing.assert_array_equal(block, whole_graph_block(g, 1))
+
+    def test_spoiled_side_solve_falls_back(self, monkeypatch):
+        real = pgtr.encodings.symmetric_eigs_smallest
+        kinds = []
+
+        def spoiled(mat, k, **kwargs):
+            vals, vecs = real(mat, k, **kwargs)
+            kinds.append(type(mat).__name__)
+            if isinstance(mat, GramOperator):
+                vecs = vecs.copy()
+                vecs[:, 0] = (vecs[:, 0] + 0.1 * vecs[:, 1]) / np.sqrt(1.01)
+            return vals, vecs
+
+        monkeypatch.setattr(pgtr.encodings, "symmetric_eigs_smallest", spoiled)
+        g = random_graph(1)
+        block = spectral_encoding(g, 3, 0.0)
+        assert kinds == ["GramOperator", "csr_matrix"]
+        monkeypatch.setattr(pgtr.encodings, "symmetric_eigs_smallest", real)
+        np.testing.assert_allclose(block, whole_graph_block(g, 3), atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ds=awkward_interactions(), h=st.integers(1, 12))
+    def test_same_subspace_on_awkward_graphs(self, ds, h):
+        check_same_subspace(build_graph(ds), h)
+
+    def test_same_subspace_on_the_cold_start_graph(self, solves):
+        g = build_graph(clustered_interactions(300, 490, per_user=10))
+        check_same_subspace(g, 50)
+        assert solves[0] == ("side", 300)
+
+
+def test_default_init_solves_once_and_ranks_once(monkeypatch):
+    """One default `init_model` calls the encodings module's
+    `symmetric_eigs_smallest` and `pagerank` once each: the names that
+    benchmarks/tracing.py wraps and benchmarks/pipeline.py cuts set-up at."""
+    counts = Counter()
+    for name in ("symmetric_eigs_smallest", "pagerank"):
+        def counted(*args, real=getattr(pgtr.encodings, name), name=name, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pgtr.encodings, name, counted)
+    fit, _, _ = split_by_ratio(clustered_interactions(300, 490, per_user=10, seed=0),
+                               SplitSpec(0.8, seed=0))
+    init_model(build_graph(fit), PGTRConfig(), seed=0)
+    assert counts == {"symmetric_eigs_smallest": 1, "pagerank": 1}
 
 
 class TestDegreeAndPageRank:

@@ -9,6 +9,7 @@ from pgtr.data import InteractionDataset, build_graph
 from pgtr.linalg import (
     DENSE_CUTOFF,
     ConvergenceError,
+    GramOperator,
     laplacian_null_basis,
     normalized_laplacian,
     pagerank,
@@ -262,6 +263,102 @@ class TestStoredBases:
                 np.testing.assert_array_equal(got[1], want[1])
 
 
+def side_gram(g, side):
+    """The normalized biadjacency R with one row per node of `side`, its
+    assembled matrix diag(d > 0) - R R^T, and the side's rows of the whole
+    graph's Laplacian null basis, renormalized, empty columns dropped."""
+    adj = g.full_adjacency()
+    n, total = g.n_users, adj.shape[0]
+    rows, cols = ((slice(0, n), slice(n, total)) if side == "user"
+                  else (slice(n, total), slice(0, n)))
+    r = -normalized_laplacian(adj)[rows, cols]
+    degree = np.asarray(adj[rows].sum(axis=1)).ravel()
+    assembled = (sp.diags((degree > 0).astype(float)) - r @ r.T).tocsr()
+    basis = laplacian_null_basis(adj)[rows].toarray()
+    norms = np.linalg.norm(basis, axis=0)
+    return r, assembled, basis[:, norms > 0] / norms[norms > 0]
+
+
+def oracle_span(mat, deflate, top):
+    """Orthonormal basis of the dense eigenvectors of `mat` outside
+    span(deflate) with eigenvalue up to `top`: the k smallest when the k-th
+    eigenvalue stands apart, and more when a repeated one is cut at k."""
+    vals, vecs = np.linalg.eigh(mat.toarray())
+    vecs = vecs[:, vals <= top + 1e-8]
+    vecs = vecs - deflate @ (deflate.T @ vecs)
+    return np.linalg.svd(vecs, full_matrices=False)[0][:, :vecs.shape[1] - deflate.shape[1]]
+
+
+def below_cutoff_sides():
+    return [(g, side, k) for g, side, k in zip(small_random_graphs(), ("user", "item") * 2,
+                                               (3, 5, 8, 2))]
+
+
+def above_cutoff_sides():
+    """Sides of more than DENSE_CUTOFF nodes: a clustered graph's, the
+    repeated K_{2,2} blocks' (eigenvalue 1 on the whole complement, beside
+    isolated items on the item side) and the repeated paths' (eigenvalue
+    0.75 of multiplicity 300 among distinct ones)."""
+    clustered = build_graph(clustered_interactions(600, 800, per_user=8, seed=0))
+    k22 = repeated_k22_graph(copies=260)
+    return [(clustered, "user", 50), (clustered, "item", 20), (k22, "user", 50),
+            (k22, "item", 20), (repeated_paths_graph(copies=300), "user", 50)]
+
+
+class TestGramOperator:
+    """The product form x -> (d > 0) x - R (R^T x) against its assembled
+    sparse matrix."""
+
+    @pytest.mark.parametrize("sides, above", [(below_cutoff_sides, False),
+                                              (above_cutoff_sides, True)],
+                             ids=["below-cutoff", "above-cutoff"])
+    def test_matches_the_assembled_matrix(self, sides, above):
+        x = np.random.default_rng(0).standard_normal((1000, 3))
+        apart = 0
+        for g, side, k in sides():
+            r, assembled, basis = side_gram(g, side)
+            op = GramOperator(r)
+            n = op.shape[0]
+            assert op.shape == assembled.shape and (n > DENSE_CUTOFF) == above
+            np.testing.assert_allclose(op.toarray(), assembled.toarray(), atol=1e-15)
+            np.testing.assert_allclose(op @ x[:n], assembled @ x[:n], atol=1e-13)
+            np.testing.assert_allclose(op @ x[:n, 0], assembled @ x[:n, 0], atol=1e-13)
+            got_vals, got = symmetric_eigs_smallest(op, k, deflate=basis)
+            want_vals, want = symmetric_eigs_smallest(assembled, k, deflate=basis)
+            np.testing.assert_allclose(got_vals, want_vals, atol=1e-10)
+            span = oracle_span(assembled, basis, want_vals[-1])
+            for vecs in (got, want):
+                assert np.linalg.norm(vecs - span @ (span.T @ vecs), axis=0).max() <= 1e-10
+            if span.shape[1] == k:  # the k-th eigenvalue stands apart
+                sv = np.linalg.svd(want.T @ got, compute_uv=False)
+                assert np.abs(sv - 1.0).max() <= 1e-10
+                apart += 1
+        assert apart >= 2
+
+    def test_repeated_sides_reach_the_multiplicity_checks(self, monkeypatch):
+        """The K_{2,2} sides' ARPACK pairs pass the completeness probe; the
+        path side's repeated eigenvalue sends it to the dense fallback."""
+        verdicts = []
+        real = pgtr.linalg._arpack_smallest
+
+        def spy(*args, **kwargs):
+            found = real(*args, **kwargs)
+            verdicts.append(found is not None)
+            return found
+
+        monkeypatch.setattr(pgtr.linalg, "_arpack_smallest", spy)
+        for g, side, k in above_cutoff_sides()[2:]:
+            r, _, basis = side_gram(g, side)
+            symmetric_eigs_smallest(GramOperator(r), k, deflate=basis)
+        assert verdicts == [True, True, False]
+
+    def test_one_norm_is_exact(self):
+        for g, side, _ in below_cutoff_sides() + above_cutoff_sides():
+            r, assembled, _ = side_gram(g, side)
+            assert GramOperator(r).one_norm() == pytest.approx(
+                pgtr.linalg._one_norm(assembled), rel=1e-14)
+
+
 class TestNormalizedLaplacian:
     def test_zero_rows_for_isolated_nodes(self):
         a = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
@@ -359,6 +456,18 @@ class TestPageRank:
         g = build_graph(InteractionDataset(1, 1, np.array([0]), np.array([0])))
         with pytest.raises(ConvergenceError):
             pagerank(g, max_iter=0)
+
+    @pytest.mark.parametrize("damping", [-0.5, 1.0, 1.5, float("nan")])
+    def test_damping_outside_unit_interval_rejected(self, damping):
+        g = build_graph(InteractionDataset(1, 1, np.array([0]), np.array([0])))
+        with pytest.raises(ValueError, match="^damping"):
+            pagerank(g, damping=damping)
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_tol_not_positive_and_finite_rejected(self, tol):
+        g = build_graph(InteractionDataset(1, 1, np.array([0]), np.array([0])))
+        with pytest.raises(ValueError, match="^tol"):
+            pagerank(g, tol=tol)
 
     def test_deterministic(self):
         rng = np.random.default_rng(13)
