@@ -251,7 +251,8 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
     Returns the state holding the best-validation parameters plus a
     history record per epoch: `epoch`, `train_loss`, `val_recall`,
     `val_ndcg`, `skipped_pairs` (pairs the epoch's batches dropped for lack
-    of negatives) and `seconds`.  A batch in which no pair keeps a negative
+    of negatives), `seconds` and `eval_seconds` (the validation `evaluate`
+    time within `seconds`).  A batch in which no pair keeps a negative
     takes no step, and all its pairs count as skipped.  An epoch that takes
     no step records a NaN `train_loss` and stops training with a warning.
     A NumericsError in a step or in validation (a non-finite node table,
@@ -302,7 +303,9 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
                 epoch_loss += loss.item()
                 n_batches += 1
                 skipped_pairs += skipped
+            t_eval = time.perf_counter()
             metrics = evaluate(state, train_items, val_items, k=cfg.k) if len(val) else None
+            eval_seconds = time.perf_counter() - t_eval
         except NumericsError as err:
             # diverged parameters: stop and fall back to the best ones
             log.warning("training aborted at epoch %d: %s", epoch, err)
@@ -321,6 +324,7 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
             "val_ndcg": val_ndcg,
             "skipped_pairs": skipped_pairs,
             "seconds": time.perf_counter() - t0,
+            "eval_seconds": eval_seconds,
         })
         if len(val) and val_recall > best_recall:
             best_recall = val_recall
@@ -375,12 +379,12 @@ def _user_items(rows, name: str, shape: tuple[int, int],
     return m
 
 
-def _top_k(neg: np.ndarray, k: int):
-    """Row, column and rank of the finite entries among each row's first k
-    in a stable ascending sort of `neg`, in rank order, and the count per
-    row.  Ranks count only the finite entries, so a dropped one leaves no
-    gap.  `neg` holds no NaN.  A value partition gives each row's k-th value;
-    a row with more than k entries at or below it keeps its lowest-index ties."""
+def _block_hits(neg: np.ndarray, member: np.ndarray, k: int):
+    """Row and rank of each hit, and the count of finite listed entries per
+    row, where a row lists its first k entries in a stable ascending order of
+    `neg` (no NaN), keeping its lowest-index ties at its partitioned k-th
+    value.  A hit is a finite listed entry that `member` marks; its rank counts
+    the finite listed entries ahead of it in (value, column) order, unsorted."""
     n, m = neg.shape
     kth = np.partition(neg, k - 1, axis=1)[:, k - 1]
     flat = np.flatnonzero(neg <= kth[:, None])
@@ -392,12 +396,12 @@ def _top_k(neg: np.ndarray, k: int):
         need = k - np.bincount(r[~tie], minlength=n)  # ties each row keeps
         keep = ~tie | (seen - seen[np.searchsorted(r, r)] < need[r])
         flat, vals = flat[keep], vals[keep]
-    order = np.argsort(vals.reshape(n, k), axis=1, kind="stable")  # ties keep column order
-    cols = np.take_along_axis((flat % m).reshape(n, k), order, axis=1)
-    finite = np.isfinite(np.take_along_axis(vals.reshape(n, k), order, axis=1))
-    r, j = np.nonzero(finite)
-    rank = np.cumsum(finite, axis=1)[r, j] - 1
-    return r, cols[r, j], rank, np.count_nonzero(finite, axis=1)
+    vals = vals.reshape(n, k)  # each row's list, in column order
+    finite = np.isfinite(vals)
+    r, j = np.nonzero(member.ravel()[flat].reshape(n, k) & finite)
+    v, row = vals[r, j, None], vals[r]
+    ahead = finite[r] & ((row < v) | ((row == v) & (np.arange(k) < j[:, None])))
+    return r, np.count_nonzero(ahead, axis=1), np.count_nonzero(finite, axis=1)
 
 
 def ranking_metrics(scores: np.ndarray, observed_items, test_items,
@@ -410,11 +414,11 @@ def ranking_metrics(scores: np.ndarray, observed_items, test_items,
     sequence of N per-user item-id sequences.  Observed (training +
     validation) items are masked out; ties break toward the lower item
     index; NaN and infinite scores are dropped from a top-k list; users
-    without test items are excluded.  Users are ranked in blocks of rows
-    (`_top_k`), so temporaries stay near _RANK_BLOCK_ENTRIES entries, in
-    the table's floating dtype (negation is exact) or else float64.  Hits
-    are found among the test matrix's sorted (user, item) keys; their
-    discounts fill one (N, k) table that is summed once, after the blocks.
+    without test items are excluded.  Users are ranked in blocks of rows,
+    so temporaries stay near _RANK_BLOCK_ENTRIES entries, in the table's
+    floating dtype (negation is exact) or else float64.  A block's test-item
+    membership table finds the hits, and only the hits get a rank
+    (`_block_hits`); their discounts fill one (N, k) table, summed once.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -431,8 +435,6 @@ def ranking_metrics(scores: np.ndarray, observed_items, test_items,
     n_top = np.zeros(n_users, dtype=np.int64)
     gains = np.zeros((n_users, kk))
     observed_user = np.repeat(np.arange(n_users), np.diff(observed.indptr))
-    # sorted (user, item) keys of the test entries, then one past them all
-    keys = np.r_[np.repeat(np.arange(n_users) * n_items, n_targets) + tests.indices, scores.size]
     step = max(1, _RANK_BLOCK_ENTRIES // n_items)
     for lo in range(0, n_users, step):
         hi = min(lo + step, n_users)
@@ -442,10 +444,11 @@ def ranking_metrics(scores: np.ndarray, observed_items, test_items,
             neg[np.isnan(neg)] = np.inf
         a, b = observed.indptr[lo], observed.indptr[hi]
         neg[observed_user[a:b] - lo, observed.indices[a:b]] = np.inf
-        r, c, rank, n_top[lo:hi] = _top_k(neg, kk)
-        listed = (r + lo) * n_items + c
-        hit = keys[np.searchsorted(keys, listed)] == listed
-        gains[r[hit] + lo, rank[hit]] = discounts[rank[hit]]
+        member = np.zeros(neg.shape, dtype=bool)
+        a, b = tests.indptr[lo], tests.indptr[hi]
+        member[np.repeat(np.arange(hi - lo), n_targets[lo:hi]), tests.indices[a:b]] = True
+        r, rank, n_top[lo:hi] = _block_hits(neg, member, kk)
+        gains[r + lo, rank] = discounts[rank]
     dcg = np.zeros(n_users)
     # sum each row over exactly its list's length, as one sum per user would
     for n in np.unique(n_top):
@@ -463,7 +466,9 @@ def evaluate(state: ModelState, observed: InteractionDataset | sp.spmatrix,
              test: InteractionDataset | sp.spmatrix, k: int = 20) -> RankingMetrics:
     """Score every item for every test user with the current model.
 
-    Ranks through `ranking_metrics`, with `observed`'s items masked out.
+    Ranks the full score table through `ranking_metrics`, with `observed`'s
+    items masked out: each block of users' test-item membership table finds
+    the hits in their top-k lists, and only the hits get a rank.
     `observed` and `test` are datasets or their `user_item_matrix()`, which
     `train` builds once instead of on every epoch's call.
     The forward runs with no parameter needing a gradient, so its ops

@@ -865,7 +865,8 @@ class TestTrainLoop:
                                                         max_epochs=2, patience=2, seed=4))
         for row in history:
             assert set(row) == {"epoch", "train_loss", "val_recall", "val_ndcg",
-                                "skipped_pairs", "seconds"}
+                                "skipped_pairs", "seconds", "eval_seconds"}
+            assert 0 < row["eval_seconds"] < row["seconds"]
 
     def test_skipped_pairs_are_counted(self):
         """User 0 has interacted with every item of the one batch an epoch
@@ -1074,23 +1075,26 @@ class TestRankingMetrics:
 
 @st.composite
 def ranking_cases(draw):
-    """Tie-heavy quantized score tables with -inf and NaN entries, observed
-    and test items (repeats allowed), users without test items and k up to
-    past n_items; a table where no user has test items must fail as the
-    oracle does.  The table is float64, float32 or int32 (which holds
-    neither -inf nor NaN); the oracle ranks it in float64."""
+    """Tie-heavy quantized score tables with +inf, -inf, NaN and -0.0
+    entries, observed and test items (repeats allowed), users without test
+    items and k up to past n_items; a table where no user has test items
+    must fail as the oracle does.  The table is float64, float32 or int32
+    (which holds neither infinity, NaN nor -0.0); the oracle ranks it in
+    float64."""
     n_users = draw(st.integers(1, 10))
     n_items = draw(st.integers(1, 25))
     k = draw(st.integers(1, 30))
     levels = draw(st.integers(1, 4))
-    p_inf, p_nan, p_obs, p_test = (draw(st.sampled_from([0.0, 0.1, 0.5, 0.9]))
-                                   for _ in range(4))
+    p_inf, p_pos_inf, p_nan, p_obs, p_test = (draw(st.sampled_from([0.0, 0.1, 0.5, 0.9]))
+                                              for _ in range(5))
     dtype = draw(st.sampled_from([np.float64, np.float32, np.int32]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scores = rng.integers(-levels, levels + 1, size=(n_users, n_items)).astype(dtype)
     if dtype is not np.int32:
         scores /= levels
+        scores[(scores == 0) & (rng.random(scores.shape) < 0.5)] = -0.0
         scores[rng.random(scores.shape) < p_inf] = -np.inf
+        scores[rng.random(scores.shape) < p_pos_inf] = np.inf
         scores[rng.random(scores.shape) < p_nan] = np.nan
     observed = [np.flatnonzero(rng.random(n_items) < p_obs) for _ in range(n_users)]
     # user 0 leaves fewer than k items unobserved
@@ -1182,6 +1186,28 @@ class TestRankingMatchesLoopOracle:
         assert got.per_user_recall.tolist() == [1, 1, 1, 1, 0, 0, 0, 0]
         assert_matches_loop_oracle(scores, observed, tests, 4)
 
+    def test_hit_rank_skips_non_finite_and_later_ties(self, monkeypatch):
+        """The hit (item 3) ties at 0.5 with items 1, 5, 7 and 8; the top 6
+        keep items 1, 3, 5 and 7 of them, after the +inf item 0 and 0.9.
+        The +inf takes a slot but no rank, and NaN is not listed, so the hit
+        ranks third (after 0.9 and item 1) and the list holds 5 entries."""
+        scores = np.array([[np.inf, 0.5, np.nan, 0.5, 0.9, 0.5, 0.1, 0.5, 0.5, -np.inf]])
+        train_mod = sys.modules["pgtr.train"]
+        real_block_hits = train_mod._block_hits
+        returned = []
+
+        def recording_block_hits(neg, member, k):
+            returned.append(real_block_hits(neg, member, k))
+            return returned[-1]
+
+        monkeypatch.setattr(train_mod, "_block_hits", recording_block_hits)
+        got = ranking_metrics(scores, [[]], [[3]], k=6)
+        [(rows, ranks, n_top)] = returned
+        assert rows.tolist() == [0] and ranks.tolist() == [2] and n_top.tolist() == [5]
+        assert got.per_user_ndcg.tolist() == [1 / np.log2(4)]
+        assert got.per_user_recall.tolist() == [1.0]
+        assert_matches_loop_oracle(scores, [[]], [[3]], 6)
+
     @given(case=ranking_cases())
     def test_recall_never_falls_as_k_grows(self, case):
         scores, observed, tests, _ = case
@@ -1206,13 +1232,13 @@ class TestRankingMatchesLoopOracle:
         whole = ranking_metrics(scores, observed, tests, k=7)
         train_mod = sys.modules["pgtr.train"]
         block_rows = []
-        real_top_k = train_mod._top_k
+        real_block_hits = train_mod._block_hits
 
-        def recording_top_k(neg, k):
+        def recording_block_hits(neg, member, k):
             block_rows.append(neg.shape[0])
-            return real_top_k(neg, k)
+            return real_block_hits(neg, member, k)
 
-        monkeypatch.setattr(train_mod, "_top_k", recording_top_k)
+        monkeypatch.setattr(train_mod, "_block_hits", recording_block_hits)
         monkeypatch.setattr(train_mod, "_RANK_BLOCK_ENTRIES", entries)
         blocked = ranking_metrics(scores, observed, tests, k=7)
         assert block_rows == rows
