@@ -51,15 +51,23 @@ class InteractionDataset:
     item_raw_ids: list[int] | None = None
 
     def __post_init__(self):
-        self.users = np.asarray(self.users, dtype=np.int64)
-        self.items = np.asarray(self.items, dtype=np.int64)
+        for name in ("users", "items"):
+            ids = np.asarray(getattr(self, name))
+            kind = ids.dtype.kind  # an empty list converts to float64
+            if kind not in "iuf" or (kind == "f" and not (np.isfinite(ids)
+                                                         & (ids == np.round(ids))).all()):
+                raise DataError(f"{name} must hold integer ids, got {ids.dtype} values")
+            setattr(self, name, ids)
         if self.users.shape != self.items.shape:
             raise DataError("users/items length mismatch")
+        # checked before the cast, which would wrap an id outside int64
         if self.users.size:
             if self.users.min() < 0 or self.users.max() >= self.n_users:
                 raise DataError("user index out of range")
             if self.items.min() < 0 or self.items.max() >= self.n_items:
                 raise DataError("item index out of range")
+        self.users = self.users.astype(np.int64, copy=False)
+        self.items = self.items.astype(np.int64, copy=False)
 
     def __len__(self) -> int:
         return int(self.users.size)
@@ -76,10 +84,22 @@ class InteractionDataset:
 
     def user_item_matrix(self) -> sp.csr_matrix:
         """Boolean (n_users, n_items) CSR matrix, true where the user
-        interacted with the item.  Repeated pairs give one entry, and each
-        row's item ids are sorted."""
-        return sp.csr_matrix((np.ones(len(self), dtype=bool), (self.users, self.items)),
-                             shape=(self.n_users, self.n_items))
+        interacted with the item, in canonical form: repeated pairs give one
+        entry and each row's item ids are sorted.  Built straight from the
+        sorted, deduplicated keys user * n_items + item; the index arrays
+        are int32 unless a dimension or the entry count needs int64, as in
+        scipy's (data, (row, col)) constructor."""
+        key = np.sort(self.users * self.n_items + self.items)
+        key = key[np.diff(key, prepend=-1) != 0]
+        users, items = np.divmod(key, max(self.n_items, 1))
+        fits = max(self.n_users, self.n_items, key.size) <= np.iinfo(np.int32).max
+        index = np.int32 if fits else np.int64
+        indptr = np.zeros(self.n_users + 1, dtype=index)
+        np.cumsum(np.bincount(users, minlength=self.n_users), out=indptr[1:])
+        m = sp.csr_matrix((np.ones(key.size, dtype=bool), items.astype(index), indptr),
+                          shape=(self.n_users, self.n_items))
+        m.has_canonical_format = True
+        return m
 
     def subset(self, mask: np.ndarray) -> "InteractionDataset":
         return InteractionDataset(self.n_users, self.n_items,

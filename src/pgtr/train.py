@@ -379,29 +379,49 @@ def _user_items(rows, name: str, shape: tuple[int, int],
     return m
 
 
-def _block_hits(neg: np.ndarray, member: np.ndarray, k: int):
+def _spans(n: int, width: int) -> list[tuple[int, int]]:
+    """(lo, hi) runs that cover range(n), each of about
+    _RANK_BLOCK_ENTRIES // width positions (at least one), so that a run of
+    rows `width` entries wide holds about _RANK_BLOCK_ENTRIES entries."""
+    step = max(1, _RANK_BLOCK_ENTRIES // width)
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _block_hits(neg: np.ndarray, rows: np.ndarray, cols: np.ndarray, k: int):
     """Row and rank of each hit, and the count of finite listed entries per
-    row, where a row lists its first k entries in a stable ascending order of
-    `neg` (no NaN), keeping its lowest-index ties at its partitioned k-th
-    value.  A hit is a finite listed entry that `member` marks; its rank counts
-    the finite listed entries ahead of it in (value, column) order, unsorted."""
+    row, where a row lists its first k entries in a stable ascending order
+    of `neg` (no NaN) and the test entries are (rows[e], cols[e]).
+
+    The first k values of a partitioned row are the multiset of its listed
+    values.  A test entry is a hit when its value v is finite and at most
+    the row's k-th value; its rank counts the finite listed values below v,
+    plus, when v ties another listed value or equals the k-th value, the
+    entries of the row equal to v at lower columns.  Such a tie is listed
+    only while that count stays below the listed copies of v.  Only the
+    tied entries' rows are read in column order, a run of rows at a time."""
     n, m = neg.shape
-    kth = np.partition(neg, k - 1, axis=1)[:, k - 1]
-    flat = np.flatnonzero(neg <= kth[:, None])
-    vals = neg.ravel()[flat]
-    if flat.size > n * k:
-        r = flat // m
-        tie = vals == kth[r]
-        seen = np.cumsum(tie) - tie  # ties before each entry in the list
-        need = k - np.bincount(r[~tie], minlength=n)  # ties each row keeps
-        keep = ~tie | (seen - seen[np.searchsorted(r, r)] < need[r])
-        flat, vals = flat[keep], vals[keep]
-    vals = vals.reshape(n, k)  # each row's list, in column order
-    finite = np.isfinite(vals)
-    r, j = np.nonzero(member.ravel()[flat].reshape(n, k) & finite)
-    v, row = vals[r, j, None], vals[r]
-    ahead = finite[r] & ((row < v) | ((row == v) & (np.arange(k) < j[:, None])))
-    return r, np.count_nonzero(ahead, axis=1), np.count_nonzero(finite, axis=1)
+    top = np.partition(neg, k - 1, axis=1)[:, :k]
+    kth = top[:, k - 1]
+    n_top = np.count_nonzero(np.isfinite(top), axis=1)
+    v = neg[rows, cols]
+    hit = np.isfinite(v) & (v <= kth[rows])
+    r, c, v = rows[hit], cols[hit], v[hit]
+    # -inf values sort below every hit but take no rank
+    rank = -np.count_nonzero(top == -np.inf, axis=1)[r]
+    copies = np.empty(r.size, dtype=np.intp)  # listed entries equal to v
+    for a, b in _spans(r.size, k):
+        listed = top[r[a:b]]
+        rank[a:b] += np.count_nonzero(listed < v[a:b, None], axis=1)
+        copies[a:b] = np.count_nonzero(listed == v[a:b, None], axis=1)
+    tied = np.flatnonzero((copies > 1) | (v == kth[r]))
+    keep = np.ones(r.size, dtype=bool)
+    for a, b in _spans(tied.size, m):
+        t = tied[a:b]
+        ahead = np.count_nonzero((neg[r[t]] == v[t, None]) & (np.arange(m) < c[t, None]),
+                                 axis=1)
+        rank[t] += ahead
+        keep[t] = ahead < copies[t]
+    return r[keep], rank[keep], n_top
 
 
 def ranking_metrics(scores: np.ndarray, observed_items, test_items,
@@ -414,12 +434,18 @@ def ranking_metrics(scores: np.ndarray, observed_items, test_items,
     sequence of N per-user item-id sequences.  Observed (training +
     validation) items are masked out; ties break toward the lower item
     index; NaN and infinite scores are dropped from a top-k list; users
-    without test items are excluded.  Users are ranked in blocks of rows,
-    so temporaries stay near _RANK_BLOCK_ENTRIES entries, in the table's
-    floating dtype (negation is exact) or else float64.  A block's test-item
-    membership table finds the hits, and only the hits get a rank
-    (`_block_hits`); their discounts fill one (N, k) table, summed once.
+    without test items are excluded.  `k` is a Python or numpy integer of
+    at least 1.  Users are ranked in blocks of rows, so temporaries stay
+    near _RANK_BLOCK_ENTRIES entries, in the table's floating dtype
+    (negation is exact) or else float64.  Each block is partitioned at
+    its k-th value, and only the block's test entries, read straight from
+    `test_items`' rows, are ranked against the partition's first k values
+    (`_block_hits`); the hits' discounts fill one (N, k) table, summed
+    once.
     """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    k = int(k)  # a numpy k would carry its dtype into the block arithmetic
     if k < 1:
         raise ValueError("k must be >= 1")
     n_users, n_items = scores.shape
@@ -434,20 +460,17 @@ def ranking_metrics(scores: np.ndarray, observed_items, test_items,
     dtype = scores.dtype if np.issubdtype(scores.dtype, np.floating) else np.float64
     n_top = np.zeros(n_users, dtype=np.int64)
     gains = np.zeros((n_users, kk))
-    observed_user = np.repeat(np.arange(n_users), np.diff(observed.indptr))
-    step = max(1, _RANK_BLOCK_ENTRIES // n_items)
-    for lo in range(0, n_users, step):
-        hi = min(lo + step, n_users)
+    for lo, hi in _spans(n_users, n_items):
+        rows = np.arange(hi - lo)
         # negated, with NaN and observed items at +inf, where the ranking drops them
         neg = np.negative(scores[lo:hi], dtype=dtype)
         if np.isnan(neg.min()):  # a NaN propagates through min
             neg[np.isnan(neg)] = np.inf
         a, b = observed.indptr[lo], observed.indptr[hi]
-        neg[observed_user[a:b] - lo, observed.indices[a:b]] = np.inf
-        member = np.zeros(neg.shape, dtype=bool)
+        neg[np.repeat(rows, np.diff(observed.indptr[lo:hi + 1])), observed.indices[a:b]] = np.inf
         a, b = tests.indptr[lo], tests.indptr[hi]
-        member[np.repeat(np.arange(hi - lo), n_targets[lo:hi]), tests.indices[a:b]] = True
-        r, rank, n_top[lo:hi] = _block_hits(neg, member, kk)
+        r, rank, n_top[lo:hi] = _block_hits(neg, np.repeat(rows, n_targets[lo:hi]),
+                                            tests.indices[a:b], kk)
         gains[r + lo, rank] = discounts[rank]
     dcg = np.zeros(n_users)
     # sum each row over exactly its list's length, as one sum per user would
@@ -466,9 +489,10 @@ def evaluate(state: ModelState, observed: InteractionDataset | sp.spmatrix,
              test: InteractionDataset | sp.spmatrix, k: int = 20) -> RankingMetrics:
     """Score every item for every test user with the current model.
 
-    Ranks the full score table through `ranking_metrics`, with `observed`'s
-    items masked out: each block of users' test-item membership table finds
-    the hits in their top-k lists, and only the hits get a rank.
+    Ranks the full score table through one `ranking_metrics` call, with
+    `observed`'s items masked out: each block of users is partitioned at
+    its k-th value, and each test item is ranked against its user's
+    partitioned top k, so no per-row sort and no membership table is built.
     `observed` and `test` are datasets or their `user_item_matrix()`, which
     `train` builds once instead of on every epoch's call.
     The forward runs with no parameter needing a gradient, so its ops

@@ -133,6 +133,27 @@ class TestGraph:
         assert [neighbors(m, u).tolist() for u in range(3)] == [[1], [], [0, 1, 3]]
         assert m.data.all()
 
+    @given(data=st.data(), n_users=st.integers(0, 6), n_items=st.integers(0, 6))
+    def test_user_item_matrix_matches_scipy_coo_build(self, data, n_users, n_items):
+        """Unsorted pairs with repeats, or none, give scipy's own
+        (data, (row, col)) build: the same arrays, dtypes and canonical flag."""
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, max(n_users - 1, 0)),
+                                             st.integers(0, max(n_items - 1, 0))),
+                                   max_size=30 if n_users and n_items else 0))
+        users = np.array([u for u, _ in pairs], dtype=np.int64)
+        items = np.array([i for _, i in pairs], dtype=np.int64)
+        for ds in (InteractionDataset(n_users, n_items, users, items),
+                   InteractionDataset(n_users, n_items, users.tolist(), items.tolist())):
+            got = ds.user_item_matrix()
+            want = sp.csr_matrix((np.ones(users.size, dtype=bool), (users, items)),
+                                 shape=(n_users, n_items))
+            assert got.format == "csr" and got.shape == want.shape
+            for part in ("data", "indices", "indptr"):
+                assert getattr(got, part).dtype == getattr(want, part).dtype, part
+                np.testing.assert_array_equal(getattr(got, part), getattr(want, part),
+                                              err_msg=part)
+            assert got.has_canonical_format and want.has_canonical_format
+
     @given(ds=awkward_interactions())
     def test_full_adjacency_matches_block_assembly(self, ds):
         """The concatenated CSR is the hstack/vstack assembly of the two
@@ -152,6 +173,45 @@ class TestGraph:
         with pytest.raises(DataError):
             build_graph(InteractionDataset(2, 2, np.array([], dtype=int),
                                            np.array([], dtype=int)))
+
+
+class TestIds:
+    @pytest.mark.parametrize("users, items, name", [
+        ([0.7, 1.2], [0, 1], "users"),
+        ([True, False], [0, 1], "users"),
+        (["1", "0"], [0, 1], "users"),
+        ([0, None], [0, 1], "users"),
+        (np.array([0, 1], dtype=object), [0, 1], "users"),
+        ([0, 1], [np.nan, 0.0], "items"),
+        ([0, 1], [1.0, np.inf], "items"),
+        ([0, 1], [0.5, 1.0], "items"),
+        ([0, 1], np.array([1, 0], dtype=complex), "items"),
+    ])
+    def test_non_integer_ids_rejected(self, users, items, name):
+        with pytest.raises(DataError, match=f"^{name} must hold integer ids, got "):
+            InteractionDataset(2, 2, users, items)
+
+    @pytest.mark.parametrize("users, items", [
+        ([], []),
+        (np.array([], dtype=np.float32), np.array([], dtype=np.int8)),
+        (np.array([1, 0], dtype=np.uint8), np.array([0, 1], dtype=np.int32)),
+        ([1.0, -0.0], [0, 1]),
+        (np.array([1, 0], dtype=np.int16), np.array([0.0, 1.0], dtype=np.float32)),
+    ])
+    def test_integral_ids_kept_as_int64(self, users, items):
+        ds = InteractionDataset(2, 2, users, items)
+        assert ds.users.dtype == ds.items.dtype == np.int64
+        assert ds.users.tolist() == [int(u) for u in users]
+        assert ds.items.tolist() == [int(i) for i in items]
+
+    @pytest.mark.parametrize("users, message", [
+        ([1e30], "user index out of range"),
+        ([-1.0], "user index out of range"),
+        ([np.iinfo(np.uint64).max], "user index out of range"),
+    ])
+    def test_out_of_range_id_rejected_before_the_cast(self, users, message):
+        with pytest.raises(DataError, match=message):
+            InteractionDataset(2, 2, np.array(users), [0])
 
 
 class TestOneSided:

@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -1056,6 +1057,24 @@ class TestRankingMetrics:
         with pytest.raises(ValueError, match="k must be"):
             ranking_metrics(np.zeros((1, 4)), [[]], [[1]], k=0)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, np.True_, "2", None])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(ValueError, match="^k must be an integer, got "):
+            ranking_metrics(np.zeros((1, 4)), [[]], [[1]], k=k)
+
+    def test_non_integer_k_rejected_by_evaluate(self):
+        ds = clustered_interactions(12, 16, 2, per_user=5, seed=10)
+        with pytest.raises(ValueError, match="^k must be an integer, got 2.5"):
+            evaluate(tiny_state(ds, seed=10), ds, ds, k=2.5)
+
+    @pytest.mark.parametrize("k", [np.int64(2), np.int32(2), np.uint8(2)])
+    def test_numpy_integer_k_accepted(self, k):
+        scores = np.array([[0.9, 0.5, 0.7, 0.1]])
+        got = ranking_metrics(scores, [[]], [[1, 2]], k=k)
+        want = ranking_metrics(scores, [[]], [[1, 2]], k=2)
+        assert (got.recall_at_k, got.ndcg_at_k, got.k) == (want.recall_at_k, want.ndcg_at_k, 2)
+        assert type(got.k) is int
+
     def test_repeated_test_id_counts_once(self):
         """Per-user lists and a matrix give the same recall when a test id
         repeats: the repeat is one target, not two."""
@@ -1137,6 +1156,46 @@ def cut_tie_cases(draw):
     return scores, observed, tests, k
 
 
+@st.composite
+def listed_tie_cases(draw):
+    """Score tables of one to four levels, small enough for one ranking
+    block, whose test items only column order can rank.  Odd rows are
+    short: fewer than k of their entries are finite and unobserved, the
+    rest observed or NaN or ±inf.  In a row whose first k listed entries
+    are all finite, test items take at least one entry at its k-th value
+    (listed or not); in every row, they take some of the listed entries
+    that tie another one, and a few other items.  Float64 or float32."""
+    n_users = draw(st.integers(1, 10))
+    n_items = draw(st.integers(2, 40))
+    k = draw(st.integers(1, n_items))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = rng.integers(0, draw(st.integers(1, 4)), size=(n_users, n_items)).astype(dtype)
+    observed, tests = [], []
+    for u in range(n_users):
+        free = rng.permutation(n_items)
+        if u % 2:
+            gone = free[int(rng.integers(0, k)):]
+            masked = rng.random(gone.size) < 0.5
+            observed.append(gone[masked])
+            scores[u, gone[~masked]] = rng.choice([np.nan, np.inf, -np.inf], size=(~masked).sum())
+        else:
+            observed.append(free[:int(rng.integers(0, n_items - k + 1))])
+        s = scores[u].astype(np.float64)
+        s[observed[u]] = -np.inf
+        top = np.argsort(-s, kind="stable")[:k]  # as the oracle lists a row
+        top = top[np.isfinite(s[top])]
+        values, counts = np.unique(s[top], return_counts=True)
+        tied = top[np.isin(s[top], values[counts > 1])]
+        at_kth = np.flatnonzero(s == s[top[-1]]) if top.size == k else np.zeros(0, int)
+        picks = [rng.choice(at_kth, size=int(rng.integers(1, at_kth.size + 1)), replace=False)
+                 if at_kth.size else at_kth,
+                 tied[rng.random(tied.size) < 0.5],
+                 np.flatnonzero(rng.random(n_items) < 0.1)]
+        tests.append(np.unique(np.concatenate(picks)))
+    return scores, observed, tests, k
+
+
 def assert_matches_loop_oracle(scores, observed, tests, k):
     want = ranking_metrics_loop(scores, observed, tests, k)
     got = ranking_metrics(scores, observed, tests, k)
@@ -1175,6 +1234,40 @@ class TestRankingMatchesLoopOracle:
         assert scores.size <= sys.modules["pgtr.train"]._RANK_BLOCK_ENTRIES
         assert_matches_loop_oracle(scores, observed, tests, k)
 
+    @given(case=listed_tie_cases())
+    def test_ties_inside_the_list_and_at_the_kth_value(self, case):
+        """Test items at the k-th value (listed or cut), tied with other
+        listed items, or in rows with fewer than k finite entries rank as
+        the oracle's stable sort ranks them."""
+        scores, observed, tests, k = case
+        if not any(len(t) for t in tests):
+            return
+        assert scores.size <= sys.modules["pgtr.train"]._RANK_BLOCK_ENTRIES
+        assert_matches_loop_oracle(scores, observed, tests, k)
+
+    def test_temporaries_stay_near_one_block(self):
+        """Ranking a tie-heavy table many blocks large allocates a few
+        blocks' worth of temporaries besides its (N, k) gains table: no
+        full-table array, and tied rows are gathered a block at a time."""
+        rng = np.random.default_rng(21)
+        n_users, n_items, k = 1000, 3000, 20
+        scores = rng.integers(0, 3, size=(n_users, n_items)).astype(np.float32)
+        users = np.repeat(np.arange(n_users), 30)
+        items = rng.integers(0, n_items, size=users.size)
+        observed = InteractionDataset(n_users, n_items, users[::4], items[::4]).user_item_matrix()
+        tests = InteractionDataset(n_users, n_items, users, items).user_item_matrix()
+        assert 25 <= tests.nnz / n_users <= 30
+        train_mod = sys.modules["pgtr.train"]
+        block_bytes = (train_mod._RANK_BLOCK_ENTRIES // n_items) * n_items * scores.itemsize
+        assert scores.nbytes >= 10 * block_bytes
+        tracemalloc.start()
+        try:
+            ranking_metrics(scores, observed, tests, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * block_bytes + n_users * k * 8
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_signed_zeros_tie(self, dtype):
         """0.0 and -0.0 compare equal, so they rank as ties in column order,
@@ -1196,8 +1289,8 @@ class TestRankingMatchesLoopOracle:
         real_block_hits = train_mod._block_hits
         returned = []
 
-        def recording_block_hits(neg, member, k):
-            returned.append(real_block_hits(neg, member, k))
+        def recording_block_hits(neg, rows, cols, k):
+            returned.append(real_block_hits(neg, rows, cols, k))
             return returned[-1]
 
         monkeypatch.setattr(train_mod, "_block_hits", recording_block_hits)
@@ -1234,9 +1327,9 @@ class TestRankingMatchesLoopOracle:
         block_rows = []
         real_block_hits = train_mod._block_hits
 
-        def recording_block_hits(neg, member, k):
+        def recording_block_hits(neg, rows, cols, k):
             block_rows.append(neg.shape[0])
-            return real_block_hits(neg, member, k)
+            return real_block_hits(neg, rows, cols, k)
 
         monkeypatch.setattr(train_mod, "_block_hits", recording_block_hits)
         monkeypatch.setattr(train_mod, "_RANK_BLOCK_ENTRIES", entries)
