@@ -8,7 +8,10 @@ model in a fresh process that imports pgtr from that tree's `src/`, with
 one BLAS thread, and reports test recall@20 and NDCG@20 of the
 best-validation parameters.  The same seed sets the data, the split, the
 model's initialization and the batch order, so the two runs of a seed
-differ only in the code.
+differ only in the code.  Before the split, user and item ids are renamed
+by random permutations drawn from the seed (`relabel`), so that no index
+order names a cluster of `clustered_interactions`, which hands out
+clusters as index blocks.
 
 The script prints one table per cell (each seed's metrics, B - A, and
 the epochs each tree ran) and a summary: per metric, the mean and the
@@ -64,6 +67,18 @@ CELLS = (
 )
 
 
+def relabel(ds, seed: int):
+    """`ds` with its user ids and its item ids each renamed by a random
+    permutation, drawn from a stream of `seed` apart from the data's."""
+    import numpy as np
+
+    from pgtr import InteractionDataset
+
+    rng = np.random.default_rng([seed, 1])
+    users, items = rng.permutation(ds.n_users), rng.permutation(ds.n_items)
+    return InteractionDataset(ds.n_users, ds.n_items, users[ds.users], items[ds.items])
+
+
 def run_cell(cell: Cell, seed: int) -> dict:
     """Train on `cell` with `seed` using the pgtr on sys.path, and return its
     test metrics, the epochs run and the best-validation epoch."""
@@ -74,7 +89,8 @@ def run_cell(cell: Cell, seed: int) -> dict:
                       evaluate, init_model, split_by_ratio, train)
     from pgtr.synthetic import clustered_interactions
 
-    ds = clustered_interactions(cell.n_users, cell.n_items, per_user=cell.per_user, seed=seed)
+    ds = relabel(clustered_interactions(cell.n_users, cell.n_items, per_user=cell.per_user,
+                                        seed=seed), seed)
     fit, val, test = split_by_ratio(ds, SplitSpec(cell.train_fraction, seed=seed))
     state = init_model(build_graph(fit), PGTRConfig(**cell.model), seed=seed)
     state, history = train(state, fit, val, TrainConfig(**cell.train, seed=seed))

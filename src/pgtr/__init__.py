@@ -9,7 +9,6 @@ from .data import (
     build_graph,
     inject_noise,
     load_interactions,
-    one_sided_adjacency,
     save_interactions,
     split_by_ratio,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "build_graph",
     "inject_noise",
     "load_interactions",
-    "one_sided_adjacency",
     "save_interactions",
     "split_by_ratio",
     "ModelState",

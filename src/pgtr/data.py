@@ -18,7 +18,6 @@ __all__ = [
     "save_interactions",
     "save_remap",
     "build_graph",
-    "one_sided_adjacency",
     "split_by_ratio",
     "inject_noise",
 ]
@@ -33,6 +32,18 @@ class DataError(ValueError):
 def _round_half_up(x: float) -> int:
     """round-half-away-from-zero for nonnegative x (Python round() is banker's)."""
     return int(np.floor(x + 0.5))
+
+
+def check_integer_ids(values, name: str) -> np.ndarray:
+    """`values` as an array of integer ids: integers, or floats that are
+    finite and whole, not yet cast.  Raises DataError naming `name` for
+    any other values, bools included."""
+    ids = np.asarray(values)
+    kind = ids.dtype.kind  # an empty list converts to float64
+    if kind not in "iuf" or (kind == "f" and not (np.isfinite(ids)
+                                                 & (ids == np.round(ids))).all()):
+        raise DataError(f"{name} must hold integer ids, got {ids.dtype} values")
+    return ids
 
 
 @dataclass
@@ -52,12 +63,7 @@ class InteractionDataset:
 
     def __post_init__(self):
         for name in ("users", "items"):
-            ids = np.asarray(getattr(self, name))
-            kind = ids.dtype.kind  # an empty list converts to float64
-            if kind not in "iuf" or (kind == "f" and not (np.isfinite(ids)
-                                                         & (ids == np.round(ids))).all()):
-                raise DataError(f"{name} must hold integer ids, got {ids.dtype} values")
-            setattr(self, name, ids)
+            setattr(self, name, check_integer_ids(getattr(self, name), name))
         if self.users.shape != self.items.shape:
             raise DataError("users/items length mismatch")
         # checked before the cast, which would wrap an id outside int64
@@ -201,21 +207,6 @@ class BipartiteGraph:
 
 def build_graph(ds: InteractionDataset) -> BipartiteGraph:
     return BipartiteGraph(ds)
-
-
-def one_sided_adjacency(g: BipartiteGraph, side: str) -> sp.csr_matrix:
-    """Square 0/1 matrix linking same-side nodes that share a neighbor."""
-    if side == "user":
-        r = g.user_adj
-    elif side == "item":
-        r = g.item_adj
-    else:
-        raise ValueError(f"side must be 'user' or 'item', got {side!r}")
-    prod = (r @ r.T).tocsr()
-    prod.setdiag(0)
-    prod.eliminate_zeros()
-    prod.data[:] = 1.0
-    return prod
 
 
 @dataclass

@@ -1,15 +1,16 @@
 """Node positional encodings for the bipartite interaction graph.
 
-Four encodings per node.  Spectral is a frozen block of Laplacian
-eigenvectors; for the bipartite graph they come from one eigensolve on its
-smaller side, min(N, M) nodes, lifted to the whole graph and certified on
-its Laplacian, or from a solve of the whole graph when the wanted spectrum
-reaches 1.  Degree, PageRank and node type are grouped encodings: one
-learned table row per structural group of nodes, picked by a frozen group
-id per node.  Each encoding has a projection into the embedding space, and
-a pair of side-specific projections folds the sum into one d-vector per
-node.  `position_tape` computes those vectors for every node at once as one
-tape node, `position`, from a frozen feature matrix that holds each node's
+Four encodings per node.  Spectral is a frozen block of the interaction
+graph's normalized Laplacian eigenvectors, the smallest outside its null
+space: one eigensolve on the graph's smaller side, min(N, M) nodes,
+lifted to the whole graph and certified on its Laplacian, or a solve of
+the whole graph when the wanted spectrum reaches 1.  Degree, PageRank and
+node type are grouped encodings: one learned table row per structural
+group of nodes, picked by a frozen group id per node.  Each encoding has
+a projection into the embedding space, and a pair of side-specific
+projections folds the sum into one d-vector per node.  `position_tape`
+computes those vectors for every node at once as one tape node,
+`position`, from a frozen feature matrix that holds each node's
 eigenvector features and one-hot group ids.
 """
 from __future__ import annotations
@@ -21,7 +22,7 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import Tensor, parameter
-from .data import BipartiteGraph, one_sided_adjacency
+from .data import BipartiteGraph
 from .linalg import (RESIDUAL_TOL, ConvergenceError, GramOperator,
                      certified_eigenvectors, laplacian_null_basis, normalized_laplacian,
                      pagerank, symmetric_eigs_smallest)
@@ -58,30 +59,6 @@ def group_by_rank(values, n_groups: int) -> np.ndarray:
     group_of = np.empty(count, dtype=np.int64)
     group_of[order] = np.repeat(np.arange(n_groups), sizes)
     return group_of
-
-
-def _nontrivial_eigenvectors(adj, h: int, what: str, n_users: int | None = None) -> np.ndarray:
-    """Columns of the h smallest eigenvectors of the normalized Laplacian
-    outside its null space (one zero eigenvalue per connected component,
-    isolated nodes included).  Given `n_users`, `adj` is a bipartite graph
-    with its n_users users first, and `_lifted_eigenvectors` answers from
-    the smaller side when it can; otherwise one deflated solve of the whole
-    graph does."""
-    if adj.nnz == 0:
-        raise EncodingError(f"{what}: graph has no edges")
-    null = laplacian_null_basis(adj)
-    n, trivial = null.shape
-    if h > n - trivial:
-        raise EncodingError(
-            f"{what}: needs {h} non-trivial eigenpairs but only {n - trivial} "
-            f"are available ({trivial} trivial of {n} total)")
-    lap = normalized_laplacian(adj)
-    if n_users is not None:
-        vecs = _lifted_eigenvectors(lap, null, n_users, h)
-        if vecs is not None:
-            return vecs
-    _, vecs = symmetric_eigs_smallest(lap, h, deflate=null)
-    return vecs
 
 
 def _lifted_eigenvectors(lap, null, n_users: int, h: int) -> np.ndarray | None:
@@ -128,34 +105,35 @@ def _lifted_eigenvectors(lap, null, n_users: int, h: int) -> np.ndarray | None:
         return None
 
 
-def spectral_encoding(g: BipartiteGraph, h_c: int, lambda_c: float) -> np.ndarray:
-    """Convex mix of whole-graph and one-sided Laplacian eigenvector features:
-    each graph's h_c smallest eigenvectors outside its null space, as an
-    (h_c, N+M) array, users first.
+def spectral_encoding(g: BipartiteGraph, h_c: int) -> np.ndarray:
+    """The h_c smallest eigenvectors of the bipartite graph's normalized
+    Laplacian outside its null space (one zero eigenvalue per connected
+    component, isolated nodes included), as an (h_c, N+M) array, users
+    first.
 
-    lambda_c = 0 uses the bipartite graph only; lambda_c = 1 uses the
-    user-side and item-side projection graphs only.  The bipartite graph's
-    block comes from one eigensolve on its smaller side when its h_c
+    They come from one eigensolve on the graph's smaller side when its h_c
     smallest non-trivial eigenvalues lie below 1 (see
-    `_lifted_eigenvectors`), and from one solve of the whole graph
-    otherwise.
+    `_lifted_eigenvectors`), and from one deflated solve of the whole graph
+    otherwise.  Raises EncodingError when the graph has no edges or fewer
+    than h_c non-trivial eigenpairs.
     """
     if h_c < 1:
         raise ValueError("h_c must be >= 1")
-    if not 0.0 <= lambda_c <= 1.0:
-        raise ValueError("lambda_c must lie in [0, 1]")
-    matrix = np.zeros((h_c, g.n_users + g.n_items))
-    if lambda_c < 1.0:
-        vecs = _nontrivial_eigenvectors(g.full_adjacency(), h_c, "bipartite graph",
-                                        g.n_users)
-        matrix += (1.0 - lambda_c) * vecs.T
-    if lambda_c > 0.0:
-        u_vecs = _nontrivial_eigenvectors(one_sided_adjacency(g, "user"), h_c,
-                                          "user-side graph")
-        i_vecs = _nontrivial_eigenvectors(one_sided_adjacency(g, "item"), h_c,
-                                          "item-side graph")
-        matrix += lambda_c * np.hstack([u_vecs.T, i_vecs.T])
-    return matrix
+    adj = g.full_adjacency()
+    if adj.nnz == 0:
+        raise EncodingError("bipartite graph: graph has no edges")
+    null = laplacian_null_basis(adj)
+    n, trivial = null.shape
+    if h_c > n - trivial:
+        raise EncodingError(
+            f"bipartite graph: needs {h_c} non-trivial eigenpairs but only {n - trivial} "
+            f"are available ({trivial} trivial of {n} total)")
+    lap = normalized_laplacian(adj)
+    vecs = _lifted_eigenvectors(lap, null, g.n_users, h_c)
+    if vecs is None:
+        _, vecs = symmetric_eigs_smallest(lap, h_c, deflate=null)
+    # C order, with +0.0 where a sign flip left a zero entry at -0.0
+    return np.add(vecs.T, 0.0, order="C")
 
 
 def _init_table(rows: int, cols: int, rng: np.random.Generator) -> Tensor:
@@ -260,7 +238,7 @@ def build_encoding_set(g: BipartiteGraph, cfg, rng: np.random.Generator,
                 raise EncodingError(f"{name} encoding needs {groups} groups per side, "
                                     f"but the {side} side has {count} nodes")
     if stored is None:
-        matrix = spectral_encoding(g, cfg.h_c, cfg.lambda_c) if cfg.use_spectral else None
+        matrix = spectral_encoding(g, cfg.h_c) if cfg.use_spectral else None
         ids = [_group_ids(g, name, groups) for name, groups, _ in kinds]
     else:
         matrix = _stored(stored, "spectral", (cfg.h_c, n + m)) if cfg.use_spectral else None

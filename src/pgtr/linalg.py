@@ -22,6 +22,8 @@ __all__ = [
 DENSE_CUTOFF = 512
 # An eigenpair is certified when its residual is within this fraction of ||M||_1.
 RESIDUAL_TOL = 1e-10
+# A column's sign is set by its first entry within this fraction of its largest magnitude.
+SIGN_TIE_TOL = 1e-10
 
 
 class ConvergenceError(RuntimeError):
@@ -79,13 +81,14 @@ def laplacian_null_basis(adj) -> sp.csr_matrix:
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    """Flip each column so its largest-magnitude entry (first on ties) is positive."""
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        lead = np.argmax(np.abs(out[:, j]))
-        if out[lead, j] < 0:
-            out[:, j] = -out[:, j]
-    return out
+    """Flip each column so its leading entry is positive: the first entry
+    whose magnitude is within SIGN_TIE_TOL relative of the column's
+    largest.  Entries that tie in exact arithmetic thus pick the sign, not
+    the rounding between them."""
+    mags = np.abs(vecs)
+    lead = np.argmax(mags >= (1.0 - SIGN_TIE_TOL) * mags.max(axis=0), axis=0)
+    flip = vecs[lead, np.arange(vecs.shape[1])] < 0
+    return np.multiply(vecs, np.where(flip, -1.0, 1.0), order="C")
 
 
 def _check_symmetric(a: sp.csr_matrix, tol: float = 1e-12):
@@ -142,11 +145,11 @@ def symmetric_eigs_smallest(mat, k: int, tol: float = RESIDUAL_TOL, deflate=None
     check only multiply by it, and its 1-norm is exact.
 
     Returns (eigenvalues ascending, column-orthonormal eigenvectors) with
-    every residual ||M v - lambda v|| <= tol * ||M||_1 and sign-fixed
-    columns (see `certified_eigenvectors`).  Above DENSE_CUTOFF, ARPACK
-    solves on the complement and a probe checks it missed no repeated
-    eigenvalue; otherwise the dense `eigh` of M answers, minus its c
-    eigenvectors in span(deflate).
+    every residual ||M v - lambda v|| <= tol * ||M||_1 and each column's
+    sign fixed by its leading entry (see `certified_eigenvectors`).  Above
+    DENSE_CUTOFF, ARPACK solves on the complement and a probe checks it
+    missed no repeated eigenvalue; otherwise the dense `eigh` of M
+    answers, minus its c eigenvectors in span(deflate).
     """
     a = _as_operator(mat)
     n = a.shape[0]
@@ -178,10 +181,11 @@ def symmetric_eigs_smallest(mat, k: int, tol: float = RESIDUAL_TOL, deflate=None
 
 
 def certified_eigenvectors(mat, vals, vecs, tol: float = RESIDUAL_TOL) -> np.ndarray:
-    """`vecs` with each column's sign fixed (largest-magnitude entry
-    positive, first on ties), once every residual ||M v - lambda v|| is
-    within tol * ||M||_1; ConvergenceError with the largest otherwise.
-    M is taken as `symmetric_eigs_smallest` takes it."""
+    """`vecs` with each column's sign fixed, once every residual
+    ||M v - lambda v|| is within tol * ||M||_1; ConvergenceError with the
+    largest otherwise.  A column's first entry within SIGN_TIE_TOL relative
+    of its largest magnitude is made positive, so v and -v give the same
+    column.  M is taken as `symmetric_eigs_smallest` takes it."""
     a = _as_operator(mat)
     resid = _residuals(a, vals, vecs)
     if not resid.max() <= tol * max(_one_norm(a), 1e-300):

@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 EMBED_INIT_STD = 0.1
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 HEADER_FIELDS = ("config", "n_users", "n_items", "graph_hash", "seed")
 # the dtype `init_model` casts the model's arrays to (see the module docstring)
 MODEL_DTYPE = np.float32
@@ -68,7 +68,6 @@ class PGTRConfig:
     lambda1: float = 1.0
     lambda2: float = 1.0
     lambda3: float = 0.5
-    lambda_c: float = 0.0
     tau: float = 0.2
     h_c: int = 50
     h_d: int = 4
@@ -87,7 +86,7 @@ class PGTRConfig:
         `check_field_types`) or out of its range.  Float fields are stored as
         Python floats: a NumPy float64 would promote float32 arithmetic."""
         check_field_types(PGTRConfig, vars(self))
-        for name in ("lambda1", "lambda2", "lambda3", "lambda_c"):
+        for name in ("lambda1", "lambda2", "lambda3"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} must lie in [0, 1]")

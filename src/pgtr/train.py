@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import NumericsError, Tensor
-from .data import InteractionDataset
+from .data import InteractionDataset, check_integer_ids
 from .model import ModelState, check_field_types, forward
 from .optim import AdamState, adam_step
 
@@ -119,9 +119,10 @@ def batch_loss(state: ModelState, users: np.ndarray, items: np.ndarray,
     when the node table or the loss is not finite (`ad.check_finite`) or
     naming a batch row of zero norm (other rows are not read);
     NoNegativesError, a ValueError, when no pair keeps a negative; and
-    ValueError when `user_items` has the wrong shape or an item id outside
-    [0, n_items), when a pair's id is out of range, or when a pair's item
-    is not among its user's training items.
+    ValueError when `user_items` has the wrong shape or an item id that is
+    not an integer or lies outside [0, n_items), when a pair's id is out
+    of range, or when a pair's item is not among its user's training
+    items.
     """
     user_items = _user_items(user_items, "user_items", (state.n_users, state.n_items),
                              "the model's user-item table")
@@ -353,7 +354,9 @@ def _user_items(rows, name: str, shape: tuple[int, int],
     """Boolean (users, items) CSR matrix of a sparse matrix or of per-user
     item-id sequences, checked against `owner`'s shape.  Stored zeros are
     dropped and a repeated id gives one entry: a matrix already in that
-    form, such as `user_item_matrix()`, is returned as it is."""
+    form, such as `user_item_matrix()`, is returned as it is.  A sequence
+    entry must be an integer id (see `check_integer_ids`): a ValueError
+    names `name` and the row for a bool or a float that is not whole."""
     if sp.issparse(rows):
         if rows.shape != shape:
             raise ValueError(f"{name} has shape {rows.shape} but {owner} has shape {shape}")
@@ -365,14 +368,16 @@ def _user_items(rows, name: str, shape: tuple[int, int],
         n_users, n_items = shape
         if len(rows) != n_users:
             raise ValueError(f"{name} has {len(rows)} rows but {owner} has {n_users}")
-        parts = [np.asarray(r, dtype=np.int64) for r in rows]
+        parts = [check_integer_ids(r, f"{name} row {u}") for u, r in enumerate(rows)]
         indptr = np.zeros(n_users + 1, dtype=np.int64)
         np.cumsum([p.size for p in parts], out=indptr[1:])
         indices = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+        # checked before the cast, which would wrap an id outside int64
         bad = (indices < 0) | (indices >= n_items)
         if bad.any():
             raise ValueError(f"{name} holds item id {int(indices[bad][0])} "
                              f"outside [0, {n_items})")
+        indices = indices.astype(np.int64, copy=False)
         m = sp.csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr), shape=shape)
     m.sum_duplicates()
     m.eliminate_zeros()
@@ -431,7 +436,7 @@ def ranking_metrics(scores: np.ndarray, observed_items, test_items,
     `observed_items` and `test_items` are each either a scipy sparse
     matrix of exactly the table's shape, whose stored nonzero entries mark
     a user's items (such as `InteractionDataset.user_item_matrix()`), or a
-    sequence of N per-user item-id sequences.  Observed (training +
+    sequence of N per-user integer item-id sequences.  Observed (training +
     validation) items are masked out; ties break toward the lower item
     index; NaN and infinite scores are dropped from a top-k list; users
     without test items are excluded.  `k` is a Python or numpy integer of

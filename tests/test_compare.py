@@ -1,9 +1,12 @@
-"""Smoke test of `experiments/compare.py`: one seed of a tiny cell, with
-the checkout compared against itself."""
+"""Tests of `experiments/compare.py`: one seed of a tiny cell, with the
+checkout compared against itself, and the relabeling of ids."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from pgtr.synthetic import clustered_interactions
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -35,3 +38,18 @@ def test_tree_without_sources_rejected(compare_mod, tmp_path, capsys):
     with pytest.raises(SystemExit):
         compare_mod.main([str(ROOT), str(tmp_path)])
     assert f"{tmp_path} holds no src/pgtr" in capsys.readouterr().err
+
+
+def test_relabel_keeps_the_degrees_and_the_pairs(compare_mod):
+    ds = clustered_interactions(30, 40, per_user=8, seed=2)
+    out = compare_mod.relabel(ds, 5)
+    assert (out.n_users, out.n_items, len(out)) == (ds.n_users, ds.n_items, len(ds))
+    assert len(out.pairs()) == len(ds.pairs())
+    for side in ("users", "items"):
+        before, after = getattr(ds, side), getattr(out, side)
+        n = ds.n_users if side == "users" else ds.n_items
+        np.testing.assert_array_equal(np.sort(np.bincount(after, minlength=n)),
+                                      np.sort(np.bincount(before, minlength=n)))
+        assert not np.array_equal(after, before)  # the ids did move
+    # the same seed renames the same way
+    np.testing.assert_array_equal(compare_mod.relabel(ds, 5).items, out.items)

@@ -15,7 +15,6 @@ from pgtr.data import (
     build_graph,
     inject_noise,
     load_interactions,
-    one_sided_adjacency,
     save_interactions,
     save_remap,
     split_by_ratio,
@@ -212,46 +211,6 @@ class TestIds:
     def test_out_of_range_id_rejected_before_the_cast(self, users, message):
         with pytest.raises(DataError, match=message):
             InteractionDataset(2, 2, np.array(users), [0])
-
-
-class TestOneSided:
-    def test_single_edge_gives_empty_user_side(self):
-        g = build_graph(InteractionDataset(1, 1, np.array([0]), np.array([0])))
-        assert one_sided_adjacency(g, "user").nnz == 0
-
-    def test_shared_item_links_users(self):
-        g = build_graph(InteractionDataset(2, 1, np.array([0, 1]), np.array([0, 0])))
-        m = one_sided_adjacency(g, "user").toarray()
-        np.testing.assert_array_equal(m, [[0, 1], [1, 0]])
-
-    def test_matches_dense_boolean_product(self):
-        rng = np.random.default_rng(23)
-        users, items = [], []
-        for u in range(30):
-            for i in rng.choice(30, size=rng.integers(1, 6), replace=False):
-                users.append(u)
-                items.append(int(i))
-        pairs = sorted(set(zip(users, items)))
-        ds = InteractionDataset(30, 30, np.array([p[0] for p in pairs]),
-                                np.array([p[1] for p in pairs]))
-        g = build_graph(ds)
-        r = g.user_adj.toarray()
-        expected = (r @ r.T) > 0
-        np.fill_diagonal(expected, False)
-        np.testing.assert_array_equal(one_sided_adjacency(g, "user").toarray() > 0, expected)
-
-    def test_symmetric_zero_diagonal(self):
-        ds = clustered_interactions(25, 25, 2, per_user=6, seed=5)
-        g = build_graph(ds)
-        for side in ("user", "item"):
-            m = one_sided_adjacency(g, side)
-            assert (m != m.T).nnz == 0
-            assert m.diagonal().sum() == 0
-
-    def test_bad_side(self):
-        g = build_graph(InteractionDataset(1, 1, np.array([0]), np.array([0])))
-        with pytest.raises(ValueError):
-            one_sided_adjacency(g, "node")
 
 
 class TestSplit:

@@ -1,4 +1,4 @@
-"""Positional encoding tests: grouping rules, spectral mix, composition.
+"""Positional encoding tests: grouping rules, spectral block, composition.
 
 `taped_position` below is the taped composition of gathers, products,
 slices and a concat that `position_tape` fuses into one node: the oracle
@@ -13,11 +13,9 @@ from hypothesis import strategies as st
 
 import pgtr.autodiff as ad
 import pgtr.encodings
-from pgtr.data import (InteractionDataset, SplitSpec, build_graph, one_sided_adjacency,
-                       split_by_ratio)
+from pgtr.data import InteractionDataset, SplitSpec, build_graph, split_by_ratio
 from pgtr.encodings import (
     EncodingError,
-    _nontrivial_eigenvectors,
     build_encoding_set,
     group_by_rank,
     position_tape,
@@ -94,31 +92,15 @@ class TestGroupByRank:
 class TestSpectral:
     def test_lambda_zero_is_whole_graph_encoding(self):
         g = random_graph(1)
-        block = spectral_encoding(g, 3, 0.0)
+        block = spectral_encoding(g, 3)
         lap = normalized_laplacian(g.full_adjacency())
         vals, vecs = symmetric_eigs_smallest(lap, 4)
         skip = int(np.sum(vals < 1e-8))
         np.testing.assert_allclose(block, vecs[:, skip:skip + 3].T, atol=1e-12)
 
-    def test_lambda_one_is_one_sided_encoding(self):
-        g = random_graph(2)
-        block = spectral_encoding(g, 2, 1.0)
-        lap_u = normalized_laplacian(one_sided_adjacency(g, "user"))
-        vals_u, vecs_u = symmetric_eigs_smallest(lap_u, lap_u.shape[0])
-        skip = int(np.sum(vals_u < 1e-8))
-        np.testing.assert_allclose(block[:, :g.n_users],
-                                   vecs_u[:, skip:skip + 2].T, atol=1e-10)
-
-    def test_convex_mix(self):
-        g = random_graph(3)
-        e0 = spectral_encoding(g, 2, 0.0)
-        e1 = spectral_encoding(g, 2, 1.0)
-        mid = spectral_encoding(g, 2, 0.25)
-        np.testing.assert_allclose(mid, 0.75 * e0 + 0.25 * e1, atol=1e-12)
-
     def test_k22_single_nontrivial_column(self):
         g = k22_graph()
-        block = spectral_encoding(g, 1, 0.0)
+        block = spectral_encoding(g, 1)
         lap = normalized_laplacian(g.full_adjacency())
         vals, vecs = symmetric_eigs_smallest(lap, 2)
         assert vals[0] < 1e-8 and vals[1] > 1e-8
@@ -126,7 +108,7 @@ class TestSpectral:
 
     def test_untrainable(self):
         # a plain array, not a Tensor: no gradient and no optimizer state
-        assert type(spectral_encoding(k22_graph(), 1, 0.0)) is np.ndarray
+        assert type(spectral_encoding(k22_graph(), 1)) is np.ndarray
         cfg = PGTRConfig(d=2, h_c=1, n_d=2, n_r=2)
         enc = build_encoding_set(k22_graph(), cfg, np.random.default_rng(0))
         assert type(enc.spectral.matrix) is np.ndarray
@@ -135,14 +117,7 @@ class TestSpectral:
     def test_deficit_error_reports_shortage(self):
         g = build_graph(InteractionDataset(1, 1, np.array([0]), np.array([0])))
         with pytest.raises(EncodingError, match="non-trivial"):
-            spectral_encoding(g, 5, 0.0)
-
-    def test_empty_one_sided_graph_error(self):
-        # one user, two items: item-side graph has an edge, user-side none
-        g = build_graph(InteractionDataset(1, 2, np.array([0, 0]), np.array([0, 1])))
-        with pytest.raises(EncodingError, match="user-side"):
-            spectral_encoding(g, 1, 0.5)
-        spectral_encoding(g, 1, 0.0)  # whole-graph only is fine
+            spectral_encoding(g, 5)
 
 
 @st.composite
@@ -171,9 +146,9 @@ def check_spectral_properties(g, h):
     n, trivial = null.shape
     if h > n - trivial:
         with pytest.raises(EncodingError, match="non-trivial"):
-            spectral_encoding(g, h, 0.0)
+            spectral_encoding(g, h)
         return
-    rows = spectral_encoding(g, h, 0.0)
+    rows = spectral_encoding(g, h)
     np.testing.assert_allclose(rows @ rows.T, np.eye(h), atol=1e-8)
     assert np.abs(null.T @ rows.T).max() <= 1e-8
     lap = normalized_laplacian(adj)
@@ -212,7 +187,10 @@ def bipartite_graph(n_users, n_items, pairs):
 def whole_graph_block(g, h):
     """The (h, N+M) block of one deflated solve of the whole graph: the
     oracle of the lifted route."""
-    return _nontrivial_eigenvectors(g.full_adjacency(), h, "whole graph").T
+    adj = g.full_adjacency()
+    _, vecs = symmetric_eigs_smallest(normalized_laplacian(adj), h,
+                                      deflate=laplacian_null_basis(adj))
+    return vecs.T
 
 
 @pytest.fixture
@@ -240,8 +218,8 @@ def check_same_subspace(g, h):
     n, trivial = null.shape
     if h > n - trivial:
         return
-    new = spectral_encoding(g, h, 0.0).T
-    ref = _nontrivial_eigenvectors(adj, h, "whole graph")
+    new = spectral_encoding(g, h).T
+    ref = whole_graph_block(g, h).T
     vals = np.linalg.eigvalsh(normalized_laplacian(adj).toarray())[trivial:]
     cut = h < vals.size and vals[h] - vals[h - 1] <= 1e-8
     below = int(np.sum(vals[:h] < vals[h - 1] - 1e-8)) if cut else h
@@ -256,7 +234,7 @@ class TestLiftedRoute:
     def test_users_smaller(self, solves):
         g = random_graph(1)
         assert g.n_users < g.n_items
-        block = spectral_encoding(g, 3, 0.0)
+        block = spectral_encoding(g, 3)
         assert solves == [("side", g.n_users)]
         np.testing.assert_allclose(block, whole_graph_block(g, 3), atol=1e-12)
 
@@ -265,7 +243,7 @@ class TestLiftedRoute:
         # users 2 and 4 hang off items 1 and 2: no two entries tie in magnitude
         g = bipartite_graph(5, 3, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 1), (3, 1), (3, 2),
                                    (4, 2)])
-        block = spectral_encoding(g, 2, 0.0)
+        block = spectral_encoding(g, 2)
         assert solves == [("side", 3)]
         np.testing.assert_allclose(block, whole_graph_block(g, 2), atol=1e-12)
 
@@ -273,7 +251,7 @@ class TestLiftedRoute:
         ds = clustered_interactions(20, 25, 3, per_user=6, seed=4)
         # users 20-22 and items 25-26 have no interactions
         g = build_graph(InteractionDataset(23, 27, ds.users, ds.items))
-        block = spectral_encoding(g, 4, 0.0)
+        block = spectral_encoding(g, 4)
         assert solves == [("side", 23)]
         np.testing.assert_array_equal(block[:, 20:23], 0.0)
         np.testing.assert_allclose(block, whole_graph_block(g, 4), atol=1e-12)
@@ -281,14 +259,14 @@ class TestLiftedRoute:
     def test_star_has_no_side_pair(self, solves):
         # K_{1,4}: the one user is its side's whole null space
         g = bipartite_graph(1, 4, [(0, i) for i in range(4)])
-        block = spectral_encoding(g, 1, 0.0)
+        block = spectral_encoding(g, 1)
         assert solves == [("whole", 5)]
         np.testing.assert_array_equal(block, whole_graph_block(g, 1))
 
     def test_zero_singular_value_solves_the_whole_graph(self, solves):
         # K_{2,3}: the non-trivial eigenvalues are 1 and 2, so the side's s is 0
         g = bipartite_graph(2, 3, [(u, i) for u in range(2) for i in range(3)])
-        block = spectral_encoding(g, 1, 0.0)
+        block = spectral_encoding(g, 1)
         assert solves == [("side", 2), ("whole", 5)]
         np.testing.assert_array_equal(block, whole_graph_block(g, 1))
 
@@ -306,7 +284,7 @@ class TestLiftedRoute:
 
         monkeypatch.setattr(pgtr.encodings, "symmetric_eigs_smallest", spoiled)
         g = random_graph(1)
-        block = spectral_encoding(g, 3, 0.0)
+        block = spectral_encoding(g, 3)
         assert kinds == ["GramOperator", "csr_matrix"]
         monkeypatch.setattr(pgtr.encodings, "symmetric_eigs_smallest", real)
         np.testing.assert_allclose(block, whole_graph_block(g, 3), atol=1e-12)
@@ -402,7 +380,7 @@ def by_name(enc):
 class TestComposition:
     def build(self, seed=7, **kw):
         g = random_graph(seed)
-        defaults = dict(d=6, h_c=3, h_d=2, h_r=2, h_y=2, n_d=3, n_r=3, lambda_c=0.0)
+        defaults = dict(d=6, h_c=3, h_d=2, h_r=2, h_y=2, n_d=3, n_r=3)
         defaults.update(kw)
         return g, build_encoding_set(g, PGTRConfig(**defaults), np.random.default_rng(seed))
 
@@ -497,7 +475,6 @@ def taped_position(enc):
 
 FUSED_CONFIGS = {
     "default": {},
-    "lambda_c=0.5": dict(lambda_c=0.5),
     "spectral off": dict(use_spectral=False),
     "degree and pagerank off": dict(use_degree=False, use_pagerank=False),
     "type only": dict(use_spectral=False, use_degree=False, use_pagerank=False),

@@ -172,6 +172,22 @@ class TestEigensolver:
             lead = np.argmax(np.abs(vecs[:, j]))
             assert vecs[lead, j] > 0
 
+    def test_tied_leaders_pick_the_sign_not_the_rounding(self):
+        """Two leading entries of equal magnitude and opposite sign, the
+        later one moved 1e-16 either way: each column comes out with the
+        same signs, its first leader positive, and v and -v agree."""
+        eye = sp.identity(3, format="csr")  # every vector is an eigenvector
+        signs = []
+        for delta in (-1e-16, 0.0, 1e-16):
+            vecs = np.array([[0.1, -0.5], [-0.5, 0.5 + delta], [0.5 + delta, 0.1]])
+            out = pgtr.linalg.certified_eigenvectors(eye, np.ones(2), vecs)
+            assert out[1, 0] > 0 and out[0, 1] > 0
+            np.testing.assert_array_equal(
+                pgtr.linalg.certified_eigenvectors(eye, np.ones(2), -vecs), out)
+            signs.append(np.sign(out))
+        for other in signs[1:]:
+            np.testing.assert_array_equal(other, signs[0])
+
     def test_deterministic(self):
         g = build_graph(clustered_interactions(300, 400, per_user=8, seed=5))
         adj = g.full_adjacency()

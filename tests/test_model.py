@@ -1,4 +1,5 @@
 """Model composition tests: reduction, mixing, census, checkpoints."""
+import dataclasses
 import io
 import json
 import pickle
@@ -511,7 +512,7 @@ class TestCheckpoint:
         path, _, state = saved_checkpoint(tmp_path, 9, 34)
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
         meta, blocks = read_checkpoint(path)
-        assert meta["version"] == 7
+        assert meta["version"] == 8
         stored = [(name, t.data) for name, t in state.named_parameters()]
         stored += [(f"{e.name}_groups", e.group_of) for e in state.enc.grouped]
         stored.append(("spectral", state.enc.spectral.matrix))
@@ -645,10 +646,12 @@ class TestCheckpoint:
         files hold no group ids, version-4 headers carry the removed switch
         for query, key and value maps, version 5 stored every block as
         float64 (its files are not archives; see the next test), and
-        version-6 headers carry the removed attention feature maps' seeds."""
+        version-6 headers carry the removed attention feature maps' seeds,
+        and version-7 headers the removed weight of the one-sided spectral
+        mix."""
         path, g, _ = saved_checkpoint(tmp_path, 15, 24)
         meta, blocks = read_checkpoint(path)
-        for version in (2, 3, 4, 5, 6, "7"):
+        for version in (2, 3, 4, 5, 6, 7, "8"):
             write_checkpoint(path, dict(meta, version=version), blocks)
             with pytest.raises(ValueError,
                                match=f"^unsupported checkpoint version {version!r}$"):
@@ -657,6 +660,17 @@ class TestCheckpoint:
         write_checkpoint(path, meta, blocks)
         with pytest.raises(ValueError, match="^unsupported checkpoint version None$"):
             load_checkpoint(path, g)
+
+    def test_removed_lambda_c_field_rejected(self, tmp_path):
+        """A current-version header that still carries the one-sided
+        spectral mix's weight fails on the field, whatever its value."""
+        path, g, _ = saved_checkpoint(tmp_path, 15, 24)
+        meta, blocks = read_checkpoint(path)
+        for value in (0.0, 0.5):
+            write_checkpoint(path, dict(meta, config=dict(meta["config"], lambda_c=value)),
+                             blocks)
+            with pytest.raises(ValueError, match="^unknown config field 'lambda_c'$"):
+                load_checkpoint(path, g)
 
     def test_format_5_file_rejected(self, tmp_path):
         """The bespoke format 5 (magic, version byte, length-prefixed JSON
@@ -844,6 +858,46 @@ class TestDrawOrder:
                                           err_msg=name)
 
 
+def moved(name: str, value):
+    """Another valid value of the config field `name` than `value`."""
+    if name == "backbone":
+        return "transform-gcn"
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value / 2 if value else 0.5
+    raise AssertionError(f"no other value known for config field {name!r}")
+
+
+def observables(cfg: PGTRConfig) -> dict:
+    """What a config can change: each parameter and frozen block of
+    `init_model`, the `forward` table, and `batch_loss`'s loss on a fixed
+    batch."""
+    ds = clustered_interactions(12, 14, 3, per_user=5, seed=5)
+    state = init_model(build_graph(ds), cfg, seed=0)
+    out = {f"parameter {name}": t.data for name, t in state.named_parameters()}
+    out.update((f"frozen {name}", block) for name, block in state.enc.frozen_blocks())
+    out["forward"] = forward(state).data
+    loss, _ = batch_loss(state, ds.users[:16], ds.items[:16], ds.user_item_matrix())
+    out["loss"] = loss.data
+    return out
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PGTRConfig)])
+def test_every_config_field_changes_the_model(name):
+    """A field whose other valid value changes no parameter, frozen block,
+    forward table or loss is a dead knob."""
+    base = PGTRConfig(**SMALL)
+    other = dataclasses.replace(base, **{name: moved(name, getattr(base, name))})
+    other.validate()
+    want, got = observables(base), observables(other)
+    assert want.keys() != got.keys() or any(
+        want[key].shape != got[key].shape or not np.array_equal(want[key], got[key])
+        for key in want), f"{name} changes nothing observable"
+
+
 class TestRejectedBeforeSolving:
     @pytest.fixture(autouse=True)
     def no_solve(self, monkeypatch):
@@ -859,7 +913,7 @@ class TestRejectedBeforeSolving:
 
     @pytest.mark.parametrize("field, value", [
         ("tau", 0.0), ("tau", -0.2), ("tau", float("nan")), ("tau", float("inf")),
-        ("lambda3", float("nan")), ("lambda1", float("inf")), ("lambda_c", -0.5),
+        ("lambda3", float("nan")), ("lambda1", float("inf")),
         ("d", 0), ("d", 6.5), ("n_d", 2.0), ("layers", True),
         ("use_spectral", "no")])
     def test_out_of_range_field(self, field, value):
@@ -877,11 +931,11 @@ class TestRejectedBeforeSolving:
 
 @settings(max_examples=60, deadline=None)
 @given(ds=awkward_interactions(), n_d=st.integers(1, 6), n_r=st.integers(1, 6),
-       h_c=st.integers(1, 4), lambda_c=st.sampled_from([0.0, 0.5]))
+       h_c=st.integers(1, 4))
 @example(ds=InteractionDataset(1, 3, np.array([0, 0]), np.array([0, 2])),
-         n_d=1, n_r=1, h_c=1, lambda_c=0.0)
-def test_init_builds_or_raises_a_typed_error(ds, n_d, n_r, h_c, lambda_c):
-    cfg = PGTRConfig(d=4, h_c=h_c, h_d=2, h_r=2, h_y=2, n_d=n_d, n_r=n_r, lambda_c=lambda_c)
+         n_d=1, n_r=1, h_c=1)
+def test_init_builds_or_raises_a_typed_error(ds, n_d, n_r, h_c):
+    cfg = PGTRConfig(d=4, h_c=h_c, h_d=2, h_r=2, h_y=2, n_d=n_d, n_r=n_r)
     g = build_graph(ds)
     if min(ds.n_users, ds.n_items) < max(n_d, n_r):
         with pytest.raises(EncodingError, match="groups per side"):

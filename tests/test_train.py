@@ -337,6 +337,8 @@ class TestBatchLossTape:
 
     @pytest.mark.parametrize("case, message", [
         ("training id", r"^user_items holds item id 99 outside \[0, 10\)$"),
+        ("fractional id", r"^user_items row 3 must hold integer ids, got float64 values$"),
+        ("bool id", r"^user_items row 3 must hold integer ids, got bool values$"),
         ("matrix shape", r"^user_items has shape \(8, 11\) but the model's user-item "
                          r"table has shape \(8, 10\)$"),
         ("list length", r"^user_items has 7 rows but the model's user-item table has 8$"),
@@ -349,6 +351,10 @@ class TestBatchLossTape:
         user_items = ds.items_of_user()
         if case == "training id":
             user_items[3] = np.append(user_items[3], 99)
+        elif case == "fractional id":
+            user_items[3] = np.append(user_items[3], 2.5)
+        elif case == "bool id":
+            user_items[3] = np.ones(2, dtype=bool)
         elif case == "matrix shape":
             user_items = sp.csr_matrix((8, 11), dtype=bool)
         elif case == "list length":
@@ -1346,6 +1352,8 @@ class TestRankingMatchesLoopOracle:
         ([[4], []], [[1], [2]], r"observed_items holds item id 4 outside \[0, 4\)"),
         ([[], []], [[1], [2, 9]], r"test_items holds item id 9 outside \[0, 4\)"),
         ([[], []], [[-2], [2]], r"test_items holds item id -2 outside \[0, 4\)"),
+        ([[], []], [[1e30], [2]], r"test_items holds item id 1000000000000000019884624838656 "
+                                  r"outside \[0, 4\)"),
         (sp.csr_matrix((2, 5), dtype=bool), [[1], [2]],
          r"observed_items has shape \(2, 5\) but scores has shape \(2, 4\)"),
         ([[], []], sp.csr_matrix((3, 4), dtype=bool),
@@ -1354,6 +1362,21 @@ class TestRankingMatchesLoopOracle:
     def test_malformed_item_lists_rejected(self, observed, tests, message):
         with pytest.raises(ValueError, match=message):
             ranking_metrics(np.zeros((2, 4)), observed, tests, k=2)
+
+    @pytest.mark.parametrize("observed, tests, message", [
+        ([[]], [[1.7]], r"^test_items row 0 must hold integer ids, got float64 values$"),
+        ([[]], [[1, np.nan]], r"^test_items row 0 must hold integer ids, got float64 values$"),
+        ([[True]], [[1]], r"^observed_items row 0 must hold integer ids, got bool values$"),
+    ])
+    def test_non_integer_item_ids_rejected(self, observed, tests, message):
+        """A truncated 1.7 would count item 1 as a hit, and True would mask
+        item 1."""
+        with pytest.raises(ValueError, match=message):
+            ranking_metrics(np.array([[0.1, 0.9, 0.2]]), observed, tests, k=1)
+
+    def test_whole_float_item_ids_accepted(self):
+        got = ranking_metrics(np.array([[0.1, 0.9, 0.2]]), [[0.0]], [[1.0]], k=1)
+        assert got.recall_at_k == 1.0
 
 
 class TestSparseItemInputs:
