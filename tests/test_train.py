@@ -1352,12 +1352,12 @@ class TestRankingMatchesLoopOracle:
         ([[4], []], [[1], [2]], r"observed_items holds item id 4 outside \[0, 4\)"),
         ([[], []], [[1], [2, 9]], r"test_items holds item id 9 outside \[0, 4\)"),
         ([[], []], [[-2], [2]], r"test_items holds item id -2 outside \[0, 4\)"),
-        ([[], []], [[1e30], [2]], r"test_items holds item id 1000000000000000019884624838656 "
-                                  r"outside \[0, 4\)"),
         (sp.csr_matrix((2, 5), dtype=bool), [[1], [2]],
          r"observed_items has shape \(2, 5\) but scores has shape \(2, 4\)"),
         ([[], []], sp.csr_matrix((3, 4), dtype=bool),
          r"test_items has shape \(3, 4\) but scores has shape \(2, 4\)"),
+        ([[], []], [[1e30], [2]], r"test_items holds item id 1000000000000000019884624838656 "
+                                  r"outside \[0, 4\)"),
     ])
     def test_malformed_item_lists_rejected(self, observed, tests, message):
         with pytest.raises(ValueError, match=message):
