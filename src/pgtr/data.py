@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,12 +46,15 @@ def check_integer_ids(values, name: str) -> np.ndarray:
     return ids
 
 
-@dataclass
+@dataclass(frozen=True)
 class InteractionDataset:
-    """Deduplicated implicit-feedback records over contiguous integer ids.
+    """Deduplicated implicit-feedback records over contiguous integer ids,
+    as an immutable value.
 
-    `users[i]` interacted with `items[i]`.  Raw-id remap tables (index ->
-    original token) are kept when the data came from a file.
+    `users[i]` interacted with `items[i]`.  Both are read-only int64 copies
+    of the arrays given, and every consumer shares the one canonical CSR
+    that `user_item_matrix()` builds on first use.  Raw-id remap tables
+    (index -> original token) are kept when the data came from a file.
     """
 
     n_users: int
@@ -60,20 +63,22 @@ class InteractionDataset:
     items: np.ndarray
     user_raw_ids: list[int] | None = None
     item_raw_ids: list[int] | None = None
+    _matrix: sp.csr_matrix | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("users", "items"):
-            setattr(self, name, check_integer_ids(getattr(self, name), name))
-        if self.users.shape != self.items.shape:
+        users, items = (check_integer_ids(getattr(self, n), n) for n in ("users", "items"))
+        if users.shape != items.shape:
             raise DataError("users/items length mismatch")
         # checked before the cast, which would wrap an id outside int64
-        if self.users.size:
-            if self.users.min() < 0 or self.users.max() >= self.n_users:
+        if users.size:
+            if users.min() < 0 or users.max() >= self.n_users:
                 raise DataError("user index out of range")
-            if self.items.min() < 0 or self.items.max() >= self.n_items:
+            if items.min() < 0 or items.max() >= self.n_items:
                 raise DataError("item index out of range")
-        self.users = self.users.astype(np.int64, copy=False)
-        self.items = self.items.astype(np.int64, copy=False)
+        for name, ids in (("users", users), ("items", items)):
+            ids = np.array(ids, dtype=np.int64)  # a copy: the caller's array stays its own
+            ids.flags.writeable = False
+            object.__setattr__(self, name, ids)
 
     def __len__(self) -> int:
         return int(self.users.size)
@@ -91,10 +96,18 @@ class InteractionDataset:
     def user_item_matrix(self) -> sp.csr_matrix:
         """Boolean (n_users, n_items) CSR matrix, true where the user
         interacted with the item, in canonical form: repeated pairs give one
-        entry and each row's item ids are sorted.  Built straight from the
-        sorted, deduplicated keys user * n_items + item; the index arrays
-        are int32 unless a dimension or the entry count needs int64, as in
-        scipy's (data, (row, col)) constructor."""
+        entry and each row's item ids are sorted.  The first call builds it
+        and every call returns that same matrix, with read-only arrays: copy
+        it to modify it."""
+        if self._matrix is None:
+            object.__setattr__(self, "_matrix", self._build_user_item_matrix())
+        return self._matrix
+
+    def _build_user_item_matrix(self) -> sp.csr_matrix:
+        """`user_item_matrix()` built straight from the sorted, deduplicated
+        keys user * n_items + item; the index arrays are int32 unless a
+        dimension or the entry count needs int64, as in scipy's
+        (data, (row, col)) constructor."""
         key = np.sort(self.users * self.n_items + self.items)
         key = key[np.diff(key, prepend=-1) != 0]
         users, items = np.divmod(key, max(self.n_items, 1))
@@ -105,6 +118,8 @@ class InteractionDataset:
         m = sp.csr_matrix((np.ones(key.size, dtype=bool), items.astype(index), indptr),
                           shape=(self.n_users, self.n_items))
         m.has_canonical_format = True
+        for part in (m.data, m.indices, m.indptr):
+            part.flags.writeable = False
         return m
 
     def subset(self, mask: np.ndarray) -> "InteractionDataset":

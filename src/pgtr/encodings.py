@@ -114,14 +114,12 @@ def spectral_encoding(g: BipartiteGraph, h_c: int) -> np.ndarray:
     They come from one eigensolve on the graph's smaller side when its h_c
     smallest non-trivial eigenvalues lie below 1 (see
     `_lifted_eigenvectors`), and from one deflated solve of the whole graph
-    otherwise.  Raises EncodingError when the graph has no edges or fewer
-    than h_c non-trivial eigenpairs.
+    otherwise.  Raises EncodingError when the graph has fewer than h_c
+    non-trivial eigenpairs.
     """
     if h_c < 1:
         raise ValueError("h_c must be >= 1")
     adj = g.full_adjacency()
-    if adj.nnz == 0:
-        raise EncodingError("bipartite graph: graph has no edges")
     null = laplacian_null_basis(adj)
     n, trivial = null.shape
     if h_c > n - trivial:

@@ -103,11 +103,11 @@ def batch_loss(state: ModelState, users: np.ndarray, items: np.ndarray,
     """Tape-recorded sampled-softmax loss for one batch of (user, item) pairs.
 
     `user_items` marks each user's training items: a scipy sparse matrix
-    of shape (n_users, n_items), such as the
-    `InteractionDataset.user_item_matrix()` that `train` builds once, or a
-    sequence of n_users per-user item-id sequences, converted on every
-    call.  Each pair is scored against the batch's distinct items, and
-    the pairs of one user share every score but their positive's: the
+    of shape (n_users, n_items), such as
+    `InteractionDataset.user_item_matrix()`, or a sequence of n_users
+    per-user item-id sequences, converted on every call.  Each pair is
+    scored against the batch's distinct items, and the pairs of one user
+    share every score but their positive's: the
     scores form one (distinct users × distinct items) table whose user
     row keeps the items the user never trained on (`_batch_mask` lists the
     dropped entries, so no dense mask is built), and a pair's row adds its
@@ -498,8 +498,7 @@ def evaluate(state: ModelState, observed: InteractionDataset | sp.spmatrix,
     `observed`'s items masked out: each block of users is partitioned at
     its k-th value, and each test item is ranked against its user's
     partitioned top k, so no per-row sort and no membership table is built.
-    `observed` and `test` are datasets or their `user_item_matrix()`, which
-    `train` builds once instead of on every epoch's call.
+    `observed` and `test` are datasets or their `user_item_matrix()`.
     The forward runs with no parameter needing a gradient, so its ops
     record no backward closures; its rows are normalized in plain numpy for
     the cosine scores.  Raises NumericsError when a node's representation

@@ -1,5 +1,8 @@
 """Data ingestion, graph construction, splits, and noise injection."""
+import dataclasses
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -211,6 +214,89 @@ class TestIds:
     def test_out_of_range_id_rejected_before_the_cast(self, users, message):
         with pytest.raises(DataError, match=message):
             InteractionDataset(2, 2, np.array(users), [0])
+
+
+class TestImmutable:
+    """A dataset is a value: read-only id arrays it owns, fields that cannot
+    be reassigned, and one canonical CSR built on first use and shared."""
+
+    @staticmethod
+    def coo_build(ds):
+        return sp.csr_matrix((np.ones(len(ds), dtype=bool), (ds.users, ds.items)),
+                             shape=(ds.n_users, ds.n_items))
+
+    def test_user_item_matrix_is_built_once(self, monkeypatch):
+        ds = clustered_interactions(12, 16, 2, per_user=5, seed=1)
+        built = []
+        real = InteractionDataset._build_user_item_matrix
+
+        def recording(self):
+            built.append(self)
+            return real(self)
+
+        monkeypatch.setattr(InteractionDataset, "_build_user_item_matrix", recording)
+        first = ds.user_item_matrix()
+        assert all(ds.user_item_matrix() is first for _ in range(3))
+        assert [id(d) for d in built] == [id(ds)]
+
+    @pytest.mark.parametrize("array", ["data", "indices", "indptr", "users", "items"])
+    def test_arrays_are_read_only(self, array):
+        ds = clustered_interactions(12, 16, 2, per_user=5, seed=1)
+        owner = ds if array in ("users", "items") else ds.user_item_matrix()
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(owner, array)[0] = getattr(owner, array)[1]
+
+    def test_caller_arrays_stay_writeable_and_unchanged(self):
+        users, items = np.array([2, 0, 1], dtype=np.int64), np.array([1, 3, 0], dtype=np.int64)
+        ds = InteractionDataset(3, 4, users, items)
+        ds.user_item_matrix()
+        assert users.flags.writeable and items.flags.writeable
+        assert users.tolist() == [2, 0, 1] and items.tolist() == [1, 3, 0]
+        assert not np.shares_memory(ds.users, users) and not np.shares_memory(ds.items, items)
+        users[0], items[0] = 0, 0
+        assert ds.users.tolist() == [2, 0, 1] and ds.items.tolist() == [1, 3, 0]
+
+    @pytest.mark.parametrize("name, value", [
+        ("n_users", 5), ("n_items", 5), ("users", np.array([0])),
+        ("items", np.array([0])), ("user_raw_ids", [0]), ("item_raw_ids", [0]),
+    ])
+    def test_fields_cannot_be_assigned(self, name, value):
+        ds = InteractionDataset(2, 2, [0, 1], [1, 0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ds, name, value)
+
+    def test_racing_first_calls_build_equal_matrices(self):
+        """Threads that race to the first call, with no lock, each get the
+        canonical matrix, and later calls return one of them every time."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(5):
+                ds = clustered_interactions(40, 50, 3, per_user=10, seed=seed)
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    got = [f.result(timeout=30) for f in
+                           [pool.submit(ds.user_item_matrix) for _ in range(16)]]
+                kept = ds.user_item_matrix()
+                assert any(m is kept for m in got) and ds.user_item_matrix() is kept
+                for m in got:
+                    assert (m != self.coo_build(ds)).nnz == 0 and m.has_canonical_format
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_derived_datasets_hold_their_own_matrix(self):
+        """Outputs of `subset`, `split_by_ratio` and `inject_noise` made
+        after their source built its matrix each build their own."""
+        ds = clustered_interactions(30, 40, 3, per_user=10, seed=2)
+        source = ds.user_item_matrix()
+        fit, val, test = split_by_ratio(ds, SplitSpec(0.8, seed=2))
+        fit.user_item_matrix()
+        derived = [ds.subset(ds.users % 2 == 0), fit, val, test,
+                   inject_noise(fit, ds, NoiseSpec(0.3, seed=2))]
+        for out in derived:
+            m = out.user_item_matrix()
+            assert m is not source and not np.shares_memory(m.indices, source.indices)
+            assert (m != self.coo_build(out)).nnz == 0
+        assert len({id(out.user_item_matrix()) for out in derived}) == len(derived)
 
 
 class TestSplit:

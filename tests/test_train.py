@@ -22,6 +22,7 @@ from pgtr.encodings import EncodingError
 from pgtr.model import PGTRConfig, forward, init_model, load_checkpoint, save_checkpoint
 from pgtr.synthetic import clustered_interactions
 from pgtr.train import (
+    RankingMetrics,
     TrainConfig,
     _batch_mask,
     _in_batch_softmax,
@@ -1448,6 +1449,48 @@ class TestEvaluate:
         assert got.recall_at_k == want.recall_at_k
         assert got.ndcg_at_k == want.ndcg_at_k
         np.testing.assert_array_equal(got.per_user_ndcg, want.per_user_ndcg)
+
+    @staticmethod
+    def _fresh_split(seed=11):
+        """A model and (fit, test) datasets whose matrices are not built yet:
+        copies of the split, so `build_graph(fit)` built none of theirs."""
+        ds = clustered_interactions(20, 24, 2, per_user=6, seed=seed)
+        fit, _, test = split_by_ratio(ds, SplitSpec(0.6, seed=seed))
+        state = tiny_state(fit, seed=seed)
+        return state, *(InteractionDataset(d.n_users, d.n_items, d.users, d.items)
+                        for d in (fit, test))
+
+    def test_dataset_form_equals_matrix_form(self):
+        """Datasets and their matrices give the same metrics bit for bit,
+        in every field, on every one of three repeated calls."""
+        state, fit, test = self._fresh_split()
+        want = evaluate(state, *(InteractionDataset(d.n_users, d.n_items, d.users, d.items)
+                                 .user_item_matrix() for d in (fit, test)), k=5)
+        for _ in range(3):
+            got = evaluate(state, fit, test, k=5)
+            for name in RankingMetrics.__dataclass_fields__:
+                a, b = getattr(got, name), getattr(want, name)
+                assert type(a) is type(b), name
+                if isinstance(a, np.ndarray):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+                else:
+                    assert a == b, name
+
+    def test_dataset_form_builds_each_matrix_once(self, monkeypatch):
+        """Three calls with the same datasets build each one's CSR on the
+        first call only."""
+        state, fit, test = self._fresh_split()
+        built = []
+        real = InteractionDataset._build_user_item_matrix
+
+        def recording(self):
+            built.append(self)
+            return real(self)
+
+        monkeypatch.setattr(InteractionDataset, "_build_user_item_matrix", recording)
+        for _ in range(3):
+            evaluate(state, fit, test, k=5)
+        assert [id(ds) for ds in built] == [id(fit), id(test)]
 
     def test_zero_norm_row_raises_numerics_error(self, monkeypatch):
         ds = clustered_interactions(12, 16, 2, per_user=5, seed=10)
