@@ -18,6 +18,11 @@ the epochs each tree ran) and a summary: per metric, the mean and the
 seed-to-seed standard deviation of A, and the mean, standard deviation,
 minimum and maximum of the paired difference B - A.  A paired difference
 is "within spread" when its mean lies inside A's seed standard deviation.
+The summary also counts each tree's capped runs, those that ran all
+`max_epochs` epochs: such a run was stopped by the budget, not by early
+stopping, so its metrics say how far the budget let it train.  When any
+run of either tree is capped, the script exits with status 1 and names
+the cell.
 
 Cells:
 - dense: `clustered_interactions(800, 1200, per_user=30)`, train fraction
@@ -26,7 +31,9 @@ Cells:
 - dense-tgcn: the dense cell on the paper's second backbone,
   `backbone="transform-gcn"`.
 All train the default `PGTRConfig` (but for dense-tgcn's backbone) with lr
-5e-3, at most 60 epochs and a patience of 10.  A run takes about 5-20 s.
+5e-3.  The dense cells train at most 60 epochs with a patience of 10, the
+sparse cell at most 300 with a patience of 30: at 60/10 sparse runs were
+still improving when the budget stopped them.  A run takes about 5-30 s.
 """
 import argparse
 import dataclasses
@@ -61,7 +68,8 @@ class Cell:
 
 CELLS = (
     Cell("dense", 800, 1200, per_user=30, train_fraction=0.8),
-    Cell("sparse", 800, 1200, per_user=8, train_fraction=0.4),
+    Cell("sparse", 800, 1200, per_user=8, train_fraction=0.4,
+         train=dict(lr=5e-3, max_epochs=300, patience=30)),
     Cell("dense-tgcn", 800, 1200, per_user=30, train_fraction=0.8,
          model={"backbone": "transform-gcn"}),
 )
@@ -144,6 +152,13 @@ def summarize(rows: list[tuple[int, dict, dict]], metric: str) -> dict:
     return summary
 
 
+def capped_runs(cell: Cell, rows: list[tuple[int, dict, dict]]) -> tuple[int, int]:
+    """The runs of A and of B that ran all of the cell's `max_epochs`."""
+    cap = cell.train["max_epochs"]
+    return (sum(ra["epochs"] == cap for _, ra, _ in rows),
+            sum(rb["epochs"] == cap for _, _, rb in rows))
+
+
 def report(results: list[tuple[Cell, list[tuple[int, dict, dict]]]]) -> str:
     lines = []
     for cell, rows in results:
@@ -161,15 +176,17 @@ def report(results: list[tuple[Cell, list[tuple[int, dict, dict]]]]) -> str:
                          f"{rb['epochs']} ({rb['best_epoch']}) |")
         lines.append("")
     lines += ["| cell | metric | mean A | seed sd A | mean B - A | sd B - A "
-              "| min B - A | max B - A | within spread |",
-              "|---|---|---|---|---|---|---|---|---|"]
+              "| min B - A | max B - A | within spread | capped A | capped B |",
+              "|---|---|---|---|---|---|---|---|---|---|---|"]
     for cell, rows in results:
+        capped = capped_runs(cell, rows)
         for metric, label in (("recall", "recall@20"), ("ndcg", "NDCG@20")):
             s = summarize(rows, metric)
             lines.append(f"| {cell.name} | {label} | {s['mean_a']:.4f} | {s['sd_a']:.4f} "
                          f"| {s['mean_diff']:+.2e} | {s['sd_diff']:.2e} "
                          f"| {s['min_diff']:+.2e} | {s['max_diff']:+.2e} "
-                         f"| {'yes' if s['within'] else 'NO'} |")
+                         f"| {'yes' if s['within'] else 'NO'} "
+                         f"| {capped[0]}/{len(rows)} | {capped[1]}/{len(rows)} |")
     return "\n".join(lines)
 
 
@@ -194,6 +211,12 @@ def main(argv=None) -> int:
     results = compare(args.tree_a, args.tree_b, list(CELLS), list(range(args.seeds)),
                       args.jobs)
     print(report(results))
+    capped = [f"{cell.name} ({a} of {len(rows)} runs of A, {b} of B)"
+              for cell, rows in results for a, b in [capped_runs(cell, rows)] if a or b]
+    if capped:
+        print("runs used all their max_epochs, so the budget stopped them: "
+              + ", ".join(capped), file=sys.stderr)
+        return 1
     return 0
 
 

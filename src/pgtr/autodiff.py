@@ -32,8 +32,8 @@ and each op computes in the dtype of its inputs: the model's float32
 parameters give float32 tables, gradients and losses, and a state cast to
 float64 computes in float64 throughout.  Scalars enter only as the fused
 nodes' Python-float weights (`mix`'s, a layer's λs, the loss's 1/tau),
-which take the tensors' dtype; `PGTRConfig.validate` stores its floats as
-Python floats.
+which take the tensors' dtype; `PGTRConfig` stores its floats as Python
+floats.
 """
 from __future__ import annotations
 

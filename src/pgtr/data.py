@@ -54,15 +54,15 @@ class InteractionDataset:
     `users[i]` interacted with `items[i]`.  Both are read-only int64 copies
     of the arrays given, and every consumer shares the one canonical CSR
     that `user_item_matrix()` builds on first use.  Raw-id remap tables
-    (index -> original token) are kept when the data came from a file.
+    (index -> original token) are kept as tuples when the data came from a file.
     """
 
     n_users: int
     n_items: int
     users: np.ndarray
     items: np.ndarray
-    user_raw_ids: list[int] | None = None
-    item_raw_ids: list[int] | None = None
+    user_raw_ids: tuple[int, ...] | None = None
+    item_raw_ids: tuple[int, ...] | None = None
     _matrix: sp.csr_matrix | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -165,7 +165,7 @@ def load_interactions(path) -> InteractionDataset:
     return InteractionDataset(
         n_users=len(user_index), n_items=len(item_index),
         users=np.array(users), items=np.array(items),
-        user_raw_ids=list(user_index), item_raw_ids=list(item_index))
+        user_raw_ids=tuple(user_index), item_raw_ids=tuple(item_index))
 
 
 def save_interactions(ds: InteractionDataset, path):
@@ -224,7 +224,7 @@ def build_graph(ds: InteractionDataset) -> BipartiteGraph:
     return BipartiteGraph(ds)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SplitSpec:
     train_fraction: float
     val_fraction: float = 0.2
@@ -271,7 +271,7 @@ def split_by_ratio(ds: InteractionDataset, spec: SplitSpec):
     return gather(fit_idx), gather(val_idx), gather(test_idx)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseSpec:
     proportion: float
     seed: int = 0

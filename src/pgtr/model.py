@@ -61,8 +61,13 @@ def check_field_types(cls, values: dict, field: str = "{}"):
                              f"{types[name].__name__}, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PGTRConfig:
+    """The model's hyperparameters, immutable and checked when built (also
+    by `dataclasses.replace`): ValueError names a field of the wrong type
+    (`check_field_types`) or out of range.  Floats are stored as Python
+    floats, since a NumPy float64 would promote float32 arithmetic."""
+
     d: int = 32
     layers: int = 2
     lambda1: float = 1.0
@@ -81,10 +86,7 @@ class PGTRConfig:
     use_type: bool = True
     backbone: str = "lightgcn"
 
-    def validate(self):
-        """Raise ValueError naming the first field of the wrong type (see
-        `check_field_types`) or out of its range.  Float fields are stored as
-        Python floats: a NumPy float64 would promote float32 arithmetic."""
+    def __post_init__(self):
         check_field_types(PGTRConfig, vars(self))
         for name in ("lambda1", "lambda2", "lambda3"):
             v = getattr(self, name)
@@ -99,7 +101,7 @@ class PGTRConfig:
             raise ValueError(f"unknown backbone {self.backbone!r}")
         for name, kind in typing.get_type_hints(PGTRConfig).items():
             if kind is float:
-                setattr(self, name, float(getattr(self, name)))
+                object.__setattr__(self, name, float(getattr(self, name)))
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -107,15 +109,13 @@ class PGTRConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "PGTRConfig":
         """The config a `to_dict` record describes.  Raises ValueError naming
-        the field on an unknown key or an invalid value (see `validate`); a
-        value of the wrong type is named as a config field."""
+        the field on an unknown key or an invalid value; a value of the
+        wrong type is named as a config field."""
         unknown = sorted(set(d) - typing.get_type_hints(cls).keys())
         if unknown:
             raise ValueError(f"unknown config field {unknown[0]!r}")
         check_field_types(cls, d, "config field {!r}")
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
+        return cls(**d)
 
 
 @dataclass(eq=False)
@@ -164,7 +164,6 @@ def _init_model(graph: BipartiteGraph, cfg: PGTRConfig, seed: int,
                 stored: dict | None) -> ModelState:
     """`init_model`, taking the frozen encoding blocks from `stored` (see
     `build_encoding_set`) instead of computing them when it is not None."""
-    cfg.validate()
     rng = np.random.default_rng(seed)
     n_nodes = graph.n_users + graph.n_items
     embeddings = parameter(rng.normal(0.0, EMBED_INIT_STD, size=(n_nodes, cfg.d)))

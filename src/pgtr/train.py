@@ -29,7 +29,7 @@ log = logging.getLogger(__name__)
 # temporaries, in the table's dtype, stay O(block) instead of O(users x items)
 _RANK_BLOCK_ENTRIES = 1 << 18
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 2048
     lr: float = 1e-3
@@ -120,17 +120,20 @@ def batch_loss(state: ModelState, users: np.ndarray, items: np.ndarray,
     naming a batch row of zero norm (other rows are not read);
     NoNegativesError, a ValueError, when no pair keeps a negative; and
     ValueError when `user_items` has the wrong shape or an item id that is
-    not an integer or lies outside [0, n_items), when a pair's id is out
-    of range, or when a pair's item is not among its user's training
-    items.
+    not an integer or lies outside [0, n_items), when a pair's id is not
+    an integer (a DataError naming the side) or is out of range, or when
+    a pair's item is not among its user's training items.
     """
     user_items = _user_items(user_items, "user_items", (state.n_users, state.n_items),
                              "the model's user-item table")
     for name, ids, n in (("user", users, state.n_users), ("item", items, state.n_items)):
+        ids = check_integer_ids(ids, f"pair {name}s")
         bad = (ids < 0) | (ids >= n)
         if bad.any():
             a = int(np.argmax(bad))
             raise ValueError(f"pair {a}: {name} id {int(ids[a])} outside [0, {n})")
+    # cast once in range: an id outside int64 would wrap
+    users, items = (np.asarray(ids).astype(np.int64, copy=False) for ids in (users, items))
     batch_users, urow, uniq, inv, drop, kept, untrained = _batch_mask(users, items,
                                                                       user_items)
     if untrained.any():
@@ -265,10 +268,6 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
     params = [t for _, t in named]
     opt = AdamState(params, lr=cfg.lr)
     train_items = fit.user_item_matrix()
-    val_items = val.user_item_matrix()
-    pairs_u = fit.users.copy()
-    pairs_i = fit.items.copy()
-    n_pairs = pairs_u.size
 
     best_recall = -np.inf
     best_params = [p.data.copy() for p in params]
@@ -279,10 +278,10 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
 
     for epoch in range(1, cfg.max_epochs + 1):
         t0 = time.perf_counter()
-        perm = rng.permutation(n_pairs)
+        perm = rng.permutation(len(fit))
         epoch_loss, n_batches, skipped_pairs = 0.0, 0, 0
         try:
-            for lo in range(0, n_pairs, cfg.batch_size):
+            for lo in range(0, len(fit), cfg.batch_size):
                 sel = perm[lo:lo + cfg.batch_size]
                 ad.zero_grad(params)
                 # rebinding `loss` frees the previous step's tape once this
@@ -291,7 +290,7 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
                 # its own backward, cost ~77k and ~400k minor page faults per
                 # fit-b256 `train()` (ROADMAP, Recent).
                 try:
-                    loss, skipped = batch_loss(state, pairs_u[sel], pairs_i[sel], train_items)
+                    loss, skipped = batch_loss(state, fit.users[sel], fit.items[sel], train_items)
                 except NoNegativesError:
                     skipped_pairs += sel.size
                     continue
@@ -305,7 +304,7 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
                 n_batches += 1
                 skipped_pairs += skipped
             t_eval = time.perf_counter()
-            metrics = evaluate(state, train_items, val_items, k=cfg.k) if len(val) else None
+            metrics = evaluate(state, fit, val, k=cfg.k) if len(val) else None
             eval_seconds = time.perf_counter() - t_eval
         except NumericsError as err:
             # diverged parameters: stop and fall back to the best ones
@@ -352,36 +351,31 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
 def _user_items(rows, name: str, shape: tuple[int, int],
                 owner: str = "scores") -> sp.csr_matrix:
     """Boolean (users, items) CSR matrix of a sparse matrix or of per-user
-    item-id sequences, checked against `owner`'s shape.  Stored zeros are
-    dropped and a repeated id gives one entry: a matrix already in that
-    form, such as `user_item_matrix()`, is returned as it is.  A sequence
-    entry must be an integer id (see `check_integer_ids`): a ValueError
-    names `name` and the row for a bool or a float that is not whole."""
+    item-id sequences, checked against `owner`'s shape.  A canonical bool
+    CSR with no stored False, such as `user_item_matrix()`, is returned as
+    it is; any other form's (user, item) pairs, a matrix's stored nonzero
+    entries or each row's ids, go to `InteractionDataset.user_item_matrix()`.
+    A sequence entry must be an integer id in [0, n_items) (see
+    `check_integer_ids`): a ValueError names `name` and the row or the id."""
     if sp.issparse(rows):
         if rows.shape != shape:
             raise ValueError(f"{name} has shape {rows.shape} but {owner} has shape {shape}")
         if (rows.format == "csr" and rows.dtype == bool and rows.has_canonical_format
                 and rows.data.all()):
             return rows
-        m = rows.tocsr().astype(bool)
+        users, items = rows.nonzero()  # the coordinates of stored nonzero entries
     else:
         n_users, n_items = shape
         if len(rows) != n_users:
             raise ValueError(f"{name} has {len(rows)} rows but {owner} has {n_users}")
         parts = [check_integer_ids(r, f"{name} row {u}") for u, r in enumerate(rows)]
-        indptr = np.zeros(n_users + 1, dtype=np.int64)
-        np.cumsum([p.size for p in parts], out=indptr[1:])
-        indices = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-        # checked before the cast, which would wrap an id outside int64
-        bad = (indices < 0) | (indices >= n_items)
+        users = np.repeat(np.arange(n_users), [p.size for p in parts])
+        items = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+        bad = (items < 0) | (items >= n_items)
         if bad.any():
-            raise ValueError(f"{name} holds item id {int(indices[bad][0])} "
+            raise ValueError(f"{name} holds item id {int(items[bad][0])} "
                              f"outside [0, {n_items})")
-        indices = indices.astype(np.int64, copy=False)
-        m = sp.csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr), shape=shape)
-    m.sum_duplicates()
-    m.eliminate_zeros()
-    return m
+    return InteractionDataset(*shape, users, items).user_item_matrix()
 
 
 def _spans(n: int, width: int) -> list[tuple[int, int]]:
@@ -490,21 +484,27 @@ def ranking_metrics(scores: np.ndarray, observed_items, test_items,
                           recalls, ndcgs, users.astype(np.int64))
 
 
-def evaluate(state: ModelState, observed: InteractionDataset | sp.spmatrix,
-             test: InteractionDataset | sp.spmatrix, k: int = 20) -> RankingMetrics:
+def evaluate(state: ModelState, observed: InteractionDataset, test: InteractionDataset,
+             k: int = 20) -> RankingMetrics:
     """Score every item for every test user with the current model.
 
     Ranks the full score table through one `ranking_metrics` call, with
     `observed`'s items masked out: each block of users is partitioned at
     its k-th value, and each test item is ranked against its user's
     partitioned top k, so no per-row sort and no membership table is built.
-    `observed` and `test` are datasets or their `user_item_matrix()`.
-    The forward runs with no parameter needing a gradient, so its ops
-    record no backward closures; its rows are normalized in plain numpy for
-    the cosine scores.  Raises NumericsError when a node's representation
-    is not finite (`forward` names the op) or has zero norm (`_unit_rows`
-    names the node), so `train` takes its divergence path on it.
+    `observed` and `test` are datasets, each ranked through its cached
+    `user_item_matrix()`; a matrix raises TypeError (`ranking_metrics`
+    takes matrices).  The forward runs with no parameter needing a
+    gradient, so its ops record no backward closures; its rows are
+    normalized in plain numpy for the cosine scores.  Raises NumericsError
+    when a node's representation is not finite (`forward` names the op) or
+    has zero norm (`_unit_rows` names the node), so `train` takes its
+    divergence path on it.
     """
+    for name, items in (("observed", observed), ("test", test)):
+        if not isinstance(items, InteractionDataset):
+            raise TypeError(f"evaluate's {name} must be an InteractionDataset, got "
+                            f"{type(items).__name__}; rank matrices with ranking_metrics")
     params = state.parameters()
     needs = [p._needs for p in params]
     try:
@@ -516,6 +516,4 @@ def evaluate(state: ModelState, observed: InteractionDataset | sp.spmatrix,
             p._needs = need
     h_norm, _ = _unit_rows(h)
     scores = h_norm[:state.n_users] @ h_norm[state.n_users:].T
-    observed, test = (items if sp.issparse(items) else items.user_item_matrix()
-                      for items in (observed, test))
-    return ranking_metrics(scores, observed, test, k)
+    return ranking_metrics(scores, observed.user_item_matrix(), test.user_item_matrix(), k)

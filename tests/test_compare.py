@@ -53,3 +53,30 @@ def test_relabel_keeps_the_degrees_and_the_pairs(compare_mod):
         assert not np.array_equal(after, before)  # the ids did move
     # the same seed renames the same way
     np.testing.assert_array_equal(compare_mod.relabel(ds, 5).items, out.items)
+
+
+@pytest.mark.parametrize("capped", [False, True])
+def test_a_capped_run_fails_and_names_the_cell(compare_mod, monkeypatch, capsys, capped):
+    """A run that used every epoch of its budget makes `main` exit with
+    status 1 naming its cell; the summary counts capped runs per tree."""
+    def fabricated(tree_a, tree_b, cells, seeds, jobs=1):
+        def run(cell, seed, tree):
+            cap = cell.train["max_epochs"]
+            hit = capped and cell.name == "sparse" and tree == "B" and seed == 1
+            return {"recall": 0.1, "ndcg": 0.05, "epochs": cap if hit else cap - 1,
+                    "best_epoch": 1}
+        return [(cell, [(seed, run(cell, seed, "A"), run(cell, seed, "B")) for seed in seeds])
+                for cell in cells]
+
+    monkeypatch.setattr(compare_mod, "compare", fabricated)
+    status = compare_mod.main([str(ROOT), str(ROOT), "--seeds", "2"])
+    out, err = capsys.readouterr()
+    assert status == (1 if capped else 0)
+    assert "| sparse | recall@20 |" in out and "| 0/2 | 0/2 |" in out
+    if capped:
+        assert "| 0/2 | 1/2 |" in out
+        assert err == ("runs used all their max_epochs, so the budget stopped them: "
+                       "sparse (0 of 2 runs of A, 1 of B)\n")
+    else:
+        assert "| 0/2 | 1/2 |" not in out and err == ""
+

@@ -49,8 +49,8 @@ class TestLoad:
     def test_first_seen_remap(self, tmp_path):
         p = write_lines(tmp_path, ["7 3", "3 7"])
         ds = load_interactions(p)
-        assert ds.user_raw_ids == [7, 3]
-        assert ds.item_raw_ids == [3, 7]
+        assert ds.user_raw_ids == (7, 3)
+        assert ds.item_raw_ids == (3, 7)
         assert ds.users.tolist() == [0, 1]
         assert ds.items.tolist() == [0, 1]
 
@@ -83,6 +83,26 @@ class TestLoad:
         assert again.pairs() == ds.pairs()
         remap = (tmp_path / "remap.txt").read_text()
         assert "10 0" in remap and "20 0" in remap
+
+    def test_derived_raw_id_tables_cannot_change(self, tmp_path):
+        """The raw-id tables a loaded dataset hands to its splits, subsets
+        and noisy copies are tuples: none of them can be appended to, so
+        no dataset changes another's, and `save_remap` writes the same
+        file from each."""
+        p = write_lines(tmp_path, ["7 3", "3 7", "7 5", "9 3", "3 5", "9 7"])
+        ds = load_interactions(p)
+        fit, val, test = split_by_ratio(ds, SplitSpec(0.5, val_fraction=0.0, seed=1))
+        derived = [ds.subset(ds.users > 0), fit, val, test,
+                   inject_noise(fit, ds, NoiseSpec(0.5, seed=1))]
+        for out in derived:
+            assert out.user_raw_ids == (7, 3, 9) and out.item_raw_ids == (3, 7, 5)
+            for table in (out.user_raw_ids, out.item_raw_ids):
+                with pytest.raises(AttributeError):
+                    table.append(99)
+            save_remap(out, tmp_path / "remap.txt")
+            assert (tmp_path / "remap.txt").read_text() == (
+                "# user raw_id index\n7 0\n3 1\n9 2\n"
+                "# item raw_id index\n3 0\n7 1\n5 2\n")
 
 
 class TestGraph:
@@ -264,6 +284,17 @@ class TestImmutable:
         ds = InteractionDataset(2, 2, [0, 1], [1, 0])
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(ds, name, value)
+
+    @pytest.mark.parametrize("spec, name", [
+        (SplitSpec(0.8), "train_fraction"), (SplitSpec(0.8), "val_fraction"),
+        (SplitSpec(0.8), "seed"), (NoiseSpec(0.2), "proportion"), (NoiseSpec(0.2), "seed"),
+    ])
+    def test_spec_fields_cannot_be_assigned(self, spec, name):
+        """A spec is checked when made, so no field can change after, to a
+        valid value or not."""
+        for value in (getattr(spec, name), 5):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, name, value)
 
     def test_racing_first_calls_build_equal_matrices(self):
         """Threads that race to the first call, with no lock, each get the

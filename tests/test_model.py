@@ -383,7 +383,7 @@ class TestDtype:
 
     @pytest.mark.parametrize("backbone", ["lightgcn", "transform-gcn"])
     def test_numpy_float_config_keeps_float32(self, backbone):
-        """A NumPy float64 is a `float`, so the config takes one; `validate`
+        """A NumPy float64 is a `float`, so the config takes one; the config
         stores it as a Python float, and the weights it becomes (1/tau and
         `mix`'s λs) keep the node table, the loss and every parameter
         gradient float32."""
@@ -891,11 +891,37 @@ def test_every_config_field_changes_the_model(name):
     forward table or loss is a dead knob."""
     base = PGTRConfig(**SMALL)
     other = dataclasses.replace(base, **{name: moved(name, getattr(base, name))})
-    other.validate()
     want, got = observables(base), observables(other)
     assert want.keys() != got.keys() or any(
         want[key].shape != got[key].shape or not np.array_equal(want[key], got[key])
         for key in want), f"{name} changes nothing observable"
+
+
+class TestFrozenConfig:
+    """A config is checked when it is built and cannot change afterwards, so
+    a model and every checkpoint of it hold the config that was checked."""
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PGTRConfig)])
+    def test_fields_cannot_be_assigned(self, name):
+        cfg = PGTRConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, moved(name, getattr(cfg, name)))
+        assert cfg == PGTRConfig()
+
+    def test_model_config_cannot_change_so_its_checkpoint_loads(self, tmp_path):
+        path, g, state = saved_checkpoint(tmp_path, 16, 25)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.config.lambda3 = 2.0
+        save_checkpoint(state, path)
+        assert load_checkpoint(path, g).config == state.config == PGTRConfig(**SMALL)
+
+    def test_out_of_range_value_raises_when_built(self):
+        with pytest.raises(ValueError, match="^tau"):
+            PGTRConfig(tau=0.0)
+        with pytest.raises(ValueError, match=r"^lambda3=2.0 must lie in \[0, 1\]$"):
+            dataclasses.replace(PGTRConfig(), lambda3=2.0)
+        with pytest.raises(ValueError, match="^config field 'd' must be int, got 6.5$"):
+            PGTRConfig.from_dict(dict(PGTRConfig().to_dict(), d=6.5))
 
 
 class TestRejectedBeforeSolving:

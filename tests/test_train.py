@@ -1,4 +1,5 @@
 """Loss, negatives, training loop, and ranking metric tests."""
+import dataclasses
 import logging
 import math
 import re
@@ -22,7 +23,6 @@ from pgtr.encodings import EncodingError
 from pgtr.model import PGTRConfig, forward, init_model, load_checkpoint, save_checkpoint
 from pgtr.synthetic import clustered_interactions
 from pgtr.train import (
-    RankingMetrics,
     TrainConfig,
     _batch_mask,
     _in_batch_softmax,
@@ -367,6 +367,26 @@ class TestBatchLossTape:
         with pytest.raises(ValueError, match=message):
             batch_loss(state, users, items, user_items)
 
+    @pytest.mark.parametrize("side", ["users", "items"])
+    @pytest.mark.parametrize("ids", [np.ones(6, dtype=bool), np.full(6, 0.5)],
+                             ids=["bool", "fractional"])
+    def test_malformed_pair_ids_rejected(self, small_model, side, ids):
+        """A pair id that is no integer is a DataError naming the side, not
+        an IndexError from the mask's indexing."""
+        ds, state = small_model
+        pairs = {"users": ds.users[:6], "items": ds.items[:6], side: ids}
+        with pytest.raises(DataError, match=f"^pair {side} must hold integer ids, "
+                                            f"got {ids.dtype} values$"):
+            batch_loss(state, pairs["users"], pairs["items"], ds.user_item_matrix())
+
+    def test_whole_float_pair_ids_give_the_int_loss(self, small_model):
+        ds, state = small_model
+        users, items = ds.users[:6], ds.items[:6]
+        want, want_skipped = batch_loss(state, users, items, ds.user_item_matrix())
+        got, got_skipped = batch_loss(state, users.astype(np.float64),
+                                      items.astype(np.float64).tolist(), ds.user_item_matrix())
+        assert got.data.tobytes() == want.data.tobytes() and got_skipped == want_skipped
+
     def test_score_table_is_distinct_users_by_distinct_items(self, small_model):
         """Everything after the row normalization is one node, which keeps
         one (distinct users × distinct items) table for its backward; no
@@ -683,17 +703,20 @@ class TestTrainLoop:
         assert now == pytest.approx(best, abs=1e-12)
 
     def test_user_item_matrices_are_built_once(self, monkeypatch):
-        """`train` builds the fit and validation CSRs once, before its
-        epochs, and every epoch's validation ranks through them."""
+        """`train` builds the fit and validation CSRs once, and every batch
+        and every epoch's validation reads them (copies of the split, so
+        `build_graph(fit)` built none of theirs)."""
         state, fit, val, _ = self._setup(4)
+        fit, val = (InteractionDataset(d.n_users, d.n_items, d.users, d.items)
+                    for d in (fit, val))
         built = []
-        real = InteractionDataset.user_item_matrix
+        real = InteractionDataset._build_user_item_matrix
 
         def recording(self):
             built.append(self)
             return real(self)
 
-        monkeypatch.setattr(InteractionDataset, "user_item_matrix", recording)
+        monkeypatch.setattr(InteractionDataset, "_build_user_item_matrix", recording)
         _, history = train(state, fit, val, TrainConfig(batch_size=32, lr=1e-2, max_epochs=4,
                                                         patience=4, seed=4))
         assert len(history) == 4
@@ -937,6 +960,13 @@ class TestTrainLoop:
     def test_config_rejects_out_of_range_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must"):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(TrainConfig)])
+    def test_config_fields_cannot_be_assigned(self, field):
+        cfg = TrainConfig()
+        for value in (getattr(cfg, field), 0):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, field, value)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1380,6 +1410,17 @@ class TestRankingMatchesLoopOracle:
         assert got.recall_at_k == 1.0
 
 
+@st.composite
+def item_rows(draw):
+    """(n_items, rows, zeros): per-user item-id lists, in drawn order with
+    repeats and empty rows, and per user the ids of stored False entries
+    to add (a row may also hold them as True)."""
+    n_users, n_items = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    rows = st.lists(st.lists(st.integers(0, n_items - 1), max_size=6),
+                    min_size=n_users, max_size=n_users)
+    return n_items, draw(rows), draw(rows)
+
+
 class TestSparseItemInputs:
     @pytest.mark.parametrize("sparse_observed, sparse_tests",
                              [(True, True), (True, False), (False, True)])
@@ -1404,6 +1445,41 @@ class TestSparseItemInputs:
         got = ranking_metrics(scores, observed, tests, k=1)
         want = ranking_metrics(scores, [[0], [3]], [[1], [2]], k=1)
         assert got.per_user_recall.tolist() == want.per_user_recall.tolist() == [1.0, 1.0]
+
+    @given(drawn=item_rows())
+    def test_every_form_gives_the_dataset_matrix(self, drawn):
+        """`_user_items` builds no CSR of its own: item lists (of ints or of
+        whole floats) and COO, CSC, float, unsorted or stored-False
+        matrices each give the indptr, indices and data that
+        `InteractionDataset.user_item_matrix()` builds from their pairs."""
+        n_items, rows, zeros = drawn
+        shape = (len(rows), n_items)
+        users = np.repeat(np.arange(shape[0]), [len(r) for r in rows])
+        items = np.array([i for r in rows for i in r], dtype=np.int64)
+        want = InteractionDataset(*shape, users, items).user_item_matrix()
+        coo = sp.coo_matrix((np.ones(items.size), (users, items)), shape=shape)
+        indptr = np.cumsum([0] + [len(r) for r in rows])
+        with_zeros = [r + z for r, z in zip(rows, zeros)]
+        stored = [[True] * len(r) + [False] * len(z) for r, z in zip(rows, zeros)]
+        forms = {
+            "lists": rows,
+            "floats": [np.array(r, dtype=np.float64) for r in rows],
+            "coo": coo,
+            "csc": coo.tocsc(),
+            "float": coo.tocsr(),
+            "unsorted": sp.csr_matrix((np.ones(items.size, dtype=bool), items, indptr),
+                                      shape=shape),
+            "stored False": sp.csr_matrix(
+                (np.array([x for r in stored for x in r], dtype=bool),
+                 np.array([i for r in with_zeros for i in r], dtype=np.int64),
+                 np.cumsum([0] + [len(r) for r in with_zeros])), shape=shape),
+        }
+        for form, given_rows in forms.items():
+            got = _user_items(given_rows, "rows", shape)
+            assert got.shape == shape and got.dtype == bool, form
+            for part in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(got, part), getattr(want, part),
+                                              err_msg=f"{form} {part}")
 
     def test_canonical_bool_matrix_is_used_as_is(self):
         """A canonical bool CSR with no stored False is returned unchanged;
@@ -1460,21 +1536,15 @@ class TestEvaluate:
         return state, *(InteractionDataset(d.n_users, d.n_items, d.users, d.items)
                         for d in (fit, test))
 
-    def test_dataset_form_equals_matrix_form(self):
-        """Datasets and their matrices give the same metrics bit for bit,
-        in every field, on every one of three repeated calls."""
+    @pytest.mark.parametrize("side", ["observed", "test"])
+    def test_matrix_raises_type_error(self, side):
+        """`evaluate` takes datasets only; `ranking_metrics` takes matrices."""
         state, fit, test = self._fresh_split()
-        want = evaluate(state, *(InteractionDataset(d.n_users, d.n_items, d.users, d.items)
-                                 .user_item_matrix() for d in (fit, test)), k=5)
-        for _ in range(3):
-            got = evaluate(state, fit, test, k=5)
-            for name in RankingMetrics.__dataclass_fields__:
-                a, b = getattr(got, name), getattr(want, name)
-                assert type(a) is type(b), name
-                if isinstance(a, np.ndarray):
-                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-                else:
-                    assert a == b, name
+        args = {"observed": fit, "test": test}
+        args[side] = args[side].user_item_matrix()
+        with pytest.raises(TypeError, match=f"^evaluate's {side} must be an InteractionDataset, "
+                                            "got csr_matrix; rank matrices with ranking_metrics$"):
+            evaluate(state, **args, k=5)
 
     def test_dataset_form_builds_each_matrix_once(self, monkeypatch):
         """Three calls with the same datasets build each one's CSR on the
