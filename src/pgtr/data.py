@@ -54,7 +54,8 @@ class InteractionDataset:
     `users[i]` interacted with `items[i]`.  Both are read-only int64 copies
     of the arrays given, and every consumer shares the one canonical CSR
     that `user_item_matrix()` builds on first use.  Raw-id remap tables
-    (index -> original token) are kept as tuples when the data came from a file.
+    (index -> original token), given when the data came from a file, are
+    kept as tuples, whatever sequence the caller passed.
     """
 
     n_users: int
@@ -79,6 +80,9 @@ class InteractionDataset:
             ids = np.array(ids, dtype=np.int64)  # a copy: the caller's array stays its own
             ids.flags.writeable = False
             object.__setattr__(self, name, ids)
+        for name in ("user_raw_ids", "item_raw_ids"):
+            if getattr(self, name) is not None:  # a tuple: no caller can append to it
+                object.__setattr__(self, name, tuple(getattr(self, name)))
 
     def __len__(self) -> int:
         return int(self.users.size)

@@ -61,6 +61,23 @@ class RankingMetrics:
     user_indices: np.ndarray
 
 
+def _row_entries(matrix: sp.csr_matrix, rows):
+    """(position in `rows`, column) of every stored entry of the CSR
+    `matrix`'s rows `rows`, row after row in stored order.  `rows` is an
+    index array, or a slice of consecutive rows, whose entries are one run
+    of the CSR arrays."""
+    if isinstance(rows, slice):
+        counts = np.diff(matrix.indptr[rows.start:rows.stop + 1])
+        cols = matrix.indices[matrix.indptr[rows.start]:matrix.indptr[rows.stop]]
+        return np.repeat(np.arange(counts.size), counts), cols
+    starts = matrix.indptr[rows]
+    counts = matrix.indptr[rows + 1] - starts
+    at = np.repeat(np.arange(rows.size), counts)
+    # each gathered row's stored entries, consecutive from its start
+    entry = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(at.size)
+    return at, matrix.indices[entry]
+
+
 def _batch_mask(users: np.ndarray, items: np.ndarray, user_items: sp.csr_matrix):
     """The (distinct users × distinct items) in-batch score table of a
     batch, as the coordinates of the entries it drops.
@@ -82,12 +99,8 @@ def _batch_mask(users: np.ndarray, items: np.ndarray, user_items: sp.csr_matrix)
     m, n = batch_users.size, uniq.size
     col_of = np.full(user_items.shape[1], -1, dtype=np.intp)
     col_of[uniq] = np.arange(n)
-    starts = user_items.indptr[batch_users]
-    counts = user_items.indptr[batch_users + 1] - starts
-    row = np.repeat(np.arange(m), counts)
-    # each gathered row's stored entries, consecutive from its start
-    entry = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(row.size)
-    col = col_of[user_items.indices[entry]]  # -1 for an item outside the batch
+    row, col = _row_entries(user_items, batch_users)
+    col = col_of[col]  # -1 for an item outside the batch
     at = col >= 0
     row = row[at]
     drop = row * n + col[at]
@@ -119,13 +132,17 @@ def batch_loss(state: ModelState, users: np.ndarray, items: np.ndarray,
     when the node table or the loss is not finite (`ad.check_finite`) or
     naming a batch row of zero norm (other rows are not read);
     NoNegativesError, a ValueError, when no pair keeps a negative; and
-    ValueError when `user_items` has the wrong shape or an item id that is
-    not an integer or lies outside [0, n_items), when a pair's id is not
+    ValueError when `users` and `items` differ in length, when
+    `user_items` has the wrong shape or an item id that is not an integer
+    or lies outside [0, n_items), when a pair's id is not
     an integer (a DataError naming the side) or is out of range, or when
     a pair's item is not among its user's training items.
     """
     user_items = _user_items(user_items, "user_items", (state.n_users, state.n_items),
                              "the model's user-item table")
+    if np.shape(users) != np.shape(items):
+        raise ValueError(f"users holds {np.size(users)} pair ids but items holds "
+                         f"{np.size(items)}; a pair takes one of each")
     for name, ids, n in (("user", users, state.n_users), ("item", items, state.n_items)):
         ids = check_integer_ids(ids, f"pair {name}s")
         bad = (ids < 0) | (ids >= n)
@@ -386,47 +403,20 @@ def _spans(n: int, width: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _block_hits(neg: np.ndarray, rows: np.ndarray, cols: np.ndarray, k: int):
-    """Row and rank of each hit, and the count of finite listed entries per
-    row, where a row lists its first k entries in a stable ascending order
-    of `neg` (no NaN) and the test entries are (rows[e], cols[e]).
-
-    The first k values of a partitioned row are the multiset of its listed
-    values.  A test entry is a hit when its value v is finite and at most
-    the row's k-th value; its rank counts the finite listed values below v,
-    plus, when v ties another listed value or equals the k-th value, the
-    entries of the row equal to v at lower columns.  Such a tie is listed
-    only while that count stays below the listed copies of v.  Only the
-    tied entries' rows are read in column order, a run of rows at a time."""
-    n, m = neg.shape
-    top = np.partition(neg, k - 1, axis=1)[:, :k]
-    kth = top[:, k - 1]
-    n_top = np.count_nonzero(np.isfinite(top), axis=1)
-    v = neg[rows, cols]
-    hit = np.isfinite(v) & (v <= kth[rows])
-    r, c, v = rows[hit], cols[hit], v[hit]
-    # -inf values sort below every hit but take no rank
-    rank = -np.count_nonzero(top == -np.inf, axis=1)[r]
-    copies = np.empty(r.size, dtype=np.intp)  # listed entries equal to v
-    for a, b in _spans(r.size, k):
-        listed = top[r[a:b]]
-        rank[a:b] += np.count_nonzero(listed < v[a:b, None], axis=1)
-        copies[a:b] = np.count_nonzero(listed == v[a:b, None], axis=1)
-    tied = np.flatnonzero((copies > 1) | (v == kth[r]))
-    keep = np.ones(r.size, dtype=bool)
-    for a, b in _spans(tied.size, m):
-        t = tied[a:b]
-        ahead = np.count_nonzero((neg[r[t]] == v[t, None]) & (np.arange(m) < c[t, None]),
-                                 axis=1)
-        rank[t] += ahead
-        keep[t] = ahead < copies[t]
-    return r[keep], rank[keep], n_top
+def _negated(scores: np.ndarray, rows, observed: sp.csr_matrix, dtype) -> np.ndarray:
+    """-scores[rows] in `dtype`, a new array (negation is exact), with the
+    rows' observed entries at +inf, where a ranking drops them.  `rows` is
+    an index array or a slice, which reads the table without a gather."""
+    neg = np.negative(scores[rows], dtype=dtype)
+    neg[_row_entries(observed, rows)] = np.inf
+    return neg
 
 
 def ranking_metrics(scores: np.ndarray, observed_items, test_items,
                     k: int = 20) -> RankingMetrics:
     """Recall@k / NDCG@k from a dense (N, M) score table.
 
+    `scores` is a 2-D numpy array of real integers or floats.
     `observed_items` and `test_items` are each either a scipy sparse
     matrix of exactly the table's shape, whose stored nonzero entries mark
     a user's items (such as `InteractionDataset.user_item_matrix()`), or a
@@ -434,14 +424,30 @@ def ranking_metrics(scores: np.ndarray, observed_items, test_items,
     validation) items are masked out; ties break toward the lower item
     index; NaN and infinite scores are dropped from a top-k list; users
     without test items are excluded.  `k` is a Python or numpy integer of
-    at least 1.  Users are ranked in blocks of rows, so temporaries stay
-    near _RANK_BLOCK_ENTRIES entries, in the table's floating dtype
-    (negation is exact) or else float64.  Each block is partitioned at
-    its k-th value, and only the block's test entries, read straight from
-    `test_items`' rows, are ranked against the partition's first k values
-    (`_block_hits`); the hits' discounts fill one (N, k) table, summed
-    once.
+    at least 1.  The caller's table is never written.
+
+    Ranking takes two phases.  First, each block of rows (temporaries stay
+    near _RANK_BLOCK_ENTRIES entries, in the table's floating dtype or else
+    float64) is negated into its own buffer with observed entries at +inf;
+    the block's test entries, read straight from `test_items`' rows, are
+    gathered, and the buffer is partitioned in place at its k-th value,
+    whose first k values, the multiset of each row's listed values, fill
+    one (N, k) table.  NaN stays in the buffer: the partition puts it last,
+    and a NaN k-th value reads as +inf.  Second, one pass ranks every test
+    entry against its row of that table.  An entry is a hit when its value
+    v is finite and at most the row's k-th value; its rank counts the
+    finite listed values below v, plus, when v ties another listed value or
+    equals the k-th value, the unobserved entries of the row equal to v at
+    lower columns.  Such a tie is listed only while that count stays below
+    the listed copies of v.  Only the tied entries' rows are negated again
+    from `scores`, a block at a time, to be read in column order.  The
+    hits' discounts fill one (N, k) table, summed once.
     """
+    if not (isinstance(scores, np.ndarray) and scores.ndim == 2
+            and scores.dtype.kind in "iuf"):
+        got = (f"a {scores.ndim}-D {scores.dtype} array" if isinstance(scores, np.ndarray)
+               else type(scores).__name__)
+        raise ValueError(f"scores must be a 2-D array of real integers or floats, got {got}")
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise ValueError(f"k must be an integer, got {k!r}")
     k = int(k)  # a numpy k would carry its dtype into the block arithmetic
@@ -457,20 +463,37 @@ def ranking_metrics(scores: np.ndarray, observed_items, test_items,
     discounts = 1.0 / np.log2(np.arange(k) + 2.0)
     kk = min(k, n_items)
     dtype = scores.dtype if np.issubdtype(scores.dtype, np.floating) else np.float64
-    n_top = np.zeros(n_users, dtype=np.int64)
-    gains = np.zeros((n_users, kk))
+    rows, cols = np.repeat(np.arange(n_users), n_targets), tests.indices
+    v = np.empty(cols.size, dtype=dtype)  # each test entry's negated score
+    top = np.empty((n_users, kk), dtype=dtype)
     for lo, hi in _spans(n_users, n_items):
-        rows = np.arange(hi - lo)
-        # negated, with NaN and observed items at +inf, where the ranking drops them
-        neg = np.negative(scores[lo:hi], dtype=dtype)
-        if np.isnan(neg.min()):  # a NaN propagates through min
-            neg[np.isnan(neg)] = np.inf
-        a, b = observed.indptr[lo], observed.indptr[hi]
-        neg[np.repeat(rows, np.diff(observed.indptr[lo:hi + 1])), observed.indices[a:b]] = np.inf
+        neg = _negated(scores, slice(lo, hi), observed, dtype)
         a, b = tests.indptr[lo], tests.indptr[hi]
-        r, rank, n_top[lo:hi] = _block_hits(neg, np.repeat(rows, n_targets[lo:hi]),
-                                            tests.indices[a:b], kk)
-        gains[r + lo, rank] = discounts[rank]
+        v[a:b] = neg[rows[a:b] - lo, cols[a:b]]
+        neg.partition(kk - 1, axis=1)
+        top[lo:hi] = neg[:, :kk]
+    kth = top[:, kk - 1]
+    hit = np.isfinite(v) & ~(v > kth[rows])  # true for a NaN k-th value
+    r, c, v = rows[hit], cols[hit], v[hit]
+    # -inf values sort below every hit but take no rank
+    rank = -np.count_nonzero(top == -np.inf, axis=1)[r]
+    copies = np.empty(r.size, dtype=np.intp)  # listed entries equal to v
+    for a, b in _spans(r.size, kk):
+        listed = top[r[a:b]]
+        rank[a:b] += np.count_nonzero(listed < v[a:b, None], axis=1)
+        copies[a:b] = np.count_nonzero(listed == v[a:b, None], axis=1)
+    tied = np.flatnonzero((copies > 1) | (v == kth[r]))
+    keep = np.ones(r.size, dtype=bool)
+    for a, b in _spans(tied.size, n_items):
+        t = tied[a:b]
+        ahead = np.count_nonzero((_negated(scores, r[t], observed, dtype) == v[t, None])
+                                 & (np.arange(n_items) < c[t, None]), axis=1)
+        rank[t] += ahead
+        keep[t] = ahead < copies[t]
+    r, rank = r[keep], rank[keep]
+    gains = np.zeros((n_users, kk))
+    gains[r, rank] = discounts[rank]
+    n_top = np.count_nonzero(np.isfinite(top), axis=1)
     dcg = np.zeros(n_users)
     # sum each row over exactly its list's length, as one sum per user would
     for n in np.unique(n_top):
@@ -489,9 +512,12 @@ def evaluate(state: ModelState, observed: InteractionDataset, test: InteractionD
     """Score every item for every test user with the current model.
 
     Ranks the full score table through one `ranking_metrics` call, with
-    `observed`'s items masked out: each block of users is partitioned at
-    its k-th value, and each test item is ranked against its user's
-    partitioned top k, so no per-row sort and no membership table is built.
+    `observed`'s items masked out, in two phases: each block of users is
+    negated into its own buffer and partitioned in place at its k-th value,
+    filling one (users, k) table of listed values, then one pass ranks
+    every test item against its user's row of that table, rereading only
+    tied rows in column order; no per-row sort and no membership table is
+    built.
     `observed` and `test` are datasets, each ranked through its cached
     `user_item_matrix()`; a matrix raises TypeError (`ranking_metrics`
     takes matrices).  The forward runs with no parameter needing a

@@ -84,6 +84,19 @@ class TestLoad:
         remap = (tmp_path / "remap.txt").read_text()
         assert "10 0" in remap and "20 0" in remap
 
+    def test_caller_raw_id_lists_are_copied(self):
+        """A list given to the constructor is stored as a tuple, so
+        appending to the caller's list changes neither the dataset nor a
+        subset."""
+        user_ids, item_ids = [10, 20], [30]
+        d = InteractionDataset(2, 1, [0, 1], [0, 0], user_raw_ids=user_ids,
+                               item_raw_ids=item_ids)
+        s = d.subset(np.array([True, False]))
+        user_ids.append(30)
+        item_ids.append(40)
+        for out in (d, s):
+            assert out.user_raw_ids == (10, 20) and out.item_raw_ids == (30,)
+
     def test_derived_raw_id_tables_cannot_change(self, tmp_path):
         """The raw-id tables a loaded dataset hands to its splits, subsets
         and noisy copies are tuples: none of them can be appended to, so

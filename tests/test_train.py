@@ -1,4 +1,5 @@
 """Loss, negatives, training loop, and ranking metric tests."""
+import contextlib
 import dataclasses
 import logging
 import math
@@ -9,6 +10,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -378,6 +380,14 @@ class TestBatchLossTape:
         with pytest.raises(DataError, match=f"^pair {side} must hold integer ids, "
                                             f"got {ids.dtype} values$"):
             batch_loss(state, pairs["users"], pairs["items"], ds.user_item_matrix())
+
+    def test_pair_lengths_must_match(self, small_model):
+        """Six users and five items name both lengths, not numpy's bare
+        broadcast error from the mask."""
+        ds, state = small_model
+        with pytest.raises(ValueError, match=r"^users holds 6 pair ids but items holds 5; "
+                                             r"a pair takes one of each$"):
+            batch_loss(state, ds.users[:6], ds.items[:5], ds.user_item_matrix())
 
     def test_whole_float_pair_ids_give_the_int_loss(self, small_model):
         ds, state = small_model
@@ -1243,17 +1253,31 @@ def assert_matches_loop_oracle(scores, observed, tests, k):
     assert got.user_indices.dtype == np.int64
 
 
+def assert_matches_or_fails_as_loop_oracle(scores, observed, tests, k):
+    try:
+        ranking_metrics_loop(scores, observed, tests, k)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=str(err)):
+            ranking_metrics(scores, observed, tests, k)
+        return
+    assert_matches_loop_oracle(scores, observed, tests, k)
+
+
+@contextlib.contextmanager
+def rank_blocks_of(n_rows, scores):
+    """`ranking_metrics` ranks `scores` in blocks of `n_rows` rows (the last
+    may be shorter), and its tied rows `n_rows` at a time."""
+    train_mod = sys.modules["pgtr.train"]
+    n_users, n_items = scores.shape
+    with mock.patch.object(train_mod, "_RANK_BLOCK_ENTRIES", n_rows * n_items):
+        assert train_mod._spans(n_users, n_items)[0] == (0, min(n_rows, n_users))
+        yield
+
+
 class TestRankingMatchesLoopOracle:
     @given(case=ranking_cases())
     def test_random_tables(self, case):
-        scores, observed, tests, k = case
-        try:
-            ranking_metrics_loop(scores, observed, tests, k)
-        except ValueError as err:
-            with pytest.raises(ValueError, match=str(err)):
-                ranking_metrics(scores, observed, tests, k)
-            return
-        assert_matches_loop_oracle(scores, observed, tests, k)
+        assert_matches_or_fails_as_loop_oracle(*case)
 
     @given(case=cut_tie_cases())
     def test_ties_across_the_cut(self, case):
@@ -1320,21 +1344,26 @@ class TestRankingMatchesLoopOracle:
         """The hit (item 3) ties at 0.5 with items 1, 5, 7 and 8; the top 6
         keep items 1, 3, 5 and 7 of them, after the +inf item 0 and 0.9.
         The +inf takes a slot but no rank, and NaN is not listed, so the hit
-        ranks third (after 0.9 and item 1) and the list holds 5 entries."""
+        ranks third (after 0.9 and item 1) and the list holds 5 entries.
+        The tie sends the row back to `scores` once, to be read in column
+        order."""
         scores = np.array([[np.inf, 0.5, np.nan, 0.5, 0.9, 0.5, 0.1, 0.5, 0.5, -np.inf]])
         train_mod = sys.modules["pgtr.train"]
-        real_block_hits = train_mod._block_hits
-        returned = []
+        real_negated = train_mod._negated
+        calls = []
 
-        def recording_block_hits(neg, rows, cols, k):
-            returned.append(real_block_hits(neg, rows, cols, k))
-            return returned[-1]
+        def recording_negated(scores, rows, observed, dtype):
+            calls.append((rows, real_negated(scores, rows, observed, dtype)))
+            return calls[-1][1]
 
-        monkeypatch.setattr(train_mod, "_block_hits", recording_block_hits)
+        monkeypatch.setattr(train_mod, "_negated", recording_negated)
         got = ranking_metrics(scores, [[]], [[3]], k=6)
-        [(rows, ranks, n_top)] = returned
-        assert rows.tolist() == [0] and ranks.tolist() == [2] and n_top.tolist() == [5]
-        assert got.per_user_ndcg.tolist() == [1 / np.log2(4)]
+        [(block, buffer), (tied_rows, _)] = calls
+        assert block == slice(0, 1) and tied_rows.tolist() == [0]
+        # the block's buffer, partitioned in place: its first 6 values are listed
+        assert np.sort(buffer[0, :6]).tolist() == [-np.inf, -0.9, -0.5, -0.5, -0.5, -0.5]
+        assert np.count_nonzero(np.isfinite(buffer[0, :6])) == 5
+        assert got.per_user_ndcg.tolist() == [1 / np.log2(4)]  # rank 2: the third slot
         assert got.per_user_recall.tolist() == [1.0]
         assert_matches_loop_oracle(scores, [[]], [[3]], 6)
 
@@ -1347,6 +1376,39 @@ class TestRankingMatchesLoopOracle:
                    for k in range(1, scores.shape[1] + 2)]
         for shorter, longer in zip(recalls, recalls[1:]):
             assert (longer >= shorter).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int32])
+    def test_caller_table_is_unchanged(self, dtype):
+        """Each block is negated into a buffer of its own, partitioned in
+        place, and tied rows are negated again from the table, so the
+        caller's table, NaN and infinities included, keeps every bit."""
+        rng = np.random.default_rng(5)
+        scores = rng.integers(-2, 3, size=(9, 12)).astype(dtype)
+        if dtype is not np.int32:
+            scores[rng.random(scores.shape) < 0.2] = np.nan
+            scores[rng.random(scores.shape) < 0.1] = np.inf
+            scores[rng.random(scores.shape) < 0.1] = -np.inf
+            scores[scores == 0] = -0.0
+        observed = [rng.choice(12, size=3, replace=False) for _ in range(9)]
+        tests = [rng.choice(12, size=4, replace=False) for _ in range(9)]
+        before = scores.copy()
+        with rank_blocks_of(2, scores):
+            assert_matches_loop_oracle(scores, observed, tests, 5)
+        assert_matches_loop_oracle(scores, observed, tests, 5)
+        assert scores.dtype == dtype and scores.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("scores, got", [
+        (np.zeros(4), "a 1-D float64 array"),
+        ([[0.1, 0.9], [0.2, 0.3]], "list"),
+        (np.zeros((2, 4, 1)), "a 3-D float64 array"),
+        (np.array([["a", "b"], ["c", "d"]]), "a 2-D <U1 array"),
+        (np.zeros((2, 4), dtype=bool), "a 2-D bool array"),
+        (np.zeros((2, 4), dtype=complex), "a 2-D complex128 array"),
+    ], ids=["1-d", "list", "3-d", "strings", "bool", "complex"])
+    def test_malformed_score_table_rejected(self, scores, got):
+        with pytest.raises(ValueError, match=rf"^scores must be a 2-D array of real integers "
+                                             rf"or floats, got {re.escape(got)}$"):
+            ranking_metrics(scores, [[], []], [[0], [1]], k=2)
 
     @pytest.mark.parametrize("entries, rows", [
         (70, [2] * 20),
@@ -1362,13 +1424,14 @@ class TestRankingMatchesLoopOracle:
         whole = ranking_metrics(scores, observed, tests, k=7)
         train_mod = sys.modules["pgtr.train"]
         block_rows = []
-        real_block_hits = train_mod._block_hits
+        real_negated = train_mod._negated
 
-        def recording_block_hits(neg, rows, cols, k):
-            block_rows.append(neg.shape[0])
-            return real_block_hits(neg, rows, cols, k)
+        def recording_negated(scores, rows, observed, dtype):
+            if isinstance(rows, slice):  # a block of the first phase, not tied rows
+                block_rows.append(rows.stop - rows.start)
+            return real_negated(scores, rows, observed, dtype)
 
-        monkeypatch.setattr(train_mod, "_block_hits", recording_block_hits)
+        monkeypatch.setattr(train_mod, "_negated", recording_negated)
         monkeypatch.setattr(train_mod, "_RANK_BLOCK_ENTRIES", entries)
         blocked = ranking_metrics(scores, observed, tests, k=7)
         assert block_rows == rows
@@ -1408,6 +1471,26 @@ class TestRankingMatchesLoopOracle:
     def test_whole_float_item_ids_accepted(self):
         got = ranking_metrics(np.array([[0.1, 0.9, 0.2]]), [[0.0]], [[1.0]], k=1)
         assert got.recall_at_k == 1.0
+
+
+class TestRankingAcrossBlocks:
+    """`TestRankingMatchesLoopOracle`'s properties with blocks of 1-4 rows,
+    so a table's hits, ranks and ties cross block boundaries."""
+
+    @given(case=ranking_cases(), n_rows=st.integers(1, 4))
+    def test_random_tables(self, case, n_rows):
+        with rank_blocks_of(n_rows, case[0]):
+            assert_matches_or_fails_as_loop_oracle(*case)
+
+    @given(case=cut_tie_cases(), n_rows=st.integers(1, 4))
+    def test_ties_across_the_cut(self, case, n_rows):
+        with rank_blocks_of(n_rows, case[0]):
+            assert_matches_or_fails_as_loop_oracle(*case)
+
+    @given(case=listed_tie_cases(), n_rows=st.integers(1, 4))
+    def test_ties_inside_the_list_and_at_the_kth_value(self, case, n_rows):
+        with rank_blocks_of(n_rows, case[0]):
+            assert_matches_or_fails_as_loop_oracle(*case)
 
 
 @st.composite
