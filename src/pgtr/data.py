@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import logging
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,14 +47,31 @@ def check_integer_ids(values, name: str) -> np.ndarray:
     return ids
 
 
+def check_field_types(cls, values: dict, field: str = "{}"):
+    """Raise ValueError on the first entry of `values` whose type does not
+    fit its field of the dataclass `cls`: an int field takes an int, a
+    float field an int or a float, and only a bool field takes a bool.  The
+    message begins with `field.format(name)`."""
+    types = typing.get_type_hints(cls)
+    for name, value in values.items():
+        want = (int, float) if types[name] is float else types[name]
+        if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
+            raise ValueError(f"{field.format(name)} must be "
+                             f"{types[name].__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class InteractionDataset:
-    """Deduplicated implicit-feedback records over contiguous integer ids,
-    as an immutable value.
+    """Implicit-feedback records over contiguous integer ids, as an
+    immutable value.
 
     `users[i]` interacted with `items[i]`.  Both are read-only int64 copies
     of the arrays given, and every consumer shares the one canonical CSR
-    that `user_item_matrix()` builds on first use.  Raw-id remap tables
+    that `user_item_matrix()` builds on first use.  Records may repeat a
+    pair: the CSR and `items_of_user` hold each pair once, and
+    `load_interactions` collapses repeats as it reads.  `n_users` and
+    `n_items` are non-negative Python or numpy ints, stored as ints;
+    anything else raises DataError naming the field.  Raw-id remap tables
     (index -> original token), given when the data came from a file, are
     kept as tuples, whatever sequence the caller passed.
     """
@@ -67,6 +85,11 @@ class InteractionDataset:
     _matrix: sp.csr_matrix | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("n_users", "n_items"):
+            size = getattr(self, name)
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 0:
+                raise DataError(f"{name} must be a non-negative int, got {size!r}")
+            object.__setattr__(self, name, int(size))
         users, items = (check_integer_ids(getattr(self, n), n) for n in ("users", "items"))
         if users.shape != items.shape:
             raise DataError("users/items length mismatch")
@@ -230,11 +253,18 @@ def build_graph(ds: InteractionDataset) -> BipartiteGraph:
 
 @dataclass(frozen=True)
 class SplitSpec:
+    """`split_by_ratio`'s fractions and seed, checked when made: ValueError
+    names a field of the wrong type (`check_field_types`) or out of range,
+    and the seed is a non-negative int."""
+
     train_fraction: float
     val_fraction: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(SplitSpec, vars(self))
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.train_fraction < 1.0:
             raise DataError("train_fraction must lie in (0, 1)")
         if not 0.0 <= self.val_fraction < 1.0:
@@ -247,8 +277,13 @@ def split_by_ratio(ds: InteractionDataset, spec: SplitSpec):
     Each user's records are shuffled; `train_fraction` of them (rounded
     half away from zero, floor 1) form the training pool, the rest go to
     test; `val_fraction` of the pool (same rounding, keeping >= 1 fit
-    record) is carved out as validation.
+    record) is carved out as validation.  Raises DataError when `ds`
+    repeats a pair, since its copies could land in both fit and test.
     """
+    repeats = len(ds) - ds.user_item_matrix().nnz
+    if repeats:
+        raise DataError(f"dataset repeats {repeats} (user, item) pair record(s); "
+                        "deduplicate it before splitting")
     rng = np.random.default_rng(spec.seed)
     # each user's record indices, in record order
     order = np.argsort(ds.users, kind="stable")
@@ -277,10 +312,15 @@ def split_by_ratio(ds: InteractionDataset, spec: SplitSpec):
 
 @dataclass(frozen=True)
 class NoiseSpec:
+    """`inject_noise`'s proportion and seed, checked as `SplitSpec`'s are."""
+
     proportion: float
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(NoiseSpec, vars(self))
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.proportion < 1.0:
             raise DataError("noise proportion must lie in (0, 1)")
 

@@ -148,7 +148,7 @@ def _group_ids(g: BipartiteGraph, name: str, groups: int) -> np.ndarray:
     if name == "degree":
         user_values, item_values = g.user_degree, g.item_degree
     else:
-        user_values, item_values = np.split(pagerank(g), [g.n_users])
+        user_values, item_values = np.split(pagerank(g.full_adjacency()), [g.n_users])
     return np.concatenate([group_by_rank(user_values, groups),
                            groups + group_by_rank(item_values, groups)])
 

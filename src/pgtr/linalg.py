@@ -24,6 +24,12 @@ DENSE_CUTOFF = 512
 RESIDUAL_TOL = 1e-10
 # A column's sign is set by its first entry within this fraction of its largest magnitude.
 SIGN_TIE_TOL = 1e-10
+# A matrix is symmetric when no entry differs from its transpose's by more than this.
+SYMMETRY_TOL = 1e-12
+# PageRank's damping, its L1 stopping tolerance and its iteration cap.
+PAGERANK_DAMPING = 0.85
+PAGERANK_TOL = 1e-12
+PAGERANK_MAX_ITER = 1000
 
 
 class ConvergenceError(RuntimeError):
@@ -34,21 +40,14 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def _to_sparse(mat) -> sp.csr_matrix:
-    if sp.issparse(mat):
-        return mat.tocsr()
-    return sp.csr_matrix(np.asarray(mat, dtype=np.float64))
-
-
-def symmetric_normalized(adj) -> sp.csr_matrix:
+def symmetric_normalized(adj: sp.spmatrix) -> sp.csr_matrix:
     """D^{-1/2} A D^{-1/2}; an isolated node (degree 0) gets an all-zero row."""
-    a = _to_sparse(adj)
-    deg = np.asarray(a.sum(axis=1)).ravel()
+    deg = np.asarray(adj.sum(axis=1)).ravel()
     with np.errstate(divide="ignore"):
         dinv = 1.0 / np.sqrt(deg)
     dinv[~np.isfinite(dinv)] = 0.0
     dhalf = sp.diags(dinv)
-    return (dhalf @ a @ dhalf).tocsr()
+    return (dhalf @ adj @ dhalf).tocsr()
 
 
 def normalized_laplacian(adj: sp.spmatrix) -> sp.csr_matrix:
@@ -58,24 +57,22 @@ def normalized_laplacian(adj: sp.spmatrix) -> sp.csr_matrix:
     multiplicity equal to the number of connected components (counting
     singletons).
     """
-    a = _to_sparse(adj)
-    deg = np.asarray(a.sum(axis=1)).ravel()
-    return (sp.diags((deg > 0).astype(np.float64)) - symmetric_normalized(a)).tocsr()
+    deg = np.asarray(adj.sum(axis=1)).ravel()
+    return (sp.diags((deg > 0).astype(np.float64)) - symmetric_normalized(adj)).tocsr()
 
 
-def laplacian_null_basis(adj) -> sp.csr_matrix:
+def laplacian_null_basis(adj: sp.spmatrix) -> sp.csr_matrix:
     """Orthonormal basis of the null space of `normalized_laplacian(adj)`.
 
     One column per connected component C: D^{1/2} 1_C normalized, which
     for an isolated node (an all-zero Laplacian row) is its unit vector.
     Each node lies in one component, so each row holds one nonzero.
     """
-    a = _to_sparse(adj)
-    n_comp, labels = connected_components(a, directed=False)
-    deg = np.asarray(a.sum(axis=1)).ravel()
+    n_comp, labels = connected_components(adj, directed=False)
+    deg = np.asarray(adj.sum(axis=1)).ravel()
     weight = np.sqrt(np.where(deg > 0, deg, 1.0))
     norms = np.sqrt(np.bincount(labels, weights=weight ** 2, minlength=n_comp))
-    n = a.shape[0]
+    n = adj.shape[0]
     return sp.csr_matrix((weight / norms[labels], (np.arange(n), labels)),
                          shape=(n, n_comp))
 
@@ -91,10 +88,10 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return np.multiply(vecs, np.where(flip, -1.0, 1.0), order="C")
 
 
-def _check_symmetric(a: sp.csr_matrix, tol: float = 1e-12):
+def _check_symmetric(a: sp.csr_matrix):
     diff = a - a.T
     worst = np.abs(diff.data).max() if diff.nnz else 0.0
-    if worst > tol:
+    if worst > SYMMETRY_TOL:
         raise ValueError(f"matrix not symmetric (max asymmetry {worst:.3e})")
 
 
@@ -131,25 +128,27 @@ class GramOperator:
 
 
 def _as_operator(mat):
-    """`mat` itself if it is a GramOperator, else as a CSR matrix."""
-    return mat if isinstance(mat, GramOperator) else _to_sparse(mat)
+    """`mat` itself if it is a GramOperator, else the sparse `mat` as CSR."""
+    return mat if isinstance(mat, GramOperator) else mat.tocsr()
 
 
-def symmetric_eigs_smallest(mat, k: int, tol: float = RESIDUAL_TOL, deflate=None):
+def symmetric_eigs_smallest(mat, k: int, deflate=None):
     """Smallest-k eigenpairs of a sparse symmetric matrix M on the
     complement of `deflate`'s c orthonormal columns, which must span an
     invariant subspace of M (e.g. `laplacian_null_basis`).
 
-    M is a sparse or dense matrix, or a `GramOperator` in product form:
-    the dense path densifies it, while ARPACK, the probe and the residual
-    check only multiply by it, and its 1-norm is exact.
+    M is a sparse matrix, symmetric within SYMMETRY_TOL (ValueError
+    otherwise), or a `GramOperator` in product form: the dense path
+    densifies it, while ARPACK, the probe and the residual check only
+    multiply by it, and its 1-norm is exact.
 
     Returns (eigenvalues ascending, column-orthonormal eigenvectors) with
-    every residual ||M v - lambda v|| <= tol * ||M||_1 and each column's
-    sign fixed by its leading entry (see `certified_eigenvectors`).  Above
-    DENSE_CUTOFF, ARPACK solves on the complement and a probe checks it
-    missed no repeated eigenvalue; otherwise the dense `eigh` of M
-    answers, minus its c eigenvectors in span(deflate).
+    every residual ||M v - lambda v|| <= RESIDUAL_TOL * ||M||_1 (read at
+    call time) and each column's sign fixed by its leading entry (see
+    `certified_eigenvectors`).  Above DENSE_CUTOFF, ARPACK solves on the
+    complement and a probe checks it missed no repeated eigenvalue;
+    otherwise the dense `eigh` of M answers, minus its c eigenvectors in
+    span(deflate).
     """
     a = _as_operator(mat)
     n = a.shape[0]
@@ -166,7 +165,7 @@ def symmetric_eigs_smallest(mat, k: int, tol: float = RESIDUAL_TOL, deflate=None
     # ARPACK's Krylov space (max(2k+1, 20) vectors) and the probe's must
     # both fit in the complement
     if n > DENSE_CUTOFF and 2 * k + 20 < n - c:
-        found = _arpack_smallest(a, k, tol, norm_a, deflate)
+        found = _arpack_smallest(a, k, RESIDUAL_TOL, norm_a, deflate)
     if found is None:
         vals, vecs = np.linalg.eigh(a.toarray())
         if c:
@@ -177,18 +176,19 @@ def symmetric_eigs_smallest(mat, k: int, tol: float = RESIDUAL_TOL, deflate=None
             vals, vecs = vals[keep], vecs[:, keep]
         found = vals[:k], vecs[:, :k]
     vals, vecs = found
-    return vals, certified_eigenvectors(a, vals, vecs, tol)
+    return vals, certified_eigenvectors(a, vals, vecs)
 
 
-def certified_eigenvectors(mat, vals, vecs, tol: float = RESIDUAL_TOL) -> np.ndarray:
+def certified_eigenvectors(mat, vals, vecs) -> np.ndarray:
     """`vecs` with each column's sign fixed, once every residual
-    ||M v - lambda v|| is within tol * ||M||_1; ConvergenceError with the
-    largest otherwise.  A column's first entry within SIGN_TIE_TOL relative
-    of its largest magnitude is made positive, so v and -v give the same
-    column.  M is taken as `symmetric_eigs_smallest` takes it."""
+    ||M v - lambda v|| is within RESIDUAL_TOL * ||M||_1 (read at call
+    time); ConvergenceError with the largest otherwise.  A column's first
+    entry within SIGN_TIE_TOL relative of its largest magnitude is made
+    positive, so v and -v give the same column.  M is taken as
+    `symmetric_eigs_smallest` takes it."""
     a = _as_operator(mat)
     resid = _residuals(a, vals, vecs)
-    if not resid.max() <= tol * max(_one_norm(a), 1e-300):
+    if not resid.max() <= RESIDUAL_TOL * max(_one_norm(a), 1e-300):
         raise ConvergenceError("eigensolver residual above tolerance", float(resid.max()))
     return _fix_signs(vecs)
 
@@ -262,41 +262,33 @@ def _shifted_largest(a: sp.csr_matrix, sigma: float, k: int, bases, seed: int,
     return sigma - theta[::-1], np.ascontiguousarray(vecs[:, ::-1])
 
 
-def pagerank(graph, damping: float = 0.85, tol: float = 1e-12,
-             max_iter: int = 1000) -> np.ndarray:
-    """Damped random-walk fixed point on an undirected graph.
+def pagerank(adj: sp.spmatrix) -> np.ndarray:
+    """Damped random-walk fixed point on an undirected graph, given as its
+    square symmetric sparse adjacency.
 
-    Accepts a square symmetric sparse/dense matrix or any object with a
-    `full_adjacency()` method.  Dangling nodes redistribute uniformly.
-    Returns a probability vector (entries >= 0, sum 1).  Raises ValueError
-    naming the argument for a `damping` outside [0, 1) and for a `tol`
-    that is not positive and finite.
+    Damping PAGERANK_DAMPING (0.85); dangling nodes redistribute uniformly.
+    Returns a probability vector (entries >= 0, sum 1) once an iterate's L1
+    change falls below PAGERANK_TOL (1e-12), and raises ConvergenceError
+    after PAGERANK_MAX_ITER (1,000) iterations; each is read at call time.
     """
-    if not 0.0 <= damping < 1.0:
-        raise ValueError(f"damping={damping} must lie in [0, 1)")
-    if not (tol > 0.0 and np.isfinite(tol)):
-        raise ValueError(f"tol={tol} must be positive and finite")
-    if hasattr(graph, "full_adjacency"):
-        a = graph.full_adjacency()
-    else:
-        a = _to_sparse(graph)
-    n = a.shape[0]
+    n = adj.shape[0]
     if n == 0:
         raise ValueError("empty graph")
-    deg = np.asarray(a.sum(axis=1)).ravel()
+    deg = np.asarray(adj.sum(axis=1)).ravel()
     dangling = deg == 0.0
     with np.errstate(divide="ignore"):
         inv_deg = np.where(dangling, 0.0, 1.0 / deg)
     # column-stochastic transition: walk leaves node j along its edges
-    trans = a.multiply(inv_deg[None, :]).tocsr()
+    trans = adj.multiply(inv_deg[None, :]).tocsr()
 
+    damping = PAGERANK_DAMPING
     v = np.full(n, 1.0 / n)
     base = (1.0 - damping) / n
     err = np.inf
-    for _ in range(max_iter):
+    for _ in range(PAGERANK_MAX_ITER):
         nxt = damping * (trans @ v) + damping * v[dangling].sum() / n + base
         err = np.abs(nxt - v).sum()
         v = nxt
-        if err < tol:
+        if err < PAGERANK_TOL:
             return v
     raise ConvergenceError("PageRank power iteration did not converge", float(err))

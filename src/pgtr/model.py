@@ -28,7 +28,7 @@ import numpy as np
 
 from .autodiff import Tensor, check_finite, mean, mix, parameter
 from .backbone import normalized_adjacency, propagate_layer
-from .data import BipartiteGraph
+from .data import BipartiteGraph, check_field_types
 from .encodings import PositionalEncodingSet, build_encoding_set, position_tape
 
 __all__ = [
@@ -46,19 +46,6 @@ CHECKPOINT_VERSION = 8
 HEADER_FIELDS = ("config", "n_users", "n_items", "graph_hash", "seed")
 # the dtype `init_model` casts the model's arrays to (see the module docstring)
 MODEL_DTYPE = np.float32
-
-
-def check_field_types(cls, values: dict, field: str = "{}"):
-    """Raise ValueError on the first entry of `values` whose type does not
-    fit its field of the dataclass `cls`: an int field takes an int, a
-    float field an int or a float, and only a bool field takes a bool.  The
-    message begins with `field.format(name)`."""
-    types = typing.get_type_hints(cls)
-    for name, value in values.items():
-        want = (int, float) if types[name] is float else types[name]
-        if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
-            raise ValueError(f"{field.format(name)} must be "
-                             f"{types[name].__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import NumericsError, Tensor
-from .data import InteractionDataset, check_integer_ids
-from .model import ModelState, check_field_types, forward
+from .data import InteractionDataset, check_field_types, check_integer_ids
+from .model import ModelState, forward
 from .optim import AdamState, adam_step
 
 __all__ = [
@@ -35,12 +35,11 @@ class TrainConfig:
     lr: float = 1e-3
     max_epochs: int = 200
     patience: int = 20
-    k: int = 20
     seed: int = 0
 
     def __post_init__(self):
         check_field_types(TrainConfig, vars(self))
-        for name, low in (("batch_size", 2), ("max_epochs", 1), ("patience", 1), ("k", 1)):
+        for name, low in (("batch_size", 2), ("max_epochs", 1), ("patience", 1), ("seed", 0)):
             if not getattr(self, name) >= low:
                 raise ValueError(f"{name} must be >= {low}")
         if not 0 <= self.lr < np.inf:
@@ -267,19 +266,27 @@ def _in_batch_softmax(h: Tensor, user_rows: np.ndarray, item_rows: np.ndarray,
 
 def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
           cfg: TrainConfig):
-    """Mini-batch epochs with early stopping on validation Recall@k.
+    """Mini-batch epochs with early stopping on validation Recall@20, the
+    paper's metric and `evaluate`'s default k.
 
     Returns the state holding the best-validation parameters plus a
-    history record per epoch: `epoch`, `train_loss`, `val_recall`,
-    `val_ndcg`, `skipped_pairs` (pairs the epoch's batches dropped for lack
-    of negatives), `seconds` and `eval_seconds` (the validation `evaluate`
-    time within `seconds`).  A batch in which no pair keeps a negative
-    takes no step, and all its pairs count as skipped.  An epoch that takes
-    no step records a NaN `train_loss` and stops training with a warning.
-    A NumericsError in a step or in validation (a non-finite node table,
+    history record per epoch: `epoch`, `train_loss`, `val_recall` and
+    `val_ndcg` (both at k = 20), `skipped_pairs` (pairs the epoch's batches
+    dropped for lack of negatives), `seconds` and `eval_seconds` (the
+    validation `evaluate` time within `seconds`).  Before the first step, a
+    ValueError names `fit` or `val` and both shapes when its (n_users,
+    n_items) differs from the state's.  A batch in which no pair keeps a
+    negative takes no step, and all its pairs count as skipped.  An epoch
+    that takes no step records a NaN `train_loss` and stops training with a
+    warning.  A NumericsError in a step or in validation (a non-finite node table,
     loss or parameter gradient, or a zero-norm row that either reads)
     stops training with a warning and restores the best parameters.
     """
+    shape = (state.n_users, state.n_items)
+    for name, ds in (("fit", fit), ("val", val)):
+        if (ds.n_users, ds.n_items) != shape:
+            raise ValueError(f"train's {name} has (n_users, n_items) = "
+                             f"{(ds.n_users, ds.n_items)} but the model has {shape}")
     rng = np.random.default_rng(cfg.seed)
     named = state.named_parameters()
     params = [t for _, t in named]
@@ -321,7 +328,7 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
                 n_batches += 1
                 skipped_pairs += skipped
             t_eval = time.perf_counter()
-            metrics = evaluate(state, fit, val, k=cfg.k) if len(val) else None
+            metrics = evaluate(state, fit, val) if len(val) else None
             eval_seconds = time.perf_counter() - t_eval
         except NumericsError as err:
             # diverged parameters: stop and fall back to the best ones

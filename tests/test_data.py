@@ -249,6 +249,45 @@ class TestIds:
             InteractionDataset(2, 2, np.array(users), [0])
 
 
+class TestCheckedWhenMade:
+    """Sizes, fractions and seeds are checked as a dataset or spec is made:
+    a ValueError names the field, before any later call can trip on it."""
+
+    @pytest.mark.parametrize("n_users, n_items, users, items, name", [
+        (2.5, 3, [0], [1], "n_users"),
+        (2, "3", [0], [1], "n_items"),
+        (True, 3, [0], [1], "n_users"),
+        (2, np.bool_(True), [0], [0], "n_items"),
+        (-1, 3, [], [], "n_users"),
+        (2, -3, [], [], "n_items"),
+        (np.float64(2.0), 3, [0], [1], "n_users"),
+    ])
+    def test_dataset_sizes_are_non_negative_ints(self, n_users, n_items, users, items, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a non-negative int"):
+            InteractionDataset(n_users, n_items, users, items)
+
+    def test_numpy_int_sizes_are_stored_as_ints(self):
+        ds = InteractionDataset(np.int64(2), np.uint8(3), [1], [2])
+        assert (ds.n_users, ds.n_items) == (2, 3)
+        assert type(ds.n_users) is int and type(ds.n_items) is int
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda: SplitSpec(0.8, val_fraction="0.2"), "val_fraction"),
+        (lambda: SplitSpec("0.8"), "train_fraction"),
+        (lambda: SplitSpec(0.8, seed=-1), "seed"),
+        (lambda: SplitSpec(0.8, seed=1.5), "seed"),
+        (lambda: SplitSpec(0.8, seed=True), "seed"),
+        (lambda: NoiseSpec(0.1, seed=-1), "seed"),
+        (lambda: NoiseSpec(0.1, seed=1.5), "seed"),
+        (lambda: NoiseSpec("0.1"), "proportion"),
+    ], ids=["split-val_fraction-str", "split-train_fraction-str", "split-seed-negative",
+            "split-seed-float", "split-seed-bool", "noise-seed-negative", "noise-seed-float",
+            "noise-proportion-str"])
+    def test_spec_fields(self, make, name):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            make()
+
+
 class TestImmutable:
     """A dataset is a value: read-only id arrays it owns, fields that cannot
     be reassigned, and one canonical CSR built on first use and shared."""
@@ -390,6 +429,15 @@ class TestSplit:
     def test_bad_fraction(self):
         with pytest.raises(DataError):
             SplitSpec(0.0)
+
+    def test_repeated_pair_rejected(self):
+        """Pair (0, 1) is recorded twice: split, one copy could land in fit
+        and the other in test, where it is masked as observed and can never
+        be a hit."""
+        ds = InteractionDataset(1, 3, [0, 0, 0, 0], [1, 1, 2, 0])
+        assert len(ds) == 4 and ds.user_item_matrix().nnz == 3
+        with pytest.raises(DataError, match="repeats 1 "):
+            split_by_ratio(ds, SplitSpec(0.5, val_fraction=0.0, seed=0))
 
     @given(ds=awkward_interactions(), train_fraction=FRACTIONS,
            val_fraction=st.one_of(st.just(0.0), FRACTIONS), seed=st.integers(0, 2**32 - 1))

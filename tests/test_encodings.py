@@ -344,7 +344,7 @@ class TestDegreeAndPageRank:
     def test_pagerank_grouping_by_score(self):
         g = random_graph(6, n_users=25, n_items=25)
         _, user_ids, item_ids = grouped_alone(g, "pagerank", 5, 3, seed=2)
-        scores = pagerank(g)
+        scores = pagerank(g.full_adjacency())
         order = np.argsort(scores[:g.n_users], kind="stable")
         assert np.all(np.diff(user_ids[order]) >= 0)
         # the most connected item lands in the top PageRank group
@@ -354,7 +354,7 @@ class TestDegreeAndPageRank:
     @settings(max_examples=150, deadline=None)
     @given(ds=awkward_interactions())
     def test_pagerank_is_a_distribution_on_awkward_graphs(self, ds):
-        scores = pagerank(build_graph(ds))
+        scores = pagerank(build_graph(ds).full_adjacency())
         assert scores.shape == (ds.n_users + ds.n_items,)
         assert (scores >= 0.0).all()
         assert abs(scores.sum() - 1.0) <= 1e-12

@@ -1,6 +1,7 @@
 """Export hygiene: every name a pgtr module lists in `__all__` exists,
-every op the gradient engine exports runs somewhere in the package, and no
-module imports a name it never reads."""
+every op the gradient engine exports runs somewhere in the package, every
+private helper is read somewhere in it, and no module imports a name it
+never reads."""
 import ast
 import importlib
 import pkgutil
@@ -55,6 +56,36 @@ def test_every_engine_op_has_a_caller():
         used |= engine_names_used(ast.parse(path.read_text()))
     unused = sorted(set(ad.__all__) - ENGINE_API - used)
     assert not unused, f"autodiff exports ops no pgtr module calls: {unused}"
+
+
+def private_definitions(tree: ast.Module) -> set[str]:
+    """Module-level functions and classes whose names start with `_`."""
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")}
+
+
+def names_read(tree: ast.Module) -> set[str]:
+    """Names a module loads, reads as attributes or imports."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_every_private_helper_has_a_caller():
+    """A module-level `_name` function or class that nothing in the package
+    reads was orphaned by a refactor; delete it, not keep it for tests."""
+    trees = [ast.parse(path.read_text())
+             for path in Path(pgtr.__file__).parent.glob("*.py")]
+    defined = set().union(*map(private_definitions, trees))
+    unread = sorted(defined - set().union(*map(names_read, trees)))
+    assert defined and not unread, f"private helpers no pgtr module reads: {unread}"
 
 
 ROOT = Path(__file__).resolve().parent.parent

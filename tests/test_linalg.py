@@ -203,12 +203,13 @@ class TestEigensolver:
         with pytest.raises(ValueError, match="symmetric"):
             symmetric_eigs_smallest(m, 1)
 
-    def test_nonconvergence_reports_residual(self):
+    def test_nonconvergence_reports_residual(self, monkeypatch):
         rng = np.random.default_rng(8)
         g = random_bipartite(rng, 40, 40)
         lap = normalized_laplacian(g.full_adjacency())
+        monkeypatch.setattr(pgtr.linalg, "RESIDUAL_TOL", 1e-30)
         with pytest.raises(ConvergenceError) as exc:
-            symmetric_eigs_smallest(lap, 20, tol=1e-30)
+            symmetric_eigs_smallest(lap, 20)
         assert exc.value.residual > 0
 
     def test_arpack_failure_reports_partial_residual(self, monkeypatch):
@@ -432,31 +433,28 @@ def dense_pagerank(adj, damping=0.85, iters=20000):
 class TestPageRank:
     def test_single_edge_symmetry(self):
         g = build_graph(InteractionDataset(1, 1, np.array([0]), np.array([0])))
-        np.testing.assert_allclose(pagerank(g), [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(pagerank(g.full_adjacency()), [0.5, 0.5], atol=1e-12)
 
     def test_regular_graph_uniform(self):
         g = build_graph(InteractionDataset(2, 2, np.array([0, 0, 1, 1]),
                                            np.array([0, 1, 0, 1])))
-        np.testing.assert_allclose(pagerank(g), np.full(4, 0.25), atol=1e-12)
+        np.testing.assert_allclose(pagerank(g.full_adjacency()), np.full(4, 0.25), atol=1e-12)
 
     def test_star_matches_dense_oracle(self):
         g = build_graph(InteractionDataset(4, 1, np.arange(4), np.zeros(4, dtype=int)))
-        got = pagerank(g)
-        ref = dense_pagerank(g.full_adjacency())
-        assert np.abs(got - ref).sum() <= 1e-10
+        adj = g.full_adjacency()
+        assert np.abs(pagerank(adj) - dense_pagerank(adj)).sum() <= 1e-10
 
     def test_random_graphs_match_dense_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
-            g = random_bipartite(rng, 20, 30)
-            got = pagerank(g)
-            ref = dense_pagerank(g.full_adjacency())
-            assert np.abs(got - ref).sum() <= 1e-10
+            adj = random_bipartite(rng, 20, 30).full_adjacency()
+            assert np.abs(pagerank(adj) - dense_pagerank(adj)).sum() <= 1e-10
 
     def test_probability_vector(self):
         rng = np.random.default_rng(12)
         g = random_bipartite(rng, 25, 25)
-        v = pagerank(g)
+        v = pagerank(g.full_adjacency())
         assert np.all(v >= 0)
         assert abs(v.sum() - 1.0) <= 1e-10
 
@@ -468,24 +466,13 @@ class TestPageRank:
         assert np.abs(got - ref).sum() <= 1e-10
         assert got[2] > 0
 
-    def test_nonconvergence_error(self):
+    def test_nonconvergence_error(self, monkeypatch):
         g = build_graph(InteractionDataset(1, 1, np.array([0]), np.array([0])))
+        monkeypatch.setattr(pgtr.linalg, "PAGERANK_MAX_ITER", 0)
         with pytest.raises(ConvergenceError):
-            pagerank(g, max_iter=0)
-
-    @pytest.mark.parametrize("damping", [-0.5, 1.0, 1.5, float("nan")])
-    def test_damping_outside_unit_interval_rejected(self, damping):
-        g = build_graph(InteractionDataset(1, 1, np.array([0]), np.array([0])))
-        with pytest.raises(ValueError, match="^damping"):
-            pagerank(g, damping=damping)
-
-    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
-    def test_tol_not_positive_and_finite_rejected(self, tol):
-        g = build_graph(InteractionDataset(1, 1, np.array([0]), np.array([0])))
-        with pytest.raises(ValueError, match="^tol"):
-            pagerank(g, tol=tol)
+            pagerank(g.full_adjacency())
 
     def test_deterministic(self):
         rng = np.random.default_rng(13)
-        g = random_bipartite(rng, 15, 15)
-        np.testing.assert_array_equal(pagerank(g), pagerank(g))
+        adj = random_bipartite(rng, 15, 15).full_adjacency()
+        np.testing.assert_array_equal(pagerank(adj), pagerank(adj))

@@ -962,11 +962,28 @@ class TestTrainLoop:
         for got, want in zip(state.parameters(), before, strict=True):
             np.testing.assert_array_equal(got.data, want)
 
+    @pytest.mark.parametrize("name", ["fit", "val"])
+    def test_datasets_of_another_shape_rejected_before_a_step(self, name):
+        """A dataset built for 61 items on a 60-item model: the error names
+        it and both shapes before any step, so no parameter moves."""
+        ds = clustered_interactions(40, 60, 2, per_user=6, seed=1)
+        fit, val, _ = split_by_ratio(ds, SplitSpec(0.8, seed=1))
+        state = init_model(build_graph(fit), PGTRConfig(d=8, h_c=4, n_d=2, n_r=2), seed=1)
+        before = [t.data.copy() for t in state.parameters()]
+        data = {"fit": fit, "val": val}
+        wide = data[name]
+        data[name] = InteractionDataset(wide.n_users, 61, wide.users, wide.items)
+        with pytest.raises(ValueError, match=re.escape(
+                f"train's {name} has (n_users, n_items) = (40, 61) but the model has (40, 60)")):
+            train(state, data["fit"], data["val"], TrainConfig(batch_size=32, max_epochs=3))
+        for got, want in zip(state.parameters(), before, strict=True):
+            np.testing.assert_array_equal(got.data, want)
+
     @pytest.mark.parametrize("field, value", [
-        ("k", 0), ("lr", -1e-3), ("max_epochs", 0), ("batch_size", 1), ("patience", 0),
+        ("lr", -1e-3), ("max_epochs", 0), ("batch_size", 1), ("patience", 0),
         ("lr", float("nan")), ("lr", float("inf")), ("batch_size", float("nan")),
-        ("batch_size", 8.5), ("max_epochs", 1.5), ("k", 2.5), ("patience", True),
-        ("seed", 1.5), ("lr", "0.1")])
+        ("batch_size", 8.5), ("max_epochs", 1.5), ("patience", True),
+        ("seed", 1.5), ("lr", "0.1"), ("seed", -1)])
     def test_config_rejects_out_of_range_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must"):
             TrainConfig(**{field: value})
