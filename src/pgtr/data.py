@@ -30,9 +30,10 @@ class DataError(ValueError):
     pass
 
 
-def _round_half_up(x: float) -> int:
-    """round-half-away-from-zero for nonnegative x (Python round() is banker's)."""
-    return int(np.floor(x + 0.5))
+def _round_half_up(x: np.ndarray) -> np.ndarray:
+    """round-half-away-from-zero of nonnegative floats, elementwise, as
+    int64 (Python round() is banker's)."""
+    return np.floor(x + 0.5).astype(np.int64)
 
 
 def check_integer_ids(values, name: str) -> np.ndarray:
@@ -272,13 +273,20 @@ class SplitSpec:
 
 
 def split_by_ratio(ds: InteractionDataset, spec: SplitSpec):
-    """Per-user split into (train_fit, validation, test).
+    """Per-user split into (train_fit, validation, test), each holding its
+    records in `ds`'s order.
 
     Each user's records are shuffled; `train_fraction` of them (rounded
     half away from zero, floor 1) form the training pool, the rest go to
     test; `val_fraction` of the pool (same rounding, keeping >= 1 fit
     record) is carved out as validation.  Raises DataError when `ds`
     repeats a pair, since its copies could land in both fit and test.
+
+    The random stream is fixed: `default_rng(spec.seed)` makes one
+    in-place `Generator.shuffle` of each user's record indices (in record
+    order), for each user with at least 2 records, in user order.  The
+    shuffled run's first records go to fit, the next to validation, the
+    rest to test.
     """
     repeats = len(ds) - ds.user_item_matrix().nnz
     if repeats:
@@ -287,27 +295,19 @@ def split_by_ratio(ds: InteractionDataset, spec: SplitSpec):
     rng = np.random.default_rng(spec.seed)
     # each user's record indices, in record order
     order = np.argsort(ds.users, kind="stable")
-    bounds = np.searchsorted(ds.users[order], np.arange(ds.n_users + 1))
-    fit_idx, val_idx, test_idx = [], [], []
-    for u in range(ds.n_users):
-        idx = order[bounds[u]:bounds[u + 1]]
-        k = idx.size
-        if k == 0:
-            continue
-        idx = idx[rng.permutation(k)]
-        n_pool = min(k, max(1, _round_half_up(k * spec.train_fraction)))
-        n_val = _round_half_up(n_pool * spec.val_fraction)
-        if n_pool - n_val < 1:
-            n_val = n_pool - 1
-        fit_idx.append(idx[:n_pool - n_val])
-        val_idx.append(idx[n_pool - n_val:n_pool])
-        test_idx.append(idx[n_pool:])
-
-    def gather(chunks):
-        sel = np.concatenate(chunks) if chunks else np.array([], dtype=np.int64)
-        return ds.subset(np.sort(sel))
-
-    return gather(fit_idx), gather(val_idx), gather(test_idx)
+    users = ds.users[order]
+    bounds = np.searchsorted(users, np.arange(ds.n_users + 1))
+    k = np.diff(bounds)
+    for lo, hi in zip(bounds[:-1][k > 1].tolist(), bounds[1:][k > 1].tolist()):
+        rng.shuffle(order[lo:hi])
+    n_pool = np.minimum(k, np.maximum(1, _round_half_up(k * spec.train_fraction)))
+    n_val = np.minimum(_round_half_up(n_pool * spec.val_fraction), n_pool - 1)
+    # each record's position in its user's shuffled run
+    position = np.empty(len(ds), dtype=np.int64)
+    position[order] = np.arange(len(ds)) - bounds[users]
+    part = ((position >= (n_pool - n_val)[ds.users]).astype(np.int64)
+            + (position >= n_pool[ds.users]))
+    return ds.subset(part == 0), ds.subset(part == 1), ds.subset(part == 2)
 
 
 @dataclass(frozen=True)
@@ -329,9 +329,11 @@ def inject_noise(train: InteractionDataset, full: InteractionDataset,
                  spec: NoiseSpec) -> InteractionDataset:
     """Add round(rho * k) fake items per user, sampled outside `full`.
 
-    `k` counts the user's records in `train`.  Users already adjacent to
-    every item are skipped (a warning reports how many).  Raises
-    DataError when `full` and `train` differ in (n_users, n_items).
+    `k` counts the user's distinct items in `train`: its row length in
+    `train.user_item_matrix()`, so a repeated pair counts once.  Users
+    already adjacent to every item are skipped (a warning reports how
+    many).  Raises DataError when `full` and `train` differ in (n_users,
+    n_items).
     """
     shapes = (train.n_users, train.n_items), (full.n_users, full.n_items)
     if shapes[0] != shapes[1]:
@@ -339,20 +341,17 @@ def inject_noise(train: InteractionDataset, full: InteractionDataset,
                         f"but full has {shapes[1]}")
     rng = np.random.default_rng(spec.seed)
     full_items = full.user_item_matrix()
-    counts = np.bincount(train.users, minlength=train.n_users)
+    n_adds = _round_half_up(spec.proportion * np.diff(train.user_item_matrix().indptr))
     all_items = np.arange(train.n_items)
     add_users, add_items = [], []
     skipped = 0
-    for u in range(train.n_users):
-        n_add = _round_half_up(spec.proportion * counts[u])
-        if n_add == 0:
-            continue
+    for u in np.flatnonzero(n_adds).tolist():
         seen = full_items.indices[full_items.indptr[u]:full_items.indptr[u + 1]]
         candidates = np.setdiff1d(all_items, seen, assume_unique=True)
         if candidates.size == 0:
             skipped += 1
             continue
-        n_add = min(n_add, candidates.size)
+        n_add = min(int(n_adds[u]), candidates.size)
         chosen = rng.choice(candidates, size=n_add, replace=False)
         add_users.extend([u] * n_add)
         add_items.extend(chosen.tolist())

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, cg, eigsh
 
 __all__ = [
     "ConvergenceError",
@@ -26,7 +26,7 @@ RESIDUAL_TOL = 1e-10
 SIGN_TIE_TOL = 1e-10
 # A matrix is symmetric when no entry differs from its transpose's by more than this.
 SYMMETRY_TOL = 1e-12
-# PageRank's damping, its L1 stopping tolerance and its iteration cap.
+# PageRank's damping, its certificate's L1 step tolerance and its CG iteration cap.
 PAGERANK_DAMPING = 0.85
 PAGERANK_TOL = 1e-12
 PAGERANK_MAX_ITER = 1000
@@ -266,29 +266,43 @@ def pagerank(adj: sp.spmatrix) -> np.ndarray:
     """Damped random-walk fixed point on an undirected graph, given as its
     square symmetric sparse adjacency.
 
-    Damping PAGERANK_DAMPING (0.85); dangling nodes redistribute uniformly.
-    Returns a probability vector (entries >= 0, sum 1) once an iterate's L1
-    change falls below PAGERANK_TOL (1e-12), and raises ConvergenceError
-    after PAGERANK_MAX_ITER (1,000) iterations; each is read at call time.
+    Damping d = PAGERANK_DAMPING (0.85); dangling nodes redistribute
+    uniformly.  The fixed point is v = c x, with every node's constant
+    share c = d (dangling mass) / n + (1 - d) / n and (I - d A D^-1) x = 1.
+    On nodes with edges x = D^1/2 y, where y solves the SPD system
+    (I - d S) y = D^-1/2 1, S = `symmetric_normalized(adj)`, whose
+    condition number is at most (1 + d) / (1 - d); conjugate gradients
+    solve it in at most PAGERANK_MAX_ITER (1,000) iterations.  An isolated
+    node has x = 1, and v = x / sum(x).
+
+    Returns a probability vector (entries >= 0, sum 1) once the power
+    iteration's step from it changes it by less than PAGERANK_TOL (1e-12)
+    in L1, and raises ConvergenceError otherwise; CG's residual bound is
+    set so the step meets it.  Each constant is read at call time.
     """
     n = adj.shape[0]
     if n == 0:
         raise ValueError("empty graph")
     deg = np.asarray(adj.sum(axis=1)).ravel()
     dangling = deg == 0.0
-    with np.errstate(divide="ignore"):
-        inv_deg = np.where(dangling, 0.0, 1.0 / deg)
-    # column-stochastic transition: walk leaves node j along its edges
-    trans = adj.multiply(inv_deg[None, :]).tocsr()
-
+    root = np.sqrt(deg)
+    inv_root = np.divide(1.0, root, out=np.zeros(n), where=~dangling)
     damping = PAGERANK_DAMPING
-    v = np.full(n, 1.0 / n)
-    base = (1.0 - damping) / n
-    err = np.inf
-    for _ in range(PAGERANK_MAX_ITER):
-        nxt = damping * (trans @ v) + damping * v[dangling].sum() / n + base
-        err = np.abs(nxt - v).sum()
-        v = nxt
-        if err < PAGERANK_TOL:
-            return v
-    raise ConvergenceError("PageRank power iteration did not converge", float(err))
+    s = symmetric_normalized(adj)
+    op = LinearOperator((n, n), matvec=lambda y: y - damping * (s @ y), dtype=np.float64)
+    # CG's residual r moves the certified step by at most 2 ||D^1/2 1|| ||r||
+    # in L1, and sum(x) >= n
+    with np.errstate(divide="ignore"):
+        atol = PAGERANK_TOL * n / (2.0 * np.linalg.norm(root))
+    y, _ = cg(op, inv_root, rtol=0.0, atol=atol, maxiter=PAGERANK_MAX_ITER)
+    x = np.where(dangling, 1.0, root * y)
+    # one power-iteration step from x / sum(x), in units of sum(x): no
+    # division before it passes, since an unconverged x may sum to 0
+    total = x.sum()
+    step = (damping * (adj @ (x * inv_root ** 2) + x[dangling].sum() / n)
+            + (1.0 - damping) * total / n)
+    err = np.abs(step - x).sum()
+    if not err < PAGERANK_TOL * total:
+        raise ConvergenceError("PageRank CG solve did not converge",
+                               float(err / total) if total > 0 else np.inf)
+    return x / total

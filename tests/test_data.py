@@ -1,5 +1,6 @@
 """Data ingestion, graph construction, splits, and noise injection."""
 import dataclasses
+import hashlib
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -32,6 +33,31 @@ FRACTIONS = st.one_of(st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9]), st.floats(0.
 def neighbors(adj, node):
     """Row `node` of a CSR adjacency: the node's neighbor ids."""
     return adj.indices[adj.indptr[node]:adj.indptr[node + 1]]
+
+
+def split_oracle(ds, spec):
+    """`split_by_ratio` as a loop over users: each user's record indices, in
+    record order, reordered by `rng.permutation` (which draws nothing for
+    fewer than 2 records), then cut into fit, validation and test."""
+    rng = np.random.default_rng(spec.seed)
+    order = np.argsort(ds.users, kind="stable")
+    bounds = np.searchsorted(ds.users[order], np.arange(ds.n_users + 1))
+    parts = ([], [], [])
+    for u in range(ds.n_users):
+        idx = order[bounds[u]:bounds[u + 1]]
+        k = idx.size
+        if k == 0:
+            continue
+        idx = idx[rng.permutation(k)]
+        n_pool = min(k, max(1, math.floor(k * spec.train_fraction + 0.5)))
+        n_val = math.floor(n_pool * spec.val_fraction + 0.5)
+        if n_pool - n_val < 1:
+            n_val = n_pool - 1
+        for part, chunk in zip(parts, (idx[:n_pool - n_val], idx[n_pool - n_val:n_pool],
+                                       idx[n_pool:])):
+            part.append(chunk)
+    return tuple(ds.subset(np.sort(np.concatenate(part))) if part else ds.subset([])
+                 for part in parts)
 
 
 def write_lines(tmp_path, lines, name="inter.txt"):
@@ -457,6 +483,29 @@ class TestSplit:
             assert k == 0 or got[0] >= 1
         assert sorted(fit.pairs() | val.pairs() | test.pairs()) == sorted(ds.pairs())
 
+    @given(ds=awkward_interactions(), train_fraction=FRACTIONS,
+           val_fraction=st.one_of(st.just(0.0), FRACTIONS), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_per_user_loop(self, ds, train_fraction, val_fraction, seed):
+        """One in-place shuffle per user makes the draws, and so the parts,
+        of one `rng.permutation` per user."""
+        spec = SplitSpec(train_fraction, val_fraction, seed)
+        for got, want in zip(split_by_ratio(ds, spec), split_oracle(ds, spec)):
+            np.testing.assert_array_equal(got.users, want.users)
+            np.testing.assert_array_equal(got.items, want.items)
+
+    def test_random_stream_is_pinned(self):
+        """The SHA-256 of the parts' users and items arrays: a change to the
+        shuffles' order or count changes every later split."""
+        parts = split_by_ratio(clustered_interactions(300, 490, per_user=10, seed=0),
+                               SplitSpec(0.8, seed=0))
+        digest = hashlib.sha256()
+        for part in parts:
+            for ids in (part.users, part.items):
+                digest.update(ids.astype("<i8").tobytes())
+        assert [len(part) for part in parts] == [1800, 600, 600]
+        assert digest.hexdigest() == ("a9c1f97b410e3f67689730ffeef325c3"
+                                      "47cfea72aa08e12d24091fb26b5283fa")
+
 
 class TestNoise:
     def test_one_in_ten(self):
@@ -468,6 +517,12 @@ class TestNoise:
         full = InteractionDataset(1, 5, np.zeros(1, dtype=int), np.array([0]))
         noisy = inject_noise(full, full, NoiseSpec(0.3, seed=0))
         assert len(noisy) == 1
+
+    def test_repeated_pair_counts_once(self):
+        """Item 1 is recorded twice: k = 1 distinct item, round(0.3) = 0."""
+        train = InteractionDataset(1, 10, [0, 0], [1, 1])
+        noisy = inject_noise(train, train, NoiseSpec(0.3))
+        assert len(noisy) == 2
 
     def test_noise_disjoint_from_full(self):
         ds = clustered_interactions(30, 50, 3, per_user=10, seed=12)

@@ -2,10 +2,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 import pgtr.linalg
-from pgtr.data import InteractionDataset, build_graph
+from pgtr.data import InteractionDataset, SplitSpec, build_graph, split_by_ratio
+from pgtr.encodings import _group_ids, group_by_rank
 from pgtr.linalg import (
     DENSE_CUTOFF,
     ConvergenceError,
@@ -16,6 +18,7 @@ from pgtr.linalg import (
     symmetric_eigs_smallest,
 )
 from pgtr.synthetic import clustered_interactions
+from test_encodings import awkward_interactions
 
 
 def random_bipartite(rng, n_users, n_items, density=0.15):
@@ -430,6 +433,23 @@ def dense_pagerank(adj, damping=0.85, iters=20000):
     return v
 
 
+def power_pagerank(adj, damping=0.85, tol=1e-12, max_iter=1000):
+    """Sparse power-iteration oracle: iterate the damped walk until a step
+    changes the vector by less than `tol` in L1."""
+    n = adj.shape[0]
+    deg = np.asarray(adj.sum(axis=1)).ravel()
+    dangling = deg == 0.0
+    inv_deg = np.divide(1.0, deg, out=np.zeros(n), where=~dangling)
+    trans = adj.multiply(inv_deg[None, :]).tocsr()
+    v = np.full(n, 1.0 / n)
+    for _ in range(max_iter):
+        nxt = damping * (trans @ v) + damping * v[dangling].sum() / n + (1.0 - damping) / n
+        if np.abs(nxt - v).sum() < tol:
+            return nxt
+        v = nxt
+    raise AssertionError(f"power iteration did not converge in {max_iter} steps")
+
+
 class TestPageRank:
     def test_single_edge_symmetry(self):
         g = build_graph(InteractionDataset(1, 1, np.array([0]), np.array([0])))
@@ -476,3 +496,22 @@ class TestPageRank:
         rng = np.random.default_rng(13)
         adj = random_bipartite(rng, 15, 15).full_adjacency()
         np.testing.assert_array_equal(pagerank(adj), pagerank(adj))
+
+    @given(ds=awkward_interactions())
+    def test_awkward_graphs_match_dense_oracle(self, ds):
+        """Isolated nodes, many components, one user, a user with every item."""
+        adj = build_graph(ds).full_adjacency()
+        assert np.abs(pagerank(adj) - dense_pagerank(adj)).sum() <= 1e-10
+
+    @pytest.mark.parametrize("n_users, n_items, per_user", [(800, 1200, 30), (300, 490, 10)],
+                             ids=["fit", "cold-start"])
+    def test_groups_equal_the_power_iterations(self, n_users, n_items, per_user):
+        """The benchmark's set-ups, seeds 0-9: each node's PageRank group is
+        the one the power iteration's scores give."""
+        for seed in range(10):
+            ds = clustered_interactions(n_users, n_items, per_user=per_user, seed=seed)
+            g = build_graph(split_by_ratio(ds, SplitSpec(0.8, seed=seed))[0])
+            user_scores, item_scores = np.split(power_pagerank(g.full_adjacency()), [g.n_users])
+            want = np.concatenate([group_by_rank(user_scores, 10),
+                                   10 + group_by_rank(item_scores, 10)])
+            np.testing.assert_array_equal(_group_ids(g, "pagerank", 10), want)
