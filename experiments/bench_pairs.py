@@ -1,0 +1,131 @@
+"""Alternating benchmark pairs of two source trees, with the gain verdict.
+
+    python3 experiments/bench_pairs.py A B --workload W [--pairs N] [--first-seed S]
+
+A is the parent (for instance a `git archive` of it) and B the change.
+For each seed s = S .. S+N-1 the script runs each tree's own
+`benchmarks/run.py --workload W --seed s` in a fresh process and reads
+the last JSON line it prints.  Which tree runs first alternates: A on
+even pairs, B on odd ones.  A run that is not `correct`, or that counts
+failed operations, stops the script with status 1 and a message naming
+the tree and the seed.
+
+It then prints one Markdown row per end-to-end metric of A's
+BENCHMARK.json: each tree's median with its [q25, q75] over the pairs,
+B / A - 1 of the medians, and B's wins (a pair where B reads better in
+the metric's direction; equal readings are ties and count for neither).
+The last column is the gain verdict: "met" when B wins at least 9 in 10
+of all pairs and the medians differ by more than A's interquartile
+range, "not met" otherwise.  It imports no pgtr: each run imports its
+own tree's sources.
+"""
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+CHILD_TIMEOUT_S = 300
+
+
+class RunFailed(RuntimeError):
+    pass
+
+
+def run_once(tree: Path, workload: str, seed: int) -> dict:
+    """The last JSON line of `tree`'s benchmark run of `workload` at `seed`."""
+    cmd = [sys.executable, str(tree / "benchmarks" / "run.py"), "--workload", workload,
+           "--seed", str(seed)]
+    try:
+        done = subprocess.run(cmd, capture_output=True, text=True, timeout=CHILD_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        raise RunFailed(f"run {tree} seed {seed} took over {CHILD_TIMEOUT_S} s") from None
+    return last_json(done.stdout, f"{tree} seed {seed}")
+
+
+def last_json(stdout: str, name: str) -> dict:
+    """The run's last JSON line, checked: RunFailed naming the run unless
+    it is `correct` with 0 failed operations."""
+    lines = [line for line in stdout.splitlines() if line.startswith("{")]
+    run = json.loads(lines[-1]) if lines else {}
+    if not run.get("correct") or run.get("failed", 1) > 0:
+        raise RunFailed(f"run {name} is not correct or failed operations: "
+                        f"{lines[-1] if lines else 'no JSON line'}")
+    return run
+
+
+def run_pairs(tree_a: Path, tree_b: Path, workload: str, pairs: int,
+              first_seed: int) -> list[tuple[dict, dict]]:
+    """(A's run, B's run) per seed, A first on even pairs and B on odd ones."""
+    out = []
+    for i in range(pairs):
+        seed = first_seed + i
+        if i % 2 == 0:
+            out.append((run_once(tree_a, workload, seed), run_once(tree_b, workload, seed)))
+        else:
+            b = run_once(tree_b, workload, seed)
+            out.append((run_once(tree_a, workload, seed), b))
+    return out
+
+
+def gain_met(a: np.ndarray, b: np.ndarray, lower: bool) -> bool:
+    """B's gain over A on paired readings: B better on at least 9 in 10 of
+    the pairs, and the medians apart by more than A's interquartile range."""
+    wins = np.sum(b < a if lower else b > a)
+    q25, q75 = np.percentile(a, [25, 75])
+    gap = np.median(a) - np.median(b) if lower else np.median(b) - np.median(a)
+    return bool(wins >= 0.9 * len(a) and gap > q75 - q25)
+
+
+def row(metric: dict, pairs: list[tuple[dict, dict]]) -> str:
+    """The Markdown cells of one end-to-end metric {"name", "better"}."""
+    name, lower = metric["name"], metric["better"] == "lower"
+    a = np.array([ra["metrics"][name]["value"] for ra, _ in pairs])
+    b = np.array([rb["metrics"][name]["value"] for _, rb in pairs])
+    wins = int(np.sum(b < a if lower else b > a))
+    ties = int(np.sum(a == b))
+    (qa25, med_a, qa75), (qb25, med_b, qb75) = (np.percentile(v, [25, 50, 75]) for v in (a, b))
+    change = f"{med_b / med_a - 1:+.1%}" if med_a else "—"
+    tied = f" ({ties} ties)" if ties else ""
+    return (f"| {name} | {med_a:.6g} [{qa25:.6g}, {qa75:.6g}] "
+            f"| {med_b:.6g} [{qb25:.6g}, {qb75:.6g}] | {change} "
+            f"| {wins}/{len(pairs)}{tied} "
+            f"| {'met' if gain_met(a, b, lower) else 'not met'} |")
+
+
+def table(workload: str, metrics: list[dict], pairs: list[tuple[dict, dict]]) -> str:
+    lines = ["| workload | metric | parent median [q25, q75] | change median [q25, q75] "
+             "| change/parent − 1 | change wins | gain verdict |",
+             "|---|---|---|---|---|---|---|"]
+    lines += [f"| {workload} {row(metric, pairs)}" for metric in metrics]
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("tree_a", type=Path)
+    parser.add_argument("tree_b", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--first-seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    for tree in (args.tree_a, args.tree_b):
+        if not (tree / "benchmarks" / "run.py").is_file():
+            parser.error(f"{tree} holds no benchmarks/run.py")
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    metrics = json.loads((args.tree_a / "BENCHMARK.json").read_text())["end_to_end"]
+    try:
+        pairs = run_pairs(args.tree_a, args.tree_b, args.workload, args.pairs,
+                          args.first_seed)
+    except RunFailed as err:
+        print(err, file=sys.stderr)
+        return 1
+    print(table(args.workload, metrics, pairs))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -41,13 +41,26 @@ class ConvergenceError(RuntimeError):
 
 
 def symmetric_normalized(adj: sp.spmatrix) -> sp.csr_matrix:
-    """D^{-1/2} A D^{-1/2}; an isolated node (degree 0) gets an all-zero row."""
-    deg = np.asarray(adj.sum(axis=1)).ravel()
+    """D^{-1/2} A D^{-1/2}; an isolated node (degree 0) gets an all-zero row.
+
+    O(nnz): each entry a_ij of a canonical CSR copy of A (any format in,
+    duplicates summed, indices sorted) becomes (a_ij d_i^{-1/2}) d_j^{-1/2},
+    and entries that scale to 0 are dropped.  Those are the two-product
+    form (D^{-1/2} A) D^{-1/2}'s operations, so canonical CSR and COO
+    inputs give its indptr, indices and data bit for bit.  (The product
+    keeps a CSR input's unsorted indices, and scales duplicates before it
+    sums them.)
+    """
+    a = sp.csr_matrix(adj, copy=True)  # sum_duplicates sorts in place
+    a.sum_duplicates()
+    deg = np.asarray(a.sum(axis=1)).ravel()
     with np.errstate(divide="ignore"):
         dinv = 1.0 / np.sqrt(deg)
     dinv[~np.isfinite(dinv)] = 0.0
-    dhalf = sp.diags(dinv)
-    return (dhalf @ adj @ dhalf).tocsr()
+    a.data *= np.repeat(dinv, np.diff(a.indptr))
+    a.data *= dinv.take(a.indices)
+    a.eliminate_zeros()
+    return a
 
 
 def normalized_laplacian(adj: sp.spmatrix) -> sp.csr_matrix:
@@ -104,6 +117,10 @@ class GramOperator:
     bipartite graph, one row per node of a side, each singular value s of
     R is an eigenvalue 1 - s^2 here, and its null space is that side's
     part of `laplacian_null_basis` of the whole graph.
+
+    A shift sigma I - M is diag(sigma - d) + R R^T, so the eigensolver's
+    shifted operator folds the diagonal into the shift: y -> (sigma - d) y
+    + R (R^T y), one product pair and one scaled sum per matvec.
     """
 
     def __init__(self, r):
@@ -206,9 +223,15 @@ def _residuals(a, vals, vecs) -> np.ndarray:
     return np.linalg.norm(r, axis=0)
 
 
-def _arpack_smallest(a: sp.csr_matrix, k: int, tol: float, norm_a: float, deflate):
+def _arpack_smallest(a, k: int, tol: float, norm_a: float, deflate):
     """ARPACK's k smallest pairs on the complement of `deflate`, or None
-    if they may miss a repeated eigenvalue."""
+    if they may miss a repeated eigenvalue.
+
+    A sparse `deflate` no wider than the main solve's Krylov basis, ncv =
+    max(2k + 1, 20) columns, is densified, so its dense copy never outgrows
+    the workspace ARPACK already holds; a wider one stays sparse."""
+    if sp.issparse(deflate) and deflate.shape[1] <= max(2 * k + 1, 20):
+        deflate = deflate.toarray()
     # above the Gershgorin bound: no wanted pair of sigma I - M ties with
     # a deflated direction, which the operator maps to 0
     sigma = norm_a + 1.0
@@ -222,39 +245,70 @@ def _arpack_smallest(a: sp.csr_matrix, k: int, tol: float, norm_a: float, deflat
     return (vals, vecs) if missed >= vals[-1] - tol * norm_a else None
 
 
-def _held_basis(b):
-    """`b` and its transpose in layouts a product reads without converting:
-    canonical CSRs of a sparse basis, one C-ordered array of a dense one."""
-    if sp.issparse(b):
-        b = sp.csr_matrix(b, copy=True)  # sum_duplicates sorts in place
-        b.sum_duplicates()
-        return b, b.T.tocsr()
-    b = np.ascontiguousarray(b)
-    return b, b.T
+def _held_basis(bases):
+    """The (basis, transpose) pairs one solve projects against, in layouts
+    a product reads without converting: canonical CSRs of each sparse
+    basis, projected in turn first, then all dense bases stacked side by
+    side into one C-ordered (n x c) array Q, so that projecting them out is
+    x - Q (Q^T x), two BLAS gemv calls.  Stacking is exact: the stacked
+    bases are orthonormal together (the probe's eigenvectors lie in the
+    complement of the deflation basis D), and then (I - V V^T)(I - D D^T)
+    = I - [D V] [D V]^T.  As `_arpack_smallest` densifies a sparse D only
+    when it is no wider than ARPACK's Krylov basis, its Q holds at most
+    ncv + k columns."""
+    held = []
+    for b in bases:
+        if sp.issparse(b):
+            b = sp.csr_matrix(b, copy=True)  # sum_duplicates sorts in place
+            b.sum_duplicates()
+            held.append((b, b.T.tocsr()))
+    dense = [b for b in bases if b is not None and not sp.issparse(b)]
+    if dense:
+        q = np.ascontiguousarray(np.hstack(dense))
+        held.append((q, q.T))
+    return held
 
 
-def _shifted_largest(a: sp.csr_matrix, sigma: float, k: int, bases, seed: int,
-                     tol: float = 0.0):
-    """The k smallest eigenpairs of M on the complement of `bases`, ascending,
-    as the k largest of P (sigma I - M) P, with C-ordered eigenvectors.
-    Each basis and its transpose are stored once per solve, so a matvec's
-    two projections convert nothing.  `tol` is ARPACK's (0: machine
-    precision); v0 is seeded, as ARPACK's own changes between calls."""
-    held = [_held_basis(b) for b in bases if b is not None]
+class _ShiftedOperator(LinearOperator):
+    """P (sigma I - M) P, with P the projection onto the complement of the
+    held bases, applied as P (sigma I - M): one projection per matvec.
+    ARPACK's vectors start in range(P) (v0 is projected) and are built
+    from projected products, and span(bases) is invariant under M (the
+    deflation basis by contract, the probe's vectors as eigenvectors), so
+    sigma I - M maps a rounding-level component in span(bases) back into
+    it, where the output projection removes it.  A GramOperator M enters
+    with its diagonal folded into the shift."""
 
-    def project(x):
-        for b, bt in held:
+    def __init__(self, a, sigma: float, held):
+        super().__init__(np.float64, a.shape)
+        self.a, self.held = a, held
+        self.gram = isinstance(a, GramOperator)
+        self.shift = sigma - a.diag if self.gram else sigma
+
+    def project(self, x):
+        for b, bt in self.held:
             x = x - b @ (bt @ x)
         return x
 
-    def matvec(x):
-        y = project(x)
-        return project(sigma * y - a @ y)
+    def _matvec(self, x):
+        y = np.ravel(x)
+        if self.gram:
+            y = self.shift * y + self.a.r @ (self.a.rt @ y)
+        else:
+            y = self.shift * y - self.a @ y
+        return self.project(y)
 
-    v0 = project(np.random.default_rng(seed).standard_normal(a.shape[0]))
+
+def _shifted_largest(a, sigma: float, k: int, bases, seed: int, tol: float = 0.0):
+    """The k smallest eigenpairs of M on the complement of `bases`, ascending,
+    as the k largest of P (sigma I - M) P, with C-ordered eigenvectors.
+    The bases are held once per solve (`_held_basis`), so a matvec
+    converts nothing.  `tol` is ARPACK's (0: machine precision); v0 is
+    seeded, as ARPACK's own changes between calls."""
+    op = _ShiftedOperator(a, sigma, _held_basis(bases))
+    v0 = op.project(np.random.default_rng(seed).standard_normal(a.shape[0]))
     try:
-        theta, vecs = eigsh(LinearOperator(a.shape, matvec=matvec, dtype=np.float64),
-                            k, which="LA", v0=v0, tol=tol)
+        theta, vecs = eigsh(op, k, which="LA", v0=v0, tol=tol)
     except ArpackNoConvergence as err:
         resid = _residuals(a, sigma - err.eigenvalues, err.eigenvectors)
         raise ConvergenceError("ARPACK did not converge",

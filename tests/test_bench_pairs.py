@@ -1,0 +1,110 @@
+"""Tests of `experiments/bench_pairs.py` on fabricated benchmark output:
+the table, the gain verdict and a failed run."""
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+METRICS = [{"name": "setup_s", "better": "lower"},
+           {"name": "train_pairs_per_s", "better": "higher"}]
+
+
+@pytest.fixture(scope="module")
+def pairs_mod():
+    spec = importlib.util.spec_from_file_location("bench_pairs",
+                                                  ROOT / "experiments" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_line(setup_s, pairs_per_s, correct=True, failed=0):
+    """The last line `benchmarks/run.py` prints, after a line of text."""
+    return "  setup_s  0.1 s\n" + json.dumps({
+        "correct": correct, "attempted": 100, "failed": failed,
+        "metrics": {"setup_s": {"value": setup_s, "unit": "s"},
+                    "train_pairs_per_s": {"value": pairs_per_s, "unit": "pairs/s"}}})
+
+
+def fabricated(pairs_mod, monkeypatch, readings):
+    """Patch the benchmark run to print readings[(tree, seed)] and record
+    the order of the runs."""
+    order = []
+
+    def fake(tree, workload, seed):
+        order.append((tree.name, seed))
+        return pairs_mod.last_json(run_line(*readings[tree.name, seed]), f"{tree} seed {seed}")
+
+    monkeypatch.setattr(pairs_mod, "run_once", fake)
+    return order
+
+
+def test_met_gain_and_alternating_order(pairs_mod, monkeypatch):
+    """B's set-up is 10% faster on 10 of 10 pairs, far outside A's
+    quartiles; its throughput is equal on every pair."""
+    readings = {}
+    for seed in range(5, 15):
+        readings["a", seed] = (0.100 + 0.001 * (seed % 3), 1000.0)
+        readings["b", seed] = (0.090 + 0.001 * (seed % 3), 1000.0)
+    order = fabricated(pairs_mod, monkeypatch, readings)
+    pairs = pairs_mod.run_pairs(Path("a"), Path("b"), "fit", 10, 5)
+    assert order[:4] == [("a", 5), ("b", 5), ("b", 6), ("a", 6)]
+    table = pairs_mod.table("fit", METRICS, pairs).splitlines()
+    # three runs read 0.100, three 0.101 and four 0.102: q25 interpolates to 0.10025
+    assert table[2] == ("| fit | setup_s | 0.101 [0.10025, 0.102] | 0.091 [0.09025, 0.092] "
+                        "| -9.9% | 10/10 | met |")
+    assert table[3].endswith("| +0.0% | 0/10 (10 ties) | not met |")
+
+
+@pytest.mark.parametrize("wins, spread, met", [
+    (9, 0.001, True),    # 9 of 10, a gap of ~0.01 against an IQR of ~0.001
+    (8, 0.001, False),   # too few wins
+    (10, 0.05, False),   # every pair won, but the gap is inside A's IQR
+])
+def test_verdict_needs_wins_and_a_gap_beyond_the_parent_iqr(pairs_mod, wins, spread, met):
+    rng = np.random.default_rng(0)
+    a = 0.1 + spread * rng.standard_normal(10)
+    b = a - 0.01
+    b[wins:] = a[wins:] + 0.001
+    assert pairs_mod.gain_met(a, b, lower=True) is met
+    assert pairs_mod.gain_met(-a, -b, lower=False) is met
+
+
+def test_ties_count_for_neither_side(pairs_mod):
+    a = np.full(10, 0.1)
+    assert not pairs_mod.gain_met(a, a.copy(), lower=True)
+    b = a.copy()
+    b[:9] = 0.05  # 9 wins and one tie: met
+    assert pairs_mod.gain_met(a, b, lower=True)
+    b[8] = 0.1    # 8 wins and two ties: not met
+    assert not pairs_mod.gain_met(a, b, lower=True)
+
+
+@pytest.mark.parametrize("bad", [dict(correct=False), dict(failed=2)])
+def test_a_failed_run_exits_1_naming_it(pairs_mod, monkeypatch, capsys, tmp_path, bad):
+    for tree in ("a", "b"):
+        (tmp_path / tree / "benchmarks").mkdir(parents=True)
+        (tmp_path / tree / "benchmarks" / "run.py").write_text("")
+        (tmp_path / tree / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    ok = (0.1, 1000.0)
+
+    def fake_run(cmd, **kwargs):
+        tree, seed = Path(cmd[1]).parents[1].name, int(cmd[-1])
+        line = run_line(*ok, **(bad if (tree, seed) == ("b", 4) else {}))
+        return type("Done", (), {"stdout": line, "returncode": 0})
+
+    monkeypatch.setattr(pairs_mod.subprocess, "run", fake_run)
+    status = pairs_mod.main([str(tmp_path / "a"), str(tmp_path / "b"), "--workload", "fit",
+                             "--pairs", "3", "--first-seed", "3"])
+    out, err = capsys.readouterr()
+    assert status == 1 and out == ""
+    assert err.startswith(f"run {tmp_path / 'b'} seed 4 is not correct or failed operations: {{")
+    # and without the failed run, the same call prints the table
+    bad.clear()
+    assert pairs_mod.main([str(tmp_path / "a"), str(tmp_path / "b"), "--workload", "fit",
+                           "--pairs", "3", "--first-seed", "3"]) == 0
+    assert "| fit | setup_s | 0.1 [0.1, 0.1] | 0.1 [0.1, 0.1] | +0.0% | 0/3 (3 ties) | not met |" \
+        in capsys.readouterr().out

@@ -31,7 +31,8 @@ def test_one_seed_of_a_tiny_cell(compare_mod):
     # one tree, one seed: the runs repeat exactly
     assert a == b and 0.0 <= a["recall"] <= 1.0 and 0.0 <= a["ndcg"] <= 1.0
     table = compare_mod.report([(cell, rows)])
-    assert "| 3 | " in table and "| tiny | recall@20 |" in table and "| yes |" in table
+    assert "| 3 | " in table and "| tiny | recall@20 |" in table
+    assert "| 0 / 0 | 1 | ±0.005 | no interval |" in table  # one seed gives no interval
 
 
 def test_tree_without_sources_rejected(compare_mod, tmp_path, capsys):
@@ -80,3 +81,41 @@ def test_a_capped_run_fails_and_names_the_cell(compare_mod, monkeypatch, capsys,
     else:
         assert "| 0/2 | 1/2 |" not in out and err == ""
 
+
+
+def fabricated_rows(diffs, base=0.3):
+    return [(seed, {"recall": base, "ndcg": base},
+             {"recall": base + d, "ndcg": base + d}) for seed, d in enumerate(diffs)]
+
+
+@pytest.mark.parametrize("diffs, want", [
+    ([0.01 + 0.001 * i for i in range(10)], "better"),
+    ([-0.01 - 0.001 * i for i in range(10)], "worse"),
+    ([(-1) ** i * 0.001 for i in range(10)], "equivalent"),
+    ([0.0] * 10, "equivalent"),
+    ([(-1) ** i * 0.02 for i in range(10)], "undecided: add seeds"),
+    ([0.02], "no interval"),
+], ids=["10-of-10-positive", "10-of-10-negative", "tight-symmetric", "identical",
+        "wide-symmetric", "one-seed"])
+def test_paired_verdicts(compare_mod, diffs, want):
+    """Fabricated seed rows give each verdict: an interval clear of 0, one
+    inside the +-0.005 margin, one wider than it, and none from one seed."""
+    s = compare_mod.summarize(fabricated_rows(diffs), "recall")
+    assert s["verdict"] == want
+    assert s["mean_diff"] == pytest.approx(np.mean(diffs))
+    if len(diffs) == 1:
+        assert s["interval"] is None
+    else:
+        low, high = s["interval"]
+        half = 2.262157162798205 * np.std(diffs, ddof=1) / np.sqrt(10)  # t(0.975, 9)
+        assert (low, high) == pytest.approx((np.mean(diffs) - half, np.mean(diffs) + half))
+
+
+def test_sign_test_counts_wins_and_drops_ties(compare_mod):
+    s = compare_mod.summarize(fabricated_rows([0.01] * 9 + [-0.01]), "ndcg")
+    assert (s["wins"], s["losses"]) == (9, 1)
+    assert s["sign_p"] == pytest.approx(0.021484375)  # 2 * 11 / 1024
+    s = compare_mod.summarize(fabricated_rows([0.01] * 8 + [0.0, 0.0]), "ndcg")
+    assert (s["wins"], s["losses"]) == (8, 0) and s["sign_p"] == pytest.approx(2 / 256)
+    s = compare_mod.summarize(fabricated_rows([0.0] * 3), "ndcg")
+    assert (s["wins"], s["losses"], s["sign_p"]) == (0, 0, 1.0)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given
+from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 import pgtr.linalg
@@ -16,6 +17,7 @@ from pgtr.linalg import (
     normalized_laplacian,
     pagerank,
     symmetric_eigs_smallest,
+    symmetric_normalized,
 )
 from pgtr.synthetic import clustered_interactions
 from test_encodings import awkward_interactions
@@ -70,22 +72,40 @@ def repeated_paths_graph(copies=100):
 
 
 def per_call_shifted_largest(a, sigma, k, bases, seed, tol=0.0):
-    """`linalg._shifted_largest` with each basis read as passed and
-    transposed again on every matvec: the oracle for the stored bases."""
+    """`linalg._shifted_largest` with the bases read as passed on every
+    projection: each sparse one projected out in turn with its transpose
+    taken again, then every dense one stacked again into one array.  The
+    oracle for the bases held once per solve."""
     def project(x):
         for b in bases:
-            if b is not None:
+            if sp.issparse(b):
                 x = x - b @ (b.T @ x)
+        dense = [b for b in bases if b is not None and not sp.issparse(b)]
+        if dense:
+            q = np.hstack(dense)
+            x = x - q @ (q.T @ x)
         return x
 
     def matvec(x):
-        y = project(x)
-        return project(sigma * y - a @ y)
+        if isinstance(a, GramOperator):
+            return project((sigma - a.diag) * x + a.r @ (a.rt @ x))
+        return project(sigma * x - a @ x)
 
     v0 = project(np.random.default_rng(seed).standard_normal(a.shape[0]))
     theta, vecs = eigsh(LinearOperator(a.shape, matvec=matvec, dtype=np.float64),
                         k, which="LA", v0=v0, tol=tol)
     return sigma - theta[::-1], vecs[:, ::-1]
+
+
+def product_normalized(adj):
+    """D^{-1/2} A D^{-1/2} as two sparse-diagonal products: the oracle for
+    `symmetric_normalized`."""
+    deg = np.asarray(adj.sum(axis=1)).ravel()
+    with np.errstate(divide="ignore"):
+        dinv = 1.0 / np.sqrt(deg)
+    dinv[~np.isfinite(dinv)] = 0.0
+    dhalf = sp.diags(dinv)
+    return (dhalf @ adj @ dhalf).tocsr()
 
 
 class TestEigensolver:
@@ -244,6 +264,31 @@ class TestEigensolver:
             symmetric_eigs_smallest(m, 3, deflate=np.eye(3)[:, :1])
 
 
+def assert_matches_per_call(monkeypatch, mat, k, deflate):
+    """`symmetric_eigs_smallest` equals itself with `_shifted_largest`
+    replaced by the per-call oracle, and each of its ARPACK solves, the
+    probe's included, equals the oracle's bit for bit."""
+    real, calls = pgtr.linalg._shifted_largest, []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(pgtr.linalg, "_shifted_largest", spy)
+        got = symmetric_eigs_smallest(mat, k, deflate=deflate)
+    with monkeypatch.context() as m:
+        m.setattr(pgtr.linalg, "_shifted_largest", per_call_shifted_largest)
+        want = symmetric_eigs_smallest(mat, k, deflate=deflate)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    assert len(calls) == 2
+    for args, kwargs in calls:
+        for held, per_call in zip(real(*args, **kwargs),
+                                  per_call_shifted_largest(*args, **kwargs)):
+            np.testing.assert_array_equal(held, per_call)
+
+
 class TestStoredBases:
     @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
     @pytest.mark.parametrize("graphs, k", [
@@ -254,13 +299,40 @@ class TestStoredBases:
             adj = g.full_adjacency()
             assert adj.shape[0] > DENSE_CUTOFF
             lap, null = normalized_laplacian(adj), laplacian_null_basis(adj)
-            deflate = null.toarray() if dense else null
-            got = symmetric_eigs_smallest(lap, k, deflate=deflate)
-            with monkeypatch.context() as m:
-                m.setattr(pgtr.linalg, "_shifted_largest", per_call_shifted_largest)
-                want = symmetric_eigs_smallest(lap, k, deflate=deflate)
-            np.testing.assert_array_equal(got[0], want[0])
-            np.testing.assert_array_equal(got[1], want[1])
+            assert_matches_per_call(monkeypatch, lap, k, null.toarray() if dense else null)
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+    def test_gram_matches_the_per_call_operator_bit_for_bit(self, monkeypatch, dense):
+        """The folded shift (sigma - d) y + R (R^T y) on a 600-user side."""
+        g, side, k = above_cutoff_sides()[0]
+        r, _, basis = side_gram(g, side)
+        assert r.shape[0] > DENSE_CUTOFF
+        assert_matches_per_call(monkeypatch, GramOperator(r), k,
+                                basis if dense else sp.csr_matrix(basis))
+
+    @pytest.mark.parametrize("k", [50, 200])
+    def test_densifies_no_basis_wider_than_the_krylov_basis(self, monkeypatch, k):
+        """The 300-column null basis of 260 K_{2,2} blocks and 40 isolated
+        items reaches ARPACK sparse at k = 50 (ncv 101) and dense at k = 200
+        (ncv 401); the eigenvalues match the dense oracle either way."""
+        adj = repeated_k22_graph(copies=260).full_adjacency()
+        lap, null = normalized_laplacian(adj), laplacian_null_basis(adj)
+        assert null.shape[1] == 300 and adj.shape[0] > DENSE_CUTOFF
+        passed = []
+        real = pgtr.linalg._shifted_largest
+
+        def spy(a, sigma, k, bases, seed, tol=0.0):
+            passed.append(bases[0])
+            return real(a, sigma, k, bases, seed, tol)
+
+        monkeypatch.setattr(pgtr.linalg, "_shifted_largest", spy)
+        vals, _ = symmetric_eigs_smallest(lap, k, deflate=null)
+        assert passed, "ARPACK was not reached"
+        for deflate in passed:
+            assert deflate.shape == null.shape
+            assert sp.issparse(deflate) == (null.shape[1] > max(2 * k + 1, 20))
+        ref_vals, _ = dense_smallest(lap, null.shape[1] + k)
+        np.testing.assert_allclose(vals, ref_vals[null.shape[1]:], atol=1e-10)
 
     def test_basis_layout_does_not_change_the_eigenpairs(self):
         rng = np.random.default_rng(5)
@@ -377,6 +449,54 @@ class TestGramOperator:
             r, assembled, _ = side_gram(g, side)
             assert GramOperator(r).one_norm() == pytest.approx(
                 pgtr.linalg._one_norm(assembled), rel=1e-14)
+
+
+def noncanonical_forms(adj, rng):
+    """`adj` with integer weights 1-4, as the canonical CSR, a shuffled
+    COO, a COO with explicit zeros added, a CSR with each row's indices
+    shuffled, and a shuffled CSR with about half its entries split into two
+    equal duplicates.  Halving is exact, so every form sums each row and
+    entry to the same bits."""
+    coo = adj.tocoo()
+    weights = rng.integers(1, 5, size=coo.nnz).astype(np.float64)
+    n = adj.shape[0]
+
+    def shuffled_csr(rows, cols, data):
+        order = np.lexsort((rng.random(len(rows)), rows))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        return sp.csr_matrix((data[order], cols[order], indptr), shape=adj.shape)
+
+    perm = rng.permutation(coo.nnz)
+    split = rng.random(coo.nnz) < 0.5
+    halves = np.where(split, weights / 2, weights)
+    zeros = rng.integers(0, n, size=(2, 5))
+    return [sp.csr_matrix((weights, (coo.row, coo.col)), shape=adj.shape),
+            sp.coo_matrix((weights[perm], (coo.row[perm], coo.col[perm])), shape=adj.shape),
+            sp.coo_matrix((np.concatenate([weights, np.zeros(5)]),
+                           (np.concatenate([coo.row, zeros[0]]),
+                            np.concatenate([coo.col, zeros[1]]))), shape=adj.shape),
+            shuffled_csr(coo.row, coo.col, weights),
+            shuffled_csr(np.concatenate([coo.row, coo.row[split]]),
+                         np.concatenate([coo.col, coo.col[split]]),
+                         np.concatenate([halves, weights[split] / 2]))]
+
+
+class TestSymmetricNormalized:
+    @given(ds=awkward_interactions(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_product_form_bit_for_bit(self, ds, seed):
+        """Canonical CSR out, with the two-product form's bits, from every
+        input form; the product keeps an unsorted input's order, so its
+        indices are sorted before the comparison."""
+        adj = build_graph(ds).full_adjacency()
+        for form in noncanonical_forms(adj, np.random.default_rng(seed)):
+            data = form.data.copy()
+            got, want = symmetric_normalized(form), product_normalized(form)
+            np.testing.assert_array_equal(form.data, data)  # the input is left as it was
+            want.sort_indices()
+            assert got.format == "csr" and got.has_canonical_format
+            np.testing.assert_array_equal(got.indptr, want.indptr)
+            np.testing.assert_array_equal(got.indices, want.indices)
+            np.testing.assert_array_equal(got.data, want.data)
 
 
 class TestNormalizedLaplacian:
