@@ -118,10 +118,11 @@ def _accum(t: Tensor, g: np.ndarray):
 def mix(a: Tensor, b: Tensor, wa: float, wb: float) -> Tensor:
     """a * wa + b * wb for same-shape tensors and Python-float weights, as
     one node: the position injection h + λ1·pos with wa = 1.0 (exact).  Bit
-    for bit the tests' taped `add(mul(a, wa), mul(b, wb))`."""
+    for bit the tests' taped `add(mul(a, wa), mul(b, wb))`.  With wa = 1.0,
+    `a` gets the upstream gradient itself: g * 1.0 would only copy it."""
     def bw(g):
         if a._needs:
-            _accum(a, g * wa)
+            _accum(a, g if wa == 1.0 else g * wa)
         if b._needs:
             _accum(b, g * wb)
 

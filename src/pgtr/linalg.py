@@ -128,6 +128,7 @@ class GramOperator:
         self.rt = self.r.T.tocsr()
         self.diag = (np.asarray(self.r.sum(axis=1)).ravel() > 0).astype(np.float64)
         self.shape = (self.r.shape[0],) * 2
+        self._norm = None
 
     def __matmul__(self, x):
         diag = self.diag if x.ndim == 1 else self.diag[:, None]
@@ -137,11 +138,14 @@ class GramOperator:
         return np.diag(self.diag) - (self.r @ self.rt).toarray()
 
     def one_norm(self) -> float:
-        """Exact ||M||_1.  R >= 0 makes R R^T >= 0, so column j of |M| sums
-        to (R R^T 1)_j - g_j + |diag_j - g_j| with g_j = sum_k R_jk^2."""
-        gram_diag = np.asarray(self.r.multiply(self.r).sum(axis=1)).ravel()
-        col = self.r @ (self.rt @ np.ones(self.shape[0]))
-        return float((col - gram_diag + np.abs(self.diag - gram_diag)).max())
+        """Exact ||M||_1, computed on the first call and kept, since R never
+        changes.  R >= 0 makes R R^T >= 0, so column j of |M| sums to
+        (R R^T 1)_j - g_j + |diag_j - g_j| with g_j = sum_k R_jk^2."""
+        if self._norm is None:
+            gram_diag = np.asarray(self.r.multiply(self.r).sum(axis=1)).ravel()
+            col = self.r @ (self.rt @ np.ones(self.shape[0]))
+            self._norm = float((col - gram_diag + np.abs(self.diag - gram_diag)).max())
+        return self._norm
 
 
 def _as_operator(mat):

@@ -77,7 +77,8 @@ def _row_entries(matrix: sp.csr_matrix, rows):
     return at, matrix.indices[entry]
 
 
-def _batch_mask(users: np.ndarray, items: np.ndarray, user_items: sp.csr_matrix):
+def _batch_mask(users: np.ndarray, items: np.ndarray, user_items: sp.csr_matrix,
+                mask: np.ndarray | None = None):
     """The (distinct users × distinct items) in-batch score table of a
     batch, as the coordinates of the entries it drops.
 
@@ -92,7 +93,10 @@ def _batch_mask(users: np.ndarray, items: np.ndarray, user_items: sp.csr_matrix)
     back, and `kept` counts that row's entries.  `untrained` is true where
     a pair's item is not among its user's training items, so its entry is
     not in `drop`.  Only the batch users' CSR rows are read, each stored
-    item mapped to its column through a lookup of the distinct items."""
+    item mapped to its column through a lookup of the distinct items.
+    The dropped entries are marked in a flat bool table of m * n entries:
+    a new one, or the cleared prefix of `mask`, a buffer of at least that
+    many entries that `train` holds for its whole call."""
     batch_users, urow = np.unique(users, return_inverse=True)
     uniq, inv = np.unique(items, return_inverse=True)
     m, n = batch_users.size, uniq.size
@@ -103,7 +107,11 @@ def _batch_mask(users: np.ndarray, items: np.ndarray, user_items: sp.csr_matrix)
     at = col >= 0
     row = row[at]
     drop = row * n + col[at]
-    dropped = np.zeros(m * n, dtype=bool)
+    if mask is None:
+        dropped = np.zeros(m * n, dtype=bool)
+    else:
+        dropped = mask[:m * n]
+        dropped.fill(False)
     dropped[drop] = True
     untrained = ~dropped[urow * n + inv]
     kept = (n - np.bincount(row, minlength=m))[urow] + ~untrained
@@ -111,7 +119,7 @@ def _batch_mask(users: np.ndarray, items: np.ndarray, user_items: sp.csr_matrix)
 
 
 def batch_loss(state: ModelState, users: np.ndarray, items: np.ndarray,
-               user_items) -> tuple[Tensor, int]:
+               user_items, *, _tables=None) -> tuple[Tensor, int]:
     """Tape-recorded sampled-softmax loss for one batch of (user, item) pairs.
 
     `user_items` marks each user's training items: a scipy sparse matrix
@@ -136,7 +144,13 @@ def batch_loss(state: ModelState, users: np.ndarray, items: np.ndarray,
     or lies outside [0, n_items), when a pair's id is not
     an integer (a DataError naming the side) or is out of range, or when
     a pair's item is not among its user's training items.
+
+    `_tables` is private to `train`: its pair of flat buffers, the score
+    table's and the mask's, that the step's tables are written into (see
+    `train`).  Left out, as every other caller leaves it, each call
+    allocates its own.
     """
+    table, mask = (None, None) if _tables is None else _tables
     user_items = _user_items(user_items, "user_items", (state.n_users, state.n_items),
                              "the model's user-item table")
     if np.shape(users) != np.shape(items):
@@ -151,7 +165,7 @@ def batch_loss(state: ModelState, users: np.ndarray, items: np.ndarray,
     # cast once in range: an id outside int64 would wrap
     users, items = (np.asarray(ids).astype(np.int64, copy=False) for ids in (users, items))
     batch_users, urow, uniq, inv, drop, kept, untrained = _batch_mask(users, items,
-                                                                      user_items)
+                                                                      user_items, mask)
     if untrained.any():
         a = int(np.argmax(untrained))
         raise ValueError(f"pair {a} (user {int(users[a])}, item {int(items[a])}): "
@@ -161,7 +175,7 @@ def batch_loss(state: ModelState, users: np.ndarray, items: np.ndarray,
     if n_keep == 0:
         raise NoNegativesError("every pair in the batch lacks negatives")
     loss = _in_batch_softmax(forward(state), batch_users, state.n_users + uniq, urow[keep],
-                             inv[keep], drop, 1.0 / state.config.tau)
+                             inv[keep], drop, 1.0 / state.config.tau, table)
     ad.check_finite(loss)
     return loss, users.size - n_keep
 
@@ -188,7 +202,7 @@ _MIN_ROW_TOTAL = 2.0 ** -64
 
 def _in_batch_softmax(h: Tensor, user_rows: np.ndarray, item_rows: np.ndarray,
                       urow: np.ndarray, inv: np.ndarray, drop: np.ndarray,
-                      inv_tau: float) -> Tensor:
+                      inv_tau: float, table: np.ndarray | None = None) -> Tensor:
     """The mean over pairs of log-sum-exp over a pair's kept scores minus
     its positive score, as one tape node whose parent is the node table `h`.
 
@@ -216,14 +230,20 @@ def _in_batch_softmax(h: Tensor, user_rows: np.ndarray, item_rows: np.ndarray,
     and a row of norm r read from h gets (D - unit (D . unit)) / r, the
     normalization's Jacobian, written straight into h's gradient (the rows
     are distinct, and every other row gets 0).  The op holds one (m, u)
-    table, in h's dtype.
+    table, in h's dtype: a new array, or, when `table` is a flat buffer of
+    h's dtype (`train`'s), a view of its first m * u entries, which the
+    next step that writes the buffer overwrites.  Such a loss's backward
+    must run before that step, as `train` runs it.
     """
     rows = np.concatenate([user_rows, item_rows])
     unit, norms = _unit_rows(h.data, rows)
     u = unit[:user_rows.size] * inv_tau
     items = unit[user_rows.size:]
-    e = u @ items.T
-    m, n = e.shape
+    m, n = user_rows.size, item_rows.size
+    if table is None or table.dtype != u.dtype:
+        e = u @ items.T
+    else:
+        e = np.matmul(u, items.T, out=table[:m * n].reshape(m, n))
     ones = np.ones(n, dtype=e.dtype)
     # in the table's dtype: a float64 shift would promote a float32 loss
     row_shift = np.full(m, inv_tau, dtype=e.dtype)
@@ -281,6 +301,15 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
     warning.  A NumericsError in a step or in validation (a non-finite node table,
     loss or parameter gradient, or a zero-norm row that either reads)
     stops training with a warning and restores the best parameters.
+
+    The call holds two flat buffers, allocated before the first step and
+    released when it returns: the in-batch score table's, in the
+    embeddings' dtype, and the mask's, bool.  Each holds min(batch_size,
+    n_users) x min(batch_size, n_items) entries, the largest table a batch
+    makes, and every step writes its tables into their prefixes, so a
+    step reuses the pages of the one before instead of faulting in fresh
+    ones.  The next step's `batch_loss` overwrites a step's table, so each
+    step's backward runs before it.
     """
     shape = (state.n_users, state.n_items)
     for name, ds in (("fit", fit), ("val", val)):
@@ -292,6 +321,8 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
     params = [t for _, t in named]
     opt = AdamState(params, lr=cfg.lr)
     train_items = fit.user_item_matrix()
+    size = min(cfg.batch_size, state.n_users) * min(cfg.batch_size, state.n_items)
+    tables = (np.empty(size, dtype=state.embeddings.data.dtype), np.empty(size, dtype=bool))
 
     best_recall = -np.inf
     best_params = [p.data.copy() for p in params]
@@ -314,7 +345,8 @@ def train(state: ModelState, fit: InteractionDataset, val: InteractionDataset,
                 # its own backward, cost ~77k and ~400k minor page faults per
                 # fit-b256 `train()` (ROADMAP, Recent).
                 try:
-                    loss, skipped = batch_loss(state, fit.users[sel], fit.items[sel], train_items)
+                    loss, skipped = batch_loss(state, fit.users[sel], fit.items[sel], train_items,
+                                               _tables=tables)
                 except NoNegativesError:
                     skipped_pairs += sel.size
                     continue

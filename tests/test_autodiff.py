@@ -690,6 +690,20 @@ class TestMixAndMean:
         self._same_bits(lambda ts: ad.mix(*ts, 1.0, 0.37),
                         lambda ts: add(ts[0], mul(ts[1], 0.37)), arrays)
 
+    @pytest.mark.parametrize("wa", [1.0, 0.5])
+    def test_unit_weight_hands_on_the_upstream_gradient(self, wa):
+        """With wa = 1.0, `a` gets the array its consumer handed `mix`, not
+        a copy; another weight allocates g * wa."""
+        rng = np.random.default_rng(8)
+        a, b = parameter(rng.normal(size=(4, 3))), parameter(rng.normal(size=(4, 3)))
+        out = ad.mix(a, b, wa, 0.37)
+        upstream = rng.normal(size=(4, 3))
+        root = ad._make(np.array(0.0), "consumer", (out,), lambda g: ad._accum(out, upstream))
+        ad.backward(root)
+        assert np.shares_memory(a.grad, upstream) == (wa == 1.0)
+        assert a.grad.tobytes() == (upstream * wa).tobytes()
+        assert b.grad.tobytes() == (upstream * 0.37).tobytes()
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_mean_matches_taped_composition(self, n):
         rng = np.random.default_rng(n)

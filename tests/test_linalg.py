@@ -1,4 +1,6 @@
 """Eigensolver and PageRank tests against dense oracles."""
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -449,6 +451,42 @@ class TestGramOperator:
             r, assembled, _ = side_gram(g, side)
             assert GramOperator(r).one_norm() == pytest.approx(
                 pgtr.linalg._one_norm(assembled), rel=1e-14)
+
+    def test_lifted_setup_computes_the_norm_once(self, monkeypatch):
+        """The lifted spectral encoding reads its side operator's 1-norm
+        three times (the solve, its residual certificate and the lift's gap
+        check), and R's elementwise square, which only the norm takes, is
+        formed once.  The kept norm is the bits of a fresh computation."""
+        enc = sys.modules["pgtr.encodings"]
+        ops, reads, squares = [], [], []
+        real_solve, real_norm = enc.symmetric_eigs_smallest, GramOperator.one_norm
+        real_multiply = sp.csr_matrix.multiply
+
+        def solve(mat, *args, **kwargs):
+            ops.append(mat)
+            return real_solve(mat, *args, **kwargs)
+
+        def one_norm(self):
+            reads.append(self)
+            return real_norm(self)
+
+        def multiply(self, other):
+            if other is self:
+                squares.append(self)
+            return real_multiply(self, other)
+
+        monkeypatch.setattr(enc, "symmetric_eigs_smallest", solve)
+        monkeypatch.setattr(GramOperator, "one_norm", one_norm)
+        monkeypatch.setattr(sp.csr_matrix, "multiply", multiply)
+        g = random_bipartite(np.random.default_rng(3), 40, 90)
+        enc.spectral_encoding(g, 4)
+        assert len(ops) == 1 and isinstance(ops[0], GramOperator)
+        op = ops[0]
+        assert len(reads) == 3 and all(read is op for read in reads)
+        assert sum(square is op.r for square in squares) == 1
+        gram_diag = np.asarray(op.r.multiply(op.r).sum(axis=1)).ravel()
+        col = op.r @ (op.rt @ np.ones(op.shape[0]))
+        assert op.one_norm() == float((col - gram_diag + np.abs(op.diag - gram_diag)).max())
 
 
 def noncanonical_forms(adj, rng):

@@ -6,8 +6,11 @@ import math
 import re
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -994,6 +997,156 @@ class TestTrainLoop:
         for value in (getattr(cfg, field), 0):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(cfg, field, value)
+
+
+class TestStepBuffers:
+    """`train`'s two flat buffers, the score table's and the mask's, held
+    for the call and written by every step."""
+
+    @staticmethod
+    def _setup(dtype, backbone):
+        ds = clustered_interactions(24, 30, 3, per_user=8, seed=3)
+        fit, val, _ = split_by_ratio(ds, SplitSpec(0.75, seed=3))
+        g = build_graph(fit)
+        cfg = PGTRConfig(d=6, layers=1, h_c=2, h_d=2, h_r=2, h_y=2, n_d=2, n_r=2,
+                         lambda3=0.5, backbone=backbone)
+        state = init_model(g, cfg, seed=3)
+        if dtype == np.float64:
+            state = as_float64(state, g)
+        return state, fit, val
+
+    @staticmethod
+    def _step(state, users, items, user_items, **tables):
+        """One step's loss bytes and each parameter's gradient bytes."""
+        params = state.parameters()
+        ad.zero_grad(params)
+        loss, _ = batch_loss(state, users, items, user_items, **tables)
+        ad.backward(loss)
+        return [loss.data.tobytes()] + [None if p.grad is None else p.grad.tobytes()
+                                        for p in params]
+
+    @staticmethod
+    def _spy_tables(monkeypatch, seen):
+        """Make `_in_batch_softmax` call `seen(table, loss)` on each step."""
+        train_mod = sys.modules["pgtr.train"]
+        real = train_mod._in_batch_softmax
+
+        def spy(*args):
+            loss = real(*args)
+            seen(args[-1], loss)
+            return loss
+
+        monkeypatch.setattr(train_mod, "_in_batch_softmax", spy)
+
+    @pytest.mark.parametrize("backbone", ["lightgcn", "transform-gcn"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_reused_buffers_match_fresh_tables(self, dtype, backbone):
+        """Batches whose tables grow, shrink and grow again, written into
+        buffers that start full of NaN and True: every step's loss and
+        gradients are the bytes of `batch_loss` allocating its own.  The
+        mask marks the dropped entries, and a pair whose entry is not
+        marked is one the user never trained on: each batch with such a
+        pair added, in its user's row, the table's last, is rejected as
+        without the buffers, which a stale True there would hide."""
+        state, fit, _ = self._setup(dtype, backbone)
+        user_items = fit.user_item_matrix()
+        order = np.random.default_rng(5).permutation(len(fit))
+        sizes = [40, 6, 24, 3, len(fit)]
+        size = state.n_users * state.n_items
+        tables = (np.full(size, np.nan, dtype=dtype), np.ones(size, dtype=bool))
+        shapes = []
+        for b in sizes:
+            sel = order[:b]
+            users, items = fit.users[sel], fit.items[sel]
+            shapes.append((np.unique(users).size, np.unique(items).size))
+            last = users.max()
+            never = np.flatnonzero(~user_items[last].toarray().ravel())[-1]
+            bad_users, bad_items = np.append(users, last), np.append(items, never)
+            with pytest.raises(ValueError, match="not among the user's training items") as err:
+                batch_loss(state, bad_users, bad_items, user_items)
+            with pytest.raises(ValueError, match=re.escape(str(err.value))):
+                batch_loss(state, bad_users, bad_items, user_items, _tables=tables)
+            assert (self._step(state, users, items, user_items, _tables=tables)
+                    == self._step(state, users, items, user_items))
+            order = np.roll(order, 7)
+        areas = [m * n for m, n in shapes]
+        assert areas[0] > areas[1] < areas[2] > areas[3] < areas[4] == max(areas)
+        # the steps wrote the buffers' prefixes, and nothing past them
+        assert np.isfinite(tables[0][:areas[4]]).all() and np.isnan(tables[0][areas[4]:]).all()
+        assert not tables[1][:areas[4]].all() and tables[1][areas[4]:].all()
+        # a score buffer of another dtype is left alone, not cast into
+        other = np.full(size, np.nan, dtype=np.float64 if dtype == np.float32 else np.float32)
+        assert (self._step(state, users, items, user_items, _tables=(other, tables[1]))
+                == self._step(state, users, items, user_items))
+        assert np.isnan(other).all()
+
+    def test_consecutive_steps_share_one_buffer(self, monkeypatch):
+        """Each step's table, held by its loss's backward, is a view of one
+        base buffer of the call, whatever its shape."""
+        held = []
+
+        def seen(table, loss):
+            views = [a for a in held_arrays(loss) if a.base is table]
+            assert len(views) == 1 and views[0].ndim == 2
+            held.append((table, views[0].shape))
+
+        self._spy_tables(monkeypatch, seen)
+        state, fit, val = self._setup(np.float32, "lightgcn")
+        train(state, fit, val, TrainConfig(batch_size=32, max_epochs=2, patience=2))
+        assert len(held) >= 4 and len({shape for _, shape in held}) > 1
+        buffer = held[0][0]
+        assert buffer.ndim == 1 and buffer.dtype == np.float32
+        assert all(table is buffer for table, _ in held)
+
+    def test_buffers_released_when_train_returns(self, monkeypatch):
+        buffers = []
+        self._spy_tables(monkeypatch, lambda table, loss: buffers.append(weakref.ref(table)))
+        state, fit, val = self._setup(np.float32, "lightgcn")
+        train(state, fit, val, TrainConfig(batch_size=32, max_epochs=2, patience=2))
+        assert buffers and all(ref() is None for ref in buffers)
+        for name, module in list(sys.modules.items()):
+            if name == "pgtr" or name.startswith("pgtr."):
+                held = [key for key, value in vars(module).items()
+                        if isinstance(value, np.ndarray)]
+                assert not held, f"{name} holds arrays {held}"
+
+    def test_concurrent_calls_use_their_own_buffers(self, monkeypatch):
+        """Three concurrent `train` calls, more than the host's cores, with
+        the interpreter switching threads often: each writes one buffer of
+        its own and trains exactly as a call alone does."""
+        cfg = TrainConfig(batch_size=32, max_epochs=2, patience=2)
+        n_calls = 3
+
+        def run():
+            state, fit, val = self._setup(np.float32, "lightgcn")
+            _, history = train(state, fit, val, cfg)
+            return [h["train_loss"] for h in history], [p.data.tobytes()
+                                                        for p in state.parameters()]
+
+        alone = run()
+        used = {}
+        all_started = threading.Barrier(n_calls, timeout=60)
+
+        def seen(table, loss):
+            tables = used.setdefault(threading.get_ident(), [])
+            if not tables:
+                all_started.wait()  # every call holds its buffers from here on
+            tables.append(table)
+
+        self._spy_tables(monkeypatch, seen)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=n_calls) as pool:
+                futures = [pool.submit(run) for _ in range(n_calls)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [alone] * n_calls
+        assert len(used) == n_calls
+        firsts = [tables[0] for tables in used.values()]
+        assert all(t is tables[0] for tables in used.values() for t in tables)
+        assert len({id(t) for t in firsts}) == n_calls
 
 
 @settings(max_examples=40, deadline=None)
