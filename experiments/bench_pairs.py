@@ -1,4 +1,4 @@
-"""Alternating benchmark pairs of two source trees, with the gain verdict.
+"""Alternating benchmark pairs of two source trees, with gain and bound verdicts.
 
     python3 experiments/bench_pairs.py A B --workload W [--pairs N] [--first-seed S]
 
@@ -14,10 +14,15 @@ It then prints one Markdown row per end-to-end metric of A's
 BENCHMARK.json: each tree's median with its [q25, q75] over the pairs,
 B / A - 1 of the medians, and B's wins (a pair where B reads better in
 the metric's direction; equal readings are ties and count for neither).
-The last column is the gain verdict: "met" when B wins at least 9 in 10
-of all pairs and the medians differ by more than A's interquartile
-range, "not met" otherwise.  It imports no pgtr: each run imports its
-own tree's sources.
+Two verdicts follow.  The gain verdict is "met" when B wins at least 9
+in 10 of all pairs and the medians differ by more than A's interquartile
+range, "not met" otherwise.  The no-regression verdict is "worse beyond
+bound" when B's median is worse than A's, in the metric's direction, by
+more than the metric's `bound` times A's median, and "within bound"
+otherwise.  When any metric is worse beyond its bound, the script names
+those metrics on stderr and exits with status 1.  It imports no pgtr:
+each run imports its own tree's sources, and it reads only A's
+BENCHMARK.json.
 """
 import argparse
 import json
@@ -79,26 +84,41 @@ def gain_met(a: np.ndarray, b: np.ndarray, lower: bool) -> bool:
     return bool(wins >= 0.9 * len(a) and gap > q75 - q25)
 
 
-def row(metric: dict, pairs: list[tuple[dict, dict]]) -> str:
-    """The Markdown cells of one end-to-end metric {"name", "better"}."""
-    name, lower = metric["name"], metric["better"] == "lower"
+def worse_beyond_bound(a: np.ndarray, b: np.ndarray, lower: bool, bound: float) -> bool:
+    """B's median worse than A's, in the metric's direction, by more than
+    `bound` times A's median."""
+    worse = np.median(b) - np.median(a) if lower else np.median(a) - np.median(b)
+    return bool(worse > bound * abs(np.median(a)))
+
+
+def readings(metric: dict, pairs: list[tuple[dict, dict]]):
+    """A's and B's values of `metric` over the pairs, and whether lower is better."""
+    name = metric["name"]
     a = np.array([ra["metrics"][name]["value"] for ra, _ in pairs])
     b = np.array([rb["metrics"][name]["value"] for _, rb in pairs])
+    return a, b, metric["better"] == "lower"
+
+
+def row(metric: dict, pairs: list[tuple[dict, dict]]) -> str:
+    """The Markdown cells of one end-to-end metric {"name", "better", "bound"}."""
+    a, b, lower = readings(metric, pairs)
     wins = int(np.sum(b < a if lower else b > a))
     ties = int(np.sum(a == b))
     (qa25, med_a, qa75), (qb25, med_b, qb75) = (np.percentile(v, [25, 50, 75]) for v in (a, b))
     change = f"{med_b / med_a - 1:+.1%}" if med_a else "—"
     tied = f" ({ties} ties)" if ties else ""
-    return (f"| {name} | {med_a:.6g} [{qa25:.6g}, {qa75:.6g}] "
+    beyond = worse_beyond_bound(a, b, lower, metric["bound"])
+    return (f"| {metric['name']} | {med_a:.6g} [{qa25:.6g}, {qa75:.6g}] "
             f"| {med_b:.6g} [{qb25:.6g}, {qb75:.6g}] | {change} "
             f"| {wins}/{len(pairs)}{tied} "
-            f"| {'met' if gain_met(a, b, lower) else 'not met'} |")
+            f"| {'met' if gain_met(a, b, lower) else 'not met'} "
+            f"| {'worse beyond bound' if beyond else 'within bound'} |")
 
 
 def table(workload: str, metrics: list[dict], pairs: list[tuple[dict, dict]]) -> str:
     lines = ["| workload | metric | parent median [q25, q75] | change median [q25, q75] "
-             "| change/parent − 1 | change wins | gain verdict |",
-             "|---|---|---|---|---|---|---|"]
+             "| change/parent − 1 | change wins | gain verdict | no-regression verdict |",
+             "|---|---|---|---|---|---|---|---|"]
     lines += [f"| {workload} {row(metric, pairs)}" for metric in metrics]
     return "\n".join(lines)
 
@@ -124,6 +144,10 @@ def main(argv=None) -> int:
         print(err, file=sys.stderr)
         return 1
     print(table(args.workload, metrics, pairs))
+    worse = [m["name"] for m in metrics if worse_beyond_bound(*readings(m, pairs), m["bound"])]
+    if worse:
+        print(f"worse beyond bound: {', '.join(worse)}", file=sys.stderr)
+        return 1
     return 0
 
 

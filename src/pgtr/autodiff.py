@@ -21,11 +21,10 @@ first gradient it receives as given and never writes into it: each later
 one allocates a new sum, and two read-only broadcasts of one row sum as
 one row.
 
-An op records a backward closure only when some input needs a gradient
-(a trainable leaf or a node computed from one), and the closure computes
-the gradient of just those inputs.  Every node keeps its parents, so a
-forward run with no parameter needing a gradient holds no closures but
-`check_finite` can still walk it.
+Every op records a backward closure that accumulates into all of its
+inputs: every leaf of a tape the model builds is a parameter, and what
+gets trained is what `ModelState.named_parameters()` lists.  Every node
+keeps its parents, which `check_finite` walks.
 
 A tensor holds float32 or float64 data (anything else becomes float64),
 and each op computes in the dtype of its inputs: the model's float32
@@ -42,7 +41,6 @@ import numpy as np
 __all__ = [
     "NumericsError",
     "Tensor",
-    "parameter",
     "mix",
     "mean",
     "backward",
@@ -61,42 +59,33 @@ def _as_array(x) -> np.ndarray:
 
 
 class Tensor:
-    """Array node in the computation graph.
-
-    `trainable` marks optimizer-owned leaves; interior nodes carry a
-    backward closure that accumulates into their parents' `.grad`.  Clear
-    `.grad` to None (`zero_grad`) before a new accumulation.
+    """Array node in the computation graph: a leaf, such as a parameter, or
+    an interior node whose backward closure accumulates into its parents'
+    `.grad`.  Clear `.grad` to None (`zero_grad`) before a new
+    accumulation.
     """
 
-    __slots__ = ("data", "grad", "trainable", "_parents", "_backward", "_op", "_needs")
+    __slots__ = ("data", "grad", "_parents", "_backward", "_op")
 
-    def __init__(self, data, trainable: bool = False):
+    def __init__(self, data):
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
-        self.trainable = bool(trainable)
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
         self._op = "leaf"
-        self._needs = self.trainable
 
     def item(self) -> float:
         return float(self.data)
 
     def __repr__(self):
-        return f"Tensor({self._op}, shape={self.data.shape}, trainable={self.trainable})"
-
-
-def parameter(data) -> Tensor:
-    return Tensor(data, trainable=True)
+        return f"Tensor({self._op}, shape={self.data.shape})"
 
 
 def _make(data, op: str, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
     out._op = op
     out._parents = parents
-    if any(p._needs for p in parents):
-        out._backward = backward_fn
-        out._needs = True
+    out._backward = backward_fn
     return out
 
 
@@ -121,10 +110,8 @@ def mix(a: Tensor, b: Tensor, wa: float, wb: float) -> Tensor:
     for bit the tests' taped `add(mul(a, wa), mul(b, wb))`.  With wa = 1.0,
     `a` gets the upstream gradient itself: g * 1.0 would only copy it."""
     def bw(g):
-        if a._needs:
-            _accum(a, g if wa == 1.0 else g * wa)
-        if b._needs:
-            _accum(b, g * wb)
+        _accum(a, g if wa == 1.0 else g * wa)
+        _accum(b, g * wb)
 
     return _make(a.data * wa + b.data * wb, "mix", (a, b), bw)
 
@@ -141,8 +128,7 @@ def mean(tables: list[Tensor]) -> Tensor:
     def bw(g):
         share = g * scale
         for t in tables:
-            if t._needs:
-                _accum(t, share)
+            _accum(t, share)
 
     return _make(total, "mean", tuple(tables), bw)
 
@@ -180,7 +166,8 @@ def check_finite(root: Tensor):
 
 
 def backward(loss: Tensor):
-    """Accumulate d(loss)/d(leaf) into `.grad` of every reachable leaf.
+    """Accumulate d(loss)/d(leaf) into `.grad` of every reachable leaf,
+    whatever made it: every node differentiates all of its parents.
 
     Each interior node's `.grad` and backward closure are released once the
     closure has run, so the arrays they hold are freed as backward goes and
@@ -188,8 +175,6 @@ def backward(loss: Tensor):
     `.data` and parents."""
     if loss.data.size != 1:
         raise ValueError("backward requires a scalar loss")
-    if not loss._needs:
-        return
     loss.grad = np.ones_like(loss.data)
     for node in reversed(_topo_order(loss)):
         if node._backward is not None:

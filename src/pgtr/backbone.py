@@ -61,16 +61,14 @@ def propagate_layer(h: Tensor, adj: sp.csr_matrix, transform: Tensor | None = No
     def bw(g):
         if lambda3 != 0.0:
             col = _row_sum(g) * (lambda3 / g.shape[0])
-            if pos is not None and pos._needs:
+            if pos is not None:
                 ad._accum(pos, np.broadcast_to(col * lambda2, g.shape))
             g = g * (1.0 - lambda3) + col
         if transform is not None:
             dz = np.where(mask, g, LEAKY_SLOPE * g)
-            if transform._needs:
-                ad._accum(transform, (x.T @ dz).T)
+            ad._accum(transform, (x.T @ dz).T)
             g = dz @ transform.data
-        if h._needs:
-            ad._accum(h, np.asarray(adj @ g))
+        ad._accum(h, np.asarray(adj @ g))
 
     parents = tuple(t for t in (h, transform, pos) if t is not None)
     return ad._make(out, "propagate_layer", parents, bw)

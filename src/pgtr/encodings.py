@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
-from .autodiff import Tensor, parameter
+from .autodiff import Tensor
 from .data import BipartiteGraph
 from .linalg import (RESIDUAL_TOL, ConvergenceError, GramOperator,
                      certified_eigenvectors, laplacian_null_basis, normalized_laplacian,
@@ -135,8 +135,9 @@ def spectral_encoding(g: BipartiteGraph, h_c: int) -> np.ndarray:
 
 
 def _init_table(rows: int, cols: int, rng: np.random.Generator) -> Tensor:
+    """A (rows, cols) parameter drawn from U(-0.1/sqrt(cols), 0.1/sqrt(cols))."""
     bound = 0.1 / np.sqrt(cols)
-    return parameter(rng.uniform(-bound, bound, size=(rows, cols)))
+    return Tensor(rng.uniform(-bound, bound, size=(rows, cols)))
 
 
 def _group_ids(g: BipartiteGraph, name: str, groups: int) -> np.ndarray:

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, check_finite, mean, mix, parameter
+from .autodiff import Tensor, check_finite, mean, mix
 from .backbone import normalized_adjacency, propagate_layer
 from .data import BipartiteGraph, check_field_types
-from .encodings import PositionalEncodingSet, build_encoding_set, position_tape
+from .encodings import PositionalEncodingSet, _init_table, build_encoding_set, position_tape
 
 __all__ = [
     "PGTRConfig",
@@ -153,13 +153,11 @@ def _init_model(graph: BipartiteGraph, cfg: PGTRConfig, seed: int,
     `build_encoding_set`) instead of computing them when it is not None."""
     rng = np.random.default_rng(seed)
     n_nodes = graph.n_users + graph.n_items
-    embeddings = parameter(rng.normal(0.0, EMBED_INIT_STD, size=(n_nodes, cfg.d)))
+    embeddings = Tensor(rng.normal(0.0, EMBED_INIT_STD, size=(n_nodes, cfg.d)))
     enc = build_encoding_set(graph, cfg, rng, stored)
-    bound = 0.1 / np.sqrt(cfg.d)
     transforms = []
     if cfg.backbone == "transform-gcn":
-        transforms = [parameter(rng.uniform(-bound, bound, size=(cfg.d, cfg.d)))
-                      for _ in range(cfg.layers)]
+        transforms = [_init_table(cfg.d, cfg.d, rng) for _ in range(cfg.layers)]
     state = ModelState(cfg, graph.n_users, graph.n_items, _graph_hash(graph),
                        normalized_adjacency(graph).astype(MODEL_DTYPE), embeddings, enc,
                        transforms, seed)

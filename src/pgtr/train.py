@@ -559,26 +559,17 @@ def evaluate(state: ModelState, observed: InteractionDataset, test: InteractionD
     built.
     `observed` and `test` are datasets, each ranked through its cached
     `user_item_matrix()`; a matrix raises TypeError (`ranking_metrics`
-    takes matrices).  The forward runs with no parameter needing a
-    gradient, so its ops record no backward closures; its rows are
-    normalized in plain numpy for the cosine scores.  Raises NumericsError
-    when a node's representation is not finite (`forward` names the op) or
-    has zero norm (`_unit_rows` names the node), so `train` takes its
-    divergence path on it.
+    takes matrices).  Only the forward's node table is read: its tape is
+    dropped without a backward, so no parameter's `.grad` changes, and its
+    rows are normalized in plain numpy for the cosine scores.  Raises
+    NumericsError when a node's representation is not finite (`forward`
+    names the op) or has zero norm (`_unit_rows` names the node), so
+    `train` takes its divergence path on it.
     """
     for name, items in (("observed", observed), ("test", test)):
         if not isinstance(items, InteractionDataset):
             raise TypeError(f"evaluate's {name} must be an InteractionDataset, got "
                             f"{type(items).__name__}; rank matrices with ranking_metrics")
-    params = state.parameters()
-    needs = [p._needs for p in params]
-    try:
-        for p in params:
-            p._needs = False
-        h = forward(state).data
-    finally:
-        for p, need in zip(params, needs):
-            p._needs = need
-    h_norm, _ = _unit_rows(h)
+    h_norm, _ = _unit_rows(forward(state).data)
     scores = h_norm[:state.n_users] @ h_norm[state.n_users:].T
     return ranking_metrics(scores, observed.user_item_matrix(), test.user_item_matrix(), k)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import pgtr.autodiff as ad
-from pgtr.autodiff import parameter
+from pgtr.autodiff import Tensor
 from pgtr.data import build_graph
 from pgtr.model import PGTRConfig, init_model
 from pgtr.synthetic import clustered_interactions
@@ -127,7 +127,7 @@ class TestColumnMean:
 
     def test_one_node_per_layer(self):
         """The whole term is one node whose only parent is its input."""
-        h = parameter(np.random.default_rng(19).normal(0, 0.3, size=(12, 4)))
+        h = Tensor(np.random.default_rng(19).normal(0, 0.3, size=(12, 4)))
         out = column_mean(h)
         assert out._op == "column_mean"
         assert out._parents == (h,)
@@ -146,7 +146,7 @@ class TestFloat32:
             g = rng.standard_normal(x.shape)
 
             def run(dtype):
-                h = parameter(x.astype(dtype))
+                h = Tensor(x.astype(dtype))
                 out = column_mean(h)
                 ad.backward(sum_axis(mul(out, constant(g.astype(dtype))), axis=None,
                                      keepdims=False))

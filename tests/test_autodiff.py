@@ -24,12 +24,13 @@ import pytest
 import scipy.sparse as sp
 
 import pgtr.autodiff as ad
-from pgtr.autodiff import NumericsError, Tensor, parameter
+from pgtr.autodiff import NumericsError, Tensor
 from pgtr.backbone import LEAKY_SLOPE, normalized_adjacency, propagate_layer
 
 
 def constant(data) -> Tensor:
-    """A leaf that takes no gradient."""
+    """A leaf standing for a fixed input.  Like every leaf it receives a
+    gradient from `backward`, which the tests do not read."""
     return Tensor(data)
 
 
@@ -100,12 +101,10 @@ def _wrap(x, dtype) -> Tensor:
 
 def _binary(op: str, data, a: Tensor, b: Tensor, grad_a, grad_b) -> Tensor:
     """Record a two-operand op.  `grad_a(g)` / `grad_b(g)` map the output
-    gradient to an operand's and run only for an operand that needs one."""
+    gradient to an operand's; both operands receive theirs."""
     def bw(g):
-        if a._needs:
-            ad._accum(a, _unbroadcast(grad_a(g), a.data.shape))
-        if b._needs:
-            ad._accum(b, _unbroadcast(grad_b(g), b.data.shape))
+        ad._accum(a, _unbroadcast(grad_a(g), a.data.shape))
+        ad._accum(b, _unbroadcast(grad_b(g), b.data.shape))
 
     return ad._make(data, op, (a, b), bw)
 
@@ -202,8 +201,7 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
 
     def bw(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p._needs:
-                ad._accum(p, g[lo:hi])
+            ad._accum(p, g[lo:hi])
 
     return ad._make(np.concatenate([p.data for p in parts], axis=0), "concat_rows",
                     tuple(parts), bw)
@@ -273,10 +271,8 @@ def leaky_transform(x: Tensor, w: Tensor) -> Tensor:
 
     def bw(g):
         dz = np.where(pos, g, LEAKY_SLOPE * g)
-        if x._needs:
-            ad._accum(x, dz @ w.data)
-        if w._needs:
-            ad._accum(w, (x.data.T @ dz).T)
+        ad._accum(x, dz @ w.data)
+        ad._accum(w, (x.data.T @ dz).T)
 
     return ad._make(np.where(pos, z, LEAKY_SLOPE * z), "leaky_transform", (x, w), bw)
 
@@ -311,7 +307,7 @@ def taped_layer(h, adj, transform=None, pos=None, lambda2=0.0, lambda3=0.0):
 
 def finite_difference_check(build_loss, arrays, h=1e-5, rtol=1e-4):
     """`build_loss(tensors) -> scalar Tensor`; checks grads of every array."""
-    tensors = [parameter(a) for a in arrays]
+    tensors = [Tensor(a) for a in arrays]
     loss = build_loss(tensors)
     ad.backward(loss)
     for t, a in zip(tensors, arrays):
@@ -320,9 +316,9 @@ def finite_difference_check(build_loss, arrays, h=1e-5, rtol=1e-4):
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + h
-            f_plus = build_loss([parameter(x) for x in arrays]).item()
+            f_plus = build_loss([Tensor(x) for x in arrays]).item()
             flat[idx] = orig - h
-            f_minus = build_loss([parameter(x) for x in arrays]).item()
+            f_minus = build_loss([Tensor(x) for x in arrays]).item()
             flat[idx] = orig
             fd = (f_plus - f_minus) / (2 * h)
             ref = got.ravel()[idx]
@@ -341,23 +337,23 @@ def rand(rng, *shape):
 
 class TestBasics:
     def test_quadratic(self):
-        x = parameter(np.array([[1.0], [2.0]]))
+        x = Tensor(np.array([[1.0], [2.0]]))
         loss = sum_axis(mul(x, x), axis=None, keepdims=False)
         ad.backward(loss)
         np.testing.assert_allclose(x.grad, [[2.0], [4.0]])
 
     def test_constant_loss_zero_grads(self):
-        x = parameter(np.array([[1.0, 2.0]]))
+        x = Tensor(np.array([[1.0, 2.0]]))
         ad.backward(constant(np.array(3.0)))
         assert x.grad is None
 
     def test_backward_requires_scalar(self):
-        x = parameter(np.ones((2, 2)))
+        x = Tensor(np.ones((2, 2)))
         with pytest.raises(ValueError):
             ad.backward(mul(x, x))
 
     def test_grad_accumulates_on_reuse(self):
-        x = parameter(np.array([[3.0]]))
+        x = Tensor(np.array([[3.0]]))
         loss = sum_axis(add(mul(x, x), x), axis=None, keepdims=False)
         ad.backward(loss)
         np.testing.assert_allclose(x.grad, [[7.0]])
@@ -365,16 +361,11 @@ class TestBasics:
     def test_nonfinite_aborts_with_op_name(self):
         """Ops do not scan their outputs; `check_finite` on the node names
         the op."""
-        x = parameter(np.array([[800.0]]))
+        x = Tensor(np.array([[800.0]]))
         out = exp(x)
         assert np.isinf(out.data).all()
         with pytest.raises(NumericsError, match="^non-finite intermediate produced by 'exp'$"):
             ad.check_finite(out)
-
-    def test_constants_skip_gradients(self):
-        c = constant(np.ones((2, 2)))
-        out = mul(c, 2.0)
-        assert out._backward is None
 
 
 class TestPrimitiveGradients:
@@ -506,7 +497,7 @@ class TestGatherRowsScatter:
         idx = np.array(idx)
         # magnitudes from 1e-8 to 1e8, so the order of the repeats' sum shows
         g = rng.normal(size=(idx.size, 3)) * 10.0 ** rng.integers(-8, 9, size=(idx.size, 3))
-        a = parameter(rng.normal(size=(n_rows, 3)))
+        a = Tensor(rng.normal(size=(n_rows, 3)))
         ad.backward(sum_axis(mul(gather_rows(a, idx), constant(g)), axis=None,
                              keepdims=False))
         want = np.zeros((n_rows, 3))
@@ -514,7 +505,7 @@ class TestGatherRowsScatter:
         assert a.grad.tobytes() == want.tobytes()
 
     def test_repeats_add_in_index_order(self):
-        a = parameter(np.zeros((2, 1)))
+        a = Tensor(np.zeros((2, 1)))
         g = np.array([[1.0], [1e16], [-1e16], [1.0]])
         ad.backward(sum_axis(mul(gather_rows(a, [0, 0, 0, 1]), constant(g)),
                              axis=None, keepdims=False))
@@ -546,7 +537,7 @@ class TestSharedGradients:
     row changes no bit."""
 
     def _leaf_grads(self, build, arrays):
-        tensors = [parameter(a.copy()) for a in arrays]
+        tensors = [Tensor(a.copy()) for a in arrays]
         ad.backward(build(tensors))
         return [t.grad for t in tensors]
 
@@ -608,7 +599,7 @@ class TestSharedGradients:
         rng = np.random.default_rng(5)
         rows = [rand(rng, 1, 3) for _ in range(2)]
         first = rows[0].copy()
-        t = parameter(rand(rng, 4, 3))
+        t = Tensor(rand(rng, 4, 3))
         for r in rows:
             ad._accum(t, np.broadcast_to(r, (4, 3)))
         assert t.grad.strides[0] == 0
@@ -664,7 +655,7 @@ class TestMixAndMean:
     def _same_bits(self, fused, taped, arrays):
         results = []
         for op in (fused, taped):
-            tensors = [parameter(a) for a in arrays]
+            tensors = [Tensor(a) for a in arrays]
             out = op(tensors)
             # a second consumer of each input, so the op's gradient is summed
             loss = self._weighted(op)(tensors)
@@ -695,7 +686,7 @@ class TestMixAndMean:
         """With wa = 1.0, `a` gets the array its consumer handed `mix`, not
         a copy; another weight allocates g * wa."""
         rng = np.random.default_rng(8)
-        a, b = parameter(rng.normal(size=(4, 3))), parameter(rng.normal(size=(4, 3)))
+        a, b = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(4, 3)))
         out = ad.mix(a, b, wa, 0.37)
         upstream = rng.normal(size=(4, 3))
         root = ad._make(np.array(0.0), "consumer", (out,), lambda g: ad._accum(out, upstream))
@@ -715,15 +706,15 @@ class TestCheckFinite:
     def test_names_the_first_op_with_finite_inputs(self):
         """exp overflows, and the log, the sum and the product after it are
         not finite either: the op named is exp, whose input was finite."""
-        x = parameter(np.array([[1.0, 800.0]]))
+        x = Tensor(np.array([[1.0, 800.0]]))
         out = sum_axis(mul(log(exp(x)), constant(np.array([[2.0, 0.5]]))), axis=None)
         assert not np.isfinite(out.data).all()
         with pytest.raises(NumericsError, match="^non-finite intermediate produced by 'exp'$"):
             ad.check_finite(out)
 
     def test_nonfinite_parameter_is_named_by_the_first_op_reading_it(self):
-        w = parameter(np.array([[1.0, np.nan]]))
-        x = parameter(np.ones((1, 2)))
+        w = Tensor(np.array([[1.0, np.nan]]))
+        x = Tensor(np.ones((1, 2)))
         out = sum_axis(mul(leaky_relu(add(x, w)), 3.0), axis=None)
         with pytest.raises(NumericsError, match="^non-finite intermediate produced by 'add'$"):
             ad.check_finite(out)
@@ -733,12 +724,12 @@ class TestCheckFinite:
             raise AssertionError("check_finite walked a finite tape")
 
         monkeypatch.setattr(ad, "_topo_order", no_walk)
-        x = parameter(np.ones((3, 2)))
+        x = Tensor(np.ones((3, 2)))
         ad.check_finite(sum_axis(exp(x), axis=None))
 
     def test_nonfinite_constant_node_is_named_by_its_op(self):
-        """A root that records no parents (no input needs a gradient) is
-        named itself."""
+        """A non-finite root whose only input is a finite constant leaf is
+        named by its own op."""
         out = exp(constant(np.array([[800.0]])))
         with pytest.raises(NumericsError, match="^non-finite intermediate produced by 'exp'$"):
             ad.check_finite(out)

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 
 import pgtr.autodiff as ad
-from pgtr.autodiff import Tensor, parameter
+from pgtr.autodiff import Tensor
 from pgtr.backbone import normalized_adjacency, propagate_layer
 from pgtr.data import InteractionDataset, SplitSpec, build_graph, split_by_ratio
 from pgtr.synthetic import clustered_interactions
@@ -119,7 +119,7 @@ class TestPropagate:
     def test_transform_variant_applies_map_and_nonlinearity(self):
         g = graph_of([(0, 0)], 1, 1)
         adj = normalized_adjacency(g)
-        w = parameter(np.array([[1.0, 0.0], [0.0, -1.0]]))
+        w = Tensor(np.array([[1.0, 0.0], [0.0, -1.0]]))
         h = constant(np.array([[1.0, 2.0], [3.0, 4.0]]))
         out = propagate_layer(h, adj, w)
         # adj swaps rows, then x @ w.T, then leaky relu slope 0.2
@@ -161,8 +161,8 @@ def run_layer(layer, h, adj, w, pos, lambda2, lambda3, g):
     """`layer`'s output and the gradients of its h, W and pos under the
     output weights `g`; a second consumer of h and pos makes each
     gradient a sum."""
-    th, tp = parameter(h), parameter(pos)
-    tw = None if w is None else parameter(w)
+    th, tp = Tensor(h), Tensor(pos)
+    tw = None if w is None else Tensor(w)
     out = layer(th, adj, tw, tp, lambda2, lambda3)
     loss = sum_axis(mul(out, constant(g)), axis=None, keepdims=False)
     for t in (th, tp):
@@ -207,8 +207,8 @@ class TestFusedLayer:
     def test_parents(self, backbone):
         """pos is a parent only when λ2 and λ3 are nonzero."""
         h, adj, w, pos = layer_inputs(6, 3, backbone, seed=5)
-        th, tp = parameter(h), parameter(pos)
-        tw = None if w is None else parameter(w)
+        th, tp = Tensor(h), Tensor(pos)
+        tw = None if w is None else Tensor(w)
         want = (th,) if tw is None else (th, tw)
         for lambda2, lambda3 in ((0.5, 0.5), (0.0, 0.5), (0.5, 0.0)):
             out = propagate_layer(th, adj, tw, tp, lambda2, lambda3)
@@ -220,7 +220,7 @@ class TestFusedLayer:
         array: the global term's gradient is one row, and no attention
         input table exists."""
         h, adj, _, pos = layer_inputs(15, 4, "lightgcn", seed=6)
-        th, tp = parameter(h), parameter(pos)
+        th, tp = Tensor(h), Tensor(pos)
         out = propagate_layer(th, adj, None, tp, 0.5, 0.5)
         held = [cell.cell_contents for cell in out._backward.__closure__]
         tensors = [c for c in held if isinstance(c, Tensor)]
@@ -261,7 +261,7 @@ class TestTransform:
         g = rng.standard_normal((7, 4)).astype(dtype)
         results = []
         for op in (leaky_transform, taped_transform):
-            tensors = [parameter(a) for a in arrays]
+            tensors = [Tensor(a) for a in arrays]
             out = op(*tensors)
             ad.backward(self._weighted_sum(out, g))
             assert out.data.dtype == dtype and all(t.grad.dtype == dtype for t in tensors)

@@ -1,5 +1,5 @@
 """Tests of `experiments/bench_pairs.py` on fabricated benchmark output:
-the table, the gain verdict and a failed run."""
+the table, the gain and no-regression verdicts and a failed run."""
 import importlib.util
 import json
 from pathlib import Path
@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-METRICS = [{"name": "setup_s", "better": "lower"},
-           {"name": "train_pairs_per_s", "better": "higher"}]
+METRICS = [{"name": "setup_s", "better": "lower", "bound": 0.25},
+           {"name": "train_pairs_per_s", "better": "higher", "bound": 0.25}]
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +55,8 @@ def test_met_gain_and_alternating_order(pairs_mod, monkeypatch):
     table = pairs_mod.table("fit", METRICS, pairs).splitlines()
     # three runs read 0.100, three 0.101 and four 0.102: q25 interpolates to 0.10025
     assert table[2] == ("| fit | setup_s | 0.101 [0.10025, 0.102] | 0.091 [0.09025, 0.092] "
-                        "| -9.9% | 10/10 | met |")
-    assert table[3].endswith("| +0.0% | 0/10 (10 ties) | not met |")
+                        "| -9.9% | 10/10 | met | within bound |")
+    assert table[3].endswith("| +0.0% | 0/10 (10 ties) | not met | within bound |")
 
 
 @pytest.mark.parametrize("wins, spread, met", [
@@ -83,12 +83,43 @@ def test_ties_count_for_neither_side(pairs_mod):
     assert not pairs_mod.gain_met(a, b, lower=True)
 
 
-@pytest.mark.parametrize("bad", [dict(correct=False), dict(failed=2)])
-def test_a_failed_run_exits_1_naming_it(pairs_mod, monkeypatch, capsys, tmp_path, bad):
+def trees(tmp_path):
+    """Two source trees, a and b, each with a `benchmarks/run.py` and
+    METRICS as its BENCHMARK.json's end-to-end metrics."""
     for tree in ("a", "b"):
         (tmp_path / tree / "benchmarks").mkdir(parents=True)
         (tmp_path / tree / "benchmarks" / "run.py").write_text("")
         (tmp_path / tree / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    return [str(tmp_path / "a"), str(tmp_path / "b")]
+
+
+@pytest.mark.parametrize("setup_s, pairs_per_s, worse", [
+    (0.1249, 750.1, []),                                   # both just inside their bound
+    (0.1251, 750.1, ["setup_s"]),                          # lower is better: 25.1% higher
+    (0.1249, 749.9, ["train_pairs_per_s"]),                # higher is better: 25.01% lower
+    (0.1251, 749.9, ["setup_s", "train_pairs_per_s"]),
+])
+def test_worse_beyond_a_bound_exits_1_naming_the_metric(pairs_mod, monkeypatch, capsys,
+                                                       tmp_path, setup_s, pairs_per_s, worse):
+    """The change is worse than the parent's median by just inside or just
+    outside the metrics' 25% bounds, in each metric's direction."""
+    readings = {}
+    for seed in range(4):
+        readings["a", seed] = (0.1, 1000.0)
+        readings["b", seed] = (setup_s, pairs_per_s)
+    fabricated(pairs_mod, monkeypatch, readings)
+    status = pairs_mod.main(trees(tmp_path) + ["--workload", "fit", "--pairs", "4"])
+    out, err = capsys.readouterr()
+    verdicts = [line.rsplit("|", 2)[1].strip() for line in out.splitlines()[2:]]
+    assert verdicts == ["worse beyond bound" if m["name"] in worse else "within bound"
+                        for m in METRICS]
+    assert status == (1 if worse else 0)
+    assert err == (f"worse beyond bound: {', '.join(worse)}\n" if worse else "")
+
+
+@pytest.mark.parametrize("bad", [dict(correct=False), dict(failed=2)])
+def test_a_failed_run_exits_1_naming_it(pairs_mod, monkeypatch, capsys, tmp_path, bad):
+    trees(tmp_path)
     ok = (0.1, 1000.0)
 
     def fake_run(cmd, **kwargs):
@@ -106,5 +137,5 @@ def test_a_failed_run_exits_1_naming_it(pairs_mod, monkeypatch, capsys, tmp_path
     bad.clear()
     assert pairs_mod.main([str(tmp_path / "a"), str(tmp_path / "b"), "--workload", "fit",
                            "--pairs", "3", "--first-seed", "3"]) == 0
-    assert "| fit | setup_s | 0.1 [0.1, 0.1] | 0.1 [0.1, 0.1] | +0.0% | 0/3 (3 ties) | not met |" \
-        in capsys.readouterr().out
+    assert ("| fit | setup_s | 0.1 [0.1, 0.1] | 0.1 [0.1, 0.1] | +0.0% | 0/3 (3 ties) | not met "
+            "| within bound |") in capsys.readouterr().out

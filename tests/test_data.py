@@ -156,6 +156,17 @@ class TestGraph:
         assert g.user_degree.tolist() == [2, 2]
         assert g.item_degree.tolist() == [2, 2]
 
+    def test_degrees_are_the_full_adjacency_row_lengths(self):
+        """`degrees()` lists every node's degree, users first, as float64:
+        the row lengths of `full_adjacency()`."""
+        rng = np.random.default_rng(5)
+        users, items = rng.integers(0, 6, size=20), rng.integers(0, 9, size=20)
+        g = build_graph(InteractionDataset(7, 9, users, items))  # user 6 is isolated
+        got = g.degrees()
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, np.diff(g.full_adjacency().indptr))
+        assert got[:7].tolist() == g.user_degree.tolist()
+
     def test_adjacency_matches_dense_oracle(self):
         rng = np.random.default_rng(17)
         n, m = 50, 80
@@ -274,6 +285,16 @@ class TestIds:
         with pytest.raises(DataError, match=message):
             InteractionDataset(2, 2, np.array(users), [0])
 
+    @pytest.mark.parametrize("users, items, message", [
+        ([0, 1], [0], "^users/items length mismatch$"),
+        ([[0, 1]], [0, 1], "^users/items length mismatch$"),
+        ([0, 1], [0, 2], "^item index out of range$"),
+        ([0, 1], [-1, 0], "^item index out of range$"),
+    ], ids=["short-items", "2-d-users", "item-too-large", "item-negative"])
+    def test_items_must_pair_with_users_and_lie_in_range(self, users, items, message):
+        with pytest.raises(DataError, match=message):
+            InteractionDataset(2, 2, users, items)
+
 
 class TestCheckedWhenMade:
     """Sizes, fractions and seeds are checked as a dataset or spec is made:
@@ -311,6 +332,17 @@ class TestCheckedWhenMade:
             "noise-proportion-str"])
     def test_spec_fields(self, make, name):
         with pytest.raises(ValueError, match=f"^{name} must be "):
+            make()
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: SplitSpec(0.8, val_fraction=1.0), r"^val_fraction must lie in \[0, 1\)$"),
+        (lambda: SplitSpec(0.8, val_fraction=-0.1), r"^val_fraction must lie in \[0, 1\)$"),
+        (lambda: NoiseSpec(0.0), r"^noise proportion must lie in \(0, 1\)$"),
+        (lambda: NoiseSpec(1.0), r"^noise proportion must lie in \(0, 1\)$"),
+    ], ids=["split-val_fraction-one", "split-val_fraction-negative", "noise-proportion-zero",
+            "noise-proportion-one"])
+    def test_spec_fractions_out_of_range(self, make, message):
+        with pytest.raises(DataError, match=message):
             make()
 
 

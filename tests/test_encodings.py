@@ -45,12 +45,23 @@ def random_graph(seed, n_users=20, n_items=25, per_user=6):
                                               per_user=per_user, seed=seed))
 
 
+def set_alone(g, name, groups, h, seed=0):
+    """The encoding set of the grouped encoding `name` with every other
+    encoding off."""
+    cfg = PGTRConfig(d=2, h_d=h, h_r=h, h_y=h, n_d=groups, n_r=groups, use_spectral=False,
+                     **{f"use_{k}": k == name for k in ("degree", "pagerank", "type")})
+    return build_encoding_set(g, cfg, np.random.default_rng(seed))
+
+
+def is_trained(enc_set, table) -> bool:
+    """Whether `table` is one of the tensors `enc_set` lists as trainable."""
+    return any(t is table for _, t in enc_set.trainable_tables())
+
+
 def grouped_alone(g, name, groups, h, seed=0):
     """The grouped encoding `name` of a set with every other encoding off,
     and its users' and items' group ids (items' counted from 0)."""
-    cfg = PGTRConfig(d=2, h_d=h, h_r=h, h_y=h, n_d=groups, n_r=groups, use_spectral=False,
-                     **{f"use_{k}": k == name for k in ("degree", "pagerank", "type")})
-    (enc,) = build_encoding_set(g, cfg, np.random.default_rng(seed)).grouped
+    (enc,) = set_alone(g, name, groups, h, seed).grouped
     assert enc.name == name
     return enc, enc.group_of[:g.n_users], enc.group_of[g.n_users:] - groups
 
@@ -118,6 +129,10 @@ class TestSpectral:
         g = build_graph(InteractionDataset(1, 1, np.array([0]), np.array([0])))
         with pytest.raises(EncodingError, match="non-trivial"):
             spectral_encoding(g, 5)
+
+    def test_no_columns_rejected(self):
+        with pytest.raises(ValueError, match="^h_c must be >= 1$"):
+            spectral_encoding(k22_graph(), 0)
 
 
 @st.composite
@@ -334,12 +349,13 @@ class TestDegreeAndPageRank:
 
     def test_table_shapes_and_init_range(self):
         g = random_graph(5)
-        enc, _, _ = grouped_alone(g, "degree", 10, 4, seed=1)
+        enc_set = set_alone(g, "degree", 10, 4, seed=1)
+        (enc,) = enc_set.grouped
         # the users' 10 rows, then the items' 10
         assert enc.table.data.shape == (20, 4)
         bound = 0.1 / np.sqrt(4)
         assert np.abs(enc.table.data).max() <= bound
-        assert enc.table.trainable
+        assert is_trained(enc_set, enc.table)
 
     def test_pagerank_grouping_by_score(self):
         g = random_graph(6, n_users=25, n_items=25)
@@ -448,9 +464,10 @@ class TestComposition:
 
 def test_type_table_two_rows():
     g = random_graph(5)
-    types, _, _ = grouped_alone(g, "type", 1, 4)
+    enc_set = set_alone(g, "type", 1, 4)
+    (types,) = enc_set.grouped
     assert types.table.data.shape == (2, 4)
-    assert types.table.trainable
+    assert is_trained(enc_set, types.table)
     # users read row 1, items row 0
     assert types.group_of.tolist() == [1] * g.n_users + [0] * g.n_items
 

@@ -258,6 +258,18 @@ class TestEigensolver:
         assert exc.value.residual == pytest.approx(expected[0], rel=1e-6)
         assert exc.value.residual > 1e-3
 
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="^matrix must be square$"):
+            symmetric_eigs_smallest(sp.csr_matrix((3, 4)), 1)
+
+    @pytest.mark.parametrize("n", [5, DENSE_CUTOFF + 100], ids=["dense", "arpack"])
+    def test_zero_matrix_has_certified_zero_eigenvalues(self, n):
+        """An all-zero matrix (one norm 0) gives k zero eigenvalues with
+        orthonormal eigenvectors, certified at residual 0."""
+        vals, vecs = symmetric_eigs_smallest(sp.csr_matrix((n, n)), 3)
+        assert vals.tolist() == [0.0, 0.0, 0.0]
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(3), atol=1e-12)
+
     def test_k_out_of_range(self):
         m = sp.identity(3, format="csr")
         with pytest.raises(ValueError):
@@ -612,6 +624,10 @@ class TestPageRank:
     def test_single_edge_symmetry(self):
         g = build_graph(InteractionDataset(1, 1, np.array([0]), np.array([0])))
         np.testing.assert_allclose(pagerank(g.full_adjacency()), [0.5, 0.5], atol=1e-12)
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="^empty graph$"):
+            pagerank(sp.csr_matrix((0, 0)))
 
     def test_regular_graph_uniform(self):
         g = build_graph(InteractionDataset(2, 2, np.array([0, 0, 1, 1]),

@@ -2,13 +2,13 @@
 import numpy as np
 
 import pgtr.autodiff as ad
-from pgtr.autodiff import parameter
+from pgtr.autodiff import Tensor
 from pgtr.optim import AdamState, adam_step
 from test_autodiff import mul, sum_axis
 
 
 def test_first_step_is_signed_learning_rate():
-    p = parameter(np.array([[10.0, -3.0, 0.5]]))
+    p = Tensor(np.array([[10.0, -3.0, 0.5]]))
     p.grad = np.array([[4.0, -2.0, 1.0]])
     start = p.data.copy()
     adam_step(AdamState([p], lr=0.05))
@@ -17,7 +17,7 @@ def test_first_step_is_signed_learning_rate():
 
 
 def test_zero_gradient_leaves_parameters_unchanged():
-    p = parameter(np.array([[1.0, 2.0]]))
+    p = Tensor(np.array([[1.0, 2.0]]))
     p.grad = np.zeros((1, 2))
     st = AdamState([p], lr=0.1)
     adam_step(st)
@@ -27,7 +27,7 @@ def test_zero_gradient_leaves_parameters_unchanged():
 
 
 def test_gradients_cleared_and_counter_incremented():
-    p = parameter(np.array([[1.0]]))
+    p = Tensor(np.array([[1.0]]))
     p.grad = np.array([[1.0]])
     st = AdamState([p], lr=0.1)
     adam_step(st)
@@ -57,7 +57,7 @@ def test_quadratic_descent_matches_scalar_simulation():
     until the first zero crossing) and ends far below the start.
     """
     ref = _scalar_adam_reference(1.0, 0.1, 100)
-    p = parameter(np.array([[1.0]]))
+    p = Tensor(np.array([[1.0]]))
     st = AdamState([p], lr=0.1)
     traj = [p.data[0, 0]]
     for _ in range(100):
@@ -81,7 +81,7 @@ def test_in_place_update_matches_the_array_formula_bit_for_bit():
     the update written as one array expression per moment."""
     rng = np.random.default_rng(3)
     shapes = [(7, 5), (1, 3)]
-    params = [parameter(rng.normal(size=s)) for s in shapes]
+    params = [Tensor(rng.normal(size=s)) for s in shapes]
     want = [p.data.copy() for p in params]
     m = [np.zeros(s) for s in shapes]
     v = [np.zeros(s) for s in shapes]

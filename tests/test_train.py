@@ -171,7 +171,7 @@ def fused_loss_and_grad(h, user_rows, item_rows, urow, inv, drop, keep, tau):
     holding the node table `h`, and the leaf's gradient.  `backward`
     releases an interior node's gradient, so the leaf stands in for
     `forward`'s table."""
-    leaf = ad.parameter(h)
+    leaf = ad.Tensor(h)
     loss = _in_batch_softmax(leaf, user_rows, item_rows, urow[keep], inv[keep], drop, 1.0 / tau)
     ad.backward(loss)
     return loss, leaf.grad
@@ -186,7 +186,7 @@ def assert_matches_taped_oracle(loss, grad, h, users, item_rows, inv, mask, keep
     1/tau.  For a float32 table they are bounds the masked, row-max-shifted
     form of the loss, computed in float32, also meets on
     `softmax_batches`' draws."""
-    leaf = ad.parameter(h.astype(np.float64))
+    leaf = ad.Tensor(h.astype(np.float64))
     want = taped_in_batch_softmax(l2_normalize_rows(leaf), users, item_rows, inv, mask, keep,
                                   1.0 / tau)
     ad.backward(want)
@@ -440,7 +440,7 @@ class TestBatchLossTape:
         batch_users, urow, uniq, inv, drop, kept, _ = _batch_mask(users, items, trained)
         keep = kept >= 2
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sys.modules["pgtr.train"], "forward", lambda s: ad.parameter(h))
+            patch.setattr(sys.modules["pgtr.train"], "forward", lambda s: ad.Tensor(h))
             if not keep.any():
                 with pytest.raises(ValueError, match="every pair in the batch lacks negatives"):
                     batch_loss(state, users, items, trained)
@@ -523,7 +523,10 @@ class TestBatchLossTape:
             assert table.dtype == loss.data.dtype == state.embeddings.data.dtype
 
     def test_backward_never_differentiates_a_constant(self, small_model, monkeypatch):
-        """No gradient is formed for a constant such as 1/tau or the mask."""
+        """Every leaf the loss's backward reaches is a parameter: a constant
+        such as 1/tau, the mask or the frozen features is held as an array,
+        not as a leaf, so no gradient is formed for it, and every parameter
+        gets one."""
         ds, state = small_model
         targets = []
         real_accum = ad._accum
@@ -535,9 +538,10 @@ class TestBatchLossTape:
         monkeypatch.setattr(ad, "_accum", recording_accum)
         ad.zero_grad(state.parameters())
         loss, _ = batch_loss(state, ds.users[:8], ds.items[:8], ds.items_of_user())
+        params = {id(p) for p in state.parameters()}
+        assert {id(n) for n in tape_nodes(loss) if n._op == "leaf"} == params
         ad.backward(loss)
-        assert targets
-        assert [t for t in targets if not t._needs] == []
+        assert {id(t) for t in targets if t._op == "leaf"} == params
         assert all(p.grad is not None for p in state.parameters())
 
     @staticmethod
@@ -557,7 +561,7 @@ class TestBatchLossTape:
         leaf's gradient."""
         h = forward(state).data.copy()
         h[list(zero_rows)] = 0.0
-        leaf = ad.parameter(h)
+        leaf = ad.Tensor(h)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sys.modules["pgtr.train"], "forward", lambda s: leaf)
             loss, _ = batch_loss(state, users, items, user_items)
@@ -849,30 +853,62 @@ class TestTrainLoop:
                 evaluate(state, fit, val, k=5)
         assert len(calls) == 1
 
-    def test_evaluate_records_no_backward(self, monkeypatch):
-        """`evaluate`'s forward holds no backward closure but keeps every
-        parent, and the parameters need gradients again afterwards, also
-        when the forward raises."""
+    @pytest.mark.parametrize("backbone", ["lightgcn", "transform-gcn"])
+    def test_a_step_inside_evaluate_gets_every_gradient(self, backbone, monkeypatch):
+        """A training step that runs while `evaluate`'s forward is being
+        made, on the same state, gives every parameter the gradient it gets
+        outside `evaluate`, bit for bit: `evaluate` changes nothing the
+        step reads."""
         train_mod = sys.modules["pgtr.train"]
         real_forward = train_mod.forward
-        outs = []
+        state, fit, val, _ = self._setup(7, backbone)
+        users, items, seen = fit.users[:16], fit.items[:16], fit.user_item_matrix()
 
-        def forward(state):
-            outs.append(real_forward(state))
-            return outs[-1]
+        def step():
+            ad.zero_grad(state.parameters())
+            loss, _ = batch_loss(state, users, items, seen)
+            ad.backward(loss)
+            return [p.grad for p in state.parameters()]
 
-        state, fit, val, _ = self._setup(7, "transform-gcn")
+        want = step()
+        got, inside = [], []
+
+        def forward(s):
+            if not inside:  # evaluate's call; the step's own forward is the real one
+                inside.append(True)
+                got.extend(step())
+            return real_forward(s)
+
         monkeypatch.setattr(train_mod, "forward", forward)
         evaluate(state, fit, val, k=5)
-        (out,) = outs
-        nodes = tape_nodes(out)
-        assert {id(p) for p in state.parameters()} <= {id(n) for n in nodes}
-        assert all(n._backward is None and not n._needs for n in nodes if n._op != "leaf")
-        assert all(p._needs for p in state.parameters())
-        state.embeddings.data[3, 1] = np.nan
+        assert inside and len(got) == len(want)
+        for g, w in zip(got, want, strict=True):
+            assert g is not None and g.tobytes() == w.tobytes()
+
+    def test_evaluate_leaves_parameters_as_found(self):
+        """`evaluate` leaves every parameter's `.data` and `.grad` as it found
+        them, also when its forward raises."""
+        state, fit, val, _ = self._setup(7, "transform-gcn")
+        loss, _ = batch_loss(state, fit.users[:16], fit.items[:16], fit.user_item_matrix())
+        ad.backward(loss)
+        params = state.parameters()
+        params[-1].grad = None
+        before = [(p.data, p.data.copy(), p.grad, None if p.grad is None else p.grad.copy())
+                  for p in params]
+
+        def assert_as_found():
+            for p, (data, values, grad, grad_values) in zip(params, before, strict=True):
+                assert p.data is data and p.data.tobytes() == values.tobytes()
+                assert p.grad is grad
+                assert grad is None or grad.tobytes() == grad_values.tobytes()
+
+        evaluate(state, fit, val, k=5)
+        assert_as_found()
+        # a NaN embedding makes the forward raise; the embeddings' copy holds it too
+        state.embeddings.data[3, 1] = before[0][1][3, 1] = np.nan
         with pytest.raises(NumericsError):
             evaluate(state, fit, val, k=5)
-        assert all(p._needs for p in state.parameters())
+        assert_as_found()
 
     @pytest.mark.parametrize("part", ["loss", "gradient of 'embeddings'"])
     def test_nonfinite_without_a_failing_op_names_the_part(self, part, caplog, monkeypatch):
