@@ -1,9 +1,11 @@
 """Alternating benchmark pairs of two source trees, with gain and bound verdicts.
 
-    python3 experiments/bench_pairs.py A B --workload W [--pairs N] [--first-seed S]
+    python3 experiments/bench_pairs.py A B [--workload W] [--pairs N] [--first-seed S]
 
 A is the parent (for instance a `git archive` of it) and B the change.
-For each seed s = S .. S+N-1 the script runs each tree's own
+Without --workload, every workload of A's BENCHMARK.json is run in turn,
+in its listed order, with one table per workload.  For each workload W
+and seed s = S .. S+N-1 the script runs each tree's own
 `benchmarks/run.py --workload W --seed s` in a fresh process and reads
 the last JSON line it prints.  Which tree runs first alternates: A on
 even pairs, B on odd ones.  A run that is not `correct`, or that counts
@@ -19,8 +21,9 @@ in 10 of all pairs and the medians differ by more than A's interquartile
 range, "not met" otherwise.  The no-regression verdict is "worse beyond
 bound" when B's median is worse than A's, in the metric's direction, by
 more than the metric's `bound` times A's median, and "within bound"
-otherwise.  When any metric is worse beyond its bound, the script names
-those metrics on stderr and exits with status 1.  It imports no pgtr:
+otherwise.  When any metric of any workload is worse beyond its bound,
+the script names those metrics on stderr, one line per workload, and
+exits with status 1 once every workload has run.  It imports no pgtr:
 each run imports its own tree's sources, and it reads only A's
 BENCHMARK.json.
 """
@@ -127,7 +130,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree_a", type=Path)
     parser.add_argument("tree_b", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", help="one workload of A's BENCHMARK.json "
+                                           "(default: each of them in turn)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=0)
     args = parser.parse_args(argv)
@@ -136,19 +140,23 @@ def main(argv=None) -> int:
             parser.error(f"{tree} holds no benchmarks/run.py")
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
-    metrics = json.loads((args.tree_a / "BENCHMARK.json").read_text())["end_to_end"]
-    try:
-        pairs = run_pairs(args.tree_a, args.tree_b, args.workload, args.pairs,
-                          args.first_seed)
-    except RunFailed as err:
-        print(err, file=sys.stderr)
-        return 1
-    print(table(args.workload, metrics, pairs))
-    worse = [m["name"] for m in metrics if worse_beyond_bound(*readings(m, pairs), m["bound"])]
-    if worse:
-        print(f"worse beyond bound: {', '.join(worse)}", file=sys.stderr)
-        return 1
-    return 0
+    bench = json.loads((args.tree_a / "BENCHMARK.json").read_text())
+    metrics = bench["end_to_end"]
+    workloads = [args.workload] if args.workload else [w["name"] for w in bench["workloads"]]
+    status = 0
+    for i, workload in enumerate(workloads):
+        try:
+            pairs = run_pairs(args.tree_a, args.tree_b, workload, args.pairs, args.first_seed)
+        except RunFailed as err:
+            print(err, file=sys.stderr)
+            return 1
+        print(("\n" if i else "") + table(workload, metrics, pairs), flush=True)
+        worse = [m["name"] for m in metrics
+                 if worse_beyond_bound(*readings(m, pairs), m["bound"])]
+        if worse:
+            print(f"worse beyond bound on {workload}: {', '.join(worse)}", file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

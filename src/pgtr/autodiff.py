@@ -107,13 +107,17 @@ def _accum(t: Tensor, g: np.ndarray):
 def mix(a: Tensor, b: Tensor, wa: float, wb: float) -> Tensor:
     """a * wa + b * wb for same-shape tensors and Python-float weights, as
     one node: the position injection h + λ1·pos with wa = 1.0 (exact).  Bit
-    for bit the tests' taped `add(mul(a, wa), mul(b, wb))`.  With wa = 1.0,
-    `a` gets the upstream gradient itself: g * 1.0 would only copy it."""
+    for bit the tests' taped `add(mul(a, wa), mul(b, wb))`: the output is
+    b * wb, with a * wa added into it (addition commutes), and a itself
+    when wa = 1.0, since a * 1.0 would only copy it.  Likewise `a` gets
+    the upstream gradient itself."""
     def bw(g):
         _accum(a, g if wa == 1.0 else g * wa)
         _accum(b, g * wb)
 
-    return _make(a.data * wa + b.data * wb, "mix", (a, b), bw)
+    out = b.data * wb
+    out += a.data if wa == 1.0 else a.data * wa
+    return _make(out, "mix", (a, b), bw)
 
 
 def mean(tables: list[Tensor]) -> Tensor:

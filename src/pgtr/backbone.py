@@ -7,21 +7,10 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import BipartiteGraph
-from .linalg import symmetric_normalized
 
-__all__ = ["normalized_adjacency", "propagate_layer"]
+__all__ = ["propagate_layer"]
 
 LEAKY_SLOPE = 0.2
-
-
-def normalized_adjacency(g: BipartiteGraph) -> sp.csr_matrix:
-    """D^{-1/2} A D^{-1/2} over all N+M nodes, symmetric bit for bit (entry
-    (i, j) is the product d_i^{-1/2} d_j^{-1/2}).
-
-    Isolated nodes keep an all-zero row and propagate to zero.
-    """
-    return symmetric_normalized(g.full_adjacency())
 
 
 def propagate_layer(h: Tensor, adj: sp.csr_matrix, transform: Tensor | None = None,
@@ -33,30 +22,35 @@ def propagate_layer(h: Tensor, adj: sp.csr_matrix, transform: Tensor | None = No
     for `transform-gcn`.  The global term row = mean_rows(local) + λ2
     mean_rows(pos) is the column mean of local + λ2 pos (all-pairs softmax
     attention in its small-logit limit), formed without that (T, d) table;
-    `pos` is a parent only when λ2 and λ3 are nonzero.  The backward, with
-    col = (λ3 / T) Σ_rows g, gives local (1 - λ3) g + col and pos the
+    `pos` is a parent only when λ2 and λ3 are nonzero.  local is the
+    layer's one new (T, d) table: the SpMM's output, or (A h) W^T with the
+    leaky slope applied in place, and it becomes the node's output, scaled
+    by 1 - λ3 in place with λ3 row added into it once the row sums are
+    taken (the same operations as (1 - λ3) local + λ3 row).  The backward,
+    with col = (λ3 / T) Σ_rows g, gives local (1 - λ3) g + col and pos the
     read-only broadcast λ2 col, takes W's gradient as (x^T dz)^T, and gives
-    h A times the gradient of A h: the symmetric `normalized_adjacency` is
-    its own transpose.  For lightgcn the closure holds no (T, d) array.
+    h A times the gradient of A h: the graph's symmetric
+    `normalized_adjacency()` is its own transpose.  For lightgcn the
+    closure holds no (T, d) array.
     """
     if h.data.shape[0] != adj.shape[0]:
         raise ValueError("embedding table row count does not match the graph")
     x = np.asarray(adj @ h.data)
     mask = None
     if transform is None:
-        local, x = x, None  # only W's gradient reads x
+        out, x = x, None  # only W's gradient reads x
     else:
-        z = x @ transform.data.T
-        mask = z > 0
-        local = np.where(mask, z, LEAKY_SLOPE * z)
+        out = x @ transform.data.T
+        mask = out > 0
+        np.multiply(out, LEAKY_SLOPE, out=out, where=~mask)
     if lambda2 == 0.0 or lambda3 == 0.0:
         pos = None
-    out = local
     if lambda3 != 0.0:
-        row = _row_sum(local) * (1.0 / local.shape[0])
+        row = _row_sum(out) * (1.0 / out.shape[0])
         if pos is not None:
-            row += _row_sum(pos.data) * (lambda2 / local.shape[0])
-        out = local * (1.0 - lambda3) + row * lambda3
+            row += _row_sum(pos.data) * (lambda2 / out.shape[0])
+        out *= 1.0 - lambda3
+        out += row * lambda3
 
     def bw(g):
         if lambda3 != 0.0:

@@ -1,6 +1,7 @@
 """Interaction data: loading, bipartite graph construction, splits, noise."""
 from __future__ import annotations
 
+import functools
 import logging
 import typing
 from dataclasses import dataclass, field
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+
+from .linalg import symmetric_normalized
 
 __all__ = [
     "DataError",
@@ -36,6 +39,13 @@ def _round_half_up(x: np.ndarray) -> np.ndarray:
     return np.floor(x + 0.5).astype(np.int64)
 
 
+def _read_only(m: sp.csr_matrix) -> sp.csr_matrix:
+    """`m`, with its index and data arrays made read-only."""
+    for part in (m.data, m.indices, m.indptr):
+        part.flags.writeable = False
+    return m
+
+
 def check_integer_ids(values, name: str) -> np.ndarray:
     """`values` as an array of integer ids: integers, or floats that are
     finite and whole, not yet cast.  Raises DataError naming `name` for
@@ -48,12 +58,20 @@ def check_integer_ids(values, name: str) -> np.ndarray:
     return ids
 
 
+@functools.cache
+def field_types(cls) -> dict:
+    """The resolved type hints of the dataclass `cls`, by field name,
+    resolved on the first call for each class; the dict is shared, so
+    callers only read it."""
+    return typing.get_type_hints(cls)
+
+
 def check_field_types(cls, values: dict, field: str = "{}"):
     """Raise ValueError on the first entry of `values` whose type does not
     fit its field of the dataclass `cls`: an int field takes an int, a
     float field an int or a float, and only a bool field takes a bool.  The
     message begins with `field.format(name)`."""
-    types = typing.get_type_hints(cls)
+    types = field_types(cls)
     for name, value in values.items():
         want = (int, float) if types[name] is float else types[name]
         if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
@@ -146,9 +164,7 @@ class InteractionDataset:
         m = sp.csr_matrix((np.ones(key.size, dtype=bool), items.astype(index), indptr),
                           shape=(self.n_users, self.n_items))
         m.has_canonical_format = True
-        for part in (m.data, m.indices, m.indptr):
-            part.flags.writeable = False
-        return m
+        return _read_only(m)
 
     def subset(self, mask: np.ndarray) -> "InteractionDataset":
         return InteractionDataset(self.n_users, self.n_items,
@@ -214,7 +230,10 @@ def save_remap(ds: InteractionDataset, path):
 
 
 class BipartiteGraph:
-    """Compressed sparse user-item adjacency with both orientations."""
+    """Compressed sparse user-item adjacency with both orientations.  The
+    (N+M) x (N+M) adjacency and its symmetric normalization are built on
+    first use, once per graph, and shared by every reader (the model, the
+    spectral block and PageRank), with read-only arrays."""
 
     def __init__(self, ds: InteractionDataset):
         if len(ds) == 0:
@@ -227,6 +246,7 @@ class BipartiteGraph:
         self.item_adj.sort_indices()
         self.user_degree = np.diff(self.user_adj.indptr)
         self.item_degree = np.diff(self.item_adj.indptr)
+        self._full = self._normalized = None
 
     @property
     def n_nodes(self) -> int:
@@ -239,13 +259,25 @@ class BipartiteGraph:
     def full_adjacency(self) -> sp.csr_matrix:
         """(N+M) x (N+M) symmetric 0/1 adjacency, users then items: the
         user rows of `user_adj` with item columns shifted past the users,
-        then the item rows of `item_adj`, with sorted indices."""
-        n, m = self.n_users, self.n_items
-        ua, ia = self.user_adj, self.item_adj
-        return sp.csr_matrix((np.concatenate([ua.data, ia.data]),
-                              np.concatenate([ua.indices + n, ia.indices]),
-                              np.concatenate([ua.indptr, ia.indptr[1:] + ua.nnz])),
-                             shape=(n + m, n + m))
+        then the item rows of `item_adj`, with sorted indices.  Every call
+        returns the one matrix the first call built."""
+        if self._full is None:
+            n, m = self.n_users, self.n_items
+            ua, ia = self.user_adj, self.item_adj
+            self._full = _read_only(sp.csr_matrix(
+                (np.concatenate([ua.data, ia.data]),
+                 np.concatenate([ua.indices + n, ia.indices]),
+                 np.concatenate([ua.indptr, ia.indptr[1:] + ua.nnz])), shape=(n + m, n + m)))
+        return self._full
+
+    def normalized_adjacency(self) -> sp.csr_matrix:
+        """D^{-1/2} A D^{-1/2} of `full_adjacency()` (`symmetric_normalized`),
+        symmetric bit for bit: entry (i, j) is the product d_i^{-1/2}
+        d_j^{-1/2}.  Isolated nodes keep an all-zero row.  Every call
+        returns the one matrix the first call built."""
+        if self._normalized is None:
+            self._normalized = _read_only(symmetric_normalized(self.full_adjacency()))
+        return self._normalized
 
 
 def build_graph(ds: InteractionDataset) -> BipartiteGraph:

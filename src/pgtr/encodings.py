@@ -126,7 +126,7 @@ def spectral_encoding(g: BipartiteGraph, h_c: int) -> np.ndarray:
         raise EncodingError(
             f"bipartite graph: needs {h_c} non-trivial eigenpairs but only {n - trivial} "
             f"are available ({trivial} trivial of {n} total)")
-    lap = normalized_laplacian(adj)
+    lap = normalized_laplacian(adj, g.normalized_adjacency())
     vecs = _lifted_eigenvectors(lap, null, g.n_users, h_c)
     if vecs is None:
         _, vecs = symmetric_eigs_smallest(lap, h_c, deflate=null)
@@ -149,7 +149,8 @@ def _group_ids(g: BipartiteGraph, name: str, groups: int) -> np.ndarray:
     if name == "degree":
         user_values, item_values = g.user_degree, g.item_degree
     else:
-        user_values, item_values = np.split(pagerank(g.full_adjacency()), [g.n_users])
+        user_values, item_values = np.split(
+            pagerank(g.full_adjacency(), g.normalized_adjacency()), [g.n_users])
     return np.concatenate([group_by_rank(user_values, groups),
                            groups + group_by_rank(item_values, groups)])
 

@@ -63,19 +63,23 @@ def symmetric_normalized(adj: sp.spmatrix) -> sp.csr_matrix:
     return a
 
 
-def normalized_laplacian(adj: sp.spmatrix) -> sp.csr_matrix:
-    """D^{-1/2} (D - A) D^{-1/2} with the zero-for-isolated-node convention.
+def normalized_laplacian(adj: sp.spmatrix, normalized: sp.spmatrix) -> sp.csr_matrix:
+    """D^{-1/2} (D - A) D^{-1/2} with the zero-for-isolated-node convention,
+    as diag(d > 0) - S for S = `normalized`, which must be
+    `symmetric_normalized(adj)` (a graph holds it once:
+    `BipartiteGraph.normalized_adjacency()`).
 
     Isolated nodes get an all-zero row, so the zero eigenvalue has
     multiplicity equal to the number of connected components (counting
     singletons).
     """
     deg = np.asarray(adj.sum(axis=1)).ravel()
-    return (sp.diags((deg > 0).astype(np.float64)) - symmetric_normalized(adj)).tocsr()
+    return (sp.diags((deg > 0).astype(np.float64)) - normalized).tocsr()
 
 
 def laplacian_null_basis(adj: sp.spmatrix) -> sp.csr_matrix:
-    """Orthonormal basis of the null space of `normalized_laplacian(adj)`.
+    """Orthonormal basis of the null space of the normalized Laplacian of
+    `adj` (`normalized_laplacian`).
 
     One column per connected component C: D^{1/2} 1_C normalized, which
     for an isolated node (an all-zero Laplacian row) is its unit vector.
@@ -320,18 +324,20 @@ def _shifted_largest(a, sigma: float, k: int, bases, seed: int, tol: float = 0.0
     return sigma - theta[::-1], np.ascontiguousarray(vecs[:, ::-1])
 
 
-def pagerank(adj: sp.spmatrix) -> np.ndarray:
+def pagerank(adj: sp.spmatrix, normalized: sp.spmatrix) -> np.ndarray:
     """Damped random-walk fixed point on an undirected graph, given as its
-    square symmetric sparse adjacency.
+    square symmetric sparse adjacency and S = `normalized`, which must be
+    `symmetric_normalized(adj)` (a graph holds it once:
+    `BipartiteGraph.normalized_adjacency()`).
 
     Damping d = PAGERANK_DAMPING (0.85); dangling nodes redistribute
     uniformly.  The fixed point is v = c x, with every node's constant
     share c = d (dangling mass) / n + (1 - d) / n and (I - d A D^-1) x = 1.
     On nodes with edges x = D^1/2 y, where y solves the SPD system
-    (I - d S) y = D^-1/2 1, S = `symmetric_normalized(adj)`, whose
-    condition number is at most (1 + d) / (1 - d); conjugate gradients
-    solve it in at most PAGERANK_MAX_ITER (1,000) iterations.  An isolated
-    node has x = 1, and v = x / sum(x).
+    (I - d S) y = D^-1/2 1, whose condition number is at most
+    (1 + d) / (1 - d); conjugate gradients solve it in at most
+    PAGERANK_MAX_ITER (1,000) iterations.  An isolated node has x = 1, and
+    v = x / sum(x).
 
     Returns a probability vector (entries >= 0, sum 1) once the power
     iteration's step from it changes it by less than PAGERANK_TOL (1e-12)
@@ -346,8 +352,8 @@ def pagerank(adj: sp.spmatrix) -> np.ndarray:
     root = np.sqrt(deg)
     inv_root = np.divide(1.0, root, out=np.zeros(n), where=~dangling)
     damping = PAGERANK_DAMPING
-    s = symmetric_normalized(adj)
-    op = LinearOperator((n, n), matvec=lambda y: y - damping * (s @ y), dtype=np.float64)
+    op = LinearOperator((n, n), matvec=lambda y: y - damping * (normalized @ y),
+                        dtype=np.float64)
     # CG's residual r moves the certified step by at most 2 ||D^1/2 1|| ||r||
     # in L1, and sum(x) >= n
     with np.errstate(divide="ignore"):

@@ -20,15 +20,14 @@ import dataclasses
 import hashlib
 import json
 import math
-import typing
 import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, check_finite, mean, mix
-from .backbone import normalized_adjacency, propagate_layer
-from .data import BipartiteGraph, check_field_types
+from .backbone import propagate_layer
+from .data import BipartiteGraph, check_field_types, field_types
 from .encodings import PositionalEncodingSet, _init_table, build_encoding_set, position_tape
 
 __all__ = [
@@ -86,7 +85,7 @@ class PGTRConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.backbone not in ("lightgcn", "transform-gcn"):
             raise ValueError(f"unknown backbone {self.backbone!r}")
-        for name, kind in typing.get_type_hints(PGTRConfig).items():
+        for name, kind in field_types(PGTRConfig).items():
             if kind is float:
                 object.__setattr__(self, name, float(getattr(self, name)))
 
@@ -98,7 +97,7 @@ class PGTRConfig:
         """The config a `to_dict` record describes.  Raises ValueError naming
         the field on an unknown key or an invalid value; a value of the
         wrong type is named as a config field."""
-        unknown = sorted(set(d) - typing.get_type_hints(cls).keys())
+        unknown = sorted(set(d) - field_types(cls).keys())
         if unknown:
             raise ValueError(f"unknown config field {unknown[0]!r}")
         check_field_types(cls, d, "config field {!r}")
@@ -159,7 +158,7 @@ def _init_model(graph: BipartiteGraph, cfg: PGTRConfig, seed: int,
     if cfg.backbone == "transform-gcn":
         transforms = [_init_table(cfg.d, cfg.d, rng) for _ in range(cfg.layers)]
     state = ModelState(cfg, graph.n_users, graph.n_items, _graph_hash(graph),
-                       normalized_adjacency(graph).astype(MODEL_DTYPE), embeddings, enc,
+                       graph.normalized_adjacency().astype(MODEL_DTYPE), embeddings, enc,
                        transforms, seed)
     for t in state.parameters():
         t.data = t.data.astype(MODEL_DTYPE)

@@ -480,7 +480,13 @@ def ranking_metrics(scores: np.ndarray, observed_items, test_items,
     lower columns.  Such a tie is listed only while that count stays below
     the listed copies of v.  Only the tied entries' rows are negated again
     from `scores`, a block at a time, to be read in column order.  The
-    hits' discounts fill one (N, k) table, summed once.
+    listed -inf values are counted only when the table holds one.  The
+    hits' discounts fill one (N, k) table, summed once per row over all k
+    slots; a row that lists fewer than k finite values (its k-th value is
+    +inf or NaN, or it lists -inf) is summed again over exactly its list's
+    length, as one sum per user would.  A user's hits are counted from the
+    kept hit rows, and the ideal DCG of each list length min(targets, k)
+    that occurs is summed once into a table indexed by length.
     """
     if not (isinstance(scores, np.ndarray) and scores.ndim == 2
             and scores.dtype.kind in "iuf"):
@@ -512,10 +518,13 @@ def ranking_metrics(scores: np.ndarray, observed_items, test_items,
         neg.partition(kk - 1, axis=1)
         top[lo:hi] = neg[:, :kk]
     kth = top[:, kk - 1]
-    hit = np.isfinite(v) & ~(v > kth[rows])  # true for a NaN k-th value
+    hit = np.flatnonzero(np.isfinite(v) & ~(v > kth[rows]))  # true for a NaN k-th value
     r, c, v = rows[hit], cols[hit], v[hit]
-    # -inf values sort below every hit but take no rank
-    rank = -np.count_nonzero(top == -np.inf, axis=1)[r]
+    # -inf values sort below every hit but take no rank; `==` leaves NaN out
+    neg_inf = top == -np.inf
+    any_neg_inf = neg_inf.any()
+    rank = (-np.count_nonzero(neg_inf, axis=1)[r] if any_neg_inf
+            else np.zeros(r.size, dtype=np.intp))
     copies = np.empty(r.size, dtype=np.intp)  # listed entries equal to v
     for a, b in _spans(r.size, kk):
         listed = top[r[a:b]]
@@ -532,16 +541,26 @@ def ranking_metrics(scores: np.ndarray, observed_items, test_items,
     r, rank = r[keep], rank[keep]
     gains = np.zeros((n_users, kk))
     gains[r, rank] = discounts[rank]
-    n_top = np.count_nonzero(np.isfinite(top), axis=1)
-    dcg = np.zeros(n_users)
-    # sum each row over exactly its list's length, as one sum per user would
-    for n in np.unique(n_top):
-        same = n_top == n
-        dcg[same] = gains[same, :n].sum(axis=1)
-    recalls = np.count_nonzero(gains[users], axis=1) / n_targets[users]  # discounts are > 0
-    ideal_len, inv = np.unique(np.minimum(n_targets[users], k), return_inverse=True)
-    idcg = np.array([discounts[:m].sum() for m in ideal_len])[inv]
-    ndcgs = dcg[users] / idcg
+    dcg = gains.sum(axis=1)
+    # a row lists fewer than kk finite values when its k-th value is not
+    # finite or it lists -inf: sum it over exactly its list's length, as one
+    # sum per user would
+    short = ~np.isfinite(kth)
+    if any_neg_inf:
+        short |= neg_inf.any(axis=1)
+    if short.any():
+        n_top = np.count_nonzero(np.isfinite(top[short]), axis=1)
+        short = np.flatnonzero(short)
+        for n in np.unique(n_top):
+            same = short[n_top == n]
+            dcg[same] = gains[same, :n].sum(axis=1)
+    recalls = np.bincount(r, minlength=n_users)[users] / n_targets[users]
+    # the ideal DCG of each list length that occurs, read from one table
+    ideal_len = np.minimum(n_targets[users], k)
+    ideal = np.zeros(kk + 1)
+    for m in np.flatnonzero(np.bincount(ideal_len, minlength=kk + 1)):
+        ideal[m] = discounts[:m].sum()
+    ndcgs = dcg[users] / ideal[ideal_len]
     return RankingMetrics(float(recalls.mean()), float(ndcgs.mean()), k,
                           recalls, ndcgs, users.astype(np.int64))
 

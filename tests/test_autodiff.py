@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 import pgtr.autodiff as ad
 from pgtr.autodiff import NumericsError, Tensor
-from pgtr.backbone import LEAKY_SLOPE, normalized_adjacency, propagate_layer
+from pgtr.backbone import LEAKY_SLOPE, propagate_layer
 
 
 def constant(data) -> Tensor:
@@ -43,7 +43,7 @@ def as_float64(state, graph):
     built from those sees the same constants."""
     for t in state.parameters():
         t.data = t.data.astype(np.float64)
-    state.adjacency = normalized_adjacency(graph)
+    state.adjacency = graph.normalized_adjacency()
     enc = state.enc
     if enc.features is not None:
         enc.features = enc.features.astype(np.float64)

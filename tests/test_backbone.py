@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 
 import pgtr.autodiff as ad
 from pgtr.autodiff import Tensor
-from pgtr.backbone import normalized_adjacency, propagate_layer
+from pgtr.backbone import propagate_layer
 from pgtr.data import InteractionDataset, SplitSpec, build_graph, split_by_ratio
 from pgtr.synthetic import clustered_interactions
 from test_autodiff import (add, close, constant, finite_difference_check, leaky_relu,
@@ -27,7 +27,7 @@ def graph_of(pairs, n_users, n_items):
 class TestNormalizedAdjacency:
     def test_entries_are_inverse_sqrt_degree_products(self):
         g = graph_of([(0, 0), (0, 1), (1, 0)], 2, 2)
-        adj = normalized_adjacency(g)
+        adj = g.normalized_adjacency()
         dense = adj.toarray()
         # user 0 (deg 2) to item 0 (deg 2): 1/2; user 1 (deg 1) to item 0: 1/sqrt(2)
         assert dense[0, 2] == pytest.approx(0.5)
@@ -36,7 +36,7 @@ class TestNormalizedAdjacency:
 
     def test_isolated_nodes_zeroed(self):
         ds = InteractionDataset(2, 2, np.array([0]), np.array([0]))
-        adj = normalized_adjacency(build_graph(ds))
+        adj = build_graph(ds).normalized_adjacency()
         dense = adj.toarray()
         np.testing.assert_array_equal(dense[1], np.zeros(4))
         np.testing.assert_array_equal(dense[3], np.zeros(4))
@@ -49,7 +49,7 @@ class TestNormalizedAdjacency:
         """`propagate_layer`'s backward multiplies by A where the chain rule
         asks for A^T: the two must be the same matrix, structure and bits,
         in float64 and in the model's float32."""
-        adj = normalized_adjacency(build_graph(ds))
+        adj = build_graph(ds).normalized_adjacency()
         for a in (adj, adj.astype(np.float32)):
             t = a.T.tocsr()
             t.sort_indices()
@@ -64,7 +64,7 @@ class TestNormalizedAdjacency:
         bit in float32."""
         ds = clustered_interactions(800, 1200, per_user=30, seed=0)
         fit, _, _ = split_by_ratio(ds, SplitSpec(0.8, seed=0))
-        adj = normalized_adjacency(build_graph(fit)).astype(np.float32)
+        adj = build_graph(fit).normalized_adjacency().astype(np.float32)
         g = np.random.default_rng(0).standard_normal((adj.shape[0], 32)).astype(np.float32)
         assert (adj @ g).tobytes() == (adj.T @ g).tobytes()
 
@@ -72,14 +72,14 @@ class TestNormalizedAdjacency:
 class TestPropagate:
     def test_single_edge_swaps_rows(self):
         g = graph_of([(0, 0)], 1, 1)
-        adj = normalized_adjacency(g)
+        adj = g.normalized_adjacency()
         h = constant(np.array([[1.0, 2.0], [5.0, -1.0]]))
         out = propagate_layer(h, adj)
         np.testing.assert_allclose(out.data, [[5.0, -1.0], [1.0, 2.0]])
 
     def test_two_degree_one_neighbors(self):
         g = graph_of([(0, 0), (0, 1)], 1, 2)
-        adj = normalized_adjacency(g)
+        adj = g.normalized_adjacency()
         e1, e2 = np.array([2.0, 0.0]), np.array([0.0, 4.0])
         h = constant(np.vstack([[0.0, 0.0], e1, e2]))
         out = propagate_layer(h, adj)
@@ -87,7 +87,7 @@ class TestPropagate:
 
     def test_matches_dense_product_oracle(self):
         g = build_graph(clustered_interactions(10, 10, 2, per_user=4, seed=1))
-        adj = normalized_adjacency(g)
+        adj = g.normalized_adjacency()
         rng = np.random.default_rng(2)
         h = rng.standard_normal((20, 5))
         out = propagate_layer(constant(h), adj)
@@ -95,7 +95,7 @@ class TestPropagate:
 
     def test_linearity(self):
         g = build_graph(clustered_interactions(8, 9, 2, per_user=3, seed=3))
-        adj = normalized_adjacency(g)
+        adj = g.normalized_adjacency()
         rng = np.random.default_rng(4)
         h1 = rng.standard_normal((17, 4))
         h2 = rng.standard_normal((17, 4))
@@ -106,7 +106,7 @@ class TestPropagate:
 
     def test_permutation_equivariance(self):
         g = build_graph(clustered_interactions(6, 7, 2, per_user=3, seed=5))
-        adj = normalized_adjacency(g)
+        adj = g.normalized_adjacency()
         rng = np.random.default_rng(6)
         h = rng.standard_normal((13, 3))
         perm = rng.permutation(13)
@@ -118,7 +118,7 @@ class TestPropagate:
 
     def test_transform_variant_applies_map_and_nonlinearity(self):
         g = graph_of([(0, 0)], 1, 1)
-        adj = normalized_adjacency(g)
+        adj = g.normalized_adjacency()
         w = Tensor(np.array([[1.0, 0.0], [0.0, -1.0]]))
         h = constant(np.array([[1.0, 2.0], [3.0, 4.0]]))
         out = propagate_layer(h, adj, w)
@@ -129,7 +129,7 @@ class TestPropagate:
 
     def test_row_count_mismatch(self):
         g = graph_of([(0, 0)], 1, 1)
-        adj = normalized_adjacency(g)
+        adj = g.normalized_adjacency()
         with pytest.raises(ValueError):
             propagate_layer(constant(np.ones((3, 2))), adj)
 
@@ -150,8 +150,7 @@ def layer_inputs(t, d, backbone, seed):
         n_users, n_items = t // 2, t - t // 2
         users = rng.integers(0, max(n_users - 1, 1), size=3 * t)
         items = rng.integers(0, max(n_items - 1, 1), size=3 * t)
-        adj = normalized_adjacency(build_graph(
-            InteractionDataset(n_users, n_items, users, items)))
+        adj = build_graph(InteractionDataset(n_users, n_items, users, items)).normalized_adjacency()
     h = rng.standard_normal((t, d))
     w = rng.uniform(-1, 1, size=(d, d)) if backbone == "transform-gcn" else None
     return h, adj, w, rng.standard_normal((t, d))

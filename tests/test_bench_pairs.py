@@ -83,13 +83,15 @@ def test_ties_count_for_neither_side(pairs_mod):
     assert not pairs_mod.gain_met(a, b, lower=True)
 
 
-def trees(tmp_path):
-    """Two source trees, a and b, each with a `benchmarks/run.py` and
-    METRICS as its BENCHMARK.json's end-to-end metrics."""
+def trees(tmp_path, workloads=("fit",)):
+    """Two source trees, a and b, each with a `benchmarks/run.py` and a
+    BENCHMARK.json listing `workloads` and METRICS as its end-to-end
+    metrics."""
+    bench = {"workloads": [{"name": name} for name in workloads], "end_to_end": METRICS}
     for tree in ("a", "b"):
         (tmp_path / tree / "benchmarks").mkdir(parents=True)
         (tmp_path / tree / "benchmarks" / "run.py").write_text("")
-        (tmp_path / tree / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+        (tmp_path / tree / "BENCHMARK.json").write_text(json.dumps(bench))
     return [str(tmp_path / "a"), str(tmp_path / "b")]
 
 
@@ -114,7 +116,37 @@ def test_worse_beyond_a_bound_exits_1_naming_the_metric(pairs_mod, monkeypatch, 
     assert verdicts == ["worse beyond bound" if m["name"] in worse else "within bound"
                         for m in METRICS]
     assert status == (1 if worse else 0)
-    assert err == (f"worse beyond bound: {', '.join(worse)}\n" if worse else "")
+    assert err == (f"worse beyond bound on fit: {', '.join(worse)}\n" if worse else "")
+
+
+@pytest.mark.parametrize("worse_on", [None, "cold", "both"])
+def test_without_a_workload_every_workload_runs(pairs_mod, monkeypatch, capsys, tmp_path,
+                                                worse_on):
+    """Without --workload, each workload of A's BENCHMARK.json runs its
+    pairs in listed order and prints its own table; the script exits 1,
+    naming each workload's metrics worse beyond their bound, only after
+    the last workload has run."""
+    order = []
+
+    def fake(tree, workload, seed):
+        order.append((workload, tree.name, seed))
+        worse = tree.name == "b" and worse_on in (workload, "both")
+        return pairs_mod.last_json(run_line(0.2 if worse else 0.1, 1000.0), "run")
+
+    monkeypatch.setattr(pairs_mod, "run_once", fake)
+    status = pairs_mod.main(trees(tmp_path, ("fit", "cold")) + ["--pairs", "2"])
+    out, err = capsys.readouterr()
+    assert order == [("fit", "a", 0), ("fit", "b", 0), ("fit", "b", 1), ("fit", "a", 1),
+                     ("cold", "a", 0), ("cold", "b", 0), ("cold", "b", 1), ("cold", "a", 1)]
+    tables = out.split("\n\n")
+    assert len(tables) == 2
+    for workload, text in zip(("fit", "cold"), tables):
+        rows = text.strip().splitlines()
+        assert rows[0].startswith("| workload | metric |") and len(rows) == 2 + len(METRICS)
+        assert all(row.startswith(f"| {workload} | ") for row in rows[2:])
+    named = {None: [], "cold": ["cold"], "both": ["fit", "cold"]}[worse_on]
+    assert err == "".join(f"worse beyond bound on {w}: setup_s\n" for w in named)
+    assert status == (1 if named else 0)
 
 
 @pytest.mark.parametrize("bad", [dict(correct=False), dict(failed=2)])

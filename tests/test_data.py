@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import math
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -17,6 +18,7 @@ from pgtr.data import (
     NoiseSpec,
     SplitSpec,
     build_graph,
+    field_types,
     inject_noise,
     load_interactions,
     save_interactions,
@@ -344,6 +346,35 @@ class TestCheckedWhenMade:
     def test_spec_fractions_out_of_range(self, make, message):
         with pytest.raises(DataError, match=message):
             make()
+
+    def test_type_hints_resolved_once_per_class(self, monkeypatch):
+        """Many constructions of `PGTRConfig` (also through `from_dict`),
+        `TrainConfig` and `SplitSpec`, rejected ones among them, resolve
+        each class's type hints once."""
+        from pgtr.model import PGTRConfig
+        from pgtr.train import TrainConfig
+        resolved = []
+        real = typing.get_type_hints
+
+        def spy(cls, *args, **kwargs):
+            resolved.append(cls.__name__)
+            return real(cls, *args, **kwargs)
+
+        field_types.cache_clear()
+        monkeypatch.setattr(typing, "get_type_hints", spy)
+        try:
+            for seed in range(40):
+                PGTRConfig(d=seed + 1, tau=0.5)
+                PGTRConfig.from_dict(PGTRConfig(layers=3).to_dict())
+                TrainConfig(seed=seed, lr=1)
+                SplitSpec(0.5, seed=seed)
+                for make in (lambda: PGTRConfig(d=2.0), lambda: TrainConfig(seed="1"),
+                             lambda: SplitSpec(0.5, seed=True)):
+                    with pytest.raises(ValueError, match="must be "):
+                        make()
+        finally:
+            field_types.cache_clear()
+        assert sorted(resolved) == ["PGTRConfig", "SplitSpec", "TrainConfig"]
 
 
 class TestImmutable:

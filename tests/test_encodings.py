@@ -104,7 +104,7 @@ class TestSpectral:
     def test_lambda_zero_is_whole_graph_encoding(self):
         g = random_graph(1)
         block = spectral_encoding(g, 3)
-        lap = normalized_laplacian(g.full_adjacency())
+        lap = normalized_laplacian(g.full_adjacency(), g.normalized_adjacency())
         vals, vecs = symmetric_eigs_smallest(lap, 4)
         skip = int(np.sum(vals < 1e-8))
         np.testing.assert_allclose(block, vecs[:, skip:skip + 3].T, atol=1e-12)
@@ -112,7 +112,7 @@ class TestSpectral:
     def test_k22_single_nontrivial_column(self):
         g = k22_graph()
         block = spectral_encoding(g, 1)
-        lap = normalized_laplacian(g.full_adjacency())
+        lap = normalized_laplacian(g.full_adjacency(), g.normalized_adjacency())
         vals, vecs = symmetric_eigs_smallest(lap, 2)
         assert vals[0] < 1e-8 and vals[1] > 1e-8
         np.testing.assert_allclose(block, vecs[:, 1:2].T, atol=1e-12)
@@ -166,7 +166,7 @@ def check_spectral_properties(g, h):
     rows = spectral_encoding(g, h)
     np.testing.assert_allclose(rows @ rows.T, np.eye(h), atol=1e-8)
     assert np.abs(null.T @ rows.T).max() <= 1e-8
-    lap = normalized_laplacian(adj)
+    lap = normalized_laplacian(adj, g.normalized_adjacency())
     lap_rows = (lap @ rows.T).T
     lam = np.einsum("ij,ij->i", lap_rows, rows)
     resid = np.linalg.norm(lap_rows - lam[:, None] * rows, axis=1)
@@ -203,8 +203,8 @@ def whole_graph_block(g, h):
     """The (h, N+M) block of one deflated solve of the whole graph: the
     oracle of the lifted route."""
     adj = g.full_adjacency()
-    _, vecs = symmetric_eigs_smallest(normalized_laplacian(adj), h,
-                                      deflate=laplacian_null_basis(adj))
+    lap = normalized_laplacian(adj, g.normalized_adjacency())
+    _, vecs = symmetric_eigs_smallest(lap, h, deflate=laplacian_null_basis(adj))
     return vecs.T
 
 
@@ -235,7 +235,8 @@ def check_same_subspace(g, h):
         return
     new = spectral_encoding(g, h).T
     ref = whole_graph_block(g, h).T
-    vals = np.linalg.eigvalsh(normalized_laplacian(adj).toarray())[trivial:]
+    lap = normalized_laplacian(adj, g.normalized_adjacency())
+    vals = np.linalg.eigvalsh(lap.toarray())[trivial:]
     cut = h < vals.size and vals[h] - vals[h - 1] <= 1e-8
     below = int(np.sum(vals[:h] < vals[h - 1] - 1e-8)) if cut else h
     sv = np.linalg.svd(ref[:, :below].T @ new[:, :below], compute_uv=False)
@@ -360,7 +361,7 @@ class TestDegreeAndPageRank:
     def test_pagerank_grouping_by_score(self):
         g = random_graph(6, n_users=25, n_items=25)
         _, user_ids, item_ids = grouped_alone(g, "pagerank", 5, 3, seed=2)
-        scores = pagerank(g.full_adjacency())
+        scores = pagerank(g.full_adjacency(), g.normalized_adjacency())
         order = np.argsort(scores[:g.n_users], kind="stable")
         assert np.all(np.diff(user_ids[order]) >= 0)
         # the most connected item lands in the top PageRank group
@@ -370,7 +371,8 @@ class TestDegreeAndPageRank:
     @settings(max_examples=150, deadline=None)
     @given(ds=awkward_interactions())
     def test_pagerank_is_a_distribution_on_awkward_graphs(self, ds):
-        scores = pagerank(build_graph(ds).full_adjacency())
+        g = build_graph(ds)
+        scores = pagerank(g.full_adjacency(), g.normalized_adjacency())
         assert scores.shape == (ds.n_users + ds.n_items,)
         assert (scores >= 0.0).all()
         assert abs(scores.sum() - 1.0) <= 1e-12

@@ -25,6 +25,16 @@ from pgtr.synthetic import clustered_interactions
 from test_encodings import awkward_interactions
 
 
+def laplacian(adj):
+    """`normalized_laplacian` of `adj`, normalizing it here."""
+    return normalized_laplacian(adj, symmetric_normalized(adj))
+
+
+def pagerank_of(adj):
+    """`pagerank` of `adj`, normalizing it here."""
+    return pagerank(adj, symmetric_normalized(adj))
+
+
 def random_bipartite(rng, n_users, n_items, density=0.15):
     users, items = [], []
     for u in range(n_users):
@@ -120,7 +130,7 @@ class TestEigensolver:
     def test_k22_normalized_laplacian_spectrum(self):
         g = build_graph(InteractionDataset(2, 2, np.array([0, 0, 1, 1]),
                                            np.array([0, 1, 0, 1])))
-        lap = normalized_laplacian(g.full_adjacency())
+        lap = laplacian(g.full_adjacency())
         vals, _ = symmetric_eigs_smallest(lap, 4)
         np.testing.assert_allclose(vals, [0.0, 1.0, 1.0, 2.0], atol=1e-10)
 
@@ -128,7 +138,7 @@ class TestEigensolver:
         rng = np.random.default_rng(0)
         for trial in range(5):
             g = random_bipartite(rng, 12, 15)
-            lap = normalized_laplacian(g.full_adjacency())
+            lap = laplacian(g.full_adjacency())
             vals, _ = symmetric_eigs_smallest(lap, 1)
             assert abs(vals[0]) <= 1e-10
 
@@ -138,7 +148,7 @@ class TestEigensolver:
         rng = np.random.default_rng(7)
         for g in graphs():
             adj = g.full_adjacency()
-            lap = normalized_laplacian(adj)
+            lap = laplacian(adj)
             null = laplacian_null_basis(adj)
             k = int(rng.integers(2, 8))
             for deflate, skip in ((None, 0), (null, null.shape[1]),
@@ -160,7 +170,7 @@ class TestEigensolver:
         g = graph()
         adj = g.full_adjacency()
         assert adj.shape[0] > DENSE_CUTOFF
-        lap = normalized_laplacian(adj)
+        lap = laplacian(adj)
         null = laplacian_null_basis(adj)
         vals, vecs = symmetric_eigs_smallest(lap, k, deflate=null)
         ref_vals, _ = dense_smallest(lap, null.shape[1] + k)
@@ -181,7 +191,7 @@ class TestEigensolver:
 
         monkeypatch.setattr(pgtr.linalg, "_shifted_largest", no_probe)
         adj = repeated_paths_graph().full_adjacency()
-        lap = normalized_laplacian(adj)
+        lap = laplacian(adj)
         null = laplacian_null_basis(adj)
         vals, _ = symmetric_eigs_smallest(lap, k, deflate=null)
         ref_vals, _ = dense_smallest(lap, null.shape[1] + k)
@@ -190,7 +200,7 @@ class TestEigensolver:
     def test_eigenvalues_ascending_and_signs_fixed(self):
         rng = np.random.default_rng(3)
         g = random_bipartite(rng, 20, 25)
-        lap = normalized_laplacian(g.full_adjacency())
+        lap = laplacian(g.full_adjacency())
         vals, vecs = symmetric_eigs_smallest(lap, 6)
         assert np.all(np.diff(vals) >= -1e-12)
         for j in range(vecs.shape[1]):
@@ -217,7 +227,7 @@ class TestEigensolver:
         g = build_graph(clustered_interactions(300, 400, per_user=8, seed=5))
         adj = g.full_adjacency()
         assert adj.shape[0] > DENSE_CUTOFF
-        lap, null = normalized_laplacian(adj), laplacian_null_basis(adj)
+        lap, null = laplacian(adj), laplacian_null_basis(adj)
         a = symmetric_eigs_smallest(lap, 20, deflate=null)
         b = symmetric_eigs_smallest(lap, 20, deflate=null)
         np.testing.assert_array_equal(a[0], b[0])
@@ -231,7 +241,7 @@ class TestEigensolver:
     def test_nonconvergence_reports_residual(self, monkeypatch):
         rng = np.random.default_rng(8)
         g = random_bipartite(rng, 40, 40)
-        lap = normalized_laplacian(g.full_adjacency())
+        lap = laplacian(g.full_adjacency())
         monkeypatch.setattr(pgtr.linalg, "RESIDUAL_TOL", 1e-30)
         with pytest.raises(ConvergenceError) as exc:
             symmetric_eigs_smallest(lap, 20)
@@ -253,7 +263,7 @@ class TestEigensolver:
 
         monkeypatch.setattr(pgtr.linalg, "eigsh", failing_eigsh)
         with pytest.raises(ConvergenceError, match="ARPACK") as exc:
-            symmetric_eigs_smallest(normalized_laplacian(adj), 5,
+            symmetric_eigs_smallest(laplacian(adj), 5,
                                     deflate=laplacian_null_basis(adj))
         assert exc.value.residual == pytest.approx(expected[0], rel=1e-6)
         assert exc.value.residual > 1e-3
@@ -312,7 +322,7 @@ class TestStoredBases:
         for g in graphs():
             adj = g.full_adjacency()
             assert adj.shape[0] > DENSE_CUTOFF
-            lap, null = normalized_laplacian(adj), laplacian_null_basis(adj)
+            lap, null = laplacian(adj), laplacian_null_basis(adj)
             assert_matches_per_call(monkeypatch, lap, k, null.toarray() if dense else null)
 
     @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
@@ -330,7 +340,7 @@ class TestStoredBases:
         items reaches ARPACK sparse at k = 50 (ncv 101) and dense at k = 200
         (ncv 401); the eigenvalues match the dense oracle either way."""
         adj = repeated_k22_graph(copies=260).full_adjacency()
-        lap, null = normalized_laplacian(adj), laplacian_null_basis(adj)
+        lap, null = laplacian(adj), laplacian_null_basis(adj)
         assert null.shape[1] == 300 and adj.shape[0] > DENSE_CUTOFF
         passed = []
         real = pgtr.linalg._shifted_largest
@@ -351,7 +361,7 @@ class TestStoredBases:
     def test_basis_layout_does_not_change_the_eigenpairs(self):
         rng = np.random.default_rng(5)
         adj = large_clustered_graphs()[0].full_adjacency()
-        lap, null = normalized_laplacian(adj), laplacian_null_basis(adj)
+        lap, null = laplacian(adj), laplacian_null_basis(adj)
         coo = null.tocoo()
         perm = rng.permutation(coo.nnz)
         shuffled = sp.coo_matrix((coo.data[perm], (coo.row[perm], coo.col[perm])),
@@ -377,7 +387,7 @@ def side_gram(g, side):
     n, total = g.n_users, adj.shape[0]
     rows, cols = ((slice(0, n), slice(n, total)) if side == "user"
                   else (slice(n, total), slice(0, n)))
-    r = -normalized_laplacian(adj)[rows, cols]
+    r = -laplacian(adj)[rows, cols]
     degree = np.asarray(adj[rows].sum(axis=1)).ravel()
     assembled = (sp.diags((degree > 0).astype(float)) - r @ r.T).tocsr()
     basis = laplacian_null_basis(adj)[rows].toarray()
@@ -552,14 +562,14 @@ class TestSymmetricNormalized:
 class TestNormalizedLaplacian:
     def test_zero_rows_for_isolated_nodes(self):
         a = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
-        lap = normalized_laplacian(a).toarray()
+        lap = laplacian(a).toarray()
         np.testing.assert_array_equal(lap[2], np.zeros(3))
         np.testing.assert_allclose(lap[:2, :2], [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_zero_eigenvalue_multiplicity_counts_components(self):
         # two disjoint edges: two components, two zero eigenvalues
         a = sp.csr_matrix((np.ones(4), ([0, 1, 2, 3], [1, 0, 3, 2])), shape=(4, 4))
-        vals, _ = symmetric_eigs_smallest(normalized_laplacian(a), 4)
+        vals, _ = symmetric_eigs_smallest(laplacian(a), 4)
         assert int(np.sum(vals < 1e-8)) == 2
 
 
@@ -571,7 +581,7 @@ class TestLaplacianNullBasis:
         null = laplacian_null_basis(a).toarray()
         assert null.shape == (6, 3)
         np.testing.assert_allclose(null.T @ null, np.eye(3), atol=1e-15)
-        np.testing.assert_allclose(normalized_laplacian(a) @ null, 0.0, atol=1e-15)
+        np.testing.assert_allclose(laplacian(a) @ null, 0.0, atol=1e-15)
         path = null[:, np.argmax(np.abs(null[2]))]
         np.testing.assert_allclose(path, np.sqrt([0, 0, 1, 2, 1, 0]) / 2.0)
         assert np.count_nonzero(null[5]) == 1 and np.abs(null[5]).max() == 1.0
@@ -579,7 +589,7 @@ class TestLaplacianNullBasis:
     def test_spans_the_zero_eigenspace(self):
         g = repeated_k22_graph(copies=5, isolated_items=3)
         adj = g.full_adjacency()
-        vals, vecs = np.linalg.eigh(normalized_laplacian(adj).toarray())
+        vals, vecs = np.linalg.eigh(laplacian(adj).toarray())
         zero = vecs[:, vals < 1e-8]
         null = laplacian_null_basis(adj).toarray()
         assert zero.shape[1] == null.shape[1] == 8
@@ -623,39 +633,39 @@ def power_pagerank(adj, damping=0.85, tol=1e-12, max_iter=1000):
 class TestPageRank:
     def test_single_edge_symmetry(self):
         g = build_graph(InteractionDataset(1, 1, np.array([0]), np.array([0])))
-        np.testing.assert_allclose(pagerank(g.full_adjacency()), [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(pagerank_of(g.full_adjacency()), [0.5, 0.5], atol=1e-12)
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError, match="^empty graph$"):
-            pagerank(sp.csr_matrix((0, 0)))
+            pagerank_of(sp.csr_matrix((0, 0)))
 
     def test_regular_graph_uniform(self):
         g = build_graph(InteractionDataset(2, 2, np.array([0, 0, 1, 1]),
                                            np.array([0, 1, 0, 1])))
-        np.testing.assert_allclose(pagerank(g.full_adjacency()), np.full(4, 0.25), atol=1e-12)
+        np.testing.assert_allclose(pagerank_of(g.full_adjacency()), np.full(4, 0.25), atol=1e-12)
 
     def test_star_matches_dense_oracle(self):
         g = build_graph(InteractionDataset(4, 1, np.arange(4), np.zeros(4, dtype=int)))
         adj = g.full_adjacency()
-        assert np.abs(pagerank(adj) - dense_pagerank(adj)).sum() <= 1e-10
+        assert np.abs(pagerank_of(adj) - dense_pagerank(adj)).sum() <= 1e-10
 
     def test_random_graphs_match_dense_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
             adj = random_bipartite(rng, 20, 30).full_adjacency()
-            assert np.abs(pagerank(adj) - dense_pagerank(adj)).sum() <= 1e-10
+            assert np.abs(pagerank_of(adj) - dense_pagerank(adj)).sum() <= 1e-10
 
     def test_probability_vector(self):
         rng = np.random.default_rng(12)
         g = random_bipartite(rng, 25, 25)
-        v = pagerank(g.full_adjacency())
+        v = pagerank_of(g.full_adjacency())
         assert np.all(v >= 0)
         assert abs(v.sum() - 1.0) <= 1e-10
 
     def test_dangling_nodes_redistribute(self):
         # isolated third node still receives teleport + dangling mass
         a = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
-        got = pagerank(a)
+        got = pagerank_of(a)
         ref = dense_pagerank(a)
         assert np.abs(got - ref).sum() <= 1e-10
         assert got[2] > 0
@@ -664,18 +674,18 @@ class TestPageRank:
         g = build_graph(InteractionDataset(1, 1, np.array([0]), np.array([0])))
         monkeypatch.setattr(pgtr.linalg, "PAGERANK_MAX_ITER", 0)
         with pytest.raises(ConvergenceError):
-            pagerank(g.full_adjacency())
+            pagerank_of(g.full_adjacency())
 
     def test_deterministic(self):
         rng = np.random.default_rng(13)
         adj = random_bipartite(rng, 15, 15).full_adjacency()
-        np.testing.assert_array_equal(pagerank(adj), pagerank(adj))
+        np.testing.assert_array_equal(pagerank_of(adj), pagerank_of(adj))
 
     @given(ds=awkward_interactions())
     def test_awkward_graphs_match_dense_oracle(self, ds):
         """Isolated nodes, many components, one user, a user with every item."""
         adj = build_graph(ds).full_adjacency()
-        assert np.abs(pagerank(adj) - dense_pagerank(adj)).sum() <= 1e-10
+        assert np.abs(pagerank_of(adj) - dense_pagerank(adj)).sum() <= 1e-10
 
     @pytest.mark.parametrize("n_users, n_items, per_user", [(800, 1200, 30), (300, 490, 10)],
                              ids=["fit", "cold-start"])

@@ -4,6 +4,7 @@ import io
 import json
 import pickle
 import sys
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -12,9 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pgtr.autodiff as ad
-from pgtr.backbone import normalized_adjacency, propagate_layer
+from pgtr.backbone import propagate_layer
 from pgtr.data import InteractionDataset, build_graph
 from pgtr.encodings import EncodingError, position_tape
+from pgtr.linalg import symmetric_normalized
 from pgtr.model import (
     EMBED_INIT_STD,
     PGTRConfig,
@@ -103,7 +105,7 @@ class TestBackboneReduction:
         state = as_float64(init_model(g, cfg, seed=3), g)
         got = forward(state).data
 
-        adj = normalized_adjacency(g)
+        adj = g.normalized_adjacency()
         h = constant(state.embeddings.data.copy())
         tables = [h]
         for l in range(cfg.layers):
@@ -119,7 +121,7 @@ class TestBackboneReduction:
                          use_pagerank=False, use_type=False, **SMALL)
         state = init_model(g, cfg, seed=4)
         got = forward(state).data
-        adj = normalized_adjacency(g)
+        adj = g.normalized_adjacency()
         h = constant(state.embeddings.data.copy())
         tables = [h]
         for l in range(cfg.layers):
@@ -220,7 +222,7 @@ class TestDenseOracle:
 
         # independent dense evaluation of the whole chain; the global term
         # is attention with every one of the (T, T) weights 1/T
-        adj = normalized_adjacency(g).toarray()
+        adj = g.normalized_adjacency().toarray()
         pos = position_matrix(state)
         t = g.n_users + g.n_items
         h = state.embeddings.data + cfg.lambda1 * pos
@@ -341,6 +343,75 @@ class TestReleasedTape:
             assert node._parents is parents[id(node)] and node.data is not None
         for name, t in state.named_parameters():
             assert t.grad is not None and np.isfinite(t.grad).all(), name
+
+
+class TestForwardScratch:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("backbone", ["lightgcn", "transform-gcn"])
+    def test_no_node_peaks_a_table_above_what_it_holds(self, monkeypatch, backbone, dtype):
+        """Under tracemalloc, each node of one `forward(state)` (and the
+        finiteness check after the last) peaks less than one (T, d) table
+        above the memory held once it has made its output: the injection
+        and each layer write into their own output tables."""
+        g = small_graph(3, n_users=200, n_items=300)
+        state = init_model(g, PGTRConfig(backbone=backbone), seed=3)
+        if dtype == np.float64:
+            as_float64(state, g)
+        forward(state)  # first-call set-up stays out of the count
+        scratch, real_make = [], ad._make
+
+        def make(*args):
+            held, peak = tracemalloc.get_traced_memory()
+            scratch.append(peak - held)
+            tracemalloc.reset_peak()
+            return real_make(*args)
+
+        monkeypatch.setattr(ad, "_make", make)
+        tracemalloc.start()
+        try:
+            out = forward(state)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        scratch.append(peak - held)
+        assert out.data.dtype == dtype
+        assert len(scratch) == 6  # position, mix, two layers, mean, the check
+        assert max(scratch) < out.data.nbytes, scratch
+
+
+class TestGraphAdjacency:
+    def test_set_up_builds_and_normalizes_the_adjacency_once(self, monkeypatch):
+        """`init_model` normalizes the graph's adjacency once, and the
+        spectral Laplacian, PageRank and the model read that one matrix and
+        the one adjacency the graph built."""
+        g = small_graph(4, n_users=20, n_items=30)
+        data_mod, enc_mod = sys.modules["pgtr.data"], sys.modules["pgtr.encodings"]
+        normalized, ranked, laplacians = [], [], []
+        for module, name, calls in ((data_mod, "symmetric_normalized", normalized),
+                                    (enc_mod, "pagerank", ranked),
+                                    (enc_mod, "normalized_laplacian", laplacians)):
+            def spy(*args, real=getattr(module, name), calls=calls):
+                calls.append(args)
+                return real(*args)
+            monkeypatch.setattr(module, name, spy)
+        state = init_model(g, PGTRConfig(**SMALL), seed=4)
+        assert len(normalized) == len(ranked) == len(laplacians) == 1
+        adj, s = g.full_adjacency(), g.normalized_adjacency()
+        assert normalized[0][0] is adj
+        assert ranked[0][0] is adj and ranked[0][1] is s
+        assert laplacians[0][0] is adj and laplacians[0][1] is s
+        np.testing.assert_array_equal(state.adjacency.toarray(), s.toarray().astype(np.float32))
+
+    def test_one_read_only_matrix_per_graph(self):
+        g = small_graph(5)
+        for get in (g.full_adjacency, g.normalized_adjacency):
+            m = get()
+            assert get() is m
+            assert not any(part.flags.writeable for part in (m.data, m.indices, m.indptr))
+        want = symmetric_normalized(g.full_adjacency())
+        for part in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(g.normalized_adjacency(), part),
+                                          getattr(want, part))
 
 
 class TestDtype:

@@ -1679,6 +1679,68 @@ class TestRankingMatchesLoopOracle:
         assert got.recall_at_k == 1.0
 
 
+class TestRankingShortcuts:
+    """Each whole-array shortcut of `ranking_metrics`' second phase, on a
+    fixed table, against the loop oracle bit for bit: the -inf count taken
+    only when a listed value is -inf, one DCG sum over rows that list k
+    finite values, hits counted per user, and the ideal DCG read from a
+    table by list length."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_row_listing_nan_and_neg_inf(self, dtype):
+        """Row 0 lists -inf (its +inf score) and NaN (it has fewer than k
+        non-NaN entries), so its minimum listed value reads NaN; its hits
+        rank after the -inf, which takes no rank.  Row 1 lists neither."""
+        scores = np.array([[np.inf, 0.3, np.nan, 0.1, np.nan, 0.2],
+                           [0.6, 0.5, 0.4, 0.3, 0.2, 0.1]], dtype=dtype)
+        observed, tests = [[5], []], [[1, 3], [1, 4]]
+        got = ranking_metrics(scores, observed, tests, k=5)
+        assert got.per_user_ndcg[0] == 1.0  # items 1 and 3 rank first and second
+        assert_matches_loop_oracle(scores, observed, tests, 5)
+
+    def test_short_rows_beside_full_rows(self):
+        """k = 20 over 30 items.  Row 0 leaves 12 items unobserved, row 1
+        lists 5 -inf values before 15 finite ones (its k-th value is
+        finite), row 2 has 17 NaN scores; every finite listed entry of those
+        rows is a test item.  Summed over all k slots, their zero-padded
+        gains would round differently from a sum over their 12, 15 and 13
+        entries.  Row 3 lists k finite values."""
+        rng = np.random.default_rng(3)
+        n_items, k = 30, 20
+        scores = rng.permutation(np.arange(4 * n_items, dtype=np.float64)).reshape(4, n_items)
+        scores /= 4 * n_items
+        observed = [rng.permutation(n_items)[:18], [], [], [0, 1]]
+        tests = [np.setdiff1d(np.arange(n_items), observed[0])]
+        scores[1, :5] = np.inf
+        tests.append(5 + np.argsort(-scores[1, 5:], kind="stable")[:15])
+        scores[2, 13:] = np.nan
+        tests += [np.arange(13), [2, 5, 7]]
+        got = ranking_metrics(scores, observed, tests, k)
+        assert got.per_user_recall[:3].tolist() == [1.0, 1.0, 1.0]
+        assert_matches_loop_oracle(scores, observed, tests, k)
+
+    def test_more_test_items_than_k(self):
+        """The ideal DCG caps each user's list length at k: users with 30,
+        12 and 3 test items at k = 10 (one of the 3 ranks first), and one
+        whose test items all rank first."""
+        rng = np.random.default_rng(4)
+        scores = rng.random((4, 40))
+        tests = [rng.permutation(40)[:30], rng.permutation(40)[:12],
+                 np.argsort(-scores[2])[[0, 15, 30]], np.argsort(-scores[3])[:10]]
+        got = ranking_metrics(scores, [[]] * 4, tests, k=10)
+        assert got.per_user_ndcg[3] == 1.0
+        assert_matches_loop_oracle(scores, [[]] * 4, tests, 10)
+
+    def test_k_above_the_item_count(self):
+        """k = 10 over 6 items: a user whose 6 items are all test items
+        lists them all, and the ideal DCG's list is 6 long."""
+        scores = np.random.default_rng(5).random((3, 6))
+        observed, tests = [[], [0], []], [np.arange(6), [1, 2], [3]]
+        got = ranking_metrics(scores, observed, tests, k=10)
+        assert (got.per_user_recall[0], got.per_user_ndcg[0]) == (1.0, 1.0)
+        assert_matches_loop_oracle(scores, observed, tests, 10)
+
+
 class TestRankingAcrossBlocks:
     """`TestRankingMatchesLoopOracle`'s properties with blocks of 1-4 rows,
     so a table's hits, ranks and ties cross block boundaries."""
