@@ -21,7 +21,10 @@ in 10 of all pairs and the medians differ by more than A's interquartile
 range, "not met" otherwise.  The no-regression verdict is "worse beyond
 bound" when B's median is worse than A's, in the metric's direction, by
 more than the metric's `bound` times A's median, and "within bound"
-otherwise.  When any metric of any workload is worse beyond its bound,
+otherwise.  Under each table, after a blank line, one Markdown list
+line per pair gives its seed, which tree ran first and both trees'
+readings of every end-to-end metric, A's / B's, so that every run made
+is on record.  When any metric of any workload is worse beyond its bound,
 the script names those metrics on stderr, one line per workload, and
 exits with status 1 once every workload has run.  It imports no pgtr:
 each run imports its own tree's sources, and it reads only A's
@@ -64,13 +67,18 @@ def last_json(stdout: str, name: str) -> dict:
     return run
 
 
+def a_first(i: int) -> bool:
+    """Whether A runs first in pair i: on even pairs, B on odd ones."""
+    return i % 2 == 0
+
+
 def run_pairs(tree_a: Path, tree_b: Path, workload: str, pairs: int,
               first_seed: int) -> list[tuple[dict, dict]]:
-    """(A's run, B's run) per seed, A first on even pairs and B on odd ones."""
+    """(A's run, B's run) per seed, the first from `first_seed` on."""
     out = []
     for i in range(pairs):
         seed = first_seed + i
-        if i % 2 == 0:
+        if a_first(i):
             out.append((run_once(tree_a, workload, seed), run_once(tree_b, workload, seed)))
         else:
             b = run_once(tree_b, workload, seed)
@@ -126,6 +134,18 @@ def table(workload: str, metrics: list[dict], pairs: list[tuple[dict, dict]]) ->
     return "\n".join(lines)
 
 
+def pair_lines(metrics: list[dict], pairs: list[tuple[dict, dict]], first_seed: int) -> str:
+    """One Markdown list line per pair: its seed, the tree that ran first
+    and each metric's readings, A's / B's, to 9 significant digits."""
+    lines = []
+    for i, (ra, rb) in enumerate(pairs):
+        values = ", ".join(f"{m['name']} {ra['metrics'][m['name']]['value']:.9g} / "
+                           f"{rb['metrics'][m['name']]['value']:.9g}" for m in metrics)
+        first = "parent" if a_first(i) else "change"
+        lines.append(f"- seed {first_seed + i}, {first} first: {values}")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree_a", type=Path)
@@ -150,7 +170,8 @@ def main(argv=None) -> int:
         except RunFailed as err:
             print(err, file=sys.stderr)
             return 1
-        print(("\n" if i else "") + table(workload, metrics, pairs), flush=True)
+        print(("\n" if i else "") + table(workload, metrics, pairs) + "\n\n"
+              + pair_lines(metrics, pairs, args.first_seed), flush=True)
         worse = [m["name"] for m in metrics
                  if worse_beyond_bound(*readings(m, pairs), m["bound"])]
         if worse:

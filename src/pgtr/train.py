@@ -77,6 +77,18 @@ def _row_entries(matrix: sp.csr_matrix, rows):
     return at, matrix.indices[entry]
 
 
+def _marks(ids: np.ndarray, size: int):
+    """The distinct values of `ids`, integers in [0, size), in increasing
+    order, and a (size,) intp lookup of each one's position among them, -1
+    at every other value: a bool mark per value and its running count."""
+    marked = np.zeros(size, dtype=bool)
+    marked[ids] = True
+    pos = np.cumsum(marked, dtype=np.intp)
+    pos *= marked
+    pos -= 1
+    return np.flatnonzero(marked), pos
+
+
 def _batch_mask(users: np.ndarray, items: np.ndarray, user_items: sp.csr_matrix,
                 mask: np.ndarray | None = None):
     """The (distinct users × distinct items) in-batch score table of a
@@ -94,14 +106,20 @@ def _batch_mask(users: np.ndarray, items: np.ndarray, user_items: sp.csr_matrix,
     a pair's item is not among its user's training items, so its entry is
     not in `drop`.  Only the batch users' CSR rows are read, each stored
     item mapped to its column through a lookup of the distinct items.
-    The dropped entries are marked in a flat bool table of m * n entries:
-    a new one, or the cleared prefix of `mask`, a buffer of at least that
-    many entries that `train` holds for its whole call."""
-    batch_users, urow = np.unique(users, return_inverse=True)
-    uniq, inv = np.unique(items, return_inverse=True)
+
+    No sort is made: the batch's users and items are marked in bool arrays
+    the size of the catalog, `user_items.shape`, whose true entries, in
+    order, are `batch_users` and `uniq`.  A running count of the marks
+    minus one is each marked id's position among them, so it gives `urow`
+    and `inv`, and, with -1 at the unmarked items, the item lookup: O(b +
+    n_users + n_items) work in all.  The dropped entries are marked in a
+    flat bool table of m * n entries: a new one, or the cleared prefix of
+    `mask`, a buffer of at least that many entries that `train` holds for
+    its whole call."""
+    batch_users, user_pos = _marks(users, user_items.shape[0])
+    uniq, col_of = _marks(items, user_items.shape[1])
+    urow, inv = user_pos[users], col_of[items]
     m, n = batch_users.size, uniq.size
-    col_of = np.full(user_items.shape[1], -1, dtype=np.intp)
-    col_of[uniq] = np.arange(n)
     row, col = _row_entries(user_items, batch_users)
     col = col_of[col]  # -1 for an item outside the batch
     at = col >= 0
@@ -129,15 +147,18 @@ def batch_loss(state: ModelState, users: np.ndarray, items: np.ndarray,
     scored against the batch's distinct items, and the pairs of one user
     share every score but their positive's: the
     scores form one (distinct users × distinct items) table whose user
-    row keeps the items the user never trained on (`_batch_mask` lists the
-    dropped entries, so no dense mask is built), and a pair's row adds its
-    own positive.  A pair keeps a negative when its row keeps at least two
-    entries.  The loss on the forward's node table, cosines included, is
-    one tape node, `in_batch_softmax`, with a hand-written backward.  Pairs
-    may repeat.  Returns the scalar loss tensor and the number of pairs
-    skipped for lack of negatives.  Raises NumericsError naming the op
-    when the node table or the loss is not finite (`ad.check_finite`) or
-    naming a batch row of zero norm (other rows are not read);
+    row keeps the items the user never trained on, and a pair's row adds
+    its own positive.  `_batch_mask` lists the dropped entries' flat
+    indices, which is all the loss reads; it also marks them in one flat
+    (distinct users × distinct items) bool table, to find the pairs whose
+    item the user never trained on.  A pair keeps a negative when its row
+    keeps at least two entries.  The loss on the forward's node table,
+    cosines included, is one tape node, `in_batch_softmax`, with a
+    hand-written backward.  Pairs may repeat.  Returns the scalar loss
+    tensor and the number of pairs skipped for lack of negatives.  Raises
+    NumericsError naming the op when the node table or the loss is not
+    finite (`ad.check_finite`) or naming a batch row of zero norm (other
+    rows are not read);
     NoNegativesError, a ValueError, when no pair keeps a negative; and
     ValueError when `users` and `items` differ in length, when
     `user_items` has the wrong shape or an item id that is not an integer
@@ -216,8 +237,10 @@ def _in_batch_softmax(h: Tensor, user_rows: np.ndarray, item_rows: np.ndarray,
     1/tau, a constant log-sum-exp shift: S becomes E = exp(S - 1/tau)
     in place, with 1/tau in the table's dtype, the dropped entries are set
     to 0, and a product with a ones vector gives each user's base.  Pair a
-    adds its positive score pos_a = U[urow[a]] . I[inv[a]]: its total is
-    base[urow[a]] + exp(pos_a - 1/tau) and its log-sum-exp 1/tau + log(total).
+    adds its positive score pos_a = S[urow[a], inv[a]], read from the table
+    after the product and before the shift, so it is the very entry its
+    row drops and adds back: its total is base[urow[a]] + exp(pos_a - 1/tau)
+    and its log-sum-exp 1/tau + log(total).
     A user row whose base falls below _MIN_ROW_TOTAL (2^-64; only possible
     for tau < ~0.045) is recomputed with its own maximum s as the shift; each
     of its pairs takes the shift max(s, pos_a), which scales the base by
@@ -227,12 +250,13 @@ def _in_batch_softmax(h: Tensor, user_rows: np.ndarray, item_rows: np.ndarray,
     pairs, plus c_a = r_a exp(pos_a - shift_a) - w at each pair's positive
     (0 in E; repeated pairs add up there through a scatter-add).  The
     backward writes G over E; the unit rows get D = (G I) / tau and G^T U,
-    and a row of norm r read from h gets (D - unit (D . unit)) / r, the
-    normalization's Jacobian, written straight into h's gradient (the rows
-    are distinct, and every other row gets 0).  The op holds one (m, u)
-    table, in h's dtype: a new array, or, when `table` is a flat buffer of
-    h's dtype (`train`'s), a view of its first m * u entries, which the
-    next step that writes the buffer overwrites.  Such a loss's backward
+    both written into one (m + n, d) array, and a row of norm r read from
+    h gets (D - unit (D . unit)) / r, the normalization's Jacobian, formed
+    in that array and copied into h's gradient (the rows are distinct, and
+    every other row gets 0).  The op holds one (m, u) table, in h's dtype:
+    a new array, or, when `table` is a flat buffer of h's dtype
+    (`train`'s), a view of its first m * u entries, which the next step
+    that writes the buffer overwrites.  Such a loss's backward
     must run before that step, as `train` runs it.
     """
     rows = np.concatenate([user_rows, item_rows])
@@ -247,6 +271,8 @@ def _in_batch_softmax(h: Tensor, user_rows: np.ndarray, item_rows: np.ndarray,
     ones = np.ones(n, dtype=e.dtype)
     # in the table's dtype: a float64 shift would promote a float32 loss
     row_shift = np.full(m, inv_tau, dtype=e.dtype)
+    positives = urow * n + inv
+    pos = e.reshape(-1)[positives]
     e -= row_shift[0]
     np.exp(e, out=e)
     e.reshape(-1)[drop] = 0
@@ -261,7 +287,6 @@ def _in_batch_softmax(h: Tensor, user_rows: np.ndarray, item_rows: np.ndarray,
         row_shift[low] = s.max(axis=1)
         e[low] = np.exp(s - row_shift[low, None])
         base[low] = e[low] @ ones
-    pos = (u[urow] * items[inv]).sum(axis=1)
     pair_row_shift = row_shift[urow]
     shift = np.maximum(pair_row_shift, pos)
     scale = np.exp(pair_row_shift - shift)
@@ -275,10 +300,15 @@ def _in_batch_softmax(h: Tensor, user_rows: np.ndarray, item_rows: np.ndarray,
         # E becomes G
         big_r = np.bincount(urow, weights=r * scale, minlength=m).astype(e.dtype)
         np.multiply(e, big_r[:, None], out=e)
-        np.add.at(e.reshape(-1), urow * n + inv, r * pos_exp - w)
-        d = np.concatenate([(e @ items) * inv_tau, e.T @ u])
+        np.add.at(e.reshape(-1), positives, r * pos_exp - w)
+        d = np.empty_like(unit)
+        np.matmul(e, items, out=d[:m])
+        d[:m] *= inv_tau
+        np.matmul(e.T, u, out=d[m:])
+        d -= unit * (d * unit).sum(axis=1, keepdims=True)
+        d /= norms
         grad = np.zeros_like(h.data)
-        grad[rows] = (d - unit * (d * unit).sum(axis=1, keepdims=True)) / norms
+        grad[rows] = d
         ad._accum(h, grad)
 
     return ad._make(loss, "in_batch_softmax", (h,), bw)

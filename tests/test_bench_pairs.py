@@ -1,5 +1,6 @@
 """Tests of `experiments/bench_pairs.py` on fabricated benchmark output:
-the table, the gain and no-regression verdicts and a failed run."""
+the table, the per-pair lines, the gain and no-regression verdicts and a
+failed run."""
 import importlib.util
 import json
 from pathlib import Path
@@ -59,6 +60,26 @@ def test_met_gain_and_alternating_order(pairs_mod, monkeypatch):
     assert table[3].endswith("| +0.0% | 0/10 (10 ties) | not met | within bound |")
 
 
+def test_a_line_per_pair_gives_its_seed_order_and_readings(pairs_mod, monkeypatch, capsys,
+                                                          tmp_path):
+    """Under the table, one line per pair names its seed and the tree that
+    ran first, and gives both trees' readings of every end-to-end metric,
+    the parent's first."""
+    readings = {}
+    for seed in (7, 8, 9):
+        readings["a", seed] = (0.1 + 0.001 * seed, 1000.0 + seed)
+        readings["b", seed] = (0.123456789012, 2000.0)
+    order = fabricated(pairs_mod, monkeypatch, readings)
+    assert pairs_mod.main(trees(tmp_path) + ["--pairs", "3", "--first-seed", "7"]) == 0
+    table, listed = capsys.readouterr().out.split("\n\n")
+    assert len(table.splitlines()) == 2 + len(METRICS)
+    assert listed.splitlines() == [
+        "- seed 7, parent first: setup_s 0.107 / 0.123456789, train_pairs_per_s 1007 / 2000",
+        "- seed 8, change first: setup_s 0.108 / 0.123456789, train_pairs_per_s 1008 / 2000",
+        "- seed 9, parent first: setup_s 0.109 / 0.123456789, train_pairs_per_s 1009 / 2000"]
+    assert [tree for tree, _ in order] == ["a", "b", "b", "a", "a", "b"]
+
+
 @pytest.mark.parametrize("wins, spread, met", [
     (9, 0.001, True),    # 9 of 10, a gap of ~0.01 against an IQR of ~0.001
     (8, 0.001, False),   # too few wins
@@ -112,7 +133,8 @@ def test_worse_beyond_a_bound_exits_1_naming_the_metric(pairs_mod, monkeypatch, 
     fabricated(pairs_mod, monkeypatch, readings)
     status = pairs_mod.main(trees(tmp_path) + ["--workload", "fit", "--pairs", "4"])
     out, err = capsys.readouterr()
-    verdicts = [line.rsplit("|", 2)[1].strip() for line in out.splitlines()[2:]]
+    rows = [line for line in out.splitlines() if line.startswith("| fit | ")]
+    verdicts = [line.rsplit("|", 2)[1].strip() for line in rows]
     assert verdicts == ["worse beyond bound" if m["name"] in worse else "within bound"
                         for m in METRICS]
     assert status == (1 if worse else 0)
@@ -138,12 +160,14 @@ def test_without_a_workload_every_workload_runs(pairs_mod, monkeypatch, capsys, 
     out, err = capsys.readouterr()
     assert order == [("fit", "a", 0), ("fit", "b", 0), ("fit", "b", 1), ("fit", "a", 1),
                      ("cold", "a", 0), ("cold", "b", 0), ("cold", "b", 1), ("cold", "a", 1)]
-    tables = out.split("\n\n")
-    assert len(tables) == 2
-    for workload, text in zip(("fit", "cold"), tables):
+    parts = out.split("\n\n")
+    assert len(parts) == 4  # each workload's table, then its pair lines
+    for workload, text, listed in zip(("fit", "cold"), parts[::2], parts[1::2]):
         rows = text.strip().splitlines()
         assert rows[0].startswith("| workload | metric |") and len(rows) == 2 + len(METRICS)
         assert all(row.startswith(f"| {workload} | ") for row in rows[2:])
+        assert [line.split(":")[0] for line in listed.strip().splitlines()] == [
+            "- seed 0, parent first", "- seed 1, change first"]
     named = {None: [], "cold": ["cold"], "both": ["fit", "cold"]}[worse_on]
     assert err == "".join(f"worse beyond bound on {w}: setup_s\n" for w in named)
     assert status == (1 if named else 0)

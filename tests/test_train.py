@@ -615,19 +615,25 @@ def small_model64(small_model):
 
 @st.composite
 def mask_batches(draw):
-    """Per-user training items (one user holds every item) and a batch of
-    (user, item) pairs drawn with replacement."""
-    n_users = draw(st.integers(1, 6))
-    n_items = draw(st.integers(1, 8))
-    items_of = [sorted(draw(st.sets(st.integers(0, n_items - 1))))
-                for _ in range(n_users)]
+    """Per-user training items (one user holds every item), a batch of
+    (user, item) pairs drawn with replacement, and how many entries a
+    larger earlier draw's mask buffer holds beyond this batch's table.
+    Half the catalogs are far larger than the batch, so most ids are never
+    marked, and either side's ids 0 and n - 1 are drawn often."""
+    large = draw(st.booleans())
+    n_users = draw(st.integers(20, 300) if large else st.integers(1, 6))
+    n_items = draw(st.integers(40, 400) if large else st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    share = draw(st.sampled_from([0.02, 0.3, 0.7]))
+    items_of = [np.flatnonzero(rng.random(n_items) < share).tolist() for _ in range(n_users)]
     items_of[draw(st.integers(0, n_users - 1))] = list(range(n_items))
     size = draw(st.integers(1, 16))
-    users = np.array(draw(st.lists(st.integers(0, n_users - 1), min_size=size,
-                                   max_size=size)), dtype=np.int64)
-    items = np.array(draw(st.lists(st.integers(0, n_items - 1), min_size=size,
-                                   max_size=size)), dtype=np.int64)
-    return users, items, items_of
+
+    def ids(n):
+        one = st.sampled_from([0, n - 1]) | st.integers(0, n - 1)
+        return np.array(draw(st.lists(one, min_size=size, max_size=size)), dtype=np.int64)
+
+    return ids(n_users), ids(n_items), items_of, draw(st.integers(0, 300))
 
 
 class TestBatchMask:
@@ -639,18 +645,24 @@ class TestBatchMask:
         its user's row with column inv[a] put back.  A user row drops every
         batch item the user trained on; the indices are row-major without
         repeats, `kept` counts each pair's row and `untrained` flags the
-        pairs whose item the user never trained on."""
-        users, items, items_of = batch
+        pairs whose item the user never trained on.  The distinct ids and
+        the intp positions `urow` and `inv` are `np.unique`'s.  A mask
+        buffer longer than the table and full of True, as a larger earlier
+        draw leaves it, gives the same outputs as a new table."""
+        users, items, items_of, extra = batch
         # one user holds every item
         n_items = max(len(row) for row in items_of)
         user_items = _user_items(items_of, "items_of", (len(items_of), n_items))
-        batch_users, urow, uniq, inv, drop, kept, untrained = _batch_mask(users, items,
-                                                                          user_items)
+        out = _batch_mask(users, items, user_items)
+        batch_users, urow, uniq, inv, drop, kept, untrained = out
         oracle = batch_mask_loop(users, items, items_of)
         b, m, n = users.size, batch_users.size, uniq.size
-        np.testing.assert_array_equal(batch_users, np.unique(users))
+        for distinct, pos, ids in ((batch_users, urow, users), (uniq, inv, items)):
+            want, want_pos = np.unique(ids, return_inverse=True)
+            np.testing.assert_array_equal(distinct, want)
+            np.testing.assert_array_equal(pos, want_pos)
+            assert pos.dtype == np.intp
         np.testing.assert_array_equal(batch_users[urow], users)
-        np.testing.assert_array_equal(uniq, np.unique(items))
         np.testing.assert_array_equal(uniq[inv], items)
         assert np.all(np.diff(drop) > 0)
         assert drop.size == 0 or 0 <= drop[0] and drop[-1] < m * n
@@ -663,6 +675,10 @@ class TestBatchMask:
             assert kept[a] == len(want)
         np.testing.assert_array_equal(
             untrained, [i not in items_of[u] for u, i in zip(users, items)])
+        reused = _batch_mask(users, items, user_items, np.ones(m * n + extra, dtype=bool))
+        for got, want in zip(reused, out):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
 
 class TestTrainLoop:
